@@ -2,7 +2,7 @@
 decompositions and their evolution generator, degenerate-eigenspace
 continuation, and seeded random sampling (GUE matrices, unit vectors)."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import zlib
 
 import numpy as np
@@ -81,22 +81,6 @@ def hermitian_eig(H):
     return vals, _fix_column_phases(vecs)
 
 
-def degeneracy_groups(values, tol=DEGENERACY_TOL):
-    """Partition indices of a sorted-or-not value list into near-equal runs."""
-    order = np.argsort(values)[::-1]
-    groups = []
-    current = [int(order[0])] if len(order) else []
-    for i in order[1:]:
-        if abs(values[i] - values[current[-1]]) < tol:
-            current.append(int(i))
-        else:
-            groups.append(current)
-            current = [int(i)]
-    if current:
-        groups.append(current)
-    return groups
-
-
 @dataclass
 class SchmidtDecomposition:
     """Bi-orthogonal expansion of a bipartite pure state.
@@ -108,7 +92,6 @@ class SchmidtDecomposition:
     weights: np.ndarray
     system_basis: np.ndarray   # d1 x r, orthonormal columns
     env_basis: np.ndarray      # r x d2, orthonormal rows
-    degeneracy_groups: list = field(default_factory=list)
 
     @property
     def rank(self):
@@ -143,7 +126,7 @@ def schmidt_decompose(psi, d1, d2, norm_tol=1e-10):
     U = U / phases[None, :]
     Vh = Vh * phases[:, None]
     weights = s ** 2
-    return SchmidtDecomposition(weights, U, Vh, degeneracy_groups(weights))
+    return SchmidtDecomposition(weights, U, Vh)
 
 
 def schmidt_generator(rho, rho_dot, eig=None):

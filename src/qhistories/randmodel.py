@@ -14,7 +14,7 @@ import numpy as np
 from .consistency import consistency_report
 from .histories import HistoryTree, decoherence_matrix
 from .linalg import HamiltonianFlow, RandomStream, sample_gue, sample_unit_vector
-from .selection import BipartiteModel, SelectionEvent, _admissible
+from .selection import BipartiteModel, LeafStates, _admissible
 from . import consistency as consistency_mod
 
 
@@ -74,7 +74,8 @@ def run_forward_search(config, model=None):
     evaluations, or when the tree reaches max_histories leaves."""
     if model is None:
         model, _ = build_run(config)
-    tree = HistoryTree(initial_state=model.psi0, evolution=model.unitary)
+    leaves = LeafStates(HistoryTree(initial_state=model.psi0,
+                                    evolution=model.evolution))
     events = []
     dt = config.t_max / 1000.0
     t = 0.0
@@ -84,37 +85,34 @@ def run_forward_search(config, model=None):
     def admissible(s):
         nonlocal steps
         steps += 1
-        return _admissible(model, tree, s, config.epsilon, config.delta,
+        return _admissible(model, leaves, s, config.epsilon, config.delta,
                            config.delta_mode)
 
-    prev_t, prev_ok = None, None
+    prev_t = None
     while t <= config.t_max + 1e-12:
         if steps >= config.max_steps:
             termination = "max_steps"
             break
-        ok, new_tree, report, probs = admissible(t)
-        if ok and (prev_ok is False):
+        ext = admissible(t)
+        if ext is not None and prev_t is not None:
             lo, hi = prev_t, t
             while hi - lo > config.refine_tol and steps < config.max_steps:
                 mid = 0.5 * (lo + hi)
-                if admissible(mid)[0]:
-                    hi = mid
-                else:
+                trial = admissible(mid)
+                if trial is None:
                     lo = mid
-            ok, new_tree, report, probs = admissible(hi)
+                else:
+                    hi, ext = mid, trial
             t = hi
-        if ok:
-            dec = new_tree.node_at(tree.leaves()[0]).decomposition
-            events.append(SelectionEvent(t, dec, probs, report))
-            tree = new_tree
-            prev_t, prev_ok = t, False    # extension resets the bracket
-            if len(tree.leaves()) >= config.max_histories:
+        prev_t = t    # next bracket starts at the last rejection or event
+        if ext is not None:
+            events.append(ext.event())
+            leaves = ext.extend()
+            if leaves.states.shape[1] >= config.max_histories:
                 termination = "max_histories"
                 break
-        else:
-            prev_t, prev_ok = t, ok
         t += dt
-    return RunRecord(config, events, termination, steps, tree)
+    return RunRecord(config, events, termination, steps, leaves.tree)
 
 
 @dataclass

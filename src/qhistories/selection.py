@@ -7,6 +7,17 @@ Selection strategies: earliest admissible time, quasi-dynamical
 (persistence under immediate re-projection), retrodictive (backward
 acceptance from the final time), and maximal information for the
 spin-measurement chain.
+
+The forward strategies (earliest-time, quasi-dynamical and the random-run
+search in randmodel) score a candidate extension without building it.
+The projectors applied at one time are mutually orthogonal, so extending
+every leaf a of the current set by {P_i(t)} gives the decoherence matrix
+D[(a,i),(b,j)] = delta_ij <U(t) u_b| P_i |U(t) u_a>: k Gram blocks of the
+evolved, projected leaf states u_a, on the strided diagonal D[i::k, i::k]
+of the (leaf outer, projector inner) order that extend_all produces.  The
+scan carries the leaf states of the current set as one matrix
+(LeafStates) and extends the history tree once per accepted event, not
+once per candidate.
 """
 
 from dataclasses import dataclass, field
@@ -34,9 +45,17 @@ class BipartiteModel:
         self.psi0 = np.asarray(self.psi0, dtype=complex).reshape(-1)
         if self.psi0.size != self.d1 * self.d2:
             raise ValueError("state dimension does not match d1*d2")
+        self._latest = (None, None)
+
+    def evolution(self, t):
+        """unitary(t) as a complex array.  The latest one is kept: scoring
+        a candidate time evolves the state and then the leaf states."""
+        if self._latest[0] != t:
+            self._latest = (t, np.asarray(self.unitary(t), dtype=complex))
+        return self._latest[1]
 
     def state(self, t):
-        return np.asarray(self.unitary(t), dtype=complex) @ self.psi0
+        return self.evolution(t) @ self.psi0
 
 
 def spin_model(cfg):
@@ -80,37 +99,139 @@ def schmidt_candidate(model, t, weight_tol=1e-12):
             total += P
     if np.max(np.abs(total - np.eye(model.d1))) > 1e-9:
         projs.append(np.eye(model.d1) - total)
-    lifted = [np.kron(P, np.eye(model.d2, dtype=complex)) for P in projs]
+    dim = model.d1 * model.d2
+    eye = np.eye(model.d2, dtype=complex)
+    # P (x) 1 as one broadcast product: entry [(i, a), (j, b)] = P_ij 1_ab
+    lifted = [(P[:, None, :, None] * eye[None, :, None, :]).reshape(dim, dim)
+              for P in projs]
     return ProjectiveDecomposition(t, lifted, check=False)
 
 
-def _admissible(model, tree, t, epsilon, delta, delta_mode):
-    """Try the Schmidt decomposition at t on every branch; admissible when
-    the extended set stays medium-consistent at epsilon and every branch
-    splits non-trivially at delta.  Returns (ok, extended tree, report,
-    probabilities)."""
+class LeafStates:
+    """A history tree with the path-projected states u_a of its leaves as
+    the columns of one matrix, in leaves() order."""
+
+    def __init__(self, tree, states=None):
+        self.tree = tree
+        if states is None:
+            states = np.column_stack([tree.path_state(p)
+                                      for p in tree.leaves()])
+        self.states = states
+        self.probabilities = np.linalg.norm(states, axis=0) ** 2
+
+
+def _projected_gram(evolution, states, dec):
+    """Decoherence matrix of the leaves extended by dec, without the tree.
+
+    Projectors at one time are orthogonal, so D[(a,i),(b,j)] is
+    delta_ij <U u_b| P_i |U u_a>: block i, on the strided diagonal
+    D[i::k, i::k], is the Gram matrix of the columns P_i U u_a.  Returns
+    (U, W, D) with W[:, a*k + i] = P_i U u_a."""
+    U = np.asarray(evolution(dec.time), dtype=complex)
+    V = U @ states
+    n, k = V.shape[1], len(dec)
+    W = np.empty((V.shape[0], n * k), dtype=complex)
+    D = np.zeros((n * k, n * k), dtype=complex)
+    for i, P in enumerate(dec.projectors):
+        Wi = P @ V
+        W[:, i::k] = Wi
+        D[i::k, i::k] = Wi.T @ Wi.conj()     # D_ab = u_b^dag u_a
+    return U, W, D
+
+
+class Extension:
+    """A scored candidate: every leaf of a set split by one decomposition.
+
+    Holds the decoherence matrix of the extended set, its consistency
+    report and probabilities; the tree itself is built by extend() only
+    once the candidate is accepted."""
+
+    def __init__(self, leaves, dec, epsilon):
+        self.leaves = leaves
+        self.decomposition = dec
+        self._unitary, self._projected, self.matrix = _projected_gram(
+            leaves.tree.evolution, leaves.states, dec)
+        self.report = consistency_report(self.matrix, epsilon)
+        self.probabilities = np.real(np.diag(self.matrix))
+        self._states = None
+
+    @property
+    def states(self):
+        """Path-projected states of the extended leaves, U^dag P_i U u_a."""
+        if self._states is None:
+            self._states = self._unitary.conj().T @ self._projected
+        return self._states
+
+    def extend(self):
+        tree = extend_all(self.leaves.tree, self.decomposition)
+        return LeafStates(tree, self.states)
+
+    def event(self):
+        return SelectionEvent(self.decomposition.time, self.decomposition,
+                              self.probabilities, self.report)
+
+
+def _admissible(model, leaves, t, epsilon, delta, delta_mode):
+    """Try the Schmidt decomposition at t on every leaf of the set; it is
+    admissible when the extended set stays medium-consistent at epsilon
+    and every leaf of non-negligible probability splits non-trivially at
+    delta.
+
+    The extension is scored from the leaf-state matrix alone, as k
+    projected Gram blocks (see _projected_gram); the parent probabilities
+    are its squared column norms.  No tree is built here: the caller
+    extends the tree with Extension.extend() once per accepted event.
+    Returns the Extension, or None when inadmissible."""
     try:
         dec = schmidt_candidate(model, t)
     except np.linalg.LinAlgError:
-        return False, None, None, None
+        return None
     if len(dec) < 2:
-        return False, None, None, None
-    new_tree = extend_all(tree, dec)
-    D = decoherence_matrix(new_tree)
-    report = consistency_report(D, epsilon)
-    if not report.medium_pass:
-        return False, new_tree, report, D.diag
+        return None
+    ext = Extension(leaves, dec, epsilon)
+    if not ext.report.medium_pass:
+        return None
     k = len(dec)
-    parents = [float(np.linalg.norm(tree.path_state(p)) ** 2)
-               for p in tree.leaves()]
-    probs = D.diag
-    for b, parent in enumerate(parents):
-        children = probs[b * k:(b + 1) * k]
+    children = ext.probabilities.reshape(-1, k)
+    for parent, split in zip(leaves.probabilities, children):
         if parent < 1e-14:
             continue
-        if not nontrivial(parent, children, delta, mode=delta_mode):
-            return False, new_tree, report, probs
-    return True, new_tree, report, probs
+        if not nontrivial(parent, split, delta, mode=delta_mode):
+            return None
+    return ext
+
+
+def _scan_select(model, accept, t_max, grid, refine_tol, max_events):
+    """Scan [0, t_max] on a uniform grid for times where accept(leaves, t)
+    returns an Extension; refine each inadmissible-to-admissible flip by
+    bisection to refine_tol, record the extension found at the refined
+    time as an event, and continue the scan on the extended set."""
+    leaves = LeafStates(HistoryTree(initial_state=model.psi0,
+                                    evolution=model.evolution))
+    events = []
+    ts = np.linspace(0.0, t_max, grid + 1)
+    i = 0
+    while i <= grid and len(events) < max_events:
+        t = float(ts[i])
+        ext = accept(leaves, t)
+        if ext is None:
+            i += 1
+            continue
+        lo = float(ts[i - 1]) if i > 0 else 0.0
+        lo = max(lo, events[-1].time if events else lo)
+        hi = t
+        while hi - lo > refine_tol:
+            mid = 0.5 * (lo + hi)
+            trial = accept(leaves, mid)
+            if trial is None:
+                lo = mid
+            else:
+                hi, ext = mid, trial
+        events.append(ext.event())
+        leaves = ext.extend()
+        while i <= grid and ts[i] <= hi:
+            i += 1
+    return SelectedSet(leaves.tree, events)
 
 
 def earliest_time_select(model, epsilon, delta, t_max, *, grid=400,
@@ -121,41 +242,10 @@ def earliest_time_select(model, epsilon, delta, t_max, *, grid=400,
     Scans [0, t_max] on a uniform grid; each inadmissible-to-admissible
     flip is refined by bisection to refine_tol and recorded as an event,
     after which the scan continues on the extended tree."""
-    tree = HistoryTree(initial_state=model.psi0, evolution=model.unitary)
-    events = []
-    ts = np.linspace(0.0, t_max, grid + 1)
-    i = 0
-    while i <= grid and len(events) < max_events:
-        t = float(ts[i])
-        if t <= (events[-1].time if events else -1.0):
-            i += 1
-            continue
-        ok, _, _, _ = _admissible(model, tree, t, epsilon, delta, delta_mode)
-        if not ok:
-            i += 1
-            continue
-        lo = float(ts[i - 1]) if i > 0 else 0.0
-        lo = max(lo, events[-1].time if events else lo)
-        hi = t
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            ok_mid, _, _, _ = _admissible(model, tree, mid, epsilon, delta,
-                                          delta_mode)
-            if ok_mid:
-                hi = mid
-            else:
-                lo = mid
-        ok, new_tree, report, probs = _admissible(model, tree, hi, epsilon,
-                                                  delta, delta_mode)
-        if not ok:    # refinement landed on a grid artefact; move on
-            i += 1
-            continue
-        dec = new_tree.node_at(tree.leaves()[0]).decomposition
-        events.append(SelectionEvent(hi, dec, probs, report))
-        tree = new_tree
-        while i <= grid and ts[i] <= hi:
-            i += 1
-    return SelectedSet(tree, events)
+    def accept(leaves, t):
+        return _admissible(model, leaves, t, epsilon, delta, delta_mode)
+
+    return _scan_select(model, accept, t_max, grid, refine_tol, max_events)
 
 
 def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
@@ -166,53 +256,19 @@ def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
     is accepted only if re-applying the same decomposition at t + probe_dt
     leaves the set exactly consistent, so projections must hold still
     under the dynamics at the moment they are made."""
-    tree = HistoryTree(initial_state=model.psi0, evolution=model.unitary)
-    events = []
-    ts = np.linspace(0.0, t_max, grid + 1)
-
-    def accept(t, cur_tree):
-        ok, new_tree, report, probs = _admissible(model, cur_tree, t, epsilon,
-                                                  delta, delta_mode)
-        if not ok:
-            return False, None, None, None
-        dec = new_tree.node_at(cur_tree.leaves()[0]).decomposition
-        repeat = ProjectiveDecomposition(t + probe_dt, dec.projectors,
+    def accept(leaves, t):
+        ext = _admissible(model, leaves, t, epsilon, delta, delta_mode)
+        if ext is None:
+            return None
+        repeat = ProjectiveDecomposition(t + probe_dt,
+                                         ext.decomposition.projectors,
                                          check=False)
-        probe_tree = extend_all(new_tree, repeat)
-        D = decoherence_matrix(probe_tree)
+        _, _, D = _projected_gram(leaves.tree.evolution, ext.states, repeat)
         if not is_exactly_consistent(D, "medium", tol=persistence_tol):
-            return False, None, None, None
-        return True, new_tree, report, probs
+            return None
+        return ext
 
-    i = 0
-    while i <= grid and len(events) < max_events:
-        t = float(ts[i])
-        if t <= (events[-1].time if events else -1.0):
-            i += 1
-            continue
-        ok, _, _, _ = accept(t, tree)
-        if not ok:
-            i += 1
-            continue
-        lo = float(ts[i - 1]) if i > 0 else 0.0
-        lo = max(lo, events[-1].time if events else lo)
-        hi = t
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            if accept(mid, tree)[0]:
-                hi = mid
-            else:
-                lo = mid
-        ok, new_tree, report, probs = accept(hi, tree)
-        if not ok:
-            i += 1
-            continue
-        dec = new_tree.node_at(tree.leaves()[0]).decomposition
-        events.append(SelectionEvent(hi, dec, probs, report))
-        tree = new_tree
-        while i <= grid and ts[i] <= hi:
-            i += 1
-    return SelectedSet(tree, events)
+    return _scan_select(model, accept, t_max, grid, refine_tol, max_events)
 
 
 def retrodictive_select(model, candidate_times, epsilon=1e-10, *,

@@ -94,3 +94,37 @@ def test_perturbation_sweep_continuity():
     assert len(t0) == len(t1)
     if t0:
         assert max(abs(a - b) for a, b in zip(t0, t1)) < 1e-3
+
+
+# Searches recorded with the tree-rebuilding scorer, as (d2, seed, steps,
+# bisected events, termination, event times).  That scorer evaluated the
+# refined time once more after each bisection, so the leaf-state engine
+# takes one step less per bisected event and must find the same times.
+PINNED_SEARCHES = [
+    (16, 12, 1020, 1, "t_max", [0.0, 0.3177888565063479]),
+    (16, 16, 1020, 1, "t_max", [0.0, 0.09034523773193365]),
+    (4, 5, 1020, 1, "t_max", [0.0, 1.2188367462158212]),
+]
+
+
+@pytest.mark.parametrize("d2,seed,steps,bisected,termination,times",
+                         PINNED_SEARCHES)
+def test_pinned_forward_searches(d2, seed, steps, bisected, termination,
+                                 times):
+    rec = randmodel.run_forward_search(_config(d2=d2, seed=seed,
+                                               max_histories=64))
+    assert rec.times == times
+    assert rec.termination == termination
+    assert rec.steps == steps - bisected
+
+
+def test_step_cap_holds_mid_bisection():
+    # seed 12 starts bisecting its second event at step 160; the cap stops
+    # the refinement and the event is recorded at the bracket reached
+    rec = randmodel.run_forward_search(_config(d2=16, seed=12,
+                                               max_histories=64,
+                                               max_steps=170))
+    assert rec.steps == 170
+    assert rec.termination == "max_steps"
+    assert len(rec.events) == 2
+    assert abs(rec.times[1] - 0.3177888565063479) < 2e-6

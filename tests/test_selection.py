@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 
 from qhistories import selection, spin
-from qhistories.histories import decoherence_matrix
-from qhistories.linalg import RandomStream, sample_unit_vector
+from qhistories.consistency import consistency_report, nontrivial
+from qhistories.histories import (HistoryTree, ProjectiveDecomposition,
+                                  decoherence_matrix, extend_all,
+                                  extend_branch)
+from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
+                               sample_unit_vector)
+
+# The leaf-state engine and the tree path sum the same products in another
+# order; on these sizes (at most 81 histories of dimension 24) their
+# difference is a few 1e-16 of the largest entry, so 1e-12 of it separates
+# rounding from a misplaced or missing term.
+GRAM_RTOL = 1e-12
 
 
 def _config(seed, n):
@@ -182,3 +192,138 @@ def test_max_information_exhaustive_small():
     assert best_closed >= best_scan - 1e-6
     # the scan grid is coarse; the closed form can only beat it slightly
     assert best_closed == pytest.approx(best_scan, abs=5e-3)
+
+
+# -- leaf-state engine against the tree path -----------------------------
+
+def _gue_model(d1, d2, seed, psi=None):
+    rng = RandomStream(seed, "engine-oracle")
+    flow = HamiltonianFlow(sample_gue(d1 * d2, 1.0, rng.stream("H")))
+    if psi is None:
+        psi = sample_unit_vector(d1 * d2, "complex", rng.stream("psi"))
+    return selection.BipartiteModel(d1, d2, psi, flow.unitary)
+
+
+def _tree_path_admissible(model, tree, t, epsilon, delta):
+    """The admissibility test by rebuilding: extend every leaf of the tree,
+    form the decoherence matrix from path states, gate on medium
+    consistency and relative non-triviality of every non-null leaf."""
+    dec = selection.schmidt_candidate(model, t)
+    if len(dec) < 2:
+        return False
+    D = decoherence_matrix(extend_all(tree, dec))
+    if not consistency_report(D, epsilon).medium_pass:
+        return False
+    k = len(dec)
+    for b, leaf in enumerate(tree.leaves()):
+        parent = float(np.linalg.norm(tree.path_state(leaf)) ** 2)
+        if parent >= 1e-14 and not nontrivial(parent,
+                                              D.diag[b * k:(b + 1) * k],
+                                              delta):
+            return False
+    return True
+
+
+def _check_engine(model, tree, times, epsilons=(0.05, 0.5), delta=0.02):
+    """Engine matrix equals the rebuilt tree's at every time; the verdicts
+    agree for every epsilon.  Returns the verdicts."""
+    leaves = selection.LeafStates(tree)
+    verdicts = []
+    for t in times:
+        dec = selection.schmidt_candidate(model, t)
+        want = decoherence_matrix(extend_all(tree, dec)).entries
+        got = selection.Extension(leaves, dec, epsilons[0]).matrix
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= GRAM_RTOL * np.max(np.abs(want))
+        for eps in epsilons:
+            ok = selection._admissible(model, leaves, t, eps, delta,
+                                       "relative") is not None
+            assert ok == _tree_path_admissible(model, tree, t, eps, delta)
+            verdicts.append(ok)
+    return verdicts
+
+
+def test_engine_matches_tree_path_on_gue_models():
+    verdicts = []
+    for d1, d2 in itertools.product((2, 3), (3, 8)):
+        model = _gue_model(d1, d2, 10 * d1 + d2)
+        tree = HistoryTree(initial_state=model.psi0, evolution=model.unitary)
+        for depth in range(4):
+            if depth:
+                tree = extend_all(tree, selection.schmidt_candidate(
+                    model, 0.3 * depth))
+            verdicts += _check_engine(model, tree, [1.05, 1.4, 2.0])
+    assert set(verdicts) == {True, False}
+
+
+def test_engine_matches_tree_path_on_branch_dependent_tree():
+    model = _gue_model(2, 8, 5)
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.unitary)
+    tree = extend_all(tree, selection.schmidt_candidate(model, 0.2))
+    tree = extend_branch(tree, (0,), selection.schmidt_candidate(model, 0.5))
+    tree = extend_branch(tree, (0, 1), selection.schmidt_candidate(model, 0.7))
+    assert tree.leaves() == [(0, 0), (0, 1, 0), (0, 1, 1), (1,)]
+    _check_engine(model, tree, [0.9, 1.3, 1.8])
+
+
+@pytest.mark.parametrize("d2", [3, 8])
+def test_engine_matches_tree_path_with_complement_projector(d2):
+    # the state at t_star has Schmidt rank 2 of d1 = 3, so the candidate
+    # there carries the complement of the Schmidt span as a third projector
+    d1, t_star = 3, 1.2
+    rng = np.random.default_rng(d2)
+    a, _ = np.linalg.qr(rng.normal(size=(d1, 2))
+                        + 1j * rng.normal(size=(d1, 2)))
+    b, _ = np.linalg.qr(rng.normal(size=(d2, 2))
+                        + 1j * rng.normal(size=(d2, 2)))
+    psi_t = (np.sqrt(0.6) * np.kron(a[:, 0], b[:, 0])
+             + np.sqrt(0.4) * np.kron(a[:, 1], b[:, 1]))
+    U_star = _gue_model(d1, d2, 7).unitary(t_star)
+    model = _gue_model(d1, d2, 7, psi=U_star.conj().T @ psi_t)
+    assert len(selection.schmidt_candidate(model, t_star)) == 3
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.unitary)
+    for t_prior in (None, 0.4, 0.8):
+        if t_prior is not None:
+            tree = extend_all(tree, selection.schmidt_candidate(model,
+                                                                t_prior))
+        _check_engine(model, tree, [t_star])
+
+
+def test_engine_matches_tree_path_with_null_branch():
+    # U(0) is exactly the identity, so projecting the product state
+    # e_0 (x) f onto e_1 at t = 0 leaves a branch of exactly zero
+    d1, d2 = 2, 3
+    flow = HamiltonianFlow(sample_gue(d1 * d2, 1.0,
+                                      RandomStream(3, "engine-null")))
+    f = np.array([0.6, 0.8j, 0.0])
+    model = selection.BipartiteModel(
+        d1, d2, np.kron([1.0, 0.0], f),
+        lambda t: np.eye(d1 * d2, dtype=complex) if t == 0
+        else flow.unitary(t))
+    lift = [np.kron(np.diag(p), np.eye(d2))
+            for p in ([1.0, 0.0], [0.0, 1.0])]
+    tree = extend_all(
+        HistoryTree(initial_state=model.psi0, evolution=model.unitary),
+        ProjectiveDecomposition(0.0, lift))
+    assert not np.any(selection.LeafStates(tree).states[:, 1])
+    _check_engine(model, tree, [0.3, 0.9, 1.6])
+
+
+# -- pinned seeds ----------------------------------------------------------
+# Event times recorded with the tree-rebuilding scorer; the leaf-state
+# engine must reproduce them bit for bit.
+
+def test_pinned_recoherence_events():
+    # the call `qhist spin recoherence` makes, with its default eps and delta
+    a1, a2, u = _recoherence()
+    model = selection.recoherence_model(a1, a2, u)
+    sel = selection.earliest_time_select(model, 1e-6, 0.05, 3 * math.pi / 2)
+    assert sel.times == [0.49564069742175976, 1.5707960871103983]
+
+
+@pytest.mark.parametrize("seed,times", [(3, [1.999881591796875]),
+                                        (4, [0.999970703125])])
+def test_pinned_quasi_dynamical_events(seed, times):
+    model = selection.spin_model(_config(seed, 2))
+    sel = selection.quasi_dynamical_select(model, 0.05, 0.02, 2.0, grid=100)
+    assert sel.times == times
