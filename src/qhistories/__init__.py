@@ -17,7 +17,6 @@ from .histories import (
     ProjectiveDecomposition,
     HistoryTree,
     DecoherenceMatrix,
-    path_state,
     decoherence_matrix,
     coarse_grain,
     real_embed,
@@ -46,7 +45,6 @@ __all__ = [
     "ProjectiveDecomposition",
     "HistoryTree",
     "DecoherenceMatrix",
-    "path_state",
     "decoherence_matrix",
     "coarse_grain",
     "real_embed",

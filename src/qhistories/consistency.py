@@ -247,12 +247,7 @@ def linear_positivity(tree, tol=1e-12):
 
     Returns (ok, probabilities, first bad index or None); ok is False when
     some value is negative beyond tolerance."""
-    psi = tree.initial_state
-    probs = []
-    for leaf in tree.leaves():
-        u = tree.path_state(leaf)
-        probs.append(float(np.real(np.vdot(psi, u))))
-    probs = np.asarray(probs)
+    probs = np.real(tree.initial_state.conj() @ tree.leaf_states())
     bad = np.nonzero(probs < -tol)[0]
     if bad.size:
         return False, probs, int(bad[0])
@@ -263,8 +258,7 @@ def env_orthogonality(tree, d1, d2):
     """Largest normalized Hilbert-Schmidt overlap between the environment
     reduced matrices of any two history states.  Null histories skipped."""
     rhos = []
-    for leaf in tree.leaves():
-        u = tree.path_state(leaf)
+    for u in tree.leaf_states().T:
         if np.linalg.norm(u) < 1e-12:
             continue
         M = u.reshape(d1, d2 * (u.size // (d1 * d2)))

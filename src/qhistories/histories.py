@@ -3,12 +3,14 @@ matrices.
 
 A history tree applies timed projective decompositions along its branches;
 each leaf is a history alpha with path-projected state u_alpha = C_alpha psi
-and probability |u_alpha|^2.  Projectors are stored in the Schroedinger
-picture and conjugated into the Heisenberg picture once per node, cached.
-Trees are immutable; extension returns a new tree sharing untouched
-subtrees.
+and probability |u_alpha|^2.  Projectors stay in the Schroedinger picture:
+a node maps the state u it receives to U(t)^dag P_i U(t) u, and one walk of
+the tree (leaf_states) gives every path state, building U(t) once per
+distinct time.  Trees are immutable; extension returns a new tree sharing
+untouched subtrees.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,27 +52,15 @@ class ProjectiveDecomposition:
 
 
 class _Node:
-    __slots__ = ("decomposition", "children", "_heisenberg")
+    __slots__ = ("decomposition", "children")
 
     def __init__(self, decomposition=None, children=None):
         self.decomposition = decomposition
         self.children = children or []
-        self._heisenberg = None     # conjugated projectors, filled lazily
 
     @property
     def is_leaf(self):
         return self.decomposition is None
-
-    def heisenberg(self, evolution):
-        if self._heisenberg is None:
-            if evolution is None:
-                self._heisenberg = list(self.decomposition.projectors)
-            else:
-                U = np.asarray(evolution(self.decomposition.time), dtype=complex)
-                Ud = U.conj().T
-                self._heisenberg = [Ud @ P @ U
-                                    for P in self.decomposition.projectors]
-        return self._heisenberg
 
 
 class HistoryTree:
@@ -150,18 +140,45 @@ class HistoryTree:
             node = node.children[i]
         return t
 
+    def _project(self, node, u, which, unitaries):
+        """U(t)^dag P_i U(t) u for each i in which, at the node's time t;
+        unitaries maps the times seen so far to U(t)."""
+        dec = node.decomposition
+        if self.evolution is None:
+            return [dec.projectors[i] @ u for i in which]
+        if dec.time not in unitaries:
+            unitaries[dec.time] = np.asarray(self.evolution(dec.time),
+                                             dtype=complex)
+        U = unitaries[dec.time]
+        v = U @ u
+        return [U.conj().T @ (dec.projectors[i] @ v) for i in which]
+
     def path_state(self, path):
+        """u_alpha = C_alpha psi, the (sub-normalized) path-projected state."""
         u = self.initial_state.copy()
         node = self.root
         for i in path:
-            u = node.heisenberg(self.evolution)[i] @ u
+            u = self._project(node, u, (i,), {})[0]
             node = node.children[i]
         return u
 
+    def leaf_states(self):
+        """Path states of all leaves as the columns of one matrix, in
+        leaves() order, from one walk of the tree."""
+        unitaries = {}
+        columns = []
 
-def path_state(tree, leaf):
-    """u_alpha = C_alpha psi, the (sub-normalized) path-projected state."""
-    return tree.path_state(leaf)
+        def walk(node, u):
+            if node.is_leaf:
+                columns.append(u)
+                return
+            states = self._project(node, u, range(len(node.children)),
+                                   unitaries)
+            for child, w in zip(node.children, states):
+                walk(child, w)
+
+        walk(self.root, self.initial_state)
+        return np.column_stack(columns)
 
 
 @dataclass
@@ -185,10 +202,9 @@ class DecoherenceMatrix:
 
 def decoherence_matrix(tree):
     """Decoherence matrix of a tree's leaves, D_ab = u_b^dag u_a."""
-    leaves = tree.leaves()
-    states = np.column_stack([tree.path_state(p) for p in leaves])
+    states = tree.leaf_states()
     D = (states.conj().T @ states).T
-    return DecoherenceMatrix(D, leaves)
+    return DecoherenceMatrix(D, tree.leaves())
 
 
 def coarse_grain(D, partition):
@@ -232,17 +248,10 @@ def extend_branch(tree, leaf, dec):
         i = path[0]
         children = list(node.children)
         children[i] = rebuild(children[i], path[1:])
-        clone = _Node(node.decomposition, children)
-        clone._heisenberg = node._heisenberg
-        return clone
+        return _Node(node.decomposition, children)
 
-    new_root = rebuild(tree.root, tuple(leaf))
-    new_tree = HistoryTree.__new__(HistoryTree)
-    new_tree.initial_state = tree.initial_state
-    new_tree.evolution = tree.evolution
-    new_tree._purified_rank = tree._purified_rank
-    new_tree._base_dim = tree._base_dim
-    new_tree.root = new_root
+    new_tree = copy.copy(tree)
+    new_tree.root = rebuild(tree.root, tuple(leaf))
     return new_tree
 
 

@@ -17,7 +17,9 @@ evolved, projected leaf states u_a, on the strided diagonal D[i::k, i::k]
 of the (leaf outer, projector inner) order that extend_all produces.  The
 scan carries the leaf states of the current set as one matrix
 (LeafStates) and extends the history tree once per accepted event, not
-once per candidate.
+once per candidate.  Every other path state (LeafStates of a fresh tree,
+the retrodictive trials and companions) comes from the tree's own
+leaf-state walk, HistoryTree.leaf_states.
 """
 
 from dataclasses import dataclass, field
@@ -114,8 +116,7 @@ class LeafStates:
     def __init__(self, tree, states=None):
         self.tree = tree
         if states is None:
-            states = np.column_stack([tree.path_state(p)
-                                      for p in tree.leaves()])
+            states = tree.leaf_states()
         self.states = states
         self.probabilities = np.linalg.norm(states, axis=0) ** 2
 
@@ -282,25 +283,23 @@ def retrodictive_select(model, candidate_times, epsilon=1e-10, *,
     leaf, each a normalized state with the system component flipped on the
     leaf's (product) history state.  Requires d1 = 2 for companions."""
     times = sorted(set(float(t) for t in candidate_times))
+    candidates = {}
     accepted = []
     for t in reversed(times):
+        try:
+            candidates[t] = schmidt_candidate(model, t)
+        except np.linalg.LinAlgError:
+            continue
         trial = sorted(accepted + [t])
         tree = HistoryTree(initial_state=model.psi0, evolution=model.unitary)
-        okay = True
-        try:
-            for s in trial:
-                tree = extend_all(tree, schmidt_candidate(model, s))
-        except np.linalg.LinAlgError:
-            okay = False
-        if okay:
-            rep = consistency_report(decoherence_matrix(tree), epsilon)
-            okay = rep.medium_pass
-        if okay:
+        for s in trial:
+            tree = extend_all(tree, candidates[s])
+        if consistency_report(decoherence_matrix(tree), epsilon).medium_pass:
             accepted = trial
     tree = HistoryTree(initial_state=model.psi0, evolution=model.unitary)
     events = []
     for s in accepted:
-        dec = schmidt_candidate(model, s)
+        dec = candidates[s]
         tree = extend_all(tree, dec)
         D = decoherence_matrix(tree)
         events.append(SelectionEvent(s, dec, D.diag,
@@ -313,8 +312,7 @@ def retrodictive_select(model, candidate_times, epsilon=1e-10, *,
     companions = []
     U_final = np.asarray(model.unitary(accepted[-1]), dtype=complex) \
         if accepted else np.eye(model.d1 * model.d2)
-    for leaf in tree.leaves():
-        u = tree.path_state(leaf)
+    for leaf, u in zip(tree.leaves(), tree.leaf_states().T):
         nrm = np.linalg.norm(u)
         if nrm < companion_tol:
             continue

@@ -481,10 +481,11 @@ def delayed_choice_branches(v, axis_map, n):
     env0[0] = 1.0
     psi = np.kron(spinor(np.asarray(v, dtype=float)), env0)
     branches = {(): psi}
+    Um_prev = delayed_choice_unitary(v, axis_map, n, 0)
     for m in range(1, n + 1):
         Um = delayed_choice_unitary(v, axis_map, n, m)
-        Um_prev = delayed_choice_unitary(v, axis_map, n, m - 1)
         step = Um @ Um_prev.conj().T
+        Um_prev = Um
         new = {}
         for outcomes, state in branches.items():
             state_m = step @ state

@@ -152,3 +152,123 @@ def test_mixed_initial_state_purification():
                                       evolution=flow.unitary), dec)
         D_sum += p * decoherence_matrix(pure).entries
     assert np.max(np.abs(D_mixed - D_sum)) < 1e-10
+
+
+# Path states against dense Heisenberg chains, one tolerance relative to the
+# largest entry of the reference.
+REL_TOL = 1e-12
+
+
+def _dense_leaf_states(tree, psi, unitary):
+    """Reference: C_alpha psi with C_alpha the product of the dense
+    Heisenberg projectors U(t)^dag P U(t) along each leaf's path."""
+    columns = []
+    for leaf in tree.leaves():
+        C = np.eye(psi.size, dtype=complex)
+        for j, i in enumerate(leaf):
+            dec = tree.node_at(leaf[:j]).decomposition
+            U = np.eye(psi.size) if unitary is None else unitary(dec.time)
+            C = U.conj().T @ dec.projectors[i] @ U @ C
+        columns.append(C @ psi)
+    return np.column_stack(columns)
+
+
+def _assert_matches_dense(tree, psi, unitary):
+    want = _dense_leaf_states(tree, psi, unitary)
+    got = tree.leaf_states()
+    tol = REL_TOL * np.max(np.abs(want))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol
+    for leaf, column in zip(tree.leaves(), want.T):
+        assert np.max(np.abs(tree.path_state(leaf) - column)) <= tol
+    D_want = (want.conj().T @ want).T
+    D = decoherence_matrix(tree)
+    assert D.labels == tree.leaves()
+    assert np.max(np.abs(D.entries - D_want)) <= REL_TOL * np.max(np.abs(D_want))
+    return got
+
+
+def test_leaf_states_branch_dependent_tree():
+    dim = 4
+    rng = RandomStream(17, "branchdep")
+    psi = sample_unit_vector(dim, "complex", rng.stream("psi"))
+    flow = HamiltonianFlow(sample_gue(dim, 1.0, rng.stream("H")))
+    tree = extend_all(HistoryTree(initial_state=psi, evolution=flow.unitary),
+                      _random_decomposition(dim, 1.0, rng.stream("d1"),
+                                            blocks=[[0, 1], [2, 3]]))
+    tree = extend_branch(tree, (0,),
+                         _random_decomposition(dim, 2.0, rng.stream("d2")))
+    tree = extend_branch(tree, (1,),
+                         _random_decomposition(dim, 1.5, rng.stream("d3"),
+                                               blocks=[[0], [1, 2, 3]]))
+    tree = extend_branch(tree, (0, 1),
+                         _random_decomposition(dim, 3.0, rng.stream("d4"),
+                                               blocks=[[0, 3], [1, 2]]))
+    assert len(tree.leaves()) == 7
+    _assert_matches_dense(tree, psi, flow.unitary)
+
+
+def test_leaf_states_purified_mixed_state():
+    dim, rank = 3, 2
+    rng = RandomStream(19, "purified")
+    flow = HamiltonianFlow(sample_gue(dim, 1.0, rng.stream("H")))
+    _, V = hermitian_eig(sample_gue(dim, 1.0, rng.stream("basis")))
+    rho = (V * np.array([0.0, 0.35, 0.65])[None, :]) @ V.conj().T
+    tree = HistoryTree(initial_density=rho, evolution=flow.unitary)
+    for level in range(2):
+        tree = extend_all(tree, _random_decomposition(
+            dim, float(level + 1), rng.stream(f"dec{level}")))
+    assert tree.dim == dim * rank
+    states = _assert_matches_dense(
+        tree, tree.initial_state,
+        lambda t: np.kron(flow.unitary(t), np.eye(rank)))
+    assert abs(np.sum(np.abs(states) ** 2) - 1.0) < 1e-10
+
+
+def test_leaf_states_without_evolution():
+    dim = 4
+    rng = RandomStream(23, "noevol")
+    psi = sample_unit_vector(dim, "complex", rng.stream("psi"))
+    tree = HistoryTree(initial_state=psi, evolution=None)
+    for level in range(2):
+        tree = extend_all(tree, _random_decomposition(
+            dim, float(level + 1), rng.stream(f"dec{level}"),
+            blocks=[[0], [1, 2], [3]]))
+    _assert_matches_dense(tree, psi, None)
+
+
+def test_leaf_states_exactly_null_branch():
+    # a diagonal evolution keeps psi inside the range of P: the complement
+    # branch and all its descendants are exactly zero
+    energies = np.array([0.3, -1.1, 0.8, 2.0])
+    unitary = lambda t: np.diag(np.exp(-1j * energies * t))
+    psi = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2)
+    P = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    tree = extend_all(HistoryTree(initial_state=psi, evolution=unitary),
+                      ProjectiveDecomposition(1.0, [P, np.eye(4) - P]))
+    tree = extend_all(tree, _random_decomposition(
+        4, 2.0, RandomStream(29, "null").stream("dec"), blocks=[[0, 1], [2, 3]]))
+    states = _assert_matches_dense(tree, psi, unitary)
+    assert tree.leaves()[2:] == [(1, 0), (1, 1)]
+    assert np.all(states[:, 2:] == 0)
+    assert np.linalg.norm(states[:, :2]) > 0.5
+
+
+def test_decoherence_matrix_builds_one_unitary_per_time():
+    dim = 4
+    rng = RandomStream(31, "count")
+    psi = sample_unit_vector(dim, "complex", rng.stream("psi"))
+    flow = HamiltonianFlow(sample_gue(dim, 1.0, rng.stream("H")))
+    calls = []
+
+    def evolution(t):
+        calls.append(t)
+        return flow.unitary(t)
+
+    tree = HistoryTree(initial_state=psi, evolution=evolution)
+    for t in (1.0, 2.0, 3.0):
+        tree = extend_all(tree, _random_decomposition(
+            dim, t, rng.stream(f"dec{t}"), blocks=[[0, 1], [2, 3]]))
+    assert len(tree.leaves()) == 8
+    decoherence_matrix(tree)
+    assert sorted(calls) == [1.0, 2.0, 3.0]
