@@ -12,7 +12,8 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .histories import DecoherenceMatrix, HistoryTree, ProjectiveDecomposition
+from .histories import (DecoherenceMatrix, HistoryTree, ProjectiveDecomposition,
+                        extend_all)
 
 
 # -- near-orthogonal frame pair ------------------------------------------
@@ -156,7 +157,6 @@ def zeno_tree(n, theta):
     eps = theta / n
     psi = np.array([1.0, 0.0], dtype=complex)
     tree = HistoryTree(initial_state=psi, evolution=None)
-    from .histories import extend_all
     for k in range(1, n + 1):
         cs, sn = math.cos(k * eps), math.sin(k * eps)
         plus = np.array([cs, sn])

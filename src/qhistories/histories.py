@@ -8,6 +8,11 @@ a node maps the state u it receives to U(t)^dag P_i U(t) u, and one walk of
 the tree (leaf_states) gives every path state, building U(t) once per
 distinct time.  Trees are immutable; extension returns a new tree sharing
 untouched subtrees.
+
+Operators act on the leading tensor factor (apply_leading): a projector
+or unitary of size d applied to a state of size d*m acts as op (x) 1_m by
+reshape, so system projectors and a purified state's base evolution stay
+at their own size.
 """
 
 import copy
@@ -20,8 +25,21 @@ from .linalg import hermitian_eig
 PROJECTOR_TOL = 1e-10
 
 
+def apply_leading(op, states):
+    """(op (x) 1) states, for a state vector or a matrix of column states
+    whose size is a multiple of op's; op of the states' own size is a plain
+    matrix product."""
+    d = op.shape[1]
+    if d == states.shape[0]:
+        return op @ states
+    return (op @ states.reshape(d, -1)).reshape(states.shape)
+
+
 class ProjectiveDecomposition:
-    """A complete set of orthogonal projectors applied at a fixed time."""
+    """A complete set of orthogonal projectors applied at a fixed time.
+
+    Projectors of size d act on the leading factor of a state of size d*m
+    (see apply_leading), so system projectors are given at system size."""
 
     def __init__(self, time, projectors, check=True):
         self.time = float(time)
@@ -68,12 +86,13 @@ class HistoryTree:
 
     evolution, if given, maps a time to the unitary U(t); projections at
     time t act as U(t)^dag P U(t) on the initial state.  A mixed initial
-    state (density matrix) is purified into a doubled space; rank is read
-    from its eigenvalues.
+    state (density matrix) of size d is purified into C^d (x) C^r, r its
+    rank read from the eigenvalues; evolution and projectors stay at size
+    d and act on the leading factor.
     """
 
     def __init__(self, initial_state=None, evolution=None,
-                 initial_density=None, root=None):
+                 initial_density=None):
         if (initial_state is None) == (initial_density is None):
             raise ValueError("give exactly one of initial_state, initial_density")
         if initial_density is not None:
@@ -81,35 +100,17 @@ class HistoryTree:
             vals, vecs = hermitian_eig(rho)
             keep = vals > 1e-12
             vals, vecs = vals[keep], vecs[:, keep]
-            r = int(vals.size)
-            d = rho.shape[0]
-            psi = (vecs * np.sqrt(vals)[None, :]).reshape(-1)  # sum_i sqrt(p_i) v_i (x) e_i
-            self.initial_state = psi
-            self._purified_rank = r
-            base_evolution = evolution
-            if base_evolution is None:
-                self.evolution = None
-            else:
-                self.evolution = lambda t: np.kron(
-                    np.asarray(base_evolution(t), dtype=complex), np.eye(r))
-            self._base_dim = d
+            # sum_i sqrt(p_i) v_i (x) e_i: the base space is the leading factor
+            psi = (vecs * np.sqrt(vals)[None, :]).reshape(-1)
         else:
             psi = np.asarray(initial_state, dtype=complex).reshape(-1)
-            self.initial_state = psi
-            self._purified_rank = 1
-            self.evolution = evolution
-            self._base_dim = psi.size
-        self.root = root if root is not None else _Node()
+        self.initial_state = psi
+        self.evolution = evolution
+        self.root = _Node()
 
     @property
     def dim(self):
         return self.initial_state.size
-
-    def _lift(self, P):
-        P = np.asarray(P, dtype=complex)
-        if self._purified_rank > 1 and P.shape[0] == self._base_dim:
-            return np.kron(P, np.eye(self._purified_rank))
-        return P
 
     def leaves(self):
         """Leaf paths in depth-first order, children in projector order."""
@@ -145,13 +146,14 @@ class HistoryTree:
         unitaries maps the times seen so far to U(t)."""
         dec = node.decomposition
         if self.evolution is None:
-            return [dec.projectors[i] @ u for i in which]
+            return [apply_leading(dec.projectors[i], u) for i in which]
         if dec.time not in unitaries:
             unitaries[dec.time] = np.asarray(self.evolution(dec.time),
                                              dtype=complex)
         U = unitaries[dec.time]
-        v = U @ u
-        return [U.conj().T @ (dec.projectors[i] @ v) for i in which]
+        v = apply_leading(U, u)
+        return [apply_leading(U.conj().T, apply_leading(dec.projectors[i], v))
+                for i in which]
 
     def path_state(self, path):
         """u_alpha = C_alpha psi, the (sub-normalized) path-projected state."""
@@ -233,18 +235,20 @@ def extend_branch(tree, leaf, dec):
     """New tree with the given leaf split by a projective decomposition.
 
     Unmodified subtrees are shared with the original."""
+    d = dec.projectors[0].shape[0]
+    if tree.dim % d:
+        raise ValueError(
+            f"projector dimension {d} does not divide state dimension {tree.dim}")
     t_last = tree.last_time(leaf)
     if t_last is not None and dec.time <= t_last:
         raise ValueError(
             f"decomposition time {dec.time} does not exceed branch time {t_last}")
-    lifted = ProjectiveDecomposition(
-        dec.time, [tree._lift(P) for P in dec.projectors], check=False)
 
     def rebuild(node, path):
         if not path:
             if not node.is_leaf:
                 raise ValueError("path does not end at a leaf")
-            return _Node(lifted, [_Node() for _ in lifted.projectors])
+            return _Node(dec, [_Node() for _ in dec.projectors])
         i = path[0]
         children = list(node.children)
         children[i] = rebuild(children[i], path[1:])

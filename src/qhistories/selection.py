@@ -2,7 +2,9 @@
 
 A model exposes an initial state, a unitary evolution and a
 system/environment split; candidate projective decompositions are the
-Schmidt (reduced-density eigenbasis) projections of the evolved state.
+Schmidt (reduced-density eigenbasis) projections of the evolved state,
+given at system size d1 and applied to the leading (system) factor of the
+states (histories.apply_leading).
 Selection strategies: earliest admissible time, quasi-dynamical
 (persistence under immediate re-projection), retrodictive (backward
 acceptance from the final time), and maximal information for the
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consistency import consistency_report, is_exactly_consistent, nontrivial
-from .histories import (HistoryTree, ProjectiveDecomposition,
+from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
                         decoherence_matrix, extend_all)
 from .linalg import schmidt_decompose
 from . import spin as spin_mod
@@ -89,24 +91,17 @@ class SelectedSet:
 
 
 def schmidt_candidate(model, t, weight_tol=1e-12):
-    """Schmidt projective decomposition {P_i (x) 1} of the state at time t,
-    plus the complement of the retained Schmidt span when rank-deficient."""
+    """Schmidt projective decomposition of the state at time t: d1 x d1
+    system projectors onto the retained Schmidt vectors, plus the
+    complement of their span when rank-deficient."""
     sd = schmidt_decompose(model.state(t), model.d1, model.d2)
-    projs = []
-    total = np.zeros((model.d1, model.d1), dtype=complex)
-    for i, w in enumerate(sd.weights):
-        if w > weight_tol:
-            P = np.outer(sd.system_basis[:, i], sd.system_basis[:, i].conj())
-            projs.append(P)
-            total += P
-    if np.max(np.abs(total - np.eye(model.d1))) > 1e-9:
-        projs.append(np.eye(model.d1) - total)
-    dim = model.d1 * model.d2
-    eye = np.eye(model.d2, dtype=complex)
-    # P (x) 1 as one broadcast product: entry [(i, a), (j, b)] = P_ij 1_ab
-    lifted = [(P[:, None, :, None] * eye[None, :, None, :]).reshape(dim, dim)
-              for P in projs]
-    return ProjectiveDecomposition(t, lifted, check=False)
+    projs = [sd.system_projector(i) for i, w in enumerate(sd.weights)
+             if w > weight_tol]
+    rest = np.eye(model.d1) - sum(projs, np.zeros((model.d1, model.d1),
+                                                  dtype=complex))
+    if np.max(np.abs(rest)) > 1e-9:
+        projs.append(rest)
+    return ProjectiveDecomposition(t, projs, check=False)
 
 
 class LeafStates:
@@ -129,12 +124,12 @@ def _projected_gram(evolution, states, dec):
     D[i::k, i::k], is the Gram matrix of the columns P_i U u_a.  Returns
     (U, W, D) with W[:, a*k + i] = P_i U u_a."""
     U = np.asarray(evolution(dec.time), dtype=complex)
-    V = U @ states
+    V = apply_leading(U, states)
     n, k = V.shape[1], len(dec)
     W = np.empty((V.shape[0], n * k), dtype=complex)
     D = np.zeros((n * k, n * k), dtype=complex)
     for i, P in enumerate(dec.projectors):
-        Wi = P @ V
+        Wi = apply_leading(P, V)
         W[:, i::k] = Wi
         D[i::k, i::k] = Wi.T @ Wi.conj()     # D_ab = u_b^dag u_a
     return U, W, D
@@ -160,7 +155,8 @@ class Extension:
     def states(self):
         """Path-projected states of the extended leaves, U^dag P_i U u_a."""
         if self._states is None:
-            self._states = self._unitary.conj().T @ self._projected
+            self._states = apply_leading(self._unitary.conj().T,
+                                         self._projected)
         return self._states
 
     def extend(self):

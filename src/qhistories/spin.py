@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .histories import HistoryTree, ProjectiveDecomposition, extend_all
+from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
+                        extend_all)
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -179,11 +180,6 @@ def initial_state(cfg):
     return np.kron(spinor(cfg.v), env)
 
 
-def system_projector_full(cfg, w):
-    """P(w) (x) 1 on the full space."""
-    return np.kron(proj2(np.asarray(w)), np.eye(2 ** cfg.n, dtype=complex))
-
-
 def reduced_density_full(cfg, t):
     """Partial trace over the environment of the evolved full state."""
     psi = full_unitary(cfg, t) @ initial_state(cfg)
@@ -193,12 +189,11 @@ def reduced_density_full(cfg, t):
 
 def build_tree(cfg, events):
     """History tree from (time, axis) projection events; each event splits
-    every branch with {P(axis), P(-axis)} on the system."""
+    every branch with the 2 x 2 system projectors {P(axis), P(-axis)}."""
     tree = HistoryTree(initial_state=initial_state(cfg),
                        evolution=lambda t: full_unitary(cfg, t))
     for t, w in sorted(events, key=lambda e: e[0]):
-        dec = ProjectiveDecomposition(
-            t, [system_projector_full(cfg, w), system_projector_full(cfg, -np.asarray(w))])
+        dec = ProjectiveDecomposition(t, [proj2(w), proj2(-np.asarray(w))])
         tree = extend_all(tree, dec)
     return tree
 
@@ -491,8 +486,7 @@ def delayed_choice_branches(v, axis_map, n):
             state_m = step @ state
             u = np.asarray(axis_map(outcomes), dtype=float)
             for a in (1, -1):
-                P = np.kron(proj2(a * u), np.eye(2 ** n, dtype=complex))
-                new[outcomes + (a,)] = P @ state_m
+                new[outcomes + (a,)] = apply_leading(proj2(a * u), state_m)
         branches = new
     probs = {k: float(np.linalg.norm(s) ** 2) for k, s in branches.items()}
     return branches, probs

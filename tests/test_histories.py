@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhistories import selection, spin
 from qhistories.histories import (DecoherenceMatrix, HistoryTree,
                                   ProjectiveDecomposition, coarse_grain,
                                   decoherence_matrix, extend_all,
@@ -130,6 +131,16 @@ def test_extend_branch_shares_untouched_subtrees():
     assert len(new.leaves()) == 3
 
 
+def test_extend_branch_rejects_projector_not_dividing_state():
+    tree = HistoryTree(initial_state=np.full(4, 0.5, dtype=complex),
+                       evolution=None)
+    P = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    dec = ProjectiveDecomposition(1.0, [P, np.eye(3) - P])
+    with pytest.raises(ValueError,
+                       match="projector dimension 3 .* state dimension 4"):
+        extend_branch(tree, (), dec)
+
+
 def test_mixed_initial_state_purification():
     # the decoherence matrix of a mixed state equals the probability mix of
     # the pure-state matrices of its eigenvectors
@@ -161,14 +172,17 @@ REL_TOL = 1e-12
 
 def _dense_leaf_states(tree, psi, unitary):
     """Reference: C_alpha psi with C_alpha the product of the dense
-    Heisenberg projectors U(t)^dag P U(t) along each leaf's path."""
+    Heisenberg projectors U(t)^dag P U(t) along each leaf's path; each
+    stored projector is lifted to the full space here as P (x) 1."""
     columns = []
     for leaf in tree.leaves():
         C = np.eye(psi.size, dtype=complex)
         for j, i in enumerate(leaf):
             dec = tree.node_at(leaf[:j]).decomposition
             U = np.eye(psi.size) if unitary is None else unitary(dec.time)
-            C = U.conj().T @ dec.projectors[i] @ U @ C
+            P = dec.projectors[i]
+            P = np.kron(P, np.eye(psi.size // P.shape[0]))
+            C = U.conj().T @ P @ U @ C
         columns.append(C @ psi)
     return np.column_stack(columns)
 
@@ -272,3 +286,51 @@ def test_decoherence_matrix_builds_one_unitary_per_time():
     assert len(tree.leaves()) == 8
     decoherence_matrix(tree)
     assert sorted(calls) == [1.0, 2.0, 3.0]
+
+
+# Trees whose projectors (and, for a purified state, evolution) act on the
+# leading factor, against the dense reference above, which lifts each
+# stored projector as P (x) 1 itself.
+
+def _spin_tree():
+    rng = RandomStream(37, "spin-lift")
+    vecs = [sample_unit_vector(3, "real", rng.stream(f"a{i}")) for i in range(4)]
+    cfg = spin.SpinModelConfig(v=vecs[0], axes=np.array(vecs[1:]))
+    tree = spin.build_tree(cfg, spin.schmidt_events(cfg, [0.6, 1.0, 2.3, 3.0]))
+    return tree, lambda t: spin.full_unitary(cfg, t), 2
+
+
+def _schmidt_tree():
+    d1, d2 = 3, 4
+    rng = RandomStream(41, "schmidt-lift")
+    flow = HamiltonianFlow(sample_gue(d1 * d2, 1.0, rng.stream("H")))
+    psi = sample_unit_vector(d1 * d2, "complex", rng.stream("psi"))
+    model = selection.BipartiteModel(d1, d2, psi, flow.unitary)
+    tree = HistoryTree(initial_state=psi, evolution=model.evolution)
+    for t in (0.4, 1.1):
+        tree = extend_all(tree, selection.schmidt_candidate(model, t))
+    assert len(tree.leaves()) == d1 ** 2
+    return tree, flow.unitary, d1
+
+
+def _purified_tree():
+    dim, rank = 4, 2
+    rng = RandomStream(43, "purified-lift")
+    flow = HamiltonianFlow(sample_gue(dim, 1.0, rng.stream("H")))
+    _, V = hermitian_eig(sample_gue(dim, 1.0, rng.stream("basis")))
+    rho = (V * np.array([0.4, 0.0, 0.6, 0.0])[None, :]) @ V.conj().T
+    tree = HistoryTree(initial_density=rho, evolution=flow.unitary)
+    for level in range(2):
+        tree = extend_all(tree, _random_decomposition(
+            dim, float(level + 1), rng.stream(f"dec{level}"),
+            blocks=[[0, 1], [2], [3]]))
+    assert tree.dim == dim * rank
+    return tree, lambda t: np.kron(flow.unitary(t), np.eye(rank)), dim
+
+
+@pytest.mark.parametrize("build", [_spin_tree, _schmidt_tree, _purified_tree])
+def test_system_factor_tree_matches_dense_lift(build):
+    tree, full_unitary, d = build()
+    assert all(P.shape == (d, d)
+               for P in tree.root.decomposition.projectors)
+    _assert_matches_dense(tree, tree.initial_state, full_unitary)

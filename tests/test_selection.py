@@ -36,7 +36,7 @@ def test_schmidt_candidate_resolves_identity():
     model = selection.recoherence_model(a1, a2, u)
     dec = selection.schmidt_candidate(model, 0.8)
     total = sum(dec.projectors)
-    assert np.max(np.abs(total - np.eye(4))) < 1e-10
+    assert np.max(np.abs(total - np.eye(model.d1))) < 1e-10
 
 
 def test_earliest_time_recoherence_events_before_revival():
