@@ -270,6 +270,7 @@ def cmd_random_analyse(args, out):
             ["entropy", an.entropy],
             ["mpv", an.mpv],
             ["mpv_exact", an.mpv_exact],
+            ["mpv_upper", an.mpv_upper],
             ["integrity", an.integrity]]
     emit_records(out, "random analyse",
                  {"d1": args.d1, "d2": args.d2, "sigma": args.sigma,

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 EXACT_TOL = 1e-10
-MPV_EXHAUSTIVE_CAP = 22
+MPV_EXHAUSTIVE_CAP = 26
+MPV_BLOCK = 1 << 16      # entries of one temporary block in the MPV scans
 
 
 def _entries(D):
@@ -75,62 +76,93 @@ def is_exactly_consistent(D, criterion="weak", tol=None):
     return v <= tol
 
 
-def _subset_values(R, diag, bits_lo, bits_hi, n):
-    counts = np.arange(bits_lo, bits_hi, dtype=np.uint64)
-    X = ((counts[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
-         ).astype(float)
-    vals = np.einsum("si,ij,sj->s", X, R, X) - X @ diag
-    return vals
+def _subset_bits(n):
+    """Indicator rows of all 2^n subsets of n items, row s = binary of s."""
+    counts = np.arange(1 << n, dtype=np.uint64)
+    return ((counts[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
+            ).astype(float)
+
+
+def _subset_values(R, X):
+    """Off-diagonal sum x^T R x - x . diag R of every indicator row x."""
+    return np.einsum("si,ij,sj->s", X, R, X) - X @ np.diag(R)
 
 
 def mpv_exact(D):
     """Maximum probability violation by exhaustive subset scan.
 
-    Returns (value, witness subset as a sorted index tuple).  Refuses above
-    22 histories; use mpv_greedy there."""
+    Returns (value, witness subset as a sorted index tuple).  The value
+    is the largest |f(S)| over subsets S, f(S) = sum of Re D_ab over
+    distinct a, b in S.  The histories are split into the first h = n//2
+    and the rest, f(S) = f(S_lo) + f(S_hi) + cross(S_lo, S_hi), so each
+    half is tabulated once and the 2^n values are scanned as blocks
+    f_hi + f_lo + X_hi W^T of at most MPV_BLOCK entries: memory stays
+    flat in n, apart from the half tables of 2^h rows.
+
+    The witness is the subset of smallest index (bit i = history i) whose
+    value is the largest; ties between subsets of equal value are decided
+    by roundoff (for frame pairs, a whole frame and the same frame plus a
+    history whose cross entries are exactly 0 tie).  Refuses above
+    MPV_EXHAUSTIVE_CAP = 26 histories; use mpv_greedy there."""
     M = _entries(D)
     n = M.shape[0]
     if n > MPV_EXHAUSTIVE_CAP:
         raise ValueError(
             f"{n} histories exceeds the exhaustive cap {MPV_EXHAUSTIVE_CAP}")
     R = M.real
-    diag = np.diag(R).copy()
+    h = n // 2
+    X_lo, X_hi = _subset_bits(h), _subset_bits(n - h)
+    f_lo = _subset_values(R[:h, :h], X_lo)
+    f_hi = _subset_values(R[h:, h:], X_hi)
+    W = X_lo @ (R[:h, h:] + R[h:, :h].T)
+    rows = max(1, MPV_BLOCK >> h)
     best_val, best_idx = 0.0, 0
-    chunk = 1 << 14
-    for lo in range(0, 1 << n, chunk):
-        hi = min(lo + chunk, 1 << n)
-        vals = np.abs(_subset_values(R, diag, lo, hi, n))
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val, best_idx = float(vals[i]), lo + i
+    for start in range(0, 1 << (n - h), rows):
+        stop = start + rows
+        F = np.abs(f_hi[start:stop, None] + f_lo[None, :]
+                   + X_hi[start:stop] @ W.T)
+        i = int(np.argmax(F))
+        if F.flat[i] > best_val:
+            hi, lo = divmod(i, F.shape[1])
+            best_val, best_idx = float(F.flat[i]), (start + hi) << h | lo
     witness = tuple(i for i in range(n) if (best_idx >> i) & 1)
     return best_val, witness
 
 
 def mpv_greedy(D):
     """Deterministic greedy lower bound on the maximum probability
-    violation: grow subsets from every seed pair, keep the best."""
+    violation: grow subsets from every seed pair, keep the best.
+
+    Seed (sign, a < b) starts from {a, b} with value 2 sign Re D_ab and
+    repeatedly adds the history of largest gain 2 sign sum_{j in S} Re D_ij
+    (first index on ties) while that gain exceeds 1e-15.  All seeds
+    advance together as rows of a gain matrix, in blocks of at most
+    MPV_BLOCK entries: adding history j to a row adds 2 sign Re D[:, j]
+    to its gains, and a member's gain is held at -inf."""
     M = _entries(D)
     n = M.shape[0]
     R = M.real
+    a, b = np.triu_indices(n, 1)
+    sign = np.repeat([2.0, -2.0], a.size)
+    a, b = np.tile(a, 2), np.tile(b, 2)
+    rows = max(1, MPV_BLOCK // max(n, 1))
     best = 0.0
-    for sign in (1.0, -1.0):
-        for a in range(n):
-            for b in range(a + 1, n):
-                members = np.zeros(n, dtype=bool)
-                members[[a, b]] = True
-                value = sign * 2.0 * R[a, b]
-                improved = True
-                while improved:
-                    improved = False
-                    gains = sign * 2.0 * (R[:, members].sum(axis=1))
-                    gains[members] = -np.inf
-                    j = int(np.argmax(gains))
-                    if gains[j] > 1e-15:
-                        members[j] = True
-                        value += gains[j]
-                        improved = True
-                best = max(best, abs(value))
+    for start in range(0, sign.size, rows):
+        sa, sb = a[start:start + rows], b[start:start + rows]
+        s = sign[start:start + rows, None]
+        value = s[:, 0] * R[sa, sb]
+        gains = s * (R[:, sa] + R[:, sb]).T
+        seeds = np.arange(s.size)
+        gains[seeds, sa] = gains[seeds, sb] = -np.inf
+        while value.size:
+            j = np.argmax(gains, axis=1)
+            gain = gains[np.arange(j.size), j]
+            grow = gain > 1e-15
+            best = max(best, float(np.abs(value[~grow]).max(initial=0.0)))
+            gains, s, j = gains[grow], s[grow], j[grow]
+            value = value[grow] + gain[grow]
+            gains += s * R[:, j].T
+            gains[np.arange(j.size), j] = -np.inf
     return best
 
 

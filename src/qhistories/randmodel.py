@@ -124,6 +124,7 @@ class RunAnalysis:
     event_gaps: np.ndarray
     mpv: float
     mpv_exact: bool
+    mpv_upper: float          # mpv_upper_bound above the exhaustive cap, else mpv
     integrity: bool           # recomputed reports match the recorded ones
 
 
@@ -147,9 +148,11 @@ def analyse_run(record, epsilon=None):
     if D.n <= consistency_mod.MPV_EXHAUSTIVE_CAP:
         mpv, _ = consistency_mod.mpv_exact(D)
         exact = True
+        upper = mpv
     else:
         mpv = consistency_mod.mpv_greedy(D)
         exact = False
+        upper = consistency_mod.mpv_upper_bound(D)
     integrity = True
     if record.events:
         last = record.events[-1]
@@ -160,7 +163,7 @@ def analyse_run(record, epsilon=None):
                          - np.sort(probs))) > 1e-8:
             integrity = False
     return RunAnalysis(len(record.events), D.n, report, entropy, gaps,
-                       float(mpv), exact, integrity)
+                       float(mpv), exact, float(upper), integrity)
 
 
 def perturbation_sweep(config, gammas, direction_seed=0):

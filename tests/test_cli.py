@@ -102,6 +102,7 @@ def test_random_commands():
     _, _, _, rows = cli.parse_records(out)
     vals = dict((r[0], r[1]) for r in rows)
     assert vals["integrity"] is True
+    assert vals["mpv"] <= vals["mpv_upper"]
 
 
 def test_dist_check_command():

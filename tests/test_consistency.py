@@ -5,14 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhistories.consistency import (UnresolvedLimitError, consistency_report,
-                                    env_orthogonality, epsilon_for_delta,
-                                    is_exactly_consistent, limit_dhc,
-                                    linear_positivity, mpv_exact, mpv_greedy,
-                                    mpv_upper_bound, nontrivial)
+from qhistories import randmodel
+from qhistories.consistency import (MPV_EXHAUSTIVE_CAP, UnresolvedLimitError,
+                                    consistency_report, env_orthogonality,
+                                    epsilon_for_delta, is_exactly_consistent,
+                                    limit_dhc, linear_positivity, mpv_exact,
+                                    mpv_greedy, mpv_upper_bound, nontrivial)
+from qhistories.constructions import frame_pair_matrix, frame_pair_mpv
 from qhistories.histories import (DecoherenceMatrix, HistoryTree,
                                   ProjectiveDecomposition, extend_all)
 from qhistories.linalg import RandomStream, sample_unit_vector
+
+# MPV comparisons against the reference scans below hold to MPV_RTOL of
+# the largest |Re D| entry.
+MPV_RTOL = 1e-12
 
 
 def _random_matrix(seed, n, scale=0.1):
@@ -80,8 +86,114 @@ def test_mpv_bounds_sandwich(seed, n):
 
 
 def test_mpv_exhaustive_cap():
+    n = MPV_EXHAUSTIVE_CAP + 1
     with pytest.raises(ValueError, match="cap"):
-        mpv_exact(DecoherenceMatrix(np.eye(23, dtype=complex), list(range(23))))
+        mpv_exact(DecoherenceMatrix(np.eye(n, dtype=complex), list(range(n))))
+
+
+def _mpv_exact_full_scan(D):
+    """Reference: |f(S)| of every subset index in chunks of 2^14, first
+    index of the largest value wins."""
+    R = np.asarray(D, dtype=complex).real
+    n = R.shape[0]
+    diag = np.diag(R).copy()
+    best_val, best_idx = 0.0, 0
+    chunk = 1 << 14
+    for lo in range(0, 1 << n, chunk):
+        counts = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.uint64)
+        X = ((counts[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
+             ).astype(float)
+        vals = np.abs(np.einsum("si,ij,sj->s", X, R, X) - X @ diag)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best_idx = float(vals[i]), lo + i
+    return best_val, tuple(i for i in range(n) if (best_idx >> i) & 1)
+
+
+def _mpv_greedy_loop(D):
+    """Reference: grow each seed pair (sign, a < b) by one recomputed
+    column sum per step."""
+    R = np.asarray(D, dtype=complex).real
+    n = R.shape[0]
+    best = 0.0
+    for sign in (1.0, -1.0):
+        for a in range(n):
+            for b in range(a + 1, n):
+                members = np.zeros(n, dtype=bool)
+                members[[a, b]] = True
+                value = sign * 2.0 * R[a, b]
+                while True:
+                    gains = sign * 2.0 * (R[:, members].sum(axis=1))
+                    gains[members] = -np.inf
+                    j = int(np.argmax(gains))
+                    if not gains[j] > 1e-15:
+                        break
+                    members[j] = True
+                    value += gains[j]
+                best = max(best, abs(value))
+    return best
+
+
+def _subset_violation(R, witness):
+    w = list(witness)
+    return abs(R[np.ix_(w, w)].sum() - R[w, w].sum())
+
+
+@pytest.mark.parametrize("n", range(9, 21))
+def test_mpv_split_scan_matches_full_scan(n):
+    D = _random_matrix(1000 + n, n).entries
+    tol = MPV_RTOL * np.abs(D.real).max()
+    val, witness = mpv_exact(D)
+    ref, _ = _mpv_exact_full_scan(D)
+    assert abs(val - ref) <= tol
+    assert abs(_subset_violation(D.real, witness) - val) <= tol
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20])
+def test_mpv_greedy_matches_loop_on_random(n):
+    for seed in range(3):
+        D = _random_matrix(2000 * n + seed, n).entries
+        tol = MPV_RTOL * np.abs(D.real).max()
+        assert abs(mpv_greedy(D) - _mpv_greedy_loop(D)) <= tol
+
+
+@pytest.mark.parametrize("n_histories", [16, 32, 64])
+def test_mpv_greedy_matches_loop_on_frame_pairs(n_histories):
+    D = frame_pair_matrix(n_histories // 2, 0.02).entries
+    tol = MPV_RTOL * np.abs(D.real).max()
+    assert abs(mpv_greedy(D) - _mpv_greedy_loop(D)) <= tol
+
+
+@pytest.mark.parametrize("D", [np.zeros((0, 0)), np.full((1, 1), 0.7),
+                               np.diag([0.4, 0.6]), np.diag(np.arange(6.0))],
+                         ids=["n0", "n1", "n2-diagonal", "n6-diagonal"])
+def test_mpv_trivial_inputs(D):
+    D = D.astype(complex)
+    assert mpv_exact(D) == (0.0, ())
+    assert mpv_greedy(D) == 0.0
+
+
+def test_mpv_two_histories():
+    D = np.array([[0.5, -0.1 + 0.3j], [-0.1 - 0.3j, 0.5]])
+    assert mpv_exact(D) == (pytest.approx(0.2), (0, 1))
+    assert mpv_greedy(D) == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_frame_pair_mpv_past_old_cap(n):
+    # 2n = 24 and 26 histories: the top of the exhaustive range.
+    val, witness = mpv_exact(frame_pair_matrix(n, 0.03))
+    assert abs(val - frame_pair_mpv(n, 0.03)) <= 1e-12
+    assert len(witness) >= n
+
+
+def test_analyse_run_reports_interval_above_cap():
+    config = randmodel.RunConfig(d1=3, d2=9, sigma=1.0, seed=1, epsilon=0.9,
+                                 delta=1e-4, t_max=8.0, max_histories=32)
+    an = randmodel.analyse_run(randmodel.run_forward_search(config))
+    assert an.n_histories > MPV_EXHAUSTIVE_CAP
+    assert not an.mpv_exact
+    assert 0.0 < an.mpv <= an.mpv_upper
 
 
 def test_epsilon_for_delta_simple_modes():
