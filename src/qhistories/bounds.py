@@ -10,7 +10,6 @@ machinery backing the proofs is exposed for verification.
 import math
 
 import numpy as np
-from scipy import special
 
 
 def packing_upper_bound(d, eps, criterion="weak"):
@@ -77,6 +76,7 @@ def jacobi(n, alpha, beta, x):
 
 def jacobi_normalized(n, alpha, beta, x):
     """P_n^{(alpha,beta)}(x) / P_n^{(alpha,beta)}(1); value 1 at x = 1."""
+    from scipy import special
     return jacobi(n, alpha, beta, x) / special.binom(n + alpha, n)
 
 

@@ -10,7 +10,6 @@ matrix element shrinks like theta^2/n^2.
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .histories import (DecoherenceMatrix, HistoryTree, ProjectiveDecomposition,
                         extend_all)
@@ -59,6 +58,7 @@ def frame_pair_mpv(n, eps):
 # -- rotating two-level chain (Zeno) -------------------------------------
 
 def _log_binom(n, m):
+    from scipy.special import gammaln
     return gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
 
 

@@ -9,7 +9,6 @@ statistic used by the approximate-consistency diagnostics.
 import math
 
 import numpy as np
-from scipy import integrate, special
 
 
 def _check_kd(k, d):
@@ -21,6 +20,7 @@ def component_sum_cdf(lam, k, d, field="real"):
     """P(sum of the first k squared components <= lam) for a uniform unit
     vector: the regularized incomplete beta B(lam; k/2, (d-k)/2) in the real
     case and B(lam; k, d-k) in the complex case."""
+    from scipy import special
     _check_kd(k, d)
     if lam <= 0.0:
         return 0.0
@@ -74,24 +74,29 @@ def _sq_component_tail(lam, j, m):
 
     The squared components are jointly Dirichlet(1/2, ..., 1/2); the joint
     tail follows by conditioning on the first component and recursing."""
-    if j == 0:
-        return 1.0
-    if lam <= 0.0:
-        return 1.0
-    if j * lam >= 1.0:
-        return 0.0
-    a, b = 0.5, (m - 1) / 2.0
-    if j == 1:
-        return float(1.0 - special.betainc(a, b, min(lam, 1.0)))
-    norm = special.beta(a, b)
+    from scipy import integrate, special
 
-    def integrand(x):
-        dens = x ** (a - 1.0) * (1.0 - x) ** (b - 1.0) / norm
-        return dens * _sq_component_tail(lam / (1.0 - x), j - 1, m - 1)
+    def tail(lam, j, m):
+        if j == 0:
+            return 1.0
+        if lam <= 0.0:
+            return 1.0
+        if j * lam >= 1.0:
+            return 0.0
+        a, b = 0.5, (m - 1) / 2.0
+        if j == 1:
+            return float(1.0 - special.betainc(a, b, min(lam, 1.0)))
+        norm = special.beta(a, b)
 
-    val, _ = integrate.quad(integrand, lam, 1.0, epsabs=1e-11, epsrel=1e-10,
-                            limit=200)
-    return float(val)
+        def integrand(x):
+            dens = x ** (a - 1.0) * (1.0 - x) ** (b - 1.0) / norm
+            return dens * tail(lam / (1.0 - x), j - 1, m - 1)
+
+        val, _ = integrate.quad(integrand, lam, 1.0, epsabs=1e-11,
+                                epsrel=1e-10, limit=200)
+        return float(val)
+
+    return tail(lam, j, m)
 
 
 def max_dhc_cdf(lam, k, d):

@@ -4,15 +4,20 @@ matrices.
 A history tree applies timed projective decompositions along its branches;
 each leaf is a history alpha with path-projected state u_alpha = C_alpha psi
 and probability |u_alpha|^2.  Projectors stay in the Schroedinger picture:
-a node maps the state u it receives to U(t)^dag P_i U(t) u, and one walk of
-the tree (leaf_states) gives every path state, building U(t) once per
-distinct time.  Trees are immutable; extension returns a new tree sharing
+a node maps the state u it receives to U(t)^dag P_i U(t) u.  One walk of
+the tree (leaf_states) gives every path state level by level: the states
+of one level that meet a decomposition at the same time t are stacked as
+the columns of one matrix, evolved forward once, projected, and evolved
+back once.  Trees are immutable; extension returns a new tree sharing
 untouched subtrees.
 
-Operators act on the leading tensor factor (apply_leading): a projector
-or unitary of size d applied to a state of size d*m acts as op (x) 1_m by
-reshape, so system projectors and a purified state's base evolution stay
-at their own size.
+Evolution is matrix-free.  An evolution is an object with
+apply(states, t, adjoint=False) returning U(t) states or U(t)^dag states
+(HamiltonianFlow, the spin chains); a callable t -> U(t) is wrapped once
+by CallableEvolution.  Operators act on the leading tensor factor
+(apply_leading): an operator of size d applied to a state of size d*m acts
+as op (x) 1_m by reshape, so system projectors and a purified state's base
+evolution stay at their own size.
 """
 
 import copy
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, leading_view
 
 PROJECTOR_TOL = 1e-10
 
@@ -28,11 +33,35 @@ PROJECTOR_TOL = 1e-10
 def apply_leading(op, states):
     """(op (x) 1) states, for a state vector or a matrix of column states
     whose size is a multiple of op's; op of the states' own size is a plain
-    matrix product."""
+    matrix product.  Raises ValueError when op's size does not divide the
+    state size."""
     d = op.shape[1]
     if d == states.shape[0]:
         return op @ states
-    return (op @ states.reshape(d, -1)).reshape(states.shape)
+    return (op @ leading_view(states, d)).reshape(states.shape)
+
+
+class CallableEvolution:
+    """The apply protocol over a callable t -> U(t).  The latest U is kept,
+    so evolving forward and back at one time builds it once."""
+
+    def __init__(self, unitary):
+        self.unitary = unitary
+        self._latest = (None, None)
+
+    def apply(self, states, t, adjoint=False):
+        if self._latest[0] != t:
+            self._latest = (t, np.asarray(self.unitary(t), dtype=complex))
+        U = self._latest[1]
+        return apply_leading(U.conj().T if adjoint else U, states)
+
+
+def as_evolution(evolution):
+    """None, an object with apply(states, t, adjoint=False), or a callable
+    t -> U(t) wrapped in CallableEvolution."""
+    if evolution is None or hasattr(evolution, "apply"):
+        return evolution
+    return CallableEvolution(evolution)
 
 
 class ProjectiveDecomposition:
@@ -84,8 +113,9 @@ class _Node:
 class HistoryTree:
     """Tree of timed projective decompositions over an initial state.
 
-    evolution, if given, maps a time to the unitary U(t); projections at
-    time t act as U(t)^dag P U(t) on the initial state.  A mixed initial
+    evolution, if given, is an object with apply(states, t, adjoint=False)
+    or a callable t -> U(t) (see as_evolution); projections at time t act
+    as U(t)^dag P U(t) on the initial state.  A mixed initial
     state (density matrix) of size d is purified into C^d (x) C^r, r its
     rank read from the eigenvalues; evolution and projectors stay at size
     d and act on the leading factor.
@@ -105,7 +135,7 @@ class HistoryTree:
         else:
             psi = np.asarray(initial_state, dtype=complex).reshape(-1)
         self.initial_state = psi
-        self.evolution = evolution
+        self.evolution = as_evolution(evolution)
         self.root = _Node()
 
     @property
@@ -141,46 +171,67 @@ class HistoryTree:
             node = node.children[i]
         return t
 
-    def _project(self, node, u, which, unitaries):
-        """U(t)^dag P_i U(t) u for each i in which, at the node's time t;
-        unitaries maps the times seen so far to U(t)."""
-        dec = node.decomposition
+    def _evolve(self, states, t, adjoint=False):
         if self.evolution is None:
-            return [apply_leading(dec.projectors[i], u) for i in which]
-        if dec.time not in unitaries:
-            unitaries[dec.time] = np.asarray(self.evolution(dec.time),
-                                             dtype=complex)
-        U = unitaries[dec.time]
-        v = apply_leading(U, u)
-        return [apply_leading(U.conj().T, apply_leading(dec.projectors[i], v))
-                for i in which]
+            return states
+        return self.evolution.apply(states, t, adjoint)
 
     def path_state(self, path):
         """u_alpha = C_alpha psi, the (sub-normalized) path-projected state."""
-        u = self.initial_state.copy()
+        u = self.initial_state
         node = self.root
         for i in path:
-            u = self._project(node, u, (i,), {})[0]
+            dec = node.decomposition
+            u = self._evolve(apply_leading(dec.projectors[i],
+                                           self._evolve(u, dec.time)),
+                             dec.time, adjoint=True)
             node = node.children[i]
         return u
 
     def leaf_states(self):
         """Path states of all leaves as the columns of one matrix, in
-        leaves() order, from one walk of the tree."""
-        unitaries = {}
-        columns = []
+        leaves() order, from one level-by-level walk of the tree.
 
-        def walk(node, u):
-            if node.is_leaf:
-                columns.append(u)
-                return
-            states = self._project(node, u, range(len(node.children)),
-                                   unitaries)
-            for child, w in zip(node.children, states):
-                walk(child, w)
-
-        walk(self.root, self.initial_state)
-        return np.column_stack(columns)
+        At each level the states of the nodes that decompose at one time t
+        are evolved forward together, split by the projectors of their
+        decompositions, and evolved back together: two evolution calls per
+        distinct time of the level."""
+        frontier = [((), self.root)]
+        states = self.initial_state[:, None]
+        paths, columns = [], []
+        while frontier:
+            groups = {}
+            for j, (path, node) in enumerate(frontier):
+                if node.is_leaf:
+                    paths.append(path)
+                    columns.append(states[:, j])
+                else:
+                    groups.setdefault(node.decomposition.time, []).append(j)
+            next_frontier, blocks = [], []
+            for t, group in groups.items():
+                evolved = self._evolve(states[:, group], t)
+                by_dec = {}
+                for col, j in enumerate(group):
+                    dec = frontier[j][1].decomposition
+                    by_dec.setdefault(id(dec), (dec, []))[1].append(col)
+                projected = []
+                for dec, cols in by_dec.values():
+                    block = evolved if len(by_dec) == 1 else evolved[:, cols]
+                    for i, P in enumerate(dec.projectors):
+                        projected.append(apply_leading(P, block))
+                        for col in cols:
+                            path, node = frontier[group[col]]
+                            next_frontier.append((path + (i,),
+                                                  node.children[i]))
+                blocks.append(self._evolve(np.hstack(projected), t,
+                                           adjoint=True))
+            frontier = next_frontier
+            if blocks:
+                states = np.hstack(blocks)
+        # no leaf path is a prefix of another, so sorted paths are in
+        # leaves() order
+        order = sorted(range(len(paths)), key=paths.__getitem__)
+        return np.column_stack([columns[i] for i in order])
 
 
 @dataclass

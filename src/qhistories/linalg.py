@@ -219,6 +219,18 @@ def sample_unit_vector(dim, field, rng):
     return v / np.linalg.norm(v)
 
 
+def leading_view(states, d):
+    """states as a (d, m) matrix whose row index is the leading factor C^d
+    of a state of size d*m: a state vector, or a matrix of column states
+    each of size d*m.  Raises ValueError when d does not divide the state
+    size."""
+    size = states.shape[0]
+    if size % d:
+        raise ValueError(
+            f"operator size {d} does not divide state size {size}")
+    return states.reshape(d, -1)
+
+
 def evolve(H, psi, t, eig=None):
     """exp(-i H t) psi for Hermitian H."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -236,10 +248,19 @@ class HamiltonianFlow:
     def __init__(self, H):
         self.H = _as_complex_matrix(H)
         self.eig = hermitian_eig(self.H)
+        self.dim = self.H.shape[0]
+        self._vecs_h = self.eig[1].conj().T
 
     def unitary(self, t):
         vals, vecs = self.eig
-        return (vecs * np.exp(-1j * vals * t)[None, :]) @ vecs.conj().T
+        return (vecs * np.exp(-1j * vals * t)[None, :]) @ self._vecs_h
 
-    def apply(self, psi, t):
-        return evolve(self.H, psi, t, eig=self.eig)
+    def apply(self, states, t, adjoint=False):
+        """U(t) states, or U(t)^dag states, as V (e^{-+i lambda t} (.) V^dag X)
+        without forming U(t).  states is a state vector or a matrix of
+        column states; a size d*m acts as U (x) 1_m (leading factor)."""
+        vals, vecs = self.eig
+        phase = np.exp((1j if adjoint else -1j) * vals * t)
+        X = leading_view(np.asarray(states, dtype=complex), self.dim)
+        return (vecs @ (phase[:, None] * (self._vecs_h @ X))).reshape(
+            np.shape(states))

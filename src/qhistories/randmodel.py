@@ -64,7 +64,7 @@ def build_run(config):
         H = np.zeros((dim, dim), dtype=complex)
     psi = sample_unit_vector(dim, "complex", stream.stream("state"))
     flow = HamiltonianFlow(H)
-    return BipartiteModel(config.d1, config.d2, psi, flow.unitary), H
+    return BipartiteModel(config.d1, config.d2, psi, flow), H
 
 
 def run_forward_search(config, model=None):

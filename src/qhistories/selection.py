@@ -1,10 +1,13 @@
 """Set-selection algorithms over bipartite models.
 
-A model exposes an initial state, a unitary evolution and a
-system/environment split; candidate projective decompositions are the
-Schmidt (reduced-density eigenbasis) projections of the evolved state,
-given at system size d1 and applied to the leading (system) factor of the
-states (histories.apply_leading).
+A model exposes an initial state, an evolution and a system/environment
+split.  The evolution is matrix-free, apply(states, t, adjoint=False)
+(histories.as_evolution): the spin models pass a spin.ChainEvolution, the
+random models a HamiltonianFlow, and a callable t -> U(t) is wrapped once.
+Candidate projective decompositions are the Schmidt (reduced-density
+eigenbasis) projections of the evolved state, given at system size d1 and
+applied to the leading (system) factor of the states
+(histories.apply_leading).
 Selection strategies: earliest admissible time, quasi-dynamical
 (persistence under immediate re-projection), retrodictive (backward
 acceptance from the final time), and maximal information for the
@@ -15,11 +18,11 @@ search in randmodel) score a candidate extension without building it.
 The projectors applied at one time are mutually orthogonal, so extending
 every leaf a of the current set by {P_i(t)} gives the decoherence matrix
 D[(a,i),(b,j)] = delta_ij <U(t) u_b| P_i |U(t) u_a>: k Gram blocks of the
-evolved, projected leaf states u_a, on the strided diagonal D[i::k, i::k]
-of the (leaf outer, projector inner) order that extend_all produces.  The
-scan carries the leaf states of the current set as one matrix
-(LeafStates) and extends the history tree once per accepted event, not
-once per candidate.  Every other path state (LeafStates of a fresh tree,
+leaf states u_a, evolved together by one apply and projected, on the
+strided diagonal D[i::k, i::k] of the (leaf outer, projector inner) order
+that extend_all produces.  The scan carries the leaf states of the current
+set as one matrix (LeafStates) and extends the history tree once per
+accepted event, not once per candidate.  Every other path state (LeafStates of a fresh tree,
 the retrodictive trials and companions) comes from the tree's own
 leaf-state walk, HistoryTree.leaf_states.
 """
@@ -30,7 +33,7 @@ import numpy as np
 
 from .consistency import consistency_report, is_exactly_consistent, nontrivial
 from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
-                        decoherence_matrix, extend_all)
+                        as_evolution, decoherence_matrix, extend_all)
 from .linalg import schmidt_decompose
 from . import spin as spin_mod
 
@@ -38,7 +41,8 @@ from . import spin as spin_mod
 @dataclass
 class BipartiteModel:
     """System (x) environment model: |psi0> on C^{d1} (x) C^{d2} evolved by
-    unitary(t)."""
+    unitary, an object with apply(states, t, adjoint=False) or a callable
+    t -> U(t).  evolution is its apply-protocol form (as_evolution)."""
 
     d1: int
     d2: int
@@ -49,27 +53,20 @@ class BipartiteModel:
         self.psi0 = np.asarray(self.psi0, dtype=complex).reshape(-1)
         if self.psi0.size != self.d1 * self.d2:
             raise ValueError("state dimension does not match d1*d2")
-        self._latest = (None, None)
-
-    def evolution(self, t):
-        """unitary(t) as a complex array.  The latest one is kept: scoring
-        a candidate time evolves the state and then the leaf states."""
-        if self._latest[0] != t:
-            self._latest = (t, np.asarray(self.unitary(t), dtype=complex))
-        return self._latest[1]
+        self.evolution = as_evolution(self.unitary)
 
     def state(self, t):
-        return self.evolution(t) @ self.psi0
+        return self.evolution.apply(self.psi0, t)
 
 
 def spin_model(cfg):
     return BipartiteModel(2, 2 ** cfg.n, spin_mod.initial_state(cfg),
-                          lambda t, _c=cfg: spin_mod.full_unitary(_c, t))
+                          spin_mod.chain_evolution(cfg))
 
 
 def recoherence_model(a1, a2, u):
     return BipartiteModel(2, 2, spin_mod.recoherence_initial_state(a1, a2, u),
-                          lambda t, _u=u: spin_mod.recoherence_unitary(_u, t))
+                          spin_mod.recoherence_evolution(u))
 
 
 @dataclass
@@ -122,9 +119,8 @@ def _projected_gram(evolution, states, dec):
     Projectors at one time are orthogonal, so D[(a,i),(b,j)] is
     delta_ij <U u_b| P_i |U u_a>: block i, on the strided diagonal
     D[i::k, i::k], is the Gram matrix of the columns P_i U u_a.  Returns
-    (U, W, D) with W[:, a*k + i] = P_i U u_a."""
-    U = np.asarray(evolution(dec.time), dtype=complex)
-    V = apply_leading(U, states)
+    (W, D) with W[:, a*k + i] = P_i U u_a."""
+    V = evolution.apply(states, dec.time)
     n, k = V.shape[1], len(dec)
     W = np.empty((V.shape[0], n * k), dtype=complex)
     D = np.zeros((n * k, n * k), dtype=complex)
@@ -132,7 +128,7 @@ def _projected_gram(evolution, states, dec):
         Wi = apply_leading(P, V)
         W[:, i::k] = Wi
         D[i::k, i::k] = Wi.T @ Wi.conj()     # D_ab = u_b^dag u_a
-    return U, W, D
+    return W, D
 
 
 class Extension:
@@ -145,7 +141,7 @@ class Extension:
     def __init__(self, leaves, dec, epsilon):
         self.leaves = leaves
         self.decomposition = dec
-        self._unitary, self._projected, self.matrix = _projected_gram(
+        self._projected, self.matrix = _projected_gram(
             leaves.tree.evolution, leaves.states, dec)
         self.report = consistency_report(self.matrix, epsilon)
         self.probabilities = np.real(np.diag(self.matrix))
@@ -155,8 +151,8 @@ class Extension:
     def states(self):
         """Path-projected states of the extended leaves, U^dag P_i U u_a."""
         if self._states is None:
-            self._states = apply_leading(self._unitary.conj().T,
-                                         self._projected)
+            self._states = self.leaves.tree.evolution.apply(
+                self._projected, self.decomposition.time, adjoint=True)
         return self._states
 
     def extend(self):
@@ -260,7 +256,7 @@ def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
         repeat = ProjectiveDecomposition(t + probe_dt,
                                          ext.decomposition.projectors,
                                          check=False)
-        _, _, D = _projected_gram(leaves.tree.evolution, ext.states, repeat)
+        _, D = _projected_gram(leaves.tree.evolution, ext.states, repeat)
         if not is_exactly_consistent(D, "medium", tol=persistence_tol):
             return None
         return ext
@@ -287,12 +283,12 @@ def retrodictive_select(model, candidate_times, epsilon=1e-10, *,
         except np.linalg.LinAlgError:
             continue
         trial = sorted(accepted + [t])
-        tree = HistoryTree(initial_state=model.psi0, evolution=model.unitary)
+        tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
         for s in trial:
             tree = extend_all(tree, candidates[s])
         if consistency_report(decoherence_matrix(tree), epsilon).medium_pass:
             accepted = trial
-    tree = HistoryTree(initial_state=model.psi0, evolution=model.unitary)
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     events = []
     for s in accepted:
         dec = candidates[s]
@@ -306,13 +302,14 @@ def retrodictive_select(model, candidate_times, epsilon=1e-10, *,
     if model.d1 != 2:
         raise ValueError("companion construction implemented for d1 = 2")
     companions = []
-    U_final = np.asarray(model.unitary(accepted[-1]), dtype=complex) \
-        if accepted else np.eye(model.d1 * model.d2)
-    for leaf, u in zip(tree.leaves(), tree.leaf_states().T):
+    states = tree.leaf_states()
+    final = model.evolution.apply(states, accepted[-1]) if accepted \
+        else states
+    for leaf, u, v in zip(tree.leaves(), states.T, final.T):
         nrm = np.linalg.norm(u)
         if nrm < companion_tol:
             continue
-        M = (U_final @ u).reshape(model.d1, model.d2)
+        M = v.reshape(model.d1, model.d2)
         U, svals, Vh = np.linalg.svd(M, full_matrices=False)
         if svals.size > 1 and svals[1] > companion_tol * svals[0]:
             raise ValueError("history state is not a product at the final time")

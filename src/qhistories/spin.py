@@ -5,8 +5,14 @@ spins; interaction k rotates environment spin k conditionally on the
 system component along axis u_k.  Everything is computable twice over:
 closed forms (reduced density matrix, two-time off-diagonals, history
 probabilities, information content) and brute force on the full
-2^{n+1}-dimensional state vector.  Variants: a decohere/recohere cycle on
-a single environment spin, and branch-dependent (delayed-choice) axes.
+2^{n+1}-dimensional state vector.  The brute force is matrix-free:
+ChainEvolution applies U(t) = V_n(t) ... V_1(t) to state vectors and
+column-state matrices one interaction at a time, each V_k on the (system,
+environment spin k) axes only, so no 2^{n+1}-square matrix is built.  The
+dense products (interaction_unitary, full_unitary, recoherence_unitary)
+remain as small-n oracles.  Variants: a decohere/recohere cycle on a
+single environment spin, and branch-dependent (delayed-choice) axes, whose
+evolution stays dense.
 """
 
 import itertools
@@ -17,6 +23,7 @@ import numpy as np
 
 from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
                         extend_all)
+from .linalg import leading_view
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -83,7 +90,7 @@ class SpinModelConfig:
 
 def theta_schedule(k, t):
     """Rotation angle of interaction k at time t: 0 before k-1, pi/2 after k."""
-    return float(np.clip(math.pi / 2 * (t - k + 1), 0.0, math.pi / 2))
+    return float(min(max(math.pi / 2 * (t - k + 1), 0.0), math.pi / 2))
 
 
 def lam(cfg, i, j):
@@ -142,6 +149,46 @@ def schmidt_axis(cfg, t):
 
 # -- full-state machinery ------------------------------------------------
 
+class ChainEvolution:
+    """U(t) = V_n(t) ... V_1(t) on C^2 (x) (C^2)^n, applied without a
+    matrix.  V_k(t) = P(u_k) (x) 1 + P(-u_k) (x) R(theta_k(t)), with R the
+    real rotation [[cos, -sin], [sin, cos]] on environment spin k, is
+    applied as 1 + P(-u_k) (x) (R - 1): R - 1 on the environment-spin-k
+    axis of a (2^k, 2, rest) view of the states, then P(-u_k) on the
+    system axis.  theta(k, t) gives the angles; an interaction at angle 0
+    is the identity and is skipped.
+
+    apply(states, t, adjoint=False) takes a state vector or a matrix of
+    column states whose size is a multiple of dim (leading factor)."""
+
+    def __init__(self, axes, theta):
+        self.n = len(axes)
+        self.dim = 2 ** (self.n + 1)
+        self.theta = theta
+        self._minus = [proj2(-np.asarray(u, dtype=float)) for u in axes]
+
+    def apply(self, states, t, adjoint=False):
+        shape = np.shape(states)
+        # a copy, so the result never aliases states, even when U(t) = 1
+        x = leading_view(np.array(states, dtype=complex), self.dim)
+        ks = range(self.n, 0, -1) if adjoint else range(1, self.n + 1)
+        for k in ks:
+            th = self.theta(k, t)
+            if th == 0.0:
+                continue
+            s = -math.sin(th) if adjoint else math.sin(th)   # R^T = R(-theta)
+            c1 = -2.0 * math.sin(th / 2) ** 2                # cos(theta) - 1
+            rot_minus_one = np.array([[c1, -s], [s, c1]], dtype=complex)
+            w = np.matmul(rot_minus_one, x.reshape(2 ** k, 2, -1))
+            x = x + (self._minus[k - 1] @ w.reshape(2, -1)).reshape(x.shape)
+        return x.reshape(shape)
+
+
+def chain_evolution(cfg):
+    """The spin chain's U(t) under the canonical schedule, matrix-free."""
+    return ChainEvolution(cfg.axes, theta_schedule)
+
+
 def _kron_chain(ops):
     out = ops[0]
     for op in ops[1:]:
@@ -155,7 +202,8 @@ def _env_op(n, k, op):
 
 
 def interaction_unitary(cfg, k, t):
-    """V_k(t) = P(u_k) (x) 1 + P(-u_k) (x) exp(-i theta_k(t) F_k)."""
+    """V_k(t) = P(u_k) (x) 1 + P(-u_k) (x) exp(-i theta_k(t) F_k), as a dense
+    matrix: an oracle for ChainEvolution at small n."""
     n = cfg.n
     th = theta_schedule(k, t)
     rot = np.array([[math.cos(th), -math.sin(th)],
@@ -166,7 +214,8 @@ def interaction_unitary(cfg, k, t):
 
 
 def full_unitary(cfg, t):
-    """U(t) = V_n(t) ... V_1(t) on C^2 (x) (C^2)^n."""
+    """U(t) = V_n(t) ... V_1(t) on C^2 (x) (C^2)^n, as a dense matrix built
+    from kron products: an oracle for chain_evolution at small n."""
     U = interaction_unitary(cfg, 1, t)
     for k in range(2, cfg.n + 1):
         U = interaction_unitary(cfg, k, t) @ U
@@ -182,7 +231,7 @@ def initial_state(cfg):
 
 def reduced_density_full(cfg, t):
     """Partial trace over the environment of the evolved full state."""
-    psi = full_unitary(cfg, t) @ initial_state(cfg)
+    psi = chain_evolution(cfg).apply(initial_state(cfg), t)
     M = psi.reshape(2, 2 ** cfg.n)
     return M @ M.conj().T
 
@@ -191,7 +240,7 @@ def build_tree(cfg, events):
     """History tree from (time, axis) projection events; each event splits
     every branch with the 2 x 2 system projectors {P(axis), P(-axis)}."""
     tree = HistoryTree(initial_state=initial_state(cfg),
-                       evolution=lambda t: full_unitary(cfg, t))
+                       evolution=chain_evolution(cfg))
     for t, w in sorted(events, key=lambda e: e[0]):
         dec = ProjectiveDecomposition(t, [proj2(w), proj2(-np.asarray(w))])
         tree = extend_all(tree, dec)
@@ -421,8 +470,14 @@ def recoherence_theta(t):
     return 3 * math.pi / 2 - t
 
 
+def recoherence_evolution(u):
+    """The decohere/recohere cycle as a one-spin chain, matrix-free."""
+    return ChainEvolution([u], lambda k, t: recoherence_theta(t))
+
+
 def recoherence_unitary(u, t):
-    """P(u) (x) 1 + P(-u) (x) exp(-i theta(t) F) on C^2 (x) C^2."""
+    """P(u) (x) 1 + P(-u) (x) exp(-i theta(t) F) on C^2 (x) C^2, as a dense
+    matrix: an oracle for recoherence_evolution."""
     th = recoherence_theta(t)
     rot = np.array([[math.cos(th), -math.sin(th)],
                     [math.sin(th), math.cos(th)]], dtype=complex)
@@ -439,7 +494,8 @@ def recoherence_initial_state(a1, a2, u):
 def recoherence_evolve(a1, a2, u, t):
     """State of the decohere/recohere cycle at time t; returns to the
     initial product state at t = 3 pi/2."""
-    return recoherence_unitary(u, t) @ recoherence_initial_state(a1, a2, u)
+    return recoherence_evolution(u).apply(
+        recoherence_initial_state(a1, a2, u), t)
 
 
 # -- delayed-choice variant ----------------------------------------------

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from qhistories import selection, spin
 from qhistories.histories import (DecoherenceMatrix, HistoryTree,
-                                  ProjectiveDecomposition, coarse_grain,
-                                  decoherence_matrix, extend_all,
+                                  ProjectiveDecomposition, apply_leading,
+                                  coarse_grain, decoherence_matrix, extend_all,
                                   extend_branch, real_embed)
 from qhistories.linalg import (HamiltonianFlow, RandomStream, hermitian_eig,
                                sample_gue, sample_unit_vector)
@@ -334,3 +334,61 @@ def test_system_factor_tree_matches_dense_lift(build):
     assert all(P.shape == (d, d)
                for P in tree.root.decomposition.projectors)
     _assert_matches_dense(tree, tree.initial_state, full_unitary)
+
+
+class _CountingEvolution:
+    """The apply protocol over a HamiltonianFlow, recording every call."""
+
+    def __init__(self, flow):
+        self.flow = flow
+        self.calls = []
+
+    def apply(self, states, t, adjoint=False):
+        self.calls.append((t, adjoint))
+        return self.flow.apply(states, t, adjoint)
+
+
+def test_leaf_states_evolve_each_time_forward_and_back_once():
+    dim = 4
+    rng = RandomStream(47, "apply-count")
+    psi = sample_unit_vector(dim, "complex", rng.stream("psi"))
+    flow = HamiltonianFlow(sample_gue(dim, 1.0, rng.stream("H")))
+    evolution = _CountingEvolution(flow)
+    tree = HistoryTree(initial_state=psi, evolution=evolution)
+    times = (0.5, 1.0, 1.7, 2.4)
+    for t in times:
+        tree = extend_all(tree, _random_decomposition(
+            dim, t, rng.stream(f"dec{t}"), blocks=[[0, 1], [2, 3]]))
+    assert len(tree.leaves()) == 16
+    states = tree.leaf_states()
+    assert sorted(evolution.calls) == [(t, adjoint) for t in times
+                                       for adjoint in (False, True)]
+    evolution.calls.clear()
+    assert np.array_equal(decoherence_matrix(tree).entries,
+                          (states.conj().T @ states).T)
+    assert len(evolution.calls) == 2 * len(times)
+    _assert_matches_dense(tree, psi, flow.unitary)
+
+
+def test_leaf_states_purified_state_with_flow_apply():
+    # the flow itself as the evolution: its apply acts on the leading factor
+    dim, rank = 3, 2
+    rng = RandomStream(53, "purified-apply")
+    flow = HamiltonianFlow(sample_gue(dim, 1.0, rng.stream("H")))
+    _, V = hermitian_eig(sample_gue(dim, 1.0, rng.stream("basis")))
+    rho = (V * np.array([0.0, 0.25, 0.75])[None, :]) @ V.conj().T
+    tree = HistoryTree(initial_density=rho, evolution=flow)
+    for level in range(2):
+        tree = extend_all(tree, _random_decomposition(
+            dim, float(level + 1), rng.stream(f"dec{level}")))
+    _assert_matches_dense(tree, tree.initial_state,
+                          lambda t: np.kron(flow.unitary(t), np.eye(rank)))
+
+
+def test_apply_leading_names_both_sizes():
+    with pytest.raises(ValueError,
+                       match="operator size 3 does not divide state size 4"):
+        apply_leading(np.eye(3), np.ones(4, dtype=complex))
+    with pytest.raises(ValueError,
+                       match="operator size 3 does not divide state size 8"):
+        apply_leading(np.eye(3), np.ones((8, 2), dtype=complex))

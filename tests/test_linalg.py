@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from qhistories.linalg import (DegenerateWeightsError, HamiltonianFlow,
                                RandomStream, eigenvalue_rates, evolve,
-                               hermitian_eig, sample_gue, sample_unit_vector,
-                               schmidt_decompose, schmidt_generator,
-                               split_degenerate)
+                               hermitian_eig, leading_view, sample_gue,
+                               sample_unit_vector, schmidt_decompose,
+                               schmidt_generator, split_degenerate)
 
 
 def test_random_stream_deterministic():
@@ -150,3 +150,36 @@ def test_evolve_matches_flow_and_is_unitary():
     assert abs(np.linalg.norm(a) - 1.0) < 1e-12
     U = flow.unitary(t)
     assert np.max(np.abs(U.conj().T @ U - np.eye(5))) < 1e-10
+
+
+def test_flow_apply_matches_unitary():
+    # vector, column matrix and a trailing factor r = 3, forward and adjoint
+    dim, r = 6, 3
+    flow = HamiltonianFlow(sample_gue(dim, 1.0, RandomStream(5, "apply")))
+    g = np.random.default_rng(5)
+    vec = g.normal(size=dim) + 1j * g.normal(size=dim)
+    cols = g.normal(size=(dim, 4)) + 1j * g.normal(size=(dim, 4))
+    trailing = g.normal(size=(dim * r, 2)) + 1j * g.normal(size=(dim * r, 2))
+    for t in (0.0, 0.35, 2.0):
+        for adjoint in (False, True):
+            U = flow.unitary(t)
+            op = U.conj().T if adjoint else U
+            for states, want in [(vec, op @ vec), (cols, op @ cols),
+                                 (trailing,
+                                  np.kron(op, np.eye(r)) @ trailing)]:
+                got = flow.apply(states, t, adjoint)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-12 * np.max(np.abs(want))
+
+
+def test_leading_view_names_both_sizes():
+    assert leading_view(np.arange(6.0), 3).shape == (3, 2)
+    assert leading_view(np.zeros((6, 4)), 2).shape == (2, 12)
+    with pytest.raises(ValueError,
+                       match="operator size 4 does not divide state size 6"):
+        leading_view(np.zeros((6, 2)), 4)
+    flow = HamiltonianFlow(np.eye(4))
+    with pytest.raises(ValueError,
+                       match="operator size 4 does not divide state size 6"):
+        flow.apply(np.ones(6), 1.0)

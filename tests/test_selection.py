@@ -327,3 +327,40 @@ def test_pinned_quasi_dynamical_events(seed, times):
     model = selection.spin_model(_config(seed, 2))
     sel = selection.quasi_dynamical_select(model, 0.05, 0.02, 2.0, grid=100)
     assert sel.times == times
+
+
+def test_model_with_a_wrong_size_unitary_names_both_sizes():
+    d1, d2 = 2, 2
+    psi = sample_unit_vector(d1 * d2, "complex", RandomStream(9, "wrong-U"))
+    model = selection.BipartiteModel(d1, d2, psi,
+                                     lambda t: np.eye(3, dtype=complex))
+    with pytest.raises(ValueError,
+                       match="operator size 3 does not divide state size 4"):
+        selection.schmidt_candidate(model, 0.5)
+
+
+def test_spin_models_score_as_their_dense_unitaries():
+    # the matrix-free chain models against the same models given as
+    # callables t -> U(t) built from kron products
+    cfg = _config(6, 3)
+    a1, a2, u = _recoherence()
+    pairs = [(selection.spin_model(cfg),
+              lambda t: spin.full_unitary(cfg, t), (0.4, 1.0, 2.3)),
+             (selection.recoherence_model(a1, a2, u),
+              lambda t: spin.recoherence_unitary(u, t), (0.3, 1.2, 2.0))]
+    for model, unitary, times in pairs:
+        dense = selection.BipartiteModel(model.d1, model.d2, model.psi0,
+                                         unitary)
+        leaves = selection.LeafStates(HistoryTree(
+            initial_state=model.psi0, evolution=model.evolution))
+        dense_leaves = selection.LeafStates(HistoryTree(
+            initial_state=model.psi0, evolution=dense.evolution))
+        for t in times:
+            dec = selection.schmidt_candidate(model, t)
+            ext = selection.Extension(leaves, dec, 0.05)
+            want = selection.Extension(dense_leaves, dec, 0.05)
+            scale = np.max(np.abs(want.matrix))
+            assert np.max(np.abs(ext.matrix - want.matrix)) <= GRAM_RTOL * scale
+            assert np.max(np.abs(ext.states - want.states)) \
+                <= GRAM_RTOL * np.max(np.abs(want.states))
+            leaves, dense_leaves = ext.extend(), want.extend()

@@ -10,6 +10,11 @@ from qhistories.consistency import consistency_report
 from qhistories.histories import decoherence_matrix
 from qhistories.linalg import RandomStream, sample_unit_vector
 
+# The matrix-free chain and the dense kron products sum the same terms in
+# another order; their difference is a few 1e-16 of the largest entry, so
+# 1e-12 of it separates rounding from a wrong or missing factor.
+REL_TOL = 1e-12
+
 
 def _config(seed, n):
     rng = RandomStream(seed, "spin-test")
@@ -231,3 +236,107 @@ def test_delayed_choice_reduces_to_fixed_axes():
     U_dc = spin.delayed_choice_unitary(v, axis_map, 2, 1.7)
     U_std = spin.full_unitary(cfg, 1.7)
     assert np.max(np.abs(U_dc - U_std)) < 1e-12
+
+
+# -- matrix-free evolution against the dense oracles ----------------------
+
+def _random_states(dim, r, seed):
+    """A state vector, a 4-column state matrix and a vector of size dim*r."""
+    g = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return g.normal(size=shape) + 1j * g.normal(size=shape)
+
+    return draw(dim), draw(dim, 4), draw(dim * r)
+
+
+def _assert_apply_matches(evolution, unitary, dim, times, seed, r=3):
+    vec, cols, trailing = _random_states(dim, r, seed)
+    for t in times:
+        U = unitary(t)
+        for adjoint in (False, True):
+            op = U.conj().T if adjoint else U
+            cases = [(vec, op @ vec), (cols, op @ cols),
+                     (trailing, np.kron(op, np.eye(r)) @ trailing)]
+            for states, want in cases:
+                got = evolution.apply(states, t, adjoint)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) \
+                    <= REL_TOL * np.max(np.abs(want)), (t, adjoint)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_chain_apply_matches_full_unitary(n):
+    cfg = _config(30 + n, n)
+    times = (0.0, 0.4, 1.0, n / 2 + 0.3, n - 0.25, float(n), n + 0.6)
+    _assert_apply_matches(spin.chain_evolution(cfg),
+                          lambda t: spin.full_unitary(cfg, t),
+                          2 ** (n + 1), times, seed=n)
+
+
+def test_recoherence_apply_matches_dense_unitary():
+    u = sample_unit_vector(3, "real", RandomStream(3, "recoh-apply"))
+    times = (0.0, 0.3, math.pi / 2, 2.0, math.pi, 4.0, 3 * math.pi / 2)
+    _assert_apply_matches(spin.recoherence_evolution(u),
+                          lambda t: spin.recoherence_unitary(u, t), 4,
+                          times, seed=11)
+
+
+def test_chain_apply_rejects_a_state_of_the_wrong_size():
+    chain = spin.chain_evolution(_config(4, 2))
+    with pytest.raises(ValueError,
+                       match="operator size 8 does not divide state size 12"):
+        chain.apply(np.ones(12, dtype=complex), 1.5)
+
+
+def test_chain_apply_returns_a_new_array_at_the_identity():
+    chain = spin.chain_evolution(_config(4, 2))
+    psi = spin.initial_state(_config(4, 2))
+    out = chain.apply(psi, 0.0)
+    assert np.array_equal(out, psi) and out is not psi
+    out[0] = 7.0
+    assert psi[0] != 7.0
+
+
+# -- closed forms at sizes the dense oracle cannot build ------------------
+
+def _signs(label):
+    return tuple(1 if i == 0 else -1 for i in label)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_three_event_history_probabilities_at_large_n(n):
+    cfg = _config(n, n)
+    times = (2, 5, n)
+    D = decoherence_matrix(
+        spin.build_tree(cfg, spin.measurement_events(cfg, times)))
+    want = np.array([spin.history_probability(
+        cfg, spin.SpinHistorySpec(times, _signs(lab))) for lab in D.labels])
+    assert len(want) == 8
+    assert np.max(np.abs(D.diag - want)) <= REL_TOL * np.max(want)
+    # projections at 3, inside interaction n-1, and at its end
+    k, interior = n - 1, n - 2 + 0.35
+    D = decoherence_matrix(spin.build_tree(
+        cfg, spin.measurement_events(cfg, (3.0, interior, float(k)))))
+    want = np.array([spin.history_probability(
+        cfg, spin.SpinHistorySpec((3, k), _signs(lab), interior_time=interior))
+        for lab in D.labels])
+    assert np.max(np.abs(D.diag - want)) <= REL_TOL * np.max(want)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_offdiag_closed_form_at_large_n(n):
+    cfg = _config(n, n)
+    for j, om, k, ph in [(2, 0.4, 2, 1.1), (n - 1, 0.5, n, 0.9),
+                         (2, 0.3, n, 1.2)]:
+        s = j - 1 + 2 * om / math.pi
+        t = k - 1 + 2 * ph / math.pi
+        D = decoherence_matrix(
+            spin.build_tree(cfg, spin.measurement_events(cfg, (s, t))))
+        idx = {lab: i for i, lab in enumerate(D.labels)}
+        # the matrix's largest entry, a probability, sets the scale
+        tol = REL_TOL * np.max(np.abs(D.entries))
+        for sign, a, b in [(1, (0, 0), (1, 0)), (-1, (0, 1), (1, 1))]:
+            elem = D.entries[idx[a], idx[b]]
+            cf = spin.offdiag_closed_form(cfg, j, om, k, ph, sign=sign)
+            assert abs(abs(elem) - abs(cf)) <= tol
