@@ -9,6 +9,7 @@ one invocation parse back losslessly with parse_records.  Exit status is
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 
@@ -355,6 +356,7 @@ def cmd_selftest(args, out):
 
 # -- argument wiring -----------------------------------------------------
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="qhist",
                                 description="consistent-histories toolkit")

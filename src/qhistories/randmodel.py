@@ -4,17 +4,19 @@ A run draws a GUE Hamiltonian and a random initial product-free state on
 C^{d1} (x) C^{d2}, then marches forward in time looking for moments where
 the Schmidt projections of the evolved state extend the current history
 tree consistently (within epsilon) and non-trivially (within delta).
+The march is the grid selections' scan-and-bisect loop, _scan_select.
 Everything is deterministic given the master seed.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .consistency import consistency_report
 from .histories import HistoryTree, decoherence_matrix
 from .linalg import HamiltonianFlow, RandomStream, sample_gue, sample_unit_vector
-from .selection import BipartiteModel, LeafStates, _admissible
+from .selection import BipartiteModel, _admissible, _scan_select
 from . import consistency as consistency_mod
 
 
@@ -68,51 +70,32 @@ def build_run(config):
 
 
 def run_forward_search(config, model=None):
-    """March forward from t=0 with step t_max/1000; on an inadmissible to
-    admissible flip, bisect the bracketing interval to refine_tol and
-    record the event.  Stops at t_max, at max_steps admissibility
-    evaluations, or when the tree reaches max_histories leaves."""
+    """March forward from t=0 in steps of t_max/1000; on an inadmissible to
+    admissible flip, bisect back to refine_tol, record the event and resume
+    one step after it.  Stops when an event brings the tree to
+    max_histories leaves, past t_max, or at max_steps admissibility
+    evaluations, bisection included (steps counts them)."""
     if model is None:
         model, _ = build_run(config)
-    leaves = LeafStates(HistoryTree(initial_state=model.psi0,
-                                    evolution=model.evolution))
-    events = []
     dt = config.t_max / 1000.0
-    t = 0.0
-    steps = 0
-    termination = "t_max"
+    accept = functools.partial(_admissible, model, epsilon=config.epsilon,
+                               delta=config.delta,
+                               delta_mode=config.delta_mode)
 
-    def admissible(s):
-        nonlocal steps
-        steps += 1
-        return _admissible(model, leaves, s, config.epsilon, config.delta,
-                           config.delta_mode)
-
-    prev_t = None
-    while t <= config.t_max + 1e-12:
-        if steps >= config.max_steps:
-            termination = "max_steps"
-            break
-        ext = admissible(t)
-        if ext is not None and prev_t is not None:
-            lo, hi = prev_t, t
-            while hi - lo > config.refine_tol and steps < config.max_steps:
-                mid = 0.5 * (lo + hi)
-                trial = admissible(mid)
-                if trial is None:
-                    lo = mid
-                else:
-                    hi, ext = mid, trial
-            t = hi
-        prev_t = t    # next bracket starts at the last rejection or event
-        if ext is not None:
-            events.append(ext.event())
-            leaves = ext.extend()
-            if leaves.states.shape[1] >= config.max_histories:
-                termination = "max_histories"
-                break
+    def advance(t):
         t += dt
-    return RunRecord(config, events, termination, steps, leaves.tree)
+        return t if t <= config.t_max + 1e-12 else None
+
+    def full(leaves, events):
+        return bool(events) and leaves.states.shape[1] >= config.max_histories
+
+    selected, termination, steps = _scan_select(
+        model, accept, 0.0, advance, config.refine_tol, full,
+        config.max_steps)
+    termination = {"full": "max_histories", "end": "t_max",
+                   "budget": "max_steps"}[termination]
+    return RunRecord(config, selected.events, termination, steps,
+                     selected.tree)
 
 
 @dataclass

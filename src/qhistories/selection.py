@@ -13,27 +13,27 @@ Selection strategies: earliest admissible time, quasi-dynamical
 acceptance from the final time), and maximal information for the
 spin-measurement chain.
 
-The forward strategies (earliest-time, quasi-dynamical and the random-run
-search in randmodel) score a candidate extension without building it.
+Every selection builds its set from a fresh tree's leaf states (LeafStates)
+by one Extension per event, which scores a candidate without building it.
 The projectors applied at one time are mutually orthogonal, so extending
 every leaf a of the current set by {P_i(t)} gives the decoherence matrix
 D[(a,i),(b,j)] = delta_ij <U(t) u_b| P_i |U(t) u_a>: k Gram blocks of the
 leaf states u_a, evolved together by one apply and projected, on the
 strided diagonal D[i::k, i::k] of the (leaf outer, projector inner) order
-that extend_all produces.  The scan carries the leaf states of the current
-set as one matrix (LeafStates) and extends the history tree once per
-accepted event, not once per candidate.  Every other path state (LeafStates of a fresh tree,
-the retrodictive trials and companions) comes from the tree's own
-leaf-state walk, HistoryTree.leaf_states.
+that extend_all produces; the tree is extended only once a candidate is
+accepted.  The forward strategies (earliest-time, quasi-dynamical and the
+random-run search in randmodel) share one scan-and-bisect loop,
+_scan_select, and differ only in scan times, stop rule and budget.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .consistency import consistency_report, is_exactly_consistent, nontrivial
 from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
-                        as_evolution, decoherence_matrix, extend_all)
+                        as_evolution, extend_all)
 from .linalg import schmidt_decompose
 from . import spin as spin_mod
 
@@ -194,37 +194,66 @@ def _admissible(model, leaves, t, epsilon, delta, delta_mode):
     return ext
 
 
-def _scan_select(model, accept, t_max, grid, refine_tol, max_events):
-    """Scan [0, t_max] on a uniform grid for times where accept(leaves, t)
-    returns an Extension; refine each inadmissible-to-admissible flip by
-    bisection to refine_tol, record the extension found at the refined
-    time as an event, and continue the scan on the extended set."""
+def _chain(model, decompositions, epsilon):
+    """Extend a fresh tree of the model by each decomposition in turn, one
+    Extension scored at epsilon per step: (final LeafStates, events)."""
     leaves = LeafStates(HistoryTree(initial_state=model.psi0,
                                     evolution=model.evolution))
     events = []
-    ts = np.linspace(0.0, t_max, grid + 1)
-    i = 0
-    while i <= grid and len(events) < max_events:
-        t = float(ts[i])
-        ext = accept(leaves, t)
-        if ext is None:
-            i += 1
-            continue
-        lo = float(ts[i - 1]) if i > 0 else 0.0
-        lo = max(lo, events[-1].time if events else lo)
-        hi = t
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            trial = accept(leaves, mid)
-            if trial is None:
-                lo = mid
-            else:
-                hi, ext = mid, trial
+    for dec in decompositions:
+        ext = Extension(leaves, dec, epsilon)
         events.append(ext.event())
         leaves = ext.extend()
-        while i <= grid and ts[i] <= hi:
-            i += 1
-    return SelectedSet(leaves.tree, events)
+    return leaves, events
+
+
+def _scan_select(model, accept, start, advance, refine_tol, full,
+                 budget=float("inf")):
+    """The scan-and-bisect loop of every forward selection and search.
+
+    Evaluates accept(leaves, t) (an Extension or None) at start, then at
+    advance(t) after each rejected or event time until that is None.  An
+    admissible t after the first evaluation is bisected back to the last
+    rejected or event time, to refine_tol or adjacent floats, and recorded
+    as an event.  Stops when full(leaves, events), at the end of the scan,
+    or after budget accept calls; returns (SelectedSet, termination, calls)
+    with termination 'full', 'end' or 'budget', in that precedence."""
+    leaves, events = _chain(model, (), None)
+    calls, t, lo = 0, start, None
+    while not full(leaves, events) and t is not None and calls < budget:
+        calls += 1
+        ext = accept(leaves, t)
+        if ext is not None and lo is not None:
+            while t - lo > refine_tol and calls < budget:
+                mid = 0.5 * (lo + t)
+                if not lo < mid < t:
+                    break
+                calls += 1
+                trial = accept(leaves, mid)
+                if trial is None:
+                    lo = mid
+                else:
+                    t, ext = mid, trial
+        if ext is not None:
+            events.append(ext.event())
+            leaves = ext.extend()
+        lo = t          # the next bracket starts at a rejected or event time
+        t = advance(t)
+    termination = ("full" if full(leaves, events)
+                   else "end" if t is None else "budget")
+    return SelectedSet(leaves.tree, events), termination, calls
+
+
+def _grid_select(model, accept, t_max, grid, refine_tol, max_events):
+    """_scan_select on linspace(0, t_max, grid + 1), to max_events events."""
+    ts = np.linspace(0.0, t_max, grid + 1)
+
+    def advance(t):
+        i = int(np.searchsorted(ts, t, side="right"))
+        return float(ts[i]) if i <= grid else None
+
+    return _scan_select(model, accept, 0.0, advance, refine_tol,
+                        lambda leaves, events: len(events) >= max_events)[0]
 
 
 def earliest_time_select(model, epsilon, delta, t_max, *, grid=400,
@@ -235,10 +264,9 @@ def earliest_time_select(model, epsilon, delta, t_max, *, grid=400,
     Scans [0, t_max] on a uniform grid; each inadmissible-to-admissible
     flip is refined by bisection to refine_tol and recorded as an event,
     after which the scan continues on the extended tree."""
-    def accept(leaves, t):
-        return _admissible(model, leaves, t, epsilon, delta, delta_mode)
-
-    return _scan_select(model, accept, t_max, grid, refine_tol, max_events)
+    accept = functools.partial(_admissible, model, epsilon=epsilon,
+                               delta=delta, delta_mode=delta_mode)
+    return _grid_select(model, accept, t_max, grid, refine_tol, max_events)
 
 
 def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
@@ -261,7 +289,7 @@ def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
             return None
         return ext
 
-    return _scan_select(model, accept, t_max, grid, refine_tol, max_events)
+    return _grid_select(model, accept, t_max, grid, refine_tol, max_events)
 
 
 def retrodictive_select(model, candidate_times, epsilon=1e-10, *,
@@ -274,38 +302,25 @@ def retrodictive_select(model, candidate_times, epsilon=1e-10, *,
     limit histories obtained by repeating the final projection, one per
     leaf, each a normalized state with the system component flipped on the
     leaf's (product) history state.  Requires d1 = 2 for companions."""
-    times = sorted(set(float(t) for t in candidate_times))
-    candidates = {}
-    accepted = []
-    for t in reversed(times):
+    leaves, events = _chain(model, (), epsilon)
+    for t in sorted(set(float(t) for t in candidate_times), reverse=True):
         try:
-            candidates[t] = schmidt_candidate(model, t)
+            dec = schmidt_candidate(model, t)
         except np.linalg.LinAlgError:
             continue
-        trial = sorted(accepted + [t])
-        tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
-        for s in trial:
-            tree = extend_all(tree, candidates[s])
-        if consistency_report(decoherence_matrix(tree), epsilon).medium_pass:
-            accepted = trial
-    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
-    events = []
-    for s in accepted:
-        dec = candidates[s]
-        tree = extend_all(tree, dec)
-        D = decoherence_matrix(tree)
-        events.append(SelectionEvent(s, dec, D.diag,
-                                     consistency_report(D, epsilon)))
-    selected = SelectedSet(tree, events)
+        trial = _chain(model, [dec] + [e.decomposition for e in events],
+                       epsilon)
+        if trial[1][-1].report.medium_pass:
+            leaves, events = trial
+    selected = SelectedSet(leaves.tree, events)
     if not include_companions:
         return selected, []
     if model.d1 != 2:
         raise ValueError("companion construction implemented for d1 = 2")
     companions = []
-    states = tree.leaf_states()
-    final = model.evolution.apply(states, accepted[-1]) if accepted \
-        else states
-    for leaf, u, v in zip(tree.leaves(), states.T, final.T):
+    final = model.evolution.apply(leaves.states, events[-1].time) \
+        if events else leaves.states
+    for leaf, u, v in zip(leaves.tree.leaves(), leaves.states.T, final.T):
         nrm = np.linalg.norm(u)
         if nrm < companion_tol:
             continue

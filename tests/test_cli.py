@@ -137,6 +137,23 @@ def test_out_file_and_config(tmp_path):
     assert meta["n"] == 2
 
 
+
+def test_parser_is_shared_but_each_call_keeps_its_own_defaults(tmp_path):
+    # the parser is built once; a --config/--out call must not leave its
+    # values behind for the next call
+    assert cli.build_parser() is cli.build_parser()
+    conf = tmp_path / "run.ini"
+    conf.write_text("[dheg]\nn = 5\neps = 0.1\n")
+    outfile = tmp_path / "records.txt"
+    assert cli.main(["--config", str(conf), "--out", str(outfile),
+                     "dheg"]) == 0
+    code, out = _run(["dheg"])
+    assert code == 0
+    _, meta, _, _ = cli.parse_records(out)
+    assert meta["n"] == 4
+    assert meta["eps"] == 0.05
+    assert cli.parse_records(outfile.read_text())[1]["n"] == 5
+
 def test_config_unknown_key(tmp_path):
     conf = tmp_path / "bad.ini"
     conf.write_text("[dheg]\nbogus = 1\n")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qhistories import randmodel
-from qhistories.histories import decoherence_matrix
+from qhistories.histories import HistoryTree, decoherence_matrix
+from qhistories.selection import LeafStates, _admissible
 
 
 def _config(**kw):
@@ -128,3 +129,95 @@ def test_step_cap_holds_mid_bisection():
     assert rec.termination == "max_steps"
     assert len(rec.events) == 2
     assert abs(rec.times[1] - 0.3177888565063479) < 2e-6
+
+
+def test_zero_refine_tol_stops_at_adjacent_floats():
+    # at refine_tol = 0 the bracket can never become narrow enough, so the
+    # bisection must stop once the midpoint is no longer strictly inside
+    rec = randmodel.run_forward_search(_config(d2=16, seed=12,
+                                               max_histories=64,
+                                               refine_tol=0.0))
+    assert rec.termination == "t_max"
+    assert len(rec.times) == 2
+    assert abs(rec.times[1] - 0.3177888565063479) < 1e-8
+
+
+# -- the shared scan loop against the search loop it replaced -------------
+
+def _forward_search_loop(config):
+    """Reference: the forward search as its own scan-and-bisect loop."""
+    model, _ = randmodel.build_run(config)
+    leaves = LeafStates(HistoryTree(initial_state=model.psi0,
+                                    evolution=model.evolution))
+    events = []
+    dt = config.t_max / 1000.0
+    t = 0.0
+    steps = 0
+    termination = "t_max"
+
+    def admissible(s):
+        nonlocal steps
+        steps += 1
+        return _admissible(model, leaves, s, config.epsilon, config.delta,
+                           config.delta_mode)
+
+    prev_t = None
+    while t <= config.t_max + 1e-12:
+        if steps >= config.max_steps:
+            termination = "max_steps"
+            break
+        ext = admissible(t)
+        if ext is not None and prev_t is not None:
+            lo, hi = prev_t, t
+            while hi - lo > config.refine_tol and steps < config.max_steps:
+                mid = 0.5 * (lo + hi)
+                trial = admissible(mid)
+                if trial is None:
+                    lo = mid
+                else:
+                    hi, ext = mid, trial
+            t = hi
+        prev_t = t
+        if ext is not None:
+            events.append(ext.event())
+            leaves = ext.extend()
+            if leaves.states.shape[1] >= config.max_histories:
+                termination = "max_histories"
+                break
+        t += dt
+    return [e.time for e in events], steps, termination
+
+
+# (d1, d2, seed, config overrides).  Seed 1 at 2x3 starts bisecting its
+# second event at step 228 and needs 18 steps to refine it, so a cap of
+# 235 stops it mid-bisection; the delta = 1e-4, epsilon = 0.5 runs fill
+# four histories with their second event.
+SCAN_CASES = [
+    (2, 3, 1, {}),
+    (3, 3, 1, {}),
+    (2, 3, 1, {"max_steps": 150}),
+    (2, 3, 1, {"max_steps": 228}),
+    (2, 3, 1, {"max_steps": 235}),
+    (2, 3, 1, {"max_steps": 400}),
+    (3, 3, 4, {"max_steps": 300}),
+    (2, 3, 1, {"delta": 1e-4, "epsilon": 0.5, "max_histories": 4}),
+    (2, 3, 2, {"delta": 1e-4, "epsilon": 0.5, "max_histories": 4}),
+    (2, 3, 3, {"delta": 1e-4, "epsilon": 0.5, "max_histories": 4}),
+]
+
+
+def test_forward_search_matches_its_own_loop():
+    results = {}
+    for d1, d2, seed, kw in SCAN_CASES:
+        config = _config(**{"d1": d1, "d2": d2, "seed": seed,
+                            "max_histories": 64, **kw})
+        rec = randmodel.run_forward_search(config)
+        want = _forward_search_loop(config)
+        assert (rec.times, rec.steps, rec.termination) == want, \
+            (d1, d2, seed, kw)
+        results[d1, d2, seed, kw.get("max_steps")] = want
+    assert {termination for _, _, termination in results.values()} \
+        == {"t_max", "max_steps", "max_histories"}
+    # the cap of 235 cut the second bisection short
+    cut, done = results[2, 3, 1, 235][0], results[2, 3, 1, 400][0]
+    assert len(cut) == len(done) == 2 and cut[1] != done[1]

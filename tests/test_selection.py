@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qhistories import selection, spin
-from qhistories.consistency import consistency_report, nontrivial
+from qhistories.consistency import (consistency_report, is_exactly_consistent,
+                                    nontrivial)
 from qhistories.histories import (HistoryTree, ProjectiveDecomposition,
                                   decoherence_matrix, extend_all,
                                   extend_branch)
@@ -364,3 +365,143 @@ def test_spin_models_score_as_their_dense_unitaries():
             assert np.max(np.abs(ext.states - want.states)) \
                 <= GRAM_RTOL * np.max(np.abs(want.states))
             leaves, dense_leaves = ext.extend(), want.extend()
+
+
+# -- the shared scan loop against the loops it replaced ---------------------
+
+def _grid_scan_loop(model, accept, t_max, grid, refine_tol, max_events):
+    """Reference: the grid selections' own scan-and-bisect loop."""
+    leaves = selection.LeafStates(HistoryTree(initial_state=model.psi0,
+                                              evolution=model.evolution))
+    events = []
+    ts = np.linspace(0.0, t_max, grid + 1)
+    i = 0
+    while i <= grid and len(events) < max_events:
+        t = float(ts[i])
+        ext = accept(leaves, t)
+        if ext is None:
+            i += 1
+            continue
+        lo = float(ts[i - 1]) if i > 0 else 0.0
+        lo = max(lo, events[-1].time if events else lo)
+        hi = t
+        while hi - lo > refine_tol:
+            mid = 0.5 * (lo + hi)
+            trial = accept(leaves, mid)
+            if trial is None:
+                lo = mid
+            else:
+                hi, ext = mid, trial
+        events.append(ext.event())
+        leaves = ext.extend()
+        while i <= grid and ts[i] <= hi:
+            i += 1
+    return [e.time for e in events], len(leaves.tree.leaves())
+
+
+def _earliest_accept(model, epsilon, delta):
+    return lambda leaves, t: selection._admissible(model, leaves, t, epsilon,
+                                                   delta, "relative")
+
+
+def _quasi_accept(model, epsilon, delta, probe_dt=1e-3, tol=1e-9):
+    def accept(leaves, t):
+        ext = selection._admissible(model, leaves, t, epsilon, delta,
+                                    "relative")
+        if ext is None:
+            return None
+        repeat = ProjectiveDecomposition(t + probe_dt,
+                                         ext.decomposition.projectors,
+                                         check=False)
+        _, D = selection._projected_gram(model.evolution, ext.states, repeat)
+        return ext if is_exactly_consistent(D, "medium", tol=tol) else None
+    return accept
+
+
+def _grid_models():
+    a1, a2, u = _recoherence()
+    yield selection.recoherence_model(a1, a2, u), 3 * math.pi / 2, 400
+    for seed, n in ((3, 1), (4, 2), (5, 2)):
+        yield selection.spin_model(_config(seed, n)), 2.0 * n, 100
+
+
+def test_grid_selections_match_their_own_loop():
+    sizes = set()
+    for model, t_max, grid in _grid_models():
+        for select, make_accept, eps, delta in (
+                (selection.earliest_time_select, _earliest_accept, 1e-6, 0.01),
+                (selection.quasi_dynamical_select, _quasi_accept, 0.05, 0.02)):
+            for max_events in (16, 1, 0):
+                sel = select(model, eps, delta, t_max, grid=grid,
+                             max_events=max_events)
+                want = _grid_scan_loop(model, make_accept(model, eps, delta),
+                                       t_max, grid, 1e-6, max_events)
+                assert (sel.times, len(sel.tree.leaves())) == want
+                sizes.add(len(sel.times))
+    assert {0, 1} < sizes and max(sizes) > 1
+
+
+def test_zero_refine_tol_returns(monkeypatch):
+    # at refine_tol = 0 (or below the float spacing) the bracket never gets
+    # narrow enough; bisection must stop at adjacent floats, well within a
+    # bounded number of candidates
+    calls = []
+    candidate = selection.schmidt_candidate
+
+    def bounded(model, t):
+        calls.append(t)
+        if len(calls) > 5000:
+            raise RuntimeError("bisection does not terminate")
+        return candidate(model, t)
+
+    monkeypatch.setattr(selection, "schmidt_candidate", bounded)
+    a1, a2, u = _recoherence()
+    model = selection.recoherence_model(a1, a2, u)
+    for tol in (0.0, 1e-17):
+        calls.clear()
+        sel = selection.earliest_time_select(model, 1e-6, 0.05,
+                                             3 * math.pi / 2, refine_tol=tol)
+        assert len(sel.times) == 2
+        for t, pinned in zip(sel.times, [0.49564069742175976,
+                                         1.5707960871103983]):
+            assert abs(t - pinned) < 1e-6
+
+
+def _retrodictive_by_rebuild(model, candidate_times, epsilon):
+    """Reference: score every trial by rebuilding its tree and decoherence
+    matrix; returns the accepted times and each event's probabilities."""
+    times = sorted(set(float(t) for t in candidate_times))
+    candidates, accepted = {}, []
+    for t in reversed(times):
+        candidates[t] = selection.schmidt_candidate(model, t)
+        trial = sorted(accepted + [t])
+        tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
+        for s in trial:
+            tree = extend_all(tree, candidates[s])
+        if consistency_report(decoherence_matrix(tree), epsilon).medium_pass:
+            accepted = trial
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
+    probabilities = []
+    for s in accepted:
+        tree = extend_all(tree, candidates[s])
+        probabilities.append(decoherence_matrix(tree).diag)
+    return accepted, probabilities
+
+
+def test_retrodictive_select_matches_tree_rebuild():
+    accepted_sizes = set()
+    for seed, n in ((5, 3), (6, 2), (7, 2)):
+        model = selection.spin_model(_config(seed, n))
+        for times, eps in ((range(1, n + 1), 1e-10),
+                           ([0.5, 1.5, 2.0], 1e-10),
+                           (np.linspace(0.1, n, 7), 1e-6)):
+            sel, _ = selection.retrodictive_select(model, times, eps,
+                                                   include_companions=False)
+            want_times, want_probs = _retrodictive_by_rebuild(model, times,
+                                                              eps)
+            assert sel.times == want_times
+            for event, want in zip(sel.events, want_probs):
+                assert np.max(np.abs(event.probabilities - want)) \
+                    <= GRAM_RTOL * np.max(np.abs(want))
+            accepted_sizes.add(len(want_times))
+    assert len(accepted_sizes) > 1
