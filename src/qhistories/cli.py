@@ -86,20 +86,26 @@ def parse_records(text):
 
 
 def _load_config(path, section, args, argv):
-    """Apply [section] keys of an INI file; explicit flags keep priority."""
+    """Apply [section] keys of an INI file; explicit flags keep priority in
+    any form argparse accepts, seen by parsing argv again without defaults."""
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
     if not cp.has_section(section):
         return
-    given = set(argv)
+    parsers = [build_parser.__wrapped__()]    # fresh: the cached is shared
+    for p in parsers:
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    given = vars(parsers[0].parse_args(argv))
     for key, raw in cp.items(section):
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise ValueError(f"unknown config key {key!r} in [{section}]")
-        if f"--{key}" in given or f"--{dest.replace('_', '-')}" in given:
-            continue
-        setattr(args, dest, _parse_token(raw))
+        if dest not in given:
+            setattr(args, dest, _parse_token(raw))
 
 
 # -- subcommands ---------------------------------------------------------
@@ -117,7 +123,8 @@ def cmd_bounds(args, out):
         rows.append([d, eps, upper, lower])
         ok = ok and lower <= upper + 1e-9
     emit_records(out, "bounds",
-                 {"criterion": args.criterion, "eps": args.eps or "auto",
+                 {"criterion": args.criterion,
+                  "eps": "auto" if args.eps is None else args.eps,
                   "d_max": args.d_max}, ["d", "eps", "upper", "lower"], rows)
     return ok
 

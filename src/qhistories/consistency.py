@@ -9,7 +9,7 @@ orthogonality.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,49 +29,39 @@ class ConsistencyReport:
     dhp: float
     prob_sum: float
     epsilon: float | None = None
-    criterion_flags: dict = field(default_factory=dict)
-
-    @property
-    def weak_pass(self):
-        return self.criterion_flags.get("weak", None)
-
-    @property
-    def medium_pass(self):
-        return self.criterion_flags.get("medium", None)
+    weak_pass: bool | None = None
+    medium_pass: bool | None = None
 
 
 def consistency_report(D, epsilon=None):
     """Violation maxima, overlap-ratio parameter, and per-pair threshold
-    flags at the given epsilon.  Zero-probability pairs are skipped in the
-    ratio, matching its definition."""
+    flags at the given epsilon >= 0 (None without one).  Zero-probability
+    pairs are skipped in the ratio.  D is a matrix, or the (k, n, n)
+    diagonal blocks of one that is zero off them, reported as that matrix
+    but for the summation order of prob_sum."""
+    if epsilon is not None and not epsilon >= 0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     M = _entries(D)
-    n = M.shape[0]
-    diag = np.real(np.diag(M))
-    off = ~np.eye(n, dtype=bool)
-    max_weak = float(np.max(np.abs(M.real[off]))) if n > 1 else 0.0
-    max_medium = float(np.max(np.abs(M[off]))) if n > 1 else 0.0
-    dhp = 0.0
-    flags = {}
-    if n > 1:
-        root = np.sqrt(np.abs(np.outer(diag, diag)))
-        ok = off & (root > 0)
-        if np.any(ok):
-            dhp = float(np.max(np.abs(M[ok]) / root[ok]))
-        if epsilon is not None:
-            flags["weak"] = bool(np.all(np.abs(M.real[ok]) <= epsilon * root[ok]))
-            flags["medium"] = bool(np.all(np.abs(M[ok]) <= epsilon * root[ok]))
-    elif epsilon is not None:
-        flags["weak"] = flags["medium"] = True
-    return ConsistencyReport(max_weak, max_medium, dhp,
-                             float(np.sum(M).real), epsilon, flags)
+    G = M if M.ndim == 3 else M[None]
+    diag = G.diagonal(0, 1, 2).real
+    off = ~np.eye(G.shape[-1], dtype=bool)
+    root = np.sqrt(np.abs(diag[:, :, None] * diag[:, None, :]))
+    ok = off & (root > 0)
+    root, medium = root[ok], np.abs(G[ok])
+    flags = (None, None) if epsilon is None else (
+        bool((np.abs(G.real[ok]) <= epsilon * root).all()),
+        bool((medium <= epsilon * root).all()))
+    return ConsistencyReport(float(np.abs(G.real[:, off]).max(initial=0.0)),
+                             float(np.abs(G[:, off]).max(initial=0.0)),
+                             float((medium / root).max(initial=0.0)),
+                             float(np.sum(M).real), epsilon, *flags)
 
 
 def is_exactly_consistent(D, criterion="weak", tol=None):
     M = _entries(D)
     if tol is None:
-        tol = EXACT_TOL * max(1.0, float(np.max(np.abs(np.diag(M).real)))
-                              if M.size else 1.0)
-    r = consistency_report(D)
+        tol = EXACT_TOL * np.abs(M.diagonal(0, -2, -1).real).max(initial=1.0)
+    r = consistency_report(M)
     v = r.max_weak_violation if criterion == "weak" else r.max_medium_violation
     return v <= tol
 
@@ -263,7 +253,11 @@ def limit_dhc(phi, P, P_dot, P_ddot=None, mode="double"):
 
 def nontrivial(parent_probability, child_probabilities, delta, mode="relative"):
     """Non-triviality gate for an extension: every child above delta
-    (absolute) or above delta times the parent (relative)."""
+    (absolute) or above delta times the parent (relative).
+
+    The parent may be an array that broadcasts against the children, such
+    as a column of parents against their rows of children: the verdict
+    then covers every row at once."""
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
     children = np.asarray(child_probabilities, dtype=float)

@@ -58,12 +58,12 @@ def _as_complex_matrix(H):
 
 
 def _fix_column_phases(V):
-    # make the largest-modulus component of each column real positive
+    # (V / phases, phases): each column's largest-modulus entry made real > 0
     idx = np.argmax(np.abs(V), axis=0)
     pivots = V[idx, np.arange(V.shape[1])]
     mags = np.abs(pivots)
     phases = np.where(mags > 0, pivots / np.where(mags > 0, mags, 1.0), 1.0)
-    return V / phases[None, :]
+    return V / phases[None, :], phases
 
 
 def hermitian_eig(H):
@@ -78,7 +78,7 @@ def hermitian_eig(H):
     if asym > HERMITICITY_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
     vals, vecs = np.linalg.eigh(H)
-    return vals, _fix_column_phases(vecs)
+    return vals, _fix_column_phases(vecs)[0]
 
 
 @dataclass
@@ -119,11 +119,7 @@ def schmidt_decompose(psi, d1, d2, norm_tol=1e-10):
     M = psi.reshape(d1, d2)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     # fold the phase fix of the system basis into the environment rows
-    idx = np.argmax(np.abs(U), axis=0)
-    pivots = U[idx, np.arange(U.shape[1])]
-    mags = np.abs(pivots)
-    phases = np.where(mags > 0, pivots / np.where(mags > 0, mags, 1.0), 1.0)
-    U = U / phases[None, :]
+    U, phases = _fix_column_phases(U)
     Vh = Vh * phases[:, None]
     weights = s ** 2
     return SchmidtDecomposition(weights, U, Vh)

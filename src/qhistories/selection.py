@@ -17,10 +17,11 @@ Every selection builds its set from a fresh tree's leaf states (LeafStates)
 by one Extension per event, which scores a candidate without building it.
 The projectors applied at one time are mutually orthogonal, so extending
 every leaf a of the current set by {P_i(t)} gives the decoherence matrix
-D[(a,i),(b,j)] = delta_ij <U(t) u_b| P_i |U(t) u_a>: k Gram blocks of the
-leaf states u_a, evolved together by one apply and projected, on the
-strided diagonal D[i::k, i::k] of the (leaf outer, projector inner) order
-that extend_all produces; the tree is extended only once a candidate is
+D[(a,i),(b,j)] = delta_ij <U(t) u_b| P_i |U(t) u_a>, zero off k blocks: a
+candidate is held as the (k, n, n) stack of those Gram blocks of the leaf
+states u_a, evolved together by one apply and projected, with no padded
+matrix.  Block i is D[i::k, i::k] in the (leaf outer, projector inner)
+order of extend_all; the tree is extended only once a candidate is
 accepted.  The forward strategies (earliest-time, quasi-dynamical and the
 random-run search in randmodel) share one scan-and-bisect loop,
 _scan_select, and differ only in scan times, stop rule and budget.
@@ -114,37 +115,37 @@ class LeafStates:
 
 
 def _projected_gram(evolution, states, dec):
-    """Decoherence matrix of the leaves extended by dec, without the tree.
+    """Gram blocks of the leaves extended by dec, without the tree.
 
     Projectors at one time are orthogonal, so D[(a,i),(b,j)] is
-    delta_ij <U u_b| P_i |U u_a>: block i, on the strided diagonal
-    D[i::k, i::k], is the Gram matrix of the columns P_i U u_a.  Returns
-    (W, D) with W[:, a*k + i] = P_i U u_a."""
+    delta_ij <U u_b| P_i |U u_a>, zero off its k diagonal blocks.  Returns
+    (W, G) with W[:, a*k + i] = P_i U u_a and the (k, n, n) stack G of the
+    blocks G[i] = D[i::k, i::k], the Gram matrices of the P_i U u_a."""
     V = evolution.apply(states, dec.time)
     n, k = V.shape[1], len(dec)
     W = np.empty((V.shape[0], n * k), dtype=complex)
-    D = np.zeros((n * k, n * k), dtype=complex)
+    G = np.empty((k, n, n), dtype=complex)
     for i, P in enumerate(dec.projectors):
         Wi = apply_leading(P, V)
         W[:, i::k] = Wi
-        D[i::k, i::k] = Wi.T @ Wi.conj()     # D_ab = u_b^dag u_a
-    return W, D
+        G[i] = Wi.T @ Wi.conj()     # G_ab = u_b^dag u_a
+    return W, G
 
 
 class Extension:
     """A scored candidate: every leaf of a set split by one decomposition.
 
-    Holds the decoherence matrix of the extended set, its consistency
-    report and probabilities; the tree itself is built by extend() only
-    once the candidate is accepted."""
+    Holds the k Gram blocks of the extended set (see _projected_gram), its
+    consistency report and probabilities; the tree itself is built by
+    extend() only once the candidate is accepted."""
 
     def __init__(self, leaves, dec, epsilon):
         self.leaves = leaves
         self.decomposition = dec
-        self._projected, self.matrix = _projected_gram(
+        self._projected, self.blocks = _projected_gram(
             leaves.tree.evolution, leaves.states, dec)
-        self.report = consistency_report(self.matrix, epsilon)
-        self.probabilities = np.real(np.diag(self.matrix))
+        self.report = consistency_report(self.blocks, epsilon)
+        self.probabilities = self.blocks.diagonal(0, 1, 2).real.T.ravel()
         self._states = None
 
     @property
@@ -172,9 +173,10 @@ def _admissible(model, leaves, t, epsilon, delta, delta_mode):
 
     The extension is scored from the leaf-state matrix alone, as k
     projected Gram blocks (see _projected_gram); the parent probabilities
-    are its squared column norms.  No tree is built here: the caller
-    extends the tree with Extension.extend() once per accepted event.
-    Returns the Extension, or None when inadmissible."""
+    are its squared column norms, judged in one nontrivial call as a
+    column against the rows of children.  No tree is built here: the
+    caller extends the tree with Extension.extend() once per accepted
+    event.  Returns the Extension, or None when inadmissible."""
     try:
         dec = schmidt_candidate(model, t)
     except np.linalg.LinAlgError:
@@ -184,14 +186,10 @@ def _admissible(model, leaves, t, epsilon, delta, delta_mode):
     ext = Extension(leaves, dec, epsilon)
     if not ext.report.medium_pass:
         return None
-    k = len(dec)
-    children = ext.probabilities.reshape(-1, k)
-    for parent, split in zip(leaves.probabilities, children):
-        if parent < 1e-14:
-            continue
-        if not nontrivial(parent, split, delta, mode=delta_mode):
-            return None
-    return ext
+    live = ~(leaves.probabilities < 1e-14)
+    children = ext.probabilities.reshape(-1, len(dec))[live]
+    return ext if nontrivial(leaves.probabilities[live, None], children,
+                             delta, mode=delta_mode) else None
 
 
 def _chain(model, decompositions, epsilon):
@@ -284,8 +282,8 @@ def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
         repeat = ProjectiveDecomposition(t + probe_dt,
                                          ext.decomposition.projectors,
                                          check=False)
-        _, D = _projected_gram(leaves.tree.evolution, ext.states, repeat)
-        if not is_exactly_consistent(D, "medium", tol=persistence_tol):
+        _, G = _projected_gram(leaves.tree.evolution, ext.states, repeat)
+        if not is_exactly_consistent(G, "medium", tol=persistence_tol):
             return None
         return ext
 

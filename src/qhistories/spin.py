@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
-                        extend_all)
+from .histories import (PROJECTOR_TOL, HistoryTree, ProjectiveDecomposition,
+                        apply_leading, extend_all)
 from .linalg import leading_view
 
 SIGMA = [
@@ -30,7 +30,6 @@ SIGMA = [
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 ]
-SIGMA_Y = SIGMA[1]
 I2 = np.eye(2, dtype=complex)
 
 
@@ -60,7 +59,6 @@ class SpinModelConfig:
 
     v: np.ndarray
     axes: np.ndarray
-    variant: str = "standard"
     genericity_tol: float = 1e-8
     generic: bool = field(init=False)
 
@@ -238,11 +236,17 @@ def reduced_density_full(cfg, t):
 
 def build_tree(cfg, events):
     """History tree from (time, axis) projection events; each event splits
-    every branch with the 2 x 2 system projectors {P(axis), P(-axis)}."""
+    every branch with the 2 x 2 system projectors {P(axis), P(-axis)}.
+    Axes must be real unit 3-vectors, |axis|^2 within PROJECTOR_TOL of 1
+    (ValueError otherwise); the pair's own, looser check is skipped."""
     tree = HistoryTree(initial_state=initial_state(cfg),
                        evolution=chain_evolution(cfg))
     for t, w in sorted(events, key=lambda e: e[0]):
-        dec = ProjectiveDecomposition(t, [proj2(w), proj2(-np.asarray(w))])
+        w = np.asarray(w)
+        if (w.shape != (3,) or np.any(np.imag(w) != 0)
+                or not abs(w @ w - 1.0) <= PROJECTOR_TOL):
+            raise ValueError(f"axis {w} is not a real unit 3-vector")
+        dec = ProjectiveDecomposition(t, [proj2(w), proj2(-w)], check=False)
         tree = extend_all(tree, dec)
     return tree
 

@@ -45,6 +45,18 @@ def test_bounds_command():
         assert lower <= upper
 
 
+def test_bounds_header_names_the_eps_its_rows_use():
+    # an explicit --eps 0 is written as 0, and auto only when it is absent
+    for argv, want in ((["--eps", "0"], 0), (["--eps", "0.1"], 0.1),
+                       ([], "auto")):
+        code, out = _run(["bounds", "--d-max", "3"] + argv)
+        assert code == 0
+        _, meta, _, rows = cli.parse_records(out)
+        assert meta["eps"] == want
+        if want != "auto":
+            assert [r[1] for r in rows] == [want] * len(rows)
+
+
 def test_zeno_command():
     code, out = _run(["zeno", "--n", "100", "--theta", "1.0"])
     assert code == 0
@@ -153,6 +165,23 @@ def test_parser_is_shared_but_each_call_keeps_its_own_defaults(tmp_path):
     assert meta["n"] == 4
     assert meta["eps"] == 0.05
     assert cli.parse_records(outfile.read_text())[1]["n"] == 5
+
+
+def test_explicit_flags_beat_the_config_in_every_spelling(tmp_path):
+    conf = tmp_path / "run.ini"
+    conf.write_text("[dheg]\nn = 6\neps = 0.1\n"
+                    "[random.run]\nmax-histories = 4\n")
+    code, out = _run(["--config", str(conf), "dheg", "--n=3", "--ep", "0.2"])
+    assert code == 0
+    _, meta, _, _ = cli.parse_records(out)
+    assert (meta["n"], meta["eps"]) == (3, 0.2)
+    for flags in (["--max-histories=2"], ["--max-hist", "2"],
+                  ["--max-hist=2"], ["--max-histories", "2"], []):
+        argv = ["--config", str(conf), "random", "run"] + flags
+        args = cli.build_parser().parse_args(argv)
+        cli._load_config(str(conf), args.section, args, argv)
+        assert args.max_histories == (2 if flags else 4)
+
 
 def test_config_unknown_key(tmp_path):
     conf = tmp_path / "bad.ini"

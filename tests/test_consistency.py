@@ -213,6 +213,78 @@ def test_epsilon_for_delta_exact_roots(delta, d):
     assert eps * (2 * d - 1) / denom == pytest.approx(delta)
 
 
+def _gram_stack(seed, k, n, dim=5, dead=None):
+    """k Gram blocks of n projected columns each; leaf `dead` has
+    probability zero (zero in every block), and leaf 0 has a zero child."""
+    g = RandomStream(seed, "stack").generator
+    W = (g.normal(size=(k, dim, n)) + 1j * g.normal(size=(k, dim, n))) \
+        * g.uniform(0.1, 1.0, size=(k, 1, n))
+    if dead is not None:
+        W[:, :, dead] = 0.0
+        W[0, :, 0] = 0.0
+    return np.einsum("kda,kdb->kab", W, W.conj()) \
+        / max(np.sum(np.abs(W) ** 2), 1.0)
+
+
+def _assembled(G):
+    k, n, _ = G.shape
+    D = np.zeros((n * k, n * k), dtype=complex)
+    for i in range(k):
+        D[i::k, i::k] = G[i]
+    return D
+
+
+def test_report_of_a_block_stack_is_the_report_of_its_matrix():
+    fields = ("max_weak_violation", "max_medium_violation", "dhp", "epsilon",
+              "weak_pass", "medium_pass")
+    flagged = set()
+    for seed, k, n, dead in itertools.product(range(3), (2, 3), (1, 2, 4),
+                                              (None, -1)):
+        G = _gram_stack(seed, k, n, dead=dead)
+        D = _assembled(G)
+        dhp = consistency_report(D).dhp
+        for eps in (None, 0.0, 0.2, 0.5, 0.9, dhp):
+            got, want = consistency_report(G, eps), consistency_report(D, eps)
+            for name in fields:
+                assert getattr(got, name) == getattr(want, name), name
+            assert abs(got.prob_sum - want.prob_sum) \
+                <= 1e-15 * np.abs(D).sum()
+            flagged.add((got.weak_pass, got.medium_pass))
+        for criterion in ("weak", "medium"):
+            assert is_exactly_consistent(G, criterion) \
+                == is_exactly_consistent(D, criterion)
+    assert {(True, True), (True, False), (False, False)} <= flagged
+
+
+def test_report_of_small_dense_matrices():
+    for n in (0, 1):
+        M = np.full((n, n), 0.7 + 0.2j)
+        for eps in (None, 0.1):
+            r = consistency_report(M, eps)
+            assert (r.max_weak_violation, r.max_medium_violation, r.dhp,
+                    r.prob_sum) == (0.0, 0.0, 0.0, 0.7 * n)
+            assert (r.weak_pass, r.medium_pass) == \
+                ((None, None) if eps is None else (True, True))
+    M = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
+    r = consistency_report(M, 0.3)
+    assert r.max_weak_violation == 0.1
+    assert r.max_medium_violation == abs(0.1 + 0.2j)
+    assert r.dhp == abs(0.1 + 0.2j) / math.sqrt(0.6 * 0.4)
+    assert r.prob_sum == pytest.approx(1.2, abs=1e-15)
+    assert (r.weak_pass, r.medium_pass) == (True, False)
+    assert consistency_report(M, 0.5).medium_pass
+    assert consistency_report(M).medium_pass is None
+    # a negative epsilon would fail the zero entries between the blocks of
+    # a matrix but not of its stack, so it is refused
+    for eps in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            consistency_report(M, eps)
+    # a zero-probability history drops every pair from the ratio and flags
+    r = consistency_report(np.array([[0.5, 0.3], [0.3, 0.0]]), 0.0)
+    assert (r.max_weak_violation, r.dhp) == (0.3, 0.0)
+    assert r.weak_pass and r.medium_pass
+
+
 def test_epsilon_for_delta_ordering():
     d, delta = 6, 0.15
     general = epsilon_for_delta(delta, d, "general")
@@ -226,6 +298,23 @@ def test_nontrivial_modes():
     assert not nontrivial(0.5, [0.05, 0.45], 0.1, mode="absolute")
     assert nontrivial(0.5, [0.06, 0.44], 0.1, mode="relative")
     assert not nontrivial(0.5, [0.04, 0.46], 0.1, mode="relative")
+
+
+def test_nontrivial_judges_a_column_of_parents_like_a_loop():
+    g = RandomStream(4, "nontrivial").generator
+    parents = g.uniform(0.2, 1.0, size=6)
+    children = parents[:, None] * g.dirichlet([1.0, 1.0, 1.0], size=6)
+    children[2, 0] = 0.1 * parents[2]        # exactly at delta = 0.1
+    verdicts = set()
+    for mode, delta, rows in itertools.product(
+            ("relative", "absolute"), (0.0, 0.05, 0.1, 0.3),
+            [[0], [0, 1], [2, 3], list(range(6))]):
+        loop = all(nontrivial(parents[a], children[a], delta, mode=mode)
+                   for a in rows)
+        assert nontrivial(parents[rows, None], children[rows], delta,
+                          mode=mode) == loop
+        verdicts.add(loop)
+    assert verdicts == {True, False}
 
 
 def _block_example(seed, q=0.3, null_double=False):

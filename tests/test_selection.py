@@ -226,16 +226,24 @@ def _tree_path_admissible(model, tree, t, epsilon, delta):
 
 
 def _check_engine(model, tree, times, epsilons=(0.05, 0.5), delta=0.02):
-    """Engine matrix equals the rebuilt tree's at every time; the verdicts
-    agree for every epsilon.  Returns the verdicts."""
+    """Engine blocks equal the strided blocks D[i::k, i::k] of the rebuilt
+    tree's matrix, which is zero off them up to rounding, at every time;
+    the verdicts agree for every epsilon.  Returns the verdicts."""
     leaves = selection.LeafStates(tree)
     verdicts = []
     for t in times:
         dec = selection.schmidt_candidate(model, t)
         want = decoherence_matrix(extend_all(tree, dec)).entries
-        got = selection.Extension(leaves, dec, epsilons[0]).matrix
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= GRAM_RTOL * np.max(np.abs(want))
+        got = selection.Extension(leaves, dec, epsilons[0]).blocks
+        k, n, _ = got.shape
+        assert want.shape == (n * k, n * k)
+        scale = np.max(np.abs(want))
+        outside = np.ones(want.shape, dtype=bool)
+        for i in range(k):
+            assert np.max(np.abs(got[i] - want[i::k, i::k])) \
+                <= GRAM_RTOL * scale
+            outside[i::k, i::k] = False
+        assert np.max(np.abs(want[outside]), initial=0.0) <= GRAM_RTOL * scale
         for eps in epsilons:
             ok = selection._admissible(model, leaves, t, eps, delta,
                                        "relative") is not None
@@ -310,6 +318,39 @@ def test_engine_matches_tree_path_with_null_branch():
     _check_engine(model, tree, [0.3, 0.9, 1.6])
 
 
+def test_admissible_judges_the_live_leaves_like_a_loop():
+    # a leaf of probability zero and one below the 1e-14 floor are skipped
+    # by the one non-triviality verdict, as by a per-leaf loop; judging
+    # them too would refuse some of these candidates
+    model = _gue_model(2, 3, 11)
+    tree = extend_all(HistoryTree(initial_state=model.psi0,
+                                  evolution=model.evolution),
+                      selection.schmidt_candidate(model, 0.4))
+    tree = extend_all(tree, selection.schmidt_candidate(model, 0.9))
+    states = tree.leaf_states()
+    states[:, 1] = 0.0
+    states[:, 2] *= 1e-8
+    leaves = selection.LeafStates(tree, states)
+    verdicts, skipped = set(), set()
+    for t, eps, delta, mode in itertools.product(
+            np.linspace(1.0, 3.0, 9), (0.7, 1.0), (0.001, 0.02, 0.2),
+            ("relative", "absolute")):
+        got = selection._admissible(model, leaves, t, eps, delta, mode)
+        dec = selection.schmidt_candidate(model, t)
+        ext = selection.Extension(leaves, dec, eps)
+        k = len(dec)
+        judged = [nontrivial(p, ext.probabilities[a * k:(a + 1) * k], delta,
+                             mode=mode)
+                  for a, p in enumerate(leaves.probabilities) if p >= 1e-14]
+        want = k >= 2 and ext.report.medium_pass and all(judged)
+        assert (got is not None) == want
+        verdicts.add(want)
+        skipped.add(want and not nontrivial(
+            leaves.probabilities[:, None],
+            ext.probabilities.reshape(-1, k), delta, mode=mode))
+    assert verdicts == {True, False} and True in skipped
+
+
 # -- pinned seeds ----------------------------------------------------------
 # Event times recorded with the tree-rebuilding scorer; the leaf-state
 # engine must reproduce them bit for bit.
@@ -360,8 +401,8 @@ def test_spin_models_score_as_their_dense_unitaries():
             dec = selection.schmidt_candidate(model, t)
             ext = selection.Extension(leaves, dec, 0.05)
             want = selection.Extension(dense_leaves, dec, 0.05)
-            scale = np.max(np.abs(want.matrix))
-            assert np.max(np.abs(ext.matrix - want.matrix)) <= GRAM_RTOL * scale
+            scale = np.max(np.abs(want.blocks))
+            assert np.max(np.abs(ext.blocks - want.blocks)) <= GRAM_RTOL * scale
             assert np.max(np.abs(ext.states - want.states)) \
                 <= GRAM_RTOL * np.max(np.abs(want.states))
             leaves, dense_leaves = ext.extend(), want.extend()

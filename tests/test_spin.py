@@ -7,7 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from qhistories import spin
 from qhistories.consistency import consistency_report
-from qhistories.histories import decoherence_matrix
+from qhistories.histories import ProjectiveDecomposition, decoherence_matrix
 from qhistories.linalg import RandomStream, sample_unit_vector
 
 # The matrix-free chain and the dense kron products sum the same terms in
@@ -31,6 +31,34 @@ def test_config_validation_and_genericity():
     cfg2 = spin.SpinModelConfig(v=[0, 0, 1.0],
                                 axes=[np.array([1.0, 0, 1.0]) / math.sqrt(2)])
     assert cfg2.generic
+
+
+def test_build_tree_refuses_axes_that_are_not_real_unit_vectors():
+    cfg = _config(2, 2)
+    z = np.array([0.0, 0.0, 1.0])
+    for w in (1.01 * z, 0.5 * z, np.array([0.0, 0.6j, 0.8]),
+              z + 1e-6j, np.array([0.0, np.nan, 1.0]), np.ones(4) / 2):
+        with pytest.raises(ValueError, match="axis"):
+            spin.build_tree(cfg, [(1.0, w)])
+    # exactly real complex-typed axes and lists are accepted
+    spin.build_tree(cfg, [(1.0, z.astype(complex)), (2.0, [1.0, 0.0, 0.0])])
+
+
+def test_build_tree_axis_check_is_at_least_as_strict_as_the_projectors():
+    # every axis whose pair {P(w), P(-w)} fails the decomposition check
+    # fails build_tree's own check, near the norm tolerance too
+    cfg = _config(2, 1)
+    u = sample_unit_vector(3, "real", RandomStream(3, "axis-check"))
+    refused = 0
+    for dev in (1e-12, 1e-11, 1e-10, 3e-10, 1e-9, 1e-6):
+        for w in ((1 + dev) * u, (1 - dev) * u, u + 1j * dev * u[::-1]):
+            try:
+                ProjectiveDecomposition(1.0, [spin.proj2(w), spin.proj2(-w)])
+            except ValueError:
+                refused += 1
+                with pytest.raises(ValueError):
+                    spin.build_tree(cfg, [(1.0, w)])
+    assert refused >= 6
 
 
 def test_theta_schedule():
