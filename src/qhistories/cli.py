@@ -4,7 +4,9 @@ Subcommands expose the main computations as plain-text line records:
 comment lines (#) echoing the run parameters, a column-name line, then
 whitespace-separated rows with 12 significant digits.  Records written by
 one invocation parse back losslessly with parse_records.  Exit status is
-0 exactly when every reported check passes.
+0 exactly when every reported check passes, 1 when one fails, and 2 for
+bad input: a ValueError from the arguments, the config file or the
+computation is reported as "qhist: error: <message>" on stderr.
 """
 
 import argparse
@@ -452,13 +454,16 @@ def main(argv=None):
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        _load_config(args.config, args.section, args, argv)
-    if args.out:
-        with open(args.out, "w") as fh:
-            ok = args.func(args, fh)
-    else:
-        ok = args.func(args, sys.stdout)
+    try:
+        if args.config:
+            _load_config(args.config, args.section, args, argv)
+        if args.out:
+            with open(args.out, "w") as fh:
+                ok = args.func(args, fh)
+        else:
+            ok = args.func(args, sys.stdout)
+    except ValueError as exc:
+        parser.error(str(exc))      # exit status 2, no traceback
     return 0 if ok else 1
 
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EXACT_TOL = 1e-10
+from .tolerances import (EXACT_TOL, LIMIT_TOL, MPV_GAIN_TOL,
+                         NEGATIVE_PROBABILITY_TOL, NULL_STATE_TOL)
+
 MPV_EXHAUSTIVE_CAP = 26
 MPV_BLOCK = 1 << 16      # entries of one temporary block in the MPV scans
 
@@ -125,7 +127,7 @@ def mpv_greedy(D):
 
     Seed (sign, a < b) starts from {a, b} with value 2 sign Re D_ab and
     repeatedly adds the history of largest gain 2 sign sum_{j in S} Re D_ij
-    (first index on ties) while that gain exceeds 1e-15.  All seeds
+    (first index on ties) while that gain exceeds MPV_GAIN_TOL.  All seeds
     advance together as rows of a gain matrix, in blocks of at most
     MPV_BLOCK entries: adding history j to a row adds 2 sign Re D[:, j]
     to its gains, and a member's gain is held at -inf."""
@@ -147,7 +149,7 @@ def mpv_greedy(D):
         while value.size:
             j = np.argmax(gains, axis=1)
             gain = gains[np.arange(j.size), j]
-            grow = gain > 1e-15
+            grow = gain > MPV_GAIN_TOL
             best = max(best, float(np.abs(value[~grow]).max(initial=0.0)))
             gains, s, j = gains[grow], s[grow], j[grow]
             value = value[grow] + gain[grow]
@@ -195,21 +197,21 @@ class UnresolvedLimitError(ValueError):
     """All derivative orders up to the supported depth annihilate the state."""
 
 
-def _limit_state(state, op, op_dot, op_ddot=None, tol=1e-9):
+def _limit_state(state, op, op_dot, op_ddot=None):
     """Normalized limit of op(t) state as t -> 0+.
 
     op(t) = op + t op_dot + t^2 op_ddot / 2; the limit direction is the
     first non-vanishing term.  Supported to second order."""
     scale = np.linalg.norm(state)
     v = op @ state
-    if np.linalg.norm(v) > tol * scale:
+    if np.linalg.norm(v) > LIMIT_TOL * scale:
         return v / np.linalg.norm(v)
     v = op_dot @ state
-    if np.linalg.norm(v) > tol * scale:
+    if np.linalg.norm(v) > LIMIT_TOL * scale:
         return v / np.linalg.norm(v)
     if op_ddot is not None:
         v = 0.5 * (op_ddot @ state)
-        if np.linalg.norm(v) > tol * scale:
+        if np.linalg.norm(v) > LIMIT_TOL * scale:
             return v / np.linalg.norm(v)
     raise UnresolvedLimitError(
         "limit history unresolved to second derivative order")
@@ -268,7 +270,7 @@ def nontrivial(parent_probability, child_probabilities, delta, mode="relative"):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def linear_positivity(tree, tol=1e-12):
+def linear_positivity(tree, tol=NEGATIVE_PROBABILITY_TOL):
     """Linear-positivity probabilities p_a = Re <psi| C_a |psi>.
 
     Returns (ok, probabilities, first bad index or None); ok is False when
@@ -285,7 +287,7 @@ def env_orthogonality(tree, d1, d2):
     reduced matrices of any two history states.  Null histories skipped."""
     rhos = []
     for u in tree.leaf_states().T:
-        if np.linalg.norm(u) < 1e-12:
+        if np.linalg.norm(u) < NULL_STATE_TOL:
             continue
         M = u.reshape(d1, d2 * (u.size // (d1 * d2)))
         rho = M.conj().T @ M

@@ -74,7 +74,10 @@ def zeno_class_amplitudes(n, theta):
     A history is a sign string (s_1..s_n); its amplitude depends only on
     m, the number of sign changes in (+, s_1, .., s_n):
     g_m = sign(m) cos^{n-m}(eps) sin^m(eps), and the final sign is +
-    exactly when m is even.  Returns (g, counts) with counts_m = C(n, m)."""
+    exactly when m is even.  Returns (g, counts) with counts_m = C(n, m).
+    Raises ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     eps = theta / n
     m = np.arange(n + 1)
     log_mag = (n - m) * math.log(math.cos(eps)) \

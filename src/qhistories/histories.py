@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eig, leading_view
-
-PROJECTOR_TOL = 1e-10
+from .tolerances import PROJECTOR_TOL, SCHMIDT_WEIGHT_TOL
 
 
 def apply_leading(op, states):
@@ -128,7 +127,7 @@ class HistoryTree:
         if initial_density is not None:
             rho = np.asarray(initial_density, dtype=complex)
             vals, vecs = hermitian_eig(rho)
-            keep = vals > 1e-12
+            keep = vals > SCHMIDT_WEIGHT_TOL
             vals, vecs = vals[keep], vecs[:, keep]
             # sum_i sqrt(p_i) v_i (x) e_i: the base space is the leading factor
             psi = (vecs * np.sqrt(vals)[None, :]).reshape(-1)
@@ -161,15 +160,6 @@ class HistoryTree:
         for i in path:
             node = node.children[i]
         return node
-
-    def last_time(self, path):
-        """Latest projection time along the path to a leaf, or None."""
-        t = None
-        node = self.root
-        for i in path:
-            t = node.decomposition.time
-            node = node.children[i]
-        return t
 
     def _evolve(self, states, t, adjoint=False):
         if self.evolution is None:
@@ -282,37 +272,45 @@ def real_embed(u):
     return np.concatenate([u.real, u.imag])
 
 
-def extend_branch(tree, leaf, dec):
-    """New tree with the given leaf split by a projective decomposition.
-
-    Unmodified subtrees are shared with the original."""
+def _extend(tree, dec, path):
+    """New tree with dec splitting the leaf at the end of path, or every
+    leaf when path is None, in one rebuild; untouched subtrees are shared.
+    Raises ValueError when dec's projectors do not divide the state, when
+    dec is not later than the last decomposition on a branch it splits, or
+    when path does not end at a leaf."""
     d = dec.projectors[0].shape[0]
     if tree.dim % d:
         raise ValueError(
             f"projector dimension {d} does not divide state dimension {tree.dim}")
-    t_last = tree.last_time(leaf)
-    if t_last is not None and dec.time <= t_last:
-        raise ValueError(
-            f"decomposition time {dec.time} does not exceed branch time {t_last}")
 
-    def rebuild(node, path):
-        if not path:
-            if not node.is_leaf:
+    def rebuild(node, path, t_last):
+        if node.is_leaf:
+            if path:
                 raise ValueError("path does not end at a leaf")
+            if t_last is not None and dec.time <= t_last:
+                raise ValueError(f"decomposition time {dec.time} does not "
+                                 f"exceed branch time {t_last}")
             return _Node(dec, [_Node() for _ in dec.projectors])
-        i = path[0]
+        if path == ():
+            raise ValueError("path does not end at a leaf")
         children = list(node.children)
-        children[i] = rebuild(children[i], path[1:])
+        for i in range(len(children)) if path is None else path[:1]:
+            children[i] = rebuild(children[i], path and path[1:],
+                                  node.decomposition.time)
         return _Node(node.decomposition, children)
 
     new_tree = copy.copy(tree)
-    new_tree.root = rebuild(tree.root, tuple(leaf))
+    new_tree.root = rebuild(tree.root, path, None)
     return new_tree
+
+
+def extend_branch(tree, leaf, dec):
+    """New tree with the given leaf split by a projective decomposition.
+
+    Unmodified subtrees are shared with the original."""
+    return _extend(tree, dec, tuple(leaf))
 
 
 def extend_all(tree, dec):
     """Extend every leaf by the same decomposition (branch-independent)."""
-    out = tree
-    for leaf in tree.leaves():
-        out = extend_branch(out, leaf, dec)
-    return out
+    return _extend(tree, dec, None)

@@ -7,11 +7,8 @@ import zlib
 
 import numpy as np
 
-# Schmidt weights closer than this are treated as degenerate; the evolution
-# generator is undefined across such a pair.
-DEGENERACY_TOL = 1e-9
-
-HERMITICITY_TOL = 1e-10
+from .tolerances import (DEGENERACY_TOL, HERMITICITY_TOL, NORM_TOL, SPLIT_TOL,
+                         TRACE_TOL)
 
 
 class DegenerateWeightsError(ValueError):
@@ -107,7 +104,7 @@ class SchmidtDecomposition:
         return np.outer(v, v.conj())
 
 
-def schmidt_decompose(psi, d1, d2, norm_tol=1e-10):
+def schmidt_decompose(psi, d1, d2, norm_tol=NORM_TOL):
     """Schmidt decomposition of psi in C^{d1} (x) C^{d2}, d1 <= d2."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != d1 * d2:
@@ -157,7 +154,7 @@ def eigenvalue_rates(rho_dot, eig):
     return np.real(np.einsum("im,ij,jm->m", V.conj(), rho_dot, V))
 
 
-def split_degenerate(A, X, d1, d2, tol=1e-12):
+def split_degenerate(A, X, d1, d2, tol=SPLIT_TOL):
     """Split a (near-)degenerate pair of eigenspaces of Hermitian A.
 
     X projects onto the combined d1+d2 dimensional space.  The traceless
@@ -172,7 +169,7 @@ def split_degenerate(A, X, d1, d2, tol=1e-12):
     A = _as_complex_matrix(A)
     X = _as_complex_matrix(X)
     dtot = d1 + d2
-    if abs(np.trace(X).real - dtot) > 1e-8:
+    if abs(np.trace(X).real - dtot) > TRACE_TOL:
         raise ValueError("projector trace does not match d1 + d2")
     D = X @ A @ X - X * (np.trace(X @ A) / dtot)
     trD2 = float(np.trace(D @ D).real)

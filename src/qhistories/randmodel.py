@@ -17,6 +17,7 @@ from .consistency import consistency_report
 from .histories import HistoryTree, decoherence_matrix
 from .linalg import HamiltonianFlow, RandomStream, sample_gue, sample_unit_vector
 from .selection import BipartiteModel, _admissible, _scan_select
+from .tolerances import INTEGRITY_TOL, TIME_TOL
 from . import consistency as consistency_mod
 
 
@@ -37,8 +38,24 @@ class RunConfig:
     def __post_init__(self):
         if self.d1 < 2 or self.d2 < self.d1:
             raise ValueError("need 2 <= d1 <= d2")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        if not 0 < self.t_max < np.inf:
+            raise ValueError(
+                f"t_max must be positive and finite, got {self.t_max}")
+        if not self.sigma >= 0:
+            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not self.epsilon >= 0:
+            raise ValueError(
+                f"epsilon must be non-negative, got {self.epsilon}")
+        if not 0 <= self.delta < 1:
+            raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
+        if self.delta_mode not in ("relative", "absolute"):
+            raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
+        if not self.refine_tol >= 0:
+            raise ValueError(
+                f"refine_tol must be non-negative, got {self.refine_tol}")
+        if self.max_steps < 0:
+            raise ValueError(
+                f"max_steps must be non-negative, got {self.max_steps}")
 
 
 @dataclass
@@ -84,7 +101,7 @@ def run_forward_search(config, model=None):
 
     def advance(t):
         t += dt
-        return t if t <= config.t_max + 1e-12 else None
+        return t if t <= config.t_max + TIME_TOL else None
 
     def full(leaves, events):
         return bool(events) and leaves.states.shape[1] >= config.max_histories
@@ -140,10 +157,10 @@ def analyse_run(record, epsilon=None):
     if record.events:
         last = record.events[-1]
         if abs(last.report.max_medium_violation
-               - report.max_medium_violation) > 1e-8:
+               - report.max_medium_violation) > INTEGRITY_TOL:
             integrity = False
         if np.max(np.abs(np.sort(last.probabilities)
-                         - np.sort(probs))) > 1e-8:
+                         - np.sort(probs))) > INTEGRITY_TOL:
             integrity = False
     return RunAnalysis(len(record.events), D.n, report, entropy, gaps,
                        float(mpv), exact, float(upper), integrity)

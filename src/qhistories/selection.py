@@ -36,6 +36,9 @@ from .consistency import consistency_report, is_exactly_consistent, nontrivial
 from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
                         as_evolution, extend_all)
 from .linalg import schmidt_decompose
+from .tolerances import (COMPANION_TOL, COMPLEMENT_TOL, DISTRIBUTION_SUM_TOL,
+                         LIVE_PROBABILITY_TOL, NEGATIVE_PROBABILITY_TOL,
+                         PERSISTENCE_TOL, SCHMIDT_WEIGHT_TOL)
 from . import spin as spin_mod
 
 
@@ -88,16 +91,16 @@ class SelectedSet:
         return [e.time for e in self.events]
 
 
-def schmidt_candidate(model, t, weight_tol=1e-12):
+def schmidt_candidate(model, t):
     """Schmidt projective decomposition of the state at time t: d1 x d1
     system projectors onto the retained Schmidt vectors, plus the
     complement of their span when rank-deficient."""
     sd = schmidt_decompose(model.state(t), model.d1, model.d2)
     projs = [sd.system_projector(i) for i, w in enumerate(sd.weights)
-             if w > weight_tol]
+             if w > SCHMIDT_WEIGHT_TOL]
     rest = np.eye(model.d1) - sum(projs, np.zeros((model.d1, model.d1),
                                                   dtype=complex))
-    if np.max(np.abs(rest)) > 1e-9:
+    if np.max(np.abs(rest)) > COMPLEMENT_TOL:
         projs.append(rest)
     return ProjectiveDecomposition(t, projs, check=False)
 
@@ -186,7 +189,7 @@ def _admissible(model, leaves, t, epsilon, delta, delta_mode):
     ext = Extension(leaves, dec, epsilon)
     if not ext.report.medium_pass:
         return None
-    live = ~(leaves.probabilities < 1e-14)
+    live = ~(leaves.probabilities < LIVE_PROBABILITY_TOL)
     children = ext.probabilities.reshape(-1, len(dec))[live]
     return ext if nontrivial(leaves.probabilities[live, None], children,
                              delta, mode=delta_mode) else None
@@ -269,8 +272,7 @@ def earliest_time_select(model, epsilon, delta, t_max, *, grid=400,
 
 def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
                            refine_tol=1e-6, max_events=16,
-                           delta_mode="relative", probe_dt=1e-3,
-                           persistence_tol=1e-9):
+                           delta_mode="relative", probe_dt=1e-3):
     """Earliest-time selection with a persistence gate: an admissible time
     is accepted only if re-applying the same decomposition at t + probe_dt
     leaves the set exactly consistent, so projections must hold still
@@ -283,7 +285,7 @@ def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
                                          ext.decomposition.projectors,
                                          check=False)
         _, G = _projected_gram(leaves.tree.evolution, ext.states, repeat)
-        if not is_exactly_consistent(G, "medium", tol=persistence_tol):
+        if not is_exactly_consistent(G, "medium", tol=PERSISTENCE_TOL):
             return None
         return ext
 
@@ -291,7 +293,7 @@ def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
 
 
 def retrodictive_select(model, candidate_times, epsilon=1e-10, *,
-                        include_companions=True, companion_tol=1e-9):
+                        include_companions=True):
     """Build a set by accepting projection times from the final time
     backwards: a time joins the set when the Schmidt decompositions at all
     accepted times remain medium-consistent at epsilon.
@@ -320,11 +322,11 @@ def retrodictive_select(model, candidate_times, epsilon=1e-10, *,
         if events else leaves.states
     for leaf, u, v in zip(leaves.tree.leaves(), leaves.states.T, final.T):
         nrm = np.linalg.norm(u)
-        if nrm < companion_tol:
+        if nrm < COMPANION_TOL:
             continue
         M = v.reshape(model.d1, model.d2)
         U, svals, Vh = np.linalg.svd(M, full_matrices=False)
-        if svals.size > 1 and svals[1] > companion_tol * svals[0]:
+        if svals.size > 1 and svals[1] > COMPANION_TOL * svals[0]:
             raise ValueError("history state is not a product at the final time")
         sys_vec, env_vec = U[:, 0], Vh[0, :]
         flipped = np.array([-np.conj(sys_vec[1]), np.conj(sys_vec[0])])
@@ -345,7 +347,8 @@ def information(probs, measure="shannon", *, dims=None, total_dim=None,
     dim^(a) = dim(a) / total_dim^{n_times}; for equal-rank decompositions
     this adds the natural -2 n log(rank/total_dim) offset."""
     p = np.asarray(probs, dtype=float)
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-8:
+    if (np.any(p < -NEGATIVE_PROBABILITY_TOL)
+            or abs(p.sum() - 1.0) > DISTRIBUTION_SUM_TOL):
         raise ValueError("probabilities must be a distribution")
     p = np.clip(p, 0.0, None)
     nz = p > 0

@@ -17,13 +17,15 @@ evolution stays dense.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .histories import (PROJECTOR_TOL, HistoryTree, ProjectiveDecomposition,
-                        apply_leading, extend_all)
+from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
+                        extend_all)
 from .linalg import leading_view
+from .tolerances import (BLOCH_NORM_TOL, GENERICITY_TOL, PROJECTOR_TOL,
+                         TIME_TOL, UNIT_VECTOR_TOL)
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -54,28 +56,35 @@ class SpinModelConfig:
 
     The canonical schedule runs interaction k over (k-1, k], linearly in
     the rotation angle; reparameterization invariance of the histories
-    makes the profile immaterial.  Genericity (no orthogonal or parallel
-    adjacent axes) is reported, not enforced."""
+    makes the profile immaterial.  v has shape (3,) and axes (n, 3) with
+    n >= 1; a single 3-vector is one axis.  Genericity (no orthogonal or
+    parallel adjacent axes) is reported, not enforced."""
 
     v: np.ndarray
     axes: np.ndarray
-    genericity_tol: float = 1e-8
-    generic: bool = field(init=False)
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=float)
-        self.axes = np.atleast_2d(np.asarray(self.axes, dtype=float))
+        axes = np.asarray(self.axes, dtype=float)
+        self.axes = axes[None] if axes.shape == (3,) else axes
+        if self.v.shape != (3,):
+            raise ValueError(f"v must have shape (3,), got {self.v.shape}")
+        if self.axes.shape[1:] != (3,) or len(self.axes) < 1:
+            raise ValueError(
+                f"axes must have shape (n, 3) with n >= 1, got {axes.shape}")
         for name, vec in [("v", self.v)] + [
                 (f"u{i+1}", u) for i, u in enumerate(self.axes)]:
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+            if abs(np.linalg.norm(vec) - 1.0) > UNIT_VECTOR_TOL:
                 raise ValueError(f"{name} is not a unit vector")
-        self.generic = True
+
+    @property
+    def generic(self):
+        """False when two adjacent axes (u_0 = v) are orthogonal or
+        parallel within GENERICITY_TOL."""
         chain = [self.v] + list(self.axes)
-        for a, b in zip(chain, chain[1:]):
-            if abs(np.dot(a, b)) < self.genericity_tol:
-                self.generic = False
-            if np.linalg.norm(np.cross(a, b)) < self.genericity_tol:
-                self.generic = False
+        return not any(abs(np.dot(a, b)) < GENERICITY_TOL
+                       or np.linalg.norm(np.cross(a, b)) < GENERICITY_TOL
+                       for a, b in zip(chain, chain[1:]))
 
     @property
     def n(self):
@@ -126,14 +135,14 @@ def bloch_vector(cfg, t):
     return a
 
 
-def reduced_density(cfg, t, degenerate_tol=1e-12):
+def reduced_density(cfg, t):
     """Reduced system density matrix, Schmidt axis and weight split.
 
     Returns (rho, w, N): rho = (1 + sigma.(Nw))/2 has eigenvalues
     (1 +- N)/2 with eigenvectors |+-w>.  Flags N below tolerance."""
     a = bloch_vector(cfg, t)
     N = float(np.linalg.norm(a))
-    if N < degenerate_tol:
+    if N < BLOCH_NORM_TOL:
         raise ValueError("degenerate Schmidt direction: |A(t)v| ~ 0")
     w = a / N
     rho = (I2 + a[0] * SIGMA[0] + a[1] * SIGMA[1] + a[2] * SIGMA[2]) / 2.0
@@ -261,9 +270,9 @@ def measurement_axis(cfg, t):
     u_m at integer times m >= 1, and A_k(omega) u_{k-1} / N_k(omega)
     inside interaction k (continuous in u_{k-1})."""
     m = round(t)
-    if abs(t - m) < 1e-12 and m >= 1:
+    if abs(t - m) < TIME_TOL and m >= 1:
         return cfg.axis(int(m))
-    if abs(t) < 1e-12:
+    if abs(t) < TIME_TOL:
         return cfg.v
     k = math.ceil(t)
     a = _axis_op(cfg.axis(k), theta_schedule(k, t)) @ cfg.axis(k - 1)
@@ -465,7 +474,7 @@ def sn_selection_fraction(n, samples, rng):
 def recoherence_theta(t):
     """Up, hold, and back down: t on [0, pi/2], pi/2 on [pi/2, pi],
     3 pi/2 - t on [pi, 3 pi/2]."""
-    if not (0.0 <= t <= 3 * math.pi / 2 + 1e-12):
+    if not (0.0 <= t <= 3 * math.pi / 2 + TIME_TOL):
         raise ValueError("t must lie in [0, 3 pi/2]")
     if t <= math.pi / 2:
         return t

@@ -183,8 +183,28 @@ def test_explicit_flags_beat_the_config_in_every_spelling(tmp_path):
         assert args.max_histories == (2 if flags else 4)
 
 
-def test_config_unknown_key(tmp_path):
+def test_config_unknown_key(tmp_path, capsys):
     conf = tmp_path / "bad.ini"
     conf.write_text("[dheg]\nbogus = 1\n")
-    with pytest.raises(ValueError, match="bogus"):
+    with pytest.raises(SystemExit) as exit_info:
         cli.main(["--config", str(conf), "dheg"])
+    assert exit_info.value.code == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["random", "run", "--eps", "-0.1"], "epsilon"),
+    (["random", "run", "--delta", "1.5"], "delta"),
+    (["random", "run", "--sigma", "-1"], "sigma"),
+    (["spin", "probs", "--n", "0"], "axes must have shape"),
+    (["dheg", "--n", "1"], "n >= 2"),
+    (["dheg", "--n", "14"], "exhaustive cap"),
+    (["zeno", "--n", "0"], "n >= 1"),
+])
+def test_bad_input_exits_2_with_a_message(argv, problem, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "qhist: error:" in err and problem in err
+    assert "Traceback" not in err

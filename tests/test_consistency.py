@@ -15,10 +15,11 @@ from qhistories.constructions import frame_pair_matrix, frame_pair_mpv
 from qhistories.histories import (DecoherenceMatrix, HistoryTree,
                                   ProjectiveDecomposition, extend_all)
 from qhistories.linalg import RandomStream, sample_unit_vector
+from qhistories.tolerances import ORACLE_RTOL
 
 # MPV comparisons against the reference scans below hold to MPV_RTOL of
 # the largest |Re D| entry.
-MPV_RTOL = 1e-12
+MPV_RTOL = ORACLE_RTOL
 
 
 def _random_matrix(seed, n, scale=0.1):

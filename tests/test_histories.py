@@ -9,6 +9,7 @@ from qhistories.histories import (DecoherenceMatrix, HistoryTree,
                                   extend_branch, real_embed)
 from qhistories.linalg import (HamiltonianFlow, RandomStream, hermitian_eig,
                                sample_gue, sample_unit_vector)
+from qhistories.tolerances import ORACLE_RTOL
 
 
 def _random_decomposition(dim, t, rng, blocks=None):
@@ -119,6 +120,17 @@ def test_extend_branch_time_ordering():
                       ProjectiveDecomposition(0.5, [P, np.eye(2) - P]))
 
 
+def test_extend_branch_refuses_a_path_past_or_short_of_a_leaf():
+    psi = np.array([1.0, 0.0], dtype=complex)
+    P = np.diag([1.0, 0.0]).astype(complex)
+    dec1 = ProjectiveDecomposition(1.0, [P, np.eye(2) - P])
+    dec2 = ProjectiveDecomposition(2.0, [P, np.eye(2) - P])
+    tree = extend_all(HistoryTree(initial_state=psi, evolution=None), dec1)
+    for path in ((0, 1), (1, 0, 0), ()):
+        with pytest.raises(ValueError, match="leaf"):
+            extend_branch(tree, path, dec2)
+
+
 def test_extend_branch_shares_untouched_subtrees():
     psi = np.array([1.0, 0.0], dtype=complex)
     P = np.diag([1.0, 0.0]).astype(complex)
@@ -167,7 +179,7 @@ def test_mixed_initial_state_purification():
 
 # Path states against dense Heisenberg chains, one tolerance relative to the
 # largest entry of the reference.
-REL_TOL = 1e-12
+REL_TOL = ORACLE_RTOL
 
 
 def _dense_leaf_states(tree, psi, unitary):

@@ -22,6 +22,20 @@ def test_config_validation():
         _config(t_max=0.0)
 
 
+def test_config_refuses_bad_search_parameters():
+    for bad in (dict(t_max=float("nan")), dict(t_max=float("inf")),
+                dict(sigma=-1.0), dict(sigma=float("nan")),
+                dict(epsilon=-0.1), dict(epsilon=float("nan")),
+                dict(delta=-0.01), dict(delta=1.0), dict(delta=1.5),
+                dict(delta_mode="bogus"), dict(refine_tol=-1e-8),
+                dict(max_steps=-1)):
+        key = next(iter(bad))
+        with pytest.raises(ValueError, match=key):
+            _config(**bad)
+    _config(sigma=0.0, epsilon=0.0, delta=0.0, delta_mode="absolute",
+            refine_tol=0.0, max_steps=0)
+
+
 def test_build_run_deterministic():
     m1, H1 = randmodel.build_run(_config())
     m2, H2 = randmodel.build_run(_config())

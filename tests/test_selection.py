@@ -12,12 +12,13 @@ from qhistories.histories import (HistoryTree, ProjectiveDecomposition,
                                   extend_branch)
 from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
                                sample_unit_vector)
+from qhistories.tolerances import ORACLE_RTOL
 
 # The leaf-state engine and the tree path sum the same products in another
 # order; on these sizes (at most 81 histories of dimension 24) their
 # difference is a few 1e-16 of the largest entry, so 1e-12 of it separates
 # rounding from a misplaced or missing term.
-GRAM_RTOL = 1e-12
+GRAM_RTOL = ORACLE_RTOL
 
 
 def _config(seed, n):

@@ -9,11 +9,12 @@ from qhistories import spin
 from qhistories.consistency import consistency_report
 from qhistories.histories import ProjectiveDecomposition, decoherence_matrix
 from qhistories.linalg import RandomStream, sample_unit_vector
+from qhistories.tolerances import ORACLE_RTOL
 
 # The matrix-free chain and the dense kron products sum the same terms in
 # another order; their difference is a few 1e-16 of the largest entry, so
 # 1e-12 of it separates rounding from a wrong or missing factor.
-REL_TOL = 1e-12
+REL_TOL = ORACLE_RTOL
 
 
 def _config(seed, n):
@@ -31,6 +32,17 @@ def test_config_validation_and_genericity():
     cfg2 = spin.SpinModelConfig(v=[0, 0, 1.0],
                                 axes=[np.array([1.0, 0, 1.0]) / math.sqrt(2)])
     assert cfg2.generic
+
+
+def test_config_refuses_misshapen_axes_and_names_the_shape():
+    z = [0.0, 0.0, 1.0]
+    for v, axes, shape in ((z, [], r"\(0,\)"), (z, [[1.0, 0.0]], r"\(1, 2\)"),
+                           (z, [[[1.0, 0, 0]]], r"\(1, 1, 3\)"),
+                           ([0.0, 1.0], [z], r"\(2,\)")):
+        with pytest.raises(ValueError, match="shape.*" + shape):
+            spin.SpinModelConfig(v=v, axes=axes)
+    cfg = spin.SpinModelConfig(v=z, axes=[1.0, 0.0, 0.0])
+    assert cfg.n == 1 and cfg.axes.shape == (1, 3)
 
 
 def test_build_tree_refuses_axes_that_are_not_real_unit_vectors():
