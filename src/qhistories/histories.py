@@ -81,16 +81,17 @@ class ProjectiveDecomposition:
         for i, P in enumerate(self.projectors):
             if P.shape != (dim, dim):
                 raise ValueError("projector shapes differ")
-            if np.max(np.abs(P - P.conj().T)) > PROJECTOR_TOL:
+            if not np.max(np.abs(P - P.conj().T)) <= PROJECTOR_TOL:
                 raise ValueError(f"projector {i} is not Hermitian")
-            if np.max(np.abs(P @ P - P)) > PROJECTOR_TOL:
+            if not np.max(np.abs(P @ P - P)) <= PROJECTOR_TOL:
                 raise ValueError(f"projector {i} is not idempotent")
             total += P
         for i in range(len(self.projectors)):
             for j in range(i + 1, len(self.projectors)):
-                if np.max(np.abs(self.projectors[i] @ self.projectors[j])) > PROJECTOR_TOL:
+                overlap = self.projectors[i] @ self.projectors[j]
+                if not np.max(np.abs(overlap)) <= PROJECTOR_TOL:
                     raise ValueError(f"projectors {i},{j} are not orthogonal")
-        if np.max(np.abs(total - np.eye(dim))) > PROJECTOR_TOL:
+        if not np.max(np.abs(total - np.eye(dim))) <= PROJECTOR_TOL:
             raise ValueError("projectors do not sum to the identity")
 
     def __len__(self):

@@ -72,7 +72,7 @@ def hermitian_eig(H):
     H = _as_complex_matrix(H)
     asym = np.max(np.abs(H - H.conj().T)) if H.size else 0.0
     scale = max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
-    if asym > HERMITICITY_TOL * scale:
+    if not asym <= HERMITICITY_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
     vals, vecs = np.linalg.eigh(H)
     return vals, _fix_column_phases(vecs)[0]
@@ -137,7 +137,7 @@ def schmidt_generator(rho, rho_dot, eig=None):
     p, V = eig
     gaps = np.abs(p[:, None] - p[None, :])
     np.fill_diagonal(gaps, np.inf)
-    if np.min(gaps) < DEGENERACY_TOL:
+    if not np.min(gaps) >= DEGENERACY_TOL:
         raise DegenerateWeightsError(
             f"eigenvalue gap {np.min(gaps):.3e} below degeneracy threshold")
     M = V.conj().T @ rho_dot @ V
@@ -169,7 +169,7 @@ def split_degenerate(A, X, d1, d2, tol=SPLIT_TOL):
     A = _as_complex_matrix(A)
     X = _as_complex_matrix(X)
     dtot = d1 + d2
-    if abs(np.trace(X).real - dtot) > TRACE_TOL:
+    if not abs(np.trace(X).real - dtot) <= TRACE_TOL:
         raise ValueError("projector trace does not match d1 + d2")
     D = X @ A @ X - X * (np.trace(X @ A) / dtot)
     trD2 = float(np.trace(D @ D).real)
@@ -224,17 +224,6 @@ def leading_view(states, d):
     return states.reshape(d, -1)
 
 
-def evolve(H, psi, t, eig=None):
-    """exp(-i H t) psi for Hermitian H."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if eig is None:
-        eig = hermitian_eig(H)
-    vals, vecs = eig
-    if psi.size != vals.size:
-        raise ValueError("dimension mismatch")
-    return vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ psi))
-
-
 class HamiltonianFlow:
     """Constant-Hamiltonian evolution with a cached eigendecomposition."""
 
@@ -257,3 +246,8 @@ class HamiltonianFlow:
         X = leading_view(np.asarray(states, dtype=complex), self.dim)
         return (vecs @ (phase[:, None] * (self._vecs_h @ X))).reshape(
             np.shape(states))
+
+
+def evolve(H, psi, t):
+    """exp(-i H t) psi for Hermitian H, through HamiltonianFlow.apply."""
+    return HamiltonianFlow(H).apply(psi, t)

@@ -326,7 +326,7 @@ def retrodictive_select(model, candidate_times, epsilon=1e-10, *,
             continue
         M = v.reshape(model.d1, model.d2)
         U, svals, Vh = np.linalg.svd(M, full_matrices=False)
-        if svals.size > 1 and svals[1] > COMPANION_TOL * svals[0]:
+        if svals.size > 1 and not svals[1] <= COMPANION_TOL * svals[0]:
             raise ValueError("history state is not a product at the final time")
         sys_vec, env_vec = U[:, 0], Vh[0, :]
         flipped = np.array([-np.conj(sys_vec[1]), np.conj(sys_vec[0])])
@@ -347,8 +347,8 @@ def information(probs, measure="shannon", *, dims=None, total_dim=None,
     dim^(a) = dim(a) / total_dim^{n_times}; for equal-rank decompositions
     this adds the natural -2 n log(rank/total_dim) offset."""
     p = np.asarray(probs, dtype=float)
-    if (np.any(p < -NEGATIVE_PROBABILITY_TOL)
-            or abs(p.sum() - 1.0) > DISTRIBUTION_SUM_TOL):
+    if (not np.all(p >= -NEGATIVE_PROBABILITY_TOL)
+            or not abs(p.sum() - 1.0) <= DISTRIBUTION_SUM_TOL):
         raise ValueError("probabilities must be a distribution")
     p = np.clip(p, 0.0, None)
     nz = p > 0

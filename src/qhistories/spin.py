@@ -11,8 +11,8 @@ column-state matrices one interaction at a time, each V_k on the (system,
 environment spin k) axes only, so no 2^{n+1}-square matrix is built.  The
 dense products (interaction_unitary, full_unitary, recoherence_unitary)
 remain as small-n oracles.  Variants: a decohere/recohere cycle on a
-single environment spin, and branch-dependent (delayed-choice) axes, whose
-evolution stays dense.
+single environment spin, and branch-dependent (delayed-choice) axes, each
+branch stepped by its own one-interaction ChainEvolution.
 """
 
 import itertools
@@ -74,7 +74,7 @@ class SpinModelConfig:
                 f"axes must have shape (n, 3) with n >= 1, got {axes.shape}")
         for name, vec in [("v", self.v)] + [
                 (f"u{i+1}", u) for i, u in enumerate(self.axes)]:
-            if abs(np.linalg.norm(vec) - 1.0) > UNIT_VECTOR_TOL:
+            if not abs(np.linalg.norm(vec) - 1.0) <= UNIT_VECTOR_TOL:
                 raise ValueError(f"{name} is not a unit vector")
 
     @property
@@ -142,7 +142,7 @@ def reduced_density(cfg, t):
     (1 +- N)/2 with eigenvectors |+-w>.  Flags N below tolerance."""
     a = bloch_vector(cfg, t)
     N = float(np.linalg.norm(a))
-    if N < BLOCH_NORM_TOL:
+    if not N >= BLOCH_NORM_TOL:
         raise ValueError("degenerate Schmidt direction: |A(t)v| ~ 0")
     w = a / N
     rho = (I2 + a[0] * SIGMA[0] + a[1] * SIGMA[1] + a[2] * SIGMA[2]) / 2.0
@@ -243,6 +243,16 @@ def reduced_density_full(cfg, t):
     return M @ M.conj().T
 
 
+def _real_unit_axis(w):
+    """w with its zero imaginary part dropped; ValueError unless w has
+    shape (3,), is real and |w|^2 is within PROJECTOR_TOL of 1."""
+    w = np.asarray(w)
+    if (w.shape != (3,) or np.any(np.imag(w) != 0)
+            or not abs(w @ w - 1.0) <= PROJECTOR_TOL):
+        raise ValueError(f"axis {w} is not a real unit 3-vector")
+    return np.real(w)
+
+
 def build_tree(cfg, events):
     """History tree from (time, axis) projection events; each event splits
     every branch with the 2 x 2 system projectors {P(axis), P(-axis)}.
@@ -251,10 +261,7 @@ def build_tree(cfg, events):
     tree = HistoryTree(initial_state=initial_state(cfg),
                        evolution=chain_evolution(cfg))
     for t, w in sorted(events, key=lambda e: e[0]):
-        w = np.asarray(w)
-        if (w.shape != (3,) or np.any(np.imag(w) != 0)
-                or not abs(w @ w - 1.0) <= PROJECTOR_TOL):
-            raise ValueError(f"axis {w} is not a real unit 3-vector")
+        w = _real_unit_axis(w)
         dec = ProjectiveDecomposition(t, [proj2(w), proj2(-w)], check=False)
         tree = extend_all(tree, dec)
     return tree
@@ -513,47 +520,32 @@ def recoherence_evolve(a1, a2, u, t):
 
 # -- delayed-choice variant ----------------------------------------------
 
-def delayed_choice_unitary(v, axis_map, n, t):
-    """Full evolution with measurement axes depending on earlier outcomes.
-
-    axis_map(outcomes) gives the axis of measurement m for the outcome
-    tuple of the previous m-1 measurements (outcomes in {+1,-1})."""
-    dim = 2 ** (n + 1)
-    U = np.eye(dim, dtype=complex)
-    for m in range(1, n + 1):
-        th = theta_schedule(m, t)
-        rot = np.array([[math.cos(th), -math.sin(th)],
-                        [math.sin(th), math.cos(th)]], dtype=complex)
-        Vm = np.zeros((dim, dim), dtype=complex)
-        for outcomes in itertools.product((1, -1), repeat=m - 1):
-            u = np.asarray(axis_map(outcomes), dtype=float)
-            env_sel = [np.array([[1, 0], [0, 0]], dtype=complex) if a == 1
-                       else np.array([[0, 0], [0, 1]], dtype=complex)
-                       for a in outcomes]
-            sel_plus = _kron_chain(env_sel + [I2] * (n - m + 1))
-            sel_rot = _kron_chain(env_sel + [rot] + [I2] * (n - m))
-            Vm += np.kron(proj2(u), sel_plus)
-            Vm += np.kron(proj2(-u), sel_rot)
-        U = Vm @ U
-    return U
-
-
 def delayed_choice_branches(v, axis_map, n):
     """Branch states and probabilities at t = n of the delayed-choice
-    model, one per outcome string, via branch-dependent projections."""
+    model, one per outcome string, via branch-dependent projections.
+
+    axis_map(outcomes) gives the axis of measurement m for the outcome
+    tuple of the previous m-1 measurements (outcomes in {+1,-1}); v and
+    every axis must be real unit 3-vectors (ValueError otherwise).
+
+    Each branch steps from time m-1 to m by a ChainEvolution that turns
+    interaction m only, along the branch's own axis.  The step is exact:
+    between m-1 and m every earlier angle is already pi/2 and every later
+    one 0, and a branch at m-1 has been projected onto +-u at every earlier
+    measurement, so its records on environment spins 1..m-1 are definite
+    and equal its outcomes.  The evolution of the whole model, a sum over
+    outcome strings o of (record selector of o) (x) V_m(axis_map(o)), thus
+    acts on the branch as V_m(axis_map(branch)) alone."""
     env0 = np.zeros(2 ** n, dtype=complex)
     env0[0] = 1.0
-    psi = np.kron(spinor(np.asarray(v, dtype=float)), env0)
-    branches = {(): psi}
-    Um_prev = delayed_choice_unitary(v, axis_map, n, 0)
+    branches = {(): np.kron(spinor(_real_unit_axis(v)), env0)}
     for m in range(1, n + 1):
-        Um = delayed_choice_unitary(v, axis_map, n, m)
-        step = Um @ Um_prev.conj().T
-        Um_prev = Um
         new = {}
         for outcomes, state in branches.items():
-            state_m = step @ state
-            u = np.asarray(axis_map(outcomes), dtype=float)
+            u = _real_unit_axis(axis_map(outcomes))
+            step = ChainEvolution(
+                [u] * m, lambda k, t: theta_schedule(m, t) if k == m else 0.0)
+            state_m = step.apply(state, m)
             for a in (1, -1):
                 new[outcomes + (a,)] = apply_leading(proj2(a * u), state_m)
         branches = new

@@ -37,6 +37,9 @@ def test_decomposition_validation():
     with pytest.raises(ValueError, match="Hermitian"):
         ProjectiveDecomposition(0.0, [np.array([[1, 1], [0, 0]]),
                                       np.array([[0, -1], [0, 1]])])
+    with pytest.raises(ValueError, match="Hermitian"):
+        ProjectiveDecomposition(0.0, [np.diag([1.0, np.nan]),
+                                      np.diag([0.0, 1.0])])
 
 
 @settings(deadline=None, max_examples=15)

@@ -152,6 +152,17 @@ def test_evolve_matches_flow_and_is_unitary():
     assert np.max(np.abs(U.conj().T @ U - np.eye(5))) < 1e-10
 
 
+def test_evolve_acts_on_the_leading_factor_like_apply():
+    H = sample_gue(3, 1.0, RandomStream(3, "ev-lead"))
+    g = np.random.default_rng(3)
+    psi = g.normal(size=6) + 1j * g.normal(size=6)
+    want = np.kron(HamiltonianFlow(H).unitary(0.4), np.eye(2)) @ psi
+    assert np.max(np.abs(evolve(H, psi, 0.4) - want)) < 1e-12
+    with pytest.raises(ValueError,
+                       match="operator size 3 does not divide state size 4"):
+        evolve(H, np.ones(4, dtype=complex), 0.4)
+
+
 def test_flow_apply_matches_unitary():
     # vector, column matrix and a trailing factor r = 3, forward and adjoint
     dim, r = 6, 3

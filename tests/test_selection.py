@@ -126,6 +126,9 @@ def test_information_measures():
         selection.information([0.7, 0.7])
     with pytest.raises(ValueError):
         selection.information(p, "il")
+    for nan_probs in ([np.nan, 1.0], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="distribution"):
+            selection.information(nan_probs)
 
 
 def test_il_revised_prefers_more_times():

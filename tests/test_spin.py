@@ -9,6 +9,7 @@ from qhistories import spin
 from qhistories.consistency import consistency_report
 from qhistories.histories import ProjectiveDecomposition, decoherence_matrix
 from qhistories.linalg import RandomStream, sample_unit_vector
+from qhistories.spin import I2, _kron_chain, proj2, theta_schedule
 from qhistories.tolerances import ORACLE_RTOL
 
 # The matrix-free chain and the dense kron products sum the same terms in
@@ -27,6 +28,10 @@ def _config(seed, n):
 def test_config_validation_and_genericity():
     with pytest.raises(ValueError, match="unit"):
         spin.SpinModelConfig(v=[0, 0, 2.0], axes=[[1.0, 0, 0]])
+    with pytest.raises(ValueError, match="v is not a unit vector"):
+        spin.SpinModelConfig(v=[np.nan, 0, 0], axes=[[1.0, 0, 0]])
+    with pytest.raises(ValueError, match="u2 is not a unit vector"):
+        spin.SpinModelConfig(v=[0, 0, 1.0], axes=[[1.0, 0, 0], [np.nan] * 3])
     cfg = spin.SpinModelConfig(v=[0, 0, 1.0], axes=[[1.0, 0, 0]])
     assert not cfg.generic           # orthogonal adjacent axes
     cfg2 = spin.SpinModelConfig(v=[0, 0, 1.0],
@@ -241,6 +246,59 @@ def test_recoherence_cycle():
         spin.recoherence_theta(5.0)
 
 
+# -- delayed choice against the dense evolution --------------------------
+
+def delayed_choice_unitary(v, axis_map, n, t):
+    """Full evolution with measurement axes depending on earlier outcomes.
+
+    axis_map(outcomes) gives the axis of measurement m for the outcome
+    tuple of the previous m-1 measurements (outcomes in {+1,-1})."""
+    dim = 2 ** (n + 1)
+    U = np.eye(dim, dtype=complex)
+    for m in range(1, n + 1):
+        th = theta_schedule(m, t)
+        rot = np.array([[math.cos(th), -math.sin(th)],
+                        [math.sin(th), math.cos(th)]], dtype=complex)
+        Vm = np.zeros((dim, dim), dtype=complex)
+        for outcomes in itertools.product((1, -1), repeat=m - 1):
+            u = np.asarray(axis_map(outcomes), dtype=float)
+            env_sel = [np.array([[1, 0], [0, 0]], dtype=complex) if a == 1
+                       else np.array([[0, 0], [0, 1]], dtype=complex)
+                       for a in outcomes]
+            sel_plus = _kron_chain(env_sel + [I2] * (n - m + 1))
+            sel_rot = _kron_chain(env_sel + [rot] + [I2] * (n - m))
+            Vm += np.kron(proj2(u), sel_plus)
+            Vm += np.kron(proj2(-u), sel_rot)
+        U = Vm @ U
+    return U
+
+
+def _dense_delayed_choice_branches(v, axis_map, n):
+    """Branch states stepped by U(m) U(m-1)^dag of the dense oracle and
+    projected on the system: delayed choice without ChainEvolution."""
+    env0 = np.zeros(2 ** n, dtype=complex)
+    env0[0] = 1.0
+    branches = {(): np.kron(spin.spinor(v), env0)}
+    U_prev = delayed_choice_unitary(v, axis_map, n, 0)
+    for m in range(1, n + 1):
+        U = delayed_choice_unitary(v, axis_map, n, m)
+        step = U @ U_prev.conj().T
+        U_prev = U
+        branches = {
+            outcomes + (a,): np.kron(proj2(a * np.asarray(axis_map(outcomes))),
+                                     np.eye(2 ** n)) @ step @ state
+            for outcomes, state in branches.items() for a in (1, -1)}
+    return branches
+
+
+def _random_axis_map(n, seed):
+    """A seeded axis for every outcome string of length 0..n-1."""
+    rng = RandomStream(seed, f"delayed-choice-{n}")
+    axes = {o: sample_unit_vector(3, "real", rng.stream(str(o)))
+            for r in range(n) for o in itertools.product((1, -1), repeat=r)}
+    return axes.__getitem__
+
+
 def test_delayed_choice_branches():
     v = np.array([0.0, 0.0, 1.0])
     base = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
@@ -256,7 +314,7 @@ def test_delayed_choice_branches():
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
     # branch states reassemble the evolved state
     total = sum(branches.values())
-    U = spin.delayed_choice_unitary(v, axis_map, 2, 2.0)
+    U = delayed_choice_unitary(v, axis_map, 2, 2.0)
     env0 = np.zeros(4, dtype=complex)
     env0[0] = 1.0
     psi = U @ np.kron(spin.spinor(v), env0)
@@ -273,9 +331,51 @@ def test_delayed_choice_reduces_to_fixed_axes():
     def axis_map(outcomes):
         return axes[len(outcomes)]
 
-    U_dc = spin.delayed_choice_unitary(v, axis_map, 2, 1.7)
+    U_dc = delayed_choice_unitary(v, axis_map, 2, 1.7)
     U_std = spin.full_unitary(cfg, 1.7)
     assert np.max(np.abs(U_dc - U_std)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_delayed_choice_branches_match_the_dense_oracle(n):
+    v = sample_unit_vector(3, "real", RandomStream(n, "delayed-choice-v"))
+    axis_map = _random_axis_map(n, seed=n)
+    branches, probs = spin.delayed_choice_branches(v, axis_map, n)
+    dense = _dense_delayed_choice_branches(v, axis_map, n)
+    assert set(branches) == set(dense) and len(dense) == 2 ** n
+    scale = max(np.max(np.abs(s)) for s in dense.values())
+    for outcomes, state in dense.items():
+        assert np.max(np.abs(branches[outcomes] - state)) \
+            <= ORACLE_RTOL * scale, outcomes
+    assert sum(probs.values()) == pytest.approx(1.0, abs=ORACLE_RTOL)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_delayed_choice_with_fixed_axes_has_the_closed_form_probabilities(n):
+    cfg = _config(n + 10, n)
+    _, probs = spin.delayed_choice_branches(
+        cfg.v, lambda outcomes: cfg.axes[len(outcomes)], n)
+    times = tuple(range(1, n + 1))
+    for outcomes, p in probs.items():
+        cf = spin.history_probability(cfg, spin.SpinHistorySpec(times,
+                                                                outcomes))
+        assert p == pytest.approx(cf, rel=0, abs=ORACLE_RTOL)
+
+
+_Z = [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("v,axis", [
+    ([0.0, 0.0, 2.0], [1.0, 1.0, 1.0]),  # probabilities would sum to 64
+    ([1.0, 1.0, 1.0], _Z),  # spinor would prepare spin-up along z
+    (_Z, [1.0, 1.0, 1.0]),
+    (_Z, [0.0, 1j, 0.0]),
+    (_Z, [0.0, np.nan, 1.0]),
+    (_Z, [1.0, 0.0]),
+])
+def test_delayed_choice_refuses_axes_that_are_not_real_unit_vectors(v, axis):
+    with pytest.raises(ValueError, match="not a real unit 3-vector"):
+        spin.delayed_choice_branches(v, lambda outcomes: axis, 2)
 
 
 # -- matrix-free evolution against the dense oracles ----------------------

@@ -95,3 +95,45 @@ def test_threshold_lint_sees_a_bare_literal_only():
 def test_no_bare_threshold_literal(name):
     module = importlib.import_module(f"qhistories.{name}")
     assert _bare_thresholds(inspect.getsource(module)) == []
+
+
+def _names_a_tolerance(node):
+    return any(getattr(n, "id", getattr(n, "attr", "")).endswith("_TOL")
+               for n in ast.walk(node))
+
+
+def _nan_passing_guards(source):
+    """Line numbers of `<` or `>` comparisons with a *_TOL name in the test
+    of an `if` that raises.  NaN makes every such comparison False, so the
+    guard lets it through; the `not ... <=` / `not ... >=` form refuses it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.If)
+                and any(isinstance(s, ast.Raise) for s in node.body)):
+            continue
+        lines += [cmp.lineno for cmp in ast.walk(node.test)
+                  if isinstance(cmp, ast.Compare)
+                  and any(isinstance(op, (ast.Lt, ast.Gt)) for op in cmp.ops)
+                  and _names_a_tolerance(cmp)]
+    return sorted(lines)
+
+
+def test_nan_guard_lint_sees_a_strict_comparison_that_raises_only():
+    source = ("def f(x, n, m, tol):\n"
+              "    if x > A_TOL:\n"
+              "        raise ValueError\n"
+              "    if not x <= A_TOL and not x >= -m.B_TOL:\n"
+              "        raise ValueError\n"
+              "    if x < A_TOL:\n"
+              "        return 0\n"
+              "    if n > 1 and m.B_TOL * n < x:\n"
+              "        raise ValueError\n"
+              "    if x > tol:\n"
+              "        raise ValueError\n")
+    assert _nan_passing_guards(source) == [2, 8]
+
+
+@pytest.mark.parametrize("name", LINTED)
+def test_no_nan_passing_tolerance_guard(name):
+    module = importlib.import_module(f"qhistories.{name}")
+    assert _nan_passing_guards(inspect.getsource(module)) == []
