@@ -61,3 +61,6 @@ INTEGRITY_TOL = 1e-8
 # -- test oracles
 # a fast path against its oracle; relative to the largest reference entry
 ORACLE_RTOL = 1e-12
+# a printed float against the golden corpus; relative to the largest
+# magnitude of its column, and no tighter than fmt's 12 significant digits
+GOLDEN_RTOL = 1e-10

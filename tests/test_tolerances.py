@@ -18,7 +18,7 @@ PINNED = {
     "LIVE_PROBABILITY_TOL": 1e-14, "NULL_STATE_TOL": 1e-12,
     "COMPANION_TOL": 1e-9, "LIMIT_TOL": 1e-9, "EXACT_TOL": 1e-10,
     "PERSISTENCE_TOL": 1e-9, "MPV_GAIN_TOL": 1e-15, "INTEGRITY_TOL": 1e-8,
-    "ORACLE_RTOL": 1e-12,
+    "ORACLE_RTOL": 1e-12, "GOLDEN_RTOL": 1e-10,
 }
 
 # Modules whose thresholds all come from qhistories.tolerances.
