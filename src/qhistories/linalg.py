@@ -1,6 +1,7 @@
 """Dense complex linear algebra: Hermitian eigenproblems, Schmidt
 decompositions and their evolution generator, degenerate-eigenspace
-continuation, and seeded random sampling (GUE matrices, unit vectors)."""
+continuation, seeded random sampling (GUE matrices, unit vectors) and the
+Shannon entropy of a distribution."""
 
 from dataclasses import dataclass
 import zlib
@@ -43,6 +44,15 @@ class RandomStream:
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, name={self.name!r})"
+
+
+def entropy(p):
+    """Shannon entropy -sum p log p over the last axis of p, in nats: a
+    float64 for a 1-d p, else one per row.  Entries <= 0 contribute 0 (no
+    RuntimeWarning), and a point mass gives +0.0."""
+    p = np.asarray(p, dtype=float)
+    terms = p * np.log(np.where(p > 0, p, 1.0))
+    return 0.0 - np.sum(terms, axis=-1)     # 0.0 - x, so that -0.0 is +0.0
 
 
 def _as_complex_matrix(H):
@@ -111,8 +121,9 @@ def schmidt_decompose(psi, d1, d2, norm_tol=NORM_TOL):
         raise ValueError(f"state has dim {psi.size}, expected {d1}*{d2}")
     if d1 > d2:
         raise ValueError("require d1 <= d2")
-    if abs(np.linalg.norm(psi) - 1.0) > norm_tol:
-        raise ValueError("state is not normalized")
+    norm = np.linalg.norm(psi)
+    if not abs(norm - 1.0) <= norm_tol:
+        raise ValueError(f"state is not normalized: |psi| = {norm}")
     M = psi.reshape(d1, d2)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     # fold the phase fix of the system basis into the environment rows

@@ -15,7 +15,8 @@ import numpy as np
 
 from .consistency import consistency_report
 from .histories import HistoryTree, decoherence_matrix
-from .linalg import HamiltonianFlow, RandomStream, sample_gue, sample_unit_vector
+from .linalg import (HamiltonianFlow, RandomStream, entropy, sample_gue,
+                     sample_unit_vector)
 from .selection import BipartiteModel, _admissible, _scan_select
 from .tolerances import INTEGRITY_TOL, TIME_TOL
 from . import consistency as consistency_mod
@@ -125,24 +126,22 @@ class RunAnalysis:
     mpv: float
     mpv_exact: bool
     mpv_upper: float          # mpv_upper_bound above the exhaustive cap, else mpv
-    integrity: bool           # recomputed reports match the recorded ones
+    integrity: bool           # the recomputed set matches the last event
 
 
 def analyse_run(record, epsilon=None):
     """Recompute the final set's consistency from scratch and summarize.
 
-    integrity is False if any recorded event report disagrees with the
-    recomputed decoherence matrix of the final tree."""
+    integrity is False unless the last recorded event's medium violation
+    and probabilities (sorted) agree within INTEGRITY_TOL with those of the
+    recomputed decoherence matrix of the final tree; a NaN disagrees."""
     tree = record.tree
     D = decoherence_matrix(tree)
     eps = epsilon if epsilon is not None else record.config.epsilon
     report = consistency_report(D, eps)
     probs = np.clip(D.diag, 0.0, None)
     total = probs.sum()
-    entropy = 0.0
-    if total > 0:
-        q = probs[probs > 0] / total
-        entropy = float(-(q * np.log(q)).sum())
+    shannon = float(entropy(probs / total)) if total > 0 else 0.0
     times = np.asarray(record.times, dtype=float)
     gaps = np.diff(times) if times.size > 1 else np.zeros(0)
     if D.n <= consistency_mod.MPV_EXHAUSTIVE_CAP:
@@ -156,13 +155,12 @@ def analyse_run(record, epsilon=None):
     integrity = True
     if record.events:
         last = record.events[-1]
-        if abs(last.report.max_medium_violation
-               - report.max_medium_violation) > INTEGRITY_TOL:
-            integrity = False
-        if np.max(np.abs(np.sort(last.probabilities)
-                         - np.sort(probs))) > INTEGRITY_TOL:
-            integrity = False
-    return RunAnalysis(len(record.events), D.n, report, entropy, gaps,
+        integrity = bool(
+            abs(last.report.max_medium_violation
+                - report.max_medium_violation) <= INTEGRITY_TOL
+            and np.max(np.abs(np.sort(last.probabilities)
+                              - np.sort(probs))) <= INTEGRITY_TOL)
+    return RunAnalysis(len(record.events), D.n, report, shannon, gaps,
                        float(mpv), exact, float(upper), integrity)
 
 

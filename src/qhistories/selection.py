@@ -35,7 +35,7 @@ import numpy as np
 from .consistency import consistency_report, is_exactly_consistent, nontrivial
 from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
                         as_evolution, extend_all)
-from .linalg import schmidt_decompose
+from .linalg import entropy, schmidt_decompose
 from .tolerances import (COMPANION_TOL, COMPLEMENT_TOL, DISTRIBUTION_SUM_TOL,
                          LIVE_PROBABILITY_TOL, NEGATIVE_PROBABILITY_TOL,
                          PERSISTENCE_TOL, SCHMIDT_WEIGHT_TOL)
@@ -352,7 +352,7 @@ def information(probs, measure="shannon", *, dims=None, total_dim=None,
         raise ValueError("probabilities must be a distribution")
     p = np.clip(p, 0.0, None)
     nz = p > 0
-    shannon = float(-(p[nz] * np.log(p[nz])).sum())
+    shannon = float(entropy(p))
     if measure == "shannon":
         return shannon
     if dims is None:
@@ -371,12 +371,8 @@ def information(probs, measure="shannon", *, dims=None, total_dim=None,
 def extension_information_delta(parent_probs, conditional_probs):
     """Information gained by refining each history a into branches with
     conditional distribution q^(a): sum_a p_a H(q^(a))."""
-    total = 0.0
-    for p, q in zip(parent_probs, conditional_probs):
-        q = np.asarray(q, dtype=float)
-        nz = q > 0
-        total += p * float(-(q[nz] * np.log(q[nz])).sum())
-    return total
+    return sum((p * float(entropy(q))
+                for p, q in zip(parent_probs, conditional_probs)), 0.0)
 
 
 def max_information_select(cfg):
@@ -388,9 +384,8 @@ def max_information_select(cfg):
     best candidate; S_n always dominates the chain."""
     per_k = {k: spin_mod.information_of_Sk(cfg, k)
              for k in range(1, cfg.n + 1)}
-    chain = sum(spin_mod.binary_entropy_of_dot(
-        float(np.dot(cfg.axis(j - 1), cfg.axis(j))))
-        for j in range(1, cfg.n + 1))
+    chain = float(spin_mod.interior_set_information(
+        spin_mod.adjacent_dots(cfg))[1][-1])
     best_k = max(per_k, key=lambda k: per_k[k][0])
     E_k, t_star = per_k[best_k]
     if E_k >= chain:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
                         extend_all)
-from .linalg import leading_view
+from .linalg import entropy, leading_view
 from .tolerances import (BLOCH_NORM_TOL, GENERICITY_TOL, PROJECTOR_TOL,
                          TIME_TOL, UNIT_VECTOR_TOL)
 
@@ -114,7 +114,7 @@ def lam_abs(cfg, i, j):
 
 def N_k(cfg, k, omega):
     """|A_k u_{k-1}| at rotation angle omega: sqrt(c^2 + cos^2(omega)(1-c^2))."""
-    c = float(np.dot(cfg.axis(k - 1), cfg.axis(k)))
+    c = lam(cfg, k - 1, k)
     return math.sqrt(c * c + math.cos(omega) ** 2 * (1.0 - c * c))
 
 
@@ -144,14 +144,12 @@ def reduced_density(cfg, t):
     N = float(np.linalg.norm(a))
     if not N >= BLOCH_NORM_TOL:
         raise ValueError("degenerate Schmidt direction: |A(t)v| ~ 0")
-    w = a / N
-    rho = (I2 + a[0] * SIGMA[0] + a[1] * SIGMA[1] + a[2] * SIGMA[2]) / 2.0
-    return rho, w, N
+    return proj2(a), a / N, N
 
 
 def schmidt_axis(cfg, t):
-    a = bloch_vector(cfg, t)
-    return a / np.linalg.norm(a)
+    """reduced_density's Schmidt axis w; ValueError where it is degenerate."""
+    return reduced_density(cfg, t)[1]
 
 
 # -- full-state machinery ------------------------------------------------
@@ -208,16 +206,21 @@ def _env_op(n, k, op):
     return _kron_chain([op if j == k else I2 for j in range(1, n + 1)])
 
 
+def _controlled_rotation(u, theta, n, k):
+    """P(u) (x) 1 + P(-u) (x) R(theta) on C^2 (x) (C^2)^n, with R the real
+    rotation [[cos, -sin], [sin, cos]] = exp(-i theta F) on environment
+    spin k, as a dense matrix."""
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]], dtype=complex)
+    u = np.asarray(u, dtype=float)
+    return np.kron(proj2(u), _env_op(n, k, I2)) \
+        + np.kron(proj2(-u), _env_op(n, k, rot))
+
+
 def interaction_unitary(cfg, k, t):
     """V_k(t) = P(u_k) (x) 1 + P(-u_k) (x) exp(-i theta_k(t) F_k), as a dense
     matrix: an oracle for ChainEvolution at small n."""
-    n = cfg.n
-    th = theta_schedule(k, t)
-    rot = np.array([[math.cos(th), -math.sin(th)],
-                    [math.sin(th), math.cos(th)]], dtype=complex)
-    u = cfg.axis(k)
-    return np.kron(proj2(u), _env_op(n, k, I2)) \
-        + np.kron(proj2(-u), _env_op(n, k, rot))
+    return _controlled_rotation(cfg.axis(k), theta_schedule(k, t), cfg.n, k)
 
 
 def full_unitary(cfg, t):
@@ -229,11 +232,14 @@ def full_unitary(cfg, t):
     return U
 
 
+def _environment_up(system, n):
+    """system (x) |up...up> on C^2 (x) (C^2)^n."""
+    return np.kron(system, np.eye(1, 2 ** n, dtype=complex)[0])
+
+
 def initial_state(cfg):
     """|v> (x) |up...up>."""
-    env = np.zeros(2 ** cfg.n, dtype=complex)
-    env[0] = 1.0
-    return np.kron(spinor(cfg.v), env)
+    return _environment_up(spinor(cfg.v), cfg.n)
 
 
 def reduced_density_full(cfg, t):
@@ -357,28 +363,21 @@ def history_probability(cfg, spec):
     """Closed-form probability of the history.
 
     Without an interior time: 2^{-l} prod [1 + a_i a_{i+1} lam(m_i, m_{i+1})].
-    With one: the same chain up to m_l, then the two factors carrying
-    N_k(t) and (u_{k-1}.u_k)/N_k(t)."""
-    if spec.interior_time is None:
-        ms = (0,) + tuple(spec.integer_times)
-        signs = (1,) + tuple(spec.signs)
-        p = 2.0 ** (-len(spec.integer_times))
-        for i in range(len(ms) - 1):
-            p *= 1.0 + signs[i] * signs[i + 1] * lam(cfg, ms[i], ms[i + 1])
-        return float(p)
-    k = spec.integer_times[-1]
-    chain = spec.integer_times[:-1]
-    l = len(chain)
+    With one: the two factors carrying N_k(t) and (u_{k-1}.u_k)/N_k(t),
+    then the same chain up to m_l."""
+    chain = spec.integer_times
+    if spec.interior_time is not None:
+        chain = chain[:-1]
     ms = (0,) + tuple(chain)
-    signs = (1,) + tuple(spec.signs[:l])
-    a_t, a_k = spec.signs[l], spec.signs[l + 1]
-    omega = theta_schedule(k, spec.interior_time)
-    Nk = N_k(cfg, k, omega)
-    c = float(np.dot(cfg.axis(k - 1), cfg.axis(k)))
-    p = 2.0 ** (-(l + 2))
-    p *= 1.0 + signs[l] * a_t * lam(cfg, ms[l], k - 1) * Nk
-    p *= 1.0 + a_t * a_k * c / Nk
-    for i in range(l):
+    signs = (1,) + tuple(spec.signs[:len(chain)])
+    p = 2.0 ** (-len(spec.signs))
+    if spec.interior_time is not None:
+        k = spec.integer_times[-1]
+        a_t, a_k = spec.signs[-2:]
+        Nk = N_k(cfg, k, theta_schedule(k, spec.interior_time))
+        p *= 1.0 + signs[-1] * a_t * lam(cfg, ms[-1], k - 1) * Nk
+        p *= 1.0 + a_t * a_k * lam(cfg, k - 1, k) / Nk
+    for i in range(len(ms) - 1):
         p *= 1.0 + signs[i] * signs[i + 1] * lam(cfg, ms[i], ms[i + 1])
     return float(p)
 
@@ -409,37 +408,47 @@ def enumerate_consistent_sets(cfg, interior_points=(0.3, 0.7)):
 # -- information ---------------------------------------------------------
 
 def binary_entropy_of_dot(x):
-    """f(x): Shannon information of the pair (1+x)/2, (1-x)/2, in nats."""
-    p = (1.0 + x) / 2.0
-    q = (1.0 - x) / 2.0
-    out = 0.0
-    if p > 0.0:
-        out -= p * math.log(p)
-    if q > 0.0:
-        out -= q * math.log(q)
-    return out
+    """f(x): Shannon information of the pair (1+x)/2, (1-x)/2, in nats;
+    elementwise over an array x, a float for a scalar.  f(+-1) = +0.0."""
+    x = np.asarray(x, dtype=float)
+    f = entropy(np.stack([(1.0 + x) / 2.0, (1.0 - x) / 2.0], axis=-1))
+    return float(f) if f.ndim == 0 else f
+
+
+def adjacent_dots(cfg):
+    """The adjacent-axis dots c_k = u_{k-1}.u_k for k = 1..n (u_0 = v)."""
+    return np.array([lam(cfg, k - 1, k) for k in range(1, cfg.n + 1)])
+
+
+def interior_set_information(dots):
+    """(E, chain) along the last axis of the adjacent dots c_1..c_n.
+
+    chain[k] = sum_{j<=k} f(c_j), k = 0..n, is the information of the
+    between-interaction set {1..k}; E[k-1] = E_k = 2 f(sqrt|c_k|) +
+    chain[k-1], k = 1..n, the maximal information of the interior-time set
+    S_k, reached where N_k = sqrt|c_k|."""
+    f = binary_entropy_of_dot(dots)
+    chain = np.concatenate([np.zeros_like(f[..., :1]), np.cumsum(f, axis=-1)],
+                           axis=-1)
+    return 2.0 * binary_entropy_of_dot(np.sqrt(np.abs(dots))) \
+        + chain[..., :-1], chain
 
 
 def Sk_information_at(cfg, k, t):
     """Information of the set projecting at 1..k-1, t in (k-1,k) and k."""
-    omega = theta_schedule(k, t)
-    Nk = N_k(cfg, k, omega)
-    c = float(np.dot(cfg.axis(k - 1), cfg.axis(k)))
-    total = binary_entropy_of_dot(Nk) + binary_entropy_of_dot(c / Nk)
-    for j in range(1, k):
-        total += binary_entropy_of_dot(float(np.dot(cfg.axis(j - 1), cfg.axis(j))))
-    return total
+    Nk = N_k(cfg, k, theta_schedule(k, t))
+    before = interior_set_information(adjacent_dots(cfg))[1][k - 1]
+    return float(binary_entropy_of_dot(Nk)
+                 + binary_entropy_of_dot(lam(cfg, k - 1, k) / Nk) + before)
 
 
 def information_of_Sk(cfg, k):
-    """(E_k, t*): the maximal information of the k-th interior-time set and
-    the maximizing time.  The optimum sits at N_k = sqrt(|u_k.u_{k-1}|):
-
-        E_k = 2 f(sqrt(|u_k.u_{k-1}|)) + sum_{j<k} f(u_{j-1}.u_j)."""
-    c = float(np.dot(cfg.axis(k - 1), cfg.axis(k)))
-    E = 2.0 * binary_entropy_of_dot(math.sqrt(abs(c)))
-    for j in range(1, k):
-        E += binary_entropy_of_dot(float(np.dot(cfg.axis(j - 1), cfg.axis(j))))
+    """(E_k, t*): the maximal information of the k-th interior-time set
+    (interior_set_information) and the maximizing time, where
+    N_k = sqrt(|u_k.u_{k-1}|)."""
+    dots = adjacent_dots(cfg)
+    E = float(interior_set_information(dots)[0][k - 1])
+    c = dots[k - 1]
     ac = abs(c)
     if ac >= 1.0:
         omega = 0.0
@@ -460,19 +469,7 @@ def sn_selection_fraction(n, samples, rng):
     vecs = g.normal(size=(samples, n + 1, 3))
     vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
     dots = np.einsum("sij,sij->si", vecs[:, :-1, :], vecs[:, 1:, :])
-
-    def f(x):
-        p = (1.0 + x) / 2.0
-        q = (1.0 - x) / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = -np.where(p > 0, p * np.log(p), 0.0) \
-                - np.where(q > 0, q * np.log(q), 0.0)
-        return out
-
-    interior = 2.0 * f(np.sqrt(np.abs(dots)))        # (samples, n): 2f(sqrt|c_k|)
-    chain = np.concatenate(
-        [np.zeros((samples, 1)), np.cumsum(f(dots), axis=1)[:, :-1]], axis=1)
-    E = interior + chain                             # E_k for k = 1..n
+    E = interior_set_information(dots)[0]            # E_k for k = 1..n
     return float(np.mean(np.argmax(E[:, 1:], axis=1) == n - 2))
 
 
@@ -498,17 +495,12 @@ def recoherence_evolution(u):
 def recoherence_unitary(u, t):
     """P(u) (x) 1 + P(-u) (x) exp(-i theta(t) F) on C^2 (x) C^2, as a dense
     matrix: an oracle for recoherence_evolution."""
-    th = recoherence_theta(t)
-    rot = np.array([[math.cos(th), -math.sin(th)],
-                    [math.sin(th), math.cos(th)]], dtype=complex)
-    u = np.asarray(u, dtype=float)
-    return np.kron(proj2(u), I2) + np.kron(proj2(-u), rot)
+    return _controlled_rotation(u, recoherence_theta(t), 1, 1)
 
 
 def recoherence_initial_state(a1, a2, u):
     u = np.asarray(u, dtype=float)
-    sys = a1 * spinor(u) + a2 * spinor(-u)
-    return np.kron(sys, np.array([1.0, 0.0], dtype=complex))
+    return _environment_up(a1 * spinor(u) + a2 * spinor(-u), 1)
 
 
 def recoherence_evolve(a1, a2, u, t):
@@ -536,9 +528,7 @@ def delayed_choice_branches(v, axis_map, n):
     and equal its outcomes.  The evolution of the whole model, a sum over
     outcome strings o of (record selector of o) (x) V_m(axis_map(o)), thus
     acts on the branch as V_m(axis_map(branch)) alone."""
-    env0 = np.zeros(2 ** n, dtype=complex)
-    env0[0] = 1.0
-    branches = {(): np.kron(spinor(_real_unit_axis(v)), env0)}
+    branches = {(): _environment_up(spinor(_real_unit_axis(v)), n)}
     for m in range(1, n + 1):
         new = {}
         for outcomes, state in branches.items():

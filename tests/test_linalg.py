@@ -194,3 +194,20 @@ def test_leading_view_names_both_sizes():
     with pytest.raises(ValueError,
                        match="operator size 4 does not divide state size 6"):
         flow.apply(np.ones(6), 1.0)
+
+
+def test_entropy_over_the_last_axis():
+    from qhistories.linalg import entropy
+    p = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+    H = entropy(p)
+    assert H.shape == (3,)
+    assert H[0] == pytest.approx(np.log(2))
+    assert H[1] == 0.0 and np.copysign(1.0, H[1]) == 1.0
+    assert H[2] == pytest.approx(-np.sum(p[2] * np.log(p[2])))
+    assert np.array_equal(H, [entropy(row) for row in p])
+    assert entropy([0.0, 1.0]) == 0.0 and np.signbit(entropy([1.0])) == 0
+
+
+def test_schmidt_decompose_refuses_a_nan_state():
+    with pytest.raises(ValueError, match="not normalized"):
+        schmidt_decompose([np.nan, 0, 0, 1], 2, 2)

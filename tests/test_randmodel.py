@@ -235,3 +235,17 @@ def test_forward_search_matches_its_own_loop():
     # the cap of 235 cut the second bisection short
     cut, done = results[2, 3, 1, 235][0], results[2, 3, 1, 400][0]
     assert len(cut) == len(done) == 2 and cut[1] != done[1]
+
+
+def test_analysis_integrity_fails_closed_on_nan():
+    import dataclasses
+    rec = randmodel.run_forward_search(_config())
+    assert rec.events and randmodel.analyse_run(rec).integrity
+    last = rec.events[-1]
+    nan_report = dataclasses.replace(last.report,
+                                     max_medium_violation=np.nan)
+    nan_probs = np.full_like(last.probabilities, np.nan)
+    for changes in ({"report": nan_report}, {"probabilities": nan_probs},
+                    {"report": nan_report, "probabilities": nan_probs}):
+        rec.events[-1] = dataclasses.replace(last, **changes)
+        assert randmodel.analyse_run(rec).integrity is False, changes

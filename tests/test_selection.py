@@ -550,3 +550,14 @@ def test_retrodictive_select_matches_tree_rebuild():
                     <= GRAM_RTOL * np.max(np.abs(want))
             accepted_sizes.add(len(want_times))
     assert len(accepted_sizes) > 1
+
+
+def test_a_model_whose_evolution_turns_nan_fails_loudly():
+    # a NaN state is bad input, not a rejected candidate time
+    flow = HamiltonianFlow(sample_gue(4, 1.0, RandomStream(2, "nan-model")))
+    nan = np.full((4, 4), np.nan, dtype=complex)
+    model = selection.BipartiteModel(
+        2, 2, sample_unit_vector(4, "complex", RandomStream(2, "nan-psi")),
+        lambda t: flow.unitary(t) if t <= 0.5 else nan)
+    with pytest.raises(ValueError, match="not normalized"):
+        selection.earliest_time_select(model, 0.05, 0.02, 1.0, grid=40)

@@ -480,3 +480,96 @@ def test_offdiag_closed_form_at_large_n(n):
             elem = D.entries[idx[a], idx[b]]
             cf = spin.offdiag_closed_form(cfg, j, om, k, ph, sign=sign)
             assert abs(abs(elem) - abs(cf)) <= tol
+
+
+# -- information closed forms against the scalar loops they replaced -----
+
+def _f_loop(x):
+    p = (1.0 + x) / 2.0
+    q = (1.0 - x) / 2.0
+    out = 0.0
+    if p > 0.0:
+        out -= p * math.log(p)
+    if q > 0.0:
+        out -= q * math.log(q)
+    return out
+
+
+def _dot(cfg, k):
+    return float(np.dot(cfg.axis(k - 1), cfg.axis(k)))
+
+
+def _information_of_Sk_loop(cfg, k):
+    c = _dot(cfg, k)
+    E = 2.0 * _f_loop(math.sqrt(abs(c)))
+    for j in range(1, k):
+        E += _f_loop(_dot(cfg, j))
+    ac = abs(c)
+    if ac >= 1.0:
+        omega = 0.0
+    else:
+        cos2 = (ac - c * c) / (1.0 - c * c)
+        omega = math.acos(math.sqrt(max(0.0, min(1.0, cos2))))
+    return E, k - 1 + omega / (math.pi / 2)
+
+
+def _Sk_information_at_loop(cfg, k, t):
+    Nk = spin.N_k(cfg, k, theta_schedule(k, t))
+    total = _f_loop(Nk) + _f_loop(_dot(cfg, k) / Nk)
+    for j in range(1, k):
+        total += _f_loop(_dot(cfg, j))
+    return total
+
+
+def _chain_loop(cfg):
+    return sum(_f_loop(_dot(cfg, j)) for j in range(1, cfg.n + 1))
+
+
+def _close(got, want):
+    return abs(got - want) <= ORACLE_RTOL * abs(want)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_information_closed_forms_match_the_scalar_loops(n):
+    from qhistories.selection import max_information_select
+    for seed in range(12):
+        cfg = _config(300 + seed, n)
+        res = max_information_select(cfg)
+        assert _close(res["chain"], _chain_loop(cfg))
+        for k in range(1, n + 1):
+            E, t_star = spin.information_of_Sk(cfg, k)
+            E_loop, t_loop = _information_of_Sk_loop(cfg, k)
+            assert _close(E, E_loop) and _close(t_star, t_loop), (seed, k)
+            assert res["per_k"][k] == (E, t_star)
+            for frac in (0.2, 0.5, 0.9):
+                t = k - 1 + frac
+                assert _close(spin.Sk_information_at(cfg, k, t),
+                              _Sk_information_at_loop(cfg, k, t))
+
+
+def test_binary_entropy_of_dot_is_elementwise_and_plus_zero_at_the_poles():
+    xs = np.concatenate([[-1.0, 1.0, 0.0, 0.5],
+                         RandomStream(4, "f").generator.uniform(-1, 1, 60)])
+    f = spin.binary_entropy_of_dot(xs)
+    assert f.shape == xs.shape
+    assert f.tolist() == [spin.binary_entropy_of_dot(x) for x in xs]
+    assert np.array_equal(spin.binary_entropy_of_dot(xs.reshape(8, 8)),
+                          f.reshape(8, 8))
+    assert spin.binary_entropy_of_dot(0.0) == pytest.approx(math.log(2))
+    for x in (1.0, -1.0):
+        value = spin.binary_entropy_of_dot(x)
+        assert type(value) is float
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_schmidt_axis_refuses_a_degenerate_direction():
+    # v = x, u_1 = z: at t = 1, A(t) v = cos(pi/2) x is rounding residue
+    cfg = spin.SpinModelConfig(v=[1.0, 0.0, 0.0], axes=[[0.0, 0.0, 1.0]])
+    assert np.linalg.norm(spin.bloch_vector(cfg, 1.0)) < 1e-15
+    for func in (spin.schmidt_axis, spin.reduced_density):
+        with pytest.raises(ValueError, match="degenerate Schmidt direction"):
+            func(cfg, 1.0)
+    cfg = _config(3, 3)
+    for t in (0.0, 0.4, 1.0, 2.5, 3.0):
+        assert np.array_equal(spin.schmidt_axis(cfg, t),
+                              spin.reduced_density(cfg, t)[1])

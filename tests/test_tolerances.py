@@ -98,8 +98,8 @@ def test_no_bare_threshold_literal(name):
 
 
 def _names_a_tolerance(node):
-    return any(getattr(n, "id", getattr(n, "attr", "")).endswith("_TOL")
-               for n in ast.walk(node))
+    return any(getattr(n, "id", getattr(n, "attr", "")).lower()
+               .endswith("_tol") for n in ast.walk(node))
 
 
 def _nan_passing_guards(source):
@@ -137,3 +137,14 @@ def test_nan_guard_lint_sees_a_strict_comparison_that_raises_only():
 def test_no_nan_passing_tolerance_guard(name):
     module = importlib.import_module(f"qhistories.{name}")
     assert _nan_passing_guards(inspect.getsource(module)) == []
+
+
+def test_nan_guard_lint_sees_a_lowercase_tolerance_name():
+    source = ("def f(x, norm_tol, tol):\n"
+              "    if abs(x - 1.0) > norm_tol:\n"
+              "        raise ValueError\n"
+              "    if x < self.Split_Tol:\n"
+              "        raise ValueError\n"
+              "    if x > tol or x < atol:\n"
+              "        raise ValueError\n")
+    assert _nan_passing_guards(source) == [2, 4]
