@@ -19,7 +19,6 @@ tests/golden/regen.py and list every changed line in CHANGES.md.
 import contextlib
 import io
 import itertools
-import math
 import os
 import re
 import subprocess
@@ -91,10 +90,10 @@ def _witness_attains_mpv(meta, rows, key):
     # are exactly 0 tie, so the witness size is decided by roundoff; some
     # subset of the reported size must attain the reported MPV
     R = constructions.frame_pair_matrix(meta["n"], meta["eps"]).entries.real
-    size = meta[key]
-    X = np.zeros((math.comb(len(R), size), len(R)))
-    for i, subset in enumerate(itertools.combinations(range(len(R)), size)):
-        X[i, subset] = 1.0
+    subsets = np.array(list(itertools.combinations(range(len(R)),
+                                                   meta[key])))
+    X = np.zeros((len(subsets), len(R)))
+    X[np.arange(len(subsets))[:, None], subsets] = 1.0
     f = np.einsum("si,ij,sj->s", X, R, X) - X @ np.diag(R)
     mpv = dict((r[0], r[1]) for r in rows)["mpv_exact"]
     assert abs(np.max(np.abs(f)) - mpv) <= GOLDEN_RTOL * mpv
