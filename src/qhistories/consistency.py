@@ -35,12 +35,10 @@ class ConsistencyReport:
     medium_pass: bool | None = None
 
 
-def consistency_report(D, epsilon=None):
-    """Violation maxima, overlap-ratio parameter, and per-pair threshold
-    flags at the given epsilon >= 0 (None without one).  Zero-probability
-    pairs are skipped in the ratio.  D is a matrix, or the (k, n, n)
-    diagonal blocks of one that is zero off them, reported as that matrix
-    but for the summation order of prob_sum."""
+def _pairs(D, epsilon):
+    """D as a (k, n, n) stack G, its off-diagonal mask, the mask ok of the
+    off-diagonal pairs of non-zero probability, and sqrt|D_aa D_bb| over
+    them.  Refuses a negative or NaN epsilon (None passes)."""
     if epsilon is not None and not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     M = _entries(D)
@@ -49,14 +47,31 @@ def consistency_report(D, epsilon=None):
     off = ~np.eye(G.shape[-1], dtype=bool)
     root = np.sqrt(np.abs(diag[:, :, None] * diag[:, None, :]))
     ok = off & (root > 0)
-    root, medium = root[ok], np.abs(G[ok])
+    return G, off, ok, root[ok]
+
+
+def medium_pass(D, epsilon):
+    """consistency_report(D, epsilon).medium_pass, computed alone: every
+    pair of non-zero probability has |D_ab| <= epsilon sqrt|D_aa D_bb|."""
+    G, _, ok, root = _pairs(D, epsilon)
+    return bool((np.abs(G[ok]) <= epsilon * root).all())
+
+
+def consistency_report(D, epsilon=None):
+    """Violation maxima, overlap-ratio parameter, and per-pair threshold
+    flags at the given epsilon >= 0 (None without one).  Zero-probability
+    pairs are skipped in the ratio.  D is a matrix, or the (k, n, n)
+    diagonal blocks of one that is zero off them, reported as that matrix
+    but for the summation order of prob_sum."""
+    G, off, ok, root = _pairs(D, epsilon)
+    medium = np.abs(G[ok])
     flags = (None, None) if epsilon is None else (
         bool((np.abs(G.real[ok]) <= epsilon * root).all()),
         bool((medium <= epsilon * root).all()))
     return ConsistencyReport(float(np.abs(G.real[:, off]).max(initial=0.0)),
                              float(np.abs(G[:, off]).max(initial=0.0)),
                              float((medium / root).max(initial=0.0)),
-                             float(np.sum(M).real), epsilon, *flags)
+                             float(np.sum(_entries(D)).real), epsilon, *flags)
 
 
 def is_exactly_consistent(D, criterion="weak", tol=None):

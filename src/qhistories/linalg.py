@@ -114,8 +114,12 @@ class SchmidtDecomposition:
         return np.outer(v, v.conj())
 
 
-def schmidt_decompose(psi, d1, d2, norm_tol=NORM_TOL):
-    """Schmidt decomposition of psi in C^{d1} (x) C^{d2}, d1 <= d2."""
+def schmidt_decompose(psi, d1, d2, norm_tol=NORM_TOL, svd=None):
+    """Schmidt decomposition of psi in C^{d1} (x) C^{d2}, d1 <= d2.
+
+    svd, when given, is the thin SVD (U, s, Vh) of psi reshaped to
+    (d1, d2), already taken (one slice of a stacked SVD); psi is checked
+    and the phases fixed all the same."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != d1 * d2:
         raise ValueError(f"state has dim {psi.size}, expected {d1}*{d2}")
@@ -124,8 +128,9 @@ def schmidt_decompose(psi, d1, d2, norm_tol=NORM_TOL):
     norm = np.linalg.norm(psi)
     if not abs(norm - 1.0) <= norm_tol:
         raise ValueError(f"state is not normalized: |psi| = {norm}")
-    M = psi.reshape(d1, d2)
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    if svd is None:
+        svd = np.linalg.svd(psi.reshape(d1, d2), full_matrices=False)
+    U, s, Vh = svd
     # fold the phase fix of the system basis into the environment rows
     U, phases = _fix_column_phases(U)
     Vh = Vh * phases[:, None]
@@ -257,6 +262,17 @@ class HamiltonianFlow:
         X = leading_view(np.asarray(states, dtype=complex), self.dim)
         return (vecs @ (phase[:, None] * (self._vecs_h @ X))).reshape(
             np.shape(states))
+
+    def apply_times(self, states, ts):
+        """U(t) states for every t of ts, stacked on a leading time axis:
+        V^dag X once, then V (e^{-i lambda t} (.) V^dag X) for all t in one
+        batched product."""
+        vals, vecs = self.eig
+        ts = np.asarray(ts, dtype=float)
+        phase = np.exp(-1j * vals * ts[:, None])
+        X = leading_view(np.asarray(states, dtype=complex), self.dim)
+        return (vecs @ (phase[:, :, None] * (self._vecs_h @ X))).reshape(
+            ts.shape + np.shape(states))
 
 
 def evolve(H, psi, t):

@@ -22,9 +22,21 @@ candidate is held as the (k, n, n) stack of those Gram blocks of the leaf
 states u_a, evolved together by one apply and projected, with no padded
 matrix.  Block i is D[i::k, i::k] in the (leaf outer, projector inner)
 order of extend_all; the tree is extended only once a candidate is
-accepted.  The forward strategies (earliest-time, quasi-dynamical and the
-random-run search in randmodel) share one scan-and-bisect loop,
-_scan_select, and differ only in scan times, stop rule and budget.
+accepted, and a candidate's full consistency report is built only when it
+is read: a rejected one is judged by its medium verdict alone.  The forward
+strategies (earliest-time, quasi-dynamical and the random-run search in
+randmodel) share one scan-and-bisect loop, _scan_select, and differ only
+in scan times, stop rule and budget.
+
+The scan works in chunks of upcoming scan times (_prepare_chunk): an
+evolution with apply_times (HamiltonianFlow, spin.ChainEvolution) evolves
+psi0 and the current leaf states to every time of a chunk in one product,
+and one stacked SVD gives the Schmidt factors of all the psi(t).  Each time
+is then evaluated alone and in order, by one schmidt_candidate call that
+reads its slice, so verdicts and evaluation counts are those of the
+per-time path.  Bisection midpoints, retrodictive selection, the
+persistence probe and evolutions without apply_times (CallableEvolution)
+take the per-time path.
 """
 
 import functools
@@ -32,7 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consistency import consistency_report, is_exactly_consistent, nontrivial
+from .consistency import (consistency_report, is_exactly_consistent,
+                          medium_pass, nontrivial)
 from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
                         as_evolution, extend_all)
 from .linalg import entropy, schmidt_decompose
@@ -40,6 +53,8 @@ from .tolerances import (COMPANION_TOL, COMPLEMENT_TOL, DISTRIBUTION_SUM_TOL,
                          LIVE_PROBABILITY_TOL, NEGATIVE_PROBABILITY_TOL,
                          PERSISTENCE_TOL, SCHMIDT_WEIGHT_TOL)
 from . import spin as spin_mod
+
+SCAN_BLOCK = 1 << 12     # complex entries of the states one scan chunk evolves
 
 
 @dataclass
@@ -91,11 +106,29 @@ class SelectedSet:
         return [e.time for e in self.events]
 
 
+class _Prepared:
+    """What a scan chunk computed for one of its times t: psi(t), the thin
+    SVD factors of psi(t) as a (d1, d2) matrix (None when the chunk's
+    stacked SVD failed) and the leaf states evolved to t.  It stands in
+    for the model in schmidt_candidate at t."""
+
+    def __init__(self, model, state, svd, leaves):
+        self.d1, self.d2 = model.d1, model.d2
+        self._state, self.svd, self.leaves = state, svd, leaves
+
+    def state(self, t):
+        return self._state
+
+
 def schmidt_candidate(model, t):
     """Schmidt projective decomposition of the state at time t: d1 x d1
     system projectors onto the retained Schmidt vectors, plus the
-    complement of their span when rank-deficient."""
-    sd = schmidt_decompose(model.state(t), model.d1, model.d2)
+    complement of their span when rank-deficient.  model is a
+    BipartiteModel, or a scan chunk's _Prepared slice at t, whose psi(t)
+    and SVD factors are used as they stand (still checked for norm and
+    phase-fixed by schmidt_decompose)."""
+    svd = model.svd if isinstance(model, _Prepared) else None
+    sd = schmidt_decompose(model.state(t), model.d1, model.d2, svd=svd)
     projs = [sd.system_projector(i) for i, w in enumerate(sd.weights)
              if w > SCHMIDT_WEIGHT_TOL]
     rest = np.eye(model.d1) - sum(projs, np.zeros((model.d1, model.d1),
@@ -107,7 +140,9 @@ def schmidt_candidate(model, t):
 
 class LeafStates:
     """A history tree with the path-projected states u_a of its leaves as
-    the columns of one matrix, in leaves() order."""
+    the columns of one matrix, in leaves() order.  chunk maps the scan
+    times that _scan_select prepared for these leaves to their _Prepared
+    slices; a new LeafStates starts with none."""
 
     def __init__(self, tree, states=None):
         self.tree = tree
@@ -115,16 +150,18 @@ class LeafStates:
             states = tree.leaf_states()
         self.states = states
         self.probabilities = np.linalg.norm(states, axis=0) ** 2
+        self.chunk = {}
 
 
-def _projected_gram(evolution, states, dec):
+def _projected_gram(evolution, states, dec, evolved=None):
     """Gram blocks of the leaves extended by dec, without the tree.
 
     Projectors at one time are orthogonal, so D[(a,i),(b,j)] is
     delta_ij <U u_b| P_i |U u_a>, zero off its k diagonal blocks.  Returns
     (W, G) with W[:, a*k + i] = P_i U u_a and the (k, n, n) stack G of the
-    blocks G[i] = D[i::k, i::k], the Gram matrices of the P_i U u_a."""
-    V = evolution.apply(states, dec.time)
+    blocks G[i] = D[i::k, i::k], the Gram matrices of the P_i U u_a.
+    evolved, when given, is U states at dec.time, already computed."""
+    V = evolution.apply(states, dec.time) if evolved is None else evolved
     n, k = V.shape[1], len(dec)
     W = np.empty((V.shape[0], n * k), dtype=complex)
     G = np.empty((k, n, n), dtype=complex)
@@ -138,26 +175,35 @@ def _projected_gram(evolution, states, dec):
 class Extension:
     """A scored candidate: every leaf of a set split by one decomposition.
 
-    Holds the k Gram blocks of the extended set (see _projected_gram), its
-    consistency report and probabilities; the tree itself is built by
-    extend() only once the candidate is accepted."""
+    Holds the k Gram blocks of the extended set (see _projected_gram) and
+    its probabilities.  The medium verdict at epsilon, the consistency
+    report and the extended states are each computed on first read, so a
+    rejected candidate pays for its verdict only; the tree itself is built
+    by extend() only once the candidate is accepted.  evolved, when given,
+    is the leaf states at dec.time (a scan chunk's)."""
 
-    def __init__(self, leaves, dec, epsilon):
+    def __init__(self, leaves, dec, epsilon, evolved=None):
         self.leaves = leaves
         self.decomposition = dec
+        self.epsilon = epsilon
         self._projected, self.blocks = _projected_gram(
-            leaves.tree.evolution, leaves.states, dec)
-        self.report = consistency_report(self.blocks, epsilon)
+            leaves.tree.evolution, leaves.states, dec, evolved)
         self.probabilities = self.blocks.diagonal(0, 1, 2).real.T.ravel()
-        self._states = None
 
-    @property
+    @functools.cached_property
+    def medium_pass(self):
+        """report.medium_pass, without the rest of the report."""
+        return medium_pass(self.blocks, self.epsilon)
+
+    @functools.cached_property
+    def report(self):
+        return consistency_report(self.blocks, self.epsilon)
+
+    @functools.cached_property
     def states(self):
         """Path-projected states of the extended leaves, U^dag P_i U u_a."""
-        if self._states is None:
-            self._states = self.leaves.tree.evolution.apply(
-                self._projected, self.decomposition.time, adjoint=True)
-        return self._states
+        return self.leaves.tree.evolution.apply(
+            self._projected, self.decomposition.time, adjoint=True)
 
     def extend(self):
         tree = extend_all(self.leaves.tree, self.decomposition)
@@ -179,15 +225,19 @@ def _admissible(model, leaves, t, epsilon, delta, delta_mode):
     are its squared column norms, judged in one nontrivial call as a
     column against the rows of children.  No tree is built here: the
     caller extends the tree with Extension.extend() once per accepted
-    event.  Returns the Extension, or None when inadmissible."""
+    event.  A time that _scan_select prepared for these leaves reads psi(t),
+    its SVD factors and the evolved leaf states from leaves.chunk.  Returns
+    the Extension, or None when inadmissible."""
+    prepared = leaves.chunk.get(t)
     try:
-        dec = schmidt_candidate(model, t)
+        dec = schmidt_candidate(model if prepared is None else prepared, t)
     except np.linalg.LinAlgError:
         return None
     if len(dec) < 2:
         return None
-    ext = Extension(leaves, dec, epsilon)
-    if not ext.report.medium_pass:
+    ext = Extension(leaves, dec, epsilon,
+                    None if prepared is None else prepared.leaves)
+    if not ext.medium_pass:
         return None
     live = ~(leaves.probabilities < LIVE_PROBABILITY_TOL)
     children = ext.probabilities.reshape(-1, len(dec))[live]
@@ -208,6 +258,40 @@ def _chain(model, decompositions, epsilon):
     return leaves, events
 
 
+def _prepare_chunk(model, leaves, t, advance):
+    """leaves.chunk for the scan times t, advance(t), ...: as many as fit
+    in SCAN_BLOCK complex entries of evolved states, and at least t.
+
+    [psi0 | leaf states] is evolved to every time of the chunk by one
+    evolution.apply_times call, and psi(t) is split by one stacked SVD over
+    (T, d1, d2).  An evolution without apply_times prepares nothing; one
+    that raises ValueError leaves the chunk's times to the per-time path,
+    which raises at the bad time if the scan reaches it; a stacked SVD that
+    raises LinAlgError leaves each time to its own SVD."""
+    apply_times = getattr(model.evolution, "apply_times", None)
+    if apply_times is None:
+        return {}
+    X = np.column_stack([model.psi0, leaves.states])
+    times = [t]
+    while len(times) < SCAN_BLOCK // X.size:
+        t = advance(t)
+        if t is None:
+            break
+        times.append(t)
+    try:
+        evolved = apply_times(X, times)
+    except ValueError:
+        return dict.fromkeys(times)
+    try:
+        svd = zip(*np.linalg.svd(
+            evolved[:, :, 0].reshape(-1, model.d1, model.d2),
+            full_matrices=False))
+    except np.linalg.LinAlgError:
+        svd = [None] * len(times)
+    return {time: _Prepared(model, V[:, 0], factors, V[:, 1:])
+            for time, V, factors in zip(times, evolved, svd)}
+
+
 def _scan_select(model, accept, start, advance, refine_tol, full,
                  budget=float("inf")):
     """The scan-and-bisect loop of every forward selection and search.
@@ -218,11 +302,20 @@ def _scan_select(model, accept, start, advance, refine_tol, full,
     rejected or event time, to refine_tol or adjacent floats, and recorded
     as an event.  Stops when full(leaves, events), at the end of the scan,
     or after budget accept calls; returns (SelectedSet, termination, calls)
-    with termination 'full', 'end' or 'budget', in that precedence."""
+    with termination 'full', 'end' or 'budget', in that precedence.
+
+    Scan times are evaluated in chunks: at a time the current leaves have
+    not prepared, the next times are taken from advance (which must be a
+    pure function of t) and prepared together (_prepare_chunk).  Each time
+    is still evaluated alone and in order, by one accept call; bisection
+    midpoints take the per-time path, and accepting an event drops the
+    chunk with the old leaves."""
     leaves, events = _chain(model, (), None)
     calls, t, lo = 0, start, None
     while not full(leaves, events) and t is not None and calls < budget:
         calls += 1
+        if t not in leaves.chunk:
+            leaves.chunk = _prepare_chunk(model, leaves, t, advance)
         ext = accept(leaves, t)
         if ext is not None and lo is not None:
             while t - lo > refine_tol and calls < budget:

@@ -188,6 +188,28 @@ class ChainEvolution:
             x = x + (self._minus[k - 1] @ w.reshape(2, -1)).reshape(x.shape)
         return x.reshape(shape)
 
+    def apply_times(self, states, ts):
+        """U(t) states for every t of ts, stacked on a leading time axis:
+        each interaction applies a (T, 2, 2) stack of R - 1, one per time,
+        whose rows at angle 0 add an exact 0."""
+        shape, T = np.shape(states), len(ts)
+        x = leading_view(np.asarray(states, dtype=complex), self.dim)
+        x = np.broadcast_to(x, (T,) + x.shape)
+        for k in range(1, self.n + 1):
+            rot_minus_one = np.zeros((T, 2, 2), dtype=complex)
+            for i, t in enumerate(ts):
+                th = self.theta(k, t)
+                if th != 0.0:
+                    s, c1 = math.sin(th), -2.0 * math.sin(th / 2) ** 2
+                    rot_minus_one[i] = [[c1, -s], [s, c1]]
+            if not rot_minus_one.any():
+                continue
+            w = np.matmul(rot_minus_one[:, None],
+                          x.reshape(T, 2 ** k, 2, -1))
+            x = x + (self._minus[k - 1] @ w.reshape(T, 2, -1)).reshape(
+                x.shape)
+        return np.ascontiguousarray(x).reshape((T,) + shape)
+
 
 def chain_evolution(cfg):
     """The spin chain's U(t) under the canonical schedule, matrix-free."""

@@ -1,0 +1,292 @@
+"""The chunked scan of selection._scan_select against the per-time path.
+
+A scan prepares a chunk of upcoming times at once (_prepare_chunk): one
+apply_times call evolves [psi0 | leaf states] to every time of the chunk
+and one stacked SVD splits the psi(t).  Each time is still evaluated alone,
+by one schmidt_candidate call, so the verdicts, the step counts and the
+benchmark's traced check (schmidt_candidate calls == RunRecord.steps) must
+all be those of the per-time path.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qhistories import consistency, randmodel, selection, spin
+from qhistories.histories import HistoryTree
+from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
+                               sample_unit_vector)
+from qhistories.tolerances import ORACLE_RTOL
+
+
+def _search_config(d2, seed, **kw):
+    base = dict(d1=2, d2=d2, sigma=1.0, seed=seed, epsilon=0.05, delta=0.02,
+                t_max=2.0, max_histories=64)
+    base.update(kw)
+    return randmodel.RunConfig(**base)
+
+
+def _spin_config(seed, n):
+    rng = RandomStream(seed, "chunk-test")
+    vecs = [sample_unit_vector(3, "real", rng.stream(f"a{i}"))
+            for i in range(n + 1)]
+    return spin.SpinModelConfig(v=vecs[0], axes=np.array(vecs[1:]))
+
+
+def _flow_model(d1, d2, seed):
+    rng = RandomStream(seed, "chunk-flow")
+    flow = HamiltonianFlow(sample_gue(d1 * d2, 1.0, rng.stream("H")))
+    psi = sample_unit_vector(d1 * d2, "complex", rng.stream("psi"))
+    return selection.BipartiteModel(d1, d2, psi, flow)
+
+
+def _recoherence_model():
+    u = np.array([0.0, 0.0, 1.0])
+    return selection.recoherence_model(math.sqrt(0.7), math.sqrt(0.3), u)
+
+
+def _count_candidates(monkeypatch):
+    calls = []
+    candidate = selection.schmidt_candidate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return candidate(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "schmidt_candidate", counted)
+    return calls
+
+
+def _record_chunks(monkeypatch):
+    chunks = []
+    prepare = selection._prepare_chunk
+
+    def recorded(*args, **kwargs):
+        chunk = prepare(*args, **kwargs)
+        chunks.append(chunk)
+        return chunk
+
+    monkeypatch.setattr(selection, "_prepare_chunk", recorded)
+    return chunks
+
+
+# -- the traced check of the benchmark -------------------------------------
+
+@pytest.mark.parametrize("d2,seed,max_steps", [
+    (16, 12, 20000), (16, 16, 20000), (4, 5, 20000),
+    (16, 12, 170),      # stops mid-bisection
+    (16, 12, 100),      # stops mid-chunk
+])
+def test_candidate_calls_equal_steps(monkeypatch, d2, seed, max_steps):
+    calls = _count_candidates(monkeypatch)
+    chunks = _record_chunks(monkeypatch)
+    rec = randmodel.run_forward_search(_search_config(d2, seed,
+                                                      max_steps=max_steps))
+    assert len(calls) == rec.steps
+    assert any(len(chunk) > 1 for chunk in chunks)
+    if max_steps < 20000:
+        assert rec.termination == "max_steps" and rec.steps == max_steps
+    if max_steps == 100:
+        # the last time evaluated was not the last one its chunk prepared
+        times = list(chunks[-1])
+        assert calls[-1] in times and calls[-1] != times[-1]
+
+
+# -- the chunked scan against the per-time path, verdict for verdict -------
+
+def _grid_models():
+    """(name, model, t_max, grid, whether it has apply_times)."""
+    for d1, d2, seed in ((2, 4, 1), (2, 16, 2), (3, 9, 3)):
+        yield f"flow{d1}x{d2}", _flow_model(d1, d2, seed), 2.0, 300, True
+    yield "recoherence", _recoherence_model(), 3 * math.pi / 2, 400, True
+    for seed, n in ((4, 2), (5, 3)):
+        yield (f"spin-n{n}", selection.spin_model(_spin_config(seed, n)),
+               float(n), 200, True)
+    flow = _flow_model(2, 4, 1)
+    yield ("callable", selection.BipartiteModel(2, 4, flow.psi0,
+                                                flow.evolution.unitary),
+           2.0, 300, False)
+
+
+def _checked_accept(model, epsilon, delta, seen, accept_events=True):
+    """accept for _grid_select that scores each time on the scan's leaves
+    (chunked where prepared) and on a copy of them without a chunk (the
+    per-time path), and requires the same verdict and blocks."""
+    def accept(leaves, t):
+        got = selection._admissible(model, leaves, t, epsilon, delta,
+                                    "relative")
+        bare = selection.LeafStates(leaves.tree, leaves.states)
+        want = selection._admissible(model, bare, t, epsilon, delta,
+                                     "relative")
+        assert (got is None) == (want is None), t
+        if got is not None:
+            scale = np.max(np.abs(want.blocks))
+            assert np.max(np.abs(got.blocks - want.blocks)) \
+                <= ORACLE_RTOL * scale
+        seen.append((t, leaves.chunk.get(t) is not None, got is not None))
+        return got if accept_events else None
+    return accept
+
+
+@pytest.mark.parametrize("name,model,t_max,grid,chunked", list(_grid_models()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_chunked_scan_agrees_with_the_per_time_path(name, model, t_max, grid,
+                                                    chunked):
+    verdicts = set()
+    for epsilon, delta, accept_events in ((0.05, 0.02, True),
+                                          (1e-3, 0.02, True),
+                                          (0.05, 0.02, False)):
+        seen = []
+        sel = selection._grid_select(
+            model, _checked_accept(model, epsilon, delta, seen,
+                                   accept_events),
+            t_max, grid, 1e-6, 16)
+        if not accept_events:
+            # one LeafStates, so every grid time was scanned
+            assert len(seen) == grid + 1 and not sel.events
+        prepared = sum(p for _, p, _ in seen)
+        assert (prepared > 0) == chunked, name
+        verdicts.update(v for _, _, v in seen)
+    assert verdicts == {True, False}, name
+
+
+@pytest.mark.parametrize("evolution,size", [
+    (HamiltonianFlow(sample_gue(8, 1.0, RandomStream(1, "times"))), 8),
+    (HamiltonianFlow(sample_gue(4, 1.0, RandomStream(2, "times"))), 8),
+    (spin.chain_evolution(_spin_config(6, 3)), 16),
+    (spin.chain_evolution(_spin_config(7, 2)), 16),
+    (spin.recoherence_evolution(np.array([0.0, 0.6, 0.8])), 4),
+])
+def test_apply_times_matches_apply(evolution, size):
+    # the second flow acts on the leading factor of size-8 states; times
+    # include 0 and spin-chain times at which some angles are 0
+    rng = np.random.default_rng(size)
+    states = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
+    ts = [0.0, 0.25, 0.5, 1.0, 1.75, 2.5, 3.0, 4.5]
+    stack = evolution.apply_times(states, ts)
+    assert stack.shape == (len(ts), size, 3)
+    for t, got in zip(ts, stack):
+        want = evolution.apply(states, t)
+        assert np.max(np.abs(got - want)) <= ORACLE_RTOL * np.max(np.abs(want))
+    vector = evolution.apply_times(states[:, 0], ts[:2])
+    assert vector.shape == (2, size)
+    assert np.max(np.abs(vector - stack[:2, :, 0])) \
+        <= ORACLE_RTOL * np.max(np.abs(vector))
+
+
+# -- edge inputs: one bad time does not spoil its chunk ---------------------
+
+def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
+    model = _flow_model(2, 4, 1)
+    grid, t_max = 300, 2.0
+    t_bad = float(np.linspace(0.0, t_max, grid + 1)[150])
+    bad = model.state(t_bad).reshape(2, 4)
+    svd = np.linalg.svd
+
+    def failing_svd(a, *args, **kwargs):
+        # refuses psi(t_bad), alone or in a stack, by either path's rounding
+        if np.min(np.max(np.abs(np.asarray(a) - bad), axis=(-2, -1))) \
+                <= 1e-12:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    chunks = _record_chunks(monkeypatch)
+    seen = []
+    selection._grid_select(
+        model, _checked_accept(model, 0.05, 0.02, seen, accept_events=False),
+        t_max, grid, 1e-6, 16)
+    verdicts = {t: ok for t, _, ok in seen}
+    assert len(verdicts) == grid + 1 and not verdicts[t_bad]
+    bad_chunk = next(chunk for chunk in chunks if t_bad in chunk)
+    assert all(p.svd is None for p in bad_chunk.values())
+    assert sum(verdicts[t] for t in bad_chunk) > len(bad_chunk) // 2
+    assert all(p.svd is not None for chunk in chunks if chunk is not bad_chunk
+               for p in chunk.values())
+
+
+def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
+        monkeypatch):
+    # the recoherence cycle refuses t > 3 pi/2; a chunk reaching past it
+    # leaves its times to the per-time path, so a scan that is full before
+    # then returns, and one that is not raises at the first bad time
+    model = _recoherence_model()
+    seen = []
+    sel = selection._grid_select(
+        model, _checked_accept(model, 1e-6, 0.05, seen), 6.0, 400, 1e-6, 2)
+    assert len(sel.events) == 2 and max(t for t, _, _ in seen) < math.pi
+    assert not any(prepared for _, prepared, _ in seen)
+    calls = _count_candidates(monkeypatch)
+    with pytest.raises(ValueError, match="3 pi/2"):
+        selection.earliest_time_select(model, 1e-6, 0.05, 6.0)
+    assert calls[-1] > 3 * math.pi / 2
+
+
+class _NaNAt(HamiltonianFlow):
+    """A flow whose states turn NaN at one time."""
+
+    def __init__(self, H, t_bad):
+        super().__init__(H)
+        self.t_bad = t_bad
+
+    def apply(self, states, t, adjoint=False):
+        out = super().apply(states, t, adjoint)
+        return np.full_like(out, np.nan) if t == self.t_bad else out
+
+    def apply_times(self, states, ts):
+        out = super().apply_times(states, ts)
+        out[np.asarray(ts) == self.t_bad] = np.nan
+        return out
+
+
+def test_a_nan_state_raises_at_its_own_time(monkeypatch):
+    grid, t_max = 300, 2.0
+    t_bad = float(np.linspace(0.0, t_max, grid + 1)[40])
+    flow = _flow_model(2, 4, 1)
+    model = selection.BipartiteModel(
+        2, 4, flow.psi0, _NaNAt(flow.evolution.H, t_bad))
+    calls = _count_candidates(monkeypatch)
+    chunks = _record_chunks(monkeypatch)
+    seen = []
+    with pytest.raises(ValueError, match="not normalized"):
+        selection._grid_select(
+            model, _checked_accept(model, 0.05, 0.02, seen,
+                                   accept_events=False),
+            t_max, grid, 1e-6, 16)
+    # the stacked SVD refused the chunk; its earlier times were judged one
+    # by one, as the per-time path judges them, and the scan stopped at t_bad
+    assert calls[-1] == t_bad and len(seen) == 40
+    assert chunks[0][seen[0][0]] is not None and t_bad in chunks[0]
+    assert all(p.svd is None for p in chunks[0].values())
+    assert {ok for _, _, ok in seen} == {True}
+
+
+# -- the lazy report ---------------------------------------------------------
+
+def test_the_lazy_report_is_the_report_of_the_blocks():
+    model = _flow_model(2, 4, 1)
+    leaves = selection.LeafStates(HistoryTree(initial_state=model.psi0,
+                                              evolution=model.evolution))
+    passed = set()
+    for t in np.linspace(0.1, 2.0, 12):
+        dec = selection.schmidt_candidate(model, t)
+        for epsilon in (1e-3, 0.05, 0.5):
+            ext = selection.Extension(leaves, dec, epsilon)
+            verdict = ext.medium_pass
+            assert "report" not in vars(ext)
+            assert ext.report == consistency.consistency_report(ext.blocks,
+                                                                epsilon)
+            assert verdict == ext.report.medium_pass
+            passed.add(verdict)
+        admitted = selection._admissible(model, leaves, t, 0.5, 0.02,
+                                         "relative")
+        if admitted is not None:
+            assert admitted.report == consistency.consistency_report(
+                admitted.blocks, 0.5)
+            assert admitted.report.medium_pass
+            leaves = admitted.extend()
+    assert passed == {True, False} and len(leaves.probabilities) > 2
+    with pytest.raises(ValueError, match="non-negative"):
+        selection.Extension(leaves, dec, -0.1).medium_pass
+
