@@ -2,8 +2,11 @@
 
 Subcommands expose the main computations as plain-text line records:
 comment lines (#) echoing the run parameters, a column-name line, then
-whitespace-separated rows with 12 significant digits.  Records written by
-one invocation parse back losslessly with parse_records.  Exit status is
+whitespace-separated rows with 12 significant digits.  parse_records
+reads the records of one invocation back to those 12 digits, but not
+always to the same type: a float that prints as an integer (1.0 as "1",
+-0.0 as "-0") parses back as an int, losing the sign of -0.0, and a
+complex parses back as its text.  Exit status is
 0 exactly when every reported check passes, 1 when one fails, and 2 for
 bad input: a ValueError from the arguments, the config file or the
 computation is reported as "qhist: error: <message>" on stderr.

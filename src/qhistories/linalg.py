@@ -65,12 +65,13 @@ def _as_complex_matrix(H):
 
 
 def _fix_column_phases(V):
-    # (V / phases, phases): each column's largest-modulus entry made real > 0
-    idx = np.argmax(np.abs(V), axis=0)
-    pivots = V[idx, np.arange(V.shape[1])]
+    # (V / phases, phases): each column's largest-modulus entry made real > 0;
+    # V is a matrix or a stack (..., m, r) of them, each fixed alone
+    idx = np.argmax(np.abs(V), axis=-2)
+    pivots = np.take_along_axis(V, idx[..., None, :], axis=-2)[..., 0, :]
     mags = np.abs(pivots)
     phases = np.where(mags > 0, pivots / np.where(mags > 0, mags, 1.0), 1.0)
-    return V / phases[None, :], phases
+    return V / phases[..., None, :], phases
 
 
 def hermitian_eig(H):

@@ -31,14 +31,19 @@ in scan times, stop rule and budget.
 The scan works in chunks of upcoming scan times (_prepare_chunk): an
 evolution with apply_times (HamiltonianFlow, spin.ChainEvolution) evolves
 psi0 and the current leaf states to every time of a chunk in one product,
-and one stacked SVD gives the Schmidt factors of all the psi(t).  Each time
-is then evaluated alone and in order, by one schmidt_candidate call that
-reads its slice, so verdicts and evaluation counts are those of the
-per-time path.  Bisection midpoints, retrodictive selection, the
+and one stacked SVD gives the Schmidt factors of all the psi(t).  From
+these the chunk's stacked screen (_Screen) forms the Schmidt projectors
+and the k Gram blocks of every time at once, and rejects the times whose
+candidate is inadmissible by more than SCREEN_MARGIN.  Each time is still
+evaluated alone and in order, by one schmidt_candidate call that reads its
+slice; a time the screen rejects stops there, and every other one is
+judged by the per-time path, so verdicts and evaluation counts are those
+of that path.  Bisection midpoints, retrodictive selection, the
 persistence probe and evolutions without apply_times (CallableEvolution)
 take the per-time path.
 """
 
+import bisect
 import functools
 from dataclasses import dataclass, field
 
@@ -48,10 +53,11 @@ from .consistency import (consistency_report, is_exactly_consistent,
                           medium_pass, nontrivial)
 from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
                         as_evolution, extend_all)
-from .linalg import entropy, schmidt_decompose
+from .linalg import _fix_column_phases, entropy, schmidt_decompose
 from .tolerances import (COMPANION_TOL, COMPLEMENT_TOL, DISTRIBUTION_SUM_TOL,
                          LIVE_PROBABILITY_TOL, NEGATIVE_PROBABILITY_TOL,
-                         PERSISTENCE_TOL, SCHMIDT_WEIGHT_TOL)
+                         NORM_TOL, PERSISTENCE_TOL, SCHMIDT_WEIGHT_TOL,
+                         SCREEN_MARGIN, SCREEN_ROOT_FLOOR)
 from . import spin as spin_mod
 
 SCAN_BLOCK = 1 << 12     # complex entries of the states one scan chunk evolves
@@ -106,28 +112,105 @@ class SelectedSet:
         return [e.time for e in self.events]
 
 
-class _Prepared:
-    """What a scan chunk computed for one of its times t: psi(t), the thin
-    SVD factors of psi(t) as a (d1, d2) matrix (None when the chunk's
-    stacked SVD failed) and the leaf states evolved to t.  It stands in
-    for the model in schmidt_candidate at t."""
+class _Screen:
+    """The stacked screen of a scan chunk, built from the stacked SVD (U, s)
+    of its psi(t) (d1 x d2 matrices, 2 <= d1 <= d2) and its evolved leaf
+    states.
 
-    def __init__(self, model, state, svd, leaves):
+    A time is screened when psi(t) passes schmidt_decompose's norm guard
+    and splits at full Schmidt rank with no complement.  Its candidate is
+    then the d1 rank-1 projectors of the phase-fixed U, formed by the
+    products np.outer forms, so they are the per-time path's to the bit.
+    The k Gram blocks of the leaves extended by them are taken for the
+    whole chunk at once, G_i = Y_i^T conj(Y_i) with Y_i = u_i^dag V.  These
+    round otherwise than _projected_gram's, so rejects() trusts them only
+    beyond SCREEN_MARGIN, and only for pairs with sqrt(G_aa G_bb) of at
+    least SCREEN_ROOT_FLOOR.  (The norm guard is taken over the stack; it
+    rounds apart from a single norm by far less than NORM_TOL from the 1
+    of an evolved state.)"""
+
+    def __init__(self, psi, U, s, leaves, parents):
+        T, d1, _ = U.shape
+        n = leaves.shape[-1]
+        cols = np.swapaxes(_fix_column_phases(U)[0], 1, 2)   # u_i = cols[t, i]
+        self.projectors = cols[:, :, :, None] * cols[:, :, None, :].conj()
+        total = np.zeros((T, d1, d1), dtype=complex)
+        for i in range(d1):
+            total = total + self.projectors[:, i]
+        self.screened = ((np.abs(np.linalg.norm(psi, axis=1) - 1.0)
+                          <= NORM_TOL)
+                         & (s ** 2 > SCHMIDT_WEIGHT_TOL).all(axis=1)
+                         & ~(np.abs(np.eye(d1) - total).max(axis=(1, 2))
+                             > COMPLEMENT_TOL))
+        Y = (cols.conj() @ leaves.reshape(T, d1, -1)).reshape(T, d1, -1, n)
+        G = np.swapaxes(Y, 2, 3) @ Y.conj()         # (T, k, n, n)
+        self.children = G.diagonal(0, 2, 3).real    # (T, k, n)
+        product = self.children[..., :, None] * self.children[..., None, :]
+        ratio = np.abs(G) / np.sqrt(np.where(
+            product >= SCREEN_ROOT_FLOOR ** 2, product, np.inf))
+        ratio[..., range(n), range(n)] = 0.0
+        self.worst = ratio.max(axis=(1, 2, 3))     # largest counted ratio
+        self.parents = parents
+        self._rejects = {}
+
+    def rejects(self, epsilon, delta, delta_mode):
+        """The screened times whose candidate is inadmissible beyond doubt
+        at (epsilon, delta, delta_mode): a counted pair's overlap ratio
+        exceeds epsilon, or a live child's probability falls below delta
+        (times its parent, when relative), each by more than SCREEN_MARGIN.
+        Inputs that the per-time path refuses are left to it."""
+        key = (epsilon, delta, delta_mode)
+        if key not in self._rejects:
+            out = np.zeros_like(self.screened)
+            if epsilon >= 0:
+                out = self.worst > epsilon + SCREEN_MARGIN
+                if delta_mode in ("relative", "absolute") \
+                        and 0.0 <= delta < 1.0:
+                    live = ~(self.parents < LIVE_PROBABILITY_TOL)
+                    bar = (delta * self.parents[live]
+                           if delta_mode == "relative" else delta)
+                    out |= (self.children[:, :, live]
+                            < bar - SCREEN_MARGIN).any(axis=(1, 2))
+            self._rejects[key] = out & self.screened
+        return self._rejects[key]
+
+
+class _Prepared:
+    """What a scan chunk computed for its i-th time t: psi(t), the thin SVD
+    factors of psi(t) as a (d1, d2) matrix (None when the chunk's stacked
+    SVD failed), the leaf states evolved to t and the chunk's _Screen (None
+    when there is none).  It stands in for the model in schmidt_candidate
+    at t; projectors is the (d1, d1, d1) stack of the candidate at a
+    screened time, else None."""
+
+    def __init__(self, model, state, svd, leaves, screen=None, i=0):
         self.d1, self.d2 = model.d1, model.d2
         self._state, self.svd, self.leaves = state, svd, leaves
+        self._screen, self._i = screen, i
+        self.projectors = (screen.projectors[i]
+                           if screen is not None and screen.screened[i]
+                           else None)
 
     def state(self, t):
         return self._state
+
+    def rejects(self, epsilon, delta, delta_mode):
+        return self.projectors is not None and bool(
+            self._screen.rejects(epsilon, delta, delta_mode)[self._i])
 
 
 def schmidt_candidate(model, t):
     """Schmidt projective decomposition of the state at time t: d1 x d1
     system projectors onto the retained Schmidt vectors, plus the
     complement of their span when rank-deficient.  model is a
-    BipartiteModel, or a scan chunk's _Prepared slice at t, whose psi(t)
-    and SVD factors are used as they stand (still checked for norm and
-    phase-fixed by schmidt_decompose)."""
-    svd = model.svd if isinstance(model, _Prepared) else None
+    BipartiteModel, or a scan chunk's _Prepared slice at t: its screened
+    projectors when it has them, else its psi(t) and SVD factors as they
+    stand (still checked for norm and phase-fixed by schmidt_decompose)."""
+    svd = None
+    if isinstance(model, _Prepared):
+        if model.projectors is not None:
+            return ProjectiveDecomposition(t, model.projectors, check=False)
+        svd = model.svd
     sd = schmidt_decompose(model.state(t), model.d1, model.d2, svd=svd)
     projs = [sd.system_projector(i) for i, w in enumerate(sd.weights)
              if w > SCHMIDT_WEIGHT_TOL]
@@ -226,14 +309,16 @@ def _admissible(model, leaves, t, epsilon, delta, delta_mode):
     column against the rows of children.  No tree is built here: the
     caller extends the tree with Extension.extend() once per accepted
     event.  A time that _scan_select prepared for these leaves reads psi(t),
-    its SVD factors and the evolved leaf states from leaves.chunk.  Returns
-    the Extension, or None when inadmissible."""
+    its SVD factors and the evolved leaf states from leaves.chunk, and is
+    rejected at once when the chunk's screen rejects it (_Screen.rejects).
+    Returns the Extension, or None when inadmissible."""
     prepared = leaves.chunk.get(t)
     try:
         dec = schmidt_candidate(model if prepared is None else prepared, t)
     except np.linalg.LinAlgError:
         return None
-    if len(dec) < 2:
+    if len(dec) < 2 or (prepared is not None
+                        and prepared.rejects(epsilon, delta, delta_mode)):
         return None
     ext = Extension(leaves, dec, epsilon,
                     None if prepared is None else prepared.leaves)
@@ -263,11 +348,13 @@ def _prepare_chunk(model, leaves, t, advance):
     in SCAN_BLOCK complex entries of evolved states, and at least t.
 
     [psi0 | leaf states] is evolved to every time of the chunk by one
-    evolution.apply_times call, and psi(t) is split by one stacked SVD over
-    (T, d1, d2).  An evolution without apply_times prepares nothing; one
-    that raises ValueError leaves the chunk's times to the per-time path,
-    which raises at the bad time if the scan reaches it; a stacked SVD that
-    raises LinAlgError leaves each time to its own SVD."""
+    evolution.apply_times call, psi(t) is split by one stacked SVD over
+    (T, d1, d2), and the chunk's _Screen is built from both.  An evolution
+    without apply_times prepares nothing.  One that raises ValueError has
+    the chunk halved until it evolves, so the chunk ends before the times
+    it refuses; when it refuses t alone, t is left to the per-time path,
+    which raises there.  A stacked SVD that raises LinAlgError leaves each
+    time to its own SVD, unscreened."""
     apply_times = getattr(model.evolution, "apply_times", None)
     if apply_times is None:
         return {}
@@ -278,18 +365,26 @@ def _prepare_chunk(model, leaves, t, advance):
         if t is None:
             break
         times.append(t)
+    while True:
+        try:
+            evolved = apply_times(X, times)
+            break
+        except ValueError:
+            if len(times) == 1:
+                return dict.fromkeys(times)
+            del times[(len(times) + 1) // 2:]
+    psi = evolved[:, :, 0]
     try:
-        evolved = apply_times(X, times)
-    except ValueError:
-        return dict.fromkeys(times)
-    try:
-        svd = zip(*np.linalg.svd(
-            evolved[:, :, 0].reshape(-1, model.d1, model.d2),
-            full_matrices=False))
+        U, s, Vh = np.linalg.svd(psi.reshape(-1, model.d1, model.d2),
+                                 full_matrices=False)
     except np.linalg.LinAlgError:
-        svd = [None] * len(times)
-    return {time: _Prepared(model, V[:, 0], factors, V[:, 1:])
-            for time, V, factors in zip(times, evolved, svd)}
+        svd, screen = [None] * len(times), None
+    else:
+        svd = zip(U, s, Vh)
+        screen = (_Screen(psi, U, s, evolved[:, :, 1:], leaves.probabilities)
+                  if 2 <= model.d1 <= model.d2 else None)
+    return {time: _Prepared(model, V[:, 0], factors, V[:, 1:], screen, i)
+            for i, (time, V, factors) in enumerate(zip(times, evolved, svd))}
 
 
 def _scan_select(model, accept, start, advance, refine_tol, full,
@@ -340,11 +435,11 @@ def _scan_select(model, accept, start, advance, refine_tol, full,
 
 def _grid_select(model, accept, t_max, grid, refine_tol, max_events):
     """_scan_select on linspace(0, t_max, grid + 1), to max_events events."""
-    ts = np.linspace(0.0, t_max, grid + 1)
+    ts = np.linspace(0.0, t_max, grid + 1).tolist()
 
     def advance(t):
-        i = int(np.searchsorted(ts, t, side="right"))
-        return float(ts[i]) if i <= grid else None
+        i = bisect.bisect_right(ts, t)
+        return ts[i] if i <= grid else None
 
     return _scan_select(model, accept, 0.0, advance, refine_tol,
                         lambda leaves, events: len(events) >= max_events)[0]

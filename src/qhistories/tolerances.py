@@ -57,6 +57,13 @@ PERSISTENCE_TOL = 1e-9
 MPV_GAIN_TOL = 1e-15
 # recorded against recomputed run report and probabilities; absolute, scale 1
 INTEGRITY_TOL = 1e-8
+# excess of an overlap ratio over epsilon, and shortfall of a child
+# probability below delta (times its parent), that a scan chunk's stacked
+# screen rejects without the per-time path; absolute, scale 1
+SCREEN_MARGIN = 1e-9
+# sqrt(D_aa D_bb) below which the screen does not count the pair's ratio;
+# absolute, scale 1
+SCREEN_ROOT_FLOOR = 1e-3
 
 # -- test oracles
 # a fast path against its oracle; relative to the largest reference entry

@@ -1,9 +1,11 @@
 """The chunked scan of selection._scan_select against the per-time path.
 
 A scan prepares a chunk of upcoming times at once (_prepare_chunk): one
-apply_times call evolves [psi0 | leaf states] to every time of the chunk
-and one stacked SVD splits the psi(t).  Each time is still evaluated alone,
-by one schmidt_candidate call, so the verdicts, the step counts and the
+apply_times call evolves [psi0 | leaf states] to every time of the chunk,
+one stacked SVD splits the psi(t), and the chunk's stacked screen
+(_Screen) rejects the times whose candidate is inadmissible beyond
+SCREEN_MARGIN.  Each time is still evaluated alone, by one
+schmidt_candidate call, so the verdicts, the step counts and the
 benchmark's traced check (schmidt_candidate calls == RunRecord.steps) must
 all be those of the per-time path.
 """
@@ -17,7 +19,7 @@ from qhistories import consistency, randmodel, selection, spin
 from qhistories.histories import HistoryTree
 from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
                                sample_unit_vector)
-from qhistories.tolerances import ORACLE_RTOL
+from qhistories.tolerances import ORACLE_RTOL, SCREEN_MARGIN
 
 
 def _search_config(d2, seed, **kw):
@@ -112,8 +114,13 @@ def _grid_models():
 def _checked_accept(model, epsilon, delta, seen, accept_events=True):
     """accept for _grid_select that scores each time on the scan's leaves
     (chunked where prepared) and on a copy of them without a chunk (the
-    per-time path), and requires the same verdict and blocks."""
+    per-time path), and requires the same verdict, and the same blocks
+    where the screen did not reject.  seen gets (t, prepared, admissible,
+    rejected by the screen) per time."""
     def accept(leaves, t):
+        prepared = leaves.chunk.get(t)
+        screened = prepared is not None and prepared.rejects(
+            epsilon, delta, "relative")
         got = selection._admissible(model, leaves, t, epsilon, delta,
                                     "relative")
         bare = selection.LeafStates(leaves.tree, leaves.states)
@@ -124,7 +131,7 @@ def _checked_accept(model, epsilon, delta, seen, accept_events=True):
             scale = np.max(np.abs(want.blocks))
             assert np.max(np.abs(got.blocks - want.blocks)) \
                 <= ORACLE_RTOL * scale
-        seen.append((t, leaves.chunk.get(t) is not None, got is not None))
+        seen.append((t, prepared is not None, got is not None, screened))
         return got if accept_events else None
     return accept
 
@@ -133,7 +140,7 @@ def _checked_accept(model, epsilon, delta, seen, accept_events=True):
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_chunked_scan_agrees_with_the_per_time_path(name, model, t_max, grid,
                                                     chunked):
-    verdicts = set()
+    verdicts, screened = set(), 0
     for epsilon, delta, accept_events in ((0.05, 0.02, True),
                                           (1e-3, 0.02, True),
                                           (0.05, 0.02, False)):
@@ -145,10 +152,142 @@ def test_chunked_scan_agrees_with_the_per_time_path(name, model, t_max, grid,
         if not accept_events:
             # one LeafStates, so every grid time was scanned
             assert len(seen) == grid + 1 and not sel.events
-        prepared = sum(p for _, p, _ in seen)
+        prepared = sum(p for _, p, _, _ in seen)
         assert (prepared > 0) == chunked, name
-        verdicts.update(v for _, _, v in seen)
+        verdicts.update(v for _, _, v, _ in seen)
+        screened += sum(r for _, _, _, r in seen)
     assert verdicts == {True, False}, name
+    # the screen did reject, wherever there was a chunk
+    assert (screened > 0) == chunked, name
+
+
+def _two_leaves(model):
+    """LeafStates of the model's set after its first event at epsilon 0.5,
+    with a chunk prepared from the next time of a 300-step grid over
+    [0, 2], and the per-time path's blocks at each time of the chunk."""
+    leaves = selection.LeafStates(HistoryTree(initial_state=model.psi0,
+                                              evolution=model.evolution))
+    ts = np.linspace(0.0, 2.0, 301).tolist()
+    t0, ext = next((t, e) for t, e in (
+        (t, selection._admissible(model, leaves, t, 0.5, 0.02, "relative"))
+        for t in ts[1:]) if e is not None)
+    leaves = ext.extend()
+    leaves.chunk = selection._prepare_chunk(
+        model, leaves, ts[ts.index(t0) + 1],
+        lambda t: ts[ts.index(t) + 1] if t < ts[-1] else None)
+    blocks = {t: selection.Extension(
+        leaves, selection.schmidt_candidate(prepared, t), None,
+        prepared.leaves).blocks for t, prepared in leaves.chunk.items()}
+    return leaves, blocks
+
+
+def _least_passing_epsilon(blocks):
+    """The smallest float epsilon at which the per-time medium verdict of
+    blocks passes."""
+    eps = consistency.consistency_report(blocks).dhp
+    while not consistency.medium_pass(blocks, eps):
+        eps = np.nextafter(eps, np.inf)
+    while consistency.medium_pass(blocks, np.nextafter(eps, 0.0)):
+        eps = np.nextafter(eps, 0.0)
+    return float(eps)
+
+
+def test_a_near_epsilon_time_is_left_to_the_per_time_path():
+    # at the least epsilon the per-time path admits, the stacked Gram
+    # blocks round to a ratio above it at some times; the screen must leave
+    # those to the per-time path (a screen without SCREEN_MARGIN rejects
+    # them), and it rejects the same times once epsilon is far enough below
+    model = _flow_model(2, 4, 1)
+    leaves, blocks = _two_leaves(model)
+    assert len(blocks) > 100
+    near = 0
+    for t, prepared in leaves.chunk.items():
+        epsilon = _least_passing_epsilon(blocks[t])
+        worst = prepared._screen.worst[prepared._i]
+        if worst > epsilon:
+            near += 1
+            assert selection._admissible(model, leaves, t, epsilon, 0.0,
+                                         "relative") is not None, t
+        below = epsilon - 2 * SCREEN_MARGIN
+        assert prepared.rejects(below, 0.0, "relative") \
+            == (worst > below + SCREEN_MARGIN), t
+        assert not consistency.medium_pass(blocks[t], below)
+    assert near > 0
+
+
+def test_a_near_delta_time_is_left_to_the_per_time_path():
+    # the same at the largest delta at which the per-time path finds every
+    # child non-trivial: the stacked child probabilities round below it at
+    # some times (epsilon 2 passes every ratio)
+    model = _flow_model(2, 4, 1)
+    leaves, blocks = _two_leaves(model)
+    parents = leaves.probabilities[:, None]
+    near = 0
+    for t, prepared in leaves.chunk.items():
+        children = blocks[t].diagonal(0, 1, 2).real.T
+        delta = float(np.min(children / parents))
+        while not consistency.nontrivial(parents, children, delta):
+            delta = np.nextafter(delta, 0.0)
+        while consistency.nontrivial(parents, children,
+                                     np.nextafter(delta, 1.0)):
+            delta = np.nextafter(delta, 1.0)
+        screened = prepared._screen.children[prepared._i].T
+        if (screened < delta * parents).any():
+            near += 1
+            assert selection._admissible(model, leaves, t, 2.0, delta,
+                                         "relative") is not None, t
+        # a shortfall of SCREEN_MARGIN on the smallest parent is rejected
+        assert prepared.rejects(
+            2.0, delta + 2 * SCREEN_MARGIN / parents.min(), "relative"), t
+    assert near > 0
+
+
+def test_screened_projectors_are_the_per_time_ones_to_the_bit():
+    model = _flow_model(3, 9, 3)
+    leaves, _ = _two_leaves(model)
+    assert all(p.projectors is not None for p in leaves.chunk.values())
+    for t, prepared in leaves.chunk.items():
+        unscreened = selection._Prepared(model, prepared.state(t),
+                                         prepared.svd, prepared.leaves)
+        assert unscreened.projectors is None
+        want = selection.schmidt_candidate(unscreened, t).projectors
+        got = selection.schmidt_candidate(prepared, t).projectors
+        assert len(got) == len(want) == 3
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_rank_deficient_times_take_the_per_time_path():
+    # no interaction and a product psi0: psi(t) has Schmidt rank 1 at every
+    # t, so each candidate is a projector and its complement, and the
+    # empty branch fails non-triviality, on the per-time path
+    rng = RandomStream(8, "product")
+    A, B = sample_gue(2, 1.0, rng.stream("A")), sample_gue(4, 1.0,
+                                                           rng.stream("B"))
+    H = np.kron(A, np.eye(4)) + np.kron(np.eye(2), B)
+    psi = np.kron(sample_unit_vector(2, "complex", rng.stream("a")),
+                  sample_unit_vector(4, "complex", rng.stream("b")))
+    model = selection.BipartiteModel(2, 4, psi, HamiltonianFlow(H))
+    seen = []
+    selection._grid_select(
+        model, _checked_accept(model, 0.05, 0.02, seen, accept_events=False),
+        2.0, 100, 1e-6, 16)
+    assert len(seen) == 101 and all(p for _, p, *_ in seen)
+    assert not any(ok or screened for _, _, ok, screened in seen)
+    leaves = selection.LeafStates(HistoryTree(initial_state=model.psi0,
+                                              evolution=model.evolution))
+    chunk = selection._prepare_chunk(model, leaves, 0.5, lambda t: None)
+    assert chunk[0.5].projectors is None
+    assert len(selection.schmidt_candidate(chunk[0.5], 0.5)) == 2
+
+
+def test_a_system_larger_than_its_environment_raises_as_before(monkeypatch):
+    flow = _flow_model(2, 3, 9)
+    model = selection.BipartiteModel(3, 2, flow.psi0, flow.evolution)
+    chunks = _record_chunks(monkeypatch)
+    with pytest.raises(ValueError, match="d1 <= d2"):
+        selection.earliest_time_select(model, 0.05, 0.02, 2.0)
+    assert chunks and all(p.projectors is None and p.svd is not None
+                          for chunk in chunks for p in chunk.values())
 
 
 @pytest.mark.parametrize("evolution,size", [
@@ -197,7 +336,7 @@ def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
     selection._grid_select(
         model, _checked_accept(model, 0.05, 0.02, seen, accept_events=False),
         t_max, grid, 1e-6, 16)
-    verdicts = {t: ok for t, _, ok in seen}
+    verdicts = {t: ok for t, _, ok, _ in seen}
     assert len(verdicts) == grid + 1 and not verdicts[t_bad]
     bad_chunk = next(chunk for chunk in chunks if t_bad in chunk)
     assert all(p.svd is None for p in bad_chunk.values())
@@ -209,14 +348,16 @@ def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
 def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
         monkeypatch):
     # the recoherence cycle refuses t > 3 pi/2; a chunk reaching past it
-    # leaves its times to the per-time path, so a scan that is full before
-    # then returns, and one that is not raises at the first bad time
+    # is halved until it ends before the refused times, so the grid times
+    # before them stay prepared, a scan that is full before then returns,
+    # and one that is not raises at the first bad time
     model = _recoherence_model()
+    grid_times = set(np.linspace(0.0, 6.0, 401).tolist())
     seen = []
     sel = selection._grid_select(
         model, _checked_accept(model, 1e-6, 0.05, seen), 6.0, 400, 1e-6, 2)
-    assert len(sel.events) == 2 and max(t for t, _, _ in seen) < math.pi
-    assert not any(prepared for _, prepared, _ in seen)
+    assert len(sel.events) == 2 and max(t for t, *_ in seen) < math.pi
+    assert all(prepared for t, prepared, *_ in seen if t in grid_times)
     calls = _count_candidates(monkeypatch)
     with pytest.raises(ValueError, match="3 pi/2"):
         selection.earliest_time_select(model, 1e-6, 0.05, 6.0)
@@ -259,7 +400,7 @@ def test_a_nan_state_raises_at_its_own_time(monkeypatch):
     assert calls[-1] == t_bad and len(seen) == 40
     assert chunks[0][seen[0][0]] is not None and t_bad in chunks[0]
     assert all(p.svd is None for p in chunks[0].values())
-    assert {ok for _, _, ok in seen} == {True}
+    assert {ok for _, _, ok, _ in seen} == {True}
 
 
 # -- the lazy report ---------------------------------------------------------

@@ -22,6 +22,21 @@ def test_fmt_and_parse_token_roundtrip():
         == pytest.approx(0.1234567890123, rel=1e-12)
 
 
+def test_fmt_and_parse_records_change_the_type_of_some_values():
+    # the record format as it stands: a float that prints as an integer
+    # comes back an int (-0.0 as 0, sign lost); a complex comes back as text
+    buf = io.StringIO()
+    cli.emit_records(buf, "types", {"one": 1.0, "zero": -0.0},
+                     ["one", "zero", "z"], [[1.0, -0.0, complex(1, -2)]])
+    assert buf.getvalue().splitlines()[1:] == [
+        "# one = 1", "# zero = -0", "one zero z", "1 -0 1-2j"]
+    _, meta, _, rows = cli.parse_records(buf.getvalue())
+    assert meta == {"one": 1, "zero": 0} and rows == [[1, 0, "1-2j"]]
+    assert [type(v) for v in rows[0]] == [int, int, str]
+    assert [type(v) for v in meta.values()] == [int, int]
+    assert math.copysign(1.0, rows[0][1]) == 1.0
+
+
 def test_emit_parse_roundtrip():
     buf = io.StringIO()
     meta = {"n": 4, "eps": 0.05, "tag": "demo"}

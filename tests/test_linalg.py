@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhistories.linalg import (DegenerateWeightsError, HamiltonianFlow,
+                               _fix_column_phases,
                                RandomStream, eigenvalue_rates, evolve,
                                hermitian_eig, leading_view, sample_gue,
                                sample_unit_vector, schmidt_decompose,
                                schmidt_generator, split_degenerate)
+from qhistories.tolerances import ORACLE_RTOL
 
 
 def test_random_stream_deterministic():
@@ -42,6 +44,22 @@ def test_hermitian_eig_reproducible_phases():
     vals2, vecs2 = hermitian_eig(H.copy())
     assert np.array_equal(vecs1, vecs2)
     assert np.max(np.abs(H @ vecs1 - vecs1 * vals1[None, :])) < 1e-10
+
+
+def test_column_phases_of_a_stack_are_those_of_each_matrix():
+    # the scan's stacked screen fixes the phases of a chunk of Schmidt bases
+    # at once; each must be the single matrix's to the bit
+    rng = np.random.default_rng(3)
+    V = rng.normal(size=(7, 4, 3)) + 1j * rng.normal(size=(7, 4, 3))
+    V[2, :, 1] = 0.0        # a zero column keeps phase 1
+    fixed, phases = _fix_column_phases(V)
+    for Vt, got, phase in zip(V, fixed, phases):
+        want, want_phase = _fix_column_phases(Vt)
+        assert np.array_equal(got, want) and np.array_equal(phase, want_phase)
+    pivots = np.take_along_axis(fixed, np.argmax(np.abs(fixed), axis=1)
+                                [:, None, :], axis=1)
+    assert np.all(np.abs(pivots.imag) <= ORACLE_RTOL * np.abs(pivots))
+    assert np.all(pivots.real >= 0)
 
 
 def test_hermitian_eig_rejects_nonhermitian():
