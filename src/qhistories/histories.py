@@ -12,7 +12,8 @@ back once.  Trees are immutable; extension returns a new tree sharing
 untouched subtrees.
 
 Evolution is matrix-free.  An evolution is an object with
-apply(states, t, adjoint=False) returning U(t) states or U(t)^dag states
+apply(states, t, adjoint=False) returning U(t) states or U(t)^dag states,
+and apply_times(states, ts) stacking U(t) states over many t
 (HamiltonianFlow, the spin chains); a callable t -> U(t) is wrapped once
 by CallableEvolution.  Operators act on the leading tensor factor
 (apply_leading): an operator of size d applied to a state of size d*m acts
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eig, leading_view
-from .tolerances import PROJECTOR_TOL, SCHMIDT_WEIGHT_TOL
+from .tolerances import NORM_TOL, PROJECTOR_TOL, SCHMIDT_WEIGHT_TOL
 
 
 def apply_leading(op, states):
@@ -54,10 +55,16 @@ class CallableEvolution:
         U = self._latest[1]
         return apply_leading(U.conj().T if adjoint else U, states)
 
+    def apply_times(self, states, ts):
+        """U(t) states for every t of ts, stacked on a leading time axis:
+        one apply per time."""
+        return np.stack([self.apply(states, t) for t in ts])
+
 
 def as_evolution(evolution):
-    """None, an object with apply(states, t, adjoint=False), or a callable
-    t -> U(t) wrapped in CallableEvolution."""
+    """None, an object with apply(states, t, adjoint=False) and
+    apply_times(states, ts), or a callable t -> U(t) wrapped in
+    CallableEvolution."""
     if evolution is None or hasattr(evolution, "apply"):
         return evolution
     return CallableEvolution(evolution)
@@ -118,7 +125,9 @@ class HistoryTree:
     as U(t)^dag P U(t) on the initial state.  A mixed initial
     state (density matrix) of size d is purified into C^d (x) C^r, r its
     rank read from the eigenvalues; evolution and projectors stay at size
-    d and act on the leading factor.
+    d and act on the leading factor.  A pure or purified state whose norm
+    is off 1 by more than NORM_TOL (a density of trace other than 1, or
+    with a negative eigenvalue) or is NaN raises ValueError.
     """
 
     def __init__(self, initial_state=None, evolution=None,
@@ -134,6 +143,10 @@ class HistoryTree:
             psi = (vecs * np.sqrt(vals)[None, :]).reshape(-1)
         else:
             psi = np.asarray(initial_state, dtype=complex).reshape(-1)
+        norm = np.linalg.norm(psi)
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValueError(
+                f"initial state is not normalized: |psi| = {norm}")
         self.initial_state = psi
         self.evolution = as_evolution(evolution)
         self.root = _Node()

@@ -1,8 +1,8 @@
 """Set-selection algorithms over bipartite models.
 
 A model exposes an initial state, an evolution and a system/environment
-split.  The evolution is matrix-free, apply(states, t, adjoint=False)
-(histories.as_evolution): the spin models pass a spin.ChainEvolution, the
+split.  The evolution is matrix-free, apply(states, t, adjoint=False) and
+apply_times(states, ts) (histories.as_evolution): the spin models pass a spin.ChainEvolution, the
 random models a HamiltonianFlow, and a callable t -> U(t) is wrapped once.
 Candidate projective decompositions are the Schmidt (reduced-density
 eigenbasis) projections of the evolved state, given at system size d1 and
@@ -28,19 +28,18 @@ strategies (earliest-time, quasi-dynamical and the random-run search in
 randmodel) share one scan-and-bisect loop, _scan_select, and differ only
 in scan times, stop rule and budget.
 
-The scan works in chunks of upcoming scan times (_prepare_chunk): an
-evolution with apply_times (HamiltonianFlow, spin.ChainEvolution) evolves
-psi0 and the current leaf states to every time of a chunk in one product,
-and one stacked SVD gives the Schmidt factors of all the psi(t).  From
-these the chunk's stacked screen (_Screen) forms the Schmidt projectors
-and the k Gram blocks of every time at once, and rejects the times whose
-candidate is inadmissible by more than SCREEN_MARGIN.  Each time is still
-evaluated alone and in order, by one schmidt_candidate call that reads its
-slice; a time the screen rejects stops there, and every other one is
-judged by the per-time path, so verdicts and evaluation counts are those
-of that path.  Bisection midpoints, retrodictive selection, the
-persistence probe and evolutions without apply_times (CallableEvolution)
-take the per-time path.
+The scan works in chunks of upcoming scan times (_prepare_chunk), held as
+one _Chunk on the current leaves: the evolution's apply_times evolves
+psi0 and the leaf states to every time of a chunk in one product, and
+one stacked SVD gives the Schmidt factors of all the psi(t).  From these
+the chunk forms the Schmidt projectors and the k Gram blocks of every time
+at once, and its screen rejects the times whose candidate is inadmissible
+by more than SCREEN_MARGIN (_Chunk.rejects).  Each time is still evaluated
+alone and in order, by one schmidt_candidate call that reads the chunk's
+arrays at that time; a time the screen rejects stops there, and every
+other one is judged by the per-time path, so verdicts and evaluation
+counts are those of that path.  Bisection midpoints, retrodictive
+selection and the persistence probe take the per-time path.
 """
 
 import bisect
@@ -66,8 +65,9 @@ SCAN_BLOCK = 1 << 12     # complex entries of the states one scan chunk evolves
 @dataclass
 class BipartiteModel:
     """System (x) environment model: |psi0> on C^{d1} (x) C^{d2} evolved by
-    unitary, an object with apply(states, t, adjoint=False) or a callable
-    t -> U(t).  evolution is its apply-protocol form (as_evolution)."""
+    unitary, an object with apply(states, t, adjoint=False) and
+    apply_times(states, ts), or a callable t -> U(t).  evolution is its
+    apply-protocol form (as_evolution)."""
 
     d1: int
     d2: int
@@ -112,37 +112,57 @@ class SelectedSet:
         return [e.time for e in self.events]
 
 
-class _Screen:
-    """The stacked screen of a scan chunk, built from the stacked SVD (U, s)
-    of its psi(t) (d1 x d2 matrices, 2 <= d1 <= d2) and its evolved leaf
-    states.
+class _Chunk:
+    """The scan times that _scan_select prepared together for one set of
+    leaves (_prepare_chunk), and what it computed for all of them at once.
 
-    A time is screened when psi(t) passes schmidt_decompose's norm guard
-    and splits at full Schmidt rank with no complement.  Its candidate is
-    then the d1 rank-1 projectors of the phase-fixed U, formed by the
-    products np.outer forms, so they are the per-time path's to the bit.
-    The k Gram blocks of the leaves extended by them are taken for the
-    whole chunk at once, G_i = Y_i^T conj(Y_i) with Y_i = u_i^dag V.  These
+    index maps each time to its row of the stacked arrays: psi, the (T, d)
+    psi(t); leaves, the (T, d, n) leaf states evolved to t; svd, the
+    stacked thin SVD (U, s, Vh) of the psi(t) as d1 x d2 matrices, or None
+    when it raised LinAlgError; and parents, the leaves' probabilities.
+
+    A time is screened when there is an SVD, 2 <= d1 <= d2, and psi(t)
+    passes schmidt_decompose's norm guard and splits at full Schmidt rank
+    with no complement.  Its candidate is then projectors[i], the d1
+    rank-1 projectors of the phase-fixed U formed by the products np.outer
+    forms, so they are the per-time path's to the bit.  The k Gram blocks
+    of the leaves extended by them are taken for the whole chunk at once,
+    G_i = Y_i^T conj(Y_i) with Y_i = u_i^dag V, giving the children
+    (T, k, n) and the worst counted overlap ratio of each time.  These
     round otherwise than _projected_gram's, so rejects() trusts them only
     beyond SCREEN_MARGIN, and only for pairs with sqrt(G_aa G_bb) of at
     least SCREEN_ROOT_FLOOR.  (The norm guard is taken over the stack; it
     rounds apart from a single norm by far less than NORM_TOL from the 1
     of an evolved state.)"""
 
-    def __init__(self, psi, U, s, leaves, parents):
-        T, d1, _ = U.shape
-        n = leaves.shape[-1]
+    def __init__(self, model, times, evolved, parents):
+        T, d1 = len(times), model.d1
+        self.index = {t: i for i, t in enumerate(times)}
+        self.psi, self.leaves = evolved[:, :, 0], evolved[:, :, 1:]
+        self.parents = parents
+        self.screened = np.zeros(T, dtype=bool)
+        self._rejects = {}
+        try:
+            self.svd = np.linalg.svd(self.psi.reshape(T, d1, model.d2),
+                                     full_matrices=False)
+        except np.linalg.LinAlgError:
+            self.svd = None
+        if self.svd is None or not 2 <= d1 <= model.d2:
+            return
+        U, s, _ = self.svd
+        n = self.leaves.shape[-1]
         cols = np.swapaxes(_fix_column_phases(U)[0], 1, 2)   # u_i = cols[t, i]
         self.projectors = cols[:, :, :, None] * cols[:, :, None, :].conj()
         total = np.zeros((T, d1, d1), dtype=complex)
         for i in range(d1):
             total = total + self.projectors[:, i]
-        self.screened = ((np.abs(np.linalg.norm(psi, axis=1) - 1.0)
+        self.screened = ((np.abs(np.linalg.norm(self.psi, axis=1) - 1.0)
                           <= NORM_TOL)
                          & (s ** 2 > SCHMIDT_WEIGHT_TOL).all(axis=1)
                          & ~(np.abs(np.eye(d1) - total).max(axis=(1, 2))
                              > COMPLEMENT_TOL))
-        Y = (cols.conj() @ leaves.reshape(T, d1, -1)).reshape(T, d1, -1, n)
+        Y = (cols.conj() @ self.leaves.reshape(T, d1, -1)).reshape(
+            T, d1, -1, n)
         G = np.swapaxes(Y, 2, 3) @ Y.conj()         # (T, k, n, n)
         self.children = G.diagonal(0, 2, 3).real    # (T, k, n)
         product = self.children[..., :, None] * self.children[..., None, :]
@@ -150,15 +170,17 @@ class _Screen:
             product >= SCREEN_ROOT_FLOOR ** 2, product, np.inf))
         ratio[..., range(n), range(n)] = 0.0
         self.worst = ratio.max(axis=(1, 2, 3))     # largest counted ratio
-        self.parents = parents
-        self._rejects = {}
 
-    def rejects(self, epsilon, delta, delta_mode):
-        """The screened times whose candidate is inadmissible beyond doubt
-        at (epsilon, delta, delta_mode): a counted pair's overlap ratio
-        exceeds epsilon, or a live child's probability falls below delta
-        (times its parent, when relative), each by more than SCREEN_MARGIN.
-        Inputs that the per-time path refuses are left to it."""
+    def rejects(self, t, epsilon, delta, delta_mode):
+        """Whether the chunk's time t is screened and its candidate
+        inadmissible beyond doubt at (epsilon, delta, delta_mode): a
+        counted pair's overlap ratio exceeds epsilon, or a live child's
+        probability falls below delta (times its parent, when relative),
+        each by more than SCREEN_MARGIN.  Inputs that the per-time path
+        refuses are left to it."""
+        i = self.index[t]
+        if not self.screened[i]:
+            return False
         key = (epsilon, delta, delta_mode)
         if key not in self._rejects:
             out = np.zeros_like(self.screened)
@@ -171,48 +193,31 @@ class _Screen:
                            if delta_mode == "relative" else delta)
                     out |= (self.children[:, :, live]
                             < bar - SCREEN_MARGIN).any(axis=(1, 2))
-            self._rejects[key] = out & self.screened
-        return self._rejects[key]
+            self._rejects[key] = out
+        return bool(self._rejects[key][i])
 
 
-class _Prepared:
-    """What a scan chunk computed for its i-th time t: psi(t), the thin SVD
-    factors of psi(t) as a (d1, d2) matrix (None when the chunk's stacked
-    SVD failed), the leaf states evolved to t and the chunk's _Screen (None
-    when there is none).  It stands in for the model in schmidt_candidate
-    at t; projectors is the (d1, d1, d1) stack of the candidate at a
-    screened time, else None."""
+def schmidt_candidate(model, t, chunk=None):
+    """Schmidt projective decomposition of the state of model at time t:
+    d1 x d1 system projectors onto the retained Schmidt vectors, plus the
+    complement of their span when rank-deficient.
 
-    def __init__(self, model, state, svd, leaves, screen=None, i=0):
-        self.d1, self.d2 = model.d1, model.d2
-        self._state, self.svd, self.leaves = state, svd, leaves
-        self._screen, self._i = screen, i
-        self.projectors = (screen.projectors[i]
-                           if screen is not None and screen.screened[i]
-                           else None)
-
-    def state(self, t):
-        return self._state
-
-    def rejects(self, epsilon, delta, delta_mode):
-        return self.projectors is not None and bool(
-            self._screen.rejects(epsilon, delta, delta_mode)[self._i])
-
-
-def schmidt_candidate(model, t):
-    """Schmidt projective decomposition of the state at time t: d1 x d1
-    system projectors onto the retained Schmidt vectors, plus the
-    complement of their span when rank-deficient.  model is a
-    BipartiteModel, or a scan chunk's _Prepared slice at t: its screened
-    projectors when it has them, else its psi(t) and SVD factors as they
-    stand (still checked for norm and phase-fixed by schmidt_decompose)."""
-    svd = None
-    if isinstance(model, _Prepared):
-        if model.projectors is not None:
-            return ProjectiveDecomposition(t, model.projectors, check=False)
-        svd = model.svd
-    sd = schmidt_decompose(model.state(t), model.d1, model.d2, svd=svd)
-    projs = [sd.system_projector(i) for i, w in enumerate(sd.weights)
+    When t is a time of chunk (a _Chunk), psi(t) and its SVD factors are
+    read from the chunk as they stand (still checked for norm and
+    phase-fixed by schmidt_decompose), and a screened time's projectors
+    are returned without either.  _admissible calls this exactly once per
+    admissibility evaluation: the benchmark's traced check needs
+    schmidt_candidate calls to equal the evaluations (RunRecord.steps)."""
+    i = None if chunk is None else chunk.index.get(t)
+    if i is None:
+        psi, svd = model.state(t), None
+    elif chunk.screened[i]:
+        return ProjectiveDecomposition(t, chunk.projectors[i], check=False)
+    else:
+        psi = chunk.psi[i]
+        svd = None if chunk.svd is None else [f[i] for f in chunk.svd]
+    sd = schmidt_decompose(psi, model.d1, model.d2, svd=svd)
+    projs = [sd.system_projector(j) for j, w in enumerate(sd.weights)
              if w > SCHMIDT_WEIGHT_TOL]
     rest = np.eye(model.d1) - sum(projs, np.zeros((model.d1, model.d1),
                                                   dtype=complex))
@@ -223,9 +228,9 @@ def schmidt_candidate(model, t):
 
 class LeafStates:
     """A history tree with the path-projected states u_a of its leaves as
-    the columns of one matrix, in leaves() order.  chunk maps the scan
-    times that _scan_select prepared for these leaves to their _Prepared
-    slices; a new LeafStates starts with none."""
+    the columns of one matrix, in leaves() order.  chunk is the _Chunk of
+    scan times that _scan_select prepared for these leaves; a new
+    LeafStates starts with None."""
 
     def __init__(self, tree, states=None):
         self.tree = tree
@@ -233,7 +238,7 @@ class LeafStates:
             states = tree.leaf_states()
         self.states = states
         self.probabilities = np.linalg.norm(states, axis=0) ** 2
-        self.chunk = {}
+        self.chunk = None
 
 
 def _projected_gram(evolution, states, dec, evolved=None):
@@ -308,20 +313,21 @@ def _admissible(model, leaves, t, epsilon, delta, delta_mode):
     are its squared column norms, judged in one nontrivial call as a
     column against the rows of children.  No tree is built here: the
     caller extends the tree with Extension.extend() once per accepted
-    event.  A time that _scan_select prepared for these leaves reads psi(t),
-    its SVD factors and the evolved leaf states from leaves.chunk, and is
-    rejected at once when the chunk's screen rejects it (_Screen.rejects).
+    event.  A time of leaves.chunk reads psi(t), its SVD factors and the
+    evolved leaf states from the chunk, and is rejected at once when the
+    chunk's screen rejects it (_Chunk.rejects).
     Returns the Extension, or None when inadmissible."""
-    prepared = leaves.chunk.get(t)
+    chunk = leaves.chunk
+    i = None if chunk is None else chunk.index.get(t)
     try:
-        dec = schmidt_candidate(model if prepared is None else prepared, t)
+        dec = schmidt_candidate(model, t, chunk)
     except np.linalg.LinAlgError:
         return None
-    if len(dec) < 2 or (prepared is not None
-                        and prepared.rejects(epsilon, delta, delta_mode)):
+    if len(dec) < 2 or (i is not None
+                        and chunk.rejects(t, epsilon, delta, delta_mode)):
         return None
     ext = Extension(leaves, dec, epsilon,
-                    None if prepared is None else prepared.leaves)
+                    None if i is None else chunk.leaves[i])
     if not ext.medium_pass:
         return None
     live = ~(leaves.probabilities < LIVE_PROBABILITY_TOL)
@@ -344,20 +350,13 @@ def _chain(model, decompositions, epsilon):
 
 
 def _prepare_chunk(model, leaves, t, advance):
-    """leaves.chunk for the scan times t, advance(t), ...: as many as fit
-    in SCAN_BLOCK complex entries of evolved states, and at least t.
+    """The _Chunk of the scan times t, advance(t), ...: as many as fit in
+    SCAN_BLOCK complex entries of evolved states, and at least t.
 
     [psi0 | leaf states] is evolved to every time of the chunk by one
-    evolution.apply_times call, psi(t) is split by one stacked SVD over
-    (T, d1, d2), and the chunk's _Screen is built from both.  An evolution
-    without apply_times prepares nothing.  One that raises ValueError has
+    evolution.apply_times call.  An evolution that raises ValueError has
     the chunk halved until it evolves, so the chunk ends before the times
-    it refuses; when it refuses t alone, t is left to the per-time path,
-    which raises there.  A stacked SVD that raises LinAlgError leaves each
-    time to its own SVD, unscreened."""
-    apply_times = getattr(model.evolution, "apply_times", None)
-    if apply_times is None:
-        return {}
+    it refuses; when it refuses t alone, the error is raised here, at t."""
     X = np.column_stack([model.psi0, leaves.states])
     times = [t]
     while len(times) < SCAN_BLOCK // X.size:
@@ -367,24 +366,13 @@ def _prepare_chunk(model, leaves, t, advance):
         times.append(t)
     while True:
         try:
-            evolved = apply_times(X, times)
-            break
+            evolved = model.evolution.apply_times(X, times)
         except ValueError:
             if len(times) == 1:
-                return dict.fromkeys(times)
+                raise
             del times[(len(times) + 1) // 2:]
-    psi = evolved[:, :, 0]
-    try:
-        U, s, Vh = np.linalg.svd(psi.reshape(-1, model.d1, model.d2),
-                                 full_matrices=False)
-    except np.linalg.LinAlgError:
-        svd, screen = [None] * len(times), None
-    else:
-        svd = zip(U, s, Vh)
-        screen = (_Screen(psi, U, s, evolved[:, :, 1:], leaves.probabilities)
-                  if 2 <= model.d1 <= model.d2 else None)
-    return {time: _Prepared(model, V[:, 0], factors, V[:, 1:], screen, i)
-            for i, (time, V, factors) in enumerate(zip(times, evolved, svd))}
+        else:
+            return _Chunk(model, times, evolved, leaves.probabilities)
 
 
 def _scan_select(model, accept, start, advance, refine_tol, full,
@@ -409,7 +397,7 @@ def _scan_select(model, accept, start, advance, refine_tol, full,
     calls, t, lo = 0, start, None
     while not full(leaves, events) and t is not None and calls < budget:
         calls += 1
-        if t not in leaves.chunk:
+        if leaves.chunk is None or t not in leaves.chunk.index:
             leaves.chunk = _prepare_chunk(model, leaves, t, advance)
         ext = accept(leaves, t)
         if ext is not None and lo is not None:
@@ -434,7 +422,19 @@ def _scan_select(model, accept, start, advance, refine_tol, full,
 
 
 def _grid_select(model, accept, t_max, grid, refine_tol, max_events):
-    """_scan_select on linspace(0, t_max, grid + 1), to max_events events."""
+    """_scan_select on linspace(0, t_max, grid + 1), to max_events events.
+    Raises ValueError unless t_max is positive and finite, grid positive,
+    and refine_tol and max_events non-negative (NaN fails each test)."""
+    if not 0 < t_max < np.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    if not grid >= 1:
+        raise ValueError(f"grid must be positive, got {grid}")
+    if not refine_tol >= 0:
+        raise ValueError(
+            f"refine_tol must be non-negative, got {refine_tol}")
+    if not max_events >= 0:
+        raise ValueError(
+            f"max_events must be non-negative, got {max_events}")
     ts = np.linspace(0.0, t_max, grid + 1).tolist()
 
     def advance(t):
@@ -464,7 +464,12 @@ def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
     """Earliest-time selection with a persistence gate: an admissible time
     is accepted only if re-applying the same decomposition at t + probe_dt
     leaves the set exactly consistent, so projections must hold still
-    under the dynamics at the moment they are made."""
+    under the dynamics at the moment they are made.  probe_dt must be
+    positive and finite."""
+    if not 0 < probe_dt < np.inf:
+        raise ValueError(
+            f"probe_dt must be positive and finite, got {probe_dt}")
+
     def accept(leaves, t):
         ext = _admissible(model, leaves, t, epsilon, delta, delta_mode)
         if ext is None:

@@ -1,22 +1,25 @@
 """The chunked scan of selection._scan_select against the per-time path.
 
-A scan prepares a chunk of upcoming times at once (_prepare_chunk): one
-apply_times call evolves [psi0 | leaf states] to every time of the chunk,
-one stacked SVD splits the psi(t), and the chunk's stacked screen
-(_Screen) rejects the times whose candidate is inadmissible beyond
-SCREEN_MARGIN.  Each time is still evaluated alone, by one
-schmidt_candidate call, so the verdicts, the step counts and the
+A scan prepares a chunk of upcoming times at once (_prepare_chunk), held
+as one selection._Chunk on the leaves: one apply_times call evolves
+[psi0 | leaf states] to every time of the chunk, one stacked SVD splits
+the psi(t), and the chunk's stacked screen rejects the times whose
+candidate is inadmissible beyond SCREEN_MARGIN (_Chunk.rejects).  Each
+time is still evaluated alone, by one schmidt_candidate call that reads
+the chunk's arrays at that time, so the verdicts, the step counts and the
 benchmark's traced check (schmidt_candidate calls == RunRecord.steps) must
-all be those of the per-time path.
+all be those of the per-time path.  The chunks are read here through
+their arrays, by the row chunk.index[t] of each time t.
 """
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from qhistories import consistency, randmodel, selection, spin
-from qhistories.histories import HistoryTree
+from qhistories.histories import CallableEvolution, HistoryTree
 from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
                                sample_unit_vector)
 from qhistories.tolerances import ORACLE_RTOL, SCREEN_MARGIN
@@ -86,29 +89,55 @@ def test_candidate_calls_equal_steps(monkeypatch, d2, seed, max_steps):
     rec = randmodel.run_forward_search(_search_config(d2, seed,
                                                       max_steps=max_steps))
     assert len(calls) == rec.steps
-    assert any(len(chunk) > 1 for chunk in chunks)
+    assert any(len(chunk.index) > 1 for chunk in chunks)
     if max_steps < 20000:
         assert rec.termination == "max_steps" and rec.steps == max_steps
     if max_steps == 100:
         # the last time evaluated was not the last one its chunk prepared
-        times = list(chunks[-1])
+        times = list(chunks[-1].index)
         assert calls[-1] in times and calls[-1] != times[-1]
+
+
+def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
+    # one schmidt_decompose for each evaluation the chunk did not screen
+    # (bisection midpoints and unscreened chunk times), and none for a
+    # screened one: a per-time SVD or phase fix at screened times fails here
+    unscreened, decompositions = [], []
+    candidate = selection.schmidt_candidate
+    decompose = selection.schmidt_decompose
+
+    def counted_candidate(model, t, chunk=None):
+        i = None if chunk is None else chunk.index.get(t)
+        unscreened.append(i is None or not chunk.screened[i])
+        return candidate(model, t, chunk)
+
+    def counted_decompose(*args, **kwargs):
+        decompositions.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "schmidt_candidate", counted_candidate)
+    monkeypatch.setattr(selection, "schmidt_decompose", counted_decompose)
+    rec = randmodel.run_forward_search(_search_config(16, 12))
+    assert len(unscreened) == rec.steps
+    assert 0 < sum(unscreened) == len(decompositions) < rec.steps
 
 
 # -- the chunked scan against the per-time path, verdict for verdict -------
 
 def _grid_models():
-    """(name, model, t_max, grid, whether it has apply_times)."""
+    """(name, model, t_max, grid, the class of its evolution)."""
     for d1, d2, seed in ((2, 4, 1), (2, 16, 2), (3, 9, 3)):
-        yield f"flow{d1}x{d2}", _flow_model(d1, d2, seed), 2.0, 300, True
-    yield "recoherence", _recoherence_model(), 3 * math.pi / 2, 400, True
+        yield (f"flow{d1}x{d2}", _flow_model(d1, d2, seed), 2.0, 300,
+               HamiltonianFlow)
+    yield ("recoherence", _recoherence_model(), 3 * math.pi / 2, 400,
+           spin.ChainEvolution)
     for seed, n in ((4, 2), (5, 3)):
         yield (f"spin-n{n}", selection.spin_model(_spin_config(seed, n)),
-               float(n), 200, True)
+               float(n), 200, spin.ChainEvolution)
     flow = _flow_model(2, 4, 1)
     yield ("callable", selection.BipartiteModel(2, 4, flow.psi0,
                                                 flow.evolution.unitary),
-           2.0, 300, False)
+           2.0, 300, CallableEvolution)
 
 
 def _checked_accept(model, epsilon, delta, seen, accept_events=True):
@@ -118,9 +147,9 @@ def _checked_accept(model, epsilon, delta, seen, accept_events=True):
     where the screen did not reject.  seen gets (t, prepared, admissible,
     rejected by the screen) per time."""
     def accept(leaves, t):
-        prepared = leaves.chunk.get(t)
-        screened = prepared is not None and prepared.rejects(
-            epsilon, delta, "relative")
+        chunk = leaves.chunk
+        prepared = chunk is not None and t in chunk.index
+        screened = prepared and chunk.rejects(t, epsilon, delta, "relative")
         got = selection._admissible(model, leaves, t, epsilon, delta,
                                     "relative")
         bare = selection.LeafStates(leaves.tree, leaves.states)
@@ -131,15 +160,19 @@ def _checked_accept(model, epsilon, delta, seen, accept_events=True):
             scale = np.max(np.abs(want.blocks))
             assert np.max(np.abs(got.blocks - want.blocks)) \
                 <= ORACLE_RTOL * scale
-        seen.append((t, prepared is not None, got is not None, screened))
+        seen.append((t, prepared, got is not None, screened))
         return got if accept_events else None
     return accept
 
 
-@pytest.mark.parametrize("name,model,t_max,grid,chunked", list(_grid_models()),
+@pytest.mark.parametrize("name,model,t_max,grid,evolution",
+                         list(_grid_models()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_chunked_scan_agrees_with_the_per_time_path(name, model, t_max, grid,
-                                                    chunked):
+                                                    evolution):
+    # every evolution has apply_times (CallableEvolution stacks its apply),
+    # so every model's scan is chunked and screened
+    assert type(model.evolution) is evolution
     verdicts, screened = set(), 0
     for epsilon, delta, accept_events in ((0.05, 0.02, True),
                                           (1e-3, 0.02, True),
@@ -152,13 +185,13 @@ def test_chunked_scan_agrees_with_the_per_time_path(name, model, t_max, grid,
         if not accept_events:
             # one LeafStates, so every grid time was scanned
             assert len(seen) == grid + 1 and not sel.events
-        prepared = sum(p for _, p, _, _ in seen)
-        assert (prepared > 0) == chunked, name
+        # every grid time is prepared, and no bisection midpoint
+        grid_times = set(np.linspace(0.0, t_max, grid + 1).tolist())
+        assert all(p == (t in grid_times) for t, p, _, _ in seen), name
         verdicts.update(v for _, _, v, _ in seen)
         screened += sum(r for _, _, _, r in seen)
     assert verdicts == {True, False}, name
-    # the screen did reject, wherever there was a chunk
-    assert (screened > 0) == chunked, name
+    assert screened > 0, name
 
 
 def _two_leaves(model):
@@ -172,12 +205,12 @@ def _two_leaves(model):
         (t, selection._admissible(model, leaves, t, 0.5, 0.02, "relative"))
         for t in ts[1:]) if e is not None)
     leaves = ext.extend()
-    leaves.chunk = selection._prepare_chunk(
+    leaves.chunk = chunk = selection._prepare_chunk(
         model, leaves, ts[ts.index(t0) + 1],
         lambda t: ts[ts.index(t) + 1] if t < ts[-1] else None)
     blocks = {t: selection.Extension(
-        leaves, selection.schmidt_candidate(prepared, t), None,
-        prepared.leaves).blocks for t, prepared in leaves.chunk.items()}
+        leaves, selection.schmidt_candidate(model, t, chunk), None,
+        chunk.leaves[i]).blocks for t, i in chunk.index.items()}
     return leaves, blocks
 
 
@@ -200,16 +233,16 @@ def test_a_near_epsilon_time_is_left_to_the_per_time_path():
     model = _flow_model(2, 4, 1)
     leaves, blocks = _two_leaves(model)
     assert len(blocks) > 100
-    near = 0
-    for t, prepared in leaves.chunk.items():
+    chunk, near = leaves.chunk, 0
+    for t, i in chunk.index.items():
         epsilon = _least_passing_epsilon(blocks[t])
-        worst = prepared._screen.worst[prepared._i]
+        worst = chunk.worst[i]
         if worst > epsilon:
             near += 1
             assert selection._admissible(model, leaves, t, epsilon, 0.0,
                                          "relative") is not None, t
         below = epsilon - 2 * SCREEN_MARGIN
-        assert prepared.rejects(below, 0.0, "relative") \
+        assert chunk.rejects(t, below, 0.0, "relative") \
             == (worst > below + SCREEN_MARGIN), t
         assert not consistency.medium_pass(blocks[t], below)
     assert near > 0
@@ -222,8 +255,8 @@ def test_a_near_delta_time_is_left_to_the_per_time_path():
     model = _flow_model(2, 4, 1)
     leaves, blocks = _two_leaves(model)
     parents = leaves.probabilities[:, None]
-    near = 0
-    for t, prepared in leaves.chunk.items():
+    chunk, near = leaves.chunk, 0
+    for t, i in chunk.index.items():
         children = blocks[t].diagonal(0, 1, 2).real.T
         delta = float(np.min(children / parents))
         while not consistency.nontrivial(parents, children, delta):
@@ -231,27 +264,29 @@ def test_a_near_delta_time_is_left_to_the_per_time_path():
         while consistency.nontrivial(parents, children,
                                      np.nextafter(delta, 1.0)):
             delta = np.nextafter(delta, 1.0)
-        screened = prepared._screen.children[prepared._i].T
+        screened = chunk.children[i].T
         if (screened < delta * parents).any():
             near += 1
             assert selection._admissible(model, leaves, t, 2.0, delta,
                                          "relative") is not None, t
         # a shortfall of SCREEN_MARGIN on the smallest parent is rejected
-        assert prepared.rejects(
-            2.0, delta + 2 * SCREEN_MARGIN / parents.min(), "relative"), t
+        assert chunk.rejects(
+            t, 2.0, delta + 2 * SCREEN_MARGIN / parents.min(), "relative"), t
     assert near > 0
 
 
 def test_screened_projectors_are_the_per_time_ones_to_the_bit():
     model = _flow_model(3, 9, 3)
     leaves, _ = _two_leaves(model)
-    assert all(p.projectors is not None for p in leaves.chunk.values())
-    for t, prepared in leaves.chunk.items():
-        unscreened = selection._Prepared(model, prepared.state(t),
-                                         prepared.svd, prepared.leaves)
-        assert unscreened.projectors is None
-        want = selection.schmidt_candidate(unscreened, t).projectors
-        got = selection.schmidt_candidate(prepared, t).projectors
+    chunk = leaves.chunk
+    assert chunk.screened.all()
+    # the same chunk with no time screened: each candidate is taken from
+    # the chunk's psi(t) and SVD slice by the per-time path
+    unscreened = copy.copy(chunk)
+    unscreened.screened = np.zeros_like(chunk.screened)
+    for t in chunk.index:
+        want = selection.schmidt_candidate(model, t, unscreened).projectors
+        got = selection.schmidt_candidate(model, t, chunk).projectors
         assert len(got) == len(want) == 3
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -276,8 +311,8 @@ def test_rank_deficient_times_take_the_per_time_path():
     leaves = selection.LeafStates(HistoryTree(initial_state=model.psi0,
                                               evolution=model.evolution))
     chunk = selection._prepare_chunk(model, leaves, 0.5, lambda t: None)
-    assert chunk[0.5].projectors is None
-    assert len(selection.schmidt_candidate(chunk[0.5], 0.5)) == 2
+    assert list(chunk.index) == [0.5] and not chunk.screened[0]
+    assert len(selection.schmidt_candidate(model, 0.5, chunk)) == 2
 
 
 def test_a_system_larger_than_its_environment_raises_as_before(monkeypatch):
@@ -286,8 +321,8 @@ def test_a_system_larger_than_its_environment_raises_as_before(monkeypatch):
     chunks = _record_chunks(monkeypatch)
     with pytest.raises(ValueError, match="d1 <= d2"):
         selection.earliest_time_select(model, 0.05, 0.02, 2.0)
-    assert chunks and all(p.projectors is None and p.svd is not None
-                          for chunk in chunks for p in chunk.values())
+    assert chunks and all(not chunk.screened.any() and chunk.svd is not None
+                          for chunk in chunks)
 
 
 @pytest.mark.parametrize("evolution,size", [
@@ -338,11 +373,12 @@ def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
         t_max, grid, 1e-6, 16)
     verdicts = {t: ok for t, _, ok, _ in seen}
     assert len(verdicts) == grid + 1 and not verdicts[t_bad]
-    bad_chunk = next(chunk for chunk in chunks if t_bad in chunk)
-    assert all(p.svd is None for p in bad_chunk.values())
-    assert sum(verdicts[t] for t in bad_chunk) > len(bad_chunk) // 2
-    assert all(p.svd is not None for chunk in chunks if chunk is not bad_chunk
-               for p in chunk.values())
+    bad_chunk = next(chunk for chunk in chunks if t_bad in chunk.index)
+    assert bad_chunk.svd is None
+    assert sum(verdicts[t] for t in bad_chunk.index) \
+        > len(bad_chunk.index) // 2
+    assert all(chunk.svd is not None for chunk in chunks
+               if chunk is not bad_chunk)
 
 
 def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
@@ -350,7 +386,8 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
     # the recoherence cycle refuses t > 3 pi/2; a chunk reaching past it
     # is halved until it ends before the refused times, so the grid times
     # before them stay prepared, a scan that is full before then returns,
-    # and one that is not raises at the first bad time
+    # and one that is not raises at the first bad time, when its chunk is
+    # prepared, after every grid time before it was evaluated
     model = _recoherence_model()
     grid_times = set(np.linspace(0.0, 6.0, 401).tolist())
     seen = []
@@ -358,10 +395,20 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
         model, _checked_accept(model, 1e-6, 0.05, seen), 6.0, 400, 1e-6, 2)
     assert len(sel.events) == 2 and max(t for t, *_ in seen) < math.pi
     assert all(prepared for t, prepared, *_ in seen if t in grid_times)
+    starts = []
+    prepare = selection._prepare_chunk
+
+    def recorded(model, leaves, t, advance):
+        starts.append(t)
+        return prepare(model, leaves, t, advance)
+
+    monkeypatch.setattr(selection, "_prepare_chunk", recorded)
     calls = _count_candidates(monkeypatch)
     with pytest.raises(ValueError, match="3 pi/2"):
         selection.earliest_time_select(model, 1e-6, 0.05, 6.0)
-    assert calls[-1] > 3 * math.pi / 2
+    first_bad = min(t for t in grid_times if t > 3 * math.pi / 2)
+    assert starts[-1] == first_bad and max(calls) < first_bad
+    assert {t for t in grid_times if t < first_bad} <= set(calls)
 
 
 class _NaNAt(HamiltonianFlow):
@@ -398,8 +445,8 @@ def test_a_nan_state_raises_at_its_own_time(monkeypatch):
     # the stacked SVD refused the chunk; its earlier times were judged one
     # by one, as the per-time path judges them, and the scan stopped at t_bad
     assert calls[-1] == t_bad and len(seen) == 40
-    assert chunks[0][seen[0][0]] is not None and t_bad in chunks[0]
-    assert all(p.svd is None for p in chunks[0].values())
+    assert seen[0][0] in chunks[0].index and t_bad in chunks[0].index
+    assert chunks[0].svd is None
     assert {ok for _, _, ok, _ in seen} == {True}
 
 

@@ -180,6 +180,17 @@ def test_mixed_initial_state_purification():
     assert np.max(np.abs(D_mixed - D_sum)) < 1e-10
 
 
+@pytest.mark.parametrize("state", [
+    {"initial_state": [3.0, 4.0]},                  # probabilities 9 and 16
+    {"initial_density": np.diag([1.3, -0.3])},      # 1.3 and 0
+    {"initial_density": np.eye(2)},                 # summing to 2
+    {"initial_state": [np.nan, 1.0]},
+], ids=["pure", "negative-eigenvalue", "trace-2", "nan"])
+def test_an_unnormalised_initial_state_is_refused(state):
+    with pytest.raises(ValueError, match="not normalized"):
+        HistoryTree(**state)
+
+
 # Path states against dense Heisenberg chains, one tolerance relative to the
 # largest entry of the reference.
 REL_TOL = ORACLE_RTOL

@@ -486,6 +486,28 @@ def test_grid_selections_match_their_own_loop():
     assert {0, 1} < sizes and max(sizes) > 1
 
 
+@pytest.mark.parametrize("select,argument,value", [
+    (select, argument, value)
+    for select in (selection.earliest_time_select,
+                   selection.quasi_dynamical_select)
+    for argument, value in (("t_max", -1.0), ("t_max", 0.0),
+                            ("t_max", math.inf), ("t_max", math.nan),
+                            ("grid", 0), ("grid", -1),
+                            ("refine_tol", -1e-6), ("refine_tol", math.nan),
+                            ("max_events", -1), ("max_events", math.nan))
+] + [(selection.quasi_dynamical_select, "probe_dt", value)
+     for value in (0.0, -1e-3, math.inf, math.nan)])
+def test_grid_selections_refuse_invalid_arguments(select, argument, value):
+    # each was silently accepted: an empty set for t_max = -1, grid = 0 or
+    # -1, or max_events = -1, unrefined grid times for refine_tol = nan, no
+    # persistence gate for probe_dt = 0, a probe of the past for a negative
+    # probe_dt, and no events for probe_dt = nan
+    model = selection.spin_model(_config(4, 2))
+    kwargs = {"t_max": 2.0, argument: value}
+    with pytest.raises(ValueError, match=argument):
+        select(model, 0.05, 0.02, **kwargs)
+
+
 def test_zero_refine_tol_returns(monkeypatch):
     # at refine_tol = 0 (or below the float spacing) the bracket never gets
     # narrow enough; bisection must stop at adjacent floats, well within a
@@ -493,11 +515,11 @@ def test_zero_refine_tol_returns(monkeypatch):
     calls = []
     candidate = selection.schmidt_candidate
 
-    def bounded(model, t):
+    def bounded(model, t, chunk=None):
         calls.append(t)
         if len(calls) > 5000:
             raise RuntimeError("bisection does not terminate")
-        return candidate(model, t)
+        return candidate(model, t, chunk)
 
     monkeypatch.setattr(selection, "schmidt_candidate", bounded)
     a1, a2, u = _recoherence()
