@@ -95,6 +95,15 @@ def _subset_values(R, X):
     return np.einsum("si,ij,sj->s", X, R, X) - X @ np.diag(R)
 
 
+def _finite_real(D):
+    """Re D for the MPV functions, refusing a D with a NaN or infinite
+    entry: either would be scored as some finite MPV or as NaN."""
+    M = _entries(D)
+    if not np.isfinite(M).all():
+        raise ValueError("D has a NaN or infinite entry")
+    return M.real
+
+
 def mpv_exact(D):
     """Maximum probability violation by exhaustive subset scan.
 
@@ -103,31 +112,36 @@ def mpv_exact(D):
     distinct a, b in S.  The histories are split into the first h = n//2
     and the rest, f(S) = f(S_lo) + f(S_hi) + cross(S_lo, S_hi), so each
     half is tabulated once and the 2^n values are scanned as blocks
-    f_hi + f_lo + X_hi W^T of at most MPV_BLOCK entries: memory stays
-    flat in n, apart from the half tables of 2^h rows.
+    |(f_hi + f_lo) + X_hi W^T| of at most MPV_BLOCK entries.  Every block
+    is summed and made absolute in place in one reused buffer, so the scan
+    holds that buffer and the X_hi W^T product, MPV_BLOCK entries each,
+    besides the half tables of 2^h and 2^(n-h) rows: memory stays flat in
+    n, apart from those tables.
 
     The witness is the subset of smallest index (bit i = history i) whose
     value is the largest; ties between subsets of equal value are decided
     by roundoff (for frame pairs, a whole frame and the same frame plus a
-    history whose cross entries are exactly 0 tie).  Refuses above
-    MPV_EXHAUSTIVE_CAP = 26 histories; use mpv_greedy there."""
-    M = _entries(D)
-    n = M.shape[0]
+    history whose cross entries are exactly 0 tie).  Refuses a D with a
+    NaN or infinite entry, and more than MPV_EXHAUSTIVE_CAP = 26
+    histories; use mpv_greedy there."""
+    R = _finite_real(D)
+    n = R.shape[0]
     if n > MPV_EXHAUSTIVE_CAP:
         raise ValueError(
             f"{n} histories exceeds the exhaustive cap {MPV_EXHAUSTIVE_CAP}")
-    R = M.real
     h = n // 2
     X_lo, X_hi = _subset_bits(h), _subset_bits(n - h)
     f_lo = _subset_values(R[:h, :h], X_lo)
     f_hi = _subset_values(R[h:, h:], X_hi)
     W = X_lo @ (R[:h, h:] + R[h:, :h].T)
-    rows = max(1, MPV_BLOCK >> h)
+    rows = min(max(1, MPV_BLOCK >> h), f_hi.size)   # divides f_hi.size
+    F = np.empty((rows, f_lo.size))
     best_val, best_idx = 0.0, 0
-    for start in range(0, 1 << (n - h), rows):
-        stop = start + rows
-        F = np.abs(f_hi[start:stop, None] + f_lo[None, :]
-                   + X_hi[start:stop] @ W.T)
+    for start in range(0, f_hi.size, rows):
+        blk = slice(start, start + rows)
+        np.add(f_hi[blk, None], f_lo, out=F)
+        F += X_hi[blk] @ W.T
+        np.abs(F, out=F)
         i = int(np.argmax(F))
         if F.flat[i] > best_val:
             hi, lo = divmod(i, F.shape[1])
@@ -142,42 +156,50 @@ def mpv_greedy(D):
 
     Seed (sign, a < b) starts from {a, b} with value 2 sign Re D_ab and
     repeatedly adds the history of largest gain 2 sign sum_{j in S} Re D_ij
-    (first index on ties) while that gain exceeds MPV_GAIN_TOL.  All seeds
-    advance together as rows of a gain matrix, in blocks of at most
-    MPV_BLOCK entries: adding history j to a row adds 2 sign Re D[:, j]
-    to its gains, and a member's gain is held at -inf."""
-    M = _entries(D)
-    n = M.shape[0]
-    R = M.real
+    (first index on ties) while that gain exceeds MPV_GAIN_TOL.  The + seeds,
+    then the - seeds, advance together as rows of a gain matrix, in blocks
+    of at most MPV_BLOCK entries: adding history j to a row adds (+ pass)
+    or subtracts (- pass) row j of the contiguous table 2 Re D^T to its
+    gains in place, and a member's gain is held at -inf.  The block is
+    compressed only at steps where some row stops.  So the scan holds at
+    most two blocks at once (the gains and either the gathered rows or the
+    compressed copy) besides the n x n table and the seed-pair indices.
+    Refuses a D with a NaN or infinite entry."""
+    R = _finite_real(D)
+    n = R.shape[0]
+    RT2 = np.ascontiguousarray(R.T) * 2.0
     a, b = np.triu_indices(n, 1)
-    sign = np.repeat([2.0, -2.0], a.size)
-    a, b = np.tile(a, 2), np.tile(b, 2)
     rows = max(1, MPV_BLOCK // max(n, 1))
     best = 0.0
-    for start in range(0, sign.size, rows):
-        sa, sb = a[start:start + rows], b[start:start + rows]
-        s = sign[start:start + rows, None]
-        value = s[:, 0] * R[sa, sb]
-        gains = s * (R[:, sa] + R[:, sb]).T
-        seeds = np.arange(s.size)
-        gains[seeds, sa] = gains[seeds, sb] = -np.inf
-        while value.size:
-            j = np.argmax(gains, axis=1)
-            gain = gains[np.arange(j.size), j]
-            grow = gain > MPV_GAIN_TOL
-            best = max(best, float(np.abs(value[~grow]).max(initial=0.0)))
-            gains, s, j = gains[grow], s[grow], j[grow]
-            value = value[grow] + gain[grow]
-            gains += s * R[:, j].T
-            gains[np.arange(j.size), j] = -np.inf
+    for sign, update in ((1.0, np.add), (-1.0, np.subtract)):
+        for start in range(0, a.size, rows):
+            sa, sb = a[start:start + rows], b[start:start + rows]
+            value = sign * RT2[sb, sa]
+            gains = RT2[sa]
+            gains += RT2[sb]
+            gains *= sign
+            seeds = np.arange(sa.size)
+            gains[seeds, sa] = gains[seeds, sb] = -np.inf
+            while value.size:
+                j = np.argmax(gains, axis=1)
+                gain = gains[seeds[:j.size], j]
+                grow = gain > MPV_GAIN_TOL
+                if not grow.all():
+                    best = max(best, float(np.abs(value[~grow]).max()))
+                    gains, value = gains[grow], value[grow]
+                    gain, j = gain[grow], j[grow]
+                value += gain
+                update(gains, RT2[j], out=gains)
+                gains[seeds[:j.size], j] = -np.inf
     return best
 
 
 def mpv_upper_bound(D):
-    """sum of |Re D_ab| over distinct pairs: a cheap certified bound."""
-    M = _entries(D)
-    off = ~np.eye(M.shape[0], dtype=bool)
-    return float(np.abs(M.real[off]).sum())
+    """sum of |Re D_ab| over distinct pairs: a cheap certified bound.
+    Refuses a D with a NaN or infinite entry."""
+    R = _finite_real(D)
+    off = ~np.eye(R.shape[0], dtype=bool)
+    return float(np.abs(R[off]).sum())
 
 
 def epsilon_for_delta(delta, d, mode="general"):

@@ -1,12 +1,15 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhistories import randmodel
-from qhistories.consistency import (MPV_EXHAUSTIVE_CAP, UnresolvedLimitError,
+from qhistories.consistency import (MPV_BLOCK, MPV_EXHAUSTIVE_CAP,
+                                    MPV_GAIN_TOL, UnresolvedLimitError,
+                                    _subset_bits, _subset_values,
                                     consistency_report, env_orthogonality,
                                     epsilon_for_delta, is_exactly_consistent,
                                     limit_dhc, linear_positivity, mpv_exact,
@@ -163,6 +166,127 @@ def test_mpv_greedy_matches_loop_on_frame_pairs(n_histories):
     D = frame_pair_matrix(n_histories // 2, 0.02).entries
     tol = MPV_RTOL * np.abs(D.real).max()
     assert abs(mpv_greedy(D) - _mpv_greedy_loop(D)) <= tol
+
+
+def _mpv_exact_fresh_blocks(D):
+    """Reference: mpv_exact's split scan with a fresh
+    |(f_hi + f_lo) + X_hi W^T| temporary per block."""
+    R = np.asarray(D, dtype=complex).real
+    n = R.shape[0]
+    h = n // 2
+    X_lo, X_hi = _subset_bits(h), _subset_bits(n - h)
+    f_lo = _subset_values(R[:h, :h], X_lo)
+    f_hi = _subset_values(R[h:, h:], X_hi)
+    W = X_lo @ (R[:h, h:] + R[h:, :h].T)
+    rows = max(1, MPV_BLOCK >> h)
+    best_val, best_idx = 0.0, 0
+    for start in range(0, 1 << (n - h), rows):
+        stop = start + rows
+        F = np.abs(f_hi[start:stop, None] + f_lo[None, :]
+                   + X_hi[start:stop] @ W.T)
+        i = int(np.argmax(F))
+        if F.flat[i] > best_val:
+            hi, lo = divmod(i, F.shape[1])
+            best_val, best_idx = float(F.flat[i]), (start + hi) << h | lo
+    return best_val, tuple(i for i in range(n) if (best_idx >> i) & 1)
+
+
+def _mpv_greedy_signed_rows(D):
+    """Reference: mpv_greedy with the + and - seeds as rows of one gain
+    matrix, a sign column scaling each step's strided column gather, and
+    the block compressed at every step."""
+    R = np.asarray(D, dtype=complex).real
+    n = R.shape[0]
+    a, b = np.triu_indices(n, 1)
+    sign = np.repeat([2.0, -2.0], a.size)
+    a, b = np.tile(a, 2), np.tile(b, 2)
+    rows = max(1, MPV_BLOCK // max(n, 1))
+    best = 0.0
+    for start in range(0, sign.size, rows):
+        sa, sb = a[start:start + rows], b[start:start + rows]
+        s = sign[start:start + rows, None]
+        value = s[:, 0] * R[sa, sb]
+        gains = s * (R[:, sa] + R[:, sb]).T
+        seeds = np.arange(s.size)
+        gains[seeds, sa] = gains[seeds, sb] = -np.inf
+        while value.size:
+            j = np.argmax(gains, axis=1)
+            gain = gains[np.arange(j.size), j]
+            grow = gain > MPV_GAIN_TOL
+            best = max(best, float(np.abs(value[~grow]).max(initial=0.0)))
+            gains, s, j = gains[grow], s[grow], j[grow]
+            value = value[grow] + gain[grow]
+            gains += s * R[:, j].T
+            gains[np.arange(j.size), j] = -np.inf
+    return best
+
+
+# (label, D, exact too): seeded Gram matrices, frame pairs and the matrices
+# of `qhist dheg --n 8..10`.
+_BIT_CASES = (
+    [(f"gram-n{n}-s{seed}", _random_matrix(3000 + 10 * n + seed, n).entries,
+      True) for n in (0, 1, 2, 5, 9, 16, 20, 22) for seed in range(2)]
+    + [(f"gram-n{n}", _random_matrix(3000 + 10 * n, n).entries, False)
+       for n in (33, 48, 64)]
+    + [(f"pairs-{2 * k}", frame_pair_matrix(k, 0.01).entries, k <= 8)
+       for k in (8, 16, 32, 64)]
+    + [(f"dheg-n{k}", frame_pair_matrix(k, 0.05).entries, True)
+       for k in (8, 9, 10)])
+
+
+@pytest.mark.parametrize("D,exact", [case[1:] for case in _BIT_CASES],
+                         ids=[case[0] for case in _BIT_CASES])
+def test_mpv_scans_are_bit_identical_to_the_references(D, exact):
+    assert mpv_greedy(D) == _mpv_greedy_signed_rows(D)
+    if exact:
+        assert mpv_exact(D) == _mpv_exact_fresh_blocks(D)
+
+
+def _mpv_peak_bound(n, exact):
+    """Bytes an MPV scan of n histories may allocate at once: two blocks
+    of MPV_BLOCK float64 entries (exact: the scan buffer and the X_hi W^T
+    product; greedy: the gain block and its gathered rows or compressed
+    copy), the tables (exact: X_lo, X_hi, W, f_lo and f_hi, with h = n//2;
+    greedy: 2 Re D^T and the 2 C(n, 2) seed-pair indices), and a quarter
+    block for the per-row vectors and small arrays."""
+    h = n // 2
+    tables = ((1 << h) * (n + 1) + (1 << (n - h)) * (n - h + 1) if exact
+              else n * n + n * (n - 1))
+    return 8 * (2 * MPV_BLOCK + tables + MPV_BLOCK // 4)
+
+
+@pytest.mark.parametrize("mpv,n", [(mpv_greedy, 64), (mpv_greedy, 128),
+                                   (mpv_exact, 20), (mpv_exact, 24)],
+                         ids=["greedy-64", "greedy-128", "exact-20",
+                              "exact-24"])
+def test_mpv_scans_stay_within_their_memory_bound(mpv, n):
+    D = (frame_pair_matrix(n // 2, 0.01) if mpv is mpv_greedy
+         else _random_matrix(4000 + n, n)).entries
+    mpv(D)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        mpv(D)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= _mpv_peak_bound(n, mpv is mpv_exact)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.1, np.nan)],
+                         ids=["nan", "inf", "-inf", "nan-imaginary"])
+@pytest.mark.parametrize("mpv", [mpv_exact, mpv_greedy, mpv_upper_bound])
+def test_mpv_refuses_a_non_finite_matrix(mpv, bad):
+    D = _random_matrix(5, 6).entries
+    D[1, 4] = D[4, 1] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        mpv(D)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        mpv(DecoherenceMatrix(D, list(range(6))))
 
 
 @pytest.mark.parametrize("D", [np.zeros((0, 0)), np.full((1, 1), 0.7),
