@@ -13,9 +13,11 @@ untouched subtrees.
 
 Evolution is matrix-free.  An evolution is an object with
 apply(states, t, adjoint=False) returning U(t) states or U(t)^dag states,
-and apply_times(states, ts) stacking U(t) states over many t
-(HamiltonianFlow, the spin chains); a callable t -> U(t) is wrapped once
-by CallableEvolution.  Operators act on the leading tensor factor
+and apply_times(states, ts) stacking U(t) states over the times ts, a
+(0, ...) stack for no times.  HamiltonianFlow and spin.ChainEvolution
+compute both in one kernel over a sequence of times; a callable
+t -> U(t) is wrapped once by CallableEvolution, whose apply_times stacks
+one apply per time.  Operators act on the leading tensor factor
 (apply_leading): an operator of size d applied to a state of size d*m acts
 as op (x) 1_m by reshape, so system projectors and a purified state's base
 evolution stay at their own size.
@@ -58,12 +60,14 @@ class CallableEvolution:
     def apply_times(self, states, ts):
         """U(t) states for every t of ts, stacked on a leading time axis:
         one apply per time."""
-        return np.stack([self.apply(states, t) for t in ts])
+        return np.array([self.apply(states, t) for t in ts],
+                        dtype=complex).reshape((len(ts),) + np.shape(states))
 
 
 def as_evolution(evolution):
     """None, an object with apply(states, t, adjoint=False) and
-    apply_times(states, ts), or a callable t -> U(t) wrapped in
+    apply_times(states, ts) (HamiltonianFlow, spin.ChainEvolution: one
+    kernel each, which both enter), or a callable t -> U(t) wrapped in
     CallableEvolution."""
     if evolution is None or hasattr(evolution, "apply"):
         return evolution

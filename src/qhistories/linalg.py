@@ -115,12 +115,8 @@ class SchmidtDecomposition:
         return np.outer(v, v.conj())
 
 
-def schmidt_decompose(psi, d1, d2, norm_tol=NORM_TOL, svd=None):
-    """Schmidt decomposition of psi in C^{d1} (x) C^{d2}, d1 <= d2.
-
-    svd, when given, is the thin SVD (U, s, Vh) of psi reshaped to
-    (d1, d2), already taken (one slice of a stacked SVD); psi is checked
-    and the phases fixed all the same."""
+def schmidt_decompose(psi, d1, d2, norm_tol=NORM_TOL):
+    """Schmidt decomposition of psi in C^{d1} (x) C^{d2}, d1 <= d2."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != d1 * d2:
         raise ValueError(f"state has dim {psi.size}, expected {d1}*{d2}")
@@ -129,9 +125,7 @@ def schmidt_decompose(psi, d1, d2, norm_tol=NORM_TOL, svd=None):
     norm = np.linalg.norm(psi)
     if not abs(norm - 1.0) <= norm_tol:
         raise ValueError(f"state is not normalized: |psi| = {norm}")
-    if svd is None:
-        svd = np.linalg.svd(psi.reshape(d1, d2), full_matrices=False)
-    U, s, Vh = svd
+    U, s, Vh = np.linalg.svd(psi.reshape(d1, d2), full_matrices=False)
     # fold the phase fix of the system basis into the environment rows
     U, phases = _fix_column_phases(U)
     Vh = Vh * phases[:, None]
@@ -242,7 +236,9 @@ def leading_view(states, d):
 
 
 class HamiltonianFlow:
-    """Constant-Hamiltonian evolution with a cached eigendecomposition."""
+    """Constant-Hamiltonian evolution with a cached eigendecomposition.
+    apply and apply_times both enter one kernel over a sequence of times
+    (_evolve)."""
 
     def __init__(self, H):
         self.H = _as_complex_matrix(H)
@@ -255,22 +251,21 @@ class HamiltonianFlow:
         return (vecs * np.exp(-1j * vals * t)[None, :]) @ self._vecs_h
 
     def apply(self, states, t, adjoint=False):
-        """U(t) states, or U(t)^dag states, as V (e^{-+i lambda t} (.) V^dag X)
-        without forming U(t).  states is a state vector or a matrix of
-        column states; a size d*m acts as U (x) 1_m (leading factor)."""
-        vals, vecs = self.eig
-        phase = np.exp((1j if adjoint else -1j) * vals * t)
-        X = leading_view(np.asarray(states, dtype=complex), self.dim)
-        return (vecs @ (phase[:, None] * (self._vecs_h @ X))).reshape(
-            np.shape(states))
+        """U(t) states, or U(t)^dag states, without forming U(t).  states is
+        a state vector or a matrix of column states; a size d*m acts as
+        U (x) 1_m (leading factor)."""
+        return self._evolve(states, (t,), adjoint)[0]
 
     def apply_times(self, states, ts):
-        """U(t) states for every t of ts, stacked on a leading time axis:
-        V^dag X once, then V (e^{-i lambda t} (.) V^dag X) for all t in one
-        batched product."""
+        """U(t) states for every t of ts, stacked on a leading time axis."""
+        return self._evolve(states, ts, False)
+
+    def _evolve(self, states, ts, adjoint):
+        # V (e^{-+i lambda t} (.) V^dag X) for all t of ts in one batched
+        # product, V^dag X taken once
         vals, vecs = self.eig
         ts = np.asarray(ts, dtype=float)
-        phase = np.exp(-1j * vals * ts[:, None])
+        phase = np.exp((1j if adjoint else -1j) * vals * ts[:, None])
         X = leading_view(np.asarray(states, dtype=complex), self.dim)
         return (vecs @ (phase[:, :, None] * (self._vecs_h @ X))).reshape(
             ts.shape + np.shape(states))

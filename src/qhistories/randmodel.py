@@ -54,9 +54,12 @@ class RunConfig:
         if not self.refine_tol >= 0:
             raise ValueError(
                 f"refine_tol must be non-negative, got {self.refine_tol}")
-        if self.max_steps < 0:
+        if not self.max_steps >= 0:
             raise ValueError(
                 f"max_steps must be non-negative, got {self.max_steps}")
+        if not self.max_histories >= 0:
+            raise ValueError(
+                f"max_histories must be non-negative, got {self.max_histories}")
 
 
 @dataclass

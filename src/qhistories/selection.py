@@ -2,8 +2,10 @@
 
 A model exposes an initial state, an evolution and a system/environment
 split.  The evolution is matrix-free, apply(states, t, adjoint=False) and
-apply_times(states, ts) (histories.as_evolution): the spin models pass a spin.ChainEvolution, the
-random models a HamiltonianFlow, and a callable t -> U(t) is wrapped once.
+apply_times(states, ts) (histories.as_evolution): the spin models pass a
+spin.ChainEvolution, the random models a HamiltonianFlow (each computes
+both in one kernel over a sequence of times), and a callable t -> U(t) is
+wrapped once.
 Candidate projective decompositions are the Schmidt (reduced-density
 eigenbasis) projections of the evolved state, given at system size d1 and
 applied to the leading (system) factor of the states
@@ -35,11 +37,13 @@ one stacked SVD gives the Schmidt factors of all the psi(t).  From these
 the chunk forms the Schmidt projectors and the k Gram blocks of every time
 at once, and its screen rejects the times whose candidate is inadmissible
 by more than SCREEN_MARGIN (_Chunk.rejects).  Each time is still evaluated
-alone and in order, by one schmidt_candidate call that reads the chunk's
-arrays at that time; a time the screen rejects stops there, and every
-other one is judged by the per-time path, so verdicts and evaluation
-counts are those of that path.  Bisection midpoints, retrodictive
-selection and the persistence probe take the per-time path.
+alone and in order, by one schmidt_candidate call at that time: a
+screened time takes its projectors from the chunk, any other one
+decomposes the chunk's psi(t) with its own SVD (schmidt_decompose); a time
+the screen rejects stops there, and every other one is judged by the
+per-time path, so verdicts and evaluation counts are those of that path.
+Bisection midpoints, retrodictive selection and the persistence probe
+take the per-time path.
 """
 
 import bisect
@@ -202,21 +206,17 @@ def schmidt_candidate(model, t, chunk=None):
     d1 x d1 system projectors onto the retained Schmidt vectors, plus the
     complement of their span when rank-deficient.
 
-    When t is a time of chunk (a _Chunk), psi(t) and its SVD factors are
-    read from the chunk as they stand (still checked for norm and
-    phase-fixed by schmidt_decompose), and a screened time's projectors
-    are returned without either.  _admissible calls this exactly once per
+    When t is a time of chunk (a _Chunk), a screened time's projectors are
+    returned from the chunk as they stand, and any other time decomposes
+    the chunk's psi(t) by schmidt_decompose, which checks its norm and
+    takes its own SVD.  _admissible calls this exactly once per
     admissibility evaluation: the benchmark's traced check needs
     schmidt_candidate calls to equal the evaluations (RunRecord.steps)."""
     i = None if chunk is None else chunk.index.get(t)
-    if i is None:
-        psi, svd = model.state(t), None
-    elif chunk.screened[i]:
+    if i is not None and chunk.screened[i]:
         return ProjectiveDecomposition(t, chunk.projectors[i], check=False)
-    else:
-        psi = chunk.psi[i]
-        svd = None if chunk.svd is None else [f[i] for f in chunk.svd]
-    sd = schmidt_decompose(psi, model.d1, model.d2, svd=svd)
+    psi = model.state(t) if i is None else chunk.psi[i]
+    sd = schmidt_decompose(psi, model.d1, model.d2)
     projs = [sd.system_projector(j) for j, w in enumerate(sd.weights)
              if w > SCHMIDT_WEIGHT_TOL]
     rest = np.eye(model.d1) - sum(projs, np.zeros((model.d1, model.d1),

@@ -281,7 +281,7 @@ def test_screened_projectors_are_the_per_time_ones_to_the_bit():
     chunk = leaves.chunk
     assert chunk.screened.all()
     # the same chunk with no time screened: each candidate is taken from
-    # the chunk's psi(t) and SVD slice by the per-time path
+    # the chunk's psi(t) by the per-time path, with its own SVD
     unscreened = copy.copy(chunk)
     unscreened.screened = np.zeros_like(chunk.screened)
     for t in chunk.index:

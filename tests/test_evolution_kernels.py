@@ -1,0 +1,202 @@
+"""The evolution kernels against the kernels they replaced, bit for bit.
+
+HamiltonianFlow and spin.ChainEvolution each compute U(t) X in one kernel
+over a sequence of times, which both apply (one time, either direction)
+and apply_times (many times, forward) enter.  The reference functions
+below are the bodies these models had when apply and apply_times were
+separate products; the arithmetic is unchanged, so the results must be
+equal, not merely close.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qhistories import spin
+from qhistories.histories import CallableEvolution
+from qhistories.linalg import (HamiltonianFlow, RandomStream, leading_view,
+                               sample_gue, sample_unit_vector)
+
+
+# -- the references ---------------------------------------------------------
+
+def _flow_apply(flow, states, t, adjoint=False):
+    vals, vecs = flow.eig
+    phase = np.exp((1j if adjoint else -1j) * vals * t)
+    X = leading_view(np.asarray(states, dtype=complex), flow.dim)
+    return (vecs @ (phase[:, None] * (flow._vecs_h @ X))).reshape(
+        np.shape(states))
+
+
+def _flow_apply_times(flow, states, ts):
+    vals, vecs = flow.eig
+    ts = np.asarray(ts, dtype=float)
+    phase = np.exp(-1j * vals * ts[:, None])
+    X = leading_view(np.asarray(states, dtype=complex), flow.dim)
+    return (vecs @ (phase[:, :, None] * (flow._vecs_h @ X))).reshape(
+        ts.shape + np.shape(states))
+
+
+def _chain_apply(chain, states, t, adjoint=False):
+    shape = np.shape(states)
+    x = leading_view(np.array(states, dtype=complex), chain.dim)
+    ks = range(chain.n, 0, -1) if adjoint else range(1, chain.n + 1)
+    for k in ks:
+        th = chain.theta(k, t)
+        if th == 0.0:
+            continue
+        s = -math.sin(th) if adjoint else math.sin(th)
+        c1 = -2.0 * math.sin(th / 2) ** 2
+        rot_minus_one = np.array([[c1, -s], [s, c1]], dtype=complex)
+        w = np.matmul(rot_minus_one, x.reshape(2 ** k, 2, -1))
+        x = x + (chain._minus[k - 1] @ w.reshape(2, -1)).reshape(x.shape)
+    return x.reshape(shape)
+
+
+def _chain_apply_times(chain, states, ts):
+    shape, T = np.shape(states), len(ts)
+    x = leading_view(np.asarray(states, dtype=complex), chain.dim)
+    x = np.broadcast_to(x, (T,) + x.shape)
+    for k in range(1, chain.n + 1):
+        rot_minus_one = np.zeros((T, 2, 2), dtype=complex)
+        for i, t in enumerate(ts):
+            th = chain.theta(k, t)
+            if th != 0.0:
+                s, c1 = math.sin(th), -2.0 * math.sin(th / 2) ** 2
+                rot_minus_one[i] = [[c1, -s], [s, c1]]
+        if not rot_minus_one.any():
+            continue
+        w = np.matmul(rot_minus_one[:, None], x.reshape(T, 2 ** k, 2, -1))
+        x = x + (chain._minus[k - 1] @ w.reshape(T, 2, -1)).reshape(x.shape)
+    return np.ascontiguousarray(x).reshape((T,) + shape)
+
+
+# -- the cases --------------------------------------------------------------
+
+def _axes(seed, n):
+    rng = RandomStream(seed, "kernel-axes")
+    return np.array([sample_unit_vector(3, "real", rng.stream(f"u{k}"))
+                     for k in range(n)])
+
+
+def _states(size, columns, seed):
+    """A state vector (columns None) or a matrix of column states."""
+    rng = np.random.default_rng(seed)
+    shape = (size,) if columns is None else (size, columns)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+COLUMNS = [None, 1, 3, 8]
+
+
+def _chains():
+    """(name, evolution, times to apply at, chunks of times)."""
+    for n in range(1, 7):
+        inside = [k - f for k in range(1, n + 1) for f in (0.75, 0.5, 0.1)]
+        chunks = [
+            [0.0],
+            np.linspace(n - 1, n, 9).tolist(),      # within interaction n
+            np.linspace(0.0, n + 0.5, 4 * n + 3).tolist(),   # all of them
+            [float(k) for k in range(n + 2)],       # the boundaries
+            [n - 0.5, n - 0.5, float(n + 1)],       # shared and repeated
+        ]
+        yield (f"chain-n{n}", spin.ChainEvolution(_axes(n, n),
+                                                  spin.theta_schedule),
+               [0.0, 1.0, float(n), n + 1.5] + inside, chunks)
+    plateau = np.linspace(math.pi / 2, math.pi, 7).tolist()
+    yield ("recoherence",
+           spin.recoherence_evolution(np.array([0.0, 0.6, 0.8])),
+           [0.0, 0.3, math.pi / 2, 2.0, math.pi, 4.0, 3 * math.pi / 2],
+           [plateau, np.linspace(0.0, 3 * math.pi / 2, 13).tolist(),
+            [0.0, 3 * math.pi / 2], [1.0, 2.0]])
+    # angles that differ at interaction 1 and are shared after it, so the
+    # states split before a shared nonzero step
+    yield ("shared-after-split",
+           spin.ChainEvolution(_axes(9, 3),
+                               lambda k, t: t if k == 1 else 0.3 * k),
+           [0.0, 0.4, 1.1], [[0.0, 0.4, 1.1], [0.5, 0.5], [0.2, 0.0]])
+
+
+@pytest.mark.parametrize("chain,times,chunks", [
+    pytest.param(*case, id=name) for name, *case in _chains()])
+def test_chain_kernel_is_the_old_kernels_bit_for_bit(chain, times, chunks):
+    for i, columns in enumerate(COLUMNS):
+        for factor in (1, 2):     # leading factor of a larger state
+            states = _states(chain.dim * factor, columns, i)
+            for t in times:
+                for adjoint in (False, True):
+                    got = chain.apply(states, t, adjoint)
+                    want = _chain_apply(chain, states, t, adjoint)
+                    assert got.shape == want.shape == states.shape
+                    assert np.array_equal(got, want), (t, adjoint, columns)
+                    assert not np.shares_memory(got, states)
+            for ts in chunks:
+                got = chain.apply_times(states, ts)
+                want = _chain_apply_times(chain, states, ts)
+                assert got.shape == (len(ts),) + states.shape
+                assert np.array_equal(got, want), (ts, columns)
+                assert not np.shares_memory(got, states)
+
+
+def _flows():
+    """(name, flow, the sizes of the states it acts on)."""
+    for d, sizes in ((4, (4, 8, 12)), (8, (8, 16)), (32, (32, 96)),
+                     (128, (128, 256))):
+        rng = RandomStream(d, "kernel-flow")
+        yield f"flow-d{d}", HamiltonianFlow(sample_gue(d, 1.0, rng)), sizes
+
+
+@pytest.mark.parametrize("flow,sizes", [
+    pytest.param(*case, id=name) for name, *case in _flows()])
+def test_flow_kernel_is_the_old_kernels_bit_for_bit(flow, sizes):
+    times = [0.0, 0.25, 1.0, 2.0, 7.5]
+    for size in sizes:
+        for i, columns in enumerate(COLUMNS):
+            states = _states(size, columns, i)
+            for t in times:
+                for adjoint in (False, True):
+                    got = flow.apply(states, t, adjoint)
+                    assert got.shape == states.shape
+                    assert np.array_equal(
+                        got, _flow_apply(flow, states, t, adjoint))
+            for ts in ([0.0], times, np.linspace(0.0, 2.0, 33)):
+                got = flow.apply_times(states, ts)
+                assert got.shape == (len(ts),) + states.shape
+                assert np.array_equal(got,
+                                      _flow_apply_times(flow, states, ts))
+
+
+def test_the_chain_calls_theta_as_before():
+    # interaction by interaction, each at every time in order, so a theta
+    # that refuses a time (recoherence_theta) raises at the same call
+    calls = []
+
+    def theta(k, t):
+        calls.append((k, t))
+        return spin.theta_schedule(k, t)
+
+    chain = spin.ChainEvolution(_axes(3, 3), theta)
+    psi = _states(chain.dim, None, 0)
+    chain.apply(psi, 1.5, adjoint=True)
+    assert calls == [(3, 1.5), (2, 1.5), (1, 1.5)]
+    del calls[:]
+    chain.apply_times(psi, [0.5, 2.5])
+    assert calls == [(k, t) for k in (1, 2, 3) for t in (0.5, 2.5)]
+    cycle = spin.recoherence_evolution(np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="3 pi/2"):
+        cycle.apply_times(_states(4, 2, 1), [1.0, 5.0])
+
+
+@pytest.mark.parametrize("evolution", [
+    HamiltonianFlow(sample_gue(4, 1.0, RandomStream(3, "empty"))),
+    spin.chain_evolution(spin.SpinModelConfig(
+        v=np.array([0.0, 0.0, 1.0]), axes=_axes(4, 1))),
+    CallableEvolution(HamiltonianFlow(
+        sample_gue(4, 1.0, RandomStream(3, "empty"))).unitary),
+], ids=["flow", "chain", "callable"])
+def test_no_times_give_an_empty_stack(evolution):
+    for states in (_states(4, None, 0), _states(8, 3, 1)):
+        out = evolution.apply_times(states, [])
+        assert out.shape == (0,) + states.shape
+        assert out.dtype == complex

@@ -28,12 +28,13 @@ def test_config_refuses_bad_search_parameters():
                 dict(epsilon=-0.1), dict(epsilon=float("nan")),
                 dict(delta=-0.01), dict(delta=1.0), dict(delta=1.5),
                 dict(delta_mode="bogus"), dict(refine_tol=-1e-8),
-                dict(max_steps=-1)):
+                dict(max_steps=-1), dict(max_steps=float("nan")),
+                dict(max_histories=-1), dict(max_histories=float("nan"))):
         key = next(iter(bad))
         with pytest.raises(ValueError, match=key):
             _config(**bad)
     _config(sigma=0.0, epsilon=0.0, delta=0.0, delta_mode="absolute",
-            refine_tol=0.0, max_steps=0)
+            refine_tol=0.0, max_steps=0, max_histories=0)
 
 
 def test_build_run_deterministic():
