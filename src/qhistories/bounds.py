@@ -21,14 +21,14 @@ def packing_upper_bound(d, eps, criterion="weak"):
     if criterion == "weak":
         if d < 1:
             raise ValueError("weak bound needs d >= 1")
-        if eps * eps > 1.0 / (2 * d + 2):
+        if not eps * eps <= 1.0 / (2 * d + 2):
             raise ValueError(
                 f"weak bound valid only for eps^2 <= 1/(2d+2) = {1.0/(2*d+2):.6g}")
         val = 2 * d * (1.0 - eps * eps) / (1.0 - 2 * d * eps * eps)
     elif criterion == "medium":
         if d < 2:
             raise ValueError("medium bound needs d >= 2")
-        if eps * eps > 1.0 / (d + 1):
+        if not eps * eps <= 1.0 / (d + 1):
             raise ValueError(
                 f"medium bound valid only for eps^2 <= 1/(d+1) = {1.0/(d+1):.6g}")
         val = d * (1.0 - eps * eps) / (1.0 - d * eps * eps)

@@ -116,6 +116,10 @@ def _load_config(path, section, args, argv):
 # -- subcommands ---------------------------------------------------------
 
 def cmd_bounds(args, out):
+    # a row is skipped where its bound does not hold, so an eps that no
+    # bound accepts is refused here, not printed as an empty table
+    if args.eps is not None and not 0.0 <= args.eps < 1.0:
+        raise ValueError(f"--eps must lie in [0, 1), got {args.eps}")
     rows = []
     ok = True
     for d in range(1, args.d_max + 1):

@@ -4,6 +4,7 @@ continuation, seeded random sampling (GUE matrices, unit vectors) and the
 Shannon entropy of a distribution."""
 
 from dataclasses import dataclass
+import math
 import zlib
 
 import numpy as np
@@ -66,11 +67,17 @@ def _as_complex_matrix(H):
 
 def _fix_column_phases(V):
     # (V / phases, phases): each column's largest-modulus entry made real > 0;
-    # V is a matrix or a stack (..., m, r) of them, each fixed alone
+    # V is a matrix or a stack (..., m, r) of them, each fixed alone.  The
+    # pivots are gathered by one fancy index (take_along_axis costs more on
+    # the small stacks of the Schmidt split)
+    *batch, m, r = V.shape
     idx = np.argmax(np.abs(V), axis=-2)
-    pivots = np.take_along_axis(V, idx[..., None, :], axis=-2)[..., 0, :]
+    n = math.prod(batch)
+    pivots = V.reshape(n, m, r)[np.arange(n)[:, None], idx.reshape(n, r),
+                                np.arange(r)].reshape(idx.shape)
     mags = np.abs(pivots)
-    phases = np.where(mags > 0, pivots / np.where(mags > 0, mags, 1.0), 1.0)
+    nz = mags > 0
+    phases = np.where(nz, pivots / np.where(nz, mags, 1.0), 1.0)
     return V / phases[..., None, :], phases
 
 
@@ -110,20 +117,17 @@ class SchmidtDecomposition:
         return np.einsum("i,ji,ik->jk",
                          amps, self.system_basis, self.env_basis).reshape(-1)
 
-    def system_projector(self, i):
-        v = self.system_basis[:, i]
-        return np.outer(v, v.conj())
 
-
-def schmidt_decompose(psi, d1, d2, norm_tol=NORM_TOL):
-    """Schmidt decomposition of psi in C^{d1} (x) C^{d2}, d1 <= d2."""
+def schmidt_decompose(psi, d1, d2):
+    """Schmidt decomposition of psi in C^{d1} (x) C^{d2}, d1 <= d2.
+    Raises ValueError when ||psi| - 1| exceeds NORM_TOL, NaN included."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != d1 * d2:
         raise ValueError(f"state has dim {psi.size}, expected {d1}*{d2}")
     if d1 > d2:
         raise ValueError("require d1 <= d2")
     norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= norm_tol:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized: |psi| = {norm}")
     U, s, Vh = np.linalg.svd(psi.reshape(d1, d2), full_matrices=False)
     # fold the phase fix of the system basis into the environment rows

@@ -30,20 +30,21 @@ strategies (earliest-time, quasi-dynamical and the random-run search in
 randmodel) share one scan-and-bisect loop, _scan_select, and differ only
 in scan times, stop rule and budget.
 
-The scan works in chunks of upcoming scan times (_prepare_chunk), held as
-one _Chunk on the current leaves: the evolution's apply_times evolves
-psi0 and the leaf states to every time of a chunk in one product, and
-one stacked SVD gives the Schmidt factors of all the psi(t).  From these
-the chunk forms the Schmidt projectors and the k Gram blocks of every time
-at once, and its screen rejects the times whose candidate is inadmissible
-by more than SCREEN_MARGIN (_Chunk.rejects).  Each time is still evaluated
-alone and in order, by one schmidt_candidate call at that time: a
-screened time takes its projectors from the chunk, any other one
-decomposes the chunk's psi(t) with its own SVD (schmidt_decompose); a time
-the screen rejects stops there, and every other one is judged by the
-per-time path, so verdicts and evaluation counts are those of that path.
-Bisection midpoints, retrodictive selection and the persistence probe
-take the per-time path.
+Every Schmidt candidate is cut from one stacked split (_Split): one SVD of
+a stack of psi(t), from which the norm guard, the rank cut at
+SCHMIDT_WEIGHT_TOL and the complement at COMPLEMENT_TOL are read for
+every row at once.  The scan works in chunks of upcoming scan times
+(_prepare_chunk), held as one _Chunk on the current leaves: the
+evolution's apply_times evolves psi0 and the leaf states to every time of
+a chunk in one product, and the chunk is the split of its psi(t), plus the
+k Gram blocks of every time, from which its screen rejects the times whose
+candidate is inadmissible by more than SCREEN_MARGIN (_Chunk.rejects).
+Each time is still evaluated alone and in order, by one schmidt_candidate
+call that reads the chunk's row; a time the screen rejects stops there,
+and every other one is judged by the per-time path, so verdicts and
+evaluation counts are those of that path.  A time outside the chunk
+(bisection midpoints, retrodictive selection) is split alone, as a stack
+of one, and judged by the per-time path, as is the persistence probe.
 """
 
 import bisect
@@ -56,7 +57,7 @@ from .consistency import (consistency_report, is_exactly_consistent,
                           medium_pass, nontrivial)
 from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
                         as_evolution, extend_all)
-from .linalg import _fix_column_phases, entropy, schmidt_decompose
+from .linalg import _fix_column_phases, entropy
 from .tolerances import (COMPANION_TOL, COMPLEMENT_TOL, DISTRIBUTION_SUM_TOL,
                          LIVE_PROBABILITY_TOL, NEGATIVE_PROBABILITY_TOL,
                          NORM_TOL, PERSISTENCE_TOL, SCHMIDT_WEIGHT_TOL,
@@ -82,6 +83,8 @@ class BipartiteModel:
         self.psi0 = np.asarray(self.psi0, dtype=complex).reshape(-1)
         if self.psi0.size != self.d1 * self.d2:
             raise ValueError("state dimension does not match d1*d2")
+        if not self.d1 <= self.d2:
+            raise ValueError(f"require d1 <= d2, got {self.d1} > {self.d2}")
         self.evolution = as_evolution(self.unitary)
 
     def state(self, t):
@@ -116,56 +119,80 @@ class SelectedSet:
         return [e.time for e in self.events]
 
 
-class _Chunk:
+class _Split:
+    """The Schmidt candidates of a stack of states psi (T, d1*d2), all cut
+    from one stacked SVD of the psi(t) as d1 x d2 matrices: the one place
+    a candidate is built (read by schmidt_candidate).
+
+    Per row: normed, whether ||psi| - 1| <= NORM_TOL (NaN fails), with the
+    norms kept for the error; a row that fails is zeroed before the SVD so
+    that it cannot spoil the stack.  failed is the set of rows whose SVD
+    raised LinAlgError: only when the stacked SVD raises is each row split
+    alone.  cols holds the phase-fixed left singular vectors
+    u_i = cols[t, i] and projectors their rank-1 projectors
+    (T, d1, d1, d1); kept is s^2 > SCHMIDT_WEIGHT_TOL; complement is 1 -
+    the sum of the kept projectors, summed from zeros in column order, and
+    extra whether it exceeds COMPLEMENT_TOL and so joins the candidate.  A
+    row is screened when it passes the norm guard and splits at full
+    Schmidt rank with no complement, and d1 >= 2: its candidate is then
+    projectors[i] as it stands."""
+
+    def __init__(self, psi, d1, d2):
+        T = len(psi)
+        self.norms = np.linalg.norm(psi, axis=1)
+        self.normed = np.abs(self.norms - 1.0) <= NORM_TOL
+        if not self.normed.all():
+            psi = np.where(self.normed[:, None], psi, 0.0)
+        M = psi.reshape(T, d1, d2)
+        self.failed = set()
+        try:
+            U, s, _ = np.linalg.svd(M, full_matrices=False)
+        except np.linalg.LinAlgError:
+            U, s = np.zeros((T, d1, d1), dtype=complex), np.zeros((T, d1))
+            for i in range(T):
+                try:
+                    U[i], s[i], _ = np.linalg.svd(M[i], full_matrices=False)
+                except np.linalg.LinAlgError:
+                    self.failed.add(i)
+        cols = self.cols = np.swapaxes(_fix_column_phases(U)[0], 1, 2)
+        self.projectors = cols[:, :, :, None] * cols[:, :, None, :].conj()
+        self.kept = s ** 2 > SCHMIDT_WEIGHT_TOL
+        kept = np.where(self.kept[:, :, None, None], self.projectors, 0.0)
+        total = np.zeros((T, d1, d1), dtype=complex)
+        for i in range(d1):     # a dropped vector adds an exact 0
+            total += kept[:, i]
+        self.complement = np.eye(d1) - total
+        self.extra = np.abs(self.complement).max(axis=(1, 2)) > COMPLEMENT_TOL
+        # s is descending, so kept[:, -1] is full rank; a zeroed or failed
+        # row keeps no vector, so it is not screened
+        self.screened = self.kept[:, -1] & ~self.extra & (d1 >= 2)
+
+
+class _Chunk(_Split):
     """The scan times that _scan_select prepared together for one set of
-    leaves (_prepare_chunk), and what it computed for all of them at once.
+    leaves (_prepare_chunk): the _Split of their psi(t), and the screen.
 
-    index maps each time to its row of the stacked arrays: psi, the (T, d)
-    psi(t); leaves, the (T, d, n) leaf states evolved to t; svd, the
-    stacked thin SVD (U, s, Vh) of the psi(t) as d1 x d2 matrices, or None
-    when it raised LinAlgError; and parents, the leaves' probabilities.
+    index maps each time to its row of the stacked arrays: those of the
+    split, leaves, the (T, d, n) leaf states evolved to t, and parents, the
+    leaves' probabilities.
 
-    A time is screened when there is an SVD, 2 <= d1 <= d2, and psi(t)
-    passes schmidt_decompose's norm guard and splits at full Schmidt rank
-    with no complement.  Its candidate is then projectors[i], the d1
-    rank-1 projectors of the phase-fixed U formed by the products np.outer
-    forms, so they are the per-time path's to the bit.  The k Gram blocks
-    of the leaves extended by them are taken for the whole chunk at once,
-    G_i = Y_i^T conj(Y_i) with Y_i = u_i^dag V, giving the children
-    (T, k, n) and the worst counted overlap ratio of each time.  These
-    round otherwise than _projected_gram's, so rejects() trusts them only
-    beyond SCREEN_MARGIN, and only for pairs with sqrt(G_aa G_bb) of at
-    least SCREEN_ROOT_FLOOR.  (The norm guard is taken over the stack; it
-    rounds apart from a single norm by far less than NORM_TOL from the 1
-    of an evolved state.)"""
+    The screen judges the screened rows only (see _Split).  The k Gram
+    blocks of the leaves extended by the projectors are taken for the
+    whole chunk at once, G_i = Y_i^T conj(Y_i) with Y_i = u_i^dag V,
+    giving the children (T, k, n) and the worst counted overlap ratio of
+    each time.  These round otherwise than _projected_gram's, so rejects()
+    trusts them only beyond SCREEN_MARGIN, and only for pairs with
+    sqrt(G_aa G_bb) of at least SCREEN_ROOT_FLOOR."""
 
     def __init__(self, model, times, evolved, parents):
+        super().__init__(evolved[:, :, 0], model.d1, model.d2)
         T, d1 = len(times), model.d1
         self.index = {t: i for i, t in enumerate(times)}
-        self.psi, self.leaves = evolved[:, :, 0], evolved[:, :, 1:]
+        self.leaves = evolved[:, :, 1:]
         self.parents = parents
-        self.screened = np.zeros(T, dtype=bool)
         self._rejects = {}
-        try:
-            self.svd = np.linalg.svd(self.psi.reshape(T, d1, model.d2),
-                                     full_matrices=False)
-        except np.linalg.LinAlgError:
-            self.svd = None
-        if self.svd is None or not 2 <= d1 <= model.d2:
-            return
-        U, s, _ = self.svd
         n = self.leaves.shape[-1]
-        cols = np.swapaxes(_fix_column_phases(U)[0], 1, 2)   # u_i = cols[t, i]
-        self.projectors = cols[:, :, :, None] * cols[:, :, None, :].conj()
-        total = np.zeros((T, d1, d1), dtype=complex)
-        for i in range(d1):
-            total = total + self.projectors[:, i]
-        self.screened = ((np.abs(np.linalg.norm(self.psi, axis=1) - 1.0)
-                          <= NORM_TOL)
-                         & (s ** 2 > SCHMIDT_WEIGHT_TOL).all(axis=1)
-                         & ~(np.abs(np.eye(d1) - total).max(axis=(1, 2))
-                             > COMPLEMENT_TOL))
-        Y = (cols.conj() @ self.leaves.reshape(T, d1, -1)).reshape(
+        Y = (self.cols.conj() @ self.leaves.reshape(T, d1, -1)).reshape(
             T, d1, -1, n)
         G = np.swapaxes(Y, 2, 3) @ Y.conj()         # (T, k, n, n)
         self.children = G.diagonal(0, 2, 3).real    # (T, k, n)
@@ -206,23 +233,25 @@ def schmidt_candidate(model, t, chunk=None):
     d1 x d1 system projectors onto the retained Schmidt vectors, plus the
     complement of their span when rank-deficient.
 
-    When t is a time of chunk (a _Chunk), a screened time's projectors are
-    returned from the chunk as they stand, and any other time decomposes
-    the chunk's psi(t) by schmidt_decompose, which checks its norm and
-    takes its own SVD.  _admissible calls this exactly once per
-    admissibility evaluation: the benchmark's traced check needs
-    schmidt_candidate calls to equal the evaluations (RunRecord.steps)."""
+    The candidate is cut from a _Split: chunk's row of t when t is a time
+    of chunk (a _Chunk), else a split of psi(t) alone, a stack of one.  A
+    screened row's projectors are returned as they stand.  Raises
+    ValueError when psi(t) is not normalized, and LinAlgError when its SVD
+    failed.  _admissible calls this exactly once per admissibility
+    evaluation: the benchmark's traced check needs schmidt_candidate calls
+    to equal the evaluations (RunRecord.steps)."""
     i = None if chunk is None else chunk.index.get(t)
-    if i is not None and chunk.screened[i]:
+    if i is None:
+        chunk, i = _Split(model.state(t)[None], model.d1, model.d2), 0
+    if chunk.screened[i]:
         return ProjectiveDecomposition(t, chunk.projectors[i], check=False)
-    psi = model.state(t) if i is None else chunk.psi[i]
-    sd = schmidt_decompose(psi, model.d1, model.d2)
-    projs = [sd.system_projector(j) for j, w in enumerate(sd.weights)
-             if w > SCHMIDT_WEIGHT_TOL]
-    rest = np.eye(model.d1) - sum(projs, np.zeros((model.d1, model.d1),
-                                                  dtype=complex))
-    if np.max(np.abs(rest)) > COMPLEMENT_TOL:
-        projs.append(rest)
+    if not chunk.normed[i]:
+        raise ValueError(f"state is not normalized: |psi| = {chunk.norms[i]}")
+    if i in chunk.failed:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    projs = list(chunk.projectors[i][chunk.kept[i]])
+    if chunk.extra[i]:
+        projs.append(chunk.complement[i])
     return ProjectiveDecomposition(t, projs, check=False)
 
 
@@ -313,9 +342,9 @@ def _admissible(model, leaves, t, epsilon, delta, delta_mode):
     are its squared column norms, judged in one nontrivial call as a
     column against the rows of children.  No tree is built here: the
     caller extends the tree with Extension.extend() once per accepted
-    event.  A time of leaves.chunk reads psi(t), its SVD factors and the
-    evolved leaf states from the chunk, and is rejected at once when the
-    chunk's screen rejects it (_Chunk.rejects).
+    event.  A time of leaves.chunk reads its candidate and the evolved
+    leaf states from the chunk, and is rejected at once when the chunk's
+    screen rejects it (_Chunk.rejects).
     Returns the Extension, or None when inadmissible."""
     chunk = leaves.chunk
     i = None if chunk is None else chunk.index.get(t)

@@ -499,6 +499,8 @@ def sn_selection_fraction(n, samples, rng):
     maximal interior-time sets S_2 .. S_n."""
     if n < 2:
         raise ValueError("need n >= 2")
+    if not samples >= 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     g = rng.generator
     vecs = g.normal(size=(samples, n + 1, 3))
     vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)

@@ -28,6 +28,10 @@ def test_bound_validity_ranges():
         packing_upper_bound(4, 0.6, "medium")
     with pytest.raises(ValueError, match="d >= 2"):
         packing_upper_bound(1, 0.1, "medium")
+    # NaN fails the validity test instead of reaching math.floor
+    for criterion in ("weak", "medium"):
+        with pytest.raises(ValueError, match="valid only"):
+            packing_upper_bound(4, math.nan, criterion)
 
 
 def test_shannon_lower_bound():

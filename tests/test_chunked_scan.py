@@ -5,24 +5,24 @@ as one selection._Chunk on the leaves: one apply_times call evolves
 [psi0 | leaf states] to every time of the chunk, one stacked SVD splits
 the psi(t), and the chunk's stacked screen rejects the times whose
 candidate is inadmissible beyond SCREEN_MARGIN (_Chunk.rejects).  Each
-time is still evaluated alone, by one schmidt_candidate call that reads
-the chunk's arrays at that time, so the verdicts, the step counts and the
-benchmark's traced check (schmidt_candidate calls == RunRecord.steps) must
-all be those of the per-time path.  The chunks are read here through
-their arrays, by the row chunk.index[t] of each time t.
+time is still evaluated alone, by one schmidt_candidate call that cuts
+its candidate from the chunk's split at that time, so the verdicts, the
+step counts and the benchmark's traced check (schmidt_candidate calls ==
+RunRecord.steps) must all be those of the per-time path.  The chunks are
+read here through their arrays, by the row chunk.index[t] of each time t.
 """
 
-import copy
 import math
 
 import numpy as np
 import pytest
 
-from qhistories import consistency, randmodel, selection, spin
+from qhistories import consistency, linalg, randmodel, selection, spin
 from qhistories.histories import CallableEvolution, HistoryTree
 from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
-                               sample_unit_vector)
-from qhistories.tolerances import ORACLE_RTOL, SCREEN_MARGIN
+                               sample_unit_vector, schmidt_decompose)
+from qhistories.tolerances import (COMPLEMENT_TOL, ORACLE_RTOL,
+                                   SCHMIDT_WEIGHT_TOL, SCREEN_MARGIN)
 
 
 def _search_config(d2, seed, **kw):
@@ -99,27 +99,31 @@ def test_candidate_calls_equal_steps(monkeypatch, d2, seed, max_steps):
 
 
 def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
-    # one schmidt_decompose for each evaluation the chunk did not screen
-    # (bisection midpoints and unscreened chunk times), and none for a
-    # screened one: a per-time SVD or phase fix at screened times fails here
-    unscreened, decompositions = [], []
-    candidate = selection.schmidt_candidate
-    decompose = selection.schmidt_decompose
+    # every candidate is cut from a stacked split: one SVD of each prepared
+    # chunk and one of each time outside it (bisection midpoints), none
+    # per chunk row, and no schmidt_decompose
+    lone, svds = [], []
+    candidate, svd = selection.schmidt_candidate, np.linalg.svd
 
     def counted_candidate(model, t, chunk=None):
-        i = None if chunk is None else chunk.index.get(t)
-        unscreened.append(i is None or not chunk.screened[i])
+        lone.append(chunk is None or t not in chunk.index)
         return candidate(model, t, chunk)
 
-    def counted_decompose(*args, **kwargs):
-        decompositions.append(args)
-        return decompose(*args, **kwargs)
+    def counted_svd(a, *args, **kwargs):
+        svds.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an evaluation called schmidt_decompose")
 
     monkeypatch.setattr(selection, "schmidt_candidate", counted_candidate)
-    monkeypatch.setattr(selection, "schmidt_decompose", counted_decompose)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(linalg, "schmidt_decompose", refused)
+    chunks = _record_chunks(monkeypatch)
     rec = randmodel.run_forward_search(_search_config(16, 12))
-    assert len(unscreened) == rec.steps
-    assert 0 < sum(unscreened) == len(decompositions) < rec.steps
+    assert len(lone) == rec.steps and 0 < sum(lone) < rec.steps
+    assert sorted(svds) == sorted([len(chunk.index) for chunk in chunks]
+                                  + [1] * sum(lone))
 
 
 # -- the chunked scan against the per-time path, verdict for verdict -------
@@ -275,20 +279,73 @@ def test_a_near_delta_time_is_left_to_the_per_time_path():
     assert near > 0
 
 
-def test_screened_projectors_are_the_per_time_ones_to_the_bit():
-    model = _flow_model(3, 9, 3)
-    leaves, _ = _two_leaves(model)
-    chunk = leaves.chunk
-    assert chunk.screened.all()
-    # the same chunk with no time screened: each candidate is taken from
-    # the chunk's psi(t) by the per-time path, with its own SVD
-    unscreened = copy.copy(chunk)
-    unscreened.screened = np.zeros_like(chunk.screened)
-    for t in chunk.index:
-        want = selection.schmidt_candidate(model, t, unscreened).projectors
-        got = selection.schmidt_candidate(model, t, chunk).projectors
-        assert len(got) == len(want) == 3
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+def _reference_candidate(model, psi):
+    """The projectors of schmidt_candidate's per-time body before every
+    candidate was cut from a stacked split: schmidt_decompose's own SVD,
+    one np.outer per kept Schmidt vector, and the complement summed from
+    zeros in column order."""
+    sd = schmidt_decompose(psi, model.d1, model.d2)
+    projs = [np.outer(sd.system_basis[:, j], sd.system_basis[:, j].conj())
+             for j, w in enumerate(sd.weights) if w > SCHMIDT_WEIGHT_TOL]
+    rest = np.eye(model.d1) - sum(projs, np.zeros((model.d1, model.d1),
+                                                  dtype=complex))
+    if np.max(np.abs(rest)) > COMPLEMENT_TOL:
+        projs.append(rest)
+    return projs
+
+
+def _local_model(d1, d2, rank, seed):
+    """No interaction, and psi0 of Schmidt rank `rank`: psi(t) keeps that
+    rank at every t."""
+    rng = RandomStream(seed, "local")
+    H = (np.kron(sample_gue(d1, 1.0, rng.stream("A")), np.eye(d2))
+         + np.kron(np.eye(d1), sample_gue(d2, 1.0, rng.stream("B"))))
+    psi = sum(np.kron(sample_unit_vector(d1, "complex", rng.stream(f"a{j}")),
+                      sample_unit_vector(d2, "complex", rng.stream(f"b{j}")))
+              for j in range(rank))
+    return selection.BipartiteModel(d1, d2, psi / np.linalg.norm(psi),
+                                    HamiltonianFlow(H))
+
+
+def _candidate_models():
+    """(name, model, t_max, the screened values its rows take)."""
+    for d1, d2, seed in ((2, 16, 2), (3, 9, 3), (4, 64, 4)):
+        yield f"flow{d1}x{d2}", _flow_model(d1, d2, seed), 2.0, {True}
+    yield "product", _local_model(3, 4, 1, 5), 2.0, {False}
+    yield "rank2", _local_model(3, 4, 2, 6), 2.0, {False}
+    yield "d1=1", _flow_model(1, 8, 7), 2.0, {False}
+    # product at 0 and 3 pi/2, rank 2 between (the plateau: pi/2 to pi)
+    yield ("recoherence", _recoherence_model(), 3 * math.pi / 2,
+           {True, False})
+
+
+@pytest.mark.parametrize("name,model,t_max,screened",
+                         list(_candidate_models()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_every_candidate_is_the_per_time_one_to_the_bit(name, model, t_max,
+                                                        screened):
+    # at every row of a chunk over 61 times, screened or not, and at each
+    # time alone (a split of one), against the old per-time body on the
+    # same psi(t)
+    times = np.linspace(0.0, t_max, 61).tolist()
+    leaves = selection.LeafStates(HistoryTree(initial_state=model.psi0,
+                                              evolution=model.evolution))
+    evolved = model.evolution.apply_times(
+        np.column_stack([model.psi0, leaves.states]), times)
+    chunk = selection._Chunk(model, times, evolved, leaves.probabilities)
+    assert set(chunk.screened.tolist()) == screened, name
+    for t, i in chunk.index.items():
+        for where, psi in ((chunk, evolved[i, :, 0]),
+                           (None, model.state(t))):
+            got = selection.schmidt_candidate(model, t, where).projectors
+            want = _reference_candidate(model, psi)
+            assert len(got) == len(want), (name, t)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), \
+                (name, t, where is None)
+    expected = {"product": 2, "rank2": 3, "d1=1": 1}.get(name)
+    if expected is not None:
+        assert {len(selection.schmidt_candidate(model, t, chunk))
+                for t in times} == {expected}, name
 
 
 def test_rank_deficient_times_take_the_per_time_path():
@@ -315,14 +372,11 @@ def test_rank_deficient_times_take_the_per_time_path():
     assert len(selection.schmidt_candidate(model, 0.5, chunk)) == 2
 
 
-def test_a_system_larger_than_its_environment_raises_as_before(monkeypatch):
+def test_a_system_larger_than_its_environment_raises_as_before():
+    # refused when the model is built, not at its first candidate
     flow = _flow_model(2, 3, 9)
-    model = selection.BipartiteModel(3, 2, flow.psi0, flow.evolution)
-    chunks = _record_chunks(monkeypatch)
     with pytest.raises(ValueError, match="d1 <= d2"):
-        selection.earliest_time_select(model, 0.05, 0.02, 2.0)
-    assert chunks and all(not chunk.screened.any() and chunk.svd is not None
-                          for chunk in chunks)
+        selection.BipartiteModel(3, 2, flow.psi0, flow.evolution)
 
 
 @pytest.mark.parametrize("evolution,size", [
@@ -373,12 +427,16 @@ def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
         t_max, grid, 1e-6, 16)
     verdicts = {t: ok for t, _, ok, _ in seen}
     assert len(verdicts) == grid + 1 and not verdicts[t_bad]
+    # the stacked SVD raised, so each time of its chunk was split alone,
+    # and only t_bad's split failed: the rest of the chunk stays screened
     bad_chunk = next(chunk for chunk in chunks if t_bad in chunk.index)
-    assert bad_chunk.svd is None
+    assert bad_chunk.failed == {bad_chunk.index[t_bad]}
+    assert bad_chunk.screened.tolist() == [t != t_bad
+                                           for t in bad_chunk.index]
     assert sum(verdicts[t] for t in bad_chunk.index) \
         > len(bad_chunk.index) // 2
-    assert all(chunk.svd is not None for chunk in chunks
-               if chunk is not bad_chunk)
+    assert not any(chunk.failed for chunk in chunks
+                   if chunk is not bad_chunk)
 
 
 def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
@@ -442,11 +500,14 @@ def test_a_nan_state_raises_at_its_own_time(monkeypatch):
             model, _checked_accept(model, 0.05, 0.02, seen,
                                    accept_events=False),
             t_max, grid, 1e-6, 16)
-    # the stacked SVD refused the chunk; its earlier times were judged one
-    # by one, as the per-time path judges them, and the scan stopped at t_bad
+    # psi(t_bad) failed the norm guard and was zeroed before the stacked
+    # SVD, so the rest of its chunk stays screened; the times before it
+    # were judged as the per-time path judges them, and the scan stopped
+    # at t_bad
     assert calls[-1] == t_bad and len(seen) == 40
     assert seen[0][0] in chunks[0].index and t_bad in chunks[0].index
-    assert chunks[0].svd is None
+    assert chunks[0].screened.tolist() == [t != t_bad
+                                           for t in chunks[0].index]
     assert {ok for _, _, ok, _ in seen} == {True}
 
 

@@ -215,6 +215,11 @@ def test_config_unknown_key(tmp_path, capsys):
     (["dheg", "--n", "1"], "n >= 2"),
     (["dheg", "--n", "14"], "exhaustive cap"),
     (["zeno", "--n", "0"], "n >= 1"),
+    # no bound holds at these, so every row was skipped: an empty table
+    (["bounds", "--eps", "nan"], "--eps must lie in [0, 1)"),
+    (["bounds", "--eps", "2"], "--eps must lie in [0, 1)"),
+    # no draws: a nan fraction and two RuntimeWarnings
+    (["spin", "montecarlo", "--samples", "0"], "samples >= 1"),
 ])
 def test_bad_input_exits_2_with_a_message(argv, problem, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -62,6 +62,33 @@ def test_column_phases_of_a_stack_are_those_of_each_matrix():
     assert np.all(pivots.real >= 0)
 
 
+def _reference_column_phases(V):
+    """_fix_column_phases as it was before its pivots were gathered by one
+    fancy index: take_along_axis, and mags > 0 taken twice."""
+    idx = np.argmax(np.abs(V), axis=-2)
+    pivots = np.take_along_axis(V, idx[..., None, :], axis=-2)[..., 0, :]
+    mags = np.abs(pivots)
+    phases = np.where(mags > 0, pivots / np.where(mags > 0, mags, 1.0), 1.0)
+    return V / phases[..., None, :], phases
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 4), (3, 5), (5, 3), (3, 0),
+                                   (0, 2, 2), (1, 2, 2), (7, 4, 3),
+                                   (2, 3, 4, 4)])
+def test_column_phases_are_the_reference_ones_to_the_bit(shape):
+    # every bit, signs of zeros included, on random, Fortran-ordered, tied
+    # (first largest entry), zero and negative-zero columns
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    V = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    cases = [V, np.asfortranarray(V), np.ones(shape, complex),
+             np.zeros(shape, complex), V * 0.0, V.conj()]
+    for X in cases:
+        for got, want in zip(_fix_column_phases(X),
+                             _reference_column_phases(X)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))

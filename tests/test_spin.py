@@ -228,6 +228,8 @@ def test_sn_selection_fraction_values():
     assert abs(f5 - 0.842) < 0.01
     with pytest.raises(ValueError):
         spin.sn_selection_fraction(1, 10, rng)
+    with pytest.raises(ValueError, match="samples >= 1"):
+        spin.sn_selection_fraction(3, 0, rng)
 
 
 def test_recoherence_cycle():

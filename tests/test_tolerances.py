@@ -46,7 +46,6 @@ def test_old_names_and_exported_defaults_read_the_module():
     assert linalg.DEGENERACY_TOL is tolerances.DEGENERACY_TOL
     assert consistency.EXACT_TOL is tolerances.EXACT_TOL
     for func, keyword, name in (
-            (linalg.schmidt_decompose, "norm_tol", "NORM_TOL"),
             (linalg.split_degenerate, "tol", "SPLIT_TOL"),
             (consistency.linear_positivity, "tol",
              "NEGATIVE_PROBABILITY_TOL")):
