@@ -55,7 +55,7 @@ smodel = selection.spin_model(cfg)
 sel, comps = selection.retrodictive_select(smodel, range(1, n + 1))
 print("\nretrodictive selection on the n = 3 chain:")
 print("  accepted times:", sel.times)
-probs = sorted(float(np.linalg.norm(sel.tree.path_state(leaf)) ** 2)
-               for leaf in sel.tree.leaves())
+probs = sorted((np.linalg.norm(sel.tree.leaf_states(), axis=0) ** 2)
+               .tolist())
 print("  history probabilities:", [round(p, 4) for p in probs])
 print(f"  zero-probability companion histories: {len(comps)}")

@@ -17,6 +17,7 @@ def packing_upper_bound(d, eps, criterion="weak"):
 
     weak:   floor(2d (1-eps^2) / (1 - 2d eps^2)),  valid eps^2 <= 1/(2d+2)
     medium: floor( d (1-eps^2) / (1 -  d eps^2)),  valid eps^2 <= 1/(d+1)
+    eps outside [0, 1), NaN included, raises ValueError.
     """
     if criterion == "weak":
         if d < 1:
@@ -34,6 +35,8 @@ def packing_upper_bound(d, eps, criterion="weak"):
         val = d * (1.0 - eps * eps) / (1.0 - d * eps * eps)
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
+    if not 0.0 <= eps < 1.0:      # a negative eps passes the validity test
+        raise ValueError("need 0 <= eps < 1")
     # guard against 2d+1-1ulp style float dust at exactly attained values
     return int(math.floor(val + 1e-9))
 

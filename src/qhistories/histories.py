@@ -4,12 +4,14 @@ matrices.
 A history tree applies timed projective decompositions along its branches;
 each leaf is a history alpha with path-projected state u_alpha = C_alpha psi
 and probability |u_alpha|^2.  Projectors stay in the Schroedinger picture:
-a node maps the state u it receives to U(t)^dag P_i U(t) u.  One walk of
-the tree (leaf_states) gives every path state level by level: the states
-of one level that meet a decomposition at the same time t are stacked as
-the columns of one matrix, evolved forward once, projected, and evolved
-back once.  Trees are immutable; extension returns a new tree sharing
-untouched subtrees.
+a node maps the state u it receives to U(t)^dag P_i U(t) u.  A tree
+carries the path states of its leaves as the columns of one read-only
+matrix (leaf_states), in leaves() order, so reading them evolves nothing.
+Extension computes the new columns: the columns it splits are evolved
+forward to t once, projected (HistoryTree._project, the one projection
+kernel, which selection scores candidates with too) and evolved back once,
+two evolution calls per extension.  Trees are immutable; extension returns
+a new tree sharing untouched subtrees.
 
 Evolution is matrix-free.  An evolution is an object with
 apply(states, t, adjoint=False) returning U(t) states or U(t)^dag states,
@@ -122,7 +124,9 @@ class _Node:
 
 
 class HistoryTree:
-    """Tree of timed projective decompositions over an initial state.
+    """Tree of timed projective decompositions over an initial state, with
+    the path states of its leaves (leaf_states) and their probabilities,
+    set once per tree where the states are computed.
 
     evolution, if given, is an object with apply(states, t, adjoint=False)
     or a callable t -> U(t) (see as_evolution); projections at time t act
@@ -154,6 +158,7 @@ class HistoryTree:
         self.initial_state = psi
         self.evolution = as_evolution(evolution)
         self.root = _Node()
+        self._set_states(psi[:, None])
 
     @property
     def dim(self):
@@ -198,48 +203,29 @@ class HistoryTree:
 
     def leaf_states(self):
         """Path states of all leaves as the columns of one matrix, in
-        leaves() order, from one level-by-level walk of the tree.
+        leaves() order: the matrix the tree carries, not a copy, so it is
+        read-only; a write would change the tree's states for every later
+        reader (at the root, the initial state that every extension of
+        the tree shares).  Reading it evolves nothing."""
+        return self._states
 
-        At each level the states of the nodes that decompose at one time t
-        are evolved forward together, split by the projectors of their
-        decompositions, and evolved back together: two evolution calls per
-        distinct time of the level."""
-        frontier = [((), self.root)]
-        states = self.initial_state[:, None]
-        paths, columns = [], []
-        while frontier:
-            groups = {}
-            for j, (path, node) in enumerate(frontier):
-                if node.is_leaf:
-                    paths.append(path)
-                    columns.append(states[:, j])
-                else:
-                    groups.setdefault(node.decomposition.time, []).append(j)
-            next_frontier, blocks = [], []
-            for t, group in groups.items():
-                evolved = self._evolve(states[:, group], t)
-                by_dec = {}
-                for col, j in enumerate(group):
-                    dec = frontier[j][1].decomposition
-                    by_dec.setdefault(id(dec), (dec, []))[1].append(col)
-                projected = []
-                for dec, cols in by_dec.values():
-                    block = evolved if len(by_dec) == 1 else evolved[:, cols]
-                    for i, P in enumerate(dec.projectors):
-                        projected.append(apply_leading(P, block))
-                        for col in cols:
-                            path, node = frontier[group[col]]
-                            next_frontier.append((path + (i,),
-                                                  node.children[i]))
-                blocks.append(self._evolve(np.hstack(projected), t,
-                                           adjoint=True))
-            frontier = next_frontier
-            if blocks:
-                states = np.hstack(blocks)
-        # no leaf path is a prefix of another, so sorted paths are in
-        # leaves() order
-        order = sorted(range(len(paths)), key=paths.__getitem__)
-        return np.column_stack([columns[i] for i in order])
+    def _set_states(self, states):
+        states.flags.writeable = False
+        self._states = states
+        self._probabilities = np.linalg.norm(states, axis=0) ** 2
+
+    def _project(self, states, dec, evolved=None):
+        """The projected states P_i U(t) u_a of the columns u_a of states,
+        t = dec.time: (W, blocks) with W[:, a*k + i] = P_i U u_a, leaf outer
+        and projector inner as in leaves(), and blocks[i] = P_i U states.
+        evolved, when given, is U(t) states, already computed."""
+        V = self._evolve(states, dec.time) if evolved is None else evolved
+        n, k = V.shape[1], len(dec)
+        W = np.empty((V.shape[0], n * k), dtype=complex)
+        blocks = [apply_leading(P, V) for P in dec.projectors]
+        for i, block in enumerate(blocks):
+            W[:, i::k] = block
+        return W, blocks
 
 
 @dataclass
@@ -290,9 +276,13 @@ def real_embed(u):
     return np.concatenate([u.real, u.imag])
 
 
-def _extend(tree, dec, path):
+def _extend(tree, dec, path, states=None):
     """New tree with dec splitting the leaf at the end of path, or every
     leaf when path is None, in one rebuild; untouched subtrees are shared.
+    The split columns of the leaf states are evolved to dec.time, projected
+    (HistoryTree._project) and evolved back: two evolution calls.  states,
+    when given, are the new tree's leaf states, already computed
+    (selection.Extension).
     Raises ValueError when dec's projectors do not divide the state, when
     dec is not later than the last decomposition on a branch it splits, or
     when path does not end at a leaf."""
@@ -319,6 +309,15 @@ def _extend(tree, dec, path):
 
     new_tree = copy.copy(tree)
     new_tree.root = rebuild(tree.root, path, None)
+    if states is None:
+        old = tree.leaf_states()
+        a = 0 if path is None else tree.leaves().index(path)
+        b = old.shape[1] if path is None else a + 1
+        W, _ = tree._project(old[:, a:b], dec)
+        split = tree._evolve(W, dec.time, adjoint=True)
+        states = split if path is None else np.hstack(
+            [old[:, :a], split, old[:, b:]])
+    new_tree._set_states(states)
     return new_tree
 
 

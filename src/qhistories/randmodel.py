@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consistency import consistency_report
-from .histories import HistoryTree, decoherence_matrix
+from .histories import HistoryTree, decoherence_matrix, extend_all
 from .linalg import (HamiltonianFlow, RandomStream, entropy, sample_gue,
                      sample_unit_vector)
 from .selection import BipartiteModel, _admissible, _scan_select
@@ -107,8 +107,9 @@ def run_forward_search(config, model=None):
         t += dt
         return t if t <= config.t_max + TIME_TOL else None
 
-    def full(leaves, events):
-        return bool(events) and leaves.states.shape[1] >= config.max_histories
+    def full(tree, events):
+        return (bool(events)
+                and tree.leaf_states().shape[1] >= config.max_histories)
 
     selected, termination, steps = _scan_select(
         model, accept, 0.0, advance, config.refine_tol, full,
@@ -135,10 +136,17 @@ class RunAnalysis:
 def analyse_run(record, epsilon=None):
     """Recompute the final set's consistency from scratch and summarize.
 
+    The final set is rebuilt from the record tree's initial state and
+    evolution, by extending a fresh tree with each recorded event's
+    decomposition (two evolution calls per event), not read from the
+    states the record tree carries, which the scan itself computed.
     integrity is False unless the last recorded event's medium violation
     and probabilities (sorted) agree within INTEGRITY_TOL with those of the
-    recomputed decoherence matrix of the final tree; a NaN disagrees."""
-    tree = record.tree
+    recomputed decoherence matrix; a NaN disagrees."""
+    tree = HistoryTree(initial_state=record.tree.initial_state,
+                       evolution=record.tree.evolution)
+    for event in record.events:
+        tree = extend_all(tree, event.decomposition)
     D = decoherence_matrix(tree)
     eps = epsilon if epsilon is not None else record.config.epsilon
     report = consistency_report(D, eps)

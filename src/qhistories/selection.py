@@ -15,29 +15,32 @@ Selection strategies: earliest admissible time, quasi-dynamical
 acceptance from the final time), and maximal information for the
 spin-measurement chain.
 
-Every selection builds its set from a fresh tree's leaf states (LeafStates)
-by one Extension per event, which scores a candidate without building it.
-The projectors applied at one time are mutually orthogonal, so extending
-every leaf a of the current set by {P_i(t)} gives the decoherence matrix
-D[(a,i),(b,j)] = delta_ij <U(t) u_b| P_i |U(t) u_a>, zero off k blocks: a
-candidate is held as the (k, n, n) stack of those Gram blocks of the leaf
-states u_a, evolved together by one apply and projected, with no padded
-matrix.  Block i is D[i::k, i::k] in the (leaf outer, projector inner)
-order of extend_all; the tree is extended only once a candidate is
-accepted, and a candidate's full consistency report is built only when it
-is read: a rejected one is judged by its medium verdict alone.  The forward
-strategies (earliest-time, quasi-dynamical and the random-run search in
-randmodel) share one scan-and-bisect loop, _scan_select, and differ only
-in scan times, stop rule and budget.
+Every selection builds its set as one HistoryTree, which carries its leaf
+states, from a fresh tree by one Extension per event, which scores a
+candidate without building it.  The projectors applied at one time are
+mutually orthogonal, so extending every leaf a of the current set by
+{P_i(t)} gives the decoherence matrix D[(a,i),(b,j)] = delta_ij <U(t) u_b|
+P_i |U(t) u_a>, zero off k blocks: a candidate is held as the (k, n, n)
+stack of those Gram blocks of the leaf states u_a, evolved together by one
+apply and projected by the tree's own kernel (HistoryTree._project), with
+no padded matrix.  Block i is D[i::k, i::k] in the (leaf outer, projector
+inner) order of extend_all; the tree is extended only once a candidate is
+accepted, from the states the Extension already holds, and a candidate's
+full consistency report is built only when it is read: a rejected one is
+judged by its medium verdict alone.  The forward strategies (earliest-time,
+quasi-dynamical and the random-run search in randmodel) share one
+scan-and-bisect loop, _scan_select, and differ only in scan times, stop
+rule and budget.
 
 Every Schmidt candidate is cut from one stacked split (_Split): one SVD of
 a stack of psi(t), from which the norm guard, the rank cut at
 SCHMIDT_WEIGHT_TOL and the complement at COMPLEMENT_TOL are read for
 every row at once.  The scan works in chunks of upcoming scan times
-(_prepare_chunk), held as one _Chunk on the current leaves: the
-evolution's apply_times evolves psi0 and the leaf states to every time of
-a chunk in one product, and the chunk is the split of its psi(t), plus the
-k Gram blocks of every time, from which its screen rejects the times whose
+(_prepare_chunk), one _Chunk at a time on the current tree, a local of
+_scan_select dropped with that tree at each event: the evolution's
+apply_times evolves psi0 and the leaf states to every time of a chunk in
+one product, and the chunk is the split of its psi(t), plus the k Gram
+blocks of every time, from which its screen rejects the times whose
 candidate is inadmissible by more than SCREEN_MARGIN (_Chunk.rejects).
 Each time is still evaluated alone and in order, by one schmidt_candidate
 call that reads the chunk's row; a time the screen rejects stops there,
@@ -55,8 +58,8 @@ import numpy as np
 
 from .consistency import (consistency_report, is_exactly_consistent,
                           medium_pass, nontrivial)
-from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
-                        as_evolution, extend_all)
+from .histories import (HistoryTree, ProjectiveDecomposition, _extend,
+                        as_evolution)
 from .linalg import _fix_column_phases, entropy
 from .tolerances import (COMPANION_TOL, COMPLEMENT_TOL, DISTRIBUTION_SUM_TOL,
                          LIVE_PROBABILITY_TOL, NEGATIVE_PROBABILITY_TOL,
@@ -169,18 +172,18 @@ class _Split:
 
 
 class _Chunk(_Split):
-    """The scan times that _scan_select prepared together for one set of
-    leaves (_prepare_chunk): the _Split of their psi(t), and the screen.
+    """The scan times that _scan_select prepared together for one tree
+    (_prepare_chunk): the _Split of their psi(t), and the screen.
 
     index maps each time to its row of the stacked arrays: those of the
     split, leaves, the (T, d, n) leaf states evolved to t, and parents, the
-    leaves' probabilities.
+    tree's leaf probabilities.
 
     The screen judges the screened rows only (see _Split).  The k Gram
     blocks of the leaves extended by the projectors are taken for the
     whole chunk at once, G_i = Y_i^T conj(Y_i) with Y_i = u_i^dag V,
     giving the children (T, k, n) and the worst counted overlap ratio of
-    each time.  These round otherwise than _projected_gram's, so rejects()
+    each time.  These round otherwise than Extension's, so rejects()
     trusts them only beyond SCREEN_MARGIN, and only for pairs with
     sqrt(G_aa G_bb) of at least SCREEN_ROOT_FLOOR."""
 
@@ -255,56 +258,35 @@ def schmidt_candidate(model, t, chunk=None):
     return ProjectiveDecomposition(t, projs, check=False)
 
 
-class LeafStates:
-    """A history tree with the path-projected states u_a of its leaves as
-    the columns of one matrix, in leaves() order.  chunk is the _Chunk of
-    scan times that _scan_select prepared for these leaves; a new
-    LeafStates starts with None."""
-
-    def __init__(self, tree, states=None):
-        self.tree = tree
-        if states is None:
-            states = tree.leaf_states()
-        self.states = states
-        self.probabilities = np.linalg.norm(states, axis=0) ** 2
-        self.chunk = None
-
-
-def _projected_gram(evolution, states, dec, evolved=None):
-    """Gram blocks of the leaves extended by dec, without the tree.
-
-    Projectors at one time are orthogonal, so D[(a,i),(b,j)] is
-    delta_ij <U u_b| P_i |U u_a>, zero off its k diagonal blocks.  Returns
-    (W, G) with W[:, a*k + i] = P_i U u_a and the (k, n, n) stack G of the
-    blocks G[i] = D[i::k, i::k], the Gram matrices of the P_i U u_a.
-    evolved, when given, is U states at dec.time, already computed."""
-    V = evolution.apply(states, dec.time) if evolved is None else evolved
-    n, k = V.shape[1], len(dec)
-    W = np.empty((V.shape[0], n * k), dtype=complex)
-    G = np.empty((k, n, n), dtype=complex)
-    for i, P in enumerate(dec.projectors):
-        Wi = apply_leading(P, V)
-        W[:, i::k] = Wi
-        G[i] = Wi.T @ Wi.conj()     # G_ab = u_b^dag u_a
-    return W, G
+def _gram(blocks):
+    """The (k, n, n) stack of Gram matrices G_ab = u_b^dag u_a of the
+    projected blocks P_i U states (HistoryTree._project).  Projectors at
+    one time are orthogonal, so these are the only blocks of the extended
+    set's decoherence matrix that are not zero: G[i] = D[i::k, i::k]."""
+    n = blocks[0].shape[1]
+    G = np.empty((len(blocks), n, n), dtype=complex)
+    for i, B in enumerate(blocks):
+        G[i] = B.T @ B.conj()
+    return G
 
 
 class Extension:
-    """A scored candidate: every leaf of a set split by one decomposition.
+    """A scored candidate: every leaf of a tree split by one decomposition.
 
-    Holds the k Gram blocks of the extended set (see _projected_gram) and
-    its probabilities.  The medium verdict at epsilon, the consistency
-    report and the extended states are each computed on first read, so a
-    rejected candidate pays for its verdict only; the tree itself is built
-    by extend() only once the candidate is accepted.  evolved, when given,
-    is the leaf states at dec.time (a scan chunk's)."""
+    Holds the k Gram blocks of the extended set (_gram) and its
+    probabilities.  The medium verdict at epsilon, the consistency report
+    and the extended states are each computed on first read, so a rejected
+    candidate pays for its verdict only; the tree itself is built by
+    extend(), from those states, only once the candidate is accepted.
+    evolved, when given, is the leaf states at dec.time (a scan chunk's)."""
 
-    def __init__(self, leaves, dec, epsilon, evolved=None):
-        self.leaves = leaves
+    def __init__(self, tree, dec, epsilon, evolved=None):
+        self.tree = tree
         self.decomposition = dec
         self.epsilon = epsilon
-        self._projected, self.blocks = _projected_gram(
-            leaves.tree.evolution, leaves.states, dec, evolved)
+        self._projected, blocks = tree._project(tree.leaf_states(), dec,
+                                                evolved)
+        self.blocks = _gram(blocks)
         self.probabilities = self.blocks.diagonal(0, 1, 2).real.T.ravel()
 
     @functools.cached_property
@@ -319,34 +301,32 @@ class Extension:
     @functools.cached_property
     def states(self):
         """Path-projected states of the extended leaves, U^dag P_i U u_a."""
-        return self.leaves.tree.evolution.apply(
-            self._projected, self.decomposition.time, adjoint=True)
+        return self.tree._evolve(self._projected, self.decomposition.time,
+                                 adjoint=True)
 
     def extend(self):
-        tree = extend_all(self.leaves.tree, self.decomposition)
-        return LeafStates(tree, self.states)
+        return _extend(self.tree, self.decomposition, None, self.states)
 
     def event(self):
         return SelectionEvent(self.decomposition.time, self.decomposition,
                               self.probabilities, self.report)
 
 
-def _admissible(model, leaves, t, epsilon, delta, delta_mode):
-    """Try the Schmidt decomposition at t on every leaf of the set; it is
+def _admissible(model, tree, t, chunk, epsilon, delta, delta_mode):
+    """Try the Schmidt decomposition at t on every leaf of the tree; it is
     admissible when the extended set stays medium-consistent at epsilon
     and every leaf of non-negligible probability splits non-trivially at
     delta.
 
     The extension is scored from the leaf-state matrix alone, as k
-    projected Gram blocks (see _projected_gram); the parent probabilities
-    are its squared column norms, judged in one nontrivial call as a
-    column against the rows of children.  No tree is built here: the
-    caller extends the tree with Extension.extend() once per accepted
-    event.  A time of leaves.chunk reads its candidate and the evolved
-    leaf states from the chunk, and is rejected at once when the chunk's
-    screen rejects it (_Chunk.rejects).
+    projected Gram blocks (see Extension); the parent probabilities are
+    the tree's, judged in one nontrivial call as a column against the rows
+    of children.  No tree is built here: the caller extends the tree with
+    Extension.extend() once per accepted event.  A time of chunk (a _Chunk
+    of this tree, or None) reads its candidate and the evolved leaf states
+    from the chunk, and is rejected at once when the chunk's screen
+    rejects it (_Chunk.rejects).
     Returns the Extension, or None when inadmissible."""
-    chunk = leaves.chunk
     i = None if chunk is None else chunk.index.get(t)
     try:
         dec = schmidt_candidate(model, t, chunk)
@@ -355,30 +335,30 @@ def _admissible(model, leaves, t, epsilon, delta, delta_mode):
     if len(dec) < 2 or (i is not None
                         and chunk.rejects(t, epsilon, delta, delta_mode)):
         return None
-    ext = Extension(leaves, dec, epsilon,
+    ext = Extension(tree, dec, epsilon,
                     None if i is None else chunk.leaves[i])
     if not ext.medium_pass:
         return None
-    live = ~(leaves.probabilities < LIVE_PROBABILITY_TOL)
+    parents = tree._probabilities
+    live = ~(parents < LIVE_PROBABILITY_TOL)
     children = ext.probabilities.reshape(-1, len(dec))[live]
-    return ext if nontrivial(leaves.probabilities[live, None], children,
-                             delta, mode=delta_mode) else None
+    return ext if nontrivial(parents[live, None], children, delta,
+                             mode=delta_mode) else None
 
 
 def _chain(model, decompositions, epsilon):
     """Extend a fresh tree of the model by each decomposition in turn, one
-    Extension scored at epsilon per step: (final LeafStates, events)."""
-    leaves = LeafStates(HistoryTree(initial_state=model.psi0,
-                                    evolution=model.evolution))
+    Extension scored at epsilon per step: (final tree, events)."""
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     events = []
     for dec in decompositions:
-        ext = Extension(leaves, dec, epsilon)
+        ext = Extension(tree, dec, epsilon)
         events.append(ext.event())
-        leaves = ext.extend()
-    return leaves, events
+        tree = ext.extend()
+    return tree, events
 
 
-def _prepare_chunk(model, leaves, t, advance):
+def _prepare_chunk(model, tree, t, advance):
     """The _Chunk of the scan times t, advance(t), ...: as many as fit in
     SCAN_BLOCK complex entries of evolved states, and at least t.
 
@@ -386,7 +366,7 @@ def _prepare_chunk(model, leaves, t, advance):
     evolution.apply_times call.  An evolution that raises ValueError has
     the chunk halved until it evolves, so the chunk ends before the times
     it refuses; when it refuses t alone, the error is raised here, at t."""
-    X = np.column_stack([model.psi0, leaves.states])
+    X = np.column_stack([model.psi0, tree.leaf_states()])
     times = [t]
     while len(times) < SCAN_BLOCK // X.size:
         t = advance(t)
@@ -401,53 +381,53 @@ def _prepare_chunk(model, leaves, t, advance):
                 raise
             del times[(len(times) + 1) // 2:]
         else:
-            return _Chunk(model, times, evolved, leaves.probabilities)
+            return _Chunk(model, times, evolved, tree._probabilities)
 
 
 def _scan_select(model, accept, start, advance, refine_tol, full,
                  budget=float("inf")):
     """The scan-and-bisect loop of every forward selection and search.
 
-    Evaluates accept(leaves, t) (an Extension or None) at start, then at
-    advance(t) after each rejected or event time until that is None.  An
+    Evaluates accept(tree, t, chunk) (an Extension or None) at start, then
+    at advance(t) after each rejected or event time until that is None.  An
     admissible t after the first evaluation is bisected back to the last
     rejected or event time, to refine_tol or adjacent floats, and recorded
-    as an event.  Stops when full(leaves, events), at the end of the scan,
+    as an event.  Stops when full(tree, events), at the end of the scan,
     or after budget accept calls; returns (SelectedSet, termination, calls)
     with termination 'full', 'end' or 'budget', in that precedence.
 
-    Scan times are evaluated in chunks: at a time the current leaves have
-    not prepared, the next times are taken from advance (which must be a
-    pure function of t) and prepared together (_prepare_chunk).  Each time
-    is still evaluated alone and in order, by one accept call; bisection
-    midpoints take the per-time path, and accepting an event drops the
-    chunk with the old leaves."""
-    leaves, events = _chain(model, (), None)
-    calls, t, lo = 0, start, None
-    while not full(leaves, events) and t is not None and calls < budget:
+    Scan times are evaluated in chunks: at a time the current chunk has not
+    prepared, the next times are taken from advance (which must be a pure
+    function of t) and prepared together on the current tree
+    (_prepare_chunk).  Each time is still evaluated alone and in order, by
+    one accept call; bisection midpoints take the per-time path, and
+    accepting an event drops the chunk with the old tree."""
+    tree, events = _chain(model, (), None)
+    chunk, calls, t, lo = None, 0, start, None
+    while not full(tree, events) and t is not None and calls < budget:
         calls += 1
-        if leaves.chunk is None or t not in leaves.chunk.index:
-            leaves.chunk = _prepare_chunk(model, leaves, t, advance)
-        ext = accept(leaves, t)
+        if chunk is None or t not in chunk.index:
+            chunk = _prepare_chunk(model, tree, t, advance)
+        ext = accept(tree, t, chunk)
         if ext is not None and lo is not None:
             while t - lo > refine_tol and calls < budget:
                 mid = 0.5 * (lo + t)
                 if not lo < mid < t:
                     break
                 calls += 1
-                trial = accept(leaves, mid)
+                trial = accept(tree, mid, chunk)
                 if trial is None:
                     lo = mid
                 else:
                     t, ext = mid, trial
         if ext is not None:
             events.append(ext.event())
-            leaves = ext.extend()
+            tree, chunk = ext.extend(), None
         lo = t          # the next bracket starts at a rejected or event time
         t = advance(t)
-    termination = ("full" if full(leaves, events)
+    termination = ("full" if full(tree, events)
                    else "end" if t is None else "budget")
-    return SelectedSet(leaves.tree, events), termination, calls
+    return SelectedSet(tree, events), termination, calls
 
 
 def _grid_select(model, accept, t_max, grid, refine_tol, max_events):
@@ -471,7 +451,7 @@ def _grid_select(model, accept, t_max, grid, refine_tol, max_events):
         return ts[i] if i <= grid else None
 
     return _scan_select(model, accept, 0.0, advance, refine_tol,
-                        lambda leaves, events: len(events) >= max_events)[0]
+                        lambda tree, events: len(events) >= max_events)[0]
 
 
 def earliest_time_select(model, epsilon, delta, t_max, *, grid=400,
@@ -499,14 +479,14 @@ def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
         raise ValueError(
             f"probe_dt must be positive and finite, got {probe_dt}")
 
-    def accept(leaves, t):
-        ext = _admissible(model, leaves, t, epsilon, delta, delta_mode)
+    def accept(tree, t, chunk):
+        ext = _admissible(model, tree, t, chunk, epsilon, delta, delta_mode)
         if ext is None:
             return None
         repeat = ProjectiveDecomposition(t + probe_dt,
                                          ext.decomposition.projectors,
                                          check=False)
-        _, G = _projected_gram(leaves.tree.evolution, ext.states, repeat)
+        G = _gram(tree._project(ext.states, repeat)[1])
         if not is_exactly_consistent(G, "medium", tol=PERSISTENCE_TOL):
             return None
         return ext
@@ -524,7 +504,7 @@ def retrodictive_select(model, candidate_times, epsilon=1e-10, *,
     limit histories obtained by repeating the final projection, one per
     leaf, each a normalized state with the system component flipped on the
     leaf's (product) history state.  Requires d1 = 2 for companions."""
-    leaves, events = _chain(model, (), epsilon)
+    tree, events = _chain(model, (), epsilon)
     for t in sorted(set(float(t) for t in candidate_times), reverse=True):
         try:
             dec = schmidt_candidate(model, t)
@@ -533,16 +513,17 @@ def retrodictive_select(model, candidate_times, epsilon=1e-10, *,
         trial = _chain(model, [dec] + [e.decomposition for e in events],
                        epsilon)
         if trial[1][-1].report.medium_pass:
-            leaves, events = trial
-    selected = SelectedSet(leaves.tree, events)
+            tree, events = trial
+    selected = SelectedSet(tree, events)
     if not include_companions:
         return selected, []
     if model.d1 != 2:
         raise ValueError("companion construction implemented for d1 = 2")
     companions = []
-    final = model.evolution.apply(leaves.states, events[-1].time) \
-        if events else leaves.states
-    for leaf, u, v in zip(leaves.tree.leaves(), leaves.states.T, final.T):
+    states = tree.leaf_states()
+    final = model.evolution.apply(states, events[-1].time) \
+        if events else states
+    for leaf, u, v in zip(tree.leaves(), states.T, final.T):
         nrm = np.linalg.norm(u)
         if nrm < COMPANION_TOL:
             continue

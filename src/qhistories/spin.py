@@ -182,7 +182,7 @@ class ChainEvolution:
     applies a (T, 2, 2) stack of R - 1, whose rows at angle 0 add an exact
     0.  So apply, at one time, takes one scalar step per turned
     interaction; the (T, 2, 2) stack alone, at T = 1, was 1.2-1.45x slower
-    (n = 2-6, on a shared 2-vCPU VM), and the spin-chain tree walk runs
+    (n = 2-6, on a shared 2-vCPU VM), and spin-chain tree extension runs
     apply at one time.  And apply_times applies the interactions that a
     chunk of chain-schedule times has finished at all of its times once,
     not once per time."""
@@ -298,8 +298,14 @@ def build_tree(cfg, events):
     every branch with the 2 x 2 system projectors {P(axis), P(-axis)}.
     Axes must be real unit 3-vectors, |axis|^2 within PROJECTOR_TOL of 1
     (ValueError otherwise); the pair's own, looser check is skipped."""
-    tree = HistoryTree(initial_state=initial_state(cfg),
-                       evolution=chain_evolution(cfg))
+    return _extend_by_events(HistoryTree(initial_state=initial_state(cfg),
+                                         evolution=chain_evolution(cfg)),
+                             events)
+
+
+def _extend_by_events(tree, events):
+    """tree extended by the (time, axis) events of build_tree, in time
+    order."""
     for t, w in sorted(events, key=lambda e: e[0]):
         w = _real_unit_axis(w)
         dec = ProjectiveDecomposition(t, [proj2(w), proj2(-w)], check=False)

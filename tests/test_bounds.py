@@ -34,6 +34,18 @@ def test_bound_validity_ranges():
             packing_upper_bound(4, math.nan, criterion)
 
 
+@pytest.mark.parametrize("criterion", ["weak", "medium"])
+@pytest.mark.parametrize("eps,message", [(-0.1, "0 <= eps < 1"),
+                                         (math.nan, "valid only"),
+                                         (1.0, "valid only")])
+def test_upper_bound_refuses_eps_outside_the_unit_interval(eps, message,
+                                                           criterion):
+    # -0.1 was answered with the bound at 0.1, as if eps were |eps|; NaN
+    # and 1.0 fail the validity test first
+    with pytest.raises(ValueError, match=message):
+        packing_upper_bound(4, eps, criterion)
+
+
 def test_shannon_lower_bound():
     assert shannon_lower_bound(3, 0.3, "weak") \
         == pytest.approx((1 - 0.09) ** (0.5 - 3))

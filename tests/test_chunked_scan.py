@@ -1,7 +1,7 @@
 """The chunked scan of selection._scan_select against the per-time path.
 
 A scan prepares a chunk of upcoming times at once (_prepare_chunk), held
-as one selection._Chunk on the leaves: one apply_times call evolves
+as one selection._Chunk of the current tree: one apply_times call evolves
 [psi0 | leaf states] to every time of the chunk, one stacked SVD splits
 the psi(t), and the chunk's stacked screen rejects the times whose
 candidate is inadmissible beyond SCREEN_MARGIN (_Chunk.rejects).  Each
@@ -145,19 +145,17 @@ def _grid_models():
 
 
 def _checked_accept(model, epsilon, delta, seen, accept_events=True):
-    """accept for _grid_select that scores each time on the scan's leaves
-    (chunked where prepared) and on a copy of them without a chunk (the
+    """accept for _grid_select that scores each time on the scan's tree
+    with its chunk (chunked where prepared) and without a chunk (the
     per-time path), and requires the same verdict, and the same blocks
     where the screen did not reject.  seen gets (t, prepared, admissible,
     rejected by the screen) per time."""
-    def accept(leaves, t):
-        chunk = leaves.chunk
+    def accept(tree, t, chunk):
         prepared = chunk is not None and t in chunk.index
         screened = prepared and chunk.rejects(t, epsilon, delta, "relative")
-        got = selection._admissible(model, leaves, t, epsilon, delta,
+        got = selection._admissible(model, tree, t, chunk, epsilon, delta,
                                     "relative")
-        bare = selection.LeafStates(leaves.tree, leaves.states)
-        want = selection._admissible(model, bare, t, epsilon, delta,
+        want = selection._admissible(model, tree, t, None, epsilon, delta,
                                      "relative")
         assert (got is None) == (want is None), t
         if got is not None:
@@ -187,7 +185,7 @@ def test_chunked_scan_agrees_with_the_per_time_path(name, model, t_max, grid,
                                    accept_events),
             t_max, grid, 1e-6, 16)
         if not accept_events:
-            # one LeafStates, so every grid time was scanned
+            # one tree, so every grid time was scanned
             assert len(seen) == grid + 1 and not sel.events
         # every grid time is prepared, and no bisection midpoint
         grid_times = set(np.linspace(0.0, t_max, grid + 1).tolist())
@@ -199,23 +197,23 @@ def test_chunked_scan_agrees_with_the_per_time_path(name, model, t_max, grid,
 
 
 def _two_leaves(model):
-    """LeafStates of the model's set after its first event at epsilon 0.5,
-    with a chunk prepared from the next time of a 300-step grid over
-    [0, 2], and the per-time path's blocks at each time of the chunk."""
-    leaves = selection.LeafStates(HistoryTree(initial_state=model.psi0,
-                                              evolution=model.evolution))
+    """The model's tree after its first event at epsilon 0.5, a chunk of it
+    prepared from the next time of a 300-step grid over [0, 2], and the
+    per-time path's blocks at each time of the chunk."""
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     ts = np.linspace(0.0, 2.0, 301).tolist()
     t0, ext = next((t, e) for t, e in (
-        (t, selection._admissible(model, leaves, t, 0.5, 0.02, "relative"))
+        (t, selection._admissible(model, tree, t, None, 0.5, 0.02,
+                                  "relative"))
         for t in ts[1:]) if e is not None)
-    leaves = ext.extend()
-    leaves.chunk = chunk = selection._prepare_chunk(
-        model, leaves, ts[ts.index(t0) + 1],
+    tree = ext.extend()
+    chunk = selection._prepare_chunk(
+        model, tree, ts[ts.index(t0) + 1],
         lambda t: ts[ts.index(t) + 1] if t < ts[-1] else None)
     blocks = {t: selection.Extension(
-        leaves, selection.schmidt_candidate(model, t, chunk), None,
+        tree, selection.schmidt_candidate(model, t, chunk), None,
         chunk.leaves[i]).blocks for t, i in chunk.index.items()}
-    return leaves, blocks
+    return tree, chunk, blocks
 
 
 def _least_passing_epsilon(blocks):
@@ -235,15 +233,15 @@ def test_a_near_epsilon_time_is_left_to_the_per_time_path():
     # those to the per-time path (a screen without SCREEN_MARGIN rejects
     # them), and it rejects the same times once epsilon is far enough below
     model = _flow_model(2, 4, 1)
-    leaves, blocks = _two_leaves(model)
+    tree, chunk, blocks = _two_leaves(model)
     assert len(blocks) > 100
-    chunk, near = leaves.chunk, 0
+    near = 0
     for t, i in chunk.index.items():
         epsilon = _least_passing_epsilon(blocks[t])
         worst = chunk.worst[i]
         if worst > epsilon:
             near += 1
-            assert selection._admissible(model, leaves, t, epsilon, 0.0,
+            assert selection._admissible(model, tree, t, chunk, epsilon, 0.0,
                                          "relative") is not None, t
         below = epsilon - 2 * SCREEN_MARGIN
         assert chunk.rejects(t, below, 0.0, "relative") \
@@ -257,9 +255,9 @@ def test_a_near_delta_time_is_left_to_the_per_time_path():
     # child non-trivial: the stacked child probabilities round below it at
     # some times (epsilon 2 passes every ratio)
     model = _flow_model(2, 4, 1)
-    leaves, blocks = _two_leaves(model)
-    parents = leaves.probabilities[:, None]
-    chunk, near = leaves.chunk, 0
+    tree, chunk, blocks = _two_leaves(model)
+    parents = tree._probabilities[:, None]
+    near = 0
     for t, i in chunk.index.items():
         children = blocks[t].diagonal(0, 1, 2).real.T
         delta = float(np.min(children / parents))
@@ -271,7 +269,7 @@ def test_a_near_delta_time_is_left_to_the_per_time_path():
         screened = chunk.children[i].T
         if (screened < delta * parents).any():
             near += 1
-            assert selection._admissible(model, leaves, t, 2.0, delta,
+            assert selection._admissible(model, tree, t, chunk, 2.0, delta,
                                          "relative") is not None, t
         # a shortfall of SCREEN_MARGIN on the smallest parent is rejected
         assert chunk.rejects(
@@ -328,11 +326,10 @@ def test_every_candidate_is_the_per_time_one_to_the_bit(name, model, t_max,
     # time alone (a split of one), against the old per-time body on the
     # same psi(t)
     times = np.linspace(0.0, t_max, 61).tolist()
-    leaves = selection.LeafStates(HistoryTree(initial_state=model.psi0,
-                                              evolution=model.evolution))
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     evolved = model.evolution.apply_times(
-        np.column_stack([model.psi0, leaves.states]), times)
-    chunk = selection._Chunk(model, times, evolved, leaves.probabilities)
+        np.column_stack([model.psi0, tree.leaf_states()]), times)
+    chunk = selection._Chunk(model, times, evolved, tree._probabilities)
     assert set(chunk.screened.tolist()) == screened, name
     for t, i in chunk.index.items():
         for where, psi in ((chunk, evolved[i, :, 0]),
@@ -365,9 +362,8 @@ def test_rank_deficient_times_take_the_per_time_path():
         2.0, 100, 1e-6, 16)
     assert len(seen) == 101 and all(p for _, p, *_ in seen)
     assert not any(ok or screened for _, _, ok, screened in seen)
-    leaves = selection.LeafStates(HistoryTree(initial_state=model.psi0,
-                                              evolution=model.evolution))
-    chunk = selection._prepare_chunk(model, leaves, 0.5, lambda t: None)
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
+    chunk = selection._prepare_chunk(model, tree, 0.5, lambda t: None)
     assert list(chunk.index) == [0.5] and not chunk.screened[0]
     assert len(selection.schmidt_candidate(model, 0.5, chunk)) == 2
 
@@ -456,9 +452,9 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
     starts = []
     prepare = selection._prepare_chunk
 
-    def recorded(model, leaves, t, advance):
+    def recorded(model, tree, t, advance):
         starts.append(t)
-        return prepare(model, leaves, t, advance)
+        return prepare(model, tree, t, advance)
 
     monkeypatch.setattr(selection, "_prepare_chunk", recorded)
     calls = _count_candidates(monkeypatch)
@@ -515,27 +511,26 @@ def test_a_nan_state_raises_at_its_own_time(monkeypatch):
 
 def test_the_lazy_report_is_the_report_of_the_blocks():
     model = _flow_model(2, 4, 1)
-    leaves = selection.LeafStates(HistoryTree(initial_state=model.psi0,
-                                              evolution=model.evolution))
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     passed = set()
     for t in np.linspace(0.1, 2.0, 12):
         dec = selection.schmidt_candidate(model, t)
         for epsilon in (1e-3, 0.05, 0.5):
-            ext = selection.Extension(leaves, dec, epsilon)
+            ext = selection.Extension(tree, dec, epsilon)
             verdict = ext.medium_pass
             assert "report" not in vars(ext)
             assert ext.report == consistency.consistency_report(ext.blocks,
                                                                 epsilon)
             assert verdict == ext.report.medium_pass
             passed.add(verdict)
-        admitted = selection._admissible(model, leaves, t, 0.5, 0.02,
+        admitted = selection._admissible(model, tree, t, None, 0.5, 0.02,
                                          "relative")
         if admitted is not None:
             assert admitted.report == consistency.consistency_report(
                 admitted.blocks, 0.5)
             assert admitted.report.medium_pass
-            leaves = admitted.extend()
-    assert passed == {True, False} and len(leaves.probabilities) > 2
+            tree = admitted.extend()
+    assert passed == {True, False} and len(tree.leaves()) > 2
     with pytest.raises(ValueError, match="non-negative"):
-        selection.Extension(leaves, dec, -0.1).medium_pass
+        selection.Extension(tree, dec, -0.1).medium_pass
 

@@ -88,6 +88,36 @@ def test_dheg_command():
                                               abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_spin_classify_shares_prefixes_bit_for_bit(monkeypatch, n, seed):
+    # each catalogue set's tree extends its prefix's by one event; every
+    # row must be that of the set's tree built from scratch, to the bit
+    from qhistories import consistency, histories, spin
+    emitted = []
+    monkeypatch.setattr(cli, "emit_records",
+                        lambda out, title, meta, columns, rows:
+                        emitted.append(rows))
+    extensions = []
+    extend_all = histories.extend_all
+    monkeypatch.setattr(spin, "extend_all", lambda tree, dec: (
+        extensions.append(dec.time), extend_all(tree, dec))[1])
+    assert cli.main(["spin", "classify", "--n", str(n),
+                     "--seed", str(seed)]) == 0
+    [rows] = emitted
+    assert len(extensions) == len(rows)
+    monkeypatch.undo()
+    cfg = cli._random_axes(n, cli.RandomStream(seed, "spin-classify"))
+    want = []
+    for form, times in spin.enumerate_consistent_sets(cfg):
+        if times:
+            tree = spin.build_tree(cfg, spin.measurement_events(cfg, times))
+            want.append([form, len(times), consistency.consistency_report(
+                histories.decoherence_matrix(tree).entries
+            ).max_medium_violation])
+    assert rows == want
+
+
 def test_spin_commands():
     code, out = _run(["spin", "classify", "--n", "2", "--seed", "3"])
     assert code == 0

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhistories import selection, spin
+from qhistories import randmodel, selection, spin
+from qhistories.consistency import env_orthogonality, linear_positivity
 from qhistories.histories import (DecoherenceMatrix, HistoryTree,
                                   ProjectiveDecomposition, apply_leading,
                                   coarse_grain, decoherence_matrix, extend_all,
@@ -191,9 +192,56 @@ def test_an_unnormalised_initial_state_is_refused(state):
         HistoryTree(**state)
 
 
-# Path states against dense Heisenberg chains, one tolerance relative to the
-# largest entry of the reference.
+# Path states against dense Heisenberg chains and the level walk, one
+# tolerance relative to the largest entry of the reference.
 REL_TOL = ORACLE_RTOL
+
+
+def _walk_leaf_states(tree):
+    """Reference: the path states of all leaves, in leaves() order, from one
+    level-by-level walk of the tree (the body leaf_states had before trees
+    carried their states).
+
+    At each level the states of the nodes that decompose at one time t are
+    evolved forward together, split by the projectors of their
+    decompositions (projector outer), and evolved back together: two
+    evolution calls per distinct time of the level."""
+    frontier = [((), tree.root)]
+    states = tree.initial_state[:, None]
+    paths, columns = [], []
+    while frontier:
+        groups = {}
+        for j, (path, node) in enumerate(frontier):
+            if node.is_leaf:
+                paths.append(path)
+                columns.append(states[:, j])
+            else:
+                groups.setdefault(node.decomposition.time, []).append(j)
+        next_frontier, blocks = [], []
+        for t, group in groups.items():
+            evolved = tree._evolve(states[:, group], t)
+            by_dec = {}
+            for col, j in enumerate(group):
+                dec = frontier[j][1].decomposition
+                by_dec.setdefault(id(dec), (dec, []))[1].append(col)
+            projected = []
+            for dec, cols in by_dec.values():
+                block = evolved if len(by_dec) == 1 else evolved[:, cols]
+                for i, P in enumerate(dec.projectors):
+                    projected.append(apply_leading(P, block))
+                    for col in cols:
+                        path, node = frontier[group[col]]
+                        next_frontier.append((path + (i,),
+                                              node.children[i]))
+            blocks.append(tree._evolve(np.hstack(projected), t,
+                                       adjoint=True))
+        frontier = next_frontier
+        if blocks:
+            states = np.hstack(blocks)
+    # no leaf path is a prefix of another, so sorted paths are in
+    # leaves() order
+    order = sorted(range(len(paths)), key=paths.__getitem__)
+    return np.column_stack([columns[i] for i in order])
 
 
 def _dense_leaf_states(tree, psi, unitary):
@@ -219,6 +267,11 @@ def _assert_matches_dense(tree, psi, unitary):
     tol = REL_TOL * np.max(np.abs(want))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= tol
+    # the walk evolves a level's columns projector outer, and splits a
+    # branch-dependent level's columns together, so BLAS may round them
+    # otherwise than extension does
+    walk = _walk_leaf_states(tree)
+    assert np.max(np.abs(got - walk)) <= REL_TOL * np.max(np.abs(walk))
     for leaf, column in zip(tree.leaves(), want.T):
         assert np.max(np.abs(tree.path_state(leaf) - column)) <= tol
     D_want = (want.conj().T @ want).T
@@ -385,15 +438,73 @@ def test_leaf_states_evolve_each_time_forward_and_back_once():
     for t in times:
         tree = extend_all(tree, _random_decomposition(
             dim, t, rng.stream(f"dec{t}"), blocks=[[0, 1], [2, 3]]))
-    assert len(tree.leaves()) == 16
-    states = tree.leaf_states()
-    assert sorted(evolution.calls) == [(t, adjoint) for t in times
-                                       for adjoint in (False, True)]
+        assert evolution.calls == [(t, False), (t, True)]
+        evolution.calls.clear()
+    tree = extend_branch(tree, (0, 1, 1, 0), _random_decomposition(
+        dim, 3.0, rng.stream("branch"), blocks=[[0], [1, 2, 3]]))
+    assert evolution.calls == [(3.0, False), (3.0, True)]
     evolution.calls.clear()
-    assert np.array_equal(decoherence_matrix(tree).entries,
-                          (states.conj().T @ states).T)
-    assert len(evolution.calls) == 2 * len(times)
+    assert len(tree.leaves()) == 17
+    states = tree.leaf_states()
+    D = decoherence_matrix(tree)
+    linear_positivity(tree)
+    env_orthogonality(tree, 2, 2)
+    assert evolution.calls == []
+    assert np.array_equal(D.entries, (states.conj().T @ states).T)
     _assert_matches_dense(tree, psi, flow.unitary)
+
+
+def test_leaf_states_are_read_only():
+    # trees that extend one another share their states' values, so the
+    # matrix a tree hands out must not be writable
+    rng = RandomStream(59, "read-only")
+    psi = sample_unit_vector(4, "complex", rng.stream("psi"))
+    flow = HamiltonianFlow(sample_gue(4, 1.0, rng.stream("H")))
+    root = HistoryTree(initial_state=psi, evolution=flow)
+    tree = extend_all(root, _random_decomposition(4, 1.0, rng.stream("d")))
+    for t in (root, tree, extend_branch(tree, (2,), _random_decomposition(
+            4, 2.0, rng.stream("b")))):
+        with pytest.raises(ValueError, match="read-only"):
+            t.leaf_states()[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_spin_probs_leaf_states_are_the_walk_to_the_bit(n, seed):
+    # the trees of `qhist spin probs`: one decomposition per level, so
+    # extension and the walk evolve the same columns at each time
+    rng = RandomStream(seed, "spin-probs")
+    vecs = [sample_unit_vector(3, "real", rng.stream(f"axis{i}"))
+            for i in range(n + 1)]
+    cfg = spin.SpinModelConfig(v=vecs[0], axes=np.array(vecs[1:]))
+    tree = spin.build_tree(cfg, spin.measurement_events(
+        cfg, range(1, n + 1)))
+    assert np.array_equal(tree.leaf_states(), _walk_leaf_states(tree))
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 1), (4, 2), (6, 3), (8, 4)])
+def test_two_leaf_flow_leaf_states_are_the_walk_to_the_bit(dim, seed):
+    rng = RandomStream(seed, "two-leaf")
+    psi = sample_unit_vector(dim, "complex", rng.stream("psi"))
+    flow = HamiltonianFlow(sample_gue(dim, 1.0, rng.stream("H")))
+    half = list(range(dim // 2))
+    tree = extend_all(HistoryTree(initial_state=psi, evolution=flow),
+                      _random_decomposition(
+                          dim, 0.7, rng.stream("dec"),
+                          blocks=[half, list(range(dim // 2, dim))]))
+    assert np.array_equal(tree.leaf_states(), _walk_leaf_states(tree))
+
+
+def test_forward_search_tree_is_the_walk_within_tolerance():
+    # the 3 x 9 run of the golden `random analyse` (27 leaves): the scan's
+    # states round otherwise than the walk's in the last bits
+    record = randmodel.run_forward_search(randmodel.RunConfig(
+        d1=3, d2=9, sigma=1.0, seed=1, epsilon=0.9, delta=0.02, t_max=2.0,
+        max_histories=64))
+    got = record.tree.leaf_states()
+    walk = _walk_leaf_states(record.tree)
+    assert got.shape == walk.shape == (27, 27)
+    assert np.max(np.abs(got - walk)) <= REL_TOL * np.max(np.abs(walk))
 
 
 def test_leaf_states_purified_state_with_flow_apply():

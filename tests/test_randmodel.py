@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qhistories import randmodel
-from qhistories.histories import HistoryTree, decoherence_matrix
-from qhistories.selection import LeafStates, _admissible
+from qhistories import histories, randmodel, selection
+from qhistories.histories import HistoryTree, decoherence_matrix, extend_all
+from qhistories.selection import _admissible
 
 
 def _config(**kw):
@@ -101,6 +101,29 @@ def test_analysis_detects_tampering():
     assert not an.integrity
 
 
+def test_analysis_integrity_rebuilds_the_set_it_checks():
+    # a record whose tree carries corrupted states, with its last event
+    # scored on them, agrees with itself: integrity must rebuild the final
+    # set from the events, not read the states the record carries
+    config = _config()
+    rec = randmodel.run_forward_search(config)
+    assert len(rec.events) >= 2 and randmodel.analyse_run(rec).integrity
+    model, _ = randmodel.build_run(config)
+    *head, last = rec.events
+    parent, _ = selection._chain(
+        model, [e.decomposition for e in head[:-1]], config.epsilon)
+    states = extend_all(parent, head[-1].decomposition).leaf_states()
+    corrupted = states * (1.0 + 1e-3 * np.arange(states.shape[1]))
+    tree = histories._extend(parent, head[-1].decomposition, None, corrupted)
+    ext = selection.Extension(tree, last.decomposition, config.epsilon)
+    bad = randmodel.RunRecord(config, head + [ext.event()], rec.termination,
+                              rec.steps, ext.extend())
+    D = decoherence_matrix(bad.tree)
+    assert np.max(np.abs(np.sort(D.diag)
+                         - np.sort(bad.events[-1].probabilities))) <= 1e-12
+    assert randmodel.analyse_run(bad).integrity is False
+
+
 def test_perturbation_sweep_continuity():
     cfg = _config(t_max=1.0)
     out = randmodel.perturbation_sweep(cfg, [0.0, 1e-8])
@@ -162,8 +185,7 @@ def test_zero_refine_tol_stops_at_adjacent_floats():
 def _forward_search_loop(config):
     """Reference: the forward search as its own scan-and-bisect loop."""
     model, _ = randmodel.build_run(config)
-    leaves = LeafStates(HistoryTree(initial_state=model.psi0,
-                                    evolution=model.evolution))
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     events = []
     dt = config.t_max / 1000.0
     t = 0.0
@@ -173,8 +195,8 @@ def _forward_search_loop(config):
     def admissible(s):
         nonlocal steps
         steps += 1
-        return _admissible(model, leaves, s, config.epsilon, config.delta,
-                           config.delta_mode)
+        return _admissible(model, tree, s, None, config.epsilon,
+                           config.delta, config.delta_mode)
 
     prev_t = None
     while t <= config.t_max + 1e-12:
@@ -195,8 +217,8 @@ def _forward_search_loop(config):
         prev_t = t
         if ext is not None:
             events.append(ext.event())
-            leaves = ext.extend()
-            if leaves.states.shape[1] >= config.max_histories:
+            tree = ext.extend()
+            if len(tree.leaves()) >= config.max_histories:
                 termination = "max_histories"
                 break
         t += dt

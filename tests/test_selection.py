@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qhistories import selection, spin
+from qhistories import histories, selection, spin
 from qhistories.consistency import (consistency_report, is_exactly_consistent,
                                     nontrivial)
 from qhistories.histories import (HistoryTree, ProjectiveDecomposition,
@@ -233,12 +233,11 @@ def _check_engine(model, tree, times, epsilons=(0.05, 0.5), delta=0.02):
     """Engine blocks equal the strided blocks D[i::k, i::k] of the rebuilt
     tree's matrix, which is zero off them up to rounding, at every time;
     the verdicts agree for every epsilon.  Returns the verdicts."""
-    leaves = selection.LeafStates(tree)
     verdicts = []
     for t in times:
         dec = selection.schmidt_candidate(model, t)
         want = decoherence_matrix(extend_all(tree, dec)).entries
-        got = selection.Extension(leaves, dec, epsilons[0]).blocks
+        got = selection.Extension(tree, dec, epsilons[0]).blocks
         k, n, _ = got.shape
         assert want.shape == (n * k, n * k)
         scale = np.max(np.abs(want))
@@ -249,7 +248,7 @@ def _check_engine(model, tree, times, epsilons=(0.05, 0.5), delta=0.02):
             outside[i::k, i::k] = False
         assert np.max(np.abs(want[outside]), initial=0.0) <= GRAM_RTOL * scale
         for eps in epsilons:
-            ok = selection._admissible(model, leaves, t, eps, delta,
+            ok = selection._admissible(model, tree, t, None, eps, delta,
                                        "relative") is not None
             assert ok == _tree_path_admissible(model, tree, t, eps, delta)
             verdicts.append(ok)
@@ -318,7 +317,7 @@ def test_engine_matches_tree_path_with_null_branch():
     tree = extend_all(
         HistoryTree(initial_state=model.psi0, evolution=model.unitary),
         ProjectiveDecomposition(0.0, lift))
-    assert not np.any(selection.LeafStates(tree).states[:, 1])
+    assert not np.any(tree.leaf_states()[:, 1])
     _check_engine(model, tree, [0.3, 0.9, 1.6])
 
 
@@ -330,27 +329,29 @@ def test_admissible_judges_the_live_leaves_like_a_loop():
     tree = extend_all(HistoryTree(initial_state=model.psi0,
                                   evolution=model.evolution),
                       selection.schmidt_candidate(model, 0.4))
-    tree = extend_all(tree, selection.schmidt_candidate(model, 0.9))
-    states = tree.leaf_states()
+    second = selection.schmidt_candidate(model, 0.9)
+    states = extend_all(tree, second).leaf_states().copy()
     states[:, 1] = 0.0
     states[:, 2] *= 1e-8
-    leaves = selection.LeafStates(tree, states)
+    # a tree that carries these states, by the path Extension.extend takes
+    tree = histories._extend(tree, second, None, states)
     verdicts, skipped = set(), set()
     for t, eps, delta, mode in itertools.product(
             np.linspace(1.0, 3.0, 9), (0.7, 1.0), (0.001, 0.02, 0.2),
             ("relative", "absolute")):
-        got = selection._admissible(model, leaves, t, eps, delta, mode)
+        got = selection._admissible(model, tree, t, None, eps, delta, mode)
         dec = selection.schmidt_candidate(model, t)
-        ext = selection.Extension(leaves, dec, eps)
+        ext = selection.Extension(tree, dec, eps)
         k = len(dec)
+        parents = np.linalg.norm(tree.leaf_states(), axis=0) ** 2
         judged = [nontrivial(p, ext.probabilities[a * k:(a + 1) * k], delta,
                              mode=mode)
-                  for a, p in enumerate(leaves.probabilities) if p >= 1e-14]
+                  for a, p in enumerate(parents) if p >= 1e-14]
         want = k >= 2 and ext.report.medium_pass and all(judged)
         assert (got is not None) == want
         verdicts.add(want)
         skipped.add(want and not nontrivial(
-            leaves.probabilities[:, None],
+            parents[:, None],
             ext.probabilities.reshape(-1, k), delta, mode=mode))
     assert verdicts == {True, False} and True in skipped
 
@@ -397,33 +398,32 @@ def test_spin_models_score_as_their_dense_unitaries():
     for model, unitary, times in pairs:
         dense = selection.BipartiteModel(model.d1, model.d2, model.psi0,
                                          unitary)
-        leaves = selection.LeafStates(HistoryTree(
-            initial_state=model.psi0, evolution=model.evolution))
-        dense_leaves = selection.LeafStates(HistoryTree(
-            initial_state=model.psi0, evolution=dense.evolution))
+        tree = HistoryTree(initial_state=model.psi0,
+                           evolution=model.evolution)
+        dense_tree = HistoryTree(initial_state=model.psi0,
+                                 evolution=dense.evolution)
         for t in times:
             dec = selection.schmidt_candidate(model, t)
-            ext = selection.Extension(leaves, dec, 0.05)
-            want = selection.Extension(dense_leaves, dec, 0.05)
+            ext = selection.Extension(tree, dec, 0.05)
+            want = selection.Extension(dense_tree, dec, 0.05)
             scale = np.max(np.abs(want.blocks))
             assert np.max(np.abs(ext.blocks - want.blocks)) <= GRAM_RTOL * scale
             assert np.max(np.abs(ext.states - want.states)) \
                 <= GRAM_RTOL * np.max(np.abs(want.states))
-            leaves, dense_leaves = ext.extend(), want.extend()
+            tree, dense_tree = ext.extend(), want.extend()
 
 
 # -- the shared scan loop against the loops it replaced ---------------------
 
 def _grid_scan_loop(model, accept, t_max, grid, refine_tol, max_events):
     """Reference: the grid selections' own scan-and-bisect loop."""
-    leaves = selection.LeafStates(HistoryTree(initial_state=model.psi0,
-                                              evolution=model.evolution))
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     events = []
     ts = np.linspace(0.0, t_max, grid + 1)
     i = 0
     while i <= grid and len(events) < max_events:
         t = float(ts[i])
-        ext = accept(leaves, t)
+        ext = accept(tree, t)
         if ext is None:
             i += 1
             continue
@@ -432,33 +432,33 @@ def _grid_scan_loop(model, accept, t_max, grid, refine_tol, max_events):
         hi = t
         while hi - lo > refine_tol:
             mid = 0.5 * (lo + hi)
-            trial = accept(leaves, mid)
+            trial = accept(tree, mid)
             if trial is None:
                 lo = mid
             else:
                 hi, ext = mid, trial
         events.append(ext.event())
-        leaves = ext.extend()
+        tree = ext.extend()
         while i <= grid and ts[i] <= hi:
             i += 1
-    return [e.time for e in events], len(leaves.tree.leaves())
+    return [e.time for e in events], len(tree.leaves())
 
 
 def _earliest_accept(model, epsilon, delta):
-    return lambda leaves, t: selection._admissible(model, leaves, t, epsilon,
-                                                   delta, "relative")
+    return lambda tree, t: selection._admissible(model, tree, t, None,
+                                                 epsilon, delta, "relative")
 
 
 def _quasi_accept(model, epsilon, delta, probe_dt=1e-3, tol=1e-9):
-    def accept(leaves, t):
-        ext = selection._admissible(model, leaves, t, epsilon, delta,
+    def accept(tree, t):
+        ext = selection._admissible(model, tree, t, None, epsilon, delta,
                                     "relative")
         if ext is None:
             return None
         repeat = ProjectiveDecomposition(t + probe_dt,
                                          ext.decomposition.projectors,
                                          check=False)
-        _, D = selection._projected_gram(model.evolution, ext.states, repeat)
+        D = selection._gram(tree._project(ext.states, repeat)[1])
         return ext if is_exactly_consistent(D, "medium", tol=tol) else None
     return accept
 
