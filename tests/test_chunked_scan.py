@@ -399,6 +399,57 @@ def test_apply_times_matches_apply(evolution, size):
         <= ORACLE_RTOL * np.max(np.abs(vector))
 
 
+# -- chunk sizes: small after each event, doubling, bounded by memory ------
+
+@pytest.mark.parametrize("name", ["recoherence", "search2x16"])
+def test_a_chunk_past_an_event_wastes_little(monkeypatch, name):
+    # each tree's first chunk holds at most CHUNK_START times and each
+    # further one at most twice the one before, so a tree's chunks hold at
+    # most twice the times evaluated on it plus CHUNK_START: the times
+    # thrown away at an event or at the end of the scan stay bounded
+    calls = _count_candidates(monkeypatch)
+    chunks = _record_chunks(monkeypatch)
+    if name == "recoherence":     # the selection of qhist spin recoherence
+        events = selection.earliest_time_select(
+            _recoherence_model(), 1e-6, 0.05, 3 * math.pi / 2).events
+    else:
+        events = randmodel.run_forward_search(_search_config(16, 12)).events
+    assert len(events) >= 2
+    prepared = set().union(*(chunk.index for chunk in chunks))
+    evaluated = sum(t in prepared for t in calls)
+    rows = sum(len(chunk.index) for chunk in chunks)
+    assert rows <= 2 * evaluated + selection.CHUNK_START * (len(events) + 1)
+    if name == "recoherence":
+        assert rows <= 600
+    for before, chunk in zip([None] + chunks, chunks):
+        same_tree = before is not None and chunk.parents is before.parents
+        assert len(chunk.index) <= (2 * len(before.index) if same_tree
+                                    else selection.CHUNK_START)
+
+
+@pytest.mark.parametrize("d1,d2,seed,epsilon", [
+    (2, 16, 12, 0.05),
+    (3, 9, 1, 0.9),     # 27 leaves: the Gram stack is the larger array
+])
+def test_every_chunk_keeps_its_largest_array_within_scan_block(
+        monkeypatch, d1, d2, seed, epsilon):
+    chunks = _record_chunks(monkeypatch)
+    randmodel.run_forward_search(_search_config(d2, seed, d1=d1,
+                                                epsilon=epsilon))
+    gram_bound = 0
+    for chunk in chunks:
+        T, d, n = chunk.leaves.shape
+        states, gram = d * (1 + n), d1 * n * n
+        if T > 1:
+            assert T * max(states, gram) <= selection.SCAN_BLOCK, (T, n)
+            gram_bound += gram > states
+    # the 2x16 chunks grow past CHUNK_START, and the Gram stack binds on
+    # the 3x9 run
+    longest = max(len(chunk.index) for chunk in chunks)
+    assert (longest > selection.CHUNK_START) == (d1 == 2)
+    assert (gram_bound > 0) == (d1 == 3)
+
+
 # -- edge inputs: one bad time does not spoil its chunk ---------------------
 
 def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
@@ -452,9 +503,9 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
     starts = []
     prepare = selection._prepare_chunk
 
-    def recorded(model, tree, t, advance):
+    def recorded(model, tree, t, advance, length):
         starts.append(t)
-        return prepare(model, tree, t, advance)
+        return prepare(model, tree, t, advance, length)
 
     monkeypatch.setattr(selection, "_prepare_chunk", recorded)
     calls = _count_candidates(monkeypatch)

@@ -18,7 +18,7 @@ from qhistories.constructions import frame_pair_matrix, frame_pair_mpv
 from qhistories.histories import (DecoherenceMatrix, HistoryTree,
                                   ProjectiveDecomposition, extend_all)
 from qhistories.linalg import RandomStream, sample_unit_vector
-from qhistories.tolerances import ORACLE_RTOL
+from qhistories.tolerances import EXACT_TOL, ORACLE_RTOL
 
 # MPV comparisons against the reference scans below hold to MPV_RTOL of
 # the largest |Re D| entry.
@@ -379,6 +379,49 @@ def test_report_of_a_block_stack_is_the_report_of_its_matrix():
             assert is_exactly_consistent(G, criterion) \
                 == is_exactly_consistent(D, criterion)
     assert {(True, True), (True, False), (False, False)} <= flagged
+
+
+def _report_verdict(D, criterion, tol=None):
+    """The reference verdict: the full report's violation maximum
+    against tol."""
+    M = np.asarray(D, dtype=complex)
+    if tol is None:
+        tol = EXACT_TOL * np.abs(M.diagonal(0, -2, -1).real).max(initial=1.0)
+    r = consistency_report(M)
+    return (r.max_weak_violation if criterion == "weak"
+            else r.max_medium_violation) <= tol
+
+
+def test_exact_consistency_reads_the_report_maximum():
+    # matrices and (k, n, n) block stacks, each as drawn, nearly diagonal,
+    # and with imaginary off-diagonal entries only, at the default tol and
+    # at explicit ones on both sides of the violation
+    inputs = [np.zeros((0, 0)), np.full((1, 1), 0.7 + 0.2j)]
+    for seed in range(3):
+        g = np.random.default_rng(seed)
+        for n in (2, 3, 5):
+            A = g.normal(size=(n, n)) + 1j * g.normal(size=(n, n))
+            inputs.append(A @ A.conj().T)
+        for k, n in ((2, 1), (2, 3), (3, 4)):
+            inputs.append(_gram_stack(seed, k, n))
+    for D in list(inputs):
+        if D.shape[-1] > 1:
+            diag = D * np.eye(D.shape[-1])
+            inputs += [diag + 1e-14 * (D - diag),
+                       diag + 1j * np.abs(D - diag).astype(complex)]
+    verdicts = set()
+    for D in inputs:
+        G = D if D.ndim == 3 else D[None]
+        offdiag = np.abs(G[:, ~np.eye(G.shape[-1], dtype=bool)])
+        worst = float(offdiag.max(initial=0.0))
+        for criterion in ("weak", "medium"):
+            for tol in (None, 0.0, worst, np.nextafter(worst, 0.0), 1e-13):
+                got = is_exactly_consistent(D, criterion, tol=tol)
+                assert got == _report_verdict(D, criterion, tol), \
+                    (D.shape, criterion, tol)
+                verdicts.add((criterion, got))
+    assert verdicts == {(c, v) for c in ("weak", "medium")
+                        for v in (True, False)}
 
 
 def test_report_of_small_dense_matrices():

@@ -43,6 +43,26 @@ def test_decomposition_validation():
                                       np.diag([0.0, 1.0])])
 
 
+def test_decomposition_takes_a_complex_stack_as_it_is():
+    # the rows of a complex stack are kept as views of it (np.asarray does
+    # not copy them); a list and a real array give the same projectors
+    P = np.diag([1.0, 0.0])
+    real = np.stack([P, np.eye(2) - P])
+    stack = real.astype(complex)
+    decs = [ProjectiveDecomposition(0.0, projs)
+            for projs in (stack, list(stack), real)]
+    for dec in decs:
+        assert len(dec) == 2
+        assert all(p.dtype == complex and np.array_equal(p, q)
+                   for p, q in zip(dec.projectors, stack))
+    assert all(p.base is stack for p in decs[0].projectors)
+    with pytest.raises(ValueError, match="identity"):
+        ProjectiveDecomposition(0.0, stack[:1])
+    with pytest.raises(ValueError, match="idempotent"):
+        ProjectiveDecomposition(0.0, 0.5 * np.stack([np.eye(2)] * 2
+                                                    ).astype(complex))
+
+
 @settings(deadline=None, max_examples=15)
 @given(seed=st.integers(0, 10**6), dim=st.integers(2, 5),
        depth=st.integers(1, 3))
