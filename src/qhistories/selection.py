@@ -42,14 +42,11 @@ apply_times evolves psi0 and the leaf states to every time of a chunk in
 one product, and the chunk is the split of its psi(t), plus the k Gram
 blocks of every time, from which its screen rejects the times whose
 candidate is inadmissible by more than SCREEN_MARGIN (_Chunk.rejects).
-Chunks are sized by work: a tree's first chunk (at the scan start and
-after each event) holds CHUNK_START times and each further one twice as
-many as the one before, but no chunk of more than one time has a largest
-array, the evolved states (T d (1 + n) entries for T times, d = d1 d2
-and n leaves) or the Gram stack (T d1 n^2), of more than SCAN_BLOCK
-complex entries; a chunk of one time is prepared whatever its size.  So
-a scan prepares at most twice the times it evaluates, plus CHUNK_START
-per tree.
+A chunk holds SCAN_CHUNK times, fewer where its largest array, the
+evolved states (T d (1 + n) entries for T times, d = d1 d2 and n leaves)
+or the Gram stack (T d1 n^2), would exceed SCAN_BLOCK complex entries,
+and at least one; a chunk of one time is prepared whatever its size.  So
+at most SCAN_CHUNK - 1 prepared times go unevaluated per tree.
 Each time is still evaluated alone and in order, by one schmidt_candidate
 call that reads the chunk's row; a time the screen rejects stops there,
 and every other one is judged by the per-time path, so verdicts and
@@ -76,7 +73,7 @@ from .tolerances import (COMPANION_TOL, COMPLEMENT_TOL, DISTRIBUTION_SUM_TOL,
 from . import spin as spin_mod
 
 SCAN_BLOCK = 1 << 14     # complex entries of a scan chunk's largest array
-CHUNK_START = 64         # times of a tree's first scan chunk
+SCAN_CHUNK = 64          # times of a scan chunk, before the SCAN_BLOCK cap
 
 
 @dataclass
@@ -367,14 +364,13 @@ def _chain(model, decompositions, epsilon):
     return tree, events
 
 
-def _prepare_chunk(model, tree, t, advance, length=float("inf")):
-    """The _Chunk of the scan times t, advance(t), ...: length of them,
+def _prepare_chunk(model, tree, t, advance):
+    """The _Chunk of the scan times t, advance(t), ...: SCAN_CHUNK of them,
     but no more than keep the chunk's largest array within SCAN_BLOCK
     complex entries, and at least t, so only a chunk of one time can
     exceed SCAN_BLOCK.  For T times, d = d1 d2 and n leaves that array is
     the evolved states [psi0 | leaf states], T d (1 + n) entries, or the
-    Gram stack, T d1 n^2.  By default only SCAN_BLOCK limits the chunk:
-    that is the length at which the scan's doubling stops.
+    Gram stack, T d1 n^2.
 
     [psi0 | leaf states] is evolved to every time of the chunk by one
     evolution.apply_times call.  An evolution that raises ValueError has
@@ -382,9 +378,9 @@ def _prepare_chunk(model, tree, t, advance, length=float("inf")):
     it refuses; when it refuses t alone, the error is raised here, at t."""
     X = np.column_stack([model.psi0, tree.leaf_states()])
     n = X.shape[1] - 1
-    length = min(length, SCAN_BLOCK // max(X.size, model.d1 * n * n))
+    T = min(SCAN_CHUNK, SCAN_BLOCK // max(X.size, model.d1 * n * n))
     times = [t]
-    while len(times) < length:
+    while len(times) < T:
         t = advance(t)
         if t is None:
             break
@@ -415,21 +411,19 @@ def _scan_select(model, accept, start, advance, refine_tol, full,
     Scan times are evaluated in chunks: at a time the current chunk has not
     prepared, the next times are taken from advance (which must be a pure
     function of t) and prepared together on the current tree
-    (_prepare_chunk): CHUNK_START of them for the tree's first chunk, and
-    twice the length of the one before for each further one, within the
-    memory bound SCAN_BLOCK for any chunk of more than one time.  Each
-    time is still evaluated alone and in order, by one accept call;
-    bisection midpoints take the per-time path, and accepting an event
-    drops the chunk with the old tree, so the next chunk starts small
-    again."""
+    (_prepare_chunk): SCAN_CHUNK of them, within the memory bound
+    SCAN_BLOCK for any chunk of more than one time.  Each time is still
+    evaluated alone and in order, by one accept call; bisection midpoints
+    take the per-time path, and accepting an event drops the chunk with
+    the old tree, so at most SCAN_CHUNK - 1 prepared times go unevaluated
+    per tree."""
     tree, events = _chain(model, (), None)
-    chunk, calls, t, lo, length = None, 0, start, None, CHUNK_START
+    chunk, calls, t, lo = None, 0, start, None
     while not full(tree, events) and t is not None and calls < budget:
         calls += 1
         if chunk is None or t not in chunk.index:
             chunk = None        # two chunks at once would raise peak memory
-            chunk = _prepare_chunk(model, tree, t, advance, length)
-            length = 2 * len(chunk.index)
+            chunk = _prepare_chunk(model, tree, t, advance)
         ext = accept(tree, t, chunk)
         if ext is not None and lo is not None:
             while t - lo > refine_tol and calls < budget:
@@ -444,7 +438,7 @@ def _scan_select(model, accept, start, advance, refine_tol, full,
                     t, ext = mid, trial
         if ext is not None:
             events.append(ext.event())
-            tree, chunk, length = ext.extend(), None, CHUNK_START
+            tree, chunk = ext.extend(), None
         lo = t          # the next bracket starts at a rejected or event time
         t = advance(t)
     termination = ("full" if full(tree, events)

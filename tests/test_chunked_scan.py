@@ -197,9 +197,9 @@ def test_chunked_scan_agrees_with_the_per_time_path(name, model, t_max, grid,
 
 
 def _two_leaves(model):
-    """The model's tree after its first event at epsilon 0.5, a chunk of it
-    prepared from the next time of a 300-step grid over [0, 2], and the
-    per-time path's blocks at each time of the chunk."""
+    """The model's tree after its first event at epsilon 0.5, one chunk of
+    it over the rest of a 300-step grid over [0, 2], and the per-time
+    path's blocks at each time of the chunk."""
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     ts = np.linspace(0.0, 2.0, 301).tolist()
     t0, ext = next((t, e) for t, e in (
@@ -207,9 +207,10 @@ def _two_leaves(model):
                                   "relative"))
         for t in ts[1:]) if e is not None)
     tree = ext.extend()
-    chunk = selection._prepare_chunk(
-        model, tree, ts[ts.index(t0) + 1],
-        lambda t: ts[ts.index(t) + 1] if t < ts[-1] else None)
+    times = ts[ts.index(t0) + 1:]
+    evolved = model.evolution.apply_times(
+        np.column_stack([model.psi0, tree.leaf_states()]), times)
+    chunk = selection._Chunk(model, times, evolved, tree._probabilities)
     blocks = {t: selection.Extension(
         tree, selection.schmidt_candidate(model, t, chunk), None,
         chunk.leaves[i]).blocks for t, i in chunk.index.items()}
@@ -399,13 +400,12 @@ def test_apply_times_matches_apply(evolution, size):
         <= ORACLE_RTOL * np.max(np.abs(vector))
 
 
-# -- chunk sizes: small after each event, doubling, bounded by memory ------
+# -- chunk sizes: SCAN_CHUNK times, bounded by memory -----------------------
 
 @pytest.mark.parametrize("name", ["recoherence", "search2x16"])
 def test_a_chunk_past_an_event_wastes_little(monkeypatch, name):
-    # each tree's first chunk holds at most CHUNK_START times and each
-    # further one at most twice the one before, so a tree's chunks hold at
-    # most twice the times evaluated on it plus CHUNK_START: the times
+    # every chunk holds at most SCAN_CHUNK times, so each tree leaves at
+    # most SCAN_CHUNK - 1 of its prepared times unevaluated: the times
     # thrown away at an event or at the end of the scan stay bounded
     calls = _count_candidates(monkeypatch)
     chunks = _record_chunks(monkeypatch)
@@ -418,13 +418,10 @@ def test_a_chunk_past_an_event_wastes_little(monkeypatch, name):
     prepared = set().union(*(chunk.index for chunk in chunks))
     evaluated = sum(t in prepared for t in calls)
     rows = sum(len(chunk.index) for chunk in chunks)
-    assert rows <= 2 * evaluated + selection.CHUNK_START * (len(events) + 1)
+    assert all(len(chunk.index) <= selection.SCAN_CHUNK for chunk in chunks)
+    assert rows <= evaluated + (selection.SCAN_CHUNK - 1) * (len(events) + 1)
     if name == "recoherence":
         assert rows <= 600
-    for before, chunk in zip([None] + chunks, chunks):
-        same_tree = before is not None and chunk.parents is before.parents
-        assert len(chunk.index) <= (2 * len(before.index) if same_tree
-                                    else selection.CHUNK_START)
 
 
 @pytest.mark.parametrize("d1,d2,seed,epsilon", [
@@ -443,10 +440,9 @@ def test_every_chunk_keeps_its_largest_array_within_scan_block(
         if T > 1:
             assert T * max(states, gram) <= selection.SCAN_BLOCK, (T, n)
             gram_bound += gram > states
-    # the 2x16 chunks grow past CHUNK_START, and the Gram stack binds on
-    # the 3x9 run
-    longest = max(len(chunk.index) for chunk in chunks)
-    assert (longest > selection.CHUNK_START) == (d1 == 2)
+    # the longest chunk is SCAN_CHUNK on both runs, and the Gram stack
+    # binds on the 3x9 run
+    assert max(len(chunk.index) for chunk in chunks) == selection.SCAN_CHUNK
     assert (gram_bound > 0) == (d1 == 3)
 
 
@@ -503,9 +499,9 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
     starts = []
     prepare = selection._prepare_chunk
 
-    def recorded(model, tree, t, advance, length):
+    def recorded(model, tree, t, advance):
         starts.append(t)
-        return prepare(model, tree, t, advance, length)
+        return prepare(model, tree, t, advance)
 
     monkeypatch.setattr(selection, "_prepare_chunk", recorded)
     calls = _count_candidates(monkeypatch)
