@@ -32,27 +32,32 @@ quasi-dynamical and the random-run search in randmodel) share one
 scan-and-bisect loop, _scan_select, and differ only in scan times, stop
 rule and budget.
 
-Every Schmidt candidate is cut from one stacked split (_Split): one SVD of
-a stack of psi(t), from which the norm guard, the rank cut at
-SCHMIDT_WEIGHT_TOL and the complement at COMPLEMENT_TOL are read for
-every row at once.  The scan works in chunks of upcoming scan times
-(_prepare_chunk), one _Chunk at a time on the current tree, a local of
-_scan_select dropped with that tree at each event: the evolution's
+Every Schmidt candidate that can be admitted is cut from a stacked split
+(_Split): one SVD of a stack of psi(t), from which the norm guard, the
+rank cut at SCHMIDT_WEIGHT_TOL and the complement at COMPLEMENT_TOL are
+read for every row at once.  The scan works in chunks of upcoming scan
+times (_prepare_chunk), one _Chunk at a time on the current tree, a local
+of _scan_select dropped with that tree at each event: the evolution's
 apply_times evolves psi0 and the leaf states to every time of a chunk in
-one product, and the chunk is the split of its psi(t), plus the k Gram
-blocks of every time, from which its screen rejects the times whose
-candidate is inadmissible by more than SCREEN_MARGIN (_Chunk.rejects).
+one product.  The chunk's screen takes its Schmidt vectors from rho(t),
+diagonalised for the whole chunk in closed form at d1 = 2, at every row
+whose weights are well apart (_eigenbasis), and from the row's split
+elsewhere, and from them the k Gram blocks of every time, from which it
+rejects the times whose candidate is inadmissible by more than
+SCREEN_MARGIN (_Chunk.rejects).  The SVD is taken only for the rows the
+screen cannot read from rho and the rows it does not reject.
 A chunk holds SCAN_CHUNK times, fewer where its largest array, the
 evolved states (T d (1 + n) entries for T times, d = d1 d2 and n leaves)
 or the Gram stack (T d1 n^2), would exceed SCAN_BLOCK complex entries,
 and at least one; a chunk of one time is prepared whatever its size.  So
 at most SCAN_CHUNK - 1 prepared times go unevaluated per tree.
-Each time is still evaluated alone and in order, by one schmidt_candidate
-call that reads the chunk's row; a time the screen rejects stops there,
-and every other one is judged by the per-time path, so verdicts and
-evaluation counts are those of that path.  A time outside the chunk
-(bisection midpoints, retrodictive selection) is split alone, as a stack
-of one, and judged by the per-time path, as is the persistence probe.
+Each time is still evaluated alone and in order, by one screen verdict
+and one schmidt_candidate call; a time the screen rejects stops there,
+and every other one is judged by the per-time path on its split's
+candidate, so verdicts and evaluation counts are those of that path.  A
+time outside the chunk (bisection midpoints, retrodictive selection) is
+split alone, as a stack of one, and judged by the per-time path, as is
+the persistence probe.
 """
 
 import bisect
@@ -69,7 +74,8 @@ from .linalg import _fix_column_phases, entropy
 from .tolerances import (COMPANION_TOL, COMPLEMENT_TOL, DISTRIBUTION_SUM_TOL,
                          LIVE_PROBABILITY_TOL, NEGATIVE_PROBABILITY_TOL,
                          NORM_TOL, PERSISTENCE_TOL, SCHMIDT_WEIGHT_TOL,
-                         SCREEN_MARGIN, SCREEN_ROOT_FLOOR)
+                         SCREEN_GAP_FLOOR, SCREEN_MARGIN, SCREEN_ROOT_FLOOR,
+                         SCREEN_WEIGHT_FLOOR)
 from . import spin as spin_mod
 
 SCAN_BLOCK = 1 << 14     # complex entries of a scan chunk's largest array
@@ -131,20 +137,21 @@ class SelectedSet:
 class _Split:
     """The Schmidt candidates of a stack of states psi (T, d1*d2), all cut
     from one stacked SVD of the psi(t) as d1 x d2 matrices: the one place
-    a candidate is built (read by schmidt_candidate).
+    a candidate that can be admitted is built (read by schmidt_candidate).
 
     Per row: normed, whether ||psi| - 1| <= NORM_TOL (NaN fails), with the
     norms kept for the error; a row that fails is zeroed before the SVD so
     that it cannot spoil the stack.  failed is the set of rows whose SVD
     raised LinAlgError: only when the stacked SVD raises is each row split
-    alone.  cols holds the phase-fixed left singular vectors
-    u_i = cols[t, i] and projectors their rank-1 projectors
-    (T, d1, d1, d1); kept is s^2 > SCHMIDT_WEIGHT_TOL; complement is 1 -
-    the sum of the kept projectors, summed from zeros in column order, and
-    extra whether it exceeds COMPLEMENT_TOL and so joins the candidate.  A
-    row is screened when it passes the norm guard and splits at full
-    Schmidt rank with no complement, and d1 >= 2: its candidate is then
-    projectors[i] as it stands."""
+    alone.  The SVD of a stack splits each row alone, so a row's split is
+    the same to the bit in any stack.  cols holds the phase-fixed left
+    singular vectors u_i = cols[t, i] and projectors their rank-1
+    projectors (T, d1, d1, d1); kept is s^2 > SCHMIDT_WEIGHT_TOL;
+    complement is 1 - the sum of the kept projectors, summed from zeros in
+    column order, and extra whether it exceeds COMPLEMENT_TOL and so joins
+    the candidate.  A row is screened when it passes the norm guard and
+    splits at full Schmidt rank with no complement, and d1 >= 2: its
+    candidate is then projectors[i] as it stands."""
 
     def __init__(self, psi, d1, d2):
         T = len(psi)
@@ -177,39 +184,154 @@ class _Split:
         self.screened = self.kept[:, -1] & ~self.extra & (d1 >= 2)
 
 
-class _Chunk(_Split):
+def _eigenbasis(psi, d1, d2):
+    """(gapped, cols) of a stack of states psi (T, d1*d2): the rows the
+    screen reads from rho(t) = M M^dag, M the d1 x d2 matrix of psi(t),
+    and rho's eigenvectors u_i = cols[t, i] in descending weight order
+    (None when no row is gapped; see _Chunk).
+
+    Only d1 = 2 has gapped rows.  There rho = [[a, b], [b*, c]] is
+    diagonalised for the whole stack in closed form: with h = (a - c)/2
+    and r = |(h, b)|, the weights are (a + c)/2 -+ r, the larger one's
+    vector is (h + r, b*) for h >= 0, else (b, r - h), neither of which
+    cancels, of squared norm 2 r (r + |h|), and the other vector is its
+    orthogonal (-conj y, conj x).  A row is gapped when |tr rho - 1| <=
+    NORM_TOL (a stricter guard than _Split's, which NaN fails), its
+    smallest weight exceeds SCREEN_WEIGHT_FLOOR (far above
+    SCHMIDT_WEIGHT_TOL, so its split would keep every vector and add no
+    complement) and its weight gap 2 r exceeds SCREEN_GAP_FLOOR.  At
+    d1 >= 3 a stacked eigh costs about what the SVD it would spare costs,
+    so every row is split."""
+    T = len(psi)
+    if d1 != 2:
+        return np.zeros(T, dtype=bool), None
+    M = psi.reshape(T, 2, d2)
+    rho = M @ np.swapaxes(M, 1, 2).conj()
+    a, c, b = rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1]
+    h = 0.5 * (a - c)
+    r = np.sqrt(h * h + np.abs(b) ** 2)
+    gapped = ((np.abs(a + c - 1.0) <= NORM_TOL)
+              & (0.5 * (a + c) - r > SCREEN_WEIGHT_FLOOR)
+              & (2.0 * r > SCREEN_GAP_FLOOR))           # NaN fails each
+    if not gapped.any():
+        return gapped, None
+    up = h >= 0
+    norm = np.sqrt(2.0 * r * (r + np.abs(h)))
+    norm[~gapped] = 1.0
+    x = np.where(up, h + r, b) / norm
+    y = np.where(up, b.conj(), r - h) / norm
+    cols = np.empty((T, 2, 2), dtype=complex)
+    cols[:, 0, 0], cols[:, 0, 1] = x, y
+    cols[:, 1, 0], cols[:, 1, 1] = -y.conj(), x.conj()
+    return gapped, cols
+
+
+class _Chunk:
     """The scan times that _scan_select prepared together for one tree
-    (_prepare_chunk): the _Split of their psi(t), and the screen.
+    (_prepare_chunk), the screen that rejects most of them without a
+    Schmidt decomposition, and the splits of the rest.
 
-    index maps each time to its row of the stacked arrays: those of the
-    split, leaves, the (T, d, n) leaf states evolved to t, and parents, the
-    tree's leaf probabilities.
+    index maps each time to its row of the stacked arrays: psi, the (T, d)
+    psi(t); leaves, the (T, d, n) leaf states evolved to t; and parents,
+    the tree's leaf probabilities.
 
-    The screen judges the screened rows only (see _Split).  The k Gram
-    blocks of the leaves extended by the projectors are taken for the
-    whole chunk at once, G_i = Y_i^T conj(Y_i) with Y_i = u_i^dag V,
-    giving the children (T, k, n) and the worst counted overlap ratio of
-    each time.  These round otherwise than Extension's, so rejects()
-    trusts them only beyond SCREEN_MARGIN, and only for pairs with
-    sqrt(G_aa G_bb) of at least SCREEN_ROOT_FLOOR."""
+    The screen.  Its Schmidt vectors u_i are rho(t)'s eigenvectors at the
+    gapped rows, in closed form for the whole chunk (_eigenbasis: d1 = 2,
+    normed, and weights clear of 0 and of each other by
+    SCREEN_WEIGHT_FLOOR and SCREEN_GAP_FLOOR).  Every other row, a
+    degenerate or rank-deficient psi(t) say, or any row at d1 >= 3, takes
+    its _Split at once, and the screen reads the split's vectors, as the
+    per-time path cuts them; screened is gapped, or else the split's
+    screened (see _Split).  The k Gram blocks of the leaves extended by
+    the projectors are taken for the whole chunk at once,
+    G_i = Y_i^T conj(Y_i) with Y_i = u_i^dag V, giving the children
+    (T, k, n) and the worst counted overlap ratio of each time; G does
+    not depend on the phase of u_i.  These round otherwise than
+    Extension's, so rejects() trusts them only beyond SCREEN_MARGIN, and
+    only for pairs with sqrt(G_aa G_bb) of at least SCREEN_ROOT_FLOOR.
+
+    Why rho is enough (Davis-Kahan).  The closed form and the SVD of psi
+    each return the exact eigenvectors of some rho + E, to roundoff; with
+    the rounding of rho itself, each |E| stays below SCREEN_RHO_ERROR =
+    1e-14, about 90 units of roundoff (the largest |P_rho - P_svd| times
+    the gap was 18 units over 32,000 gapped random rows at d2 = 2..256,
+    and 32 units with rho's eigenvectors from eigh over thousands of rows
+    at d1 = 2..16).  By the Davis-Kahan sin theta theorem a rank-1
+    projector then moves by at most |E| / gap, so at a gapped row the
+    screen's P_i and the per-time path's differ by at most
+    eta = 2 SCREEN_RHO_ERROR / SCREEN_GAP_FLOOR = 2e-13.  A projected leaf
+    P_i V_a moves by at most eta |V_a|, and |V_a|^2 = p_a, its parent
+    probability.  So a child probability moves by at most 2 eta + eta^2,
+    and the overlap ratio of a counted pair, the cosine between two
+    projected leaves each of which turns by at most
+    2 eta sqrt(p_a) / |P_i V_a|, by at most eta (1 / SCREEN_ROOT_FLOOR + 2)
+    = 2e-10, since |P_i V_a| |P_i V_b| >= SCREEN_ROOT_FLOOR and
+    p_a + p_b <= 1: a fifth of SCREEN_MARGIN.  A verdict of the screen
+    therefore stands for the per-time path's.
+
+    Candidates.  rejected is the set of rows at which the latest answer of
+    rejects() was yes.  A rejected row's candidate is its row of
+    projectors, the screen's rank-1 projectors u_i u_i^dag stacked once
+    per chunk.  Every other row reads its row of a _Split: the one taken
+    at construction, or one stacked _Split of the rows that the latest
+    rejects() call did not reject (every row, before any call), built when
+    first needed.  So a candidate that can become an event, and every row
+    for which rejects() was never asked, is the per-time path's to the
+    bit.  splits lists (rows, _Split) of the splits taken, in order."""
 
     def __init__(self, model, times, evolved, parents):
-        super().__init__(evolved[:, :, 0], model.d1, model.d2)
-        T, d1 = len(times), model.d1
+        T, d1, d2 = len(times), model.d1, model.d2
         self.index = {t: i for i, t in enumerate(times)}
-        self.leaves = evolved[:, :, 1:]
+        self.psi, self.leaves = evolved[:, :, 0], evolved[:, :, 1:]
         self.parents = parents
-        self._rejects = {}
+        self.splits, self._where, self._dims = [], {}, (d1, d2)
+        self.rejected = set()
+        self._rejects, self._latest = {}, np.zeros(T, dtype=bool)
+        self.gapped, cols = _eigenbasis(self.psi, d1, d2)
+        rows = np.flatnonzero(~self.gapped)     # the screen reads a split
+        split = self._split(rows) if rows.size else None
+        if cols is None:                        # no row is gapped
+            cols, self.screened = split.cols, split.screened
+            self.projectors = split.projectors
+        else:
+            self.screened = self.gapped.copy()
+            if split is not None:
+                cols[rows] = split.cols
+                self.screened[rows] = split.screened
+            self.projectors = cols[:, :, :, None] * cols[:, :, None, :].conj()
         n = self.leaves.shape[-1]
-        Y = (self.cols.conj() @ self.leaves.reshape(T, d1, -1)).reshape(
+        Y = (cols.conj() @ self.leaves.reshape(T, d1, -1)).reshape(
             T, d1, -1, n)
         G = np.swapaxes(Y, 2, 3) @ Y.conj()         # (T, k, n, n)
-        self.children = G.diagonal(0, 2, 3).real    # (T, k, n)
-        product = self.children[..., :, None] * self.children[..., None, :]
-        ratio = np.abs(G) / np.sqrt(np.where(
-            product >= SCREEN_ROOT_FLOOR ** 2, product, np.inf))
+        del Y
+        self.children = G.diagonal(0, 2, 3).real.copy()     # (T, k, n)
+        ratio = np.abs(G)
+        del G       # each (T, k, n, n) array is freed once read
+        root = self.children[..., :, None] * self.children[..., None, :]
+        root[~(root >= SCREEN_ROOT_FLOOR ** 2)] = np.inf
+        ratio /= np.sqrt(root, out=root)
         ratio[..., range(n), range(n)] = 0.0
         self.worst = ratio.max(axis=(1, 2, 3))     # largest counted ratio
+
+    def _split(self, rows):
+        psi = self.psi if len(rows) == len(self.psi) else self.psi[rows]
+        split = _Split(psi, *self._dims)
+        self._where.update(zip(rows.tolist(),
+                               zip([split] * len(rows), range(len(rows)))))
+        self.splits.append((rows, split))
+        return split
+
+    def split(self, i):
+        """(split, j): the _Split that holds row i, at its row j.  A row
+        that no split holds yet gets a new one, of row i and every row
+        that no split holds and the latest rejects() call did not
+        reject."""
+        if i not in self._where:
+            take = ~self._latest
+            take[list(self._where)] = False
+            take[i] = True
+            self._split(np.flatnonzero(take))
+        return self._where[i]
 
     def rejects(self, t, epsilon, delta, delta_mode):
         """Whether the chunk's time t is screened and its candidate
@@ -217,10 +339,8 @@ class _Chunk(_Split):
         counted pair's overlap ratio exceeds epsilon, or a live child's
         probability falls below delta (times its parent, when relative),
         each by more than SCREEN_MARGIN.  Inputs that the per-time path
-        refuses are left to it."""
+        refuses are left to it.  The answer is kept in rejected."""
         i = self.index[t]
-        if not self.screened[i]:
-            return False
         key = (epsilon, delta, delta_mode)
         if key not in self._rejects:
             out = np.zeros_like(self.screened)
@@ -233,8 +353,13 @@ class _Chunk(_Split):
                            if delta_mode == "relative" else delta)
                     out |= (self.children[:, :, live]
                             < bar - SCREEN_MARGIN).any(axis=(1, 2))
-            self._rejects[key] = out
-        return bool(self._rejects[key][i])
+            self._rejects[key] = out & self.screened
+        self._latest = self._rejects[key]
+        if self._latest[i]:
+            self.rejected.add(i)
+            return True
+        self.rejected.discard(i)
+        return False
 
 
 def schmidt_candidate(model, t, chunk=None):
@@ -242,25 +367,32 @@ def schmidt_candidate(model, t, chunk=None):
     d1 x d1 system projectors onto the retained Schmidt vectors, plus the
     complement of their span when rank-deficient.
 
-    The candidate is cut from a _Split: chunk's row of t when t is a time
-    of chunk (a _Chunk), else a split of psi(t) alone, a stack of one.  A
-    screened row's projectors are returned as they stand.  Raises
-    ValueError when psi(t) is not normalized, and LinAlgError when its SVD
-    failed.  _admissible calls this exactly once per admissibility
-    evaluation: the benchmark's traced check needs schmidt_candidate calls
-    to equal the evaluations (RunRecord.steps)."""
+    At a time of chunk (a _Chunk) that the chunk's screen has rejected
+    (_Chunk.rejected), the candidate is the screen's row of projectors,
+    which _admissible drops at once.  Every other candidate is cut from a
+    _Split: the chunk's split holding t (_Chunk.split), or, at a time
+    outside chunk, a split of psi(t) alone, a stack of one.  A screened
+    row's projectors are returned as they stand.  Raises ValueError when
+    psi(t) is not normalized, and LinAlgError when its SVD failed.
+    _admissible calls this exactly once per admissibility evaluation: the
+    benchmark's traced check needs schmidt_candidate calls to equal the
+    evaluations (RunRecord.steps)."""
     i = None if chunk is None else chunk.index.get(t)
     if i is None:
-        chunk, i = _Split(model.state(t)[None], model.d1, model.d2), 0
-    if chunk.screened[i]:
+        split, i = _Split(model.state(t)[None], model.d1, model.d2), 0
+    elif i in chunk.rejected:
         return ProjectiveDecomposition(t, chunk.projectors[i], check=False)
-    if not chunk.normed[i]:
-        raise ValueError(f"state is not normalized: |psi| = {chunk.norms[i]}")
-    if i in chunk.failed:
+    else:
+        split, i = chunk.split(i)
+    if split.screened[i]:
+        return ProjectiveDecomposition(t, split.projectors[i], check=False)
+    if not split.normed[i]:
+        raise ValueError(f"state is not normalized: |psi| = {split.norms[i]}")
+    if i in split.failed:
         raise np.linalg.LinAlgError("SVD did not converge")
-    projs = list(chunk.projectors[i][chunk.kept[i]])
-    if chunk.extra[i]:
-        projs.append(chunk.complement[i])
+    projs = list(split.projectors[i][split.kept[i]])
+    if split.extra[i]:
+        projs.append(split.complement[i])
     return ProjectiveDecomposition(t, projs, check=False)
 
 
@@ -329,17 +461,20 @@ def _admissible(model, tree, t, chunk, epsilon, delta, delta_mode):
     the tree's, judged in one nontrivial call as a column against the rows
     of children.  No tree is built here: the caller extends the tree with
     Extension.extend() once per accepted event.  A time of chunk (a _Chunk
-    of this tree, or None) reads its candidate and the evolved leaf states
-    from the chunk, and is rejected at once when the chunk's screen
-    rejects it (_Chunk.rejects).
+    of this tree, or None) is first put to the chunk's screen
+    (_Chunk.rejects), and is rejected at once when the screen rejects it:
+    its one schmidt_candidate call then returns the screen's projectors,
+    dropped here.  Any other time of chunk reads its candidate from the
+    chunk's split that holds it (_Chunk.split), and its evolved leaf
+    states from the chunk.
     Returns the Extension, or None when inadmissible."""
     i = None if chunk is None else chunk.index.get(t)
+    rejected = i is not None and chunk.rejects(t, epsilon, delta, delta_mode)
     try:
         dec = schmidt_candidate(model, t, chunk)
     except np.linalg.LinAlgError:
         return None
-    if len(dec) < 2 or (i is not None
-                        and chunk.rejects(t, epsilon, delta, delta_mode)):
+    if rejected or len(dec) < 2:
         return None
     ext = Extension(tree, dec, epsilon,
                     None if i is None else chunk.leaves[i])

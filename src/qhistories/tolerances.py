@@ -64,6 +64,20 @@ SCREEN_MARGIN = 1e-9
 # sqrt(D_aa D_bb) below which the screen does not count the pair's ratio;
 # absolute, scale 1
 SCREEN_ROOT_FLOOR = 1e-3
+# Schmidt weight (eigenvalue of rho(t) = tr_E |psi><psi|) that every weight
+# of a row must exceed for the screen to read rho's eigenvectors; far above
+# SCHMIDT_WEIGHT_TOL, so the row's split keeps every vector and adds no
+# complement; absolute, scale 1
+SCREEN_WEIGHT_FLOOR = 1e-9
+# gap between adjacent Schmidt weights that every gap of a row must exceed
+# for the screen to read rho's eigenvectors: their projectors are then
+# within 2 SCREEN_RHO_ERROR / gap of the split's (Davis-Kahan); absolute,
+# scale 1
+SCREEN_GAP_FLOOR = 1e-1
+# norm of the perturbation of rho(t) whose exact eigenvectors the screen's
+# closed form, or the SVD of psi(t), returns, the rounding of rho included;
+# absolute, scale |rho| = 1
+SCREEN_RHO_ERROR = 1e-14
 
 # -- test oracles
 # a fast path against its oracle; relative to the largest reference entry

@@ -2,14 +2,17 @@
 
 A scan prepares a chunk of upcoming times at once (_prepare_chunk), held
 as one selection._Chunk of the current tree: one apply_times call evolves
-[psi0 | leaf states] to every time of the chunk, one stacked SVD splits
-the psi(t), and the chunk's stacked screen rejects the times whose
-candidate is inadmissible beyond SCREEN_MARGIN (_Chunk.rejects).  Each
-time is still evaluated alone, by one schmidt_candidate call that cuts
-its candidate from the chunk's split at that time, so the verdicts, the
-step counts and the benchmark's traced check (schmidt_candidate calls ==
-RunRecord.steps) must all be those of the per-time path.  The chunks are
-read here through their arrays, by the row chunk.index[t] of each time t.
+[psi0 | leaf states] to every time of the chunk, rho(t), diagonalised
+in closed form at d1 = 2, gives the screen's Schmidt vectors at every
+gapped row (the rest take their exact split at once), and the chunk's
+stacked screen rejects the times whose candidate is inadmissible beyond
+SCREEN_MARGIN (_Chunk.rejects).  Each time is still evaluated alone, by one
+schmidt_candidate call: a rejected time's returns the screen's projectors,
+and every other time's is cut from a stacked split of the chunk's
+unrejected rows, so the verdicts, the step counts and the benchmark's
+traced check (schmidt_candidate calls == RunRecord.steps) must all be
+those of the per-time path.  The chunks are read here through their
+arrays, by the row chunk.index[t] of each time t.
 """
 
 import math
@@ -22,7 +25,8 @@ from qhistories.histories import CallableEvolution, HistoryTree
 from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
                                sample_unit_vector, schmidt_decompose)
 from qhistories.tolerances import (COMPLEMENT_TOL, ORACLE_RTOL,
-                                   SCHMIDT_WEIGHT_TOL, SCREEN_MARGIN)
+                                   SCHMIDT_WEIGHT_TOL, SCREEN_GAP_FLOOR,
+                                   SCREEN_MARGIN, SCREEN_RHO_ERROR)
 
 
 def _search_config(d2, seed, **kw):
@@ -99,9 +103,11 @@ def test_candidate_calls_equal_steps(monkeypatch, d2, seed, max_steps):
 
 
 def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
-    # every candidate is cut from a stacked split: one SVD of each prepared
-    # chunk and one of each time outside it (bisection midpoints), none
-    # per chunk row, and no schmidt_decompose
+    # every candidate that can be admitted is cut from a stacked split: one
+    # SVD of each split a chunk takes (its rows the screen cannot read from
+    # rho, and its rows the scan's screen did not reject) and one of each
+    # time outside it (bisection midpoints), none per chunk row, and no
+    # schmidt_decompose; a rejected row takes no SVD at all
     lone, svds = [], []
     candidate, svd = selection.schmidt_candidate, np.linalg.svd
 
@@ -120,10 +126,23 @@ def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(linalg, "schmidt_decompose", refused)
     chunks = _record_chunks(monkeypatch)
-    rec = randmodel.run_forward_search(_search_config(16, 12))
+    config = _search_config(16, 12)
+    rec = randmodel.run_forward_search(config)
     assert len(lone) == rec.steps and 0 < sum(lone) < rec.steps
-    assert sorted(svds) == sorted([len(chunk.index) for chunk in chunks]
+    assert sorted(svds) == sorted([len(rows) for chunk in chunks
+                                   for rows, _ in chunk.splits]
                                   + [1] * sum(lone))
+    split_rows = 0
+    for chunk in chunks:
+        rows = np.concatenate([rows for rows, _ in chunk.splits] or [[]])
+        assert len(set(rows.tolist())) == len(rows)     # one split per row
+        rejected = np.array([chunk.rejects(t, config.epsilon, config.delta,
+                                           config.delta_mode)
+                             for t in chunk.index])
+        assert set(rows.tolist()) == set(np.flatnonzero(
+            ~(chunk.gapped & rejected)).tolist())
+        split_rows += len(rows)
+    assert split_rows < sum(len(chunk.index) for chunk in chunks) // 4
 
 
 # -- the chunked scan against the per-time path, verdict for verdict -------
@@ -346,6 +365,137 @@ def test_every_candidate_is_the_per_time_one_to_the_bit(name, model, t_max,
                 for t in times} == {expected}, name
 
 
+def _rho_weights(psi, d1, d2):
+    """The eigenvalues of rho = M M^dag, ascending, by eigvalsh of the one
+    matrix."""
+    M = np.asarray(psi).reshape(d1, d2)
+    return np.linalg.eigvalsh(M @ M.conj().T)
+
+
+def _rho_gap(psi, d1, d2):
+    """The smallest gap between adjacent eigenvalues of rho."""
+    return float(np.diff(_rho_weights(psi, d1, d2)).min())
+
+
+@pytest.mark.parametrize("d1,d2,seed", [(2, 4, 1), (2, 16, 2), (3, 9, 3),
+                                        (4, 5, 4)])
+def test_a_rejected_rows_screen_projectors_are_within_the_davis_kahan_bound(
+        d1, d2, seed):
+    # a rejected row's candidate is the screen's row of projectors; at a
+    # gapped row (d1 = 2 only) they are rho's eigenvectors, within
+    # 2 SCREEN_RHO_ERROR / gap of the per-time path's (Davis-Kahan), so
+    # within the bound the screen's margin argument rests on; at any other
+    # row, and at every row at d1 = 3 and 4, they are the split's own
+    model = _flow_model(d1, d2, seed)
+    times = np.linspace(0.0, 2.0, 61).tolist()
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
+    evolved = model.evolution.apply_times(
+        np.column_stack([model.psi0, tree.leaf_states()]), times)
+    chunk = selection._Chunk(model, times, evolved, tree._probabilities)
+    gapped = 0
+    for t, i in chunk.index.items():
+        if not chunk.rejects(t, 0.05, 0.3, "relative"):
+            continue
+        got = selection.schmidt_candidate(model, t, chunk).projectors
+        assert all(np.array_equal(g, P)
+                   for g, P in zip(got, chunk.projectors[i]))
+        want = _reference_candidate(model, chunk.psi[i])
+        assert len(got) == len(want) == d1, t
+        error = max(np.linalg.norm(g - w, 2) for g, w in zip(got, want))
+        if chunk.gapped[i]:
+            gapped += 1
+            bound = 2 * SCREEN_RHO_ERROR / _rho_gap(chunk.psi[i], d1, d2)
+            assert error <= bound <= 2 * SCREEN_RHO_ERROR / SCREEN_GAP_FLOOR
+        else:
+            assert error == 0.0, t
+    assert (gapped > 0) == (d1 == 2)
+
+
+def test_the_latest_verdict_decides_a_rows_candidate():
+    # a row rejected at one (epsilon, delta) and then asked at one that
+    # does not reject it reads its split again, to the bit; asked again at
+    # the first, it reads the screen's projectors
+    model = _flow_model(2, 16, 2)
+    times = np.linspace(0.0, 2.0, 61).tolist()
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
+    evolved = model.evolution.apply_times(
+        np.column_stack([model.psi0, tree.leaf_states()]), times)
+    chunk = selection._Chunk(model, times, evolved, tree._probabilities)
+    strict, loose = (0.05, 0.45, "relative"), (0.05, 0.0, "relative")
+    flipped = [t for t in times
+               if chunk.rejects(t, *strict) and not chunk.rejects(t, *loose)]
+    assert flipped
+    for t in flipped:
+        i = chunk.index[t]
+        assert chunk.rejects(t, *strict) and not chunk.rejects(t, *loose)
+        got = selection.schmidt_candidate(model, t, chunk).projectors
+        want = _reference_candidate(model, chunk.psi[i])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), t
+        assert chunk.rejects(t, *strict)
+        got = selection.schmidt_candidate(model, t, chunk).projectors
+        assert all(np.array_equal(g, P)
+                   for g, P in zip(got, chunk.projectors[i])), t
+
+
+def _bell_local_model(gap):
+    """No interaction, and psi0 of Schmidt weights (1 +- gap) / 2: psi(t)
+    keeps them at every t."""
+    rng = RandomStream(10, "bell")
+    H = (np.kron(sample_gue(2, 1.0, rng.stream("A")), np.eye(4))
+         + np.kron(np.eye(2), sample_gue(4, 1.0, rng.stream("B"))))
+    psi = (math.sqrt((1 + gap) / 2) * np.kron([1, 0], [1, 0, 0, 0])
+           + math.sqrt((1 - gap) / 2) * np.kron([0, 1], [0, 0, 1, 0]))
+    return selection.BipartiteModel(2, 4, psi, HamiltonianFlow(H))
+
+
+def _zz_model():
+    """sigma_z (x) sigma_z plus local z fields on |+>|+>: the Schmidt
+    weights are (1 +- |cos 2t|) / 2, a product at t = 0 and degenerate at
+    t = pi/4."""
+    z = np.diag([1.0, -1.0])
+    H = np.kron(z, z) + 0.3 * np.kron(z, np.eye(2)) + 0.7 * np.kron(np.eye(2),
+                                                                    z)
+    plus = np.array([1.0, 1.0]) / math.sqrt(2)
+    return selection.BipartiteModel(2, 2, np.kron(plus, plus),
+                                    HamiltonianFlow(H))
+
+
+@pytest.mark.parametrize("name", ["bell-local", "zz"])
+def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
+    # rows whose Schmidt weights are closer than SCREEN_GAP_FLOOR are not
+    # read from rho's eigenvectors: they take their exact split when the
+    # chunk is built, and the screen reads their split's vectors (the
+    # product psi(0) of the zz model is split and not screened); every
+    # verdict is the per-time path's
+    model = _bell_local_model(2e-7) if name == "bell-local" else _zz_model()
+    chunks = _record_chunks(monkeypatch)
+    seen = []
+    for epsilon, delta, accept_events in ((0.05, 0.02, True),
+                                          (1e-3, 0.02, True),
+                                          (0.05, 0.45, False)):
+        selection._grid_select(
+            model, _checked_accept(model, epsilon, delta, seen,
+                                   accept_events), 2.0, 200, 1e-6, 16)
+    near = 0
+    for chunk in chunks:
+        weights = np.array([_rho_weights(psi, 2, model.d2)
+                            for psi in chunk.psi])
+        gaps = weights[:, 1] - weights[:, 0]
+        assert not (chunk.gapped & (gaps < SCREEN_GAP_FLOOR)).any()
+        near += int((gaps < SCREEN_GAP_FLOOR).sum())
+        if not chunk.gapped.all():
+            # the split taken at construction holds exactly these rows
+            rows, split = chunk.splits[0]
+            assert rows.tolist() == np.flatnonzero(~chunk.gapped).tolist()
+            assert (chunk.screened[rows] == split.screened).all()
+            assert (split.screened == (weights[rows, 0]
+                                       > SCHMIDT_WEIGHT_TOL)).all()
+    assert near > 0
+    assert any(chunk.gapped.any() for chunk in chunks) == (name == "zz")
+    assert {ok for _, _, ok, _ in seen} == {True, False}
+    assert any(rejected for _, _, _, rejected in seen)
+
+
 def test_rank_deficient_times_take_the_per_time_path():
     # no interaction and a product psi0: psi(t) has Schmidt rank 1 at every
     # t, so each candidate is a projector and its complement, and the
@@ -470,16 +620,22 @@ def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
         t_max, grid, 1e-6, 16)
     verdicts = {t: ok for t, _, ok, _ in seen}
     assert len(verdicts) == grid + 1 and not verdicts[t_bad]
-    # the stacked SVD raised, so each time of its chunk was split alone,
-    # and only t_bad's split failed: the rest of the chunk stays screened
+    # the screen did not reject t_bad, so its chunk's split of unrejected
+    # rows took it; that stacked SVD raised, so each row of the split was
+    # split alone, and only t_bad's split failed.  The screen takes no SVD,
+    # so the rest of the chunk stays screened
     bad_chunk = next(chunk for chunk in chunks if t_bad in chunk.index)
-    assert bad_chunk.failed == {bad_chunk.index[t_bad]}
-    assert bad_chunk.screened.tolist() == [t != t_bad
-                                           for t in bad_chunk.index]
+    i_bad = bad_chunk.index[t_bad]
+    assert i_bad not in bad_chunk.rejected
+    rows, split = next((rows, split) for rows, split in bad_chunk.splits
+                       if i_bad in rows)
+    assert split.failed == {rows.tolist().index(i_bad)} and len(rows) > 1
+    assert all(bad_chunk.screened[i] for t, i in bad_chunk.index.items()
+               if t != t_bad)
     assert sum(verdicts[t] for t in bad_chunk.index) \
         > len(bad_chunk.index) // 2
-    assert not any(chunk.failed for chunk in chunks
-                   if chunk is not bad_chunk)
+    assert not any(other.failed for chunk in chunks
+                   for _, other in chunk.splits if other is not split)
 
 
 def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
