@@ -8,7 +8,6 @@ The march is the grid selections' scan-and-bisect loop, _scan_select.
 Everything is deterministic given the master seed.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from .consistency import consistency_report
 from .histories import HistoryTree, decoherence_matrix, extend_all
 from .linalg import (HamiltonianFlow, RandomStream, entropy, sample_gue,
                      sample_unit_vector)
-from .selection import BipartiteModel, _admissible, _scan_select
+from .selection import BipartiteModel, _scan_select
 from .tolerances import INTEGRITY_TOL, TIME_TOL
 from . import consistency as consistency_mod
 
@@ -99,9 +98,6 @@ def run_forward_search(config, model=None):
     if model is None:
         model, _ = build_run(config)
     dt = config.t_max / 1000.0
-    accept = functools.partial(_admissible, model, epsilon=config.epsilon,
-                               delta=config.delta,
-                               delta_mode=config.delta_mode)
 
     def advance(t):
         t += dt
@@ -112,8 +108,8 @@ def run_forward_search(config, model=None):
                 and tree.leaf_states().shape[1] >= config.max_histories)
 
     selected, termination, steps = _scan_select(
-        model, accept, 0.0, advance, config.refine_tol, full,
-        config.max_steps)
+        model, config.epsilon, config.delta, config.delta_mode, 0.0, advance,
+        config.refine_tol, full, config.max_steps)
     termination = {"full": "max_histories", "end": "t_max",
                    "budget": "max_steps"}[termination]
     return RunRecord(config, selected.events, termination, steps,

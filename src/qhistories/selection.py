@@ -35,29 +35,31 @@ rule and budget.
 Every Schmidt candidate that can be admitted is cut from a stacked split
 (_Split): one SVD of a stack of psi(t), from which the norm guard, the
 rank cut at SCHMIDT_WEIGHT_TOL and the complement at COMPLEMENT_TOL are
-read for every row at once.  The scan works in chunks of upcoming scan
-times (_prepare_chunk), one _Chunk at a time on the current tree, a local
-of _scan_select dropped with that tree at each event: the evolution's
+read for every row at once.  A scan judges every time against one
+criterion (epsilon, delta, delta_mode), refused before the scan starts
+when it is out of range, and works in chunks of upcoming scan times
+(_prepare_chunk), one _Chunk at a time on the current tree, a local of
+_scan_select dropped with that tree at each event: the evolution's
 apply_times evolves psi0 and the leaf states to every time of a chunk in
 one product.  The chunk's screen takes its Schmidt vectors from rho(t),
 diagonalised for the whole chunk in closed form at d1 = 2, at every row
 whose weights are well apart (_eigenbasis), and from the row's split
 elsewhere, and from them the k Gram blocks of every time, from which it
-rejects the times whose candidate is inadmissible by more than
-SCREEN_MARGIN (_Chunk.rejects).  The SVD is taken only for the rows the
+rejects, once, when the chunk is built, the times whose candidate is
+inadmissible under the scan's criterion by more than SCREEN_MARGIN
+(_Chunk.rejected).  The SVD is taken, then too, only for the rows the
 screen cannot read from rho and the rows it does not reject.
 A chunk holds SCAN_CHUNK times, fewer where its largest array, the
 evolved states (T d (1 + n) entries for T times, d = d1 d2 and n leaves)
 or the Gram stack (T d1 n^2), would exceed SCAN_BLOCK complex entries,
 and at least one; a chunk of one time is prepared whatever its size.  So
 at most SCAN_CHUNK - 1 prepared times go unevaluated per tree.
-Each time is still evaluated alone and in order, by one screen verdict
-and one schmidt_candidate call; a time the screen rejects stops there,
-and every other one is judged by the per-time path on its split's
-candidate, so verdicts and evaluation counts are those of that path.  A
-time outside the chunk (bisection midpoints, retrodictive selection) is
-split alone, as a stack of one, and judged by the per-time path, as is
-the persistence probe.
+Each time is still evaluated alone and in order, by one schmidt_candidate
+call; a time the screen rejected stops there, and every other one is
+judged by the per-time path on its split's candidate, so verdicts and
+evaluation counts are those of that path.  A time outside the chunk
+(bisection midpoints, retrodictive selection) is split alone, as a stack
+of one, and judged by the per-time path, as is the persistence probe.
 """
 
 import bisect
@@ -187,8 +189,9 @@ class _Split:
 def _eigenbasis(psi, d1, d2):
     """(gapped, cols) of a stack of states psi (T, d1*d2): the rows the
     screen reads from rho(t) = M M^dag, M the d1 x d2 matrix of psi(t),
-    and rho's eigenvectors u_i = cols[t, i] in descending weight order
-    (None when no row is gapped; see _Chunk).
+    and a (T, d1, d1) array whose gapped rows hold rho's eigenvectors
+    u_i = cols[t, i] in descending weight order (the other rows are the
+    caller's to fill; see _Chunk).
 
     Only d1 = 2 has gapped rows.  There rho = [[a, b], [b*, c]] is
     diagonalised for the whole stack in closed form: with h = (a - c)/2
@@ -204,7 +207,7 @@ def _eigenbasis(psi, d1, d2):
     so every row is split."""
     T = len(psi)
     if d1 != 2:
-        return np.zeros(T, dtype=bool), None
+        return np.zeros(T, dtype=bool), np.empty((T, d1, d1), dtype=complex)
     M = psi.reshape(T, 2, d2)
     rho = M @ np.swapaxes(M, 1, 2).conj()
     a, c, b = rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1]
@@ -213,8 +216,6 @@ def _eigenbasis(psi, d1, d2):
     gapped = ((np.abs(a + c - 1.0) <= NORM_TOL)
               & (0.5 * (a + c) - r > SCREEN_WEIGHT_FLOOR)
               & (2.0 * r > SCREEN_GAP_FLOOR))           # NaN fails each
-    if not gapped.any():
-        return gapped, None
     up = h >= 0
     norm = np.sqrt(2.0 * r * (r + np.abs(h)))
     norm[~gapped] = 1.0
@@ -228,12 +229,14 @@ def _eigenbasis(psi, d1, d2):
 
 class _Chunk:
     """The scan times that _scan_select prepared together for one tree
-    (_prepare_chunk), the screen that rejects most of them without a
-    Schmidt decomposition, and the splits of the rest.
+    (_prepare_chunk), judged once under the scan's criterion (epsilon,
+    delta, delta_mode): the screen that rejects most of them without a
+    Schmidt decomposition, and the splits of the rest, all fixed when the
+    chunk is built.
 
     index maps each time to its row of the stacked arrays: psi, the (T, d)
-    psi(t); leaves, the (T, d, n) leaf states evolved to t; and parents,
-    the tree's leaf probabilities.
+    psi(t), and leaves, the (T, d, n) leaf states evolved to t; parents
+    are the tree's leaf probabilities.
 
     The screen.  Its Schmidt vectors u_i are rho(t)'s eigenvectors at the
     gapped rows, in closed form for the whole chunk (_eigenbasis: d1 = 2,
@@ -247,8 +250,11 @@ class _Chunk:
     G_i = Y_i^T conj(Y_i) with Y_i = u_i^dag V, giving the children
     (T, k, n) and the worst counted overlap ratio of each time; G does
     not depend on the phase of u_i.  These round otherwise than
-    Extension's, so rejects() trusts them only beyond SCREEN_MARGIN, and
-    only for pairs with sqrt(G_aa G_bb) of at least SCREEN_ROOT_FLOOR.
+    Extension's, so the screen trusts them only beyond SCREEN_MARGIN, and
+    only for pairs with sqrt(G_aa G_bb) of at least SCREEN_ROOT_FLOOR:
+    rejected is the screened rows at which a counted pair's overlap ratio
+    exceeds epsilon, or a live child's probability falls below delta
+    (times its parent, when relative), by more than SCREEN_MARGIN.
 
     Why rho is enough (Davis-Kahan).  The closed form and the SVD of psi
     each return the exact eigenvectors of some rho + E, to roundoff; with
@@ -260,45 +266,39 @@ class _Chunk:
     projector then moves by at most |E| / gap, so at a gapped row the
     screen's P_i and the per-time path's differ by at most
     eta = 2 SCREEN_RHO_ERROR / SCREEN_GAP_FLOOR = 2e-13.  A projected leaf
-    P_i V_a moves by at most eta |V_a|, and |V_a|^2 = p_a, its parent
-    probability.  So a child probability moves by at most 2 eta + eta^2,
-    and the overlap ratio of a counted pair, the cosine between two
-    projected leaves each of which turns by at most
-    2 eta sqrt(p_a) / |P_i V_a|, by at most eta (1 / SCREEN_ROOT_FLOOR + 2)
-    = 2e-10, since |P_i V_a| |P_i V_b| >= SCREEN_ROOT_FLOOR and
-    p_a + p_b <= 1: a fifth of SCREEN_MARGIN.  A verdict of the screen
-    therefore stands for the per-time path's.
+    x_a = P_i V_a moves by at most eta |V_a|, and |V_a|^2 = p_a, its
+    parent probability.  So a child probability moves by at most
+    2 eta + eta^2, and the overlap ratio of a counted pair, the cosine
+    between two projected leaves each of which turns by at most
+    2 eta sqrt(p_a) / |x_a|, by at most
+    2 eta (sqrt(p_a) |x_b| + sqrt(p_b) |x_a|) / (|x_a| |x_b|)
+    <= 2 eta / SCREEN_ROOT_FLOOR = 4e-10, since |x_a| <= sqrt(p_a),
+    |x_a| |x_b| >= SCREEN_ROOT_FLOOR and p_a + p_b <= 1: under half of
+    SCREEN_MARGIN.  A verdict of the screen therefore stands for the
+    per-time path's.
 
-    Candidates.  rejected is the set of rows at which the latest answer of
-    rejects() was yes.  A rejected row's candidate is its row of
-    projectors, the screen's rank-1 projectors u_i u_i^dag stacked once
-    per chunk.  Every other row reads its row of a _Split: the one taken
-    at construction, or one stacked _Split of the rows that the latest
-    rejects() call did not reject (every row, before any call), built when
-    first needed.  So a candidate that can become an event, and every row
-    for which rejects() was never asked, is the per-time path's to the
-    bit.  splits lists (rows, _Split) of the splits taken, in order."""
+    Candidates.  A rejected row's candidate is its row of projectors, the
+    screen's rank-1 projectors u_i u_i^dag stacked once per chunk.  Every
+    other row reads its row of a _Split, and where maps it to (split, j):
+    the split of the rows the screen cannot read from rho, and one split
+    of the gapped rows it did not reject.  So a chunk takes at most two
+    SVDs, both here, and every candidate that can become an event is the
+    per-time path's to the bit."""
 
-    def __init__(self, model, times, evolved, parents):
+    def __init__(self, model, times, evolved, parents, criterion):
         T, d1, d2 = len(times), model.d1, model.d2
+        epsilon, delta, delta_mode = criterion
         self.index = {t: i for i, t in enumerate(times)}
         self.psi, self.leaves = evolved[:, :, 0], evolved[:, :, 1:]
-        self.parents = parents
-        self.splits, self._where, self._dims = [], {}, (d1, d2)
-        self.rejected = set()
-        self._rejects, self._latest = {}, np.zeros(T, dtype=bool)
+        self.where = {}
         self.gapped, cols = _eigenbasis(self.psi, d1, d2)
+        self.screened = self.gapped.copy()
         rows = np.flatnonzero(~self.gapped)     # the screen reads a split
-        split = self._split(rows) if rows.size else None
-        if cols is None:                        # no row is gapped
-            cols, self.screened = split.cols, split.screened
-            self.projectors = split.projectors
-        else:
-            self.screened = self.gapped.copy()
-            if split is not None:
-                cols[rows] = split.cols
-                self.screened[rows] = split.screened
-            self.projectors = cols[:, :, :, None] * cols[:, :, None, :].conj()
+        if rows.size:
+            split = self._split(rows, d1, d2)
+            cols[rows] = split.cols
+            self.screened[rows] = split.screened
+        self.projectors = cols[:, :, :, None] * cols[:, :, None, :].conj()
         n = self.leaves.shape[-1]
         Y = (cols.conj() @ self.leaves.reshape(T, d1, -1)).reshape(
             T, d1, -1, n)
@@ -312,54 +312,22 @@ class _Chunk:
         ratio /= np.sqrt(root, out=root)
         ratio[..., range(n), range(n)] = 0.0
         self.worst = ratio.max(axis=(1, 2, 3))     # largest counted ratio
+        live = ~(parents < LIVE_PROBABILITY_TOL)
+        bar = delta * parents[live] if delta_mode == "relative" else delta
+        verdict = ((self.worst > epsilon + SCREEN_MARGIN)
+                   | (self.children[:, :, live]
+                      < bar - SCREEN_MARGIN).any(axis=(1, 2)))
+        self.rejected = verdict & self.screened
+        rows = np.flatnonzero(self.gapped & ~self.rejected)
+        if rows.size:
+            self._split(rows, d1, d2)
 
-    def _split(self, rows):
+    def _split(self, rows, d1, d2):
         psi = self.psi if len(rows) == len(self.psi) else self.psi[rows]
-        split = _Split(psi, *self._dims)
-        self._where.update(zip(rows.tolist(),
-                               zip([split] * len(rows), range(len(rows)))))
-        self.splits.append((rows, split))
+        split = _Split(psi, d1, d2)
+        for j, i in enumerate(rows.tolist()):
+            self.where[i] = (split, j)
         return split
-
-    def split(self, i):
-        """(split, j): the _Split that holds row i, at its row j.  A row
-        that no split holds yet gets a new one, of row i and every row
-        that no split holds and the latest rejects() call did not
-        reject."""
-        if i not in self._where:
-            take = ~self._latest
-            take[list(self._where)] = False
-            take[i] = True
-            self._split(np.flatnonzero(take))
-        return self._where[i]
-
-    def rejects(self, t, epsilon, delta, delta_mode):
-        """Whether the chunk's time t is screened and its candidate
-        inadmissible beyond doubt at (epsilon, delta, delta_mode): a
-        counted pair's overlap ratio exceeds epsilon, or a live child's
-        probability falls below delta (times its parent, when relative),
-        each by more than SCREEN_MARGIN.  Inputs that the per-time path
-        refuses are left to it.  The answer is kept in rejected."""
-        i = self.index[t]
-        key = (epsilon, delta, delta_mode)
-        if key not in self._rejects:
-            out = np.zeros_like(self.screened)
-            if epsilon >= 0:
-                out = self.worst > epsilon + SCREEN_MARGIN
-                if delta_mode in ("relative", "absolute") \
-                        and 0.0 <= delta < 1.0:
-                    live = ~(self.parents < LIVE_PROBABILITY_TOL)
-                    bar = (delta * self.parents[live]
-                           if delta_mode == "relative" else delta)
-                    out |= (self.children[:, :, live]
-                            < bar - SCREEN_MARGIN).any(axis=(1, 2))
-            self._rejects[key] = out & self.screened
-        self._latest = self._rejects[key]
-        if self._latest[i]:
-            self.rejected.add(i)
-            return True
-        self.rejected.discard(i)
-        return False
 
 
 def schmidt_candidate(model, t, chunk=None):
@@ -367,10 +335,10 @@ def schmidt_candidate(model, t, chunk=None):
     d1 x d1 system projectors onto the retained Schmidt vectors, plus the
     complement of their span when rank-deficient.
 
-    At a time of chunk (a _Chunk) that the chunk's screen has rejected
+    At a time of chunk (a _Chunk) that the chunk's screen rejected
     (_Chunk.rejected), the candidate is the screen's row of projectors,
     which _admissible drops at once.  Every other candidate is cut from a
-    _Split: the chunk's split holding t (_Chunk.split), or, at a time
+    _Split: the chunk's split holding t (_Chunk.where), or, at a time
     outside chunk, a split of psi(t) alone, a stack of one.  A screened
     row's projectors are returned as they stand.  Raises ValueError when
     psi(t) is not normalized, and LinAlgError when its SVD failed.
@@ -380,10 +348,10 @@ def schmidt_candidate(model, t, chunk=None):
     i = None if chunk is None else chunk.index.get(t)
     if i is None:
         split, i = _Split(model.state(t)[None], model.d1, model.d2), 0
-    elif i in chunk.rejected:
+    elif chunk.rejected[i]:
         return ProjectiveDecomposition(t, chunk.projectors[i], check=False)
     else:
-        split, i = chunk.split(i)
+        split, i = chunk.where[i]
     if split.screened[i]:
         return ProjectiveDecomposition(t, split.projectors[i], check=False)
     if not split.normed[i]:
@@ -461,20 +429,19 @@ def _admissible(model, tree, t, chunk, epsilon, delta, delta_mode):
     the tree's, judged in one nontrivial call as a column against the rows
     of children.  No tree is built here: the caller extends the tree with
     Extension.extend() once per accepted event.  A time of chunk (a _Chunk
-    of this tree, or None) is first put to the chunk's screen
-    (_Chunk.rejects), and is rejected at once when the screen rejects it:
-    its one schmidt_candidate call then returns the screen's projectors,
-    dropped here.  Any other time of chunk reads its candidate from the
-    chunk's split that holds it (_Chunk.split), and its evolved leaf
-    states from the chunk.
+    of this tree, built under this criterion, or None) that the chunk's
+    screen rejected (_Chunk.rejected) is rejected at once: its one
+    schmidt_candidate call then returns the screen's projectors, dropped
+    here.  Any other time of chunk reads its candidate from the chunk's
+    split that holds it (_Chunk.where), and its evolved leaf states from
+    the chunk.
     Returns the Extension, or None when inadmissible."""
     i = None if chunk is None else chunk.index.get(t)
-    rejected = i is not None and chunk.rejects(t, epsilon, delta, delta_mode)
     try:
         dec = schmidt_candidate(model, t, chunk)
     except np.linalg.LinAlgError:
         return None
-    if rejected or len(dec) < 2:
+    if len(dec) < 2 or i is not None and chunk.rejected[i]:
         return None
     ext = Extension(tree, dec, epsilon,
                     None if i is None else chunk.leaves[i])
@@ -499,13 +466,14 @@ def _chain(model, decompositions, epsilon):
     return tree, events
 
 
-def _prepare_chunk(model, tree, t, advance):
-    """The _Chunk of the scan times t, advance(t), ...: SCAN_CHUNK of them,
-    but no more than keep the chunk's largest array within SCAN_BLOCK
-    complex entries, and at least t, so only a chunk of one time can
-    exceed SCAN_BLOCK.  For T times, d = d1 d2 and n leaves that array is
-    the evolved states [psi0 | leaf states], T d (1 + n) entries, or the
-    Gram stack, T d1 n^2.
+def _prepare_chunk(model, tree, t, advance, criterion):
+    """The _Chunk of the scan times t, advance(t), ... under criterion
+    (epsilon, delta, delta_mode): SCAN_CHUNK of them, but no more than keep
+    the chunk's largest array within SCAN_BLOCK complex entries, and at
+    least t, so only a chunk of one time can exceed SCAN_BLOCK.  For T
+    times, d = d1 d2 and n leaves that array is the evolved states
+    [psi0 | leaf states], T d (1 + n) entries, or the Gram stack,
+    T d1 n^2.
 
     [psi0 | leaf states] is evolved to every time of the chunk by one
     evolution.apply_times call.  An evolution that raises ValueError has
@@ -528,37 +496,56 @@ def _prepare_chunk(model, tree, t, advance):
                 raise
             del times[(len(times) + 1) // 2:]
         else:
-            return _Chunk(model, times, evolved, tree._probabilities)
+            return _Chunk(model, times, evolved, tree._probabilities,
+                          criterion)
 
 
-def _scan_select(model, accept, start, advance, refine_tol, full,
-                 budget=float("inf")):
+def _scan_select(model, epsilon, delta, delta_mode, start, advance,
+                 refine_tol, full, budget=float("inf"),
+                 probe=lambda tree, ext: True):
     """The scan-and-bisect loop of every forward selection and search.
 
-    Evaluates accept(tree, t, chunk) (an Extension or None) at start, then
-    at advance(t) after each rejected or event time until that is None.  An
-    admissible t after the first evaluation is bisected back to the last
-    rejected or event time, to refine_tol or adjacent floats, and recorded
-    as an event.  Stops when full(tree, events), at the end of the scan,
-    or after budget accept calls; returns (SelectedSet, termination, calls)
-    with termination 'full', 'end' or 'budget', in that precedence.
+    A time t is accepted when _admissible finds its Schmidt candidate
+    admissible on the current tree at (epsilon, delta, delta_mode), and
+    probe(tree, ext) holds for the Extension ext it returns.  Evaluates t =
+    start, then advance(t) after each rejected or event time until that
+    is None.  An accepted t after the first evaluation is bisected back to
+    the last rejected or event time, to refine_tol or adjacent floats, and
+    recorded as an event.  Stops when full(tree, events), at the end of
+    the scan, or after budget evaluations; returns (SelectedSet,
+    termination, evaluations) with termination 'full', 'end' or 'budget',
+    in that precedence.  Raises ValueError for a negative or NaN epsilon,
+    a delta outside [0, 1) or an unknown delta_mode, before any
+    evaluation.
 
     Scan times are evaluated in chunks: at a time the current chunk has not
     prepared, the next times are taken from advance (which must be a pure
-    function of t) and prepared together on the current tree
-    (_prepare_chunk): SCAN_CHUNK of them, within the memory bound
-    SCAN_BLOCK for any chunk of more than one time.  Each time is still
-    evaluated alone and in order, by one accept call; bisection midpoints
-    take the per-time path, and accepting an event drops the chunk with
-    the old tree, so at most SCAN_CHUNK - 1 prepared times go unevaluated
-    per tree."""
+    function of t) and prepared together on the current tree under the
+    criterion (_prepare_chunk): SCAN_CHUNK of them, within the memory
+    bound SCAN_BLOCK for any chunk of more than one time.  Each time is
+    still evaluated alone and in order; bisection midpoints take the
+    per-time path, and accepting an event drops the chunk with the old
+    tree, so at most SCAN_CHUNK - 1 prepared times go unevaluated per
+    tree."""
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if not 0 <= delta < 1:
+        raise ValueError(f"delta must lie in [0, 1), got {delta}")
+    if delta_mode not in ("relative", "absolute"):
+        raise ValueError(f"unknown delta_mode {delta_mode!r}")
+    criterion = (epsilon, delta, delta_mode)
+
+    def accept(tree, t, chunk):
+        ext = _admissible(model, tree, t, chunk, *criterion)
+        return None if ext is None or not probe(tree, ext) else ext
+
     tree, events = _chain(model, (), None)
     chunk, calls, t, lo = None, 0, start, None
     while not full(tree, events) and t is not None and calls < budget:
         calls += 1
         if chunk is None or t not in chunk.index:
             chunk = None        # two chunks at once would raise peak memory
-            chunk = _prepare_chunk(model, tree, t, advance)
+            chunk = _prepare_chunk(model, tree, t, advance, criterion)
         ext = accept(tree, t, chunk)
         if ext is not None and lo is not None:
             while t - lo > refine_tol and calls < budget:
@@ -581,10 +568,12 @@ def _scan_select(model, accept, start, advance, refine_tol, full,
     return SelectedSet(tree, events), termination, calls
 
 
-def _grid_select(model, accept, t_max, grid, refine_tol, max_events):
+def _grid_select(model, epsilon, delta, delta_mode, t_max, grid, refine_tol,
+                 max_events, probe=lambda tree, ext: True):
     """_scan_select on linspace(0, t_max, grid + 1), to max_events events.
     Raises ValueError unless t_max is positive and finite, grid positive,
-    and refine_tol and max_events non-negative (NaN fails each test)."""
+    and refine_tol and max_events non-negative (NaN fails each test), and
+    for the criterion _scan_select refuses."""
     if not 0 < t_max < np.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if not grid >= 1:
@@ -601,8 +590,10 @@ def _grid_select(model, accept, t_max, grid, refine_tol, max_events):
         i = bisect.bisect_right(ts, t)
         return ts[i] if i <= grid else None
 
-    return _scan_select(model, accept, 0.0, advance, refine_tol,
-                        lambda tree, events: len(events) >= max_events)[0]
+    return _scan_select(model, epsilon, delta, delta_mode, 0.0, advance,
+                        refine_tol,
+                        lambda tree, events: len(events) >= max_events,
+                        probe=probe)[0]
 
 
 def earliest_time_select(model, epsilon, delta, t_max, *, grid=400,
@@ -613,9 +604,8 @@ def earliest_time_select(model, epsilon, delta, t_max, *, grid=400,
     Scans [0, t_max] on a uniform grid; each inadmissible-to-admissible
     flip is refined by bisection to refine_tol and recorded as an event,
     after which the scan continues on the extended tree."""
-    accept = functools.partial(_admissible, model, epsilon=epsilon,
-                               delta=delta, delta_mode=delta_mode)
-    return _grid_select(model, accept, t_max, grid, refine_tol, max_events)
+    return _grid_select(model, epsilon, delta, delta_mode, t_max, grid,
+                        refine_tol, max_events)
 
 
 def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
@@ -630,19 +620,15 @@ def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
         raise ValueError(
             f"probe_dt must be positive and finite, got {probe_dt}")
 
-    def accept(tree, t, chunk):
-        ext = _admissible(model, tree, t, chunk, epsilon, delta, delta_mode)
-        if ext is None:
-            return None
-        repeat = ProjectiveDecomposition(t + probe_dt,
-                                         ext.decomposition.projectors,
+    def persists(tree, ext):
+        dec = ext.decomposition
+        repeat = ProjectiveDecomposition(dec.time + probe_dt, dec.projectors,
                                          check=False)
         G = _gram(tree._project(ext.states, repeat)[1])
-        if not is_exactly_consistent(G, "medium", tol=PERSISTENCE_TOL):
-            return None
-        return ext
+        return is_exactly_consistent(G, "medium", tol=PERSISTENCE_TOL)
 
-    return _grid_select(model, accept, t_max, grid, refine_tol, max_events)
+    return _grid_select(model, epsilon, delta, delta_mode, t_max, grid,
+                        refine_tol, max_events, persists)
 
 
 def retrodictive_select(model, candidate_times, epsilon=1e-10, *,

@@ -3,7 +3,9 @@
 Each comment says what the constant bounds, whether absolutely (in the
 units of the quantity) or relatively, and against what scale.  States are
 normalised, so probabilities, Schmidt weights and path-state norms have
-scale 1.  The tests pin every value: none may grow.  Imports nothing.
+scale 1.  The tests pin every value: none may loosen, so a tolerance may
+not grow and a floor of the screen's Davis-Kahan bound (SCREEN_*_FLOOR,
+SCREEN_RHO_ERROR) may not shrink.  Imports nothing.
 """
 
 # -- states, operators and spin axes

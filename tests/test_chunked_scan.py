@@ -1,18 +1,20 @@
 """The chunked scan of selection._scan_select against the per-time path.
 
 A scan prepares a chunk of upcoming times at once (_prepare_chunk), held
-as one selection._Chunk of the current tree: one apply_times call evolves
+as one selection._Chunk of the current tree under the scan's criterion
+(epsilon, delta, delta_mode): one apply_times call evolves
 [psi0 | leaf states] to every time of the chunk, rho(t), diagonalised
 in closed form at d1 = 2, gives the screen's Schmidt vectors at every
 gapped row (the rest take their exact split at once), and the chunk's
-stacked screen rejects the times whose candidate is inadmissible beyond
-SCREEN_MARGIN (_Chunk.rejects).  Each time is still evaluated alone, by one
-schmidt_candidate call: a rejected time's returns the screen's projectors,
-and every other time's is cut from a stacked split of the chunk's
-unrejected rows, so the verdicts, the step counts and the benchmark's
-traced check (schmidt_candidate calls == RunRecord.steps) must all be
-those of the per-time path.  The chunks are read here through their
-arrays, by the row chunk.index[t] of each time t.
+stacked screen rejects, when it is built, the times whose candidate is
+inadmissible beyond SCREEN_MARGIN (_Chunk.rejected).  Each time is still
+evaluated alone, by one schmidt_candidate call: a rejected time's returns
+the screen's projectors, and every other time's is cut from a stacked
+split of the chunk's unrejected rows, taken with the chunk, so the
+verdicts, the step counts and the benchmark's traced check
+(schmidt_candidate calls == RunRecord.steps) must all be those of the
+per-time path.  The chunks are read here through their arrays, by the row
+chunk.index[t] of each time t.
 """
 
 import math
@@ -53,6 +55,29 @@ def _flow_model(d1, d2, seed):
 def _recoherence_model():
     u = np.array([0.0, 0.0, 1.0])
     return selection.recoherence_model(math.sqrt(0.7), math.sqrt(0.3), u)
+
+
+# a criterion at which the screen rejects no time: no overlap ratio exceeds
+# 1, and no child probability falls below 0
+_ACCEPTING = (2.0, 0.0, "relative")
+
+
+def _chunk(model, tree, times, criterion):
+    """The _Chunk of tree over times under criterion, evolved as
+    _prepare_chunk evolves one."""
+    evolved = model.evolution.apply_times(
+        np.column_stack([model.psi0, tree.leaf_states()]), times)
+    return selection._Chunk(model, times, evolved, tree._probabilities,
+                            criterion)
+
+
+def _splits(chunk):
+    """(rows, _Split) of each split the chunk took, in the order taken, as
+    chunk.where maps its rows."""
+    splits = {}
+    for i, (split, _) in chunk.where.items():
+        splits.setdefault(id(split), (split, []))[1].append(i)
+    return [(np.array(rows), split) for split, rows in splits.values()]
 
 
 def _count_candidates(monkeypatch):
@@ -103,13 +128,17 @@ def test_candidate_calls_equal_steps(monkeypatch, d2, seed, max_steps):
 
 
 def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
-    # every candidate that can be admitted is cut from a stacked split: one
-    # SVD of each split a chunk takes (its rows the screen cannot read from
-    # rho, and its rows the scan's screen did not reject) and one of each
-    # time outside it (bisection midpoints), none per chunk row, and no
-    # schmidt_decompose; a rejected row takes no SVD at all
-    lone, svds = [], []
+    # every candidate that can be admitted is cut from a stacked split, and
+    # a chunk takes at most two, both when it is built: one of its rows the
+    # screen cannot read from rho, and one of its gapped rows the screen did
+    # not reject; a time outside it (a bisection midpoint) takes a split of
+    # one, and nothing calls schmidt_decompose.  A rejected row is screened
+    # and takes no SVD.  The product model's rows are neither gapped nor
+    # screened (rank 1 and a complement, at d1 = 3), so every one is split
+    # and none may be rejected
+    lone, svds, built = [], [], []
     candidate, svd = selection.schmidt_candidate, np.linalg.svd
+    prepare = selection._prepare_chunk
 
     def counted_candidate(model, t, chunk=None):
         lone.append(chunk is None or t not in chunk.index)
@@ -119,30 +148,45 @@ def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
         svds.append(len(a))
         return svd(a, *args, **kwargs)
 
+    def counted_prepare(*args):
+        before = len(svds)
+        chunk = prepare(*args)
+        built.append((chunk, svds[before:]))
+        return chunk
+
     def refused(*args, **kwargs):
         raise AssertionError("an evaluation called schmidt_decompose")
 
     monkeypatch.setattr(selection, "schmidt_candidate", counted_candidate)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(selection, "_prepare_chunk", counted_prepare)
     monkeypatch.setattr(linalg, "schmidt_decompose", refused)
-    chunks = _record_chunks(monkeypatch)
-    config = _search_config(16, 12)
-    rec = randmodel.run_forward_search(config)
-    assert len(lone) == rec.steps and 0 < sum(lone) < rec.steps
-    assert sorted(svds) == sorted([len(rows) for chunk in chunks
-                                   for rows, _ in chunk.splits]
-                                  + [1] * sum(lone))
-    split_rows = 0
-    for chunk in chunks:
-        rows = np.concatenate([rows for rows, _ in chunk.splits] or [[]])
-        assert len(set(rows.tolist())) == len(rows)     # one split per row
-        rejected = np.array([chunk.rejects(t, config.epsilon, config.delta,
-                                           config.delta_mode)
-                             for t in chunk.index])
-        assert set(rows.tolist()) == set(np.flatnonzero(
-            ~(chunk.gapped & rejected)).tolist())
-        split_rows += len(rows)
-    assert split_rows < sum(len(chunk.index) for chunk in chunks) // 4
+    for name in ("search2x16", "product"):
+        for record in (lone, svds, built):
+            record.clear()
+        if name == "search2x16":
+            steps = randmodel.run_forward_search(_search_config(16, 12)).steps
+            assert len(lone) == steps and 0 < sum(lone) < steps
+        else:
+            selection.earliest_time_select(_local_model(3, 4, 1, 5), 0.05,
+                                           0.02, 2.0, grid=100)
+            assert len(lone) == 101 and not any(lone)
+        # the only SVDs after a chunk is built are the lone times' own
+        assert sorted(svds) == sorted([size for _, sizes in built
+                                       for size in sizes] + [1] * sum(lone))
+        for chunk, sizes in built:
+            splits = _splits(chunk)
+            assert len(sizes) == len(splits) <= 2, name
+            assert sorted(sizes) == sorted(len(rows) for rows, _ in splits)
+            assert set(chunk.where) == set(np.flatnonzero(
+                ~(chunk.gapped & chunk.rejected)).tolist()), name
+            assert not (chunk.rejected & ~chunk.screened).any(), name
+        split_rows = sum(len(chunk.where) for chunk, _ in built)
+        rows = sum(len(chunk.index) for chunk, _ in built)
+        if name == "search2x16":
+            assert split_rows < rows // 4
+        else:
+            assert split_rows == rows and len(built) > 1
 
 
 # -- the chunked scan against the per-time path, verdict for verdict -------
@@ -163,19 +207,20 @@ def _grid_models():
            2.0, 300, CallableEvolution)
 
 
-def _checked_accept(model, epsilon, delta, seen, accept_events=True):
-    """accept for _grid_select that scores each time on the scan's tree
-    with its chunk (chunked where prepared) and without a chunk (the
-    per-time path), and requires the same verdict, and the same blocks
-    where the screen did not reject.  seen gets (t, prepared, admissible,
-    rejected by the screen) per time."""
-    def accept(tree, t, chunk):
+_ADMISSIBLE = selection._admissible
+
+
+def _check_admissible(monkeypatch, seen, accept_events=True):
+    """Have the scan score each time on its tree with its chunk (chunked
+    where prepared) and without a chunk (the per-time path), requiring the
+    same verdict, and the same blocks where the screen did not reject.
+    seen gets (t, prepared, admissible, rejected by the screen) per time;
+    with accept_events False no time is accepted."""
+    def checked(model, tree, t, chunk, epsilon, delta, delta_mode):
         prepared = chunk is not None and t in chunk.index
-        screened = prepared and chunk.rejects(t, epsilon, delta, "relative")
-        got = selection._admissible(model, tree, t, chunk, epsilon, delta,
-                                    "relative")
-        want = selection._admissible(model, tree, t, None, epsilon, delta,
-                                     "relative")
+        screened = prepared and bool(chunk.rejected[chunk.index[t]])
+        got = _ADMISSIBLE(model, tree, t, chunk, epsilon, delta, delta_mode)
+        want = _ADMISSIBLE(model, tree, t, None, epsilon, delta, delta_mode)
         assert (got is None) == (want is None), t
         if got is not None:
             scale = np.max(np.abs(want.blocks))
@@ -183,14 +228,15 @@ def _checked_accept(model, epsilon, delta, seen, accept_events=True):
                 <= ORACLE_RTOL * scale
         seen.append((t, prepared, got is not None, screened))
         return got if accept_events else None
-    return accept
+
+    monkeypatch.setattr(selection, "_admissible", checked)
 
 
 @pytest.mark.parametrize("name,model,t_max,grid,evolution",
                          list(_grid_models()),
                          ids=lambda v: v if isinstance(v, str) else "")
-def test_chunked_scan_agrees_with_the_per_time_path(name, model, t_max, grid,
-                                                    evolution):
+def test_chunked_scan_agrees_with_the_per_time_path(monkeypatch, name, model,
+                                                    t_max, grid, evolution):
     # every evolution has apply_times (CallableEvolution stacks its apply),
     # so every model's scan is chunked and screened
     assert type(model.evolution) is evolution
@@ -199,10 +245,9 @@ def test_chunked_scan_agrees_with_the_per_time_path(name, model, t_max, grid,
                                           (1e-3, 0.02, True),
                                           (0.05, 0.02, False)):
         seen = []
-        sel = selection._grid_select(
-            model, _checked_accept(model, epsilon, delta, seen,
-                                   accept_events),
-            t_max, grid, 1e-6, 16)
+        _check_admissible(monkeypatch, seen, accept_events)
+        sel = selection._grid_select(model, epsilon, delta, "relative",
+                                     t_max, grid, 1e-6, 16)
         if not accept_events:
             # one tree, so every grid time was scanned
             assert len(seen) == grid + 1 and not sel.events
@@ -216,9 +261,9 @@ def test_chunked_scan_agrees_with_the_per_time_path(name, model, t_max, grid,
 
 
 def _two_leaves(model):
-    """The model's tree after its first event at epsilon 0.5, one chunk of
-    it over the rest of a 300-step grid over [0, 2], and the per-time
-    path's blocks at each time of the chunk."""
+    """The model's tree after its first event at epsilon 0.5, the rest of
+    a 300-step grid over [0, 2], and the per-time path's blocks at each of
+    those times (read through a chunk that rejects none of them)."""
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     ts = np.linspace(0.0, 2.0, 301).tolist()
     t0, ext = next((t, e) for t, e in (
@@ -227,13 +272,12 @@ def _two_leaves(model):
         for t in ts[1:]) if e is not None)
     tree = ext.extend()
     times = ts[ts.index(t0) + 1:]
-    evolved = model.evolution.apply_times(
-        np.column_stack([model.psi0, tree.leaf_states()]), times)
-    chunk = selection._Chunk(model, times, evolved, tree._probabilities)
+    chunk = _chunk(model, tree, times, _ACCEPTING)
+    assert not chunk.rejected.any()
     blocks = {t: selection.Extension(
         tree, selection.schmidt_candidate(model, t, chunk), None,
         chunk.leaves[i]).blocks for t, i in chunk.index.items()}
-    return tree, chunk, blocks
+    return tree, times, blocks
 
 
 def _least_passing_epsilon(blocks):
@@ -249,23 +293,25 @@ def _least_passing_epsilon(blocks):
 
 def test_a_near_epsilon_time_is_left_to_the_per_time_path():
     # at the least epsilon the per-time path admits, the stacked Gram
-    # blocks round to a ratio above it at some times; the screen must leave
-    # those to the per-time path (a screen without SCREEN_MARGIN rejects
-    # them), and it rejects the same times once epsilon is far enough below
+    # blocks round to a ratio above it at some times; a chunk under that
+    # epsilon must leave those to the per-time path (a screen without
+    # SCREEN_MARGIN rejects them), and one under an epsilon far enough below
+    # rejects the same times
     model = _flow_model(2, 4, 1)
-    tree, chunk, blocks = _two_leaves(model)
+    tree, times, blocks = _two_leaves(model)
     assert len(blocks) > 100
     near = 0
-    for t, i in chunk.index.items():
+    for i, t in enumerate(times):
         epsilon = _least_passing_epsilon(blocks[t])
-        worst = chunk.worst[i]
-        if worst > epsilon:
+        chunk = _chunk(model, tree, times, (epsilon, 0.0, "relative"))
+        if chunk.worst[i] > epsilon:
             near += 1
+            assert not chunk.rejected[i], t
             assert selection._admissible(model, tree, t, chunk, epsilon, 0.0,
                                          "relative") is not None, t
         below = epsilon - 2 * SCREEN_MARGIN
-        assert chunk.rejects(t, below, 0.0, "relative") \
-            == (worst > below + SCREEN_MARGIN), t
+        chunk = _chunk(model, tree, times, (below, 0.0, "relative"))
+        assert chunk.rejected[i] == (chunk.worst[i] > below + SCREEN_MARGIN), t
         assert not consistency.medium_pass(blocks[t], below)
     assert near > 0
 
@@ -275,10 +321,10 @@ def test_a_near_delta_time_is_left_to_the_per_time_path():
     # child non-trivial: the stacked child probabilities round below it at
     # some times (epsilon 2 passes every ratio)
     model = _flow_model(2, 4, 1)
-    tree, chunk, blocks = _two_leaves(model)
+    tree, times, blocks = _two_leaves(model)
     parents = tree._probabilities[:, None]
     near = 0
-    for t, i in chunk.index.items():
+    for i, t in enumerate(times):
         children = blocks[t].diagonal(0, 1, 2).real.T
         delta = float(np.min(children / parents))
         while not consistency.nontrivial(parents, children, delta):
@@ -286,14 +332,16 @@ def test_a_near_delta_time_is_left_to_the_per_time_path():
         while consistency.nontrivial(parents, children,
                                      np.nextafter(delta, 1.0)):
             delta = np.nextafter(delta, 1.0)
-        screened = chunk.children[i].T
-        if (screened < delta * parents).any():
+        chunk = _chunk(model, tree, times, (2.0, delta, "relative"))
+        if (chunk.children[i].T < delta * parents).any():
             near += 1
+            assert not chunk.rejected[i], t
             assert selection._admissible(model, tree, t, chunk, 2.0, delta,
                                          "relative") is not None, t
         # a shortfall of SCREEN_MARGIN on the smallest parent is rejected
-        assert chunk.rejects(
-            t, 2.0, delta + 2 * SCREEN_MARGIN / parents.min(), "relative"), t
+        chunk = _chunk(model, tree, times, (
+            2.0, delta + 2 * SCREEN_MARGIN / parents.min(), "relative"))
+        assert chunk.rejected[i], t
     assert near > 0
 
 
@@ -342,17 +390,16 @@ def _candidate_models():
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_every_candidate_is_the_per_time_one_to_the_bit(name, model, t_max,
                                                         screened):
-    # at every row of a chunk over 61 times, screened or not, and at each
-    # time alone (a split of one), against the old per-time body on the
-    # same psi(t)
+    # at every row of a chunk over 61 times that rejects none of them,
+    # screened or not, and at each time alone (a split of one), against the
+    # old per-time body on the same psi(t)
     times = np.linspace(0.0, t_max, 61).tolist()
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
-    evolved = model.evolution.apply_times(
-        np.column_stack([model.psi0, tree.leaf_states()]), times)
-    chunk = selection._Chunk(model, times, evolved, tree._probabilities)
+    chunk = _chunk(model, tree, times, _ACCEPTING)
     assert set(chunk.screened.tolist()) == screened, name
+    assert not chunk.rejected.any(), name
     for t, i in chunk.index.items():
-        for where, psi in ((chunk, evolved[i, :, 0]),
+        for where, psi in ((chunk, chunk.psi[i]),
                            (None, model.state(t))):
             got = selection.schmidt_candidate(model, t, where).projectors
             want = _reference_candidate(model, psi)
@@ -389,12 +436,10 @@ def test_a_rejected_rows_screen_projectors_are_within_the_davis_kahan_bound(
     model = _flow_model(d1, d2, seed)
     times = np.linspace(0.0, 2.0, 61).tolist()
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
-    evolved = model.evolution.apply_times(
-        np.column_stack([model.psi0, tree.leaf_states()]), times)
-    chunk = selection._Chunk(model, times, evolved, tree._probabilities)
+    chunk = _chunk(model, tree, times, (0.05, 0.3, "relative"))
     gapped = 0
     for t, i in chunk.index.items():
-        if not chunk.rejects(t, 0.05, 0.3, "relative"):
+        if not chunk.rejected[i]:
             continue
         got = selection.schmidt_candidate(model, t, chunk).projectors
         assert all(np.array_equal(g, P)
@@ -411,30 +456,27 @@ def test_a_rejected_rows_screen_projectors_are_within_the_davis_kahan_bound(
     assert (gapped > 0) == (d1 == 2)
 
 
-def test_the_latest_verdict_decides_a_rows_candidate():
-    # a row rejected at one (epsilon, delta) and then asked at one that
-    # does not reject it reads its split again, to the bit; asked again at
-    # the first, it reads the screen's projectors
+def test_a_chunks_criterion_decides_a_rows_candidate():
+    # two chunks over the same times, under a strict and a loose delta: a
+    # row that only the strict chunk rejects reads the screen's projectors
+    # there, and its split's, the per-time path's to the bit, in the loose
+    # chunk
     model = _flow_model(2, 16, 2)
     times = np.linspace(0.0, 2.0, 61).tolist()
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
-    evolved = model.evolution.apply_times(
-        np.column_stack([model.psi0, tree.leaf_states()]), times)
-    chunk = selection._Chunk(model, times, evolved, tree._probabilities)
-    strict, loose = (0.05, 0.45, "relative"), (0.05, 0.0, "relative")
-    flipped = [t for t in times
-               if chunk.rejects(t, *strict) and not chunk.rejects(t, *loose)]
-    assert flipped
-    for t in flipped:
-        i = chunk.index[t]
-        assert chunk.rejects(t, *strict) and not chunk.rejects(t, *loose)
-        got = selection.schmidt_candidate(model, t, chunk).projectors
-        want = _reference_candidate(model, chunk.psi[i])
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), t
-        assert chunk.rejects(t, *strict)
-        got = selection.schmidt_candidate(model, t, chunk).projectors
+    strict = _chunk(model, tree, times, (0.05, 0.45, "relative"))
+    loose = _chunk(model, tree, times, (0.05, 0.0, "relative"))
+    flipped = np.flatnonzero(strict.rejected & ~loose.rejected)
+    assert flipped.size
+    for i in flipped.tolist():
+        t = times[i]
+        got = selection.schmidt_candidate(model, t, strict).projectors
         assert all(np.array_equal(g, P)
-                   for g, P in zip(got, chunk.projectors[i])), t
+                   for g, P in zip(got, strict.projectors[i])), t
+        got = selection.schmidt_candidate(model, t, loose).projectors
+        want = _reference_candidate(model, loose.psi[i])
+        assert len(got) == len(want), t
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), t
 
 
 def _bell_local_model(gap):
@@ -473,9 +515,9 @@ def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
     for epsilon, delta, accept_events in ((0.05, 0.02, True),
                                           (1e-3, 0.02, True),
                                           (0.05, 0.45, False)):
-        selection._grid_select(
-            model, _checked_accept(model, epsilon, delta, seen,
-                                   accept_events), 2.0, 200, 1e-6, 16)
+        _check_admissible(monkeypatch, seen, accept_events)
+        selection._grid_select(model, epsilon, delta, "relative", 2.0, 200,
+                               1e-6, 16)
     near = 0
     for chunk in chunks:
         weights = np.array([_rho_weights(psi, 2, model.d2)
@@ -485,7 +527,7 @@ def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
         near += int((gaps < SCREEN_GAP_FLOOR).sum())
         if not chunk.gapped.all():
             # the split taken at construction holds exactly these rows
-            rows, split = chunk.splits[0]
+            rows, split = _splits(chunk)[0]
             assert rows.tolist() == np.flatnonzero(~chunk.gapped).tolist()
             assert (chunk.screened[rows] == split.screened).all()
             assert (split.screened == (weights[rows, 0]
@@ -496,7 +538,7 @@ def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
     assert any(rejected for _, _, _, rejected in seen)
 
 
-def test_rank_deficient_times_take_the_per_time_path():
+def test_rank_deficient_times_take_the_per_time_path(monkeypatch):
     # no interaction and a product psi0: psi(t) has Schmidt rank 1 at every
     # t, so each candidate is a projector and its complement, and the
     # empty branch fails non-triviality, on the per-time path
@@ -508,13 +550,13 @@ def test_rank_deficient_times_take_the_per_time_path():
                   sample_unit_vector(4, "complex", rng.stream("b")))
     model = selection.BipartiteModel(2, 4, psi, HamiltonianFlow(H))
     seen = []
-    selection._grid_select(
-        model, _checked_accept(model, 0.05, 0.02, seen, accept_events=False),
-        2.0, 100, 1e-6, 16)
+    _check_admissible(monkeypatch, seen, accept_events=False)
+    selection._grid_select(model, 0.05, 0.02, "relative", 2.0, 100, 1e-6, 16)
     assert len(seen) == 101 and all(p for _, p, *_ in seen)
     assert not any(ok or screened for _, _, ok, screened in seen)
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
-    chunk = selection._prepare_chunk(model, tree, 0.5, lambda t: None)
+    chunk = selection._prepare_chunk(model, tree, 0.5, lambda t: None,
+                                     (0.05, 0.02, "relative"))
     assert list(chunk.index) == [0.5] and not chunk.screened[0]
     assert len(selection.schmidt_candidate(model, 0.5, chunk)) == 2
 
@@ -615,9 +657,9 @@ def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     chunks = _record_chunks(monkeypatch)
     seen = []
-    selection._grid_select(
-        model, _checked_accept(model, 0.05, 0.02, seen, accept_events=False),
-        t_max, grid, 1e-6, 16)
+    _check_admissible(monkeypatch, seen, accept_events=False)
+    selection._grid_select(model, 0.05, 0.02, "relative", t_max, grid, 1e-6,
+                           16)
     verdicts = {t: ok for t, _, ok, _ in seen}
     assert len(verdicts) == grid + 1 and not verdicts[t_bad]
     # the screen did not reject t_bad, so its chunk's split of unrejected
@@ -626,16 +668,16 @@ def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
     # so the rest of the chunk stays screened
     bad_chunk = next(chunk for chunk in chunks if t_bad in chunk.index)
     i_bad = bad_chunk.index[t_bad]
-    assert i_bad not in bad_chunk.rejected
-    rows, split = next((rows, split) for rows, split in bad_chunk.splits
-                       if i_bad in rows)
-    assert split.failed == {rows.tolist().index(i_bad)} and len(rows) > 1
+    assert not bad_chunk.rejected[i_bad]
+    split, j_bad = bad_chunk.where[i_bad]
+    rows = next(rows for rows, other in _splits(bad_chunk) if other is split)
+    assert split.failed == {j_bad} and len(rows) > 1
     assert all(bad_chunk.screened[i] for t, i in bad_chunk.index.items()
                if t != t_bad)
     assert sum(verdicts[t] for t in bad_chunk.index) \
         > len(bad_chunk.index) // 2
     assert not any(other.failed for chunk in chunks
-                   for _, other in chunk.splits if other is not split)
+                   for _, other in _splits(chunk) if other is not split)
 
 
 def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
@@ -648,16 +690,18 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
     model = _recoherence_model()
     grid_times = set(np.linspace(0.0, 6.0, 401).tolist())
     seen = []
-    sel = selection._grid_select(
-        model, _checked_accept(model, 1e-6, 0.05, seen), 6.0, 400, 1e-6, 2)
+    _check_admissible(monkeypatch, seen)
+    sel = selection._grid_select(model, 1e-6, 0.05, "relative", 6.0, 400,
+                                 1e-6, 2)
     assert len(sel.events) == 2 and max(t for t, *_ in seen) < math.pi
     assert all(prepared for t, prepared, *_ in seen if t in grid_times)
+    monkeypatch.setattr(selection, "_admissible", _ADMISSIBLE)
     starts = []
     prepare = selection._prepare_chunk
 
-    def recorded(model, tree, t, advance):
+    def recorded(model, tree, t, advance, criterion):
         starts.append(t)
-        return prepare(model, tree, t, advance)
+        return prepare(model, tree, t, advance, criterion)
 
     monkeypatch.setattr(selection, "_prepare_chunk", recorded)
     calls = _count_candidates(monkeypatch)
@@ -694,11 +738,10 @@ def test_a_nan_state_raises_at_its_own_time(monkeypatch):
     calls = _count_candidates(monkeypatch)
     chunks = _record_chunks(monkeypatch)
     seen = []
+    _check_admissible(monkeypatch, seen, accept_events=False)
     with pytest.raises(ValueError, match="not normalized"):
-        selection._grid_select(
-            model, _checked_accept(model, 0.05, 0.02, seen,
-                                   accept_events=False),
-            t_max, grid, 1e-6, 16)
+        selection._grid_select(model, 0.05, 0.02, "relative", t_max, grid,
+                               1e-6, 16)
     # psi(t_bad) failed the norm guard and was zeroed before the stacked
     # SVD, so the rest of its chunk stays screened; the times before it
     # were judged as the per-time path judges them, and the scan stopped

@@ -486,6 +486,14 @@ def test_grid_selections_match_their_own_loop():
     assert {0, 1} < sizes and max(sizes) > 1
 
 
+def _one_level_model():
+    """A 1 x 8 model: every Schmidt candidate is one projector."""
+    rng = RandomStream(9, "one-level")
+    return selection.BipartiteModel(
+        1, 8, sample_unit_vector(8, "complex", rng.stream("psi")),
+        HamiltonianFlow(sample_gue(8, 1.0, rng.stream("H"))))
+
+
 @pytest.mark.parametrize("select,argument,value", [
     (select, argument, value)
     for select in (selection.earliest_time_select,
@@ -494,18 +502,26 @@ def test_grid_selections_match_their_own_loop():
                             ("t_max", math.inf), ("t_max", math.nan),
                             ("grid", 0), ("grid", -1),
                             ("refine_tol", -1e-6), ("refine_tol", math.nan),
-                            ("max_events", -1), ("max_events", math.nan))
+                            ("max_events", -1), ("max_events", math.nan),
+                            ("epsilon", -1.0), ("epsilon", math.nan),
+                            ("delta", 5.0), ("delta", -0.1),
+                            ("delta", 1.0), ("delta", math.nan),
+                            ("delta_mode", "bogus"))
 ] + [(selection.quasi_dynamical_select, "probe_dt", value)
      for value in (0.0, -1e-3, math.inf, math.nan)])
 def test_grid_selections_refuse_invalid_arguments(select, argument, value):
     # each was silently accepted: an empty set for t_max = -1, grid = 0 or
     # -1, or max_events = -1, unrefined grid times for refine_tol = nan, no
     # persistence gate for probe_dt = 0, a probe of the past for a negative
-    # probe_dt, and no events for probe_dt = nan
-    model = selection.spin_model(_config(4, 2))
-    kwargs = {"t_max": 2.0, argument: value}
-    with pytest.raises(ValueError, match=argument):
-        select(model, 0.05, 0.02, **kwargs)
+    # probe_dt, and no events for probe_dt = nan.  At d1 = 1 every
+    # candidate is one projector, so neither the consistency nor the
+    # non-triviality check ever ran, and an out-of-range criterion gave no
+    # events without an error
+    for model in (selection.spin_model(_config(4, 2)), _one_level_model()):
+        kwargs = {"epsilon": 0.05, "delta": 0.02, "t_max": 2.0,
+                  argument: value}
+        with pytest.raises(ValueError, match=argument):
+            select(model, **kwargs)
 
 
 def test_zero_refine_tol_returns(monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 from qhistories import consistency, histories, linalg, tolerances
 
 # The value of every threshold before it moved into qhistories.tolerances.
-# A constant may shrink (tighten) but never grow, and a new constant needs a
-# pin here.
+# A constant may tighten but never loosen, and a new constant needs a pin
+# here.  A tolerance tightens as it shrinks; the screen's floors (FLOORS)
+# tighten as they grow.
 PINNED = {
     "NORM_TOL": 1e-10, "HERMITICITY_TOL": 1e-10, "PROJECTOR_TOL": 1e-10,
     "UNIT_VECTOR_TOL": 1e-9, "GENERICITY_TOL": 1e-8, "BLOCH_NORM_TOL": 1e-12,
@@ -24,6 +25,12 @@ PINNED = {
     "ORACLE_RTOL": 1e-12, "GOLDEN_RTOL": 1e-10,
 }
 
+# The floors of selection._Chunk's Davis-Kahan bound: lowering a gap, root
+# or weight floor, or the assumed error of rho, weakens the bound on how far
+# the screen's ratios and probabilities can sit from the per-time path's.
+FLOORS = {"SCREEN_GAP_FLOOR", "SCREEN_ROOT_FLOOR", "SCREEN_WEIGHT_FLOOR",
+          "SCREEN_RHO_ERROR"}
+
 # Modules whose thresholds all come from qhistories.tolerances.
 LINTED = ("linalg", "histories", "consistency", "selection", "randmodel",
           "spin")
@@ -31,9 +38,25 @@ LINTED = ("linalg", "histories", "consistency", "selection", "randmodel",
 
 def test_no_tolerance_grows():
     names = {k for k in vars(tolerances) if k.isupper()}
-    assert names == set(PINNED)
+    assert names == set(PINNED) and FLOORS <= names
     for name, pinned in PINNED.items():
-        assert 0 < getattr(tolerances, name) <= pinned, name
+        value = getattr(tolerances, name)
+        if name in FLOORS:
+            assert pinned <= value, name
+        else:
+            assert 0 < value <= pinned, name
+
+
+def test_the_screen_margin_covers_its_davis_kahan_bound():
+    # selection._Chunk: a gapped row's projectors sit within eta of the
+    # per-time path's, so a child probability moves by at most
+    # 2 eta + eta^2 and a counted overlap ratio by at most
+    # 2 eta / SCREEN_ROOT_FLOOR; SCREEN_MARGIN must cover both with room
+    # for the per-time path's own rounding
+    eta = 2 * tolerances.SCREEN_RHO_ERROR / tolerances.SCREEN_GAP_FLOOR
+    assert 2 * eta + eta ** 2 <= tolerances.SCREEN_MARGIN / 5
+    assert 2 * eta / tolerances.SCREEN_ROOT_FLOOR \
+        <= tolerances.SCREEN_MARGIN / 2
 
 
 def test_tolerances_module_imports_nothing():
