@@ -29,6 +29,7 @@ from . import spin as spin_mod
 from .consistency import consistency_report, mpv_exact
 from .histories import decoherence_matrix
 from .linalg import RandomStream, sample_unit_vector
+from .tolerances import MPV_CLOSED_FORM_TOL
 
 
 def fmt(x):
@@ -163,7 +164,7 @@ def cmd_dheg(args, out):
     rows = [["mpv_exact", val], ["mpv_closed_form", closed],
             ["max_weak_offdiag", rep.max_weak_violation],
             ["overlap_ratio", rep.dhp]]
-    ok = abs(val - closed) <= 1e-10
+    ok = abs(val - closed) <= MPV_CLOSED_FORM_TOL
     emit_records(out, "dheg",
                  {"n": args.n, "eps": args.eps,
                   "witness_size": len(witness)},
@@ -348,7 +349,8 @@ def cmd_selftest(args, out):
 
     D = ctor.frame_pair_matrix(4, 0.05)
     checks.append(("frame_pair_mpv",
-                   abs(mpv_exact(D)[0] - ctor.frame_pair_mpv(4, 0.05)) < 1e-10))
+                   abs(mpv_exact(D)[0] - ctor.frame_pair_mpv(4, 0.05))
+                   <= MPV_CLOSED_FORM_TOL))
 
     tree = ctor.zeno_tree(6, 0.9)
     Dz = decoherence_matrix(tree)

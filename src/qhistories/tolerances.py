@@ -57,6 +57,9 @@ EXACT_TOL = 1e-10
 PERSISTENCE_TOL = 1e-9
 # gain that still grows a greedy MPV subset; absolute, in units of Re D
 MPV_GAIN_TOL = 1e-15
+# |mpv_exact - (n-1) eps / 2| of a frame pair that `qhist dheg` and
+# `qhist selftest` accept; absolute, in units of Re D (scale 1)
+MPV_CLOSED_FORM_TOL = 1e-10
 # recorded against recomputed run report and probabilities; absolute, scale 1
 INTEGRITY_TOL = 1e-8
 # excess of an overlap ratio over epsilon, and shortfall of a child

@@ -169,14 +169,41 @@ def test_mpv_greedy_matches_loop_on_frame_pairs(n_histories):
 
 
 def _mpv_exact_fresh_blocks(D):
-    """Reference: mpv_exact's split scan with a fresh
-    |(f_hi + f_lo) + X_hi W^T| temporary per block."""
+    """Reference: mpv_exact's split scan with a fresh |A[blk] B| temporary
+    per block, A = [X_hi | f_hi | 1] and B = [W^T ; 1 ; f_lo]."""
     R = np.asarray(D, dtype=complex).real
     n = R.shape[0]
     h = n // 2
     X_lo, X_hi = _subset_bits(h), _subset_bits(n - h)
     f_lo = _subset_values(R[:h, :h], X_lo)
     f_hi = _subset_values(R[h:, h:], X_hi)
+    A = np.ascontiguousarray(
+        np.column_stack((X_hi, f_hi, np.ones(1 << (n - h)))))
+    B = np.ascontiguousarray(np.vstack(
+        ((X_lo @ (R[:h, h:] + R[h:, :h].T)).T, np.ones(1 << h), f_lo)))
+    rows = max(1, MPV_BLOCK >> h)
+    best_val, best_idx = 0.0, 0
+    for start in range(0, 1 << (n - h), rows):
+        F = np.abs(A[start:start + rows] @ B)
+        i = int(np.argmax(F))
+        if F.flat[i] > best_val:
+            hi, lo = divmod(i, F.shape[1])
+            best_val, best_idx = float(F.flat[i]), (start + hi) << h | lo
+    return best_val, tuple(i for i in range(n) if (best_idx >> i) & 1)
+
+
+def _mpv_exact_fill_then_add(D):
+    """Reference: the split scan with the half values added outside the
+    product, |(f_hi + f_lo) + X_hi W^T| per block, and each half value
+    the three-operand einsum x^T R x - x . diag R."""
+    R = np.asarray(D, dtype=complex).real
+    n = R.shape[0]
+    h = n // 2
+    X_lo, X_hi = _subset_bits(h), _subset_bits(n - h)
+    f_lo = (np.einsum("si,ij,sj->s", X_lo, R[:h, :h], X_lo)
+            - X_lo @ np.diag(R[:h, :h]))
+    f_hi = (np.einsum("si,ij,sj->s", X_hi, R[h:, h:], X_hi)
+            - X_hi @ np.diag(R[h:, h:]))
     W = X_lo @ (R[:h, h:] + R[h:, :h].T)
     rows = max(1, MPV_BLOCK >> h)
     best_val, best_idx = 0.0, 0
@@ -189,6 +216,20 @@ def _mpv_exact_fresh_blocks(D):
             hi, lo = divmod(i, F.shape[1])
             best_val, best_idx = float(F.flat[i]), (start + hi) << h | lo
     return best_val, tuple(i for i in range(n) if (best_idx >> i) & 1)
+
+
+@pytest.mark.parametrize("k", range(2, 14))
+def test_mpv_exact_matches_the_fill_then_add_scan_on_frame_pairs(k):
+    # 2k histories; the half values inside the product move the value at
+    # roundoff only, and the witness of a frame-pair tie keeps its size
+    for eps in (0.001, 0.01, 0.02, 0.05, 0.08, 0.1):
+        if eps > 1.0 / (k - 1):
+            continue
+        D = frame_pair_matrix(k, eps).entries
+        val, witness = mpv_exact(D)
+        ref, ref_witness = _mpv_exact_fill_then_add(D)
+        assert abs(val - ref) <= MPV_RTOL * np.abs(D.real).max()
+        assert len(witness) == len(ref_witness)
 
 
 def _mpv_greedy_signed_rows(D):
@@ -243,22 +284,29 @@ def test_mpv_scans_are_bit_identical_to_the_references(D, exact):
 
 
 def _mpv_peak_bound(n, exact):
-    """Bytes an MPV scan of n histories may allocate at once: two blocks
-    of MPV_BLOCK float64 entries (exact: the scan buffer and the X_hi W^T
-    product; greedy: the gain block and its gathered rows or compressed
-    copy), the tables (exact: X_lo, X_hi, W, f_lo and f_hi, with h = n//2;
-    greedy: 2 Re D^T and the 2 C(n, 2) seed-pair indices), and a quarter
-    block for the per-row vectors and small arrays."""
-    h = n // 2
-    tables = ((1 << h) * (n + 1) + (1 << (n - h)) * (n - h + 1) if exact
-              else n * n + n * (n - 1))
-    return 8 * (2 * MPV_BLOCK + tables + MPV_BLOCK // 4)
+    """Bytes an MPV scan of n histories may allocate at once, with
+    h = n//2 and m = n - h.  Exact: the tables X_lo, X_hi, f_lo, f_hi,
+    A = [X_hi | f_hi | 1] and B = [W^T ; 1 ; f_lo], and then the larger
+    of the scan buffer (MPV_BLOCK entries) and the W product while B is
+    built (2^h x m).  Greedy: 2 Re D^T, the 2 C(n, 2) seed-pair indices
+    and two blocks of MPV_BLOCK entries (the gain block and its gathered
+    rows or compressed copy).  Both: a quarter block for the per-row
+    vectors and small arrays, all float64."""
+    if exact:
+        h = n // 2
+        m = n - h
+        tables = (1 << h) * (h + 1 + m + 2) + (1 << m) * (m + 1 + m + 2)
+        held = tables + max(MPV_BLOCK, (1 << h) * m)
+    else:
+        held = n * n + n * (n - 1) + 2 * MPV_BLOCK
+    return 8 * (held + MPV_BLOCK // 4)
 
 
 @pytest.mark.parametrize("mpv,n", [(mpv_greedy, 64), (mpv_greedy, 128),
-                                   (mpv_exact, 20), (mpv_exact, 24)],
+                                   (mpv_exact, 20), (mpv_exact, 24),
+                                   (mpv_exact, 26)],
                          ids=["greedy-64", "greedy-128", "exact-20",
-                              "exact-24"])
+                              "exact-24", "exact-26"])
 def test_mpv_scans_stay_within_their_memory_bound(mpv, n):
     D = (frame_pair_matrix(n // 2, 0.01) if mpv is mpv_greedy
          else _random_matrix(4000 + n, n)).entries

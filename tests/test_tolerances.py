@@ -18,7 +18,8 @@ PINNED = {
     "NEGATIVE_PROBABILITY_TOL": 1e-12, "DISTRIBUTION_SUM_TOL": 1e-8,
     "LIVE_PROBABILITY_TOL": 1e-14, "NULL_STATE_TOL": 1e-12,
     "COMPANION_TOL": 1e-9, "LIMIT_TOL": 1e-9, "EXACT_TOL": 1e-10,
-    "PERSISTENCE_TOL": 1e-9, "MPV_GAIN_TOL": 1e-15, "INTEGRITY_TOL": 1e-8,
+    "PERSISTENCE_TOL": 1e-9, "MPV_GAIN_TOL": 1e-15,
+    "MPV_CLOSED_FORM_TOL": 1e-10, "INTEGRITY_TOL": 1e-8,
     "SCREEN_MARGIN": 1e-9, "SCREEN_ROOT_FLOOR": 1e-3,
     "SCREEN_WEIGHT_FLOOR": 1e-9, "SCREEN_GAP_FLOOR": 1e-1,
     "SCREEN_RHO_ERROR": 1e-14,
