@@ -122,9 +122,9 @@ def mpv_exact(D):
     2^n values are the entries of A B, scanned as blocks A[blk] B of at
     most MPV_BLOCK entries.  Each block is one matmul into one reused
     buffer, made absolute in place, so the scan holds that buffer,
-    MPV_BLOCK entries, besides the tables A and B of 2^(n-h) and 2^h rows
-    and the half tables they are built from: memory stays flat in n,
-    apart from those tables.
+    MPV_BLOCK entries, besides the tables A and B of 2^(n-h) and 2^h rows;
+    each half table is freed once A or B holds it.  So memory stays flat
+    in n, apart from A and B.
 
     The witness is the subset of smallest index (bit i = history i) whose
     value is the largest; ties between subsets of equal value are decided
@@ -138,19 +138,23 @@ def mpv_exact(D):
         raise ValueError(
             f"{n} histories exceeds the exhaustive cap {MPV_EXHAUSTIVE_CAP}")
     h = n // 2
-    X_lo, X_hi = _subset_bits(h), _subset_bits(n - h)
-    f_lo = _subset_values(R[:h, :h], X_lo)
-    f_hi = _subset_values(R[h:, h:], X_hi)
     # filled into C-ordered buffers: np.vstack of W^T gives an F-ordered B,
-    # whose block products run about 1.8x slower at 26 histories
-    A = np.empty((f_hi.size, n - h + 2))
-    A[:, :-2], A[:, -2], A[:, -1] = X_hi, f_hi, 1.0
+    # whose block products run about 1.8x slower at 26 histories; each half
+    # table is dropped once its buffer holds it
+    X_lo = _subset_bits(h)
+    f_lo = _subset_values(R[:h, :h], X_lo)
     B = np.empty((n - h + 2, f_lo.size))
     B[:-2], B[-2], B[-1] = (X_lo @ (R[:h, h:] + R[h:, :h].T)).T, 1.0, f_lo
-    rows = min(max(1, MPV_BLOCK >> h), f_hi.size)   # divides f_hi.size
-    F = np.empty((rows, f_lo.size))
+    del X_lo, f_lo
+    X_hi = _subset_bits(n - h)
+    f_hi = _subset_values(R[h:, h:], X_hi)
+    A = np.empty((f_hi.size, n - h + 2))
+    A[:, :-2], A[:, -2], A[:, -1] = X_hi, f_hi, 1.0
+    del X_hi, f_hi
+    rows = min(max(1, MPV_BLOCK >> h), len(A))      # divides len(A)
+    F = np.empty((rows, 1 << h))
     best_val, best_idx = 0.0, 0
-    for start in range(0, f_hi.size, rows):
+    for start in range(0, len(A), rows):
         np.matmul(A[start:start + rows], B, out=F)
         np.abs(F, out=F)
         i = int(np.argmax(F))

@@ -55,11 +55,12 @@ or the Gram stack (T d1 n^2), would exceed SCAN_BLOCK complex entries,
 and at least one; a chunk of one time is prepared whatever its size.  So
 at most SCAN_CHUNK - 1 prepared times go unevaluated per tree.
 Each time is still evaluated alone and in order, by one schmidt_candidate
-call; a time the screen rejected stops there, and every other one is
-judged by the per-time path on its split's candidate, so verdicts and
-evaluation counts are those of that path.  A time outside the chunk
-(bisection midpoints, retrodictive selection) is split alone, as a stack
-of one, and judged by the per-time path, as is the persistence probe.
+call; at a time the screen rejected that call returns None, the chunk's
+verdict, and every other time is judged by the per-time path on its
+split's candidate, so verdicts and evaluation counts are those of that
+path.  A time outside the chunk (bisection midpoints, retrodictive
+selection) is split alone, as a stack of one, and judged by the per-time
+path, as is the persistence probe.
 """
 
 import bisect
@@ -153,7 +154,8 @@ class _Split:
     column order, and extra whether it exceeds COMPLEMENT_TOL and so joins
     the candidate.  A row is screened when it passes the norm guard and
     splits at full Schmidt rank with no complement, and d1 >= 2: its
-    candidate is then projectors[i] as it stands."""
+    candidate is then its d1 rank-1 projectors, so the chunk's screen can
+    judge the row from its cols (see _Chunk)."""
 
     def __init__(self, psi, d1, d2):
         T = len(psi)
@@ -277,13 +279,13 @@ class _Chunk:
     SCREEN_MARGIN.  A verdict of the screen therefore stands for the
     per-time path's.
 
-    Candidates.  A rejected row's candidate is its row of projectors, the
-    screen's rank-1 projectors u_i u_i^dag stacked once per chunk.  Every
-    other row reads its row of a _Split, and where maps it to (split, j):
-    the split of the rows the screen cannot read from rho, and one split
-    of the gapped rows it did not reject.  So a chunk takes at most two
-    SVDs, both here, and every candidate that can become an event is the
-    per-time path's to the bit."""
+    Candidates.  A rejected row has none: the screen's verdict is the
+    chunk's, and schmidt_candidate returns None there.  Every other row
+    reads its row of a _Split, and where maps it to (split, j): the split
+    of the rows the screen cannot read from rho, and one split of the
+    gapped rows it did not reject.  So a chunk takes at most two SVDs,
+    both here, builds a ProjectiveDecomposition only for a row it did not
+    reject, and every candidate is the per-time path's to the bit."""
 
     def __init__(self, model, times, evolved, parents, criterion):
         T, d1, d2 = len(times), model.d1, model.d2
@@ -298,7 +300,6 @@ class _Chunk:
             split = self._split(rows, d1, d2)
             cols[rows] = split.cols
             self.screened[rows] = split.screened
-        self.projectors = cols[:, :, :, None] * cols[:, :, None, :].conj()
         n = self.leaves.shape[-1]
         Y = (cols.conj() @ self.leaves.reshape(T, d1, -1)).reshape(
             T, d1, -1, n)
@@ -323,8 +324,7 @@ class _Chunk:
             self._split(rows, d1, d2)
 
     def _split(self, rows, d1, d2):
-        psi = self.psi if len(rows) == len(self.psi) else self.psi[rows]
-        split = _Split(psi, d1, d2)
+        split = _Split(self.psi[rows], d1, d2)
         for j, i in enumerate(rows.tolist()):
             self.where[i] = (split, j)
         return split
@@ -336,24 +336,21 @@ def schmidt_candidate(model, t, chunk=None):
     complement of their span when rank-deficient.
 
     At a time of chunk (a _Chunk) that the chunk's screen rejected
-    (_Chunk.rejected), the candidate is the screen's row of projectors,
-    which _admissible drops at once.  Every other candidate is cut from a
-    _Split: the chunk's split holding t (_Chunk.where), or, at a time
-    outside chunk, a split of psi(t) alone, a stack of one.  A screened
-    row's projectors are returned as they stand.  Raises ValueError when
-    psi(t) is not normalized, and LinAlgError when its SVD failed.
-    _admissible calls this exactly once per admissibility evaluation: the
+    (_Chunk.rejected), returns None: the time has no candidate.  Every
+    candidate is cut from a _Split: the chunk's split holding t
+    (_Chunk.where), or, at a time outside chunk, a split of psi(t) alone,
+    a stack of one.  Raises ValueError when psi(t) is not normalized, and
+    LinAlgError when its SVD failed.  _admissible calls this exactly once
+    per admissibility evaluation, a rejected time's included: the
     benchmark's traced check needs schmidt_candidate calls to equal the
     evaluations (RunRecord.steps)."""
     i = None if chunk is None else chunk.index.get(t)
     if i is None:
         split, i = _Split(model.state(t)[None], model.d1, model.d2), 0
     elif chunk.rejected[i]:
-        return ProjectiveDecomposition(t, chunk.projectors[i], check=False)
+        return None
     else:
         split, i = chunk.where[i]
-    if split.screened[i]:
-        return ProjectiveDecomposition(t, split.projectors[i], check=False)
     if not split.normed[i]:
         raise ValueError(f"state is not normalized: |psi| = {split.norms[i]}")
     if i in split.failed:
@@ -431,17 +428,17 @@ def _admissible(model, tree, t, chunk, epsilon, delta, delta_mode):
     Extension.extend() once per accepted event.  A time of chunk (a _Chunk
     of this tree, built under this criterion, or None) that the chunk's
     screen rejected (_Chunk.rejected) is rejected at once: its one
-    schmidt_candidate call then returns the screen's projectors, dropped
-    here.  Any other time of chunk reads its candidate from the chunk's
-    split that holds it (_Chunk.where), and its evolved leaf states from
-    the chunk.
+    schmidt_candidate call returns None, as for a candidate of fewer than
+    two projectors.  Any other time of chunk reads its candidate from the
+    chunk's split that holds it (_Chunk.where), and its evolved leaf
+    states from the chunk.
     Returns the Extension, or None when inadmissible."""
     i = None if chunk is None else chunk.index.get(t)
     try:
         dec = schmidt_candidate(model, t, chunk)
     except np.linalg.LinAlgError:
         return None
-    if len(dec) < 2 or i is not None and chunk.rejected[i]:
+    if dec is None or len(dec) < 2:
         return None
     ext = Extension(tree, dec, epsilon,
                     None if i is None else chunk.leaves[i])
@@ -539,7 +536,7 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
         ext = _admissible(model, tree, t, chunk, *criterion)
         return None if ext is None or not probe(tree, ext) else ext
 
-    tree, events = _chain(model, (), None)
+    tree, events = HistoryTree(model.psi0, model.evolution), []
     chunk, calls, t, lo = None, 0, start, None
     while not full(tree, events) and t is not None and calls < budget:
         calls += 1

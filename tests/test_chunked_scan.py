@@ -9,12 +9,11 @@ gapped row (the rest take their exact split at once), and the chunk's
 stacked screen rejects, when it is built, the times whose candidate is
 inadmissible beyond SCREEN_MARGIN (_Chunk.rejected).  Each time is still
 evaluated alone, by one schmidt_candidate call: a rejected time's returns
-the screen's projectors, and every other time's is cut from a stacked
-split of the chunk's unrejected rows, taken with the chunk, so the
-verdicts, the step counts and the benchmark's traced check
-(schmidt_candidate calls == RunRecord.steps) must all be those of the
-per-time path.  The chunks are read here through their arrays, by the row
-chunk.index[t] of each time t.
+None, the chunk's verdict, and every other time's is cut from a stacked
+split taken with the chunk, so the verdicts, the step counts and the
+benchmark's traced check (schmidt_candidate calls == RunRecord.steps)
+must all be those of the per-time path.  The chunks are read here
+through their arrays, by the row chunk.index[t] of each time t.
 """
 
 import math
@@ -428,39 +427,50 @@ def _rho_gap(psi, d1, d2):
                                         (4, 5, 4)])
 def test_a_rejected_rows_screen_projectors_are_within_the_davis_kahan_bound(
         d1, d2, seed):
-    # a rejected row's candidate is the screen's row of projectors; at a
-    # gapped row (d1 = 2 only) they are rho's eigenvectors, within
+    # a rejected row has no candidate: its one schmidt_candidate call returns
+    # None, and every other row's candidate is the per-time path's to the
+    # bit.  The screen that rejected it read its vectors as _Chunk does: at
+    # a gapped row (d1 = 2 only) rho's eigenvectors, within
     # 2 SCREEN_RHO_ERROR / gap of the per-time path's (Davis-Kahan), so
     # within the bound the screen's margin argument rests on; at any other
-    # row, and at every row at d1 = 3 and 4, they are the split's own
+    # row, and at every row at d1 = 3 and 4, the cols of the row's split
     model = _flow_model(d1, d2, seed)
     times = np.linspace(0.0, 2.0, 61).tolist()
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     chunk = _chunk(model, tree, times, (0.05, 0.3, "relative"))
-    gapped = 0
+    gapped, cols = selection._eigenbasis(chunk.psi, d1, d2)
+    assert (gapped == chunk.gapped).all()
+    gapped_rejected = 0
     for t, i in chunk.index.items():
-        if not chunk.rejected[i]:
-            continue
-        got = selection.schmidt_candidate(model, t, chunk).projectors
-        assert all(np.array_equal(g, P)
-                   for g, P in zip(got, chunk.projectors[i]))
+        got = selection.schmidt_candidate(model, t, chunk)
         want = _reference_candidate(model, chunk.psi[i])
-        assert len(got) == len(want) == d1, t
-        error = max(np.linalg.norm(g - w, 2) for g, w in zip(got, want))
-        if chunk.gapped[i]:
-            gapped += 1
+        if not chunk.rejected[i]:
+            assert len(got) == len(want), t
+            assert all(np.array_equal(g, w)
+                       for g, w in zip(got.projectors, want)), t
+            continue
+        assert got is None, t
+        if gapped[i]:
+            gapped_rejected += 1
+            u = cols[i]
+        else:
+            split, j = chunk.where[i]
+            u = split.cols[j]
+        screen = u[:, :, None] * u[:, None, :].conj()
+        assert len(want) == d1, t
+        error = max(np.linalg.norm(P - w, 2) for P, w in zip(screen, want))
+        if gapped[i]:
             bound = 2 * SCREEN_RHO_ERROR / _rho_gap(chunk.psi[i], d1, d2)
             assert error <= bound <= 2 * SCREEN_RHO_ERROR / SCREEN_GAP_FLOOR
         else:
             assert error == 0.0, t
-    assert (gapped > 0) == (d1 == 2)
+    assert (gapped_rejected > 0) == (d1 == 2)
 
 
 def test_a_chunks_criterion_decides_a_rows_candidate():
     # two chunks over the same times, under a strict and a loose delta: a
-    # row that only the strict chunk rejects reads the screen's projectors
-    # there, and its split's, the per-time path's to the bit, in the loose
-    # chunk
+    # row that only the strict chunk rejects has no candidate there, and
+    # its split's, the per-time path's to the bit, in the loose chunk
     model = _flow_model(2, 16, 2)
     times = np.linspace(0.0, 2.0, 61).tolist()
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
@@ -470,9 +480,7 @@ def test_a_chunks_criterion_decides_a_rows_candidate():
     assert flipped.size
     for i in flipped.tolist():
         t = times[i]
-        got = selection.schmidt_candidate(model, t, strict).projectors
-        assert all(np.array_equal(g, P)
-                   for g, P in zip(got, strict.projectors[i])), t
+        assert selection.schmidt_candidate(model, t, strict) is None, t
         got = selection.schmidt_candidate(model, t, loose).projectors
         want = _reference_candidate(model, loose.psi[i])
         assert len(got) == len(want), t
