@@ -49,18 +49,22 @@ rejects, once, when the chunk is built, the times whose candidate is
 inadmissible under the scan's criterion by more than SCREEN_MARGIN
 (_Chunk.rejected).  The SVD is taken, then too, only for the rows the
 screen cannot read from rho and the rows it does not reject.
-A chunk holds SCAN_CHUNK times, fewer where its largest array, the
-evolved states (T d (1 + n) entries for T times, d = d1 d2 and n leaves)
-or the Gram stack (T d1 n^2), would exceed SCAN_BLOCK complex entries,
-and at least one; a chunk of one time is prepared whatever its size.  So
-at most SCAN_CHUNK - 1 prepared times go unevaluated per tree.
-Each time is still evaluated alone and in order, by one schmidt_candidate
-call; at a time the screen rejected that call returns None, the chunk's
-verdict, and every other time is judged by the per-time path on its
-split's candidate, so verdicts and evaluation counts are those of that
-path.  A time outside the chunk (bisection midpoints, retrodictive
-selection) is split alone, as a stack of one, and judged by the per-time
-path, as is the persistence probe.
+A chunk holds the scan's next SCAN_CHUNK times or, in a bisection, the
+midpoints of its next BISECT_LEVELS levels (_bisection_times), fewer
+where its largest array, the evolved states (T d (1 + n) entries for T
+times, d = d1 d2 and n leaves) or the Gram stack (T d1 n^2), would exceed
+SCAN_BLOCK complex entries, and at least one; a chunk of one time is
+prepared whatever its size.  So at most SCAN_CHUNK - 1 prepared scan
+times go unevaluated per tree, and a bisection chunk's midpoints off the
+bisection's path are prepared and never evaluated.
+Each time on the scan's path, bisection midpoints included, is still
+evaluated alone and in order, by one schmidt_candidate call; at a time
+the screen rejected that call returns None, the chunk's verdict, and
+every other time is judged by the per-time path on its split's
+candidate, so verdicts and evaluation counts are those of that path.
+Only retrodictive selection evaluates a time outside any chunk: it is
+split alone, as a stack of one, and judged by the per-time path, as is
+the persistence probe.
 """
 
 import bisect
@@ -83,6 +87,7 @@ from . import spin as spin_mod
 
 SCAN_BLOCK = 1 << 14     # complex entries of a scan chunk's largest array
 SCAN_CHUNK = 64          # times of a scan chunk, before the SCAN_BLOCK cap
+BISECT_LEVELS = 5        # bisection levels of a chunk of midpoints: 31 times
 
 
 @dataclass
@@ -230,11 +235,11 @@ def _eigenbasis(psi, d1, d2):
 
 
 class _Chunk:
-    """The scan times that _scan_select prepared together for one tree
-    (_prepare_chunk), judged once under the scan's criterion (epsilon,
-    delta, delta_mode): the screen that rejects most of them without a
-    Schmidt decomposition, and the splits of the rest, all fixed when the
-    chunk is built.
+    """The times, scan times or bisection midpoints, that _scan_select
+    prepared together for one tree (_prepare_chunk), judged once under
+    the scan's criterion (epsilon, delta, delta_mode): the screen that
+    rejects most of them without a Schmidt decomposition, and the splits
+    of the rest, all fixed when the chunk is built.
 
     index maps each time to its row of the stacked arrays: psi, the (T, d)
     psi(t), and leaves, the (T, d, n) leaf states evolved to t; parents
@@ -339,11 +344,14 @@ def schmidt_candidate(model, t, chunk=None):
     (_Chunk.rejected), returns None: the time has no candidate.  Every
     candidate is cut from a _Split: the chunk's split holding t
     (_Chunk.where), or, at a time outside chunk, a split of psi(t) alone,
-    a stack of one.  Raises ValueError when psi(t) is not normalized, and
-    LinAlgError when its SVD failed.  _admissible calls this exactly once
-    per admissibility evaluation, a rejected time's included: the
-    benchmark's traced check needs schmidt_candidate calls to equal the
-    evaluations (RunRecord.steps)."""
+    a stack of one.  Every time a scan evaluates, a bisection midpoint
+    included, is a time of its chunk; only retrodictive_select and the
+    per-time path the tests compare against evaluate a time alone.
+    Raises ValueError when psi(t) is not normalized, and LinAlgError when
+    its SVD failed.  _admissible calls this exactly once per
+    admissibility evaluation, a rejected time's included: the benchmark's
+    traced check needs schmidt_candidate calls to equal the evaluations
+    (RunRecord.steps)."""
     i = None if chunk is None else chunk.index.get(t)
     if i is None:
         split, i = _Split(model.state(t)[None], model.d1, model.d2), 0
@@ -463,28 +471,24 @@ def _chain(model, decompositions, epsilon):
     return tree, events
 
 
-def _prepare_chunk(model, tree, t, advance, criterion):
-    """The _Chunk of the scan times t, advance(t), ... under criterion
-    (epsilon, delta, delta_mode): SCAN_CHUNK of them, but no more than keep
-    the chunk's largest array within SCAN_BLOCK complex entries, and at
-    least t, so only a chunk of one time can exceed SCAN_BLOCK.  For T
-    times, d = d1 d2 and n leaves that array is the evolved states
-    [psi0 | leaf states], T d (1 + n) entries, or the Gram stack,
-    T d1 n^2.
+def _prepare_chunk(model, tree, times, criterion):
+    """The _Chunk of the leading times of the list times, in its order,
+    under criterion (epsilon, delta, delta_mode): SCAN_CHUNK of them, but
+    no more than keep the chunk's largest array within SCAN_BLOCK complex
+    entries, and at least the first, so only a chunk of one time can
+    exceed SCAN_BLOCK.  For T times, d = d1 d2 and n leaves that array is
+    the evolved states [psi0 | leaf states], T d (1 + n) entries, or the
+    Gram stack, T d1 n^2.
 
     [psi0 | leaf states] is evolved to every time of the chunk by one
     evolution.apply_times call.  An evolution that raises ValueError has
     the chunk halved until it evolves, so the chunk ends before the times
-    it refuses; when it refuses t alone, the error is raised here, at t."""
+    it refuses; when it refuses the first time alone, the error is raised
+    here, at that time."""
     X = np.column_stack([model.psi0, tree.leaf_states()])
     n = X.shape[1] - 1
     T = min(SCAN_CHUNK, SCAN_BLOCK // max(X.size, model.d1 * n * n))
-    times = [t]
-    while len(times) < T:
-        t = advance(t)
-        if t is None:
-            break
-        times.append(t)
+    times = times[:max(T, 1)]
     while True:
         try:
             evolved = model.evolution.apply_times(X, times)
@@ -495,6 +499,38 @@ def _prepare_chunk(model, tree, t, advance, criterion):
         else:
             return _Chunk(model, times, evolved, tree._probabilities,
                           criterion)
+
+
+def _scan_times(t, advance):
+    """The next SCAN_CHUNK scan times t, advance(t), ..., fewer where
+    advance returns None."""
+    times = [t]
+    while len(times) < SCAN_CHUNK:
+        t = advance(t)
+        if t is None:
+            break
+        times.append(t)
+    return times
+
+
+def _bisection_times(lo, hi, refine_tol):
+    """The midpoints of the first BISECT_LEVELS levels of the bisection of
+    (lo, hi], level by level and in time order within a level: a bracket
+    (a, b) wider than refine_tol has the midpoint 0.5 * (a + b) when that
+    lies strictly inside, and below it the brackets (a, mid) and (mid, b).
+    These are _scan_select's own rules, so each midpoint its bisection
+    visits in these levels is one of these floats, whatever the verdicts;
+    and they are distinct."""
+    times, level = [], [(lo, hi)]
+    for _ in range(BISECT_LEVELS):
+        below = []
+        for a, b in level:
+            mid = 0.5 * (a + b)
+            if b - a > refine_tol and a < mid < b:
+                times.append(mid)
+                below += [(a, mid), (mid, b)]
+        level = below
+    return times
 
 
 def _scan_select(model, epsilon, delta, delta_mode, start, advance,
@@ -515,15 +551,23 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
     a delta outside [0, 1) or an unknown delta_mode, before any
     evaluation.
 
-    Scan times are evaluated in chunks: at a time the current chunk has not
-    prepared, the next times are taken from advance (which must be a pure
-    function of t) and prepared together on the current tree under the
-    criterion (_prepare_chunk): SCAN_CHUNK of them, within the memory
-    bound SCAN_BLOCK for any chunk of more than one time.  Each time is
-    still evaluated alone and in order; bisection midpoints take the
-    per-time path, and accepting an event drops the chunk with the old
-    tree, so at most SCAN_CHUNK - 1 prepared times go unevaluated per
-    tree."""
+    Every time is evaluated from a chunk prepared on the current tree
+    under the criterion (_prepare_chunk), one chunk at a time, and within
+    the memory bound SCAN_BLOCK for any chunk of more than one time.  At
+    a scan time the current chunk has not prepared, the next SCAN_CHUNK
+    scan times are prepared, taken from advance, which must be a pure
+    function of t (_scan_times).  At a bisection midpoint the current
+    chunk has not prepared, the midpoints of the next BISECT_LEVELS
+    levels of the bisection of the current bracket are (_bisection_times),
+    so the bisection walks its path on the chunk's rows and prepares again
+    only when the path leaves those levels.  Each time on the scan's or the
+    bisection's path is still evaluated alone and in order, and counts
+    as one evaluation; a midpoint off the path is speculative and is
+    neither evaluated nor counted.  Accepting an event drops the chunk
+    with the old tree, so at most SCAN_CHUNK - 1 prepared scan times go
+    unevaluated per tree, and a bisection chunk, of at most
+    2^BISECT_LEVELS - 1 midpoints, has one evaluated per level the path
+    reaches."""
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if not 0 <= delta < 1:
@@ -542,13 +586,19 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
         calls += 1
         if chunk is None or t not in chunk.index:
             chunk = None        # two chunks at once would raise peak memory
-            chunk = _prepare_chunk(model, tree, t, advance, criterion)
+            chunk = _prepare_chunk(model, tree, _scan_times(t, advance),
+                                   criterion)
         ext = accept(tree, t, chunk)
         if ext is not None and lo is not None:
             while t - lo > refine_tol and calls < budget:
                 mid = 0.5 * (lo + t)
                 if not lo < mid < t:
                     break
+                if mid not in chunk.index:
+                    chunk = None
+                    chunk = _prepare_chunk(
+                        model, tree, _bisection_times(lo, t, refine_tol),
+                        criterion)
                 calls += 1
                 trial = accept(tree, mid, chunk)
                 if trial is None:

@@ -7,13 +7,16 @@ as one selection._Chunk of the current tree under the scan's criterion
 in closed form at d1 = 2, gives the screen's Schmidt vectors at every
 gapped row (the rest take their exact split at once), and the chunk's
 stacked screen rejects, when it is built, the times whose candidate is
-inadmissible beyond SCREEN_MARGIN (_Chunk.rejected).  Each time is still
-evaluated alone, by one schmidt_candidate call: a rejected time's returns
-None, the chunk's verdict, and every other time's is cut from a stacked
-split taken with the chunk, so the verdicts, the step counts and the
-benchmark's traced check (schmidt_candidate calls == RunRecord.steps)
-must all be those of the per-time path.  The chunks are read here
-through their arrays, by the row chunk.index[t] of each time t.
+inadmissible beyond SCREEN_MARGIN (_Chunk.rejected).  A bisection
+prepares its midpoints so too, a few levels of its bisection tree a chunk
+(_bisection_times), and walks its path on the chunk's rows.  Each time on
+the path is still evaluated alone, by one schmidt_candidate call: a
+rejected time's returns None, the chunk's verdict, and every other time's
+is cut from a stacked split taken with the chunk, so the verdicts, the
+times visited, the step counts and the benchmark's traced check
+(schmidt_candidate calls == RunRecord.steps) must all be those of the
+per-time path.  The chunks are read here through their arrays, by the row
+chunk.index[t] of each time t.
 """
 
 import math
@@ -28,6 +31,7 @@ from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
 from qhistories.tolerances import (COMPLEMENT_TOL, ORACLE_RTOL,
                                    SCHMIDT_WEIGHT_TOL, SCREEN_GAP_FLOOR,
                                    SCREEN_MARGIN, SCREEN_RHO_ERROR)
+from test_selection import _grid_scan_loop
 
 
 def _search_config(d2, seed, **kw):
@@ -104,6 +108,27 @@ def _record_chunks(monkeypatch):
     return chunks
 
 
+def _record_bisections(monkeypatch):
+    """{first midpoint: midpoints asked for} of each bisection chunk the
+    scan asks for; its first is the midpoint of the bracket its bisection
+    had reached."""
+    firsts = {}
+    bisection_times = selection._bisection_times
+
+    def recorded(lo, hi, refine_tol):
+        times = bisection_times(lo, hi, refine_tol)
+        firsts[times[0]] = len(times)
+        return times
+
+    monkeypatch.setattr(selection, "_bisection_times", recorded)
+    return firsts
+
+
+def _bisection_chunks(chunks, firsts):
+    """The chunks of bisection midpoints among chunks."""
+    return [chunk for chunk in chunks if next(iter(chunk.index)) in firsts]
+
+
 # -- the traced check of the benchmark -------------------------------------
 
 @pytest.mark.parametrize("d2,seed,max_steps", [
@@ -130,14 +155,15 @@ def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
     # every candidate that can be admitted is cut from a stacked split, and
     # a chunk takes at most two, both when it is built: one of its rows the
     # screen cannot read from rho, and one of its gapped rows the screen did
-    # not reject; a time outside it (a bisection midpoint) takes a split of
-    # one, and nothing calls schmidt_decompose.  A rejected row is screened
-    # and takes no SVD.  The product model's rows are neither gapped nor
-    # screened (rank 1 and a complement, at d1 = 3), so every one is split
-    # and none may be rejected
+    # not reject.  Every evaluation, a bisection midpoint's included, reads
+    # its chunk, so no time takes a split of one, and nothing calls
+    # schmidt_decompose.  A rejected row is screened and takes no SVD.  The
+    # product model's rows are neither gapped nor screened (rank 1 and a
+    # complement, at d1 = 3), so every one is split and none may be rejected
     lone, svds, built = [], [], []
     candidate, svd = selection.schmidt_candidate, np.linalg.svd
     prepare = selection._prepare_chunk
+    firsts = _record_bisections(monkeypatch)
 
     def counted_candidate(model, t, chunk=None):
         lone.append(chunk is None or t not in chunk.index)
@@ -165,14 +191,17 @@ def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
             record.clear()
         if name == "search2x16":
             steps = randmodel.run_forward_search(_search_config(16, 12)).steps
-            assert len(lone) == steps and 0 < sum(lone) < steps
+            assert len(lone) == steps
+            # its second event was bisected, on chunks of midpoints
+            assert _bisection_chunks([chunk for chunk, _ in built], firsts)
         else:
             selection.earliest_time_select(_local_model(3, 4, 1, 5), 0.05,
                                            0.02, 2.0, grid=100)
-            assert len(lone) == 101 and not any(lone)
-        # the only SVDs after a chunk is built are the lone times' own
-        assert sorted(svds) == sorted([size for _, sizes in built
-                                       for size in sizes] + [1] * sum(lone))
+            assert len(lone) == 101
+        assert not any(lone), name
+        # the only SVDs are the chunks' own, taken when each is built
+        assert sorted(svds) == sorted(size for _, sizes in built
+                                      for size in sizes)
         for chunk, sizes in built:
             splits = _splits(chunk)
             assert len(sizes) == len(splits) <= 2, name
@@ -237,26 +266,39 @@ def _check_admissible(monkeypatch, seen, accept_events=True):
 def test_chunked_scan_agrees_with_the_per_time_path(monkeypatch, name, model,
                                                     t_max, grid, evolution):
     # every evolution has apply_times (CallableEvolution stacks its apply),
-    # so every model's scan is chunked and screened
+    # so every model's scan is chunked and screened.  The scan evaluates
+    # every time, bisection midpoints included, from a chunk, and visits
+    # the times the scalar loop on the per-time path visits, in its order
     assert type(model.evolution) is evolution
-    verdicts, screened = set(), 0
+    verdicts, screened, midpoints = set(), 0, 0
+    grid_times = set(np.linspace(0.0, t_max, grid + 1).tolist())
     for epsilon, delta, accept_events in ((0.05, 0.02, True),
                                           (1e-3, 0.02, True),
+                                          (0.5, 0.02, True),
                                           (0.05, 0.02, False)):
-        seen = []
+        seen, visited = [], []
         _check_admissible(monkeypatch, seen, accept_events)
         sel = selection._grid_select(model, epsilon, delta, "relative",
                                      t_max, grid, 1e-6, 16)
+
+        def scalar(tree, t):
+            visited.append(t)
+            ext = _ADMISSIBLE(model, tree, t, None, epsilon, delta,
+                              "relative")
+            return ext if accept_events else None
+
+        want = _grid_scan_loop(model, scalar, t_max, grid, 1e-6, 16)
+        assert [t for t, *_ in seen] == visited, name
+        assert (sel.times, len(sel.tree.leaves())) == want, name
         if not accept_events:
             # one tree, so every grid time was scanned
             assert len(seen) == grid + 1 and not sel.events
-        # every grid time is prepared, and no bisection midpoint
-        grid_times = set(np.linspace(0.0, t_max, grid + 1).tolist())
-        assert all(p == (t in grid_times) for t, p, _, _ in seen), name
+        assert all(prepared for _, prepared, _, _ in seen), name
+        midpoints += sum(t not in grid_times for t, *_ in seen)
         verdicts.update(v for _, _, v, _ in seen)
         screened += sum(r for _, _, _, r in seen)
     assert verdicts == {True, False}, name
-    assert screened > 0, name
+    assert screened > 0 and midpoints > 0, name
 
 
 def _two_leaves(model):
@@ -562,11 +604,14 @@ def test_rank_deficient_times_take_the_per_time_path(monkeypatch):
     selection._grid_select(model, 0.05, 0.02, "relative", 2.0, 100, 1e-6, 16)
     assert len(seen) == 101 and all(p for _, p, *_ in seen)
     assert not any(ok or screened for _, _, ok, screened in seen)
+    # a chunk prepared from a list of times holds them in the list's order
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
-    chunk = selection._prepare_chunk(model, tree, 0.5, lambda t: None,
+    chunk = selection._prepare_chunk(model, tree, [0.5, 0.25, 0.75],
                                      (0.05, 0.02, "relative"))
-    assert list(chunk.index) == [0.5] and not chunk.screened[0]
-    assert len(selection.schmidt_candidate(model, 0.5, chunk)) == 2
+    assert list(chunk.index) == [0.5, 0.25, 0.75]
+    assert not chunk.screened.any()
+    for t in chunk.index:
+        assert len(selection.schmidt_candidate(model, t, chunk)) == 2
 
 
 def test_a_system_larger_than_its_environment_raises_as_before():
@@ -604,22 +649,38 @@ def test_apply_times_matches_apply(evolution, size):
 
 @pytest.mark.parametrize("name", ["recoherence", "search2x16"])
 def test_a_chunk_past_an_event_wastes_little(monkeypatch, name):
-    # every chunk holds at most SCAN_CHUNK times, so each tree leaves at
-    # most SCAN_CHUNK - 1 of its prepared times unevaluated: the times
-    # thrown away at an event or at the end of the scan stay bounded
+    # every scan chunk holds at most SCAN_CHUNK times, so each tree leaves
+    # at most SCAN_CHUNK - 1 of its prepared scan times unevaluated: the
+    # times thrown away at an event or at the end of the scan stay bounded.
+    # A bisection chunk holds at most 2^BISECT_LEVELS - 1 midpoints, and
+    # its bisection evaluates one per level before it prepares the next,
+    # so every bisection chunk but the last of its bisection has
+    # BISECT_LEVELS rows evaluated and the rest speculative
     calls = _count_candidates(monkeypatch)
     chunks = _record_chunks(monkeypatch)
+    firsts = _record_bisections(monkeypatch)
     if name == "recoherence":     # the selection of qhist spin recoherence
         events = selection.earliest_time_select(
             _recoherence_model(), 1e-6, 0.05, 3 * math.pi / 2).events
     else:
         events = randmodel.run_forward_search(_search_config(16, 12)).events
     assert len(events) >= 2
-    prepared = set().union(*(chunk.index for chunk in chunks))
-    evaluated = sum(t in prepared for t in calls)
-    rows = sum(len(chunk.index) for chunk in chunks)
-    assert all(len(chunk.index) <= selection.SCAN_CHUNK for chunk in chunks)
-    assert rows <= evaluated + (selection.SCAN_CHUNK - 1) * (len(events) + 1)
+    bisecting = _bisection_chunks(chunks, firsts)
+    scanning = [chunk for chunk in chunks
+                if not any(chunk is other for other in bisecting)]
+    assert set(calls) <= set().union(*(chunk.index for chunk in chunks))
+    scan_times = set().union(*(chunk.index for chunk in scanning))
+    rows = sum(len(chunk.index) for chunk in scanning)
+    assert all(len(chunk.index) <= selection.SCAN_CHUNK for chunk in scanning)
+    assert rows <= (sum(t in scan_times for t in calls)
+                    + (selection.SCAN_CHUNK - 1) * (len(events) + 1))
+    levels = selection.BISECT_LEVELS
+    assert bisecting
+    assert all(len(chunk.index) <= 2 ** levels - 1 for chunk in bisecting)
+    path = [sum(t in chunk.index for t in calls) for chunk in bisecting]
+    assert all(1 <= rows_on_path <= levels for rows_on_path in path)
+    assert sum(rows_on_path < levels for rows_on_path in path) \
+        <= len(events)
     if name == "recoherence":
         assert rows <= 600
 
@@ -627,10 +688,12 @@ def test_a_chunk_past_an_event_wastes_little(monkeypatch, name):
 @pytest.mark.parametrize("d1,d2,seed,epsilon", [
     (2, 16, 12, 0.05),
     (3, 9, 1, 0.9),     # 27 leaves: the Gram stack is the larger array
+    (3, 9, 10, 0.9),    # bisects an event on 27 leaves: 7 midpoints a chunk
 ])
 def test_every_chunk_keeps_its_largest_array_within_scan_block(
         monkeypatch, d1, d2, seed, epsilon):
     chunks = _record_chunks(monkeypatch)
+    firsts = _record_bisections(monkeypatch)
     randmodel.run_forward_search(_search_config(d2, seed, d1=d1,
                                                 epsilon=epsilon))
     gram_bound = 0
@@ -640,10 +703,18 @@ def test_every_chunk_keeps_its_largest_array_within_scan_block(
         if T > 1:
             assert T * max(states, gram) <= selection.SCAN_BLOCK, (T, n)
             gram_bound += gram > states
-    # the longest chunk is SCAN_CHUNK on both runs, and the Gram stack
-    # binds on the 3x9 run
+    # the longest chunk is SCAN_CHUNK on every run, and the Gram stack
+    # binds on the 3x9 runs
     assert max(len(chunk.index) for chunk in chunks) == selection.SCAN_CHUNK
     assert (gram_bound > 0) == (d1 == 3)
+    # chunks of bisection midpoints are held to the bound too: on 27
+    # leaves the 81-leaf run's last bisection takes the first 7 midpoints
+    # of each chunk it asks for
+    bisecting = _bisection_chunks(chunks, firsts)
+    assert bisecting
+    cut = [len(chunk.index) for chunk in bisecting
+           if len(chunk.index) < firsts[next(iter(chunk.index))]]
+    assert set(cut) == ({7} if seed == 10 else set())
 
 
 # -- edge inputs: one bad time does not spoil its chunk ---------------------
@@ -707,9 +778,9 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
     starts = []
     prepare = selection._prepare_chunk
 
-    def recorded(model, tree, t, advance, criterion):
-        starts.append(t)
-        return prepare(model, tree, t, advance, criterion)
+    def recorded(model, tree, times, criterion):
+        starts.append(times[0])
+        return prepare(model, tree, times, criterion)
 
     monkeypatch.setattr(selection, "_prepare_chunk", recorded)
     calls = _count_candidates(monkeypatch)

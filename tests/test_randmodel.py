@@ -183,10 +183,12 @@ def test_zero_refine_tol_stops_at_adjacent_floats():
 # -- the shared scan loop against the search loop it replaced -------------
 
 def _forward_search_loop(config):
-    """Reference: the forward search as its own scan-and-bisect loop."""
+    """Reference: the forward search as its own scan-and-bisect loop, on
+    the per-time path; returns (event times, steps, termination, the
+    times evaluated in order)."""
     model, _ = randmodel.build_run(config)
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
-    events = []
+    events, visited = [], []
     dt = config.t_max / 1000.0
     t = 0.0
     steps = 0
@@ -195,6 +197,7 @@ def _forward_search_loop(config):
     def admissible(s):
         nonlocal steps
         steps += 1
+        visited.append(s)
         return _admissible(model, tree, s, None, config.epsilon,
                            config.delta, config.delta_mode)
 
@@ -222,13 +225,17 @@ def _forward_search_loop(config):
                 termination = "max_histories"
                 break
         t += dt
-    return [e.time for e in events], steps, termination
+    return [e.time for e in events], steps, termination, visited
 
 
 # (d1, d2, seed, config overrides).  Seed 1 at 2x3 starts bisecting its
 # second event at step 228 and needs 18 steps to refine it, so a cap of
 # 235 stops it mid-bisection; the delta = 1e-4, epsilon = 0.5 runs fill
-# four histories with their second event.
+# four histories with their second event.  Seed 12 at 2x16 bisects its
+# second event on four chunks of midpoints from step 161, and a cap of
+# 168 stops it in the second; seed 10 at 3x9 and epsilon 0.9 bisects its
+# fourth event on 27 leaves, where SCAN_BLOCK cuts each chunk of
+# midpoints to 7.
 SCAN_CASES = [
     (2, 3, 1, {}),
     (3, 3, 1, {}),
@@ -240,20 +247,34 @@ SCAN_CASES = [
     (2, 3, 1, {"delta": 1e-4, "epsilon": 0.5, "max_histories": 4}),
     (2, 3, 2, {"delta": 1e-4, "epsilon": 0.5, "max_histories": 4}),
     (2, 3, 3, {"delta": 1e-4, "epsilon": 0.5, "max_histories": 4}),
+    (2, 16, 12, {}),
+    (2, 16, 12, {"max_steps": 168}),
+    (3, 9, 10, {"epsilon": 0.9, "max_histories": 81}),
 ]
 
 
-def test_forward_search_matches_its_own_loop():
+def test_forward_search_matches_its_own_loop(monkeypatch):
+    # the scan evaluates the times the loop evaluates, bisection midpoints
+    # included, in the same order, and counts only those
+    visited = []
+    admissible = selection._admissible
+
+    def recorded(model, tree, t, *args):
+        visited.append(t)
+        return admissible(model, tree, t, *args)
+
+    monkeypatch.setattr(selection, "_admissible", recorded)
     results = {}
     for d1, d2, seed, kw in SCAN_CASES:
         config = _config(**{"d1": d1, "d2": d2, "seed": seed,
                             "max_histories": 64, **kw})
+        visited.clear()
         rec = randmodel.run_forward_search(config)
         want = _forward_search_loop(config)
-        assert (rec.times, rec.steps, rec.termination) == want, \
+        assert (rec.times, rec.steps, rec.termination, visited) == want, \
             (d1, d2, seed, kw)
         results[d1, d2, seed, kw.get("max_steps")] = want
-    assert {termination for _, _, termination in results.values()} \
+    assert {termination for _, _, termination, _ in results.values()} \
         == {"t_max", "max_steps", "max_histories"}
     # the cap of 235 cut the second bisection short
     cut, done = results[2, 3, 1, 235][0], results[2, 3, 1, 400][0]
