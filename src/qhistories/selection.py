@@ -32,23 +32,24 @@ quasi-dynamical and the random-run search in randmodel) share one
 scan-and-bisect loop, _scan_select, and differ only in scan times, stop
 rule and budget.
 
-Every Schmidt candidate that can be admitted is cut from a stacked split
-(_Split): one SVD of a stack of psi(t), from which the norm guard, the
-rank cut at SCHMIDT_WEIGHT_TOL and the complement at COMPLEMENT_TOL are
-read for every row at once.  A scan judges every time against one
-criterion (epsilon, delta, delta_mode), refused before the scan starts
-when it is out of range, and works in chunks of upcoming scan times
-(_prepare_chunk), one _Chunk at a time on the current tree, a local of
-_scan_select dropped with that tree at each event: the evolution's
-apply_times evolves psi0 and the leaf states to every time of a chunk in
-one product.  The chunk's screen takes its Schmidt vectors from rho(t),
-diagonalised for the whole chunk in closed form at d1 = 2, at every row
-whose weights are well apart (_eigenbasis), and from the row's split
-elsewhere, and from them the k Gram blocks of every time, from which it
-rejects, once, when the chunk is built, the times whose candidate is
-inadmissible under the scan's criterion by more than SCREEN_MARGIN
-(_Chunk.rejected).  The SVD is taken, then too, only for the rows the
-screen cannot read from rho and the rows it does not reject.
+Every Schmidt candidate is cut from a stacked split (_Split) of a stack
+of psi(t), which reads the norm guard, the rank cut at
+SCHMIDT_WEIGHT_TOL and the complement at COMPLEMENT_TOL for every row at
+once.  At d1 = 2 a row whose weights are normed and well apart is gapped
+(_eigenbasis), and its candidate is read from rho(t)'s eigenvectors,
+diagonalised for the whole stack in closed form; every other row, and
+every row at d1 >= 3, is cut from one SVD of those rows.  A scan judges
+every time against one criterion (epsilon, delta, delta_mode), refused
+before the scan starts when it is out of range, and works in chunks of
+upcoming scan times (_prepare_chunk), one _Chunk at a time on the current
+tree, a local of _scan_select dropped with that tree at each event: the
+evolution's apply_times evolves psi0 and the leaf states to every time of
+a chunk in one product, and the chunk takes one split of all its times
+when it is built, so at most one SVD.  The chunk's screen reads the
+split's Schmidt vectors, and from them the k Gram blocks of every time,
+from which it rejects, once, when the chunk is built, the times whose
+candidate is inadmissible under the scan's criterion by more than
+SCREEN_MARGIN (_Chunk.rejected).
 A chunk holds the scan's next SCAN_CHUNK times or, in a bisection, the
 midpoints of its next BISECT_LEVELS levels (_bisection_times), fewer
 where its largest array, the evolved states (T d (1 + n) entries for T
@@ -60,8 +61,9 @@ bisection's path are prepared and never evaluated.
 Each time on the scan's path, bisection midpoints included, is still
 evaluated alone and in order, by one schmidt_candidate call; at a time
 the screen rejected that call returns None, the chunk's verdict, and
-every other time is judged by the per-time path on its split's
-candidate, so verdicts and evaluation counts are those of that path.
+every other time is judged by the per-time path on its candidate, read
+from the chunk's split, so verdicts and evaluation counts are those of
+that path.
 Only retrodictive selection evaluates a time outside any chunk: it is
 split alone, as a stack of one, and judged by the per-time path, as is
 the persistence probe.
@@ -143,62 +145,86 @@ class SelectedSet:
 
 
 class _Split:
-    """The Schmidt candidates of a stack of states psi (T, d1*d2), all cut
-    from one stacked SVD of the psi(t) as d1 x d2 matrices: the one place
-    a candidate that can be admitted is built (read by schmidt_candidate).
+    """The Schmidt candidates of a stack of states psi (T, d1*d2), for
+    every row at once: the one place a candidate is cut (read by
+    schmidt_candidate).
+
+    A gapped row (_eigenbasis: d1 = 2, normed, and weights clear of 0 and
+    of each other) takes its vectors from rho(t), diagonalised in closed
+    form; every other row, a degenerate, rank-deficient, off-norm or NaN
+    psi(t) say, or any row at d1 >= 3, is cut from one stacked SVD of those
+    rows as d1 x d2 matrices.  Both work on each row alone, so a row's
+    split is the same to the bit in any stack, a chunk's or a stack of one.
 
     Per row: normed, whether ||psi| - 1| <= NORM_TOL (NaN fails), with the
-    norms kept for the error; a row that fails is zeroed before the SVD so
-    that it cannot spoil the stack.  failed is the set of rows whose SVD
-    raised LinAlgError: only when the stacked SVD raises is each row split
-    alone.  The SVD of a stack splits each row alone, so a row's split is
-    the same to the bit in any stack.  cols holds the phase-fixed left
-    singular vectors u_i = cols[t, i] and projectors their rank-1
-    projectors (T, d1, d1, d1); kept is s^2 > SCHMIDT_WEIGHT_TOL;
-    complement is 1 - the sum of the kept projectors, summed from zeros in
-    column order, and extra whether it exceeds COMPLEMENT_TOL and so joins
-    the candidate.  A row is screened when it passes the norm guard and
-    splits at full Schmidt rank with no complement, and d1 >= 2: its
-    candidate is then its d1 rank-1 projectors, so the chunk's screen can
-    judge the row from its cols (see _Chunk)."""
+    norms kept for the error (a gapped row is normed, its trace checked,
+    and its norm is read as 1); a row that fails is zeroed before the SVD
+    so that it cannot spoil the stack.  failed is the set of rows whose
+    SVD raised LinAlgError: only when the stacked SVD raises is each of
+    its rows split alone.  cols holds the vectors u_i = cols[t, i] in
+    descending weight order, the phase-fixed left singular vectors at a
+    row that is not gapped; kept is the vectors of weight above
+    SCHMIDT_WEIGHT_TOL, every one at a gapped row; extra is whether
+    1 - the sum of the kept projectors, summed from zeros in column order,
+    exceeds COMPLEMENT_TOL and so joins the candidate as complement[t],
+    which it never does at a gapped row.  No projector of a gapped row is
+    built here: schmidt_candidate builds a row's rank-1 projectors from
+    cols when it reads the row.  A row is screened when it passes the norm
+    guard and splits at full Schmidt rank with no complement, and d1 >= 2,
+    as every gapped row does: its candidate is then its d1 rank-1
+    projectors, so the chunk's screen can judge the row from its cols (see
+    _Chunk)."""
 
     def __init__(self, psi, d1, d2):
         T = len(psi)
-        self.norms = np.linalg.norm(psi, axis=1)
-        self.normed = np.abs(self.norms - 1.0) <= NORM_TOL
-        if not self.normed.all():
-            psi = np.where(self.normed[:, None], psi, 0.0)
-        M = psi.reshape(T, d1, d2)
+        self.gapped, self.cols = _eigenbasis(psi, d1, d2)
+        self.normed = self.gapped.copy()
+        self.norms = np.ones(T)
+        self.kept = np.ones((T, d1), dtype=bool)
+        self.extra = np.zeros(T, dtype=bool)
+        self.complement = {}
         self.failed = set()
-        try:
-            U, s, _ = np.linalg.svd(M, full_matrices=False)
-        except np.linalg.LinAlgError:
-            U, s = np.zeros((T, d1, d1), dtype=complex), np.zeros((T, d1))
-            for i in range(T):
-                try:
-                    U[i], s[i], _ = np.linalg.svd(M[i], full_matrices=False)
-                except np.linalg.LinAlgError:
-                    self.failed.add(i)
-        cols = self.cols = np.swapaxes(_fix_column_phases(U)[0], 1, 2)
-        self.projectors = cols[:, :, :, None] * cols[:, :, None, :].conj()
-        self.kept = s ** 2 > SCHMIDT_WEIGHT_TOL
-        kept = np.where(self.kept[:, :, None, None], self.projectors, 0.0)
-        total = np.zeros((T, d1, d1), dtype=complex)
-        for i in range(d1):     # a dropped vector adds an exact 0
-            total += kept[:, i]
-        self.complement = np.eye(d1) - total
-        self.extra = np.abs(self.complement).max(axis=(1, 2)) > COMPLEMENT_TOL
+        rows = np.flatnonzero(~self.gapped)
+        if rows.size:
+            norms = self.norms[rows] = np.linalg.norm(psi[rows], axis=1)
+            normed = self.normed[rows] = np.abs(norms - 1.0) <= NORM_TOL
+            M = np.where(normed[:, None], psi[rows], 0.0).reshape(-1, d1, d2)
+            try:
+                U, s, _ = np.linalg.svd(M, full_matrices=False)
+            except np.linalg.LinAlgError:
+                U = np.zeros((len(rows), d1, d1), dtype=complex)
+                s = np.zeros((len(rows), d1))
+                for j, i in enumerate(rows.tolist()):
+                    try:
+                        U[j], s[j], _ = np.linalg.svd(M[j],
+                                                      full_matrices=False)
+                    except np.linalg.LinAlgError:
+                        self.failed.add(i)
+            cols = self.cols[rows] = np.swapaxes(_fix_column_phases(U)[0],
+                                                 1, 2)
+            self.kept[rows] = s ** 2 > SCHMIDT_WEIGHT_TOL
+            kept = np.where(self.kept[rows, :, None, None],
+                            cols[:, :, :, None] * cols[:, :, None, :].conj(),
+                            0.0)
+            total = np.zeros((len(rows), d1, d1), dtype=complex)
+            for i in range(d1):     # a dropped vector adds an exact 0
+                total += kept[:, i]
+            complement = np.eye(d1) - total
+            extra = self.extra[rows] = \
+                np.abs(complement).max(axis=(1, 2)) > COMPLEMENT_TOL
+            self.complement = dict(zip(rows[extra].tolist(),
+                                       complement[extra]))
         # s is descending, so kept[:, -1] is full rank; a zeroed or failed
         # row keeps no vector, so it is not screened
         self.screened = self.kept[:, -1] & ~self.extra & (d1 >= 2)
 
 
 def _eigenbasis(psi, d1, d2):
-    """(gapped, cols) of a stack of states psi (T, d1*d2): the rows the
-    screen reads from rho(t) = M M^dag, M the d1 x d2 matrix of psi(t),
-    and a (T, d1, d1) array whose gapped rows hold rho's eigenvectors
-    u_i = cols[t, i] in descending weight order (the other rows are the
-    caller's to fill; see _Chunk).
+    """(gapped, cols) of a stack of states psi (T, d1*d2): the rows _Split
+    reads from rho(t) = M M^dag, M the d1 x d2 matrix of psi(t), and a
+    (T, d1, d1) array whose gapped rows hold rho's eigenvectors
+    u_i = cols[t, i] in descending weight order (the other rows are
+    _Split's to fill from its SVD).
 
     Only d1 = 2 has gapped rows.  There rho = [[a, b], [b*, c]] is
     diagonalised for the whole stack in closed form: with h = (a - c)/2
@@ -208,10 +234,10 @@ def _eigenbasis(psi, d1, d2):
     orthogonal (-conj y, conj x).  A row is gapped when |tr rho - 1| <=
     NORM_TOL (a stricter guard than _Split's, which NaN fails), its
     smallest weight exceeds SCREEN_WEIGHT_FLOOR (far above
-    SCHMIDT_WEIGHT_TOL, so its split would keep every vector and add no
+    SCHMIDT_WEIGHT_TOL, so an SVD would keep every vector and add no
     complement) and its weight gap 2 r exceeds SCREEN_GAP_FLOOR.  At
     d1 >= 3 a stacked eigh costs about what the SVD it would spare costs,
-    so every row is split."""
+    so every row takes the SVD."""
     T = len(psi)
     if d1 != 2:
         return np.zeros(T, dtype=bool), np.empty((T, d1, d1), dtype=complex)
@@ -237,33 +263,38 @@ def _eigenbasis(psi, d1, d2):
 class _Chunk:
     """The times, scan times or bisection midpoints, that _scan_select
     prepared together for one tree (_prepare_chunk), judged once under
-    the scan's criterion (epsilon, delta, delta_mode): the screen that
-    rejects most of them without a Schmidt decomposition, and the splits
-    of the rest, all fixed when the chunk is built.
+    the scan's criterion (epsilon, delta, delta_mode): the split of all of
+    them and the screen that rejects most of them, both fixed when the
+    chunk is built.
 
     index maps each time to its row of the stacked arrays: psi, the (T, d)
     psi(t), and leaves, the (T, d, n) leaf states evolved to t; parents
     are the tree's leaf probabilities.
 
-    The screen.  Its Schmidt vectors u_i are rho(t)'s eigenvectors at the
-    gapped rows, in closed form for the whole chunk (_eigenbasis: d1 = 2,
-    normed, and weights clear of 0 and of each other by
-    SCREEN_WEIGHT_FLOOR and SCREEN_GAP_FLOOR).  Every other row, a
-    degenerate or rank-deficient psi(t) say, or any row at d1 >= 3, takes
-    its _Split at once, and the screen reads the split's vectors, as the
-    per-time path cuts them; screened is gapped, or else the split's
-    screened (see _Split).  The k Gram blocks of the leaves extended by
-    the projectors are taken for the whole chunk at once,
-    G_i = Y_i^T conj(Y_i) with Y_i = u_i^dag V, giving the children
-    (T, k, n) and the worst counted overlap ratio of each time; G does
-    not depend on the phase of u_i.  These round otherwise than
-    Extension's, so the screen trusts them only beyond SCREEN_MARGIN, and
-    only for pairs with sqrt(G_aa G_bb) of at least SCREEN_ROOT_FLOOR:
-    rejected is the screened rows at which a counted pair's overlap ratio
-    exceeds epsilon, or a live child's probability falls below delta
-    (times its parent, when relative), by more than SCREEN_MARGIN.
+    Candidates.  split is one _Split of every row: rho's closed-form
+    eigenvectors at the gapped rows, and one stacked SVD of the others,
+    so a chunk takes at most one SVD, when it is built, and none when every
+    row is gapped.  A rejected row has no candidate: the screen's verdict
+    is the chunk's, and schmidt_candidate returns None there.  Every other
+    row's candidate is built from its row of split when it is read, so
+    every candidate is the per-time path's to the bit.
 
-    Why rho is enough (Davis-Kahan).  The closed form and the SVD of psi
+    The screen.  Its Schmidt vectors u_i are split.cols, the very vectors
+    of each row's candidate; screened is split.screened.  The k Gram
+    blocks of the leaves extended by the projectors are taken for the
+    whole chunk at once, G_i = Y_i^T conj(Y_i) with Y_i = u_i^dag V,
+    giving the children (T, k, n) and the worst counted overlap ratio of
+    each time; G does not depend on the phase of u_i.  These round
+    otherwise than Extension's, so the screen trusts them only beyond
+    SCREEN_MARGIN, and only for pairs with sqrt(G_aa G_bb) of at least
+    SCREEN_ROOT_FLOOR: rejected is the screened rows at which a counted
+    pair's overlap ratio exceeds epsilon, or a live child's probability
+    falls below delta (times its parent), by more than SCREEN_MARGIN.
+    Since the screen and the candidate share their vectors, that margin
+    covers only the rounding of the Gram products, so a verdict of the
+    screen stands for the per-time path's.
+
+    Why rho is enough (Davis-Kahan).  The closed form and an SVD of psi
     each return the exact eigenvectors of some rho + E, to roundoff; with
     the rounding of rho itself, each |E| stays below SCREEN_RHO_ERROR =
     1e-14, about 90 units of roundoff (the largest |P_rho - P_svd| times
@@ -271,7 +302,7 @@ class _Chunk:
     and 32 units with rho's eigenvectors from eigh over thousands of rows
     at d1 = 2..16).  By the Davis-Kahan sin theta theorem a rank-1
     projector then moves by at most |E| / gap, so at a gapped row the
-    screen's P_i and the per-time path's differ by at most
+    candidate's P_i and an SVD's differ by at most
     eta = 2 SCREEN_RHO_ERROR / SCREEN_GAP_FLOOR = 2e-13.  A projected leaf
     x_a = P_i V_a moves by at most eta |V_a|, and |V_a|^2 = p_a, its
     parent probability.  So a child probability moves by at most
@@ -281,32 +312,17 @@ class _Chunk:
     2 eta (sqrt(p_a) |x_b| + sqrt(p_b) |x_a|) / (|x_a| |x_b|)
     <= 2 eta / SCREEN_ROOT_FLOOR = 4e-10, since |x_a| <= sqrt(p_a),
     |x_a| |x_b| >= SCREEN_ROOT_FLOOR and p_a + p_b <= 1: under half of
-    SCREEN_MARGIN.  A verdict of the screen therefore stands for the
-    per-time path's.
-
-    Candidates.  A rejected row has none: the screen's verdict is the
-    chunk's, and schmidt_candidate returns None there.  Every other row
-    reads its row of a _Split, and where maps it to (split, j): the split
-    of the rows the screen cannot read from rho, and one split of the
-    gapped rows it did not reject.  So a chunk takes at most two SVDs,
-    both here, builds a ProjectiveDecomposition only for a row it did not
-    reject, and every candidate is the per-time path's to the bit."""
+    SCREEN_MARGIN.  That bounds how far a gapped row's probabilities and
+    ratios sit from those of its SVD candidate."""
 
     def __init__(self, model, times, evolved, parents, criterion):
-        T, d1, d2 = len(times), model.d1, model.d2
+        T, d1 = len(times), model.d1
         epsilon, delta, delta_mode = criterion
         self.index = {t: i for i, t in enumerate(times)}
         self.psi, self.leaves = evolved[:, :, 0], evolved[:, :, 1:]
-        self.where = {}
-        self.gapped, cols = _eigenbasis(self.psi, d1, d2)
-        self.screened = self.gapped.copy()
-        rows = np.flatnonzero(~self.gapped)     # the screen reads a split
-        if rows.size:
-            split = self._split(rows, d1, d2)
-            cols[rows] = split.cols
-            self.screened[rows] = split.screened
+        self.split = _Split(self.psi, d1, model.d2)
         n = self.leaves.shape[-1]
-        Y = (cols.conj() @ self.leaves.reshape(T, d1, -1)).reshape(
+        Y = (self.split.cols.conj() @ self.leaves.reshape(T, d1, -1)).reshape(
             T, d1, -1, n)
         G = np.swapaxes(Y, 2, 3) @ Y.conj()         # (T, k, n, n)
         del Y
@@ -323,16 +339,7 @@ class _Chunk:
         verdict = ((self.worst > epsilon + SCREEN_MARGIN)
                    | (self.children[:, :, live]
                       < bar - SCREEN_MARGIN).any(axis=(1, 2)))
-        self.rejected = verdict & self.screened
-        rows = np.flatnonzero(self.gapped & ~self.rejected)
-        if rows.size:
-            self._split(rows, d1, d2)
-
-    def _split(self, rows, d1, d2):
-        split = _Split(self.psi[rows], d1, d2)
-        for j, i in enumerate(rows.tolist()):
-            self.where[i] = (split, j)
-        return split
+        self.rejected = verdict & self.split.screened
 
 
 def schmidt_candidate(model, t, chunk=None):
@@ -342,11 +349,15 @@ def schmidt_candidate(model, t, chunk=None):
 
     At a time of chunk (a _Chunk) that the chunk's screen rejected
     (_Chunk.rejected), returns None: the time has no candidate.  Every
-    candidate is cut from a _Split: the chunk's split holding t
-    (_Chunk.where), or, at a time outside chunk, a split of psi(t) alone,
-    a stack of one.  Every time a scan evaluates, a bisection midpoint
-    included, is a time of its chunk; only retrodictive_select and the
-    per-time path the tests compare against evaluate a time alone.
+    candidate is read from a _Split: the chunk's (_Chunk.split), or, at a
+    time outside chunk, a split of psi(t) alone, a stack of one.  At a
+    gapped d1 = 2 row the vectors are rho(t)'s closed-form eigenvectors,
+    and elsewhere the SVD's, in either place, so a time's candidate does
+    not depend on the stack it was split in; its rank-1 projectors are
+    built here, for the one row read.  Every time a scan evaluates, a
+    bisection midpoint included, is a time of its chunk; only
+    retrodictive_select and the per-time path the tests compare against
+    evaluate a time alone.
     Raises ValueError when psi(t) is not normalized, and LinAlgError when
     its SVD failed.  _admissible calls this exactly once per
     admissibility evaluation, a rejected time's included: the benchmark's
@@ -358,12 +369,13 @@ def schmidt_candidate(model, t, chunk=None):
     elif chunk.rejected[i]:
         return None
     else:
-        split, i = chunk.where[i]
+        split = chunk.split
     if not split.normed[i]:
         raise ValueError(f"state is not normalized: |psi| = {split.norms[i]}")
     if i in split.failed:
         raise np.linalg.LinAlgError("SVD did not converge")
-    projs = list(split.projectors[i][split.kept[i]])
+    u = split.cols[i][split.kept[i]]
+    projs = list(u[:, :, None] * u[:, None, :].conj())
     if split.extra[i]:
         projs.append(split.complement[i])
     return ProjectiveDecomposition(t, projs, check=False)
@@ -438,8 +450,8 @@ def _admissible(model, tree, t, chunk, epsilon, delta, delta_mode):
     screen rejected (_Chunk.rejected) is rejected at once: its one
     schmidt_candidate call returns None, as for a candidate of fewer than
     two projectors.  Any other time of chunk reads its candidate from the
-    chunk's split that holds it (_Chunk.where), and its evolved leaf
-    states from the chunk.
+    chunk's split (_Chunk.split), and its evolved leaf states from the
+    chunk.
     Returns the Extension, or None when inadmissible."""
     i = None if chunk is None else chunk.index.get(t)
     try:
@@ -481,7 +493,9 @@ def _prepare_chunk(model, tree, times, criterion):
     Gram stack, T d1 n^2.
 
     [psi0 | leaf states] is evolved to every time of the chunk by one
-    evolution.apply_times call.  An evolution that raises ValueError has
+    evolution.apply_times call, and psi(t) of every time is split at once
+    (_Split): rho's closed form at the gapped d1 = 2 rows and at most one
+    stacked SVD, of the others.  An evolution that raises ValueError has
     the chunk halved until it evolves, so the chunk ends before the times
     it refuses; when it refuses the first time alone, the error is raised
     here, at that time."""

@@ -64,24 +64,31 @@ MPV_CLOSED_FORM_TOL = 1e-10
 INTEGRITY_TOL = 1e-8
 # excess of an overlap ratio over epsilon, and shortfall of a child
 # probability below delta (times its parent), that a scan chunk's stacked
-# screen rejects without the per-time path; absolute, scale 1
+# screen rejects without the per-time path; the screen reads the vectors
+# of the candidate itself, so this covers the rounding of its stacked
+# Gram products, and the Davis-Kahan bound below with room; absolute,
+# scale 1
 SCREEN_MARGIN = 1e-9
 # sqrt(D_aa D_bb) below which the screen does not count the pair's ratio;
 # absolute, scale 1
 SCREEN_ROOT_FLOOR = 1e-3
-# Schmidt weight (eigenvalue of rho(t) = tr_E |psi><psi|) that every weight
-# of a row must exceed for the screen to read rho's eigenvectors; far above
-# SCHMIDT_WEIGHT_TOL, so the row's split keeps every vector and adds no
-# complement; absolute, scale 1
+# Schmidt weight (eigenvalue of rho(t) = tr_E |psi><psi|) that both
+# weights of a d1 = 2 row must exceed for its candidate, and so the screen,
+# to read rho's closed-form eigenvectors; far above SCHMIDT_WEIGHT_TOL, so
+# an SVD of the row would keep every vector and add no complement;
+# absolute, scale 1
 SCREEN_WEIGHT_FLOOR = 1e-9
-# gap between adjacent Schmidt weights that every gap of a row must exceed
-# for the screen to read rho's eigenvectors: their projectors are then
-# within 2 SCREEN_RHO_ERROR / gap of the split's (Davis-Kahan); absolute,
-# scale 1
+# gap between the two Schmidt weights of a d1 = 2 row that it must exceed
+# for its candidate, and so the screen, to read rho's closed-form
+# eigenvectors: their projectors are then within 2 SCREEN_RHO_ERROR / gap
+# of an SVD's (Davis-Kahan), which bounds how far the candidate moved from
+# the SVD's; the screen reads the candidate's own vectors, so its margin
+# covers only the rounding of its Gram products; absolute, scale 1
 SCREEN_GAP_FLOOR = 1e-1
-# norm of the perturbation of rho(t) whose exact eigenvectors the screen's
-# closed form, or the SVD of psi(t), returns, the rounding of rho included;
-# absolute, scale |rho| = 1
+# norm of the perturbation of rho(t) whose exact eigenvectors the closed
+# form, or an SVD of psi(t), returns, the rounding of rho included: the
+# Davis-Kahan bound on how far a gapped row's candidate sits from the
+# SVD's; absolute, scale |rho| = 1
 SCREEN_RHO_ERROR = 1e-14
 
 # -- test oracles

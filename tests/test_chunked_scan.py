@@ -3,23 +3,25 @@
 A scan prepares a chunk of upcoming times at once (_prepare_chunk), held
 as one selection._Chunk of the current tree under the scan's criterion
 (epsilon, delta, delta_mode): one apply_times call evolves
-[psi0 | leaf states] to every time of the chunk, rho(t), diagonalised
-in closed form at d1 = 2, gives the screen's Schmidt vectors at every
-gapped row (the rest take their exact split at once), and the chunk's
-stacked screen rejects, when it is built, the times whose candidate is
-inadmissible beyond SCREEN_MARGIN (_Chunk.rejected).  A bisection
-prepares its midpoints so too, a few levels of its bisection tree a chunk
-(_bisection_times), and walks its path on the chunk's rows.  Each time on
-the path is still evaluated alone, by one schmidt_candidate call: a
-rejected time's returns None, the chunk's verdict, and every other time's
-is cut from a stacked split taken with the chunk, so the verdicts, the
-times visited, the step counts and the benchmark's traced check
-(schmidt_candidate calls == RunRecord.steps) must all be those of the
-per-time path.  The chunks are read here through their arrays, by the row
-chunk.index[t] of each time t.
+[psi0 | leaf states] to every time of the chunk, and one _Split of all of
+its rows, taken when the chunk is built, gives every row's Schmidt
+vectors, rho(t)'s closed-form eigenvectors at the gapped d1 = 2 rows and
+one stacked SVD's at the rest, to the chunk's stacked screen and to the
+candidates alike.  The screen rejects, when the chunk is built, the times
+whose candidate is inadmissible beyond SCREEN_MARGIN (_Chunk.rejected).
+A bisection prepares its midpoints so too, a few levels of its bisection
+tree a chunk (_bisection_times), and walks its path on the chunk's rows.
+Each time on the path is still evaluated alone, by one schmidt_candidate
+call: a rejected time's returns None, the chunk's verdict, and every
+other time's is read from the chunk's split, the lone path's candidate
+of the same psi(t) to the bit, so the verdicts, the times visited, the
+step counts and the benchmark's traced check (schmidt_candidate calls ==
+RunRecord.steps) must all be those of the per-time path.  The chunks are
+read here through their arrays, by the row chunk.index[t] of each time t.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -28,9 +30,10 @@ from qhistories import consistency, linalg, randmodel, selection, spin
 from qhistories.histories import CallableEvolution, HistoryTree
 from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
                                sample_unit_vector, schmidt_decompose)
-from qhistories.tolerances import (COMPLEMENT_TOL, ORACLE_RTOL,
+from qhistories.tolerances import (COMPLEMENT_TOL, NORM_TOL, ORACLE_RTOL,
                                    SCHMIDT_WEIGHT_TOL, SCREEN_GAP_FLOOR,
-                                   SCREEN_MARGIN, SCREEN_RHO_ERROR)
+                                   SCREEN_MARGIN, SCREEN_RHO_ERROR,
+                                   SCREEN_WEIGHT_FLOOR)
 from test_selection import _grid_scan_loop
 
 
@@ -74,13 +77,12 @@ def _chunk(model, tree, times, criterion):
                             criterion)
 
 
-def _splits(chunk):
-    """(rows, _Split) of each split the chunk took, in the order taken, as
-    chunk.where maps its rows."""
-    splits = {}
-    for i, (split, _) in chunk.where.items():
-        splits.setdefault(id(split), (split, []))[1].append(i)
-    return [(np.array(rows), split) for split, rows in splits.values()]
+def _alone(model, psi, t):
+    """schmidt_candidate's candidate at t outside any chunk, of the state
+    psi: the lone path, a split of a stack of one."""
+    frozen = types.SimpleNamespace(d1=model.d1, d2=model.d2,
+                                   state=lambda _: psi)
+    return selection.schmidt_candidate(frozen, t)
 
 
 def _count_candidates(monkeypatch):
@@ -152,14 +154,17 @@ def test_candidate_calls_equal_steps(monkeypatch, d2, seed, max_steps):
 
 
 def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
-    # every candidate that can be admitted is cut from a stacked split, and
-    # a chunk takes at most two, both when it is built: one of its rows the
-    # screen cannot read from rho, and one of its gapped rows the screen did
-    # not reject.  Every evaluation, a bisection midpoint's included, reads
-    # its chunk, so no time takes a split of one, and nothing calls
-    # schmidt_decompose.  A rejected row is screened and takes no SVD.  The
-    # product model's rows are neither gapped nor screened (rank 1 and a
-    # complement, at d1 = 3), so every one is split and none may be rejected
+    # every candidate is read from its chunk's one _Split, taken when the
+    # chunk is built: rho's closed form at the gapped rows, and at most one
+    # stacked SVD, of exactly the rows that are not gapped.  Every
+    # evaluation, a bisection midpoint's included, reads its chunk, so no
+    # time is split alone, and nothing calls schmidt_decompose.  A rejected
+    # row is screened.  Eleven 2x16 searches (seeds 0-9, and 12, which
+    # bisects its second event on chunks of midpoints) take their first
+    # event at t = 0, a gapped row, and split a fraction of their rows by
+    # SVD.  The product model's rows are neither gapped nor screened (rank
+    # 1 and a complement, at d1 = 3), so every one takes the SVD and none
+    # may be rejected
     lone, svds, built = [], [], []
     candidate, svd = selection.schmidt_candidate, np.linalg.svd
     prepare = selection._prepare_chunk
@@ -186,43 +191,46 @@ def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(selection, "_prepare_chunk", counted_prepare)
     monkeypatch.setattr(linalg, "schmidt_decompose", refused)
-    for name in ("search2x16", "product"):
+    for name, seed in [("search2x16", seed) for seed in (*range(10), 12)] \
+            + [("product", None)]:
         for record in (lone, svds, built):
             record.clear()
         if name == "search2x16":
-            steps = randmodel.run_forward_search(_search_config(16, 12)).steps
-            assert len(lone) == steps
-            # its second event was bisected, on chunks of midpoints
-            assert _bisection_chunks([chunk for chunk, _ in built], firsts)
+            rec = randmodel.run_forward_search(_search_config(16, seed))
+            assert len(lone) == rec.steps
+            first = built[0][0]
+            assert rec.events[0].time == 0.0
+            assert first.split.gapped[first.index[0.0]], seed
+            if seed == 12:
+                assert _bisection_chunks([chunk for chunk, _ in built],
+                                         firsts)
         else:
             selection.earliest_time_select(_local_model(3, 4, 1, 5), 0.05,
                                            0.02, 2.0, grid=100)
             assert len(lone) == 101
         assert not any(lone), name
-        # the only SVDs are the chunks' own, taken when each is built
+        # the only SVDs are the chunks' own, taken when each is built: one
+        # of the rows that are not gapped, or none
         assert sorted(svds) == sorted(size for _, sizes in built
                                       for size in sizes)
         for chunk, sizes in built:
-            splits = _splits(chunk)
-            assert len(sizes) == len(splits) <= 2, name
-            assert sorted(sizes) == sorted(len(rows) for rows, _ in splits)
-            assert set(chunk.where) == set(np.flatnonzero(
-                ~(chunk.gapped & chunk.rejected)).tolist()), name
-            assert not (chunk.rejected & ~chunk.screened).any(), name
-        split_rows = sum(len(chunk.where) for chunk, _ in built)
+            svd_rows = int((~chunk.split.gapped).sum())
+            assert sizes == ([svd_rows] if svd_rows else []), (name, seed)
+            assert not (chunk.rejected & ~chunk.split.screened).any(), name
         rows = sum(len(chunk.index) for chunk, _ in built)
         if name == "search2x16":
-            assert split_rows < rows // 4
+            assert 0 < sum(svds) < rows // 4, seed
         else:
-            assert split_rows == rows and len(built) > 1
+            assert sum(svds) == rows and len(built) > 1
 
 
 # -- the chunked scan against the per-time path, verdict for verdict -------
 
 def _grid_models():
     """(name, model, t_max, grid, the class of its evolution)."""
-    for d1, d2, seed in ((2, 4, 1), (2, 16, 2), (3, 9, 3)):
-        yield (f"flow{d1}x{d2}", _flow_model(d1, d2, seed), 2.0, 300,
+    for d1, d2, seed, grid in ((2, 4, 1, 300), (2, 16, 2, 300),
+                               (3, 9, 3, 300), (2, 256, 11, 100)):
+        yield (f"flow{d1}x{d2}", _flow_model(d1, d2, seed), 2.0, grid,
                HamiltonianFlow)
     yield ("recoherence", _recoherence_model(), 3 * math.pi / 2, 400,
            spin.ChainEvolution)
@@ -268,18 +276,30 @@ def test_chunked_scan_agrees_with_the_per_time_path(monkeypatch, name, model,
     # every evolution has apply_times (CallableEvolution stacks its apply),
     # so every model's scan is chunked and screened.  The scan evaluates
     # every time, bisection midpoints included, from a chunk, and visits
-    # the times the scalar loop on the per-time path visits, in its order
+    # the times the scalar loop on the per-time path visits, in its order.
+    # Every row of a scan chunk or of a bisection chunk that its screen did
+    # not reject, evaluated or not, has the lone path's candidate of its
+    # psi(t) to the bit (_check_chunk_candidates); at d1 = 2 both kinds of
+    # chunk have gapped rows
     assert type(model.evolution) is evolution
     verdicts, screened, midpoints = set(), 0, 0
+    gapped = {"scan": 0, "bisection": 0}
     grid_times = set(np.linspace(0.0, t_max, grid + 1).tolist())
+    firsts = _record_bisections(monkeypatch)
     for epsilon, delta, accept_events in ((0.05, 0.02, True),
                                           (1e-3, 0.02, True),
                                           (0.5, 0.02, True),
                                           (0.05, 0.02, False)):
         seen, visited = [], []
+        chunks = _record_chunks(monkeypatch)
         _check_admissible(monkeypatch, seen, accept_events)
         sel = selection._grid_select(model, epsilon, delta, "relative",
                                      t_max, grid, 1e-6, 16)
+        bisecting = _bisection_chunks(chunks, firsts)
+        for chunk in chunks:
+            kind = ("bisection" if any(chunk is b for b in bisecting)
+                    else "scan")
+            gapped[kind] += _check_chunk_candidates(model, chunk)
 
         def scalar(tree, t):
             visited.append(t)
@@ -299,6 +319,7 @@ def test_chunked_scan_agrees_with_the_per_time_path(monkeypatch, name, model,
         screened += sum(r for _, _, _, r in seen)
     assert verdicts == {True, False}, name
     assert screened > 0 and midpoints > 0, name
+    assert (min(gapped.values()) > 0) == (model.d1 == 2), (name, gapped)
 
 
 def _two_leaves(model):
@@ -401,6 +422,64 @@ def _reference_candidate(model, psi):
     return projs
 
 
+def _rho_weights(psi, d1, d2):
+    """The eigenvalues of rho = M M^dag, ascending, by eigvalsh of the one
+    matrix."""
+    M = np.asarray(psi).reshape(d1, d2)
+    return np.linalg.eigvalsh(M @ M.conj().T)
+
+
+def _rho_gap(psi, d1, d2):
+    """The smallest gap between adjacent eigenvalues of rho."""
+    return float(np.diff(_rho_weights(psi, d1, d2)).min())
+
+
+def _gapped(psi, d1, d2):
+    """Whether psi's candidate is read from rho's closed form, by eigvalsh
+    of rho: d1 = 2, normed, both weights above SCREEN_WEIGHT_FLOOR and
+    their gap above SCREEN_GAP_FLOOR."""
+    weights = _rho_weights(psi, d1, d2)
+    return bool(d1 == 2 and abs(weights.sum() - 1.0) <= NORM_TOL
+                and weights[0] > SCREEN_WEIGHT_FLOOR
+                and weights[1] - weights[0] > SCREEN_GAP_FLOOR)
+
+
+def _check_candidate(model, t, got, psi):
+    """got, the candidate read at t for the state psi, against the lone
+    path's of psi, to the bit, and against the SVD reference
+    (_reference_candidate): to the bit where psi is not gapped (d1 >= 3
+    always), and each projector, in descending weight order, within
+    2 SCREEN_RHO_ERROR / gap (Davis-Kahan) where it is.  Returns whether
+    psi is gapped."""
+    alone = _alone(model, psi, t).projectors
+    assert len(got) == len(alone), t
+    assert all(np.array_equal(g, a) for g, a in zip(got, alone)), t
+    want = _reference_candidate(model, psi)
+    assert len(got) == len(want), t
+    gapped = _gapped(psi, model.d1, model.d2)
+    if gapped:
+        bound = 2 * SCREEN_RHO_ERROR / _rho_gap(psi, model.d1, model.d2)
+        assert max(np.linalg.norm(g - w, 2) for g, w in zip(got, want)) \
+            <= bound <= 2 * SCREEN_RHO_ERROR / SCREEN_GAP_FLOOR, t
+    else:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), t
+    return gapped
+
+
+def _check_chunk_candidates(model, chunk):
+    """_check_candidate at every row of chunk that its screen did not
+    reject, requiring the split's gapped rows to be those psi(t) is gapped
+    at; returns the number of gapped rows checked."""
+    gapped = 0
+    for t, i in chunk.index.items():
+        if not chunk.rejected[i]:
+            got = selection.schmidt_candidate(model, t, chunk).projectors
+            row = _check_candidate(model, t, got, chunk.psi[i])
+            assert row == chunk.split.gapped[i], t
+            gapped += row
+    return gapped
+
+
 def _local_model(d1, d2, rank, seed):
     """No interaction, and psi0 of Schmidt rank `rank`: psi(t) keeps that
     rank at every t."""
@@ -432,37 +511,26 @@ def _candidate_models():
 def test_every_candidate_is_the_per_time_one_to_the_bit(name, model, t_max,
                                                         screened):
     # at every row of a chunk over 61 times that rejects none of them,
-    # screened or not, and at each time alone (a split of one), against the
-    # old per-time body on the same psi(t)
+    # screened or not, and at each time alone (a split of one) on its own
+    # psi(t): the lone path's candidate of the same state to the bit, and
+    # the SVD reference's to the bit where the state is not gapped, every
+    # row at d1 = 1 and 3 and 4 among them, or within the Davis-Kahan bound
+    # where it is
     times = np.linspace(0.0, t_max, 61).tolist()
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     chunk = _chunk(model, tree, times, _ACCEPTING)
-    assert set(chunk.screened.tolist()) == screened, name
+    assert set(chunk.split.screened.tolist()) == screened, name
     assert not chunk.rejected.any(), name
-    for t, i in chunk.index.items():
-        for where, psi in ((chunk, chunk.psi[i]),
-                           (None, model.state(t))):
-            got = selection.schmidt_candidate(model, t, where).projectors
-            want = _reference_candidate(model, psi)
-            assert len(got) == len(want), (name, t)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), \
-                (name, t, where is None)
+    gapped = {_check_candidate(model, t, selection.schmidt_candidate(
+        model, t).projectors, model.state(t)) for t in times}
+    assert (_check_chunk_candidates(model, chunk) > 0) == (model.d1 == 2)
+    # at d1 = 2 some times are gapped and some not: near-degenerate on the
+    # 2x16 flow, and a product at recoherence's ends
+    assert gapped == ({True, False} if model.d1 == 2 else {False}), name
     expected = {"product": 2, "rank2": 3, "d1=1": 1}.get(name)
     if expected is not None:
         assert {len(selection.schmidt_candidate(model, t, chunk))
                 for t in times} == {expected}, name
-
-
-def _rho_weights(psi, d1, d2):
-    """The eigenvalues of rho = M M^dag, ascending, by eigvalsh of the one
-    matrix."""
-    M = np.asarray(psi).reshape(d1, d2)
-    return np.linalg.eigvalsh(M @ M.conj().T)
-
-
-def _rho_gap(psi, d1, d2):
-    """The smallest gap between adjacent eigenvalues of rho."""
-    return float(np.diff(_rho_weights(psi, d1, d2)).min())
 
 
 @pytest.mark.parametrize("d1,d2,seed", [(2, 4, 1), (2, 16, 2), (3, 9, 3),
@@ -470,38 +538,34 @@ def _rho_gap(psi, d1, d2):
 def test_a_rejected_rows_screen_projectors_are_within_the_davis_kahan_bound(
         d1, d2, seed):
     # a rejected row has no candidate: its one schmidt_candidate call returns
-    # None, and every other row's candidate is the per-time path's to the
-    # bit.  The screen that rejected it read its vectors as _Chunk does: at
-    # a gapped row (d1 = 2 only) rho's eigenvectors, within
-    # 2 SCREEN_RHO_ERROR / gap of the per-time path's (Davis-Kahan), so
-    # within the bound the screen's margin argument rests on; at any other
-    # row, and at every row at d1 = 3 and 4, the cols of the row's split
+    # None, and every other row's candidate is the lone path's to the bit,
+    # and within 2 SCREEN_RHO_ERROR / gap of the SVD reference at a gapped
+    # row, or that reference to the bit elsewhere.  The screen that rejected
+    # it read the vectors every candidate of the chunk is built from, the
+    # split's cols: at a gapped row (d1 = 2 only) rho's closed-form
+    # eigenvectors, within the same bound of the SVD reference, and at any
+    # other row, and at every row at d1 = 3 and 4, the SVD's
     model = _flow_model(d1, d2, seed)
     times = np.linspace(0.0, 2.0, 61).tolist()
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     chunk = _chunk(model, tree, times, (0.05, 0.3, "relative"))
+    split = chunk.split
     gapped, cols = selection._eigenbasis(chunk.psi, d1, d2)
-    assert (gapped == chunk.gapped).all()
+    assert (gapped == split.gapped).all()
+    assert np.array_equal(cols[gapped], split.cols[gapped])
+    assert (_check_chunk_candidates(model, chunk) > 0) == (d1 == 2)
     gapped_rejected = 0
     for t, i in chunk.index.items():
-        got = selection.schmidt_candidate(model, t, chunk)
-        want = _reference_candidate(model, chunk.psi[i])
         if not chunk.rejected[i]:
-            assert len(got) == len(want), t
-            assert all(np.array_equal(g, w)
-                       for g, w in zip(got.projectors, want)), t
             continue
-        assert got is None, t
-        if gapped[i]:
-            gapped_rejected += 1
-            u = cols[i]
-        else:
-            split, j = chunk.where[i]
-            u = split.cols[j]
-        screen = u[:, :, None] * u[:, None, :].conj()
+        assert selection.schmidt_candidate(model, t, chunk) is None, t
+        want = _reference_candidate(model, chunk.psi[i])
         assert len(want) == d1, t
+        u = split.cols[i]
+        screen = u[:, :, None] * u[:, None, :].conj()
         error = max(np.linalg.norm(P - w, 2) for P, w in zip(screen, want))
         if gapped[i]:
+            gapped_rejected += 1
             bound = 2 * SCREEN_RHO_ERROR / _rho_gap(chunk.psi[i], d1, d2)
             assert error <= bound <= 2 * SCREEN_RHO_ERROR / SCREEN_GAP_FLOOR
         else:
@@ -512,7 +576,8 @@ def test_a_rejected_rows_screen_projectors_are_within_the_davis_kahan_bound(
 def test_a_chunks_criterion_decides_a_rows_candidate():
     # two chunks over the same times, under a strict and a loose delta: a
     # row that only the strict chunk rejects has no candidate there, and
-    # its split's, the per-time path's to the bit, in the loose chunk
+    # in the loose chunk the lone path's, within the Davis-Kahan bound of
+    # the SVD reference where gapped and that reference elsewhere
     model = _flow_model(2, 16, 2)
     times = np.linspace(0.0, 2.0, 61).tolist()
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
@@ -520,13 +585,13 @@ def test_a_chunks_criterion_decides_a_rows_candidate():
     loose = _chunk(model, tree, times, (0.05, 0.0, "relative"))
     flipped = np.flatnonzero(strict.rejected & ~loose.rejected)
     assert flipped.size
+    gapped = set()
     for i in flipped.tolist():
         t = times[i]
         assert selection.schmidt_candidate(model, t, strict) is None, t
         got = selection.schmidt_candidate(model, t, loose).projectors
-        want = _reference_candidate(model, loose.psi[i])
-        assert len(got) == len(want), t
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), t
+        gapped.add(_check_candidate(model, t, got, loose.psi[i]))
+    assert True in gapped
 
 
 def _bell_local_model(gap):
@@ -555,10 +620,11 @@ def _zz_model():
 @pytest.mark.parametrize("name", ["bell-local", "zz"])
 def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
     # rows whose Schmidt weights are closer than SCREEN_GAP_FLOOR are not
-    # read from rho's eigenvectors: they take their exact split when the
-    # chunk is built, and the screen reads their split's vectors (the
-    # product psi(0) of the zz model is split and not screened); every
-    # verdict is the per-time path's
+    # read from rho's eigenvectors: they take the chunk's one stacked SVD
+    # when it is built, and the screen and the candidate read its vectors
+    # (the product psi(0) of the zz model takes it and is not screened);
+    # every verdict is the per-time path's, and every candidate the SVD
+    # reference's to the bit at those rows
     model = _bell_local_model(2e-7) if name == "bell-local" else _zz_model()
     chunks = _record_chunks(monkeypatch)
     seen = []
@@ -570,20 +636,18 @@ def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
                                1e-6, 16)
     near = 0
     for chunk in chunks:
+        split = chunk.split
         weights = np.array([_rho_weights(psi, 2, model.d2)
                             for psi in chunk.psi])
         gaps = weights[:, 1] - weights[:, 0]
-        assert not (chunk.gapped & (gaps < SCREEN_GAP_FLOOR)).any()
+        assert not (split.gapped & (gaps < SCREEN_GAP_FLOOR)).any()
         near += int((gaps < SCREEN_GAP_FLOOR).sum())
-        if not chunk.gapped.all():
-            # the split taken at construction holds exactly these rows
-            rows, split = _splits(chunk)[0]
-            assert rows.tolist() == np.flatnonzero(~chunk.gapped).tolist()
-            assert (chunk.screened[rows] == split.screened).all()
-            assert (split.screened == (weights[rows, 0]
-                                       > SCHMIDT_WEIGHT_TOL)).all()
+        rows = ~split.gapped
+        assert (split.screened[rows] == (weights[rows, 0]
+                                         > SCHMIDT_WEIGHT_TOL)).all()
+        _check_chunk_candidates(model, chunk)
     assert near > 0
-    assert any(chunk.gapped.any() for chunk in chunks) == (name == "zz")
+    assert any(chunk.split.gapped.any() for chunk in chunks) == (name == "zz")
     assert {ok for _, _, ok, _ in seen} == {True, False}
     assert any(rejected for _, _, _, rejected in seen)
 
@@ -609,7 +673,7 @@ def test_rank_deficient_times_take_the_per_time_path(monkeypatch):
     chunk = selection._prepare_chunk(model, tree, [0.5, 0.25, 0.75],
                                      (0.05, 0.02, "relative"))
     assert list(chunk.index) == [0.5, 0.25, 0.75]
-    assert not chunk.screened.any()
+    assert not chunk.split.screened.any()
     for t in chunk.index:
         assert len(selection.schmidt_candidate(model, t, chunk)) == 2
 
@@ -720,10 +784,14 @@ def test_every_chunk_keeps_its_largest_array_within_scan_block(
 # -- edge inputs: one bad time does not spoil its chunk ---------------------
 
 def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
-    model = _flow_model(2, 4, 1)
+    # the zz model's weights are degenerate at pi/4, so the grid times about
+    # it are not gapped and take their chunk's stacked SVD; t_bad is one
+    model = _zz_model()
     grid, t_max = 300, 2.0
-    t_bad = float(np.linspace(0.0, t_max, grid + 1)[150])
-    bad = model.state(t_bad).reshape(2, 4)
+    t_bad = float(np.linspace(0.0, t_max, grid + 1)[118])
+    assert abs(t_bad - math.pi / 4) < 0.01
+    assert not _gapped(model.state(t_bad), 2, 2)
+    bad = model.state(t_bad).reshape(2, 2)
     svd = np.linalg.svd
 
     def failing_svd(a, *args, **kwargs):
@@ -741,22 +809,22 @@ def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
                            16)
     verdicts = {t: ok for t, _, ok, _ in seen}
     assert len(verdicts) == grid + 1 and not verdicts[t_bad]
-    # the screen did not reject t_bad, so its chunk's split of unrejected
-    # rows took it; that stacked SVD raised, so each row of the split was
-    # split alone, and only t_bad's split failed.  The screen takes no SVD,
-    # so the rest of the chunk stays screened
+    # the screen did not reject t_bad, and its chunk's one stacked SVD, of
+    # the rows that are not gapped, took it; that SVD raised, so each of
+    # those rows was split alone, and only t_bad's split failed.  The
+    # gapped rows take no SVD, so the rest of the chunk stays screened
     bad_chunk = next(chunk for chunk in chunks if t_bad in chunk.index)
     i_bad = bad_chunk.index[t_bad]
+    split = bad_chunk.split
     assert not bad_chunk.rejected[i_bad]
-    split, j_bad = bad_chunk.where[i_bad]
-    rows = next(rows for rows, other in _splits(bad_chunk) if other is split)
-    assert split.failed == {j_bad} and len(rows) > 1
-    assert all(bad_chunk.screened[i] for t, i in bad_chunk.index.items()
+    assert split.failed == {i_bad} and (~split.gapped).sum() > 1
+    assert split.gapped.any()
+    assert all(split.screened[i] for t, i in bad_chunk.index.items()
                if t != t_bad)
     assert sum(verdicts[t] for t in bad_chunk.index) \
         > len(bad_chunk.index) // 2
-    assert not any(other.failed for chunk in chunks
-                   for _, other in _splits(chunk) if other is not split)
+    assert not any(chunk.split.failed for chunk in chunks
+                   if chunk is not bad_chunk)
 
 
 def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
@@ -791,45 +859,52 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
     assert {t for t in grid_times if t < first_bad} <= set(calls)
 
 
-class _NaNAt(HamiltonianFlow):
-    """A flow whose states turn NaN at one time."""
+class _ScaledAt(HamiltonianFlow):
+    """A flow whose states are scaled by scale at one time: NaN, or off
+    the norm."""
 
-    def __init__(self, H, t_bad):
+    def __init__(self, H, t_bad, scale):
         super().__init__(H)
-        self.t_bad = t_bad
+        self.t_bad, self.scale = t_bad, scale
 
     def apply(self, states, t, adjoint=False):
         out = super().apply(states, t, adjoint)
-        return np.full_like(out, np.nan) if t == self.t_bad else out
+        return self.scale * out if t == self.t_bad else out
 
     def apply_times(self, states, ts):
         out = super().apply_times(states, ts)
-        out[np.asarray(ts) == self.t_bad] = np.nan
+        out[np.asarray(ts) == self.t_bad] *= self.scale
         return out
 
 
 def test_a_nan_state_raises_at_its_own_time(monkeypatch):
+    # psi(t_bad), NaN or with its norm 1e-6 off 1, is not gapped: it fails
+    # the norm guard and is zeroed before its chunk's stacked SVD, so the
+    # rest of its chunk stays screened, and it is not screened, so not
+    # rejected: its candidate is read, and raises.  The times before it
+    # were judged as the per-time path judges them, and the scan stopped at
+    # t_bad
     grid, t_max = 300, 2.0
     t_bad = float(np.linspace(0.0, t_max, grid + 1)[40])
     flow = _flow_model(2, 4, 1)
-    model = selection.BipartiteModel(
-        2, 4, flow.psi0, _NaNAt(flow.evolution.H, t_bad))
-    calls = _count_candidates(monkeypatch)
-    chunks = _record_chunks(monkeypatch)
-    seen = []
-    _check_admissible(monkeypatch, seen, accept_events=False)
-    with pytest.raises(ValueError, match="not normalized"):
-        selection._grid_select(model, 0.05, 0.02, "relative", t_max, grid,
-                               1e-6, 16)
-    # psi(t_bad) failed the norm guard and was zeroed before the stacked
-    # SVD, so the rest of its chunk stays screened; the times before it
-    # were judged as the per-time path judges them, and the scan stopped
-    # at t_bad
-    assert calls[-1] == t_bad and len(seen) == 40
-    assert seen[0][0] in chunks[0].index and t_bad in chunks[0].index
-    assert chunks[0].screened.tolist() == [t != t_bad
-                                           for t in chunks[0].index]
-    assert {ok for _, _, ok, _ in seen} == {True}
+    for scale in (np.nan, 1.0 + 1e-6):
+        model = selection.BipartiteModel(
+            2, 4, flow.psi0, _ScaledAt(flow.evolution.H, t_bad, scale))
+        calls = _count_candidates(monkeypatch)
+        chunks = _record_chunks(monkeypatch)
+        seen = []
+        _check_admissible(monkeypatch, seen, accept_events=False)
+        with pytest.raises(ValueError, match="not normalized"):
+            selection._grid_select(model, 0.05, 0.02, "relative", t_max,
+                                   grid, 1e-6, 16)
+        assert calls[-1] == t_bad and len(seen) == 40
+        first = chunks[0]
+        assert seen[0][0] in first.index and t_bad in first.index
+        assert first.split.screened.tolist() == [t != t_bad
+                                                 for t in first.index]
+        assert not first.rejected[first.index[t_bad]]
+        assert not first.split.gapped[first.index[t_bad]]
+        assert {ok for _, _, ok, _ in seen} == {True}
 
 
 # -- the lazy report ---------------------------------------------------------

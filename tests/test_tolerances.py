@@ -28,7 +28,8 @@ PINNED = {
 
 # The floors of selection._Chunk's Davis-Kahan bound: lowering a gap, root
 # or weight floor, or the assumed error of rho, weakens the bound on how far
-# the screen's ratios and probabilities can sit from the per-time path's.
+# a gapped row's ratios and probabilities can sit from those of its SVD
+# candidate.
 FLOORS = {"SCREEN_GAP_FLOOR", "SCREEN_ROOT_FLOOR", "SCREEN_WEIGHT_FLOOR",
           "SCREEN_RHO_ERROR"}
 
@@ -49,11 +50,12 @@ def test_no_tolerance_grows():
 
 
 def test_the_screen_margin_covers_its_davis_kahan_bound():
-    # selection._Chunk: a gapped row's projectors sit within eta of the
-    # per-time path's, so a child probability moves by at most
-    # 2 eta + eta^2 and a counted overlap ratio by at most
-    # 2 eta / SCREEN_ROOT_FLOOR; SCREEN_MARGIN must cover both with room
-    # for the per-time path's own rounding
+    # selection._Chunk: a gapped row's closed-form projectors sit within
+    # eta of an SVD's, so a child probability moves from the SVD
+    # candidate's by at most 2 eta + eta^2 and a counted overlap ratio by
+    # at most 2 eta / SCREEN_ROOT_FLOOR; SCREEN_MARGIN must cover both with
+    # room for the Gram products' own rounding, so that a time the screen
+    # rejects is inadmissible for the SVD candidate too
     eta = 2 * tolerances.SCREEN_RHO_ERROR / tolerances.SCREEN_GAP_FLOOR
     assert 2 * eta + eta ** 2 <= tolerances.SCREEN_MARGIN / 5
     assert 2 * eta / tolerances.SCREEN_ROOT_FLOOR \
