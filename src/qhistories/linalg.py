@@ -242,7 +242,10 @@ def leading_view(states, d):
 class HamiltonianFlow:
     """Constant-Hamiltonian evolution with a cached eigendecomposition.
     apply and apply_times both enter one kernel over a sequence of times
-    (_evolve)."""
+    (_evolve): with U(t) = V e^{-i Lambda t} V^dag and Y = V^dag X taken
+    once, it phases Y for all T times into one (d, T m) matrix and applies
+    V to it in one GEMM, then returns the C-contiguous (T, ...) stack.  It
+    holds at most two arrays of T d m entries at once."""
 
     def __init__(self, H):
         self.H = _as_complex_matrix(H)
@@ -265,14 +268,19 @@ class HamiltonianFlow:
         return self._evolve(states, ts, False)
 
     def _evolve(self, states, ts, adjoint):
-        # V (e^{-+i lambda t} (.) V^dag X) for all t of ts in one batched
-        # product, V^dag X taken once
+        # each temporary of T d m entries is freed before the next is made
         vals, vecs = self.eig
         ts = np.asarray(ts, dtype=float)
-        phase = np.exp((1j if adjoint else -1j) * vals * ts[:, None])
+        phase = np.exp(((1j if adjoint else -1j) * vals)[:, None] * ts)
         X = leading_view(np.asarray(states, dtype=complex), self.dim)
-        return (vecs @ (phase[:, :, None] * (self._vecs_h @ X))).reshape(
-            ts.shape + np.shape(states))
+        Y = self._vecs_h @ X
+        Z = phase[:, :, None] * Y[:, None, :]       # (d, T, m)
+        del phase
+        Z = vecs @ Z.reshape(self.dim, -1)
+        out = np.ascontiguousarray(
+            Z.reshape(self.dim, len(ts), Y.shape[1]).transpose(1, 0, 2))
+        del Z
+        return out.reshape(ts.shape + np.shape(states))
 
 
 def evolve(H, psi, t):

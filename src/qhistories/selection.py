@@ -58,19 +58,23 @@ SCAN_BLOCK complex entries, and at least one; a chunk of one time is
 prepared whatever its size.  So at most SCAN_CHUNK - 1 prepared scan
 times go unevaluated per tree, and a bisection chunk's midpoints off the
 bisection's path are prepared and never evaluated.
-Each time on the scan's path, bisection midpoints included, is still
-evaluated alone and in order, by one schmidt_candidate call; at a time
-the screen rejected that call returns None, the chunk's verdict, and
-every other time is judged by the per-time path on its candidate, read
-from the chunk's split, so verdicts and evaluation counts are those of
-that path.
+The scan walks a scan chunk's own times, takes each scan time from
+advance once, and reads full(tree, events) once per tree.  Each time on
+the scan's path, bisection midpoints included, is still evaluated alone
+and in order, and each evaluation is the scan loop's one
+schmidt_candidate call on its chunk: at a time the screen rejected that
+call returns None, the chunk's verdict, which ends the evaluation there,
+and only a time that has a candidate, read from the chunk's split, goes
+to the per-time judge (_judge).  So verdicts and evaluation counts are
+those of the per-time path, a candidate and the judge at one time.
 Only retrodictive selection evaluates a time outside any chunk: it is
-split alone, as a stack of one, and judged by the per-time path, as is
-the persistence probe.
+split alone, as a stack of one.  The persistence probe re-projects an
+accepted candidate at a later time.
 """
 
 import bisect
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -356,13 +360,12 @@ def schmidt_candidate(model, t, chunk=None):
     not depend on the stack it was split in; its rank-1 projectors are
     built here, for the one row read.  Every time a scan evaluates, a
     bisection midpoint included, is a time of its chunk; only
-    retrodictive_select and the per-time path the tests compare against
-    evaluate a time alone.
+    retrodictive_select evaluates a time alone.
     Raises ValueError when psi(t) is not normalized, and LinAlgError when
-    its SVD failed.  _admissible calls this exactly once per
-    admissibility evaluation, a rejected time's included: the benchmark's
-    traced check needs schmidt_candidate calls to equal the evaluations
-    (RunRecord.steps)."""
+    its SVD failed.  The scan loop (_scan_select) makes exactly one call
+    of this per evaluation, a screened rejection's included, through this
+    module's global name: the benchmark's traced check needs
+    schmidt_candidate calls to equal the evaluations (RunRecord.steps)."""
     i = None if chunk is None else chunk.index.get(t)
     if i is None:
         split, i = _Split(model.state(t)[None], model.d1, model.d2), 0
@@ -435,33 +438,22 @@ class Extension:
                               self.probabilities, self.report)
 
 
-def _admissible(model, tree, t, chunk, epsilon, delta, delta_mode):
-    """Try the Schmidt decomposition at t on every leaf of the tree; it is
-    admissible when the extended set stays medium-consistent at epsilon
-    and every leaf of non-negligible probability splits non-trivially at
-    delta.
+def _judge(tree, dec, evolved, epsilon, delta, delta_mode):
+    """The per-time judge of a candidate dec on every leaf of the tree: it
+    is admissible when it has at least two projectors, the extended set
+    stays medium-consistent at epsilon and every leaf of non-negligible
+    probability splits non-trivially at delta.
 
     The extension is scored from the leaf-state matrix alone, as k
-    projected Gram blocks (see Extension); the parent probabilities are
+    projected Gram blocks (see Extension); evolved, when given, is the
+    leaf states at dec.time (a chunk's row).  The parent probabilities are
     the tree's, judged in one nontrivial call as a column against the rows
     of children.  No tree is built here: the caller extends the tree with
-    Extension.extend() once per accepted event.  A time of chunk (a _Chunk
-    of this tree, built under this criterion, or None) that the chunk's
-    screen rejected (_Chunk.rejected) is rejected at once: its one
-    schmidt_candidate call returns None, as for a candidate of fewer than
-    two projectors.  Any other time of chunk reads its candidate from the
-    chunk's split (_Chunk.split), and its evolved leaf states from the
-    chunk.
+    Extension.extend() once per accepted event.
     Returns the Extension, or None when inadmissible."""
-    i = None if chunk is None else chunk.index.get(t)
-    try:
-        dec = schmidt_candidate(model, t, chunk)
-    except np.linalg.LinAlgError:
+    if len(dec) < 2:
         return None
-    if dec is None or len(dec) < 2:
-        return None
-    ext = Extension(tree, dec, epsilon,
-                    None if i is None else chunk.leaves[i])
+    ext = Extension(tree, dec, epsilon, evolved)
     if not ext.medium_pass:
         return None
     parents = tree._probabilities
@@ -516,15 +508,12 @@ def _prepare_chunk(model, tree, times, criterion):
 
 
 def _scan_times(t, advance):
-    """The next SCAN_CHUNK scan times t, advance(t), ..., fewer where
-    advance returns None."""
-    times = [t]
-    while len(times) < SCAN_CHUNK:
+    """The scan times after t, advance(t), advance(advance(t)), ..., to
+    the first None, each computed when it is taken."""
+    t = advance(t)
+    while t is not None:
+        yield t
         t = advance(t)
-        if t is None:
-            break
-        times.append(t)
-    return times
 
 
 def _bisection_times(lo, hi, refine_tol):
@@ -552,31 +541,36 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
                  probe=lambda tree, ext: True):
     """The scan-and-bisect loop of every forward selection and search.
 
-    A time t is accepted when _admissible finds its Schmidt candidate
-    admissible on the current tree at (epsilon, delta, delta_mode), and
-    probe(tree, ext) holds for the Extension ext it returns.  Evaluates t =
+    A time t is accepted when its Schmidt candidate is admissible on the
+    current tree at (epsilon, delta, delta_mode) (_judge), and probe(tree,
+    ext) holds for the Extension ext the judge returns.  Evaluates t =
     start, then advance(t) after each rejected or event time until that
     is None.  An accepted t after the first evaluation is bisected back to
     the last rejected or event time, to refine_tol or adjacent floats, and
     recorded as an event.  Stops when full(tree, events), at the end of
     the scan, or after budget evaluations; returns (SelectedSet,
     termination, evaluations) with termination 'full', 'end' or 'budget',
-    in that precedence.  Raises ValueError for a negative or NaN epsilon,
-    a delta outside [0, 1) or an unknown delta_mode, before any
-    evaluation.
+    in that precedence.  full must be a function of (tree, events) alone:
+    it is read once per tree, at the start and after each event.  Raises
+    ValueError for a negative or NaN epsilon, a delta outside [0, 1) or an
+    unknown delta_mode, before any evaluation.
 
     Every time is evaluated from a chunk prepared on the current tree
     under the criterion (_prepare_chunk), one chunk at a time, and within
-    the memory bound SCAN_BLOCK for any chunk of more than one time.  At
-    a scan time the current chunk has not prepared, the next SCAN_CHUNK
-    scan times are prepared, taken from advance, which must be a pure
-    function of t (_scan_times).  At a bisection midpoint the current
-    chunk has not prepared, the midpoints of the next BISECT_LEVELS
-    levels of the bisection of the current bracket are (_bisection_times),
-    so the bisection walks its path on the chunk's rows and prepares again
-    only when the path leaves those levels.  Each time on the scan's or the
-    bisection's path is still evaluated alone and in order, and counts
-    as one evaluation; a midpoint off the path is speculative and is
+    the memory bound SCAN_BLOCK for any chunk of more than one time.  A
+    scan chunk holds the next SCAN_CHUNK scan times, taken from advance
+    (_scan_times) one at a time and kept until a chunk holds them, and the
+    scan walks the chunk's own times: advance is called once per scan time
+    on a tree, and from the event time after each event.  At a bisection
+    midpoint the current chunk has not prepared, the midpoints of the next
+    BISECT_LEVELS levels of the bisection of the current bracket are
+    (_bisection_times), so the bisection walks its path on the chunk's
+    rows and prepares again only when the path leaves those levels.
+    Each time on the scan's or the bisection's path counts as one
+    evaluation, which is one schmidt_candidate call on its chunk: None,
+    the chunk's screened verdict, rejects the time there, as a failed SVD
+    (LinAlgError) does, and only a time that has a candidate goes to the
+    judge, then to probe.  A midpoint off the path is speculative and is
     neither evaluated nor counted.  Accepting an event drops the chunk
     with the old tree, so at most SCAN_CHUNK - 1 prepared scan times go
     unevaluated per tree, and a bisection chunk, of at most
@@ -590,20 +584,38 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
         raise ValueError(f"unknown delta_mode {delta_mode!r}")
     criterion = (epsilon, delta, delta_mode)
 
-    def accept(tree, t, chunk):
-        ext = _admissible(model, tree, t, chunk, *criterion)
+    def evaluate(tree, t, chunk):
+        try:
+            dec = schmidt_candidate(model, t, chunk)
+        except np.linalg.LinAlgError:
+            return None
+        if dec is None:
+            return None
+        ext = _judge(tree, dec, chunk.leaves[chunk.index[t]], *criterion)
         return None if ext is None or not probe(tree, ext) else ext
 
     tree, events = HistoryTree(model.psi0, model.evolution), []
-    chunk, calls, t, lo = None, 0, start, None
-    while not full(tree, events) and t is not None and calls < budget:
-        calls += 1
-        if chunk is None or t not in chunk.index:
+    done = full(tree, events)
+    t, scan, ahead = start, _scan_times(start, advance), []
+    chunk, times, i, calls, lo = None, (), 0, 0, None
+    while not done and t is not None and calls < budget:
+        if i == len(times):
+            # ahead holds the scan times after t taken from scan but not
+            # yet prepared: more than one chunk's worth where SCAN_BLOCK
+            # or an evolution error cut the chunk short
+            ahead += itertools.islice(scan, SCAN_CHUNK - 1 - len(ahead))
             chunk = None        # two chunks at once would raise peak memory
-            chunk = _prepare_chunk(model, tree, _scan_times(t, advance),
-                                   criterion)
-        ext = accept(tree, t, chunk)
-        if ext is not None and lo is not None:
+            chunk = _prepare_chunk(model, tree, [t, *ahead], criterion)
+            times, i = list(chunk.index), 0
+            del ahead[:len(times) - 1]
+        calls += 1
+        ext = evaluate(tree, t, chunk)
+        if ext is None:
+            lo, i = t, i + 1    # the next bracket starts at a rejected time
+            t = (times[i] if i < len(times)
+                 else ahead.pop(0) if ahead else next(scan, None))
+            continue
+        if lo is not None:
             while t - lo > refine_tol and calls < budget:
                 mid = 0.5 * (lo + t)
                 if not lo < mid < t:
@@ -614,18 +626,17 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
                         model, tree, _bisection_times(lo, t, refine_tol),
                         criterion)
                 calls += 1
-                trial = accept(tree, mid, chunk)
+                trial = evaluate(tree, mid, chunk)
                 if trial is None:
                     lo = mid
                 else:
                     t, ext = mid, trial
-        if ext is not None:
-            events.append(ext.event())
-            tree, chunk = ext.extend(), None
-        lo = t          # the next bracket starts at a rejected or event time
-        t = advance(t)
-    termination = ("full" if full(tree, events)
-                   else "end" if t is None else "budget")
+        events.append(ext.event())
+        tree, chunk, times, i = ext.extend(), None, (), 0
+        done = full(tree, events)
+        scan, ahead = _scan_times(t, advance), []
+        lo, t = t, next(scan, None)     # or at an event time
+    termination = ("full" if done else "end" if t is None else "budget")
     return SelectedSet(tree, events), termination, calls
 
 

@@ -180,12 +180,14 @@ class ChainEvolution:
     and skipped at angle 0.  The states split into one row per time at the
     first interaction whose angles differ; from there each interaction
     applies a (T, 2, 2) stack of R - 1, whose rows at angle 0 add an exact
-    0.  So apply, at one time, takes one scalar step per turned
-    interaction; the (T, 2, 2) stack alone, at T = 1, was 1.2-1.45x slower
-    (n = 2-6, on a shared 2-vCPU VM), and spin-chain tree extension runs
-    apply at one time.  And apply_times applies the interactions that a
-    chunk of chain-schedule times has finished at all of its times once,
-    not once per time."""
+    0, filled into a preallocated array from two float lists, the sines
+    and the cos - 1 of _rot_minus_one's own scalar expressions (math.sin,
+    so the stack is the scalar path's to the bit).  So apply, at one time,
+    takes one scalar step per turned interaction; the (T, 2, 2) stack
+    alone, at T = 1, was 1.2-1.45x slower (n = 2-6, on a shared 2-vCPU
+    VM), and spin-chain tree extension runs apply at one time.  And
+    apply_times applies the interactions that a chunk of chain-schedule
+    times has finished at all of its times once, not once per time."""
 
     def __init__(self, axes, theta):
         self.n = len(axes)
@@ -211,10 +213,16 @@ class ChainEvolution:
                 x = np.broadcast_to(x, split + x.shape)
             if not any(ths):            # angle 0 at every time, or no times
                 continue
-            rows = ([_rot_minus_one(th, adjoint) for th in ths] if split
-                    else _rot_minus_one(ths[0], adjoint))
-            rot_minus_one = np.array(rows, dtype=complex).reshape(
-                (T, 1, 2, 2) if split else (2, 2))
+            if split:       # _rot_minus_one's entries, a column at a time
+                s = [-math.sin(th) if adjoint else math.sin(th) for th in ths]
+                rot_minus_one = np.empty((T, 1, 2, 2), dtype=complex)
+                rot_minus_one[:, 0, 0, 0] = rot_minus_one[:, 0, 1, 1] = [
+                    -2.0 * math.sin(th / 2) ** 2 for th in ths]
+                rot_minus_one[:, 0, 0, 1] = [-v for v in s]
+                rot_minus_one[:, 0, 1, 0] = s
+            else:
+                rot_minus_one = np.array(_rot_minus_one(ths[0], adjoint),
+                                         dtype=complex).reshape(2, 2)
             w = np.matmul(rot_minus_one, x.reshape(split + (2 ** k, 2, -1)))
             x = x + (self._minus[k - 1] @ w.reshape(split + (2, -1))).reshape(
                 x.shape)

@@ -11,13 +11,16 @@ candidates alike.  The screen rejects, when the chunk is built, the times
 whose candidate is inadmissible beyond SCREEN_MARGIN (_Chunk.rejected).
 A bisection prepares its midpoints so too, a few levels of its bisection
 tree a chunk (_bisection_times), and walks its path on the chunk's rows.
-Each time on the path is still evaluated alone, by one schmidt_candidate
-call: a rejected time's returns None, the chunk's verdict, and every
-other time's is read from the chunk's split, the lone path's candidate
-of the same psi(t) to the bit, so the verdicts, the times visited, the
-step counts and the benchmark's traced check (schmidt_candidate calls ==
-RunRecord.steps) must all be those of the per-time path.  The chunks are
-read here through their arrays, by the row chunk.index[t] of each time t.
+Each time on the path is still evaluated alone, by the scan loop's one
+schmidt_candidate call: a rejected time's returns None, the chunk's
+verdict, which ends the evaluation, and every other time's is read from
+the chunk's split, the lone path's candidate of the same psi(t) to the
+bit, and goes to the judge (selection._judge).  So the verdicts, the
+times visited, the step counts and the benchmark's traced check
+(schmidt_candidate calls == RunRecord.steps) must all be those of the
+per-time path, a candidate and the judge at one time (_admissible).  The
+chunks are read here through their arrays, by the row chunk.index[t] of
+each time t.
 """
 
 import math
@@ -34,7 +37,8 @@ from qhistories.tolerances import (COMPLEMENT_TOL, NORM_TOL, ORACLE_RTOL,
                                    SCHMIDT_WEIGHT_TOL, SCREEN_GAP_FLOOR,
                                    SCREEN_MARGIN, SCREEN_RHO_ERROR,
                                    SCREEN_WEIGHT_FLOOR)
-from test_selection import _grid_scan_loop
+from test_selection import (_admissible, _check_scan_select,
+                            _grid_scan_loop)
 
 
 def _search_config(d2, seed, **kw):
@@ -224,6 +228,76 @@ def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
             assert sum(svds) == rows and len(built) > 1
 
 
+@pytest.mark.parametrize("name", ["recoherence", "search2x16"])
+def test_the_scan_advances_once_per_time_and_judges_only_candidates(
+        monkeypatch, name):
+    # each evaluation is one schmidt_candidate call, and the judge is
+    # called exactly at the evaluations whose call returned a candidate, on
+    # that candidate, before the next evaluation.  full is read once per
+    # tree (_check_scan_select).  advance is called once per scan time of a
+    # tree: after the event time that made the tree (none on the first),
+    # at each of the tree's prepared scan times in order, but perhaps the
+    # last, and at no other time
+    log, evaluations, scans, scan_chunks = [], [], [], []
+    candidate, judge = selection.schmidt_candidate, selection._judge
+    prepare = selection._prepare_chunk
+    firsts = _record_bisections(monkeypatch)
+
+    def counted_candidate(model, t, chunk=None):
+        evaluations.append(t)
+        dec = candidate(model, t, chunk)
+        log.append(("candidate", dec))
+        return dec
+
+    def counted_judge(tree, dec, *args):
+        log.append(("judge", dec))
+        return judge(tree, dec, *args)
+
+    def recorded(model, tree, times, criterion):
+        chunk = prepare(model, tree, times, criterion)
+        if times[0] not in firsts:
+            scan_chunks.append((tree, list(chunk.index)))
+        return chunk
+
+    monkeypatch.setattr(selection, "schmidt_candidate", counted_candidate)
+    monkeypatch.setattr(selection, "_judge", counted_judge)
+    monkeypatch.setattr(selection, "_prepare_chunk", recorded)
+    if name == "recoherence":     # the selection of qhist spin recoherence
+        advanced = _check_scan_select(monkeypatch, selection, scans,
+                                      evaluations)
+        events = selection.earliest_time_select(
+            _recoherence_model(), 1e-6, 0.05, 3 * math.pi / 2).events
+    else:
+        advanced = _check_scan_select(monkeypatch, randmodel, scans,
+                                      evaluations)
+        events = randmodel.run_forward_search(_search_config(16, 12)).events
+    (_, _, calls), = scans
+    assert len(events) >= 2 and calls == len(evaluations)
+    # the judge, exactly after each candidate, on it
+    judged = [dec for kind, dec in log if kind == "judge"]
+    candidates = [dec for kind, dec in log if kind == "candidate"]
+    assert len(candidates) == calls
+    assert None in candidates and judged
+    assert [id(dec) for dec in judged] \
+        == [id(dec) for dec in candidates if dec is not None]
+    assert all(dec is log[j - 1][1]
+               for j, (kind, dec) in enumerate(log) if kind == "judge")
+    # advance: the scan times of each tree, in order, but perhaps its last
+    trees = []
+    for tree, _ in scan_chunks:
+        if not any(tree is other for other in trees):
+            trees.append(tree)
+    advanced, = advanced
+    assert len(advanced) == len(events) + 1 and len(trees) <= len(advanced)
+    for k, args in enumerate(advanced):
+        if k:
+            assert args[0] == events[k - 1].time
+            args = args[1:]
+        times = [t for tree, chunk_times in scan_chunks
+                 if k < len(trees) and tree is trees[k] for t in chunk_times]
+        assert args == times[:len(args)] and len(args) >= len(times) - 1, k
+
+
 # -- the chunked scan against the per-time path, verdict for verdict -------
 
 def _grid_models():
@@ -243,20 +317,54 @@ def _grid_models():
            2.0, 300, CallableEvolution)
 
 
-_ADMISSIBLE = selection._admissible
+def _check_evaluations(monkeypatch, seen, accept_events=True):
+    """Record the scan's evaluations and check each against the per-time
+    path.  An evaluation is the scan's one selection.schmidt_candidate
+    call on its chunk; it ends there when that call returns None (the
+    screen's verdict) or raises LinAlgError, and otherwise the scan makes
+    one selection._judge call, on that candidate, before the next.  Every
+    verdict must be the per-time path's (_admissible with no chunk) on the
+    tree the chunk was prepared on, under its criterion, with the same
+    blocks where admissible; each scan must count exactly its evaluations,
+    read full once per tree and call advance at most once per time on a
+    tree (_check_scan_select).  seen gets (t, prepared, admissible,
+    rejected by the screen) per evaluation; with accept_events False the
+    judge's verdicts are recorded and no time is accepted."""
+    prepare, candidate = selection._prepare_chunk, selection.schmidt_candidate
+    judge = selection._judge
+    trees, pending = {}, []
 
+    def prepared(model, tree, times, criterion):
+        chunk = prepare(model, tree, times, criterion)
+        trees[id(chunk)] = chunk, tree, criterion
+        return chunk
 
-def _check_admissible(monkeypatch, seen, accept_events=True):
-    """Have the scan score each time on its tree with its chunk (chunked
-    where prepared) and without a chunk (the per-time path), requiring the
-    same verdict, and the same blocks where the screen did not reject.
-    seen gets (t, prepared, admissible, rejected by the screen) per time;
-    with accept_events False no time is accepted."""
-    def checked(model, tree, t, chunk, epsilon, delta, delta_mode):
-        prepared = chunk is not None and t in chunk.index
-        screened = prepared and bool(chunk.rejected[chunk.index[t]])
-        got = _ADMISSIBLE(model, tree, t, chunk, epsilon, delta, delta_mode)
-        want = _ADMISSIBLE(model, tree, t, None, epsilon, delta, delta_mode)
+    def rejected(model, tree, t, criterion, prepared, screened):
+        assert _admissible(model, tree, t, None, *criterion) is None, t
+        seen.append((t, prepared, False, screened))
+
+    def evaluated(model, t, chunk=None):
+        assert not pending, "a candidate was not judged"
+        _, tree, criterion = trees[id(chunk)]
+        row = chunk.index.get(t)
+        case = (model, tree, t, criterion, row is not None,
+                row is not None and bool(chunk.rejected[row]))
+        try:
+            dec = candidate(model, t, chunk)
+        except np.linalg.LinAlgError:
+            rejected(*case)
+            raise
+        if dec is None:
+            rejected(*case)
+        else:
+            pending.append((dec, case))
+        return dec
+
+    def judged(tree, dec, evolved, *criterion):
+        assert pending and pending[0][0] is dec, "judged without a candidate"
+        model, _, t, _, prepared, screened = pending.pop()[1]
+        want = _admissible(model, tree, t, None, *criterion)
+        got = judge(tree, dec, evolved, *criterion)
         assert (got is None) == (want is None), t
         if got is not None:
             scale = np.max(np.abs(want.blocks))
@@ -265,7 +373,10 @@ def _check_admissible(monkeypatch, seen, accept_events=True):
         seen.append((t, prepared, got is not None, screened))
         return got if accept_events else None
 
-    monkeypatch.setattr(selection, "_admissible", checked)
+    monkeypatch.setattr(selection, "_prepare_chunk", prepared)
+    monkeypatch.setattr(selection, "schmidt_candidate", evaluated)
+    monkeypatch.setattr(selection, "_judge", judged)
+    _check_scan_select(monkeypatch, selection, [], seen)
 
 
 @pytest.mark.parametrize("name,model,t_max,grid,evolution",
@@ -275,12 +386,14 @@ def test_chunked_scan_agrees_with_the_per_time_path(monkeypatch, name, model,
                                                     t_max, grid, evolution):
     # every evolution has apply_times (CallableEvolution stacks its apply),
     # so every model's scan is chunked and screened.  The scan evaluates
-    # every time, bisection midpoints included, from a chunk, and visits
-    # the times the scalar loop on the per-time path visits, in its order.
-    # Every row of a scan chunk or of a bisection chunk that its screen did
-    # not reject, evaluated or not, has the lone path's candidate of its
-    # psi(t) to the bit (_check_chunk_candidates); at d1 = 2 both kinds of
-    # chunk have gapped rows
+    # every time, bisection midpoints included, from a chunk, by one
+    # schmidt_candidate call each, judges only the times that have a
+    # candidate, with the per-time path's verdicts (_check_evaluations), and
+    # visits the times the scalar loop on the per-time path visits, in its
+    # order.  Every row of a scan chunk or of a bisection chunk that its
+    # screen did not reject, evaluated or not, has the lone path's candidate
+    # of its psi(t) to the bit (_check_chunk_candidates); at d1 = 2 both
+    # kinds of chunk have gapped rows
     assert type(model.evolution) is evolution
     verdicts, screened, midpoints = set(), 0, 0
     gapped = {"scan": 0, "bisection": 0}
@@ -291,10 +404,11 @@ def test_chunked_scan_agrees_with_the_per_time_path(monkeypatch, name, model,
                                           (0.5, 0.02, True),
                                           (0.05, 0.02, False)):
         seen, visited = [], []
-        chunks = _record_chunks(monkeypatch)
-        _check_admissible(monkeypatch, seen, accept_events)
-        sel = selection._grid_select(model, epsilon, delta, "relative",
-                                     t_max, grid, 1e-6, 16)
+        with monkeypatch.context() as patch:
+            chunks = _record_chunks(patch)
+            _check_evaluations(patch, seen, accept_events)
+            sel = selection._grid_select(model, epsilon, delta, "relative",
+                                         t_max, grid, 1e-6, 16)
         bisecting = _bisection_chunks(chunks, firsts)
         for chunk in chunks:
             kind = ("bisection" if any(chunk is b for b in bisecting)
@@ -303,7 +417,7 @@ def test_chunked_scan_agrees_with_the_per_time_path(monkeypatch, name, model,
 
         def scalar(tree, t):
             visited.append(t)
-            ext = _ADMISSIBLE(model, tree, t, None, epsilon, delta,
+            ext = _admissible(model, tree, t, None, epsilon, delta,
                               "relative")
             return ext if accept_events else None
 
@@ -329,8 +443,7 @@ def _two_leaves(model):
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     ts = np.linspace(0.0, 2.0, 301).tolist()
     t0, ext = next((t, e) for t, e in (
-        (t, selection._admissible(model, tree, t, None, 0.5, 0.02,
-                                  "relative"))
+        (t, _admissible(model, tree, t, None, 0.5, 0.02, "relative"))
         for t in ts[1:]) if e is not None)
     tree = ext.extend()
     times = ts[ts.index(t0) + 1:]
@@ -369,8 +482,8 @@ def test_a_near_epsilon_time_is_left_to_the_per_time_path():
         if chunk.worst[i] > epsilon:
             near += 1
             assert not chunk.rejected[i], t
-            assert selection._admissible(model, tree, t, chunk, epsilon, 0.0,
-                                         "relative") is not None, t
+            assert _admissible(model, tree, t, chunk, epsilon, 0.0,
+                               "relative") is not None, t
         below = epsilon - 2 * SCREEN_MARGIN
         chunk = _chunk(model, tree, times, (below, 0.0, "relative"))
         assert chunk.rejected[i] == (chunk.worst[i] > below + SCREEN_MARGIN), t
@@ -398,8 +511,8 @@ def test_a_near_delta_time_is_left_to_the_per_time_path():
         if (chunk.children[i].T < delta * parents).any():
             near += 1
             assert not chunk.rejected[i], t
-            assert selection._admissible(model, tree, t, chunk, 2.0, delta,
-                                         "relative") is not None, t
+            assert _admissible(model, tree, t, chunk, 2.0, delta,
+                               "relative") is not None, t
         # a shortfall of SCREEN_MARGIN on the smallest parent is rejected
         chunk = _chunk(model, tree, times, (
             2.0, delta + 2 * SCREEN_MARGIN / parents.min(), "relative"))
@@ -623,7 +736,8 @@ def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
     # read from rho's eigenvectors: they take the chunk's one stacked SVD
     # when it is built, and the screen and the candidate read its vectors
     # (the product psi(0) of the zz model takes it and is not screened);
-    # every verdict is the per-time path's, and every candidate the SVD
+    # every verdict is the per-time path's (_check_evaluations), the scan
+    # visits the scalar loop's times, and every candidate is the SVD
     # reference's to the bit at those rows
     model = _bell_local_model(2e-7) if name == "bell-local" else _zz_model()
     chunks = _record_chunks(monkeypatch)
@@ -631,9 +745,22 @@ def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
     for epsilon, delta, accept_events in ((0.05, 0.02, True),
                                           (1e-3, 0.02, True),
                                           (0.05, 0.45, False)):
-        _check_admissible(monkeypatch, seen, accept_events)
-        selection._grid_select(model, epsilon, delta, "relative", 2.0, 200,
-                               1e-6, 16)
+        found, visited = [], []
+        with monkeypatch.context() as patch:
+            _check_evaluations(patch, found, accept_events)
+            sel = selection._grid_select(model, epsilon, delta, "relative",
+                                         2.0, 200, 1e-6, 16)
+
+        def scalar(tree, t):
+            visited.append(t)
+            ext = _admissible(model, tree, t, None, epsilon, delta,
+                              "relative")
+            return ext if accept_events else None
+
+        assert (sel.times, len(sel.tree.leaves())) \
+            == _grid_scan_loop(model, scalar, 2.0, 200, 1e-6, 16)
+        assert [t for t, *_ in found] == visited
+        seen += found
     near = 0
     for chunk in chunks:
         split = chunk.split
@@ -664,8 +791,10 @@ def test_rank_deficient_times_take_the_per_time_path(monkeypatch):
                   sample_unit_vector(4, "complex", rng.stream("b")))
     model = selection.BipartiteModel(2, 4, psi, HamiltonianFlow(H))
     seen = []
-    _check_admissible(monkeypatch, seen, accept_events=False)
-    selection._grid_select(model, 0.05, 0.02, "relative", 2.0, 100, 1e-6, 16)
+    with monkeypatch.context() as patch:
+        _check_evaluations(patch, seen, accept_events=False)
+        selection._grid_select(model, 0.05, 0.02, "relative", 2.0, 100, 1e-6,
+                               16)
     assert len(seen) == 101 and all(p for _, p, *_ in seen)
     assert not any(ok or screened for _, _, ok, screened in seen)
     # a chunk prepared from a list of times holds them in the list's order
@@ -804,9 +933,10 @@ def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     chunks = _record_chunks(monkeypatch)
     seen = []
-    _check_admissible(monkeypatch, seen, accept_events=False)
-    selection._grid_select(model, 0.05, 0.02, "relative", t_max, grid, 1e-6,
-                           16)
+    with monkeypatch.context() as patch:
+        _check_evaluations(patch, seen, accept_events=False)
+        selection._grid_select(model, 0.05, 0.02, "relative", t_max, grid,
+                               1e-6, 16)
     verdicts = {t: ok for t, _, ok, _ in seen}
     assert len(verdicts) == grid + 1 and not verdicts[t_bad]
     # the screen did not reject t_bad, and its chunk's one stacked SVD, of
@@ -825,6 +955,12 @@ def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
         > len(bad_chunk.index) // 2
     assert not any(chunk.split.failed for chunk in chunks
                    if chunk is not bad_chunk)
+    # accepting events too, every verdict is still the per-time path's on
+    # each tree
+    with monkeypatch.context() as patch:
+        _check_evaluations(patch, [])
+        assert selection._grid_select(model, 0.05, 0.02, "relative", t_max,
+                                      grid, 1e-6, 16).events
 
 
 def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
@@ -837,12 +973,12 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
     model = _recoherence_model()
     grid_times = set(np.linspace(0.0, 6.0, 401).tolist())
     seen = []
-    _check_admissible(monkeypatch, seen)
-    sel = selection._grid_select(model, 1e-6, 0.05, "relative", 6.0, 400,
-                                 1e-6, 2)
+    with monkeypatch.context() as patch:
+        _check_evaluations(patch, seen)
+        sel = selection._grid_select(model, 1e-6, 0.05, "relative", 6.0, 400,
+                                     1e-6, 2)
     assert len(sel.events) == 2 and max(t for t, *_ in seen) < math.pi
     assert all(prepared for t, prepared, *_ in seen if t in grid_times)
-    monkeypatch.setattr(selection, "_admissible", _ADMISSIBLE)
     starts = []
     prepare = selection._prepare_chunk
 
@@ -890,13 +1026,14 @@ def test_a_nan_state_raises_at_its_own_time(monkeypatch):
     for scale in (np.nan, 1.0 + 1e-6):
         model = selection.BipartiteModel(
             2, 4, flow.psi0, _ScaledAt(flow.evolution.H, t_bad, scale))
-        calls = _count_candidates(monkeypatch)
-        chunks = _record_chunks(monkeypatch)
         seen = []
-        _check_admissible(monkeypatch, seen, accept_events=False)
-        with pytest.raises(ValueError, match="not normalized"):
-            selection._grid_select(model, 0.05, 0.02, "relative", t_max,
-                                   grid, 1e-6, 16)
+        with monkeypatch.context() as patch:
+            calls = _count_candidates(patch)
+            chunks = _record_chunks(patch)
+            _check_evaluations(patch, seen, accept_events=False)
+            with pytest.raises(ValueError, match="not normalized"):
+                selection._grid_select(model, 0.05, 0.02, "relative", t_max,
+                                       grid, 1e-6, 16)
         assert calls[-1] == t_bad and len(seen) == 40
         first = chunks[0]
         assert seen[0][0] in first.index and t_bad in first.index
@@ -923,8 +1060,7 @@ def test_the_lazy_report_is_the_report_of_the_blocks():
                                                                 epsilon)
             assert verdict == ext.report.medium_pass
             passed.add(verdict)
-        admitted = selection._admissible(model, tree, t, None, 0.5, 0.02,
-                                         "relative")
+        admitted = _admissible(model, tree, t, None, 0.5, 0.02, "relative")
         if admitted is not None:
             assert admitted.report == consistency.consistency_report(
                 admitted.blocks, 0.5)

@@ -1,22 +1,29 @@
-"""The evolution kernels against the kernels they replaced, bit for bit.
+"""The evolution kernels against the kernels they replaced.
 
 HamiltonianFlow and spin.ChainEvolution each compute U(t) X in one kernel
 over a sequence of times, which both apply (one time, either direction)
 and apply_times (many times, forward) enter.  The reference functions
 below are the bodies these models had when apply and apply_times were
-separate products; the arithmetic is unchanged, so the results must be
-equal, not merely close.
+separate products.  Where the arithmetic is unchanged the results must be
+equal, not merely close: the chain at every time, and the flow at one
+time.  The flow's apply_times is now one GEMM over all its times, which
+must equal a reference of that form (_flow_one_gemm) to the bit; BLAS
+need not give the old broadcast product the same bits, so that product is
+met within ORACLE_RTOL.  Those bits depend on the BLAS thread count, so
+the continuous-integration workflow runs this file at two threads too.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qhistories import spin
+from qhistories import selection, spin
 from qhistories.histories import CallableEvolution
 from qhistories.linalg import (HamiltonianFlow, RandomStream, leading_view,
                                sample_gue, sample_unit_vector)
+from qhistories.tolerances import ORACLE_RTOL
 
 
 # -- the references ---------------------------------------------------------
@@ -36,6 +43,19 @@ def _flow_apply_times(flow, states, ts):
     X = leading_view(np.asarray(states, dtype=complex), flow.dim)
     return (vecs @ (phase[:, :, None] * (flow._vecs_h @ X))).reshape(
         ts.shape + np.shape(states))
+
+
+def _flow_one_gemm(flow, states, ts, adjoint=False):
+    """V reshape(e^{-+i lambda t} (.) V^dag X, (d, T m)) for all t of ts
+    in one GEMM, as a C-contiguous (T, ...) stack."""
+    vals, vecs = flow.eig
+    ts = np.asarray(ts, dtype=float)
+    phase = np.exp(((1j if adjoint else -1j) * vals)[:, None] * ts)
+    X = leading_view(np.asarray(states, dtype=complex), flow.dim)
+    Y = flow._vecs_h @ X
+    Z = vecs @ (phase[:, :, None] * Y[:, None, :]).reshape(flow.dim, -1)
+    stack = Z.reshape(flow.dim, len(ts), X.shape[1]).transpose(1, 0, 2)
+    return np.ascontiguousarray(stack).reshape(ts.shape + np.shape(states))
 
 
 def _chain_apply(chain, states, t, adjoint=False):
@@ -150,6 +170,10 @@ def _flows():
 @pytest.mark.parametrize("flow,sizes", [
     pytest.param(*case, id=name) for name, *case in _flows()])
 def test_flow_kernel_is_the_old_kernels_bit_for_bit(flow, sizes):
+    # apply, at one time, is the old kernel to the bit, and the one-GEMM
+    # form's.  apply_times is the one-GEMM form to the bit, and the old
+    # broadcast product within ORACLE_RTOL (BLAS blocks a product of T m
+    # columns otherwise than T products of m, so their bits may differ)
     times = [0.0, 0.25, 1.0, 2.0, 7.5]
     for size in sizes:
         for i, columns in enumerate(COLUMNS):
@@ -160,11 +184,55 @@ def test_flow_kernel_is_the_old_kernels_bit_for_bit(flow, sizes):
                     assert got.shape == states.shape
                     assert np.array_equal(
                         got, _flow_apply(flow, states, t, adjoint))
+                    assert np.array_equal(
+                        got, _flow_one_gemm(flow, states, [t], adjoint)[0])
             for ts in ([0.0], times, np.linspace(0.0, 2.0, 33)):
                 got = flow.apply_times(states, ts)
                 assert got.shape == (len(ts),) + states.shape
-                assert np.array_equal(got,
-                                      _flow_apply_times(flow, states, ts))
+                assert np.array_equal(got, _flow_one_gemm(flow, states, ts))
+                want = _flow_apply_times(flow, states, ts)
+                assert np.max(np.abs(got - want)) \
+                    <= ORACLE_RTOL * np.max(np.abs(want))
+
+
+def test_flow_apply_times_returns_a_c_contiguous_stack():
+    # a vector, a matrix of column states and states of which the flow acts
+    # on the leading factor, at one time and at many: the (T, ...) stack
+    # is C-contiguous, and shares no memory with the states
+    flow = HamiltonianFlow(sample_gue(32, 1.0, RandomStream(5, "layout")))
+    for states in (_states(32, None, 0), _states(32, 3, 1),
+                   _states(64, 2, 2)):
+        for ts in ([0.5], [0.0, 0.25, 1.0], np.linspace(0.0, 2.0, 64)):
+            out = flow.apply_times(states, ts)
+            assert out.shape == (len(ts),) + states.shape
+            assert out.flags.c_contiguous
+            assert not np.shares_memory(out, states)
+        assert flow.apply(states, 0.5).flags.c_contiguous
+
+
+@pytest.mark.parametrize("d,m", [(32, 8), (64, 4)])
+def test_flow_apply_times_holds_at_most_two_chunk_arrays(d, m):
+    # a scan chunk of [psi0 | leaf states] (d rows, m columns) at T times
+    # holds at most SCAN_BLOCK complex entries; apply_times on it holds at
+    # most two arrays of T d m entries at once, its output included, beside
+    # its inputs, the phases (T d), V^dag X (d m) and one ufunc buffer of
+    # np.getbufsize() entries.  A third would exceed the bound
+    T = min(selection.SCAN_CHUNK, selection.SCAN_BLOCK // (d * m))
+    assert T * d * m == selection.SCAN_BLOCK
+    flow = HamiltonianFlow(sample_gue(d, 1.0, RandomStream(d, "peak")))
+    states, ts = _states(d, m, 3), np.linspace(0.0, 2.0, T).tolist()
+    flow.apply_times(states, ts)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = flow.apply_times(states, ts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    chunk = out.nbytes
+    assert chunk == 16 * selection.SCAN_BLOCK
+    small = 16 * (T * d + d * m + np.getbufsize()) + (16 << 10)
+    assert chunk <= peak <= 2 * chunk + small < 3 * chunk
 
 
 def test_the_chain_calls_theta_as_before():

@@ -3,7 +3,7 @@ import pytest
 
 from qhistories import histories, randmodel, selection
 from qhistories.histories import HistoryTree, decoherence_matrix, extend_all
-from qhistories.selection import _admissible
+from test_selection import _admissible, _check_scan_select
 
 
 def _config(**kw):
@@ -255,15 +255,20 @@ SCAN_CASES = [
 
 def test_forward_search_matches_its_own_loop(monkeypatch):
     # the scan evaluates the times the loop evaluates, bisection midpoints
-    # included, in the same order, and counts only those
-    visited = []
-    admissible = selection._admissible
+    # included, in the same order, and counts only those: each evaluation
+    # is the scan's one schmidt_candidate call, recorded here, whatever its
+    # verdict, and the loop runs the per-time path at each of its times.
+    # The scan reads full once per tree and calls advance at most once per
+    # time on a tree (_check_scan_select)
+    visited, scans = [], []
+    candidate = selection.schmidt_candidate
 
-    def recorded(model, tree, t, *args):
+    def recorded(model, t, chunk=None):
         visited.append(t)
-        return admissible(model, tree, t, *args)
+        return candidate(model, t, chunk)
 
-    monkeypatch.setattr(selection, "_admissible", recorded)
+    monkeypatch.setattr(selection, "schmidt_candidate", recorded)
+    _check_scan_select(monkeypatch, randmodel, scans, visited)
     results = {}
     for d1, d2, seed, kw in SCAN_CASES:
         config = _config(**{"d1": d1, "d2": d2, "seed": seed,
@@ -274,6 +279,7 @@ def test_forward_search_matches_its_own_loop(monkeypatch):
         assert (rec.times, rec.steps, rec.termination, visited) == want, \
             (d1, d2, seed, kw)
         results[d1, d2, seed, kw.get("max_steps")] = want
+    assert len(scans) == len(SCAN_CASES)
     assert {termination for _, _, termination, _ in results.values()} \
         == {"t_max", "max_steps", "max_histories"}
     # the cap of 235 cut the second bisection short

@@ -20,6 +20,73 @@ from qhistories.tolerances import ORACLE_RTOL
 # rounding from a misplaced or missing term.
 GRAM_RTOL = ORACLE_RTOL
 
+# the library's own, as imported: the per-time oracle below calls these, so
+# a test that wraps selection.schmidt_candidate or selection._judge to
+# record a scan's evaluations does not record the oracle's
+_SCHMIDT_CANDIDATE, _JUDGE = selection.schmidt_candidate, selection._judge
+
+
+def _admissible(model, tree, t, chunk, epsilon, delta, delta_mode):
+    """The per-time path at t: the Schmidt candidate (schmidt_candidate,
+    read from chunk where t is one of its times) judged on the tree by the
+    scan's judge (selection._judge).  None when the judge refuses it, when
+    the chunk's screen rejected t, or when its SVD failed (LinAlgError);
+    else the Extension."""
+    try:
+        dec = _SCHMIDT_CANDIDATE(model, t, chunk)
+    except np.linalg.LinAlgError:
+        return None
+    if dec is None:
+        return None
+    i = None if chunk is None else chunk.index.get(t)
+    return _JUDGE(tree, dec, None if i is None else chunk.leaves[i],
+                  epsilon, delta, delta_mode)
+
+
+def _check_scan_select(monkeypatch, module, scans, evaluations=None):
+    """Wrap module._scan_select (selection's, or the name randmodel
+    imported) so that each scan is checked, and its (selected,
+    termination, evaluations) appended to scans.  As the scan runs: full
+    is read once per tree, at the start and after each event, on the tree
+    the scan then holds, and advance is called at most once per time on
+    one tree.  When it returns: the last full read the returned tree, and,
+    when evaluations is a list that gets one entry per evaluation, the
+    scan counted exactly the entries it added.  Returns the advance
+    arguments of each tree, per scan."""
+    scan, advanced_by_scan = module._scan_select, []
+
+    def checked(model, epsilon, delta, delta_mode, start, advance,
+                refine_tol, full, *args, **kwargs):
+        trees, advanced = [], []
+        advanced_by_scan.append(advanced)
+        before = None if evaluations is None else len(evaluations)
+
+        def read_full(tree, events):
+            assert len(events) == len(trees), "full read twice on a tree"
+            assert len(tree.leaves()) == (events[-1].probabilities.size
+                                          if events else 1), "a stale tree"
+            trees.append(tree)
+            advanced.append([])
+            return full(tree, events)
+
+        def advance_once(t):
+            assert t not in advanced[-1], "advance called twice at a time"
+            advanced[-1].append(t)
+            return advance(t)
+
+        result = scan(model, epsilon, delta, delta_mode, start, advance_once,
+                      refine_tol, read_full, *args, **kwargs)
+        selected, _, calls = result
+        assert len(trees) == len(selected.events) + 1
+        assert trees[-1] is selected.tree
+        if evaluations is not None:
+            assert calls == len(evaluations) - before
+        scans.append(result)
+        return result
+
+    monkeypatch.setattr(module, "_scan_select", checked)
+    return advanced_by_scan
+
 
 def _config(seed, n):
     rng = RandomStream(seed, "sel-test")
@@ -248,8 +315,8 @@ def _check_engine(model, tree, times, epsilons=(0.05, 0.5), delta=0.02):
             outside[i::k, i::k] = False
         assert np.max(np.abs(want[outside]), initial=0.0) <= GRAM_RTOL * scale
         for eps in epsilons:
-            ok = selection._admissible(model, tree, t, None, eps, delta,
-                                       "relative") is not None
+            ok = _admissible(model, tree, t, None, eps, delta,
+                             "relative") is not None
             assert ok == _tree_path_admissible(model, tree, t, eps, delta)
             verdicts.append(ok)
     return verdicts
@@ -339,7 +406,7 @@ def test_admissible_judges_the_live_leaves_like_a_loop():
     for t, eps, delta, mode in itertools.product(
             np.linspace(1.0, 3.0, 9), (0.7, 1.0), (0.001, 0.02, 0.2),
             ("relative", "absolute")):
-        got = selection._admissible(model, tree, t, None, eps, delta, mode)
+        got = _admissible(model, tree, t, None, eps, delta, mode)
         dec = selection.schmidt_candidate(model, t)
         ext = selection.Extension(tree, dec, eps)
         k = len(dec)
@@ -445,14 +512,13 @@ def _grid_scan_loop(model, accept, t_max, grid, refine_tol, max_events):
 
 
 def _earliest_accept(model, epsilon, delta):
-    return lambda tree, t: selection._admissible(model, tree, t, None,
-                                                 epsilon, delta, "relative")
+    return lambda tree, t: _admissible(model, tree, t, None, epsilon, delta,
+                                       "relative")
 
 
 def _quasi_accept(model, epsilon, delta, probe_dt=1e-3, tol=1e-9):
     def accept(tree, t):
-        ext = selection._admissible(model, tree, t, None, epsilon, delta,
-                                    "relative")
+        ext = _admissible(model, tree, t, None, epsilon, delta, "relative")
         if ext is None:
             return None
         repeat = ProjectiveDecomposition(t + probe_dt,
