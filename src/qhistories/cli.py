@@ -215,9 +215,8 @@ def cmd_spin_probs(args, out):
     n = cfg.n
     times = tuple(range(1, n + 1))
     tree = spin_mod.build_tree(cfg, spin_mod.measurement_events(cfg, times))
-    D = decoherence_matrix(tree)
     rows, worst = [], 0.0
-    for label, p in zip(D.labels, D.diag):
+    for label, p in zip(tree.leaves(), tree.probabilities()):
         signs = tuple(1 if i == 0 else -1 for i in label)
         spec = spin_mod.SpinHistorySpec(times, signs)
         cf = spin_mod.history_probability(cfg, spec)

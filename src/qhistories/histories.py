@@ -15,11 +15,13 @@ a new tree sharing untouched subtrees.
 
 Evolution is matrix-free.  An evolution is an object with
 apply(states, t, adjoint=False) returning U(t) states or U(t)^dag states,
-and apply_times(states, ts) stacking U(t) states over the times ts, a
-(0, ...) stack for no times.  HamiltonianFlow and spin.ChainEvolution
-compute both in one kernel over a sequence of times; a callable
-t -> U(t) is wrapped once by CallableEvolution, whose apply_times stacks
-one apply per time.  Operators act on the leading tensor factor
+apply_times(states, ts) stacking U(t) states over the times ts, a
+(0, ...) stack for no times, and apply_rows(states, ts, adjoint=False)
+evolving row r of a stack (T, ...) of states by U(ts[r]), or its adjoint.
+HamiltonianFlow and spin.ChainEvolution compute all three in one kernel
+over a sequence of times; a callable t -> U(t) is wrapped once by
+CallableEvolution, whose apply_times and apply_rows take one apply per
+time.  Operators act on the leading tensor factor
 (apply_leading): an operator of size d applied to a state of size d*m acts
 as op (x) 1_m by reshape, so system projectors and a purified state's base
 evolution stay at their own size.
@@ -32,6 +34,21 @@ import numpy as np
 
 from .linalg import hermitian_eig, leading_view
 from .tolerances import NORM_TOL, PROJECTOR_TOL, SCHMIDT_WEIGHT_TOL
+
+# complex entries of a tree's leaf-state matrix, 512 MiB: the spin chain's
+# measurement tree at n = 12, 2^13 x 2^12, is the largest within it
+LEAF_STATE_CAP = 1 << 25
+
+
+def _check_leaf_states(dim, leaves):
+    """Refuse a tree of `leaves` leaf states of dimension dim, before any
+    of it is allocated: ValueError naming its entries and the cap when
+    they exceed LEAF_STATE_CAP."""
+    entries = dim * leaves
+    if entries > LEAF_STATE_CAP:
+        raise ValueError(
+            f"{leaves} leaf states of dimension {dim} are {entries} "
+            f"entries, past the leaf-state cap {LEAF_STATE_CAP}")
 
 
 def apply_leading(op, states):
@@ -65,12 +82,19 @@ class CallableEvolution:
         return np.array([self.apply(states, t) for t in ts],
                         dtype=complex).reshape((len(ts),) + np.shape(states))
 
+    def apply_rows(self, states, ts, adjoint=False):
+        """U(ts[r]) states[r], or its adjoint, for every row r of a stack
+        (T, ...) of states: one apply per row."""
+        return np.array([self.apply(x, t, adjoint)
+                         for x, t in zip(states, ts)],
+                        dtype=complex).reshape(np.shape(states))
+
 
 def as_evolution(evolution):
-    """None, an object with apply(states, t, adjoint=False) and
-    apply_times(states, ts) (HamiltonianFlow, spin.ChainEvolution: one
-    kernel each, which both enter), or a callable t -> U(t) wrapped in
-    CallableEvolution."""
+    """None, an object with apply(states, t, adjoint=False),
+    apply_times(states, ts) and apply_rows(states, ts, adjoint=False)
+    (HamiltonianFlow, spin.ChainEvolution: one kernel each, which all
+    three enter), or a callable t -> U(t) wrapped in CallableEvolution."""
     if evolution is None or hasattr(evolution, "apply"):
         return evolution
     return CallableEvolution(evolution)
@@ -209,10 +233,18 @@ class HistoryTree:
         the tree shares).  Reading it evolves nothing."""
         return self._states
 
+    def probabilities(self):
+        """The leaf probabilities |u_alpha|^2, in leaves() order: the
+        diagonal of the decoherence matrix, read from the array the tree
+        carries (read-only, as leaf_states is), so reading it computes
+        nothing."""
+        return self._probabilities
+
     def _set_states(self, states):
         states.flags.writeable = False
         self._states = states
         self._probabilities = np.linalg.norm(states, axis=0) ** 2
+        self._probabilities.flags.writeable = False
 
     def _project(self, states, dec, evolved=None):
         """The projected states P_i U(t) u_a of the columns u_a of states,
@@ -284,8 +316,12 @@ def _extend(tree, dec, path, states=None):
     when given, are the new tree's leaf states, already computed
     (selection.Extension).
     Raises ValueError when dec's projectors do not divide the state, when
-    dec is not later than the last decomposition on a branch it splits, or
-    when path does not end at a leaf."""
+    dec is not later than the last decomposition on a branch it splits,
+    when path does not end at a leaf, or, before anything is allocated,
+    when the new tree's leaf states would exceed LEAF_STATE_CAP entries."""
+    leaves, k = tree.leaf_states().shape[1], len(dec)
+    _check_leaf_states(tree.dim, leaves * k if path is None
+                       else leaves + k - 1)
     d = dec.projectors[0].shape[0]
     if tree.dim % d:
         raise ValueError(

@@ -239,13 +239,27 @@ def leading_view(states, d):
     return states.reshape(d, -1)
 
 
+def leading_rows(states, d):
+    """A stack (T, ...) of state vectors or matrices of column states as a
+    (T, d, m) array whose row r is leading_view(states[r], d).  Raises
+    ValueError when d does not divide the state size."""
+    size = states.shape[1]
+    if size % d:
+        raise ValueError(
+            f"operator size {d} does not divide state size {size}")
+    return states.reshape(len(states), d, math.prod(states.shape[1:]) // d)
+
+
 class HamiltonianFlow:
     """Constant-Hamiltonian evolution with a cached eigendecomposition.
-    apply and apply_times both enter one kernel over a sequence of times
-    (_evolve): with U(t) = V e^{-i Lambda t} V^dag and Y = V^dag X taken
-    once, it phases Y for all T times into one (d, T m) matrix and applies
-    V to it in one GEMM, then returns the C-contiguous (T, ...) stack.  It
-    holds at most two arrays of T d m entries at once."""
+    apply, apply_times and apply_rows all enter one kernel (_evolve): with
+    U(t) = V e^{-i Lambda t} V^dag, it takes Y = V^dag X in one GEMM,
+    phases Y into one (d, T m) matrix, a time per block of m columns, and
+    applies V to it in a second GEMM, then returns the C-contiguous
+    (T, ...) stack.  X is the states at every time (apply_times), or the
+    (d, T m) matrix of a stack's rows side by side, row r phased at its
+    own time (apply_rows).  It holds at most two arrays of T d m entries at
+    once."""
 
     def __init__(self, H):
         self.H = _as_complex_matrix(H)
@@ -267,20 +281,35 @@ class HamiltonianFlow:
         """U(t) states for every t of ts, stacked on a leading time axis."""
         return self._evolve(states, ts, False)
 
-    def _evolve(self, states, ts, adjoint):
+    def apply_rows(self, states, ts, adjoint=False):
+        """U(ts[r]) states[r], or its adjoint, for every row r of a stack
+        (T, ...) of state vectors or matrices of column states."""
+        return self._evolve(states, ts, adjoint, rows=True)
+
+    def _evolve(self, states, ts, adjoint, rows=False):
         # each temporary of T d m entries is freed before the next is made
         vals, vecs = self.eig
         ts = np.asarray(ts, dtype=float)
         phase = np.exp(((1j if adjoint else -1j) * vals)[:, None] * ts)
-        X = leading_view(np.asarray(states, dtype=complex), self.dim)
-        Y = self._vecs_h @ X
-        Z = phase[:, :, None] * Y[:, None, :]       # (d, T, m)
+        states = np.asarray(states, dtype=complex)
+        if rows:
+            X = leading_rows(states, self.dim).transpose(1, 0, 2)
+            Z = (self._vecs_h @ X.reshape(self.dim, -1)).reshape(X.shape)
+            m = X.shape[2]
+            del X
+            Z *= phase[:, :, None]                  # (d, T, m)
+        else:
+            Y = self._vecs_h @ leading_view(states, self.dim)
+            m = Y.shape[1]
+            Z = phase[:, :, None] * Y[:, None, :]   # (d, T, m)
+            del Y
         del phase
         Z = vecs @ Z.reshape(self.dim, -1)
         out = np.ascontiguousarray(
-            Z.reshape(self.dim, len(ts), Y.shape[1]).transpose(1, 0, 2))
+            Z.reshape(self.dim, len(ts), m).transpose(1, 0, 2))
         del Z
-        return out.reshape(ts.shape + np.shape(states))
+        return out.reshape(states.shape if rows
+                           else ts.shape + states.shape)
 
 
 def evolve(H, psi, t):

@@ -1,11 +1,11 @@
 """Set-selection algorithms over bipartite models.
 
 A model exposes an initial state, an evolution and a system/environment
-split.  The evolution is matrix-free, apply(states, t, adjoint=False) and
-apply_times(states, ts) (histories.as_evolution): the spin models pass a
-spin.ChainEvolution, the random models a HamiltonianFlow (each computes
-both in one kernel over a sequence of times), and a callable t -> U(t) is
-wrapped once.
+split.  The evolution is matrix-free, apply(states, t, adjoint=False),
+apply_times(states, ts) and apply_rows(states, ts, adjoint=False)
+(histories.as_evolution): the spin models pass a spin.ChainEvolution, the
+random models a HamiltonianFlow (each computes all three in one kernel
+over a sequence of times), and a callable t -> U(t) is wrapped once.
 Candidate projective decompositions are the Schmidt (reduced-density
 eigenbasis) projections of the evolved state, given at system size d1 and
 applied to the leading (system) factor of the states
@@ -40,23 +40,28 @@ once.  At d1 = 2 a row whose weights are normed and well apart is gapped
 diagonalised for the whole stack in closed form; every other row, and
 every row at d1 >= 3, is cut from one SVD of those rows.  A scan judges
 every time against one criterion (epsilon, delta, delta_mode), refused
-before the scan starts when it is out of range, and works in chunks of
+before the scan starts when it is out of range, and, in quasi-dynamical
+selection, with the persistence probe at probe_dt.  It works in chunks of
 upcoming scan times (_prepare_chunk), one _Chunk at a time on the current
 tree, a local of _scan_select dropped with that tree at each event: the
 evolution's apply_times evolves psi0 and the leaf states to every time of
 a chunk in one product, and the chunk takes one split of all its times
 when it is built, so at most one SVD.  The chunk's screen reads the
 split's Schmidt vectors, and from them the k Gram blocks of every time,
-from which it rejects, once, when the chunk is built, the times whose
-candidate is inadmissible under the scan's criterion by more than
-SCREEN_MARGIN (_Chunk.rejected).
+and decides, once, when the chunk is built, every time whose verdict is
+clear by more than SCREEN_MARGIN, both ways: it rejects the times whose
+candidate is inadmissible (_Chunk.rejected) and admits those whose
+candidate is admissible (_Chunk.admitted); with a probe it also stacks the
+probe of every screened time it did not reject, and marks those whose
+probe fails (_Chunk.unpersisting).
 A chunk holds the scan's next SCAN_CHUNK times or, in a bisection, the
 midpoints of its next BISECT_LEVELS levels (_bisection_times), fewer
 where its largest array, the evolved states (T d (1 + n) entries for T
-times, d = d1 d2 and n leaves) or the Gram stack (T d1 n^2), would exceed
-SCAN_BLOCK complex entries, and at least one; a chunk of one time is
-prepared whatever its size.  So at most SCAN_CHUNK - 1 prepared scan
-times go unevaluated per tree, and a bisection chunk's midpoints off the
+times, d = d1 d2 and n leaves), the Gram stack (T d1 n^2) or the probe's
+states (T d n d1) or Gram stack (T d1^3 n^2), would exceed SCAN_BLOCK
+complex entries, and at least one; a chunk of one time is prepared
+whatever its size.  So at most SCAN_CHUNK - 1 prepared scan times go
+unevaluated per tree, and a bisection chunk's midpoints off the
 bisection's path are prepared and never evaluated.
 The scan walks a scan chunk's own times, takes each scan time from
 advance once, and reads full(tree, events) once per tree.  Each time on
@@ -64,13 +69,14 @@ the scan's path, bisection midpoints included, is still evaluated alone
 and in order, and each evaluation is the scan loop's one
 schmidt_candidate call on its chunk: at a time the screen rejected that
 call returns None, the chunk's verdict, which ends the evaluation there,
-and only a time that has a candidate, read from the chunk's split, goes
-to the per-time judge (_judge).  So verdicts and evaluation counts are
-those of the per-time path, a candidate and the judge at one time.
+as does an unpersisting row; an admitted row, with no probe, is accepted
+without the per-time judge, which runs once, on the same candidate and
+leaf states, when its event is recorded; only the near-threshold rest
+goes to the per-time judge (_judge) and probe (_persists).  So verdicts,
+events and evaluation counts are those of the per-time path, a candidate
+and the judge (and probe) at one time.
 Only retrodictive selection evaluates a time outside any chunk: it is
-split alone, as a stack of one.  The persistence probe re-projects an
-accepted candidate at a later time.
-"""
+split alone, as a stack of one."""
 
 import bisect
 import functools
@@ -267,9 +273,9 @@ def _eigenbasis(psi, d1, d2):
 class _Chunk:
     """The times, scan times or bisection midpoints, that _scan_select
     prepared together for one tree (_prepare_chunk), judged once under
-    the scan's criterion (epsilon, delta, delta_mode): the split of all of
-    them and the screen that rejects most of them, both fixed when the
-    chunk is built.
+    the scan's criterion (epsilon, delta, delta_mode) and, when probe_dt is
+    given, its persistence probe: the split of all of them and the screen
+    that decides most of them, both fixed when the chunk is built.
 
     index maps each time to its row of the stacked arrays: psi, the (T, d)
     psi(t), and leaves, the (T, d, n) leaf states evolved to t; parents
@@ -291,12 +297,27 @@ class _Chunk:
     each time; G does not depend on the phase of u_i.  These round
     otherwise than Extension's, so the screen trusts them only beyond
     SCREEN_MARGIN, and only for pairs with sqrt(G_aa G_bb) of at least
-    SCREEN_ROOT_FLOOR: rejected is the screened rows at which a counted
+    SCREEN_ROOT_FLOOR.  rejected is the screened rows at which a counted
     pair's overlap ratio exceeds epsilon, or a live child's probability
     falls below delta (times its parent), by more than SCREEN_MARGIN.
-    Since the screen and the candidate share their vectors, that margin
-    covers only the rounding of the Gram products, so a verdict of the
-    screen stands for the per-time path's.
+    admitted is the screened rows at which every counted pair's ratio is
+    at most epsilon - SCREEN_MARGIN, every live child's probability is at
+    least its bar + SCREEN_MARGIN (strictly above it under absolute
+    delta, as nontrivial is), and no off-diagonal pair falls below
+    SCREEN_ROOT_FLOOR, for the screen cannot bound the ratio of such a
+    pair.  Since the screen and the candidate share their vectors, that
+    margin covers only the rounding of the Gram products, so a verdict of
+    the screen, either way, stands for the per-time judge's.
+
+    The stacked probe.  With probe_dt, every screened row the screen did
+    not reject has the persistence probe's Gram blocks taken at once
+    (_probe_worst): the states U(t + probe_dt) U(t)^dag P_i V_t, evolved
+    by two evolution.apply_rows calls, projected again by each P_j.
+    unpersisting is the rows whose largest off-diagonal |G| exceeds
+    PERSISTENCE_TOL + SCREEN_MARGIN, at which the per-time probe fails, so
+    the scan rejects them without the judge; it is all False without a
+    probe, and when the evolution refuses some t + probe_dt
+    (ValueError), which the per-time path then meets, or not, as before.
 
     Why rho is enough (Davis-Kahan).  The closed form and an SVD of psi
     each return the exact eigenvectors of some rho + E, to roundoff; with
@@ -319,31 +340,84 @@ class _Chunk:
     SCREEN_MARGIN.  That bounds how far a gapped row's probabilities and
     ratios sit from those of its SVD candidate."""
 
-    def __init__(self, model, times, evolved, parents, criterion):
+    def __init__(self, model, times, evolved, parents, criterion,
+                 probe_dt=None):
         T, d1 = len(times), model.d1
         epsilon, delta, delta_mode = criterion
         self.index = {t: i for i, t in enumerate(times)}
         self.psi, self.leaves = evolved[:, :, 0], evolved[:, :, 1:]
         self.split = _Split(self.psi, d1, model.d2)
+        screened = self.split.screened
         n = self.leaves.shape[-1]
         Y = (self.split.cols.conj() @ self.leaves.reshape(T, d1, -1)).reshape(
             T, d1, -1, n)
         G = np.swapaxes(Y, 2, 3) @ Y.conj()         # (T, k, n, n)
-        del Y
+        if probe_dt is None:
+            del Y       # only the stacked probe reads it again
         self.children = G.diagonal(0, 2, 3).real.copy()     # (T, k, n)
         ratio = np.abs(G)
         del G       # each (T, k, n, n) array is freed once read
         root = self.children[..., :, None] * self.children[..., None, :]
-        root[~(root >= SCREEN_ROOT_FLOOR ** 2)] = np.inf
+        floored = ~(root >= SCREEN_ROOT_FLOOR ** 2)     # NaN is floored
+        root[floored] = np.inf
+        floored[..., range(n), range(n)] = False
+        unbounded = floored.any(axis=(1, 2, 3))     # an uncounted pair
+        del floored
         ratio /= np.sqrt(root, out=root)
+        del root
         ratio[..., range(n), range(n)] = 0.0
         self.worst = ratio.max(axis=(1, 2, 3))     # largest counted ratio
+        del ratio
         live = ~(parents < LIVE_PROBABILITY_TOL)
         bar = delta * parents[live] if delta_mode == "relative" else delta
-        verdict = ((self.worst > epsilon + SCREEN_MARGIN)
-                   | (self.children[:, :, live]
-                      < bar - SCREEN_MARGIN).any(axis=(1, 2)))
-        self.rejected = verdict & self.split.screened
+        children = self.children[:, :, live]
+        self.rejected = screened & (
+            (self.worst > epsilon + SCREEN_MARGIN)
+            | (children < bar - SCREEN_MARGIN).any(axis=(1, 2)))
+        clear = (children > bar + SCREEN_MARGIN if delta_mode == "absolute"
+                 else children >= bar + SCREEN_MARGIN)
+        self.admitted = (screened & (self.worst <= epsilon - SCREEN_MARGIN)
+                         & clear.all(axis=(1, 2)) & ~unbounded)
+        self.unpersisting = np.zeros(T, dtype=bool)
+        rows = np.flatnonzero(screened & ~self.rejected)
+        if probe_dt is not None and rows.size:
+            worst = _probe_worst(model.evolution, [times[r] for r in rows],
+                                 self.split.cols[rows], Y[rows], probe_dt)
+            if worst is not None:
+                self.unpersisting[rows] = \
+                    worst > PERSISTENCE_TOL + SCREEN_MARGIN
+
+
+def _probe_worst(evolution, ts, cols, Y, probe_dt):
+    """The largest off-diagonal |G| of the persistence probe's Gram blocks
+    at each of R screened rows, at times ts, from the rows' Schmidt
+    vectors cols (R, k, d1) and Y (R, k, m, n), Y[r, i] = u_i^dag V_t of
+    the leaf states V_t (_Chunk).
+
+    The probe state of leaf a and projector i is
+    U(t + probe_dt) U(t)^dag P_i V_t u_a, P_i V_t u_a = u_i (x) Y[r, i, :,
+    a], in the (leaf outer, projector inner) order of extend_all; the
+    probe's blocks are the Gram matrices of those nk states projected by
+    each P_j (the candidate's own rank-1 projectors) at t + probe_dt, as
+    quasi_dynamical_select's per-time probe (_persists) takes them.  Two
+    evolution.apply_rows calls evolve every row at once.  None when the
+    evolution refuses some t or t + probe_dt (ValueError), so that the
+    per-time path decides every row."""
+    R, k, m, n = Y.shape
+    PV = (np.swapaxes(cols, 1, 2)[:, :, None, None, :]
+          * np.moveaxis(Y, 1, 3)[:, None])          # (R, d1, m, n, k)
+    X = PV.reshape(R, -1, n * k)
+    del PV
+    try:
+        X = evolution.apply_rows(X, ts, adjoint=True)
+        X = evolution.apply_rows(X, [t + probe_dt for t in ts])
+    except ValueError:
+        return None
+    Z = (cols.conj() @ X.reshape(R, k, -1)).reshape(R, k, m, n * k)
+    del X
+    G = np.abs(np.swapaxes(Z, 2, 3) @ Z.conj())    # (R, k, nk, nk)
+    G[..., range(n * k), range(n * k)] = 0.0
+    return G.max(axis=(1, 2, 3))
 
 
 def schmidt_candidate(model, t, chunk=None):
@@ -352,7 +426,9 @@ def schmidt_candidate(model, t, chunk=None):
     complement of their span when rank-deficient.
 
     At a time of chunk (a _Chunk) that the chunk's screen rejected
-    (_Chunk.rejected), returns None: the time has no candidate.  Every
+    (_Chunk.rejected), returns None: the time has no candidate.  The
+    chunk's other verdicts, admitted and unpersisting, are the scan's to
+    read: at those rows a candidate is returned as at any other.  Every
     candidate is read from a _Split: the chunk's (_Chunk.split), or, at a
     time outside chunk, a split of psi(t) alone, a stack of one.  At a
     gapped d1 = 2 row the vectors are rho(t)'s closed-form eigenvectors,
@@ -463,6 +539,30 @@ def _judge(tree, dec, evolved, epsilon, delta, delta_mode):
                              mode=delta_mode) else None
 
 
+def _persists(tree, ext, probe_dt):
+    """The per-time persistence probe of quasi_dynamical_select: whether
+    re-applying ext's decomposition at its time + probe_dt to the extended
+    leaves (ext.states) leaves the set exactly medium-consistent, every
+    off-diagonal |G| within PERSISTENCE_TOL."""
+    dec = ext.decomposition
+    repeat = ProjectiveDecomposition(dec.time + probe_dt, dec.projectors,
+                                     check=False)
+    G = _gram(tree._project(ext.states, repeat)[1])
+    return is_exactly_consistent(G, "medium", tol=PERSISTENCE_TOL)
+
+
+def _admitted(tree, t, dec, evolved, criterion):
+    """The Extension of a screened acceptance: dec, the candidate at t of
+    a row its chunk admitted (_Chunk.admitted), judged once, on the leaf
+    states evolved to t that the scan kept.  Raises RuntimeError when the
+    judge refuses it, for the screen then admitted an inadmissible row."""
+    ext = _judge(tree, dec, evolved, *criterion)
+    if ext is None:
+        raise RuntimeError(
+            f"the screen admitted t = {t!r}, which the judge refuses")
+    return ext
+
+
 def _chain(model, decompositions, epsilon):
     """Extend a fresh tree of the model by each decomposition in turn, one
     Extension scored at epsilon per step: (final tree, events)."""
@@ -475,14 +575,16 @@ def _chain(model, decompositions, epsilon):
     return tree, events
 
 
-def _prepare_chunk(model, tree, times, criterion):
+def _prepare_chunk(model, tree, times, criterion, probe_dt=None):
     """The _Chunk of the leading times of the list times, in its order,
-    under criterion (epsilon, delta, delta_mode): SCAN_CHUNK of them, but
-    no more than keep the chunk's largest array within SCAN_BLOCK complex
+    under criterion (epsilon, delta, delta_mode) and, when probe_dt is
+    given, with the stacked persistence probe: SCAN_CHUNK of them, but no
+    more than keep the chunk's largest array within SCAN_BLOCK complex
     entries, and at least the first, so only a chunk of one time can
     exceed SCAN_BLOCK.  For T times, d = d1 d2 and n leaves that array is
     the evolved states [psi0 | leaf states], T d (1 + n) entries, or the
-    Gram stack, T d1 n^2.
+    Gram stack, T d1 n^2, or with the probe its states, T d n d1, or its
+    Gram stack, T d1^3 n^2.
 
     [psi0 | leaf states] is evolved to every time of the chunk by one
     evolution.apply_times call, and psi(t) of every time is split at once
@@ -492,9 +594,12 @@ def _prepare_chunk(model, tree, times, criterion):
     it refuses; when it refuses the first time alone, the error is raised
     here, at that time."""
     X = np.column_stack([model.psi0, tree.leaf_states()])
-    n = X.shape[1] - 1
-    T = min(SCAN_CHUNK, SCAN_BLOCK // max(X.size, model.d1 * n * n))
-    times = times[:max(T, 1)]
+    (d, n), d1 = X.shape, model.d1
+    n -= 1
+    largest = max(X.size, d1 * n * n)
+    if probe_dt is not None:
+        largest = max(largest, d * n * d1, d1 ** 3 * n * n)
+    times = times[:max(min(SCAN_CHUNK, SCAN_BLOCK // largest), 1)]
     while True:
         try:
             evolved = model.evolution.apply_times(X, times)
@@ -504,7 +609,7 @@ def _prepare_chunk(model, tree, times, criterion):
             del times[(len(times) + 1) // 2:]
         else:
             return _Chunk(model, times, evolved, tree._probabilities,
-                          criterion)
+                          criterion, probe_dt)
 
 
 def _scan_times(t, advance):
@@ -537,13 +642,13 @@ def _bisection_times(lo, hi, refine_tol):
 
 
 def _scan_select(model, epsilon, delta, delta_mode, start, advance,
-                 refine_tol, full, budget=float("inf"),
-                 probe=lambda tree, ext: True):
+                 refine_tol, full, budget=float("inf"), probe_dt=None):
     """The scan-and-bisect loop of every forward selection and search.
 
     A time t is accepted when its Schmidt candidate is admissible on the
-    current tree at (epsilon, delta, delta_mode) (_judge), and probe(tree,
-    ext) holds for the Extension ext the judge returns.  Evaluates t =
+    current tree at (epsilon, delta, delta_mode) (_judge) and, when
+    probe_dt is given, the Extension the judge returns persists at t +
+    probe_dt (_persists).  Evaluates t =
     start, then advance(t) after each rejected or event time until that
     is None.  An accepted t after the first evaluation is bisected back to
     the last rejected or event time, to refine_tol or adjacent floats, and
@@ -569,13 +674,17 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
     Each time on the scan's or the bisection's path counts as one
     evaluation, which is one schmidt_candidate call on its chunk: None,
     the chunk's screened verdict, rejects the time there, as a failed SVD
-    (LinAlgError) does, and only a time that has a candidate goes to the
-    judge, then to probe.  A midpoint off the path is speculative and is
-    neither evaluated nor counted.  Accepting an event drops the chunk
-    with the old tree, so at most SCAN_CHUNK - 1 prepared scan times go
-    unevaluated per tree, and a bisection chunk, of at most
-    2^BISECT_LEVELS - 1 midpoints, has one evaluated per level the path
-    reaches."""
+    (LinAlgError) and an unpersisting row (_Chunk.unpersisting) do.  With
+    no probe, a row the chunk admitted (_Chunk.admitted) is accepted
+    there: the scan keeps its candidate and a copy of its leaf states, not
+    the chunk, and judges them once, when the event is recorded
+    (_admitted, which raises RuntimeError should the judge refuse).  Only
+    the other times go to the per-time judge, then to the per-time probe.
+    A midpoint off the path is speculative and is neither evaluated nor
+    counted.  Accepting an event drops the chunk with the old tree, so at
+    most SCAN_CHUNK - 1 prepared scan times go unevaluated per tree, and a
+    bisection chunk, of at most 2^BISECT_LEVELS - 1 midpoints, has one
+    evaluated per level the path reaches."""
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if not 0 <= delta < 1:
@@ -585,14 +694,24 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
     criterion = (epsilon, delta, delta_mode)
 
     def evaluate(tree, t, chunk):
+        # None, the accepted time's Extension, or at an admitted row with
+        # no probe the candidate and a copy of its leaf states, judged once
+        # when the event is recorded (_admitted); the copy, not the chunk
+        # it is read from, is what outlives the chunk
         try:
             dec = schmidt_candidate(model, t, chunk)
         except np.linalg.LinAlgError:
             return None
-        if dec is None:
+        i = chunk.index[t]
+        if dec is None or chunk.unpersisting[i]:
             return None
-        ext = _judge(tree, dec, chunk.leaves[chunk.index[t]], *criterion)
-        return None if ext is None or not probe(tree, ext) else ext
+        if chunk.admitted[i] and probe_dt is None:
+            return dec, chunk.leaves[i].copy()
+        ext = _judge(tree, dec, chunk.leaves[i], *criterion)
+        if ext is None or not (probe_dt is None
+                               or _persists(tree, ext, probe_dt)):
+            return None
+        return ext
 
     tree, events = HistoryTree(model.psi0, model.evolution), []
     done = full(tree, events)
@@ -605,7 +724,8 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
             # or an evolution error cut the chunk short
             ahead += itertools.islice(scan, SCAN_CHUNK - 1 - len(ahead))
             chunk = None        # two chunks at once would raise peak memory
-            chunk = _prepare_chunk(model, tree, [t, *ahead], criterion)
+            chunk = _prepare_chunk(model, tree, [t, *ahead], criterion,
+                                   probe_dt)
             times, i = list(chunk.index), 0
             del ahead[:len(times) - 1]
         calls += 1
@@ -624,13 +744,15 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
                     chunk = None
                     chunk = _prepare_chunk(
                         model, tree, _bisection_times(lo, t, refine_tol),
-                        criterion)
+                        criterion, probe_dt)
                 calls += 1
                 trial = evaluate(tree, mid, chunk)
                 if trial is None:
                     lo = mid
                 else:
                     t, ext = mid, trial
+        if isinstance(ext, tuple):
+            ext = _admitted(tree, t, *ext, criterion)
         events.append(ext.event())
         tree, chunk, times, i = ext.extend(), None, (), 0
         done = full(tree, events)
@@ -641,7 +763,7 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
 
 
 def _grid_select(model, epsilon, delta, delta_mode, t_max, grid, refine_tol,
-                 max_events, probe=lambda tree, ext: True):
+                 max_events, probe_dt=None):
     """_scan_select on linspace(0, t_max, grid + 1), to max_events events.
     Raises ValueError unless t_max is positive and finite, grid positive,
     and refine_tol and max_events non-negative (NaN fails each test), and
@@ -665,7 +787,7 @@ def _grid_select(model, epsilon, delta, delta_mode, t_max, grid, refine_tol,
     return _scan_select(model, epsilon, delta, delta_mode, 0.0, advance,
                         refine_tol,
                         lambda tree, events: len(events) >= max_events,
-                        probe=probe)[0]
+                        probe_dt=probe_dt)[0]
 
 
 def earliest_time_select(model, epsilon, delta, t_max, *, grid=400,
@@ -691,16 +813,8 @@ def quasi_dynamical_select(model, epsilon, delta, t_max, *, grid=400,
     if not 0 < probe_dt < np.inf:
         raise ValueError(
             f"probe_dt must be positive and finite, got {probe_dt}")
-
-    def persists(tree, ext):
-        dec = ext.decomposition
-        repeat = ProjectiveDecomposition(dec.time + probe_dt, dec.projectors,
-                                         check=False)
-        G = _gram(tree._project(ext.states, repeat)[1])
-        return is_exactly_consistent(G, "medium", tol=PERSISTENCE_TOL)
-
     return _grid_select(model, epsilon, delta, delta_mode, t_max, grid,
-                        refine_tol, max_events, persists)
+                        refine_tol, max_events, probe_dt)
 
 
 def retrodictive_select(model, candidate_times, epsilon=1e-10, *,

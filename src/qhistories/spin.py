@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histories import (HistoryTree, ProjectiveDecomposition, apply_leading,
-                        extend_all)
-from .linalg import entropy, leading_view
+from .histories import (HistoryTree, ProjectiveDecomposition,
+                        _check_leaf_states, apply_leading, extend_all)
+from .linalg import entropy, leading_rows, leading_view
 from .tolerances import (BLOCH_NORM_TOL, GENERICITY_TOL, PROJECTOR_TOL,
                          TIME_TOL, UNIT_VECTOR_TOL)
 
@@ -173,12 +173,14 @@ class ChainEvolution:
     apply(states, t, adjoint=False) takes a state vector or a matrix of
     column states whose size is a multiple of dim (leading factor);
     apply_times(states, ts) stacks U(t) states over ts on a leading time
-    axis.  Both enter one loop over the interactions (_evolve), reversed
-    for the adjoint, which calls theta interaction by interaction, at
-    every time in order.  An interaction with the same angle at every time
-    is applied once, as one R - 1, to the states not yet split by time,
-    and skipped at angle 0.  The states split into one row per time at the
-    first interaction whose angles differ; from there each interaction
+    axis, and apply_rows(states, ts, adjoint=False) evolves row r of a
+    stack (T, ...) of them by U(ts[r]).  All three enter one loop over the
+    interactions (_evolve), reversed for the adjoint, which calls theta
+    interaction by interaction, at every time in order.  An interaction
+    with the same angle at every time is applied once, as one R - 1, to
+    the states not yet split by time, and skipped at angle 0.  The states
+    split into one row per time at the first interaction whose angles
+    differ, or, in apply_rows, from the start; from there each interaction
     applies a (T, 2, 2) stack of R - 1, whose rows at angle 0 add an exact
     0, filled into a preallocated array from two float lists, the sines
     and the cos - 1 of _rot_minus_one's own scalar expressions (math.sin,
@@ -201,11 +203,15 @@ class ChainEvolution:
     def apply_times(self, states, ts):
         return self._evolve(states, ts, False)
 
-    def _evolve(self, states, ts, adjoint):
+    def apply_rows(self, states, ts, adjoint=False):
+        return self._evolve(states, ts, adjoint, rows=True)
+
+    def _evolve(self, states, ts, adjoint, rows=False):
         shape, T = np.shape(states), len(ts)
         # a copy, so the result never aliases states, even when U(t) = 1
-        x = leading_view(np.array(states, dtype=complex), self.dim)
-        split = ()          # (T,) once x has one row per time
+        x = np.array(states, dtype=complex)
+        x = leading_rows(x, self.dim) if rows else leading_view(x, self.dim)
+        split = (T,) if rows else ()    # (T,) once x has one row per time
         for k in range(self.n, 0, -1) if adjoint else range(1, self.n + 1):
             ths = [self.theta(k, t) for t in ts]
             if not split and ths[1:] != ths[:-1]:   # the angles differ
@@ -228,7 +234,7 @@ class ChainEvolution:
                 x.shape)
         if not split and T != 1:
             x = np.repeat(x[None], T, axis=0)
-        return x.reshape((T,) + shape)
+        return x.reshape(shape if rows else (T,) + shape)
 
 
 def chain_evolution(cfg):
@@ -313,7 +319,11 @@ def build_tree(cfg, events):
 
 def _extend_by_events(tree, events):
     """tree extended by the (time, axis) events of build_tree, in time
-    order."""
+    order.  Each event doubles the leaves, so a tree whose leaf states
+    would exceed LEAF_STATE_CAP is refused (ValueError) before the first
+    extension."""
+    _check_leaf_states(tree.dim, tree.leaf_states().shape[1]
+                       * 2 ** len(events))
     for t, w in sorted(events, key=lambda e: e[0]):
         w = _real_unit_axis(w)
         dec = ProjectiveDecomposition(t, [proj2(w), proj2(-w)], check=False)

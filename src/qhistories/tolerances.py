@@ -53,7 +53,10 @@ LIMIT_TOL = 1e-9
 # -- consistency
 # violation of an exactly consistent set; relative to max(1, max D_aa)
 EXACT_TOL = 1e-10
-# medium violation after re-projection; absolute, on sub-normalised leaves
+# medium violation after re-projection, the largest off-diagonal |D_ab| of
+# the persistence probe; a scan chunk's stacked probe finds a time
+# unpersisting only beyond PERSISTENCE_TOL + SCREEN_MARGIN, so it can
+# reject but never accept; absolute, on sub-normalised leaves
 PERSISTENCE_TOL = 1e-9
 # gain that still grows a greedy MPV subset; absolute, in units of Re D
 MPV_GAIN_TOL = 1e-15
@@ -64,10 +67,14 @@ MPV_CLOSED_FORM_TOL = 1e-10
 INTEGRITY_TOL = 1e-8
 # excess of an overlap ratio over epsilon, and shortfall of a child
 # probability below delta (times its parent), that a scan chunk's stacked
-# screen rejects without the per-time path; the screen reads the vectors
-# of the candidate itself, so this covers the rounding of its stacked
-# Gram products, and the Davis-Kahan bound below with room; absolute,
-# scale 1
+# screen rejects without the per-time path; the room to spare on both
+# (ratio at most epsilon - SCREEN_MARGIN, child at least its bar +
+# SCREEN_MARGIN) at which it admits without the per-time judge; and the
+# excess of the stacked persistence probe's off-diagonal |G| over
+# PERSISTENCE_TOL at which it finds a time unpersisting.  The screen and
+# the probe read the vectors of the candidate itself, so this covers the
+# rounding of their stacked Gram products and evolutions, and the
+# Davis-Kahan bound below with room; absolute, scale 1
 SCREEN_MARGIN = 1e-9
 # sqrt(D_aa D_bb) below which the screen does not count the pair's ratio;
 # absolute, scale 1

@@ -2,25 +2,32 @@
 
 A scan prepares a chunk of upcoming times at once (_prepare_chunk), held
 as one selection._Chunk of the current tree under the scan's criterion
-(epsilon, delta, delta_mode): one apply_times call evolves
-[psi0 | leaf states] to every time of the chunk, and one _Split of all of
-its rows, taken when the chunk is built, gives every row's Schmidt
-vectors, rho(t)'s closed-form eigenvectors at the gapped d1 = 2 rows and
-one stacked SVD's at the rest, to the chunk's stacked screen and to the
-candidates alike.  The screen rejects, when the chunk is built, the times
-whose candidate is inadmissible beyond SCREEN_MARGIN (_Chunk.rejected).
-A bisection prepares its midpoints so too, a few levels of its bisection
-tree a chunk (_bisection_times), and walks its path on the chunk's rows.
-Each time on the path is still evaluated alone, by the scan loop's one
+(epsilon, delta, delta_mode) and, in quasi-dynamical selection, its
+persistence probe: one apply_times call evolves [psi0 | leaf states] to
+every time of the chunk, and one _Split of all of its rows, taken when the
+chunk is built, gives every row's Schmidt vectors, rho(t)'s closed-form
+eigenvectors at the gapped d1 = 2 rows and one stacked SVD's at the rest,
+to the chunk's stacked screen and to the candidates alike.  When the chunk
+is built, the screen decides the times whose verdict is clear beyond
+SCREEN_MARGIN both ways: it rejects the inadmissible ones
+(_Chunk.rejected) and admits the admissible ones (_Chunk.admitted), and
+under a probe the stacked probe marks the screened times it did not
+reject whose probe fails beyond it (_Chunk.unpersisting).  A bisection
+prepares its midpoints so too, a few levels of its bisection tree a chunk
+(_bisection_times), and walks its path on the chunk's rows.  Each time on
+the path is still evaluated alone, by the scan loop's one
 schmidt_candidate call: a rejected time's returns None, the chunk's
-verdict, which ends the evaluation, and every other time's is read from
-the chunk's split, the lone path's candidate of the same psi(t) to the
-bit, and goes to the judge (selection._judge).  So the verdicts, the
-times visited, the step counts and the benchmark's traced check
-(schmidt_candidate calls == RunRecord.steps) must all be those of the
-per-time path, a candidate and the judge at one time (_admissible).  The
-chunks are read here through their arrays, by the row chunk.index[t] of
-each time t.
+verdict, which ends the evaluation, an unpersisting time is rejected after
+it, an admitted time with no probe is accepted after it and judged once,
+when its event is recorded, and only the near-threshold rest goes to the
+per-time judge (selection._judge) and probe (selection._persists); every
+candidate is read from the chunk's split, the lone path's candidate of the
+same psi(t) to the bit.  So at every evaluated time the verdict must be
+the per-time oracle's (_admissible, and _persisting under a probe, as
+_quasi_accept takes them), and the times visited, the events, the step
+counts and the benchmark's traced check (schmidt_candidate calls ==
+RunRecord.steps) those of the per-time path.  The chunks are read here
+through their arrays, by the row chunk.index[t] of each time t.
 """
 
 import math
@@ -36,9 +43,10 @@ from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
 from qhistories.tolerances import (COMPLEMENT_TOL, NORM_TOL, ORACLE_RTOL,
                                    SCHMIDT_WEIGHT_TOL, SCREEN_GAP_FLOOR,
                                    SCREEN_MARGIN, SCREEN_RHO_ERROR,
-                                   SCREEN_WEIGHT_FLOOR)
-from test_selection import (_admissible, _check_scan_select,
-                            _grid_scan_loop)
+                                   SCREEN_WEIGHT_FLOOR, TIME_TOL)
+from test_selection import (_SCHMIDT_CANDIDATE, _admissible,
+                            _check_scan_select, _grid_scan_loop, _persisting,
+                            _quasi_accept)
 
 
 def _search_config(d2, seed, **kw):
@@ -72,13 +80,14 @@ def _recoherence_model():
 _ACCEPTING = (2.0, 0.0, "relative")
 
 
-def _chunk(model, tree, times, criterion):
-    """The _Chunk of tree over times under criterion, evolved as
-    _prepare_chunk evolves one."""
+def _chunk(model, tree, times, criterion, probe_dt=None):
+    """The _Chunk of tree over times under criterion, with the stacked
+    persistence probe when probe_dt is given, evolved as _prepare_chunk
+    evolves one."""
     evolved = model.evolution.apply_times(
         np.column_stack([model.psi0, tree.leaf_states()]), times)
     return selection._Chunk(model, times, evolved, tree._probabilities,
-                            criterion)
+                            criterion, probe_dt)
 
 
 def _alone(model, psi, t):
@@ -231,30 +240,37 @@ def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
 @pytest.mark.parametrize("name", ["recoherence", "search2x16"])
 def test_the_scan_advances_once_per_time_and_judges_only_candidates(
         monkeypatch, name):
-    # each evaluation is one schmidt_candidate call, and the judge is
-    # called exactly at the evaluations whose call returned a candidate, on
-    # that candidate, before the next evaluation.  full is read once per
-    # tree (_check_scan_select).  advance is called once per scan time of a
+    # each evaluation is one schmidt_candidate call.  The judge is called
+    # exactly after each evaluation whose call returned a candidate at a
+    # row its chunk did not admit, on that candidate, and once per event
+    # whose time the chunk admitted, on the event's own candidate, when
+    # the event is recorded; so it judges only candidates, and far fewer
+    # than there are evaluations.  Every evaluated time's verdict is the
+    # per-time oracle's (_check_evaluations).  full is read once per tree
+    # (_check_scan_select).  advance is called once per scan time of a
     # tree: after the event time that made the tree (none on the first),
     # at each of the tree's prepared scan times in order, but perhaps the
     # last, and at no other time
-    log, evaluations, scans, scan_chunks = [], [], [], []
-    candidate, judge = selection.schmidt_candidate, selection._judge
-    prepare = selection._prepare_chunk
+    log, evaluations, scans, scan_chunks, seen = [], [], [], [], []
     firsts = _record_bisections(monkeypatch)
+    _check_evaluations(monkeypatch, seen)
+    checked, judge = selection.schmidt_candidate, selection._judge
+    prepare = selection._prepare_chunk
 
     def counted_candidate(model, t, chunk=None):
         evaluations.append(t)
-        dec = candidate(model, t, chunk)
-        log.append(("candidate", dec))
+        dec = checked(model, t, chunk)
+        row = chunk.index[t]
+        admitted = dec is not None and bool(chunk.admitted[row])
+        log.append(("candidate", dec, admitted))
         return dec
 
     def counted_judge(tree, dec, *args):
-        log.append(("judge", dec))
+        log.append(("judge", dec, None))
         return judge(tree, dec, *args)
 
-    def recorded(model, tree, times, criterion):
-        chunk = prepare(model, tree, times, criterion)
+    def recorded(model, tree, times, *args):
+        chunk = prepare(model, tree, times, *args)
         if times[0] not in firsts:
             scan_chunks.append((tree, list(chunk.index)))
         return chunk
@@ -272,16 +288,28 @@ def test_the_scan_advances_once_per_time_and_judges_only_candidates(
                                       evaluations)
         events = randmodel.run_forward_search(_search_config(16, 12)).events
     (_, _, calls), = scans
-    assert len(events) >= 2 and calls == len(evaluations)
-    # the judge, exactly after each candidate, on it
-    judged = [dec for kind, dec in log if kind == "judge"]
-    candidates = [dec for kind, dec in log if kind == "candidate"]
+    assert len(events) >= 2 and calls == len(evaluations) == len(seen)
+    # the judge: right after each candidate its chunk did not admit, on
+    # it, and on each admitted event's candidate, after the evaluations
+    # that bisected the event
+    candidates = [(dec, admitted) for kind, dec, admitted in log
+                  if kind == "candidate"]
     assert len(candidates) == calls
-    assert None in candidates and judged
-    assert [id(dec) for dec in judged] \
-        == [id(dec) for dec in candidates if dec is not None]
-    assert all(dec is log[j - 1][1]
-               for j, (kind, dec) in enumerate(log) if kind == "judge")
+    assert None in [dec for dec, _ in candidates]
+    judged = [(j, dec) for j, (kind, dec, _) in enumerate(log)
+              if kind == "judge"]
+    at_events = [dec for j, dec in judged
+                 if not (log[j - 1][0] == "candidate" and log[j - 1][1] is dec
+                         and not log[j - 1][2])]
+    assert [id(dec) for j, dec in judged if dec not in at_events] \
+        == [id(dec) for dec, admitted in candidates
+            if dec is not None and not admitted]
+    recorded_decs = [event.decomposition for event in events]
+    assert at_events and all(any(dec is e for e in recorded_decs)
+                             for dec in at_events)
+    assert all(any(dec is admitted for admitted, ok in candidates if ok)
+               for dec in at_events)
+    assert len(judged) < calls // 4
     # advance: the scan times of each tree, in order, but perhaps its last
     trees = []
     for tree, _ in scan_chunks:
@@ -317,61 +345,95 @@ def _grid_models():
            2.0, 300, CallableEvolution)
 
 
+def _oracle(model, tree, t, criterion, probe_dt):
+    """The per-time path at t on tree: (the Extension of the lone
+    candidate that the judge admits, _admissible with no chunk, or None;
+    the verdict, whether the judge admits it and, under a probe, it
+    persists, _persisting as _quasi_accept takes it)."""
+    ext = _admissible(model, tree, t, None, *criterion)
+    return ext, ext is not None and (probe_dt is None
+                                     or _persisting(tree, ext, probe_dt))
+
+
 def _check_evaluations(monkeypatch, seen, accept_events=True):
     """Record the scan's evaluations and check each against the per-time
-    path.  An evaluation is the scan's one selection.schmidt_candidate
-    call on its chunk; it ends there when that call returns None (the
-    screen's verdict) or raises LinAlgError, and otherwise the scan makes
-    one selection._judge call, on that candidate, before the next.  Every
-    verdict must be the per-time path's (_admissible with no chunk) on the
-    tree the chunk was prepared on, under its criterion, with the same
-    blocks where admissible; each scan must count exactly its evaluations,
-    read full once per tree and call advance at most once per time on a
-    tree (_check_scan_select).  seen gets (t, prepared, admissible,
-    rejected by the screen) per evaluation; with accept_events False the
-    judge's verdicts are recorded and no time is accepted."""
+    oracle (_oracle) on the tree its chunk was prepared on, under the
+    chunk's criterion and probe.  An evaluation is the scan's one
+    selection.schmidt_candidate call on its chunk.  The chunk decides it
+    when that call returns None (the screen's rejection), at a row its
+    stacked probe found unpersisting, and, with no probe, at a row it
+    admitted, which is judged once, when its event is recorded; a
+    LinAlgError rejects it, and at any other row the scan makes one
+    selection._judge call, on that candidate, before the next evaluation
+    (and the per-time probe after an admissible one).  Every verdict must
+    be the oracle's, with the oracle's blocks within ORACLE_RTOL wherever
+    a candidate is judged, at an event included.  Each scan must count
+    exactly its evaluations, read full once per tree and call advance at
+    most once per time on a tree (_check_scan_select).  seen gets
+    (t, prepared, admissible, how the chunk decided it: "rejected",
+    "unpersisting", "admitted" or None) per evaluation.  With accept_events
+    False no time is accepted: the chunks admit no row, and the judge's
+    verdicts are recorded but turned to None (at an admitted row the
+    oracle must admit it)."""
     prepare, candidate = selection._prepare_chunk, selection.schmidt_candidate
     judge = selection._judge
-    trees, pending = {}, []
+    chunks, judging, admitted_decs = {}, [], {}
 
-    def prepared(model, tree, times, criterion):
-        chunk = prepare(model, tree, times, criterion)
-        trees[id(chunk)] = chunk, tree, criterion
+    def prepared(model, tree, times, criterion, probe_dt=None):
+        chunk = prepare(model, tree, times, criterion, probe_dt)
+        admitted = chunk.admitted.copy()
+        if not accept_events:
+            chunk.admitted[:] = False
+        chunks[id(chunk)] = tree, criterion, probe_dt, admitted
         return chunk
 
-    def rejected(model, tree, t, criterion, prepared, screened):
-        assert _admissible(model, tree, t, None, *criterion) is None, t
-        seen.append((t, prepared, False, screened))
-
     def evaluated(model, t, chunk=None):
-        assert not pending, "a candidate was not judged"
-        _, tree, criterion = trees[id(chunk)]
+        assert not judging, "a candidate was not judged"
+        tree, criterion, probe_dt, admitted = chunks[id(chunk)]
         row = chunk.index.get(t)
-        case = (model, tree, t, criterion, row is not None,
-                row is not None and bool(chunk.rejected[row]))
+
+        def close(ok, kind):
+            assert ok == verdict, (t, kind)
+            seen.append((t, row is not None, ok, kind))
+
         try:
             dec = candidate(model, t, chunk)
         except np.linalg.LinAlgError:
-            rejected(*case)
+            want, verdict = _oracle(model, tree, t, criterion, probe_dt)
+            close(False, None)
             raise
+        want, verdict = _oracle(model, tree, t, criterion, probe_dt)
+        if row is not None and admitted[row]:
+            assert want is not None, t
         if dec is None:
-            rejected(*case)
+            close(False, "rejected")
+        elif chunk.unpersisting[row]:
+            close(False, "unpersisting")
+        elif chunk.admitted[row] and probe_dt is None:
+            close(True, "admitted")
+            admitted_decs[id(dec)] = dec, want
         else:
-            pending.append((dec, case))
+            judging.append((dec, want, probe_dt, close))
         return dec
 
     def judged(tree, dec, evolved, *criterion):
-        assert pending and pending[0][0] is dec, "judged without a candidate"
-        model, _, t, _, prepared, screened = pending.pop()[1]
-        want = _admissible(model, tree, t, None, *criterion)
         got = judge(tree, dec, evolved, *criterion)
-        assert (got is None) == (want is None), t
+        if id(dec) in admitted_decs:        # the judge of an admitted event
+            assert not judging and got is not None, dec.time
+            want = admitted_decs.pop(id(dec))[1]
+        else:
+            assert judging and judging[0][0] is dec, \
+                "judged without a candidate"
+            _, want, probe_dt, close = judging.pop()
+            close(got is not None and (probe_dt is None or _persisting(
+                tree, got, probe_dt)), None)
+            if not accept_events:
+                return None
         if got is not None:
             scale = np.max(np.abs(want.blocks))
             assert np.max(np.abs(got.blocks - want.blocks)) \
                 <= ORACLE_RTOL * scale
-        seen.append((t, prepared, got is not None, screened))
-        return got if accept_events else None
+        return got
 
     monkeypatch.setattr(selection, "_prepare_chunk", prepared)
     monkeypatch.setattr(selection, "schmidt_candidate", evaluated)
@@ -387,38 +449,43 @@ def test_chunked_scan_agrees_with_the_per_time_path(monkeypatch, name, model,
     # every evolution has apply_times (CallableEvolution stacks its apply),
     # so every model's scan is chunked and screened.  The scan evaluates
     # every time, bisection midpoints included, from a chunk, by one
-    # schmidt_candidate call each, judges only the times that have a
-    # candidate, with the per-time path's verdicts (_check_evaluations), and
+    # schmidt_candidate call each; the chunk decides the times it rejects,
+    # the times it admits and, under the persistence probe, the times it
+    # finds unpersisting, and the per-time judge the rest, and every
+    # verdict is the per-time oracle's (_check_evaluations).  The scan
     # visits the times the scalar loop on the per-time path visits, in its
     # order.  Every row of a scan chunk or of a bisection chunk that its
     # screen did not reject, evaluated or not, has the lone path's candidate
     # of its psi(t) to the bit (_check_chunk_candidates); at d1 = 2 both
     # kinds of chunk have gapped rows
     assert type(model.evolution) is evolution
-    verdicts, screened, midpoints = set(), 0, 0
+    verdicts, kinds, midpoints = set(), set(), 0
     gapped = {"scan": 0, "bisection": 0}
     grid_times = set(np.linspace(0.0, t_max, grid + 1).tolist())
     firsts = _record_bisections(monkeypatch)
-    for epsilon, delta, accept_events in ((0.05, 0.02, True),
-                                          (1e-3, 0.02, True),
-                                          (0.5, 0.02, True),
-                                          (0.05, 0.02, False)):
+    for epsilon, delta, accept_events, probe_dt in (
+            (0.05, 0.02, True, None), (1e-3, 0.02, True, None),
+            (0.5, 0.02, True, None), (0.05, 0.02, False, None),
+            (0.05, 0.02, True, 1e-3)):
         seen, visited = [], []
         with monkeypatch.context() as patch:
             chunks = _record_chunks(patch)
             _check_evaluations(patch, seen, accept_events)
             sel = selection._grid_select(model, epsilon, delta, "relative",
-                                         t_max, grid, 1e-6, 16)
+                                         t_max, grid, 1e-6, 16, probe_dt)
         bisecting = _bisection_chunks(chunks, firsts)
         for chunk in chunks:
             kind = ("bisection" if any(chunk is b for b in bisecting)
                     else "scan")
             gapped[kind] += _check_chunk_candidates(model, chunk)
+        accept = (_quasi_accept(model, epsilon, delta, probe_dt)
+                  if probe_dt else
+                  lambda tree, t: _admissible(model, tree, t, None, epsilon,
+                                              delta, "relative"))
 
         def scalar(tree, t):
             visited.append(t)
-            ext = _admissible(model, tree, t, None, epsilon, delta,
-                              "relative")
+            ext = accept(tree, t)
             return ext if accept_events else None
 
         want = _grid_scan_loop(model, scalar, t_max, grid, 1e-6, 16)
@@ -430,10 +497,59 @@ def test_chunked_scan_agrees_with_the_per_time_path(monkeypatch, name, model,
         assert all(prepared for _, prepared, _, _ in seen), name
         midpoints += sum(t not in grid_times for t, *_ in seen)
         verdicts.update(v for _, _, v, _ in seen)
-        screened += sum(r for _, _, _, r in seen)
+        kinds.update(kind for *_, kind in seen)
     assert verdicts == {True, False}, name
-    assert screened > 0 and midpoints > 0, name
+    assert kinds == {"rejected", "admitted", "unpersisting", None}, name
+    assert midpoints > 0, name
     assert (min(gapped.values()) > 0) == (model.d1 == 2), (name, gapped)
+
+
+def _probed_times(t_max, probe_dt):
+    """A 0.05 grid over [0, t_max] with every integer k and k - probe_dt,
+    so that probe times t + probe_dt fall on the spin chain's interaction
+    boundaries as well as the scan times themselves."""
+    ts = set(np.linspace(0.0, t_max, int(round(t_max / 0.05)) + 1).tolist())
+    ts.update(float(k) for k in range(int(t_max) + 1))
+    ts.update(k - probe_dt for k in range(1, int(t_max) + 1))
+    return sorted(t for t in ts if t + probe_dt <= t_max)
+
+
+@pytest.mark.parametrize("name,model,t_max,grid,evolution",
+                         list(_grid_models()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_a_chunks_verdicts_are_the_per_time_paths(name, model, t_max, grid,
+                                                  evolution):
+    # every row a chunk admits is admissible on the per-time path, and
+    # every row its stacked probe finds unpersisting fails the per-time
+    # probe (_persisting) of its lone candidate, on a fresh tree and on the
+    # tree of the per-time path's first event, under a criterion that
+    # admits some rows and another that rejects some; each kind occurs
+    probe_dt = 0.25
+    times = _probed_times(t_max, probe_dt)
+    assert {t + probe_dt for t in times} & set(range(1, int(t_max) + 1))
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
+    first = next(ext for ext in (
+        _admissible(model, tree, t, None, 0.5, 0.02, "relative")
+        for t in times[1:]) if ext is not None)
+    counts = {"admitted": 0, "unpersisting": 0, "rejected": 0}
+    for tree in (tree, first.extend()):
+        for criterion in ((0.5, 0.02, "relative"), (0.05, 0.1, "absolute")):
+            chunk = _chunk(model, tree, times, criterion, probe_dt)
+            assert not (chunk.admitted & chunk.rejected).any()
+            assert not (chunk.unpersisting & chunk.rejected).any()
+            assert not (chunk.admitted & ~chunk.split.screened).any()
+            assert not (chunk.unpersisting & ~chunk.split.screened).any()
+            for t, i in chunk.index.items():
+                if chunk.admitted[i]:
+                    assert _admissible(model, tree, t, None,
+                                       *criterion) is not None, t
+                if chunk.unpersisting[i]:
+                    ext = selection.Extension(
+                        tree, _SCHMIDT_CANDIDATE(model, t), None)
+                    assert not _persisting(tree, ext, probe_dt), t
+            for kind in counts:
+                counts[kind] += int(getattr(chunk, kind).sum())
+    assert min(counts.values()) > 0, (name, counts)
 
 
 def _two_leaves(model):
@@ -471,11 +587,14 @@ def test_a_near_epsilon_time_is_left_to_the_per_time_path():
     # blocks round to a ratio above it at some times; a chunk under that
     # epsilon must leave those to the per-time path (a screen without
     # SCREEN_MARGIN rejects them), and one under an epsilon far enough below
-    # rejects the same times
+    # rejects the same times.  Just below that epsilon, where the per-time
+    # path refuses, they round to a ratio below it at other times, which a
+    # chunk must not admit (an admission without SCREEN_MARGIN would); far
+    # enough above it, the chunk admits every time
     model = _flow_model(2, 4, 1)
     tree, times, blocks = _two_leaves(model)
     assert len(blocks) > 100
-    near = 0
+    near = near_admitted = 0
     for i, t in enumerate(times):
         epsilon = _least_passing_epsilon(blocks[t])
         chunk = _chunk(model, tree, times, (epsilon, 0.0, "relative"))
@@ -484,11 +603,21 @@ def test_a_near_epsilon_time_is_left_to_the_per_time_path():
             assert not chunk.rejected[i], t
             assert _admissible(model, tree, t, chunk, epsilon, 0.0,
                                "relative") is not None, t
+        assert not chunk.admitted[i], t
+        refused = float(np.nextafter(epsilon, 0.0))
+        chunk = _chunk(model, tree, times, (refused, 0.0, "relative"))
+        near_admitted += bool(chunk.worst[i] <= refused)
+        assert not chunk.admitted[i] and not chunk.rejected[i], t
+        assert _admissible(model, tree, t, chunk, refused, 0.0,
+                           "relative") is None, t
         below = epsilon - 2 * SCREEN_MARGIN
         chunk = _chunk(model, tree, times, (below, 0.0, "relative"))
         assert chunk.rejected[i] == (chunk.worst[i] > below + SCREEN_MARGIN), t
         assert not consistency.medium_pass(blocks[t], below)
-    assert near > 0
+        above = epsilon + 2 * SCREEN_MARGIN
+        chunk = _chunk(model, tree, times, (above, 0.0, "relative"))
+        assert chunk.admitted[i], t
+    assert near > 0 and near_admitted > 0
 
 
 def test_a_near_delta_time_is_left_to_the_per_time_path():
@@ -498,7 +627,7 @@ def test_a_near_delta_time_is_left_to_the_per_time_path():
     model = _flow_model(2, 4, 1)
     tree, times, blocks = _two_leaves(model)
     parents = tree._probabilities[:, None]
-    near = 0
+    near = near_admitted = 0
     for i, t in enumerate(times):
         children = blocks[t].diagonal(0, 1, 2).real.T
         delta = float(np.min(children / parents))
@@ -513,11 +642,24 @@ def test_a_near_delta_time_is_left_to_the_per_time_path():
             assert not chunk.rejected[i], t
             assert _admissible(model, tree, t, chunk, 2.0, delta,
                                "relative") is not None, t
+        assert not chunk.admitted[i], t
+        # just above it the per-time path finds a child trivial, and the
+        # chunk must not admit the time where its children round above it
+        refused = float(np.nextafter(delta, 1.0))
+        chunk = _chunk(model, tree, times, (2.0, refused, "relative"))
+        near_admitted += bool((chunk.children[i].T >= refused * parents).all())
+        assert not chunk.admitted[i] and not chunk.rejected[i], t
+        assert _admissible(model, tree, t, chunk, 2.0, refused,
+                           "relative") is None, t
         # a shortfall of SCREEN_MARGIN on the smallest parent is rejected
         chunk = _chunk(model, tree, times, (
             2.0, delta + 2 * SCREEN_MARGIN / parents.min(), "relative"))
         assert chunk.rejected[i], t
-    assert near > 0
+        # and a surplus of it admitted (epsilon 2 passes every ratio)
+        chunk = _chunk(model, tree, times, (
+            2.0, delta - 2 * SCREEN_MARGIN / parents.min(), "relative"))
+        assert chunk.admitted[i], t
+    assert near > 0 and near_admitted > 0
 
 
 def _reference_candidate(model, psi):
@@ -735,8 +877,9 @@ def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
     # rows whose Schmidt weights are closer than SCREEN_GAP_FLOOR are not
     # read from rho's eigenvectors: they take the chunk's one stacked SVD
     # when it is built, and the screen and the candidate read its vectors
-    # (the product psi(0) of the zz model takes it and is not screened);
-    # every verdict is the per-time path's (_check_evaluations), the scan
+    # (the product psi(0) of the zz model takes it and is not screened),
+    # and it rejects and admits such rows as it does gapped ones; every
+    # verdict is the per-time oracle's (_check_evaluations), the scan
     # visits the scalar loop's times, and every candidate is the SVD
     # reference's to the bit at those rows
     model = _bell_local_model(2e-7) if name == "bell-local" else _zz_model()
@@ -776,7 +919,14 @@ def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
     assert near > 0
     assert any(chunk.split.gapped.any() for chunk in chunks) == (name == "zz")
     assert {ok for _, _, ok, _ in seen} == {True, False}
-    assert any(rejected for _, _, _, rejected in seen)
+    assert {"rejected", "admitted"} <= {kind for *_, kind in seen}
+    # the SVD rows are decided by the chunk too: both ways on bell-local,
+    # where every row takes the SVD
+    assert {"rejected" if chunk.rejected[i] else "admitted"
+            for chunk in chunks for i in np.flatnonzero(
+                ~chunk.split.gapped & (chunk.rejected | chunk.admitted))} \
+        >= ({"rejected", "admitted"} if name == "bell-local"
+            else {"rejected"})
 
 
 def test_rank_deficient_times_take_the_per_time_path(monkeypatch):
@@ -836,6 +986,42 @@ def test_apply_times_matches_apply(evolution, size):
     assert vector.shape == (2, size)
     assert np.max(np.abs(vector - stack[:2, :, 0])) \
         <= ORACLE_RTOL * np.max(np.abs(vector))
+
+
+@pytest.mark.parametrize("evolution,size", [
+    (HamiltonianFlow(sample_gue(8, 1.0, RandomStream(1, "times"))), 8),
+    (HamiltonianFlow(sample_gue(4, 1.0, RandomStream(2, "times"))), 8),
+    (spin.chain_evolution(_spin_config(6, 3)), 16),
+    (spin.chain_evolution(_spin_config(7, 2)), 16),
+    (spin.recoherence_evolution(np.array([0.0, 0.6, 0.8])), 4),
+    (CallableEvolution(HamiltonianFlow(sample_gue(
+        4, 1.0, RandomStream(3, "times"))).unitary), 8),
+])
+def test_apply_rows_matches_apply(evolution, size):
+    # row r of a stack evolves by U(ts[r]) or its adjoint, as apply at
+    # ts[r] evolves it alone; the second flow and the callable act on the
+    # leading factor of size-8 states, times include 0, repeats and
+    # spin-chain interaction boundaries, and a stack of state vectors and
+    # one of no rows keep their shapes
+    rng = np.random.default_rng(size)
+    ts = [0.0, 0.25, 1.0, 1.0, 1.75, 2.0, 3.0, 0.5]
+    stack = (rng.normal(size=(len(ts), size, 3))
+             + 1j * rng.normal(size=(len(ts), size, 3)))
+    for adjoint in (False, True):
+        rows = evolution.apply_rows(stack, ts, adjoint)
+        assert rows.shape == stack.shape
+        for t, states, got in zip(ts, stack, rows):
+            want = evolution.apply(states, t, adjoint)
+            assert np.max(np.abs(got - want)) \
+                <= ORACLE_RTOL * np.max(np.abs(want))
+        vectors = evolution.apply_rows(stack[:, :, 0], ts, adjoint)
+        assert vectors.shape == (len(ts), size)
+        assert np.max(np.abs(vectors - rows[:, :, 0])) \
+            <= ORACLE_RTOL * np.max(np.abs(rows))
+        assert evolution.apply_rows(stack[:0], [], adjoint).shape \
+            == (0, size, 3)
+    with pytest.raises(ValueError, match="does not divide"):
+        evolution.apply_rows(stack[:, :size - 1], ts)
 
 
 # -- chunk sizes: SCAN_CHUNK times, bounded by memory -----------------------
@@ -910,6 +1096,41 @@ def test_every_chunk_keeps_its_largest_array_within_scan_block(
     assert set(cut) == ({7} if seed == 10 else set())
 
 
+@pytest.mark.parametrize("name,model", [
+    ("flow2x16", _flow_model(2, 16, 2)),
+    ("flow3x9", _flow_model(3, 9, 3)),
+    ("spin-n2", selection.spin_model(_spin_config(4, 2))),
+])
+def test_a_chunk_with_the_probe_keeps_its_largest_array_within_scan_block(
+        name, model):
+    # with the persistence probe, a chunk's largest array may be the
+    # probe's states (T d n d1 entries) or its Gram stack (T d1^3 n^2):
+    # on trees of 1 to d1^5 leaves, every chunk of more than one time
+    # keeps all four arrays within SCAN_BLOCK, the probe's arrays hold
+    # some chunk shorter than the chunk without the probe, and the stacked
+    # probe still finds its rows unpersisting on those trees
+    times = np.linspace(0.05, 2.0, 40).tolist()
+    decs = [selection.schmidt_candidate(model, t)
+            for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    d, d1 = model.d1 * model.d2, model.d1
+    held = unpersisting = 0
+    for k in range(len(decs) + 1):
+        tree = selection._chain(model, decs[:k], 0.05)[0]
+        n = len(tree.leaves())
+        chunk = selection._prepare_chunk(model, tree, times,
+                                         (2.0, 0.0, "relative"), 1e-3)
+        plain = selection._prepare_chunk(model, tree, times,
+                                         (2.0, 0.0, "relative"))
+        T = len(chunk.index)
+        if T > 1:
+            assert T * max(d * (1 + n), d1 * n * n, d * n * d1,
+                           d1 ** 3 * n * n) <= selection.SCAN_BLOCK, (T, n)
+        held += T < len(plain.index)
+        unpersisting += int(chunk.unpersisting.sum())
+        assert not plain.unpersisting.any()
+    assert held > 0 and unpersisting > 0, name
+
+
 # -- edge inputs: one bad time does not spoil its chunk ---------------------
 
 def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
@@ -982,9 +1203,9 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
     starts = []
     prepare = selection._prepare_chunk
 
-    def recorded(model, tree, times, criterion):
+    def recorded(model, tree, times, *args):
         starts.append(times[0])
-        return prepare(model, tree, times, criterion)
+        return prepare(model, tree, times, *args)
 
     monkeypatch.setattr(selection, "_prepare_chunk", recorded)
     calls = _count_candidates(monkeypatch)
@@ -993,6 +1214,37 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
     first_bad = min(t for t in grid_times if t > 3 * math.pi / 2)
     assert starts[-1] == first_bad and max(calls) < first_bad
     assert {t for t in grid_times if t < first_bad} <= set(calls)
+    # under the persistence probe, a chunk with a row whose t + probe_dt
+    # the cycle refuses has its stacked probe reject none of its rows; the
+    # per-time path then raises, at probe_dt = 4, or does not, at 2, as
+    # the scalar loop on the per-time path does
+    end = 3 * math.pi / 2
+    for probe_dt, raises in ((2.0, False), (4.0, True)):
+        outcomes = []
+        with monkeypatch.context() as patch:
+            chunks = _record_chunks(patch)
+            for run in (
+                    lambda: selection.quasi_dynamical_select(
+                        model, 0.05, 0.02, end, grid=100, max_events=3,
+                        probe_dt=probe_dt),
+                    lambda: _grid_scan_loop(
+                        model, _quasi_accept(model, 0.05, 0.02, probe_dt),
+                        end, 100, 1e-6, 3)):
+                try:
+                    got = run()
+                except ValueError as exc:
+                    got = str(exc)
+                outcomes.append(got)
+        sel, want = outcomes
+        if raises:
+            assert sel == want and "3 pi/2" in want
+        else:
+            assert (sel.times, len(sel.tree.leaves())) == want
+        past = [chunk for chunk in chunks
+                if max(chunk.index) + probe_dt > end + TIME_TOL]
+        assert any((chunk.split.screened & ~chunk.rejected).any()
+                   for chunk in past)
+        assert not any(chunk.unpersisting.any() for chunk in past)
 
 
 class _ScaledAt(HamiltonianFlow):
@@ -1017,9 +1269,9 @@ def test_a_nan_state_raises_at_its_own_time(monkeypatch):
     # psi(t_bad), NaN or with its norm 1e-6 off 1, is not gapped: it fails
     # the norm guard and is zeroed before its chunk's stacked SVD, so the
     # rest of its chunk stays screened, and it is not screened, so not
-    # rejected: its candidate is read, and raises.  The times before it
-    # were judged as the per-time path judges them, and the scan stopped at
-    # t_bad
+    # rejected, admitted or probed: its candidate is read, and raises.
+    # Every time before it has the per-time oracle's verdict, and the scan
+    # stopped at t_bad
     grid, t_max = 300, 2.0
     t_bad = float(np.linspace(0.0, t_max, grid + 1)[40])
     flow = _flow_model(2, 4, 1)
@@ -1042,6 +1294,26 @@ def test_a_nan_state_raises_at_its_own_time(monkeypatch):
         assert not first.rejected[first.index[t_bad]]
         assert not first.split.gapped[first.index[t_bad]]
         assert {ok for _, _, ok, _ in seen} == {True}
+
+
+def test_an_admitted_event_the_judge_refuses_raises_at_its_time(
+        monkeypatch):
+    # a row the chunk admits is accepted without the per-time judge, which
+    # runs once, when its event is recorded, on the candidate and the leaf
+    # states the scan kept.  Were that judge to refuse it, the scan raises
+    # RuntimeError naming the time, whatever python -O strips; here a judge
+    # that refuses everything meets the 2x16 search's first event, at
+    # t = 0, an admitted row
+    calls = []
+
+    def refusing(tree, dec, evolved, *criterion):
+        calls.append(dec.time)
+        return None
+
+    monkeypatch.setattr(selection, "_judge", refusing)
+    with pytest.raises(RuntimeError, match=r"t = 0\.0, which the judge"):
+        randmodel.run_forward_search(_search_config(16, 0))
+    assert calls == [0.0]
 
 
 # -- the lazy report ---------------------------------------------------------

@@ -1,9 +1,14 @@
 import io
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from qhistories import cli
+from qhistories import cli, histories, spin
+from qhistories.histories import decoherence_matrix
+from qhistories.linalg import RandomStream
+from qhistories.tolerances import ORACLE_RTOL
 
 
 def _run(argv):
@@ -258,3 +263,43 @@ def test_bad_input_exits_2_with_a_message(argv, problem, capsys):
     err = capsys.readouterr().err
     assert "qhist: error:" in err and problem in err
     assert "Traceback" not in err
+
+
+def test_spin_probs_prints_the_trees_leaf_probabilities():
+    # the tree column is the tree's leaf probabilities as fmt prints them,
+    # not a 2^n x 2^n decoherence matrix's diagonal: they equal that
+    # diagonal to within ORACLE_RTOL, in the same order
+    for n in range(1, 9):
+        code, text = _run(["spin", "probs", "--n", str(n), "--seed", "3"])
+        assert code == 0
+        _, _, cols, rows = cli.parse_records(text)
+        cfg = cli._random_axes(n, RandomStream(3, "spin-probs"))
+        tree = spin.build_tree(cfg,
+                               spin.measurement_events(cfg, range(1, n + 1)))
+        probs, D = tree.probabilities(), decoherence_matrix(tree)
+        assert len(rows) == 2 ** n
+        assert [row[cols.index("tree")] for row in rows] \
+            == [cli._parse_token(cli.fmt(p)) for p in probs]
+        assert np.max(np.abs(probs - D.diag)) <= ORACLE_RTOL * D.diag.max()
+
+
+def test_spin_probs_past_the_leaf_state_cap_exits_2_at_once(capsys):
+    # n = 12 holds 2^13 x 2^12 leaf-state entries, the cap itself; n = 13
+    # would hold four times that, and is refused before its tree is
+    # extended at all, with one error line and exit status 2
+    histories._check_leaf_states(2 ** 13, 2 ** 12)
+    assert 2 ** 13 * 2 ** 12 == histories.LEAF_STATE_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["spin", "probs", "--n", "13"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error" in line]
+    assert len(errors) == 1 and "qhist: error:" in errors[0]
+    assert f"{2 ** 27} entries, past the leaf-state cap" in errors[0]
+    # a few copies of the initial state, of 2^14 entries, at most
+    assert peak < 8 * 16 * 2 ** 14

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhistories import randmodel, selection, spin
+from qhistories import histories, randmodel, selection, spin
 from qhistories.consistency import env_orthogonality, linear_positivity
 from qhistories.histories import (DecoherenceMatrix, HistoryTree,
                                   ProjectiveDecomposition, apply_leading,
@@ -549,3 +551,40 @@ def test_apply_leading_names_both_sizes():
     with pytest.raises(ValueError,
                        match="operator size 3 does not divide state size 8"):
         apply_leading(np.eye(3), np.ones((8, 2), dtype=complex))
+
+
+def test_an_extension_past_the_leaf_state_cap_is_refused_before_it_allocates(
+        monkeypatch):
+    # _extend checks the new tree's leaf-state entries against
+    # LEAF_STATE_CAP before it copies, projects or evolves anything: with
+    # the cap set at a two-leaf tree of dimension 2^14, splitting every
+    # leaf again (4 x 2^14 entries, 1 MiB) or one leaf into three is
+    # refused, and nothing near the new tree's size is allocated
+    dim = 2 ** 14
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    tree = extend_all(HistoryTree(initial_state=psi / np.linalg.norm(psi)),
+                      ProjectiveDecomposition(0.5, [np.diag([1.0, 0.0]),
+                                                    np.diag([0.0, 1.0])]))
+    monkeypatch.setattr(histories, "LEAF_STATE_CAP", 2 * dim)
+    halves = ProjectiveDecomposition(1.0, [np.diag([1.0, 0.0]),
+                                           np.diag([0.0, 1.0])])
+    thirds = ProjectiveDecomposition(1.0, [np.diag([1.0, 0, 0, 0]),
+                                           np.diag([0, 1.0, 0, 0]),
+                                           np.diag([0, 0, 1.0, 1.0])])
+    for split in (lambda: extend_all(tree, halves),
+                  lambda: extend_branch(tree, (0,), halves),
+                  lambda: extend_branch(tree, (1,), thirds)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    r"leaf states of dimension 16384 are \d+ entries, past "
+                    r"the leaf-state cap 32768")):
+                split()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * dim // 4
+    # at the cap itself the tree is extended
+    monkeypatch.setattr(histories, "LEAF_STATE_CAP", 3 * dim)
+    assert len(extend_branch(tree, (0,), halves).leaves()) == 3

@@ -117,3 +117,27 @@ def test_no_dead_private_name():
     # a private name is the library's own, so some module of it reads it
     assert _dead_private_names(
         {path.stem: path.read_text() for path in SOURCES}) == []
+
+
+def _asserts(source):
+    """Line of each assert statement in source.  python -O strips them, so
+    an invariant of the library raises a named error instead."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_lint_sees_every_assert_statement():
+    source = ("def f(x):\n"
+              "    assert x > 0, 'positive'\n"
+              "    if x is None:\n"
+              "        raise RuntimeError('assert x')\n"
+              "    class C:\n"
+              "        def g(self):\n"
+              "            assert self\n"
+              "    return 'assert'\n")
+    assert _asserts(source) == [2, 7]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_no_assert_statement(path):
+    assert _asserts(path.read_text()) == []

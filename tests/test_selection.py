@@ -516,16 +516,23 @@ def _earliest_accept(model, epsilon, delta):
                                        "relative")
 
 
+def _persisting(tree, ext, probe_dt, tol=1e-9):
+    """The per-time persistence probe: ext's projectors re-applied at its
+    time + probe_dt to its extended leaves leave the set exactly
+    medium-consistent within tol."""
+    repeat = ProjectiveDecomposition(ext.decomposition.time + probe_dt,
+                                     ext.decomposition.projectors,
+                                     check=False)
+    D = selection._gram(tree._project(ext.states, repeat)[1])
+    return is_exactly_consistent(D, "medium", tol=tol)
+
+
 def _quasi_accept(model, epsilon, delta, probe_dt=1e-3, tol=1e-9):
     def accept(tree, t):
         ext = _admissible(model, tree, t, None, epsilon, delta, "relative")
-        if ext is None:
+        if ext is None or not _persisting(tree, ext, probe_dt, tol):
             return None
-        repeat = ProjectiveDecomposition(t + probe_dt,
-                                         ext.decomposition.projectors,
-                                         check=False)
-        D = selection._gram(tree._project(ext.states, repeat)[1])
-        return ext if is_exactly_consistent(D, "medium", tol=tol) else None
+        return ext
     return accept
 
 
