@@ -18,8 +18,9 @@ apply(states, t, adjoint=False) returning U(t) states or U(t)^dag states,
 apply_times(states, ts) stacking U(t) states over the times ts, a
 (0, ...) stack for no times, and apply_rows(states, ts, adjoint=False)
 evolving row r of a stack (T, ...) of states by U(ts[r]), or its adjoint.
-HamiltonianFlow and spin.ChainEvolution compute all three in one kernel
-over a sequence of times; a callable t -> U(t) is wrapped once by
+spin.ChainEvolution computes all three in one kernel over a sequence of
+times, and HamiltonianFlow apply and apply_times in one and apply_rows by
+batched products; a callable t -> U(t) is wrapped once by
 CallableEvolution, whose apply_times and apply_rows take one apply per
 time.  Operators act on the leading tensor factor
 (apply_leading): an operator of size d applied to a state of size d*m acts
@@ -319,9 +320,9 @@ def _extend(tree, dec, path, states=None):
     dec is not later than the last decomposition on a branch it splits,
     when path does not end at a leaf, or, before anything is allocated,
     when the new tree's leaf states would exceed LEAF_STATE_CAP entries."""
-    leaves, k = tree.leaf_states().shape[1], len(dec)
-    _check_leaf_states(tree.dim, leaves * k if path is None
-                       else leaves + k - 1)
+    dim, leaves = tree.leaf_states().shape
+    k = len(dec.projectors)
+    _check_leaf_states(dim, leaves * k if path is None else leaves + k - 1)
     d = dec.projectors[0].shape[0]
     if tree.dim % d:
         raise ValueError(

@@ -252,14 +252,12 @@ def leading_rows(states, d):
 
 class HamiltonianFlow:
     """Constant-Hamiltonian evolution with a cached eigendecomposition.
-    apply, apply_times and apply_rows all enter one kernel (_evolve): with
-    U(t) = V e^{-i Lambda t} V^dag, it takes Y = V^dag X in one GEMM,
-    phases Y into one (d, T m) matrix, a time per block of m columns, and
-    applies V to it in a second GEMM, then returns the C-contiguous
-    (T, ...) stack.  X is the states at every time (apply_times), or the
-    (d, T m) matrix of a stack's rows side by side, row r phased at its
-    own time (apply_rows).  It holds at most two arrays of T d m entries at
-    once."""
+    apply and apply_times both enter one kernel over a sequence of times
+    (_evolve): with U(t) = V e^{-i Lambda t} V^dag and Y = V^dag X taken
+    once, it phases Y for all T times into one (d, T m) matrix and applies
+    V to it in one GEMM, then returns the C-contiguous (T, ...) stack.  It
+    holds at most two arrays of T d m entries at once.  apply_rows evolves
+    each row of a stack at its own time by batched products."""
 
     def __init__(self, H):
         self.H = _as_complex_matrix(H)
@@ -284,32 +282,28 @@ class HamiltonianFlow:
     def apply_rows(self, states, ts, adjoint=False):
         """U(ts[r]) states[r], or its adjoint, for every row r of a stack
         (T, ...) of state vectors or matrices of column states."""
-        return self._evolve(states, ts, adjoint, rows=True)
+        vals, vecs = self.eig
+        states = np.asarray(states, dtype=complex)
+        phase = np.exp(((1j if adjoint else -1j) * vals)
+                       * np.asarray(ts, dtype=float)[:, None])
+        Y = self._vecs_h @ leading_rows(states, self.dim)
+        Y *= phase[:, :, None]                      # (T, d, m)
+        return (vecs @ Y).reshape(states.shape)
 
-    def _evolve(self, states, ts, adjoint, rows=False):
+    def _evolve(self, states, ts, adjoint):
         # each temporary of T d m entries is freed before the next is made
         vals, vecs = self.eig
         ts = np.asarray(ts, dtype=float)
         phase = np.exp(((1j if adjoint else -1j) * vals)[:, None] * ts)
-        states = np.asarray(states, dtype=complex)
-        if rows:
-            X = leading_rows(states, self.dim).transpose(1, 0, 2)
-            Z = (self._vecs_h @ X.reshape(self.dim, -1)).reshape(X.shape)
-            m = X.shape[2]
-            del X
-            Z *= phase[:, :, None]                  # (d, T, m)
-        else:
-            Y = self._vecs_h @ leading_view(states, self.dim)
-            m = Y.shape[1]
-            Z = phase[:, :, None] * Y[:, None, :]   # (d, T, m)
-            del Y
+        X = leading_view(np.asarray(states, dtype=complex), self.dim)
+        Y = self._vecs_h @ X
+        Z = phase[:, :, None] * Y[:, None, :]       # (d, T, m)
         del phase
         Z = vecs @ Z.reshape(self.dim, -1)
         out = np.ascontiguousarray(
-            Z.reshape(self.dim, len(ts), m).transpose(1, 0, 2))
+            Z.reshape(self.dim, len(ts), Y.shape[1]).transpose(1, 0, 2))
         del Z
-        return out.reshape(states.shape if rows
-                           else ts.shape + states.shape)
+        return out.reshape(ts.shape + np.shape(states))
 
 
 def evolve(H, psi, t):

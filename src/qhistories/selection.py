@@ -4,8 +4,9 @@ A model exposes an initial state, an evolution and a system/environment
 split.  The evolution is matrix-free, apply(states, t, adjoint=False),
 apply_times(states, ts) and apply_rows(states, ts, adjoint=False)
 (histories.as_evolution): the spin models pass a spin.ChainEvolution, the
-random models a HamiltonianFlow (each computes all three in one kernel
-over a sequence of times), and a callable t -> U(t) is wrapped once.
+random models a HamiltonianFlow (each computes apply and apply_times in
+one kernel over a sequence of times), and a callable t -> U(t) is wrapped
+once.
 Candidate projective decompositions are the Schmidt (reduced-density
 eigenbasis) projections of the evolved state, given at system size d1 and
 applied to the leading (system) factor of the states
@@ -694,10 +695,11 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
     criterion = (epsilon, delta, delta_mode)
 
     def evaluate(tree, t, chunk):
-        # None, the accepted time's Extension, or at an admitted row with
-        # no probe the candidate and a copy of its leaf states, judged once
-        # when the event is recorded (_admitted); the copy, not the chunk
-        # it is read from, is what outlives the chunk
+        # None, or for an accepted time a function of no arguments that
+        # gives its Extension.  At an admitted row with no probe that is
+        # _admitted on the candidate and a copy of its leaf states, so the
+        # judge runs only at an event; the copy, not the chunk it is read
+        # from, is what outlives the chunk
         try:
             dec = schmidt_candidate(model, t, chunk)
         except np.linalg.LinAlgError:
@@ -706,12 +708,13 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
         if dec is None or chunk.unpersisting[i]:
             return None
         if chunk.admitted[i] and probe_dt is None:
-            return dec, chunk.leaves[i].copy()
+            return functools.partial(_admitted, tree, t, dec,
+                                     chunk.leaves[i].copy(), criterion)
         ext = _judge(tree, dec, chunk.leaves[i], *criterion)
         if ext is None or not (probe_dt is None
                                or _persists(tree, ext, probe_dt)):
             return None
-        return ext
+        return lambda: ext
 
     tree, events = HistoryTree(model.psi0, model.evolution), []
     done = full(tree, events)
@@ -729,8 +732,8 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
             times, i = list(chunk.index), 0
             del ahead[:len(times) - 1]
         calls += 1
-        ext = evaluate(tree, t, chunk)
-        if ext is None:
+        accepted = evaluate(tree, t, chunk)
+        if accepted is None:
             lo, i = t, i + 1    # the next bracket starts at a rejected time
             t = (times[i] if i < len(times)
                  else ahead.pop(0) if ahead else next(scan, None))
@@ -750,9 +753,8 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
                 if trial is None:
                     lo = mid
                 else:
-                    t, ext = mid, trial
-        if isinstance(ext, tuple):
-            ext = _admitted(tree, t, *ext, criterion)
+                    t, accepted = mid, trial
+        ext = accepted()
         events.append(ext.event())
         tree, chunk, times, i = ext.extend(), None, (), 0
         done = full(tree, events)
