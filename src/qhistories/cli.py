@@ -180,29 +180,12 @@ def _random_axes(n, rng):
 
 def cmd_spin_classify(args, out):
     cfg = _random_axes(args.n, RandomStream(args.seed, "spin-classify"))
-    sets = [(form, times) for form, times
-            in spin_mod.enumerate_consistent_sets(cfg) if times]
-    # every prefix of a catalogue set is a catalogue set, or empty, so each
-    # set's tree is its prefix's extended by one event; walked depth first,
-    # only the trees of one branch of prefixes are held at a time
-    children, medium = {}, {}
-    for _, times in sets:
-        children.setdefault(times[:-1], []).append(times)
-
-    def visit(tree, times):
-        for child in children.get(times, ()):
-            sub = spin_mod._extend_by_events(
-                tree, spin_mod.measurement_events(cfg, child[-1:]))
-            medium[child] = consistency_report(
-                decoherence_matrix(sub).entries).max_medium_violation
-            visit(sub, child)
-
-    visit(spin_mod.build_tree(cfg, []), ())
-    rows = []
-    worst = 0.0
-    for form, times in sets:
-        worst = max(worst, medium[times])
-        rows.append([form, len(times), medium[times]])
+    # each set's max_medium is the largest off-diagonal |G| of the two Gram
+    # blocks of its last split, read with the other children of its prefix
+    # from the prefix's tree (spin.classify_catalogue); no D is built
+    rows = [[form, len(times), medium] for form, times, medium
+            in spin_mod.classify_catalogue(cfg)]
+    worst = max([0.0] + [row[2] for row in rows])
     emit_records(out, "spin classify",
                  {"n": args.n, "seed": args.seed, "stream": "spin-classify",
                   "worst": worst},

@@ -87,11 +87,26 @@ def is_exactly_consistent(D, criterion="weak", tol=None):
         initial=0.0) <= tol)
 
 
-def _subset_bits(n):
-    """Indicator rows of all 2^n subsets of n items, row s = binary of s."""
-    counts = np.arange(1 << n, dtype=np.uint64)
+def _subset_bits(n, start=0, stop=None):
+    """Indicator rows of the subsets start..stop-1 (all 2^n by default) of
+    n items, row s = binary of s."""
+    counts = np.arange(start, 1 << n if stop is None else stop,
+                       dtype=np.uint64)
     return ((counts[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
             ).astype(float)
+
+
+def _subset_blocks(n):
+    """(start, X) for the indicator rows X of all 2^n subsets of n items,
+    row start + s = binary of start + s, in blocks of about MPV_BLOCK / 4
+    entries: a power of two rows, at least 8, or the whole table when it
+    is smaller.  Such a block's products, and their row sums, round as
+    the whole table's; blocks of other row counts were seen to take BLAS
+    paths that round otherwise."""
+    rows = min(1 << n, max(8, 1 << ((MPV_BLOCK // 4) // max(n, 1)
+                                    ).bit_length() - 1))
+    for start in range(0, 1 << n, rows):
+        yield start, _subset_bits(n, start, start + rows)
 
 
 def _subset_values(R, X):
@@ -122,9 +137,11 @@ def mpv_exact(D):
     2^n values are the entries of A B, scanned as blocks A[blk] B of at
     most MPV_BLOCK entries.  Each block is one matmul into one reused
     buffer, made absolute in place, so the scan holds that buffer,
-    MPV_BLOCK entries, besides the tables A and B of 2^(n-h) and 2^h rows;
-    each half table is freed once A or B holds it.  So memory stays flat
-    in n, apart from A and B.
+    MPV_BLOCK entries, besides the tables A and B of 2^(n-h) and 2^h rows.
+    The subset bits and half values are filled straight into A's columns
+    and B's rows, a block of subsets at a time (_subset_blocks), so no
+    whole half table is held beside them.  So memory stays flat in n,
+    apart from A and B.
 
     The witness is the subset of smallest index (bit i = history i) whose
     value is the largest; ties between subsets of equal value are decided
@@ -138,19 +155,23 @@ def mpv_exact(D):
         raise ValueError(
             f"{n} histories exceeds the exhaustive cap {MPV_EXHAUSTIVE_CAP}")
     h = n // 2
-    # filled into C-ordered buffers: np.vstack of W^T gives an F-ordered B,
-    # whose block products run about 1.8x slower at 26 histories; each half
-    # table is dropped once its buffer holds it
-    X_lo = _subset_bits(h)
-    f_lo = _subset_values(R[:h, :h], X_lo)
-    B = np.empty((n - h + 2, f_lo.size))
-    B[:-2], B[-2], B[-1] = (X_lo @ (R[:h, h:] + R[h:, :h].T)).T, 1.0, f_lo
-    del X_lo, f_lo
-    X_hi = _subset_bits(n - h)
-    f_hi = _subset_values(R[h:, h:], X_hi)
-    A = np.empty((f_hi.size, n - h + 2))
-    A[:, :-2], A[:, -2], A[:, -1] = X_hi, f_hi, 1.0
-    del X_hi, f_hi
+    # filled into C-ordered buffers, a block of subsets at a time: np.vstack
+    # of W^T gives an F-ordered B, whose block products run about 1.8x
+    # slower at 26 histories
+    B = np.empty((n - h + 2, 1 << h))
+    B[-2] = 1.0
+    cross = R[:h, h:] + R[h:, :h].T
+    for start, X in _subset_blocks(h):
+        stop = start + len(X)
+        B[:-2, start:stop] = (X @ cross).T
+        B[-1, start:stop] = _subset_values(R[:h, :h], X)
+    A = np.empty((1 << (n - h), n - h + 2))
+    A[:, -1] = 1.0
+    for start, X in _subset_blocks(n - h):
+        stop = start + len(X)
+        A[start:stop, :-2] = X
+        A[start:stop, -2] = _subset_values(R[h:, h:], X)
+    del X       # the last block, freed before the scan's buffer is made
     rows = min(max(1, MPV_BLOCK >> h), len(A))      # divides len(A)
     F = np.empty((rows, 1 << h))
     best_val, best_idx = 0.0, 0

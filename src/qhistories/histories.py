@@ -37,19 +37,28 @@ from .linalg import hermitian_eig, leading_view
 from .tolerances import NORM_TOL, PROJECTOR_TOL, SCHMIDT_WEIGHT_TOL
 
 # complex entries of a tree's leaf-state matrix, 512 MiB: the spin chain's
-# measurement tree at n = 12, 2^13 x 2^12, is the largest within it
+# measurement tree at n = 12, 2^13 x 2^12, is the largest within it; also
+# the complex entries of the largest array of a one-time scan chunk
+# (selection._prepare_chunk), whose Gram stacks grow as the leaves squared
 LEAF_STATE_CAP = 1 << 25
+
+
+def _check_entries(entries, what):
+    """Refuse an array of `entries` complex entries before it is
+    allocated: ValueError, what followed by its entries and the cap, when
+    they exceed LEAF_STATE_CAP."""
+    if entries > LEAF_STATE_CAP:
+        raise ValueError(
+            f"{what} {entries} entries, past the leaf-state cap "
+            f"{LEAF_STATE_CAP}")
 
 
 def _check_leaf_states(dim, leaves):
     """Refuse a tree of `leaves` leaf states of dimension dim, before any
     of it is allocated: ValueError naming its entries and the cap when
     they exceed LEAF_STATE_CAP."""
-    entries = dim * leaves
-    if entries > LEAF_STATE_CAP:
-        raise ValueError(
-            f"{leaves} leaf states of dimension {dim} are {entries} "
-            f"entries, past the leaf-state cap {LEAF_STATE_CAP}")
+    _check_entries(dim * leaves,
+                   f"{leaves} leaf states of dimension {dim} are")
 
 
 def apply_leading(op, states):

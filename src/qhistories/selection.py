@@ -61,8 +61,9 @@ where its largest array, the evolved states (T d (1 + n) entries for T
 times, d = d1 d2 and n leaves), the Gram stack (T d1 n^2) or the probe's
 states (T d n d1) or Gram stack (T d1^3 n^2), would exceed SCAN_BLOCK
 complex entries, and at least one; a chunk of one time is prepared
-whatever its size.  So at most SCAN_CHUNK - 1 prepared scan times go
-unevaluated per tree, and a bisection chunk's midpoints off the
+whatever its size, up to histories.LEAF_STATE_CAP entries, past which the
+scan is refused (ValueError).  So at most SCAN_CHUNK - 1 prepared scan
+times go unevaluated per tree, and a bisection chunk's midpoints off the
 bisection's path are prepared and never evaluated.
 The scan walks a scan chunk's own times, takes each scan time from
 advance once, and reads full(tree, events) once per tree.  Each time on
@@ -88,8 +89,8 @@ import numpy as np
 
 from .consistency import (consistency_report, is_exactly_consistent,
                           medium_pass, nontrivial)
-from .histories import (HistoryTree, ProjectiveDecomposition, _extend,
-                        as_evolution)
+from .histories import (HistoryTree, ProjectiveDecomposition,
+                        _check_entries, _extend, as_evolution)
 from .linalg import _fix_column_phases, entropy
 from .tolerances import (COMPANION_TOL, COMPLEMENT_TOL, DISTRIBUTION_SUM_TOL,
                          LIVE_PROBABILITY_TOL, NEGATIVE_PROBABILITY_TOL,
@@ -585,7 +586,10 @@ def _prepare_chunk(model, tree, times, criterion, probe_dt=None):
     exceed SCAN_BLOCK.  For T times, d = d1 d2 and n leaves that array is
     the evolved states [psi0 | leaf states], T d (1 + n) entries, or the
     Gram stack, T d1 n^2, or with the probe its states, T d n d1, or its
-    Gram stack, T d1^3 n^2.
+    Gram stack, T d1^3 n^2.  When it would exceed LEAF_STATE_CAP even at
+    T = 1, the chunk is refused before anything is evolved (ValueError
+    naming its entries and the cap): each event can double the leaves, and
+    the Gram stacks grow as their square.
 
     [psi0 | leaf states] is evolved to every time of the chunk by one
     evolution.apply_times call, and psi(t) of every time is split at once
@@ -594,13 +598,14 @@ def _prepare_chunk(model, tree, times, criterion, probe_dt=None):
     the chunk halved until it evolves, so the chunk ends before the times
     it refuses; when it refuses the first time alone, the error is raised
     here, at that time."""
-    X = np.column_stack([model.psi0, tree.leaf_states()])
-    (d, n), d1 = X.shape, model.d1
-    n -= 1
-    largest = max(X.size, d1 * n * n)
+    (d, n), d1 = tree.leaf_states().shape, model.d1
+    largest = max(d * (1 + n), d1 * n * n)
     if probe_dt is not None:
         largest = max(largest, d * n * d1, d1 ** 3 * n * n)
+    _check_entries(largest, f"a scan chunk of one time over {n} leaves "
+                   f"needs an array of")
     times = times[:max(min(SCAN_CHUNK, SCAN_BLOCK // largest), 1)]
+    X = np.column_stack([model.psi0, tree.leaf_states()])
     while True:
         try:
             evolved = model.evolution.apply_times(X, times)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .histories import (HistoryTree, ProjectiveDecomposition,
-                        _check_leaf_states, apply_leading, extend_all)
+                        _check_leaf_states, _extend, apply_leading,
+                        extend_all)
 from .linalg import entropy, leading_rows, leading_view
 from .tolerances import (BLOCH_NORM_TOL, GENERICITY_TOL, PROJECTOR_TOL,
                          TIME_TOL, UNIT_VECTOR_TOL)
@@ -307,6 +308,13 @@ def _real_unit_axis(w):
     return np.real(w)
 
 
+def _axis_pair(w):
+    """The system projectors [P(w), P(-w)] of an event's axis w; ValueError
+    unless w is a real unit 3-vector (_real_unit_axis)."""
+    w = _real_unit_axis(w)
+    return [proj2(w), proj2(-w)]
+
+
 def build_tree(cfg, events):
     """History tree from (time, axis) projection events; each event splits
     every branch with the 2 x 2 system projectors {P(axis), P(-axis)}.
@@ -325,8 +333,7 @@ def _extend_by_events(tree, events):
     _check_leaf_states(tree.dim, tree.leaf_states().shape[1]
                        * 2 ** len(events))
     for t, w in sorted(events, key=lambda e: e[0]):
-        w = _real_unit_axis(w)
-        dec = ProjectiveDecomposition(t, [proj2(w), proj2(-w)], check=False)
+        dec = ProjectiveDecomposition(t, _axis_pair(w), check=False)
         tree = extend_all(tree, dec)
     return tree
 
@@ -461,6 +468,110 @@ def enumerate_consistent_sets(cfg, interior_points=(0.3, 0.7)):
             for k0 in range(last + 1, n + 1):
                 for frac in interior_points:
                     yield ("iii", tuple(float(t) for t in T) + (k0 - 1 + frac,))
+
+
+def _score_children(tree, children, extend=()):
+    """Score the children of tree, its every leaf split at t by the two
+    2 x 2 system projectors of each (t, projectors) of children
+    (_axis_pair): (violations, projected).  violations[c] is the largest
+    off-diagonal |D_ab| of child c's decoherence matrix, and projected the
+    projected states W of each child whose index is in extend, in its
+    order, for _extend_child.
+
+    The two projectors are orthogonal, so a child's D is zero off its two
+    diagonal Gram blocks (selection.Extension), and its violation is their
+    largest off-diagonal |G|.  One evolution.apply_times evolves the leaf
+    states V to every child's time; each child's projectors act as one
+    stacked product, (C, 2, 2, 2) on the (C, 1, 2, rest) evolved states,
+    giving the (C, 2, d, n) blocks P_i U(t) V of HistoryTree._project; the
+    (C, 2, n, n) Gram stack is one product, and every child's violation one
+    reduction of it.  A child's W is its blocks in the (leaf outer,
+    projector inner) columns of HistoryTree._project's W, its own array,
+    so that each is freed once its child is extended.
+    Raises ValueError, before anything is evolved, when the blocks, the C
+    children's leaf states, would exceed LEAF_STATE_CAP entries."""
+    ts = [float(t) for t, _ in children]
+    V = tree.leaf_states()
+    (d, n), C = V.shape, len(ts)
+    _check_leaf_states(d, 2 * n * C)
+    P = np.array([pair for _, pair in children])    # (C, 2, 2, 2)
+    blocks = (P @ tree.evolution.apply_times(V, ts).reshape(C, 1, 2, -1)
+              ).reshape(C, 2, d, n)
+    G = np.abs(np.swapaxes(blocks, 2, 3) @ blocks.conj())   # (C, 2, n, n)
+    G[..., range(n), range(n)] = 0.0
+    return G.max(axis=(1, 2, 3)), [
+        np.moveaxis(blocks[r], 0, 2).reshape(d, 2 * n) for r in extend]
+
+
+def _extend_child(tree, t, projectors, W):
+    """tree with every leaf split at t by projectors, from W, their
+    projected states (_score_children): one evolution back, and
+    histories._extend, so the tree is extend_all's to the bit."""
+    return _extend(tree, ProjectiveDecomposition(t, projectors, check=False),
+                   None, tree.evolution.apply(W, t, adjoint=True))
+
+
+def classify_catalogue(cfg):
+    """(form, times, violation) for every non-empty set of the catalogue
+    (enumerate_consistent_sets, in its order): violation is the largest
+    off-diagonal |D_ab| of the set's decoherence matrix, a roundoff residue
+    for a consistent set.
+
+    Every prefix of a catalogue set is a catalogue set, or empty, so the
+    catalogue is walked one prefix at a time, depth first, from the bare
+    tree.  The children of a prefix, the sets that extend it by one time,
+    are scored together from its tree by one apply_times forward and one
+    Gram stack (_score_children); only those that are prefixes themselves
+    are extended, each by one apply back from its projected states
+    (_extend_child), just before the walk enters it.  So a catalogue of S
+    sets with p prefixes, the empty one included, takes one apply_times
+    per group of children (below; p unless a prefix's children are cut)
+    and p - 1 apply calls, not the 2 S of one extension per set (at n = 3,
+    35 of them, not 70), and builds no decoherence matrix.
+
+    A prefix's children are taken in groups whose stacked blocks
+    (C, 2, d, n) stay within selection.SCAN_BLOCK complex entries, at
+    least one child per group, so a group's arrays exceed that bound only
+    when one child's do, and those are its own set's leaf states.  The
+    walk holds the trees of one branch of prefixes, and for each the
+    projected states of the children of its group not yet entered.
+    Each time's axis is found, checked and made a projector pair once
+    (_axis_pair), for every set that ends at that time.
+    Raises ValueError when a child's time does not exceed its prefix's
+    last time, on an axis that is not a real unit 3-vector, and when a
+    group's blocks would exceed LEAF_STATE_CAP entries, each before the
+    group is evolved."""
+    from .selection import SCAN_BLOCK    # selection imports this module
+    sets = [(form, times) for form, times
+            in enumerate_consistent_sets(cfg) if times]
+    children, violation = {}, {}
+    for _, times in sets:
+        children.setdefault(times[:-1], []).append(times)
+    pairs = {t: _axis_pair(w) for t, w in measurement_events(
+        cfg, sorted({times[-1] for _, times in sets}))}
+
+    def visit(tree, prefix):
+        kids = children.get(prefix, [])
+        for child in kids:
+            if prefix and not child[-1] > prefix[-1]:
+                raise ValueError(f"decomposition time {child[-1]} does not "
+                                 f"exceed branch time {prefix[-1]}")
+        d, n = tree.leaf_states().shape
+        size = max(SCAN_BLOCK // (2 * n * max(d, n)), 1)
+        for s in range(0, len(kids), size):
+            group = kids[s:s + size]
+            extend = [i for i, child in enumerate(group) if child in children]
+            worst, projected = _score_children(
+                tree, [(child[-1], pairs[child[-1]]) for child in group],
+                extend)
+            violation.update(zip(group, worst.tolist()))
+            for i in extend:
+                t = group[i][-1]
+                visit(_extend_child(tree, t, pairs[t], projected.pop(0)),
+                      group[i])
+
+    visit(build_tree(cfg, []), ())
+    return [(form, times, violation[times]) for form, times in sets]
 
 
 # -- information ---------------------------------------------------------

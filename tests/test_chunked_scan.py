@@ -36,7 +36,8 @@ import types
 import numpy as np
 import pytest
 
-from qhistories import consistency, linalg, randmodel, selection, spin
+from qhistories import (consistency, histories, linalg, randmodel,
+                        selection, spin)
 from qhistories.histories import CallableEvolution, HistoryTree
 from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
                                sample_unit_vector, schmidt_decompose)
@@ -1127,6 +1128,34 @@ def test_a_chunk_with_the_probe_keeps_its_largest_array_within_scan_block(
         unpersisting += int(chunk.unpersisting.sum())
         assert not plain.unpersisting.any()
     assert held > 0 and unpersisting > 0, name
+
+
+def test_a_one_time_chunk_past_the_leaf_state_cap_is_refused(monkeypatch):
+    # at eps = 2 and delta = 0 every time of the recoherence model is
+    # admissible, so each event doubles the leaves and the Gram stacks
+    # grow as their square; with the cap lowered to 2^12 entries, a chunk
+    # of one time over 32 leaves (probe Gram stack 2^3 x 32^2 entries) is
+    # refused before anything is evolved (the default cap is not run here:
+    # it lets the leaves reach 4096, whose Gram stack of one time is 2^25
+    # entries, 512 MiB)
+    monkeypatch.setattr(histories, "LEAF_STATE_CAP", 2 ** 12)
+    model = selection.recoherence_model(math.sqrt(0.7), math.sqrt(0.3),
+                                        np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match=(
+            f"a scan chunk of one time over 32 leaves needs an array of "
+            f"{8 * 32 ** 2} entries, past the leaf-state cap {2 ** 12}")):
+        selection.quasi_dynamical_select(model, 2.0, 0.0, 3 * math.pi / 2,
+                                         probe_dt=0.05)
+    decs = [selection.schmidt_candidate(model, t)
+            for t in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
+    tree = selection._chain(model, decs, 2.0)[0]
+    assert len(tree.leaves()) == 64
+    evolved = []
+    monkeypatch.setattr(model.evolution, "apply_times",
+                        lambda *args: evolved.append(args))
+    with pytest.raises(ValueError, match="leaf-state cap"):
+        selection._prepare_chunk(model, tree, [0.7], (2.0, 0.0, "relative"))
+    assert evolved == []
 
 
 # -- edge inputs: one bad time does not spoil its chunk ---------------------

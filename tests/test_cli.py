@@ -96,30 +96,27 @@ def test_dheg_command():
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_spin_classify_shares_prefixes_bit_for_bit(monkeypatch, n, seed):
-    # each catalogue set's tree extends its prefix's by one event; every
-    # row must be that of the set's tree built from scratch, to the bit
-    from qhistories import consistency, histories, spin
+    # each catalogue set is scored with the other children of its prefix,
+    # from the prefix's tree as the walk extended it; every row must be
+    # the scorer's on the prefix's tree built from scratch, with the set
+    # alone as a stack of one, to the bit
     emitted = []
     monkeypatch.setattr(cli, "emit_records",
                         lambda out, title, meta, columns, rows:
                         emitted.append(rows))
-    extensions = []
-    extend_all = histories.extend_all
-    monkeypatch.setattr(spin, "extend_all", lambda tree, dec: (
-        extensions.append(dec.time), extend_all(tree, dec))[1])
     assert cli.main(["spin", "classify", "--n", str(n),
                      "--seed", str(seed)]) == 0
     [rows] = emitted
-    assert len(extensions) == len(rows)
-    monkeypatch.undo()
     cfg = cli._random_axes(n, cli.RandomStream(seed, "spin-classify"))
     want = []
     for form, times in spin.enumerate_consistent_sets(cfg):
         if times:
-            tree = spin.build_tree(cfg, spin.measurement_events(cfg, times))
-            want.append([form, len(times), consistency.consistency_report(
-                histories.decoherence_matrix(tree).entries
-            ).max_medium_violation])
+            prefix = spin.build_tree(
+                cfg, spin.measurement_events(cfg, times[:-1]))
+            [(t, w)] = spin.measurement_events(cfg, times[-1:])
+            violations, _ = spin._score_children(
+                prefix, [(t, spin._axis_pair(w))])
+            want.append([form, len(times), float(violations[0])])
     assert rows == want
 
 
@@ -303,3 +300,22 @@ def test_spin_probs_past_the_leaf_state_cap_exits_2_at_once(capsys):
     assert f"{2 ** 27} entries, past the leaf-state cap" in errors[0]
     # a few copies of the initial state, of 2^14 entries, at most
     assert peak < 8 * 16 * 2 ** 14
+
+
+def test_spin_recoherence_past_the_cap_on_its_gram_stacks_exits_2(
+        monkeypatch, capsys):
+    # at eps = 2 and delta = 0 every time is admissible, so each event
+    # doubles the leaves; with the cap lowered to 2^12 entries, the one-time
+    # scan chunk over 64 leaves, whose Gram stack is 2 x 64^2 entries, is
+    # refused with one error line and exit status 2 (the default cap is not
+    # run here: it lets the leaves reach 4096, whose Gram stack of one time
+    # is 2^25 entries, 512 MiB)
+    monkeypatch.setattr(histories, "LEAF_STATE_CAP", 2 ** 12)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["spin", "recoherence", "--eps", "2", "--delta", "0"])
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error" in line]
+    assert len(errors) == 1 and "qhist: error:" in errors[0]
+    assert (f"over 64 leaves needs an array of {2 * 64 ** 2} entries, "
+            f"past the leaf-state cap {2 ** 12}") in errors[0]

@@ -286,19 +286,18 @@ def test_mpv_scans_are_bit_identical_to_the_references(D, exact):
 def _mpv_peak_bound(n, exact):
     """Bytes an MPV scan of n histories may allocate at once, with
     h = n//2 and m = n - h.  Exact: the tables A = [X_hi | f_hi | 1] and
-    B = [W^T ; 1 ; f_lo], and then the larger of the scan buffer
-    (MPV_BLOCK entries) and the half tables X_hi and f_hi while A is
-    filled (2^m (m + 1)); the lo half tables, and each half's transient
-    products, are freed or smaller before then (numpy multiplies the
-    X R product of _subset_values by X in place).  Greedy: 2 Re D^T, the
+    B = [W^T ; 1 ; f_lo], and the scan buffer (MPV_BLOCK entries); A and
+    B are filled a block of subsets at a time, whose bits and transient
+    products (numpy multiplies the X R product of _subset_values by X in
+    place) stay within MPV_BLOCK / 4 entries each, and are freed before
+    the scan buffer is allocated.  Greedy: 2 Re D^T, the
     2 C(n, 2) seed-pair indices and two blocks of MPV_BLOCK entries (the
     gain block and its gathered rows or compressed copy).  Both: a quarter
     block for the per-row vectors and small arrays, all float64."""
     if exact:
         h = n // 2
         m = n - h
-        tables = ((1 << h) + (1 << m)) * (m + 2)
-        held = tables + max(MPV_BLOCK, (1 << m) * (m + 1))
+        held = ((1 << h) + (1 << m)) * (m + 2) + MPV_BLOCK
     else:
         held = n * n + n * (n - 1) + 2 * MPV_BLOCK
     return 8 * (held + MPV_BLOCK // 4)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from qhistories import spin
+from qhistories import histories, selection, spin
 from qhistories.consistency import consistency_report
-from qhistories.histories import ProjectiveDecomposition, decoherence_matrix
-from qhistories.linalg import RandomStream, sample_unit_vector
+from qhistories.histories import (HistoryTree, ProjectiveDecomposition,
+                                  decoherence_matrix)
+from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
+                               sample_unit_vector)
 from qhistories.spin import I2, _kron_chain, proj2, theta_schedule
 from qhistories.tolerances import ORACLE_RTOL
 
@@ -187,6 +189,137 @@ def test_classification_allowed_sets_consistent():
         assert rep.max_medium_violation < 1e-10, (form, times)
         n_sets += 1
     assert n_sets > 10
+
+
+def _random_events(rng, times):
+    return [(t, sample_unit_vector(3, "real", rng.stream(f"w{t}")))
+            for t in times]
+
+
+def _check_scored_children(tree, children):
+    """_score_children's violation of each (time, axis) child of tree
+    against the dense D of the tree extended by the child: D is zero off
+    the two Gram blocks, and the violation is its largest off-diagonal
+    |D_ab|, within ORACLE_RTOL of max |D|.  Returns each child's two block
+    maxima."""
+    violations, _ = spin._score_children(
+        tree, [(t, spin._axis_pair(w)) for t, w in children])
+    assert violations.shape == (len(children),)
+    maxima = []
+    for child, got in zip(children, violations):
+        D = decoherence_matrix(spin._extend_by_events(tree, [child])).entries
+        scale = np.abs(D).max()
+        off = np.abs(D - np.diag(np.diag(D)))
+        within = off.copy()
+        within[0::2, 1::2] = within[1::2, 0::2] = 0.0
+        assert (off - within).max() <= ORACLE_RTOL * scale
+        assert abs(got - within.max()) <= ORACLE_RTOL * scale
+        assert within.max() > 1e-3 * scale      # far from consistent
+        maxima.append((within[0::2].max(), within[1::2].max()))
+    return maxima
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scored_children_match_the_dense_matrix_of_inconsistent_sets(n, seed):
+    # spin-chain sets of random axes at random times, far from consistent
+    cfg = _config(100 + seed, n)
+    rng = RandomStream(seed, "score-children")
+    g = rng.stream("times").generator
+    cuts = np.sort(g.uniform(0.1, n + 0.5, size=n + 1))
+    prefix = _random_events(rng, cuts[:-1].tolist()[:seed % n + 1])
+    children = _random_events(rng, np.sort(
+        g.uniform(prefix[-1][0] + 0.05, n + 1.0, size=4)).tolist())
+    _check_scored_children(spin.build_tree(cfg, prefix), children)
+
+
+def test_scored_children_match_the_dense_matrix_under_a_random_flow():
+    # on the spin chain the two blocks' maxima coincide, so these sets, of
+    # a random Hamiltonian on C^2 (x) C^4, are where each block's maximum
+    # is sometimes the larger: the violation must read both blocks
+    larger = [0, 0]
+    for seed in range(4):
+        rng = RandomStream(seed, "score-flow")
+        psi = sample_unit_vector(8, "complex", rng.stream("psi"))
+        flow = HamiltonianFlow(sample_gue(8, 1.0, rng.stream("H")))
+        tree = spin._extend_by_events(
+            HistoryTree(initial_state=psi, evolution=flow),
+            _random_events(rng, [0.3, 0.9]))
+        for b0, b1 in _check_scored_children(
+                tree, _random_events(rng, [1.2, 1.7, 2.5])):
+            larger[0] += b0 > 1.01 * b1
+            larger[1] += b1 > 1.01 * b0
+    assert min(larger) > 0, larger
+
+
+def test_classify_catalogue_groups_give_the_ungrouped_rows(monkeypatch):
+    # a prefix's children are scored in groups of at most SCAN_BLOCK
+    # stacked entries; with the block cut small (groups of 4, 2 and 1
+    # children at 1, 2 and 4 leaves of dimension 32), the rows are the
+    # ungrouped walk's to the bit, from more scoring calls
+    calls = []
+    score = spin._score_children
+    monkeypatch.setattr(spin, "_score_children",
+                        lambda tree, children, extend: (
+                            calls.append(len(children)),
+                            score(tree, children, extend))[1])
+    for seed in range(3):
+        cfg = _config(200 + seed, 4)
+        monkeypatch.setattr(selection, "SCAN_BLOCK", 1 << 40)
+        whole = spin.classify_catalogue(cfg)
+        ungrouped, calls[:] = list(calls), []
+        monkeypatch.setattr(selection, "SCAN_BLOCK", 256)
+        assert spin.classify_catalogue(cfg) == whole
+        assert max(calls) == 4 < max(ungrouped)
+        assert len(calls) > len(ungrouped) and sum(calls) == sum(ungrouped)
+        calls[:] = []
+
+
+def test_classify_catalogue_takes_two_evolution_calls_per_prefix(
+        monkeypatch):
+    # at n = 3 the 35 sets have 18 prefixes, the empty one included: one
+    # apply_times per prefix and one apply back per extended prefix, 35
+    # evolution calls where one extension per set took 70
+    counts = {"apply": 0, "apply_times": 0, "apply_rows": 0}
+    for name in counts:
+        method = getattr(spin.ChainEvolution, name)
+
+        def counted(self, *args, _method=method, _name=name, **kwargs):
+            counts[_name] += 1
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(spin.ChainEvolution, name, counted)
+    cfg = _config(7, 3)
+    rows = spin.classify_catalogue(cfg)
+    prefixes = {times[:-1] for _, times, _ in rows}
+    assert len(rows) == 35 and len(prefixes) == 18
+    assert counts == {"apply": 17, "apply_times": 18, "apply_rows": 0}
+    assert max(v for _, _, v in rows) < 1e-10
+
+
+def test_classify_catalogue_keeps_the_per_set_checks(monkeypatch):
+    cfg = _config(5, 3)
+    # a child no later than its prefix's last time: an interior point at
+    # the end of its interaction, or at its start, just after the prefix
+    catalogue = spin.enumerate_consistent_sets
+    for points in ((0.3, 1.0), (0.0,)):
+        monkeypatch.setattr(spin, "enumerate_consistent_sets",
+                            lambda cfg, points=points: catalogue(cfg, points))
+        with pytest.raises(ValueError, match="does not exceed branch time"):
+            spin.classify_catalogue(cfg)
+    monkeypatch.undo()
+    # an axis that is not a real unit 3-vector
+    axis = spin.measurement_axis
+    monkeypatch.setattr(spin, "measurement_axis",
+                        lambda cfg, t: 1.01 * axis(cfg, t) if t == 2.0
+                        else axis(cfg, t))
+    with pytest.raises(ValueError, match="axis"):
+        spin.classify_catalogue(cfg)
+    monkeypatch.undo()
+    # the leaf-state cap, counting the stacked blocks of a group: the
+    # deepest sets of n = 3 have 16 leaves of dimension 16
+    monkeypatch.setattr(histories, "LEAF_STATE_CAP", 16 * 16 - 1)
+    with pytest.raises(ValueError, match="past the leaf-state cap 255"):
+        spin.classify_catalogue(cfg)
 
 
 def test_disallowed_pairs_inconsistent():
