@@ -15,6 +15,7 @@ computation is reported as "qhist: error: <message>" on stderr.
 import argparse
 import configparser
 import functools
+import itertools
 import math
 import sys
 
@@ -193,18 +194,24 @@ def cmd_spin_classify(args, out):
     return worst < 1e-8
 
 
+def _spin_probs(cfg, times):
+    """(tree, closed form): the probabilities of every history of the
+    spin chain's measurement tree at the integer times, in leaves() order,
+    read from the tree (HistoryTree.probabilities) and from the closed
+    form's product over all histories (spin.history_probabilities)."""
+    tree = spin_mod.build_tree(cfg, spin_mod.measurement_events(cfg, times))
+    return tree.probabilities(), spin_mod.history_probabilities(cfg, times)
+
+
 def cmd_spin_probs(args, out):
     cfg = _random_axes(args.n, RandomStream(args.seed, "spin-probs"))
     n = cfg.n
     times = tuple(range(1, n + 1))
-    tree = spin_mod.build_tree(cfg, spin_mod.measurement_events(cfg, times))
-    rows, worst = [], 0.0
-    for label, p in zip(tree.leaves(), tree.probabilities()):
-        signs = tuple(1 if i == 0 else -1 for i in label)
-        spec = spin_mod.SpinHistorySpec(times, signs)
-        cf = spin_mod.history_probability(cfg, spec)
-        worst = max(worst, abs(cf - p))
-        rows.append(["".join("+" if s > 0 else "-" for s in signs), p, cf])
+    probs, closed = _spin_probs(cfg, times)
+    worst = float(np.max(np.abs(closed - probs)))
+    # leaves() order: the sign at the first time outermost, + before -
+    rows = [["".join(signs), p, cf] for signs, p, cf in zip(
+        itertools.product("+-", repeat=n), probs.tolist(), closed.tolist())]
     emit_records(out, "spin probs",
                  {"n": n, "seed": args.seed, "stream": "spin-probs",
                   "max_abs_diff": worst},
@@ -343,17 +350,10 @@ def cmd_selftest(args, out):
         worst = max(worst, abs(p - g[m] ** 2))
     checks.append(("zeno_classes", worst < 1e-12))
 
-    cfg = _random_axes(3, RandomStream(args.seed, "selftest"))
-    times = (1, 2, 3)
-    Dp = decoherence_matrix(
-        spin_mod.build_tree(cfg, spin_mod.measurement_events(cfg, times)))
-    worst = 0.0
-    for label, p in zip(Dp.labels, Dp.diag):
-        signs = tuple(1 if i == 0 else -1 for i in label)
-        worst = max(worst, abs(
-            spin_mod.history_probability(
-                cfg, spin_mod.SpinHistorySpec(times, signs)) - p))
-    checks.append(("spin_probs", worst < 1e-10))
+    probs, closed = _spin_probs(
+        _random_axes(3, RandomStream(args.seed, "selftest")), (1, 2, 3))
+    checks.append(("spin_probs", float(np.max(np.abs(closed - probs)))
+                   < 1e-10))
 
     B = bounds_mod.simplex_packing(3)
     G = B @ B.T

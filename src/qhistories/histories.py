@@ -7,25 +7,32 @@ and probability |u_alpha|^2.  Projectors stay in the Schroedinger picture:
 a node maps the state u it receives to U(t)^dag P_i U(t) u.  A tree
 carries the path states of its leaves as the columns of one read-only
 matrix (leaf_states), in leaves() order, so reading them evolves nothing.
-Extension computes the new columns: the columns it splits are evolved
-forward to t once, projected (HistoryTree._project, the one projection
-kernel, which selection scores candidates with too) and evolved back once,
-two evolution calls per extension.  Trees are immutable; extension returns
-a new tree sharing untouched subtrees.
+Extension (_extend) computes the new columns: the columns it splits are
+evolved forward to t once, projected (HistoryTree._project, the one
+projection kernel, which selection scores candidates with too) and evolved
+back once, two evolution calls per extension.  Its node rebuild
+(_split_nodes) stands apart from its states, so a caller that computes a
+tree's states another way, as spin._extend_by_events steps them from one
+event time to the next, rebuilds the nodes alone and sets the states once
+(HistoryTree._grown): no tree holds states other than its time-0 path
+states.  Trees are immutable; extension returns a new tree sharing
+untouched subtrees.
 
 Evolution is matrix-free.  An evolution is an object with
 apply(states, t, adjoint=False) returning U(t) states or U(t)^dag states,
-apply_times(states, ts) stacking U(t) states over the times ts, a
-(0, ...) stack for no times, and apply_rows(states, ts, adjoint=False)
-evolving row r of a stack (T, ...) of states by U(ts[r]), or its adjoint.
-spin.ChainEvolution computes all three in one kernel over a sequence of
-times, and HamiltonianFlow apply and apply_times in one and apply_rows by
+apply_times(states, ts, since=None) stacking U(t) states over the times
+ts, or U(t) U(since)^dag states when since is given, a (0, ...) stack for
+no times, and apply_rows(states, ts, adjoint=False) evolving row r of a
+stack (T, ...) of states by U(ts[r]), or its adjoint.  spin.ChainEvolution
+computes all three in one kernel over a sequence of times, undoing at
+since only the interactions that do not cancel; HamiltonianFlow computes
+apply and apply_times in one, phased by t - since, and apply_rows by
 batched products; a callable t -> U(t) is wrapped once by
 CallableEvolution, whose apply_times and apply_rows take one apply per
-time.  Operators act on the leading tensor factor
-(apply_leading): an operator of size d applied to a state of size d*m acts
-as op (x) 1_m by reshape, so system projectors and a purified state's base
-evolution stay at their own size.
+time, and one adjoint apply at since.  Operators act on the leading tensor
+factor (apply_leading): an operator of size d applied to a state of size
+d*m acts as op (x) 1_m by reshape, so system projectors and a purified
+state's base evolution stay at their own size.
 """
 
 import copy
@@ -39,7 +46,10 @@ from .tolerances import NORM_TOL, PROJECTOR_TOL, SCHMIDT_WEIGHT_TOL
 # complex entries of a tree's leaf-state matrix, 512 MiB: the spin chain's
 # measurement tree at n = 12, 2^13 x 2^12, is the largest within it; also
 # the complex entries of the largest array of a one-time scan chunk
-# (selection._prepare_chunk), whose Gram stacks grow as the leaves squared
+# (selection._prepare_chunk), whose Gram stacks grow as the leaves squared.
+# It bounds that one array, not the chunk: beside the complex Gram stack
+# the screen holds its float moduli, so a one-time chunk at the cap peaks
+# at about 1.5 times its largest array under tracemalloc, 768 MiB
 LEAF_STATE_CAP = 1 << 25
 
 
@@ -86,9 +96,12 @@ class CallableEvolution:
         U = self._latest[1]
         return apply_leading(U.conj().T if adjoint else U, states)
 
-    def apply_times(self, states, ts):
-        """U(t) states for every t of ts, stacked on a leading time axis:
-        one apply per time."""
+    def apply_times(self, states, ts, since=None):
+        """U(t) states for every t of ts, stacked on a leading time axis, or
+        U(t) U(since)^dag states when since is given: one apply per time,
+        after one adjoint apply at since."""
+        if since is not None:
+            states = self.apply(states, since, adjoint=True)
         return np.array([self.apply(states, t) for t in ts],
                         dtype=complex).reshape((len(ts),) + np.shape(states))
 
@@ -102,9 +115,10 @@ class CallableEvolution:
 
 def as_evolution(evolution):
     """None, an object with apply(states, t, adjoint=False),
-    apply_times(states, ts) and apply_rows(states, ts, adjoint=False)
-    (HamiltonianFlow, spin.ChainEvolution: one kernel each, which all
-    three enter), or a callable t -> U(t) wrapped in CallableEvolution."""
+    apply_times(states, ts, since=None) and apply_rows(states, ts,
+    adjoint=False) (HamiltonianFlow, spin.ChainEvolution: one kernel each,
+    which all three enter), or a callable t -> U(t) wrapped in
+    CallableEvolution."""
     if evolution is None or hasattr(evolution, "apply"):
         return evolution
     return CallableEvolution(evolution)
@@ -250,6 +264,15 @@ class HistoryTree:
         nothing."""
         return self._probabilities
 
+    def _grown(self, root, states):
+        """A new tree over the same initial state and evolution, with the
+        nodes under root (_split_nodes) and states, their leaves' path
+        states, as its leaf states."""
+        tree = copy.copy(self)
+        tree.root = root
+        tree._set_states(states)
+        return tree
+
     def _set_states(self, states):
         states.flags.writeable = False
         self._states = states
@@ -318,24 +341,17 @@ def real_embed(u):
     return np.concatenate([u.real, u.imag])
 
 
-def _extend(tree, dec, path, states=None):
-    """New tree with dec splitting the leaf at the end of path, or every
-    leaf when path is None, in one rebuild; untouched subtrees are shared.
-    The split columns of the leaf states are evolved to dec.time, projected
-    (HistoryTree._project) and evolved back: two evolution calls.  states,
-    when given, are the new tree's leaf states, already computed
-    (selection.Extension).
-    Raises ValueError when dec's projectors do not divide the state, when
-    dec is not later than the last decomposition on a branch it splits,
-    when path does not end at a leaf, or, before anything is allocated,
-    when the new tree's leaf states would exceed LEAF_STATE_CAP entries."""
-    dim, leaves = tree.leaf_states().shape
-    k = len(dec.projectors)
-    _check_leaf_states(dim, leaves * k if path is None else leaves + k - 1)
+def _split_nodes(root, dec, path, dim):
+    """The nodes of a tree rooted at root, with dec splitting the leaf at
+    the end of path, or every leaf when path is None, in one rebuild;
+    untouched subtrees are shared.  Only the nodes: no state is computed.
+    Raises ValueError when dec's projectors do not divide the state
+    dimension dim, when dec is not later than the last decomposition on a
+    branch it splits, or when path does not end at a leaf."""
     d = dec.projectors[0].shape[0]
-    if tree.dim % d:
+    if dim % d:
         raise ValueError(
-            f"projector dimension {d} does not divide state dimension {tree.dim}")
+            f"projector dimension {d} does not divide state dimension {dim}")
 
     def rebuild(node, path, t_last):
         if node.is_leaf:
@@ -353,8 +369,22 @@ def _extend(tree, dec, path, states=None):
                                   node.decomposition.time)
         return _Node(node.decomposition, children)
 
-    new_tree = copy.copy(tree)
-    new_tree.root = rebuild(tree.root, path, None)
+    return rebuild(root, path, None)
+
+
+def _extend(tree, dec, path, states=None):
+    """New tree with dec splitting the leaf at the end of path, or every
+    leaf when path is None (_split_nodes).  The split columns of the leaf
+    states are evolved to dec.time, projected (HistoryTree._project) and
+    evolved back: two evolution calls.  states, when given, are the new
+    tree's leaf states, already computed (selection.Extension).
+    Raises ValueError as _split_nodes does, or, before anything is
+    allocated, when the new tree's leaf states would exceed LEAF_STATE_CAP
+    entries."""
+    dim, leaves = tree.leaf_states().shape
+    k = len(dec.projectors)
+    _check_leaf_states(dim, leaves * k if path is None else leaves + k - 1)
+    root = _split_nodes(tree.root, dec, path, tree.dim)
     if states is None:
         old = tree.leaf_states()
         a = 0 if path is None else tree.leaves().index(path)
@@ -363,8 +393,7 @@ def _extend(tree, dec, path, states=None):
         split = tree._evolve(W, dec.time, adjoint=True)
         states = split if path is None else np.hstack(
             [old[:, :a], split, old[:, b:]])
-    new_tree._set_states(states)
-    return new_tree
+    return tree._grown(root, states)
 
 
 def extend_branch(tree, leaf, dec):

@@ -256,8 +256,9 @@ class HamiltonianFlow:
     (_evolve): with U(t) = V e^{-i Lambda t} V^dag and Y = V^dag X taken
     once, it phases Y for all T times into one (d, T m) matrix and applies
     V to it in one GEMM, then returns the C-contiguous (T, ...) stack.  It
-    holds at most two arrays of T d m entries at once.  apply_rows evolves
-    each row of a stack at its own time by batched products."""
+    holds at most two arrays of T d m entries at once.  apply_times(states,
+    ts, since) phases by t - since.  apply_rows evolves each row of a stack
+    at its own time by batched products."""
 
     def __init__(self, H):
         self.H = _as_complex_matrix(H)
@@ -275,8 +276,12 @@ class HamiltonianFlow:
         U (x) 1_m (leading factor)."""
         return self._evolve(states, (t,), adjoint)[0]
 
-    def apply_times(self, states, ts):
-        """U(t) states for every t of ts, stacked on a leading time axis."""
+    def apply_times(self, states, ts, since=None):
+        """U(t) states for every t of ts, stacked on a leading time axis, or
+        U(t) U(since)^dag states = U(t - since) states when since is given:
+        the same kernel, phased by t - since."""
+        if since is not None:
+            ts = np.asarray(ts, dtype=float) - since
         return self._evolve(states, ts, False)
 
     def apply_rows(self, states, ts, adjoint=False):

@@ -8,7 +8,15 @@ probabilities, information content) and brute force on the full
 2^{n+1}-dimensional state vector.  The brute force is matrix-free:
 ChainEvolution applies U(t) = V_n(t) ... V_1(t) to state vectors and
 column-state matrices one interaction at a time, each V_k on the (system,
-environment spin k) axes only, so no 2^{n+1}-square matrix is built.  The
+environment spin k) axes only, so no 2^{n+1}-square matrix is built.
+Trees and the classification walk step their states from one projection
+time to the next, U(t_k) U(t_{k-1})^dag (ChainEvolution.apply_times with
+since), which at integer times is the one interaction V_k: build_tree
+turns one interaction per integer event and evolves back once, and
+classify_catalogue scores a prefix's children from its projected states
+at its last time and evolves nothing back.  The closed-form probabilities
+of every history of a chain of integer times are one product over all of
+them (history_probabilities), each history_probability's to the bit.  The
 dense products (interaction_unitary, full_unitary, recoherence_unitary)
 remain as small-n oracles.  Variants: a decohere/recohere cycle on a
 single environment spin, and branch-dependent (delayed-choice) axes, each
@@ -22,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .histories import (HistoryTree, ProjectiveDecomposition,
-                        _check_leaf_states, _extend, apply_leading,
-                        extend_all)
+                        _check_leaf_states, _split_nodes, apply_leading)
 from .linalg import entropy, leading_rows, leading_view
 from .tolerances import (BLOCH_NORM_TOL, GENERICITY_TOL, PROJECTOR_TOL,
                          TIME_TOL, UNIT_VECTOR_TOL)
@@ -173,9 +180,10 @@ class ChainEvolution:
 
     apply(states, t, adjoint=False) takes a state vector or a matrix of
     column states whose size is a multiple of dim (leading factor);
-    apply_times(states, ts) stacks U(t) states over ts on a leading time
-    axis, and apply_rows(states, ts, adjoint=False) evolves row r of a
-    stack (T, ...) of them by U(ts[r]).  All three enter one loop over the
+    apply_times(states, ts, since=None) stacks U(t) states over ts on a
+    leading time axis, or U(t) U(since)^dag states, and apply_rows(states,
+    ts, adjoint=False) evolves row r of a stack (T, ...) of them by
+    U(ts[r]).  All three enter one loop over the
     interactions (_evolve), reversed for the adjoint, which calls theta
     interaction by interaction, at every time in order.  An interaction
     with the same angle at every time is applied once, as one R - 1, to
@@ -188,9 +196,19 @@ class ChainEvolution:
     so the stack is the scalar path's to the bit).  So apply, at one time,
     takes one scalar step per turned interaction; the (T, 2, 2) stack
     alone, at T = 1, was 1.2-1.45x slower (n = 2-6, on a shared 2-vCPU
-    VM), and spin-chain tree extension runs apply at one time.  And
+    VM), and spin-chain trees step by apply_times at one time.  And
     apply_times applies the interactions that a chunk of chain-schedule
-    times has finished at all of its times once, not once per time."""
+    times has finished at all of its times once, not once per time.
+
+    With since, V_k(t) V_k(since)^dag = 1 for every k below the first
+    interaction whose angle at some t of ts is not its angle at since, so
+    that cancelled prefix is skipped: V_n(since) .. V_first(since) are
+    undone as one scalar step each (skipped at angle 0), and the forward
+    loop starts at first.  Between integer times m - 1 and m of the chain
+    schedule only interaction m turns, so that step is one interaction.
+    While the states are not split by time, each step adds into the
+    kernel's own copy in place, so apply holds the states, that copy and
+    two temporaries of their size."""
 
     def __init__(self, axes, theta):
         self.n = len(axes)
@@ -201,41 +219,62 @@ class ChainEvolution:
     def apply(self, states, t, adjoint=False):
         return self._evolve(states, (t,), adjoint)[0]
 
-    def apply_times(self, states, ts):
-        return self._evolve(states, ts, False)
+    def apply_times(self, states, ts, since=None):
+        return self._evolve(states, ts, False, since=since)
 
     def apply_rows(self, states, ts, adjoint=False):
         return self._evolve(states, ts, adjoint, rows=True)
 
-    def _evolve(self, states, ts, adjoint, rows=False):
+    def _evolve(self, states, ts, adjoint, rows=False, since=None):
         shape, T = np.shape(states), len(ts)
         # a copy, so the result never aliases states, even when U(t) = 1
         x = np.array(states, dtype=complex)
         x = leading_rows(x, self.dim) if rows else leading_view(x, self.dim)
         split = (T,) if rows else ()    # (T,) once x has one row per time
-        for k in range(self.n, 0, -1) if adjoint else range(1, self.n + 1):
+        ks = range(self.n, 0, -1) if adjoint else range(1, self.n + 1)
+        if since is not None:
+            # U(t) U(since)^dag: V_k(t) V_k(since)^dag = 1 up to the first
+            # k whose angle at some t is not its angle at since, so only
+            # V_n(since) .. V_first(since) are undone, as one time
+            back = [self.theta(k, since) for k in ks]
+            first = next((k for k in ks if any(
+                self.theta(k, t) != back[k - 1] for t in ts)), self.n + 1)
+            for k in range(self.n, first - 1, -1):
+                if back[k - 1]:
+                    x = self._turn(x, k, back[k - 1:k], True, ())
+            ks = range(first, self.n + 1)
+        for k in ks:
             ths = [self.theta(k, t) for t in ts]
             if not split and ths[1:] != ths[:-1]:   # the angles differ
                 split = (T,)
                 x = np.broadcast_to(x, split + x.shape)
-            if not any(ths):            # angle 0 at every time, or no times
-                continue
-            if split:       # _rot_minus_one's entries, a column at a time
-                s = [-math.sin(th) if adjoint else math.sin(th) for th in ths]
-                rot_minus_one = np.empty((T, 1, 2, 2), dtype=complex)
-                rot_minus_one[:, 0, 0, 0] = rot_minus_one[:, 0, 1, 1] = [
-                    -2.0 * math.sin(th / 2) ** 2 for th in ths]
-                rot_minus_one[:, 0, 0, 1] = [-v for v in s]
-                rot_minus_one[:, 0, 1, 0] = s
-            else:
-                rot_minus_one = np.array(_rot_minus_one(ths[0], adjoint),
-                                         dtype=complex).reshape(2, 2)
-            w = np.matmul(rot_minus_one, x.reshape(split + (2 ** k, 2, -1)))
-            x = x + (self._minus[k - 1] @ w.reshape(split + (2, -1))).reshape(
-                x.shape)
+            if any(ths):            # not angle 0 at every time, or no times
+                x = self._turn(x, k, ths, adjoint, split)
         if not split and T != 1:
             x = np.repeat(x[None], T, axis=0)
         return x.reshape(shape if rows else (T,) + shape)
+
+    def _turn(self, x, k, ths, adjoint, split):
+        """x with interaction k applied at the angles ths (adjoint: its
+        inverse): one scalar step at ths[0] while x is not split by time
+        (split == ()), else the (T, 2, 2) stack of R - 1, one row per
+        time."""
+        if split:           # _rot_minus_one's entries, a column at a time
+            s = [-math.sin(th) if adjoint else math.sin(th) for th in ths]
+            rot_minus_one = np.empty((len(ths), 1, 2, 2), dtype=complex)
+            rot_minus_one[:, 0, 0, 0] = rot_minus_one[:, 0, 1, 1] = [
+                -2.0 * math.sin(th / 2) ** 2 for th in ths]
+            rot_minus_one[:, 0, 0, 1] = [-v for v in s]
+            rot_minus_one[:, 0, 1, 0] = s
+        else:
+            rot_minus_one = np.array(_rot_minus_one(ths[0], adjoint),
+                                     dtype=complex).reshape(2, 2)
+        w = np.matmul(rot_minus_one, x.reshape(split + (2 ** k, 2, -1)))
+        w = (self._minus[k - 1] @ w.reshape(split + (2, -1))).reshape(x.shape)
+        if split:       # x may be a read-only broadcast of unsplit states
+            return x + w
+        x += w          # unsplit, x is _evolve's own copy
+        return x
 
 
 def chain_evolution(cfg):
@@ -319,7 +358,10 @@ def build_tree(cfg, events):
     """History tree from (time, axis) projection events; each event splits
     every branch with the 2 x 2 system projectors {P(axis), P(-axis)}.
     Axes must be real unit 3-vectors, |axis|^2 within PROJECTOR_TOL of 1
-    (ValueError otherwise); the pair's own, looser check is skipped."""
+    (ValueError otherwise); the pair's own, looser check is skipped.
+    The leaf states step from one event time to the next (_advance), so at
+    integer times each event turns one interaction, and one apply back
+    from the last event time gives the tree's time-0 leaf states."""
     return _extend_by_events(HistoryTree(initial_state=initial_state(cfg),
                                          evolution=chain_evolution(cfg)),
                              events)
@@ -327,15 +369,26 @@ def build_tree(cfg, events):
 
 def _extend_by_events(tree, events):
     """tree extended by the (time, axis) events of build_tree, in time
-    order.  Each event doubles the leaves, so a tree whose leaf states
+    order.  Every event is checked, and the tree's nodes split
+    (histories._split_nodes), before anything is evolved; then the leaf
+    states, as a _Frame at time 0, are stepped through the events
+    (_advance), and one evolution.apply back from the last event time
+    gives the new tree's leaf states.  No tree holds the states between
+    events.  Each event doubles the leaves, so a tree whose leaf states
     would exceed LEAF_STATE_CAP is refused (ValueError) before the first
-    extension."""
+    event."""
     _check_leaf_states(tree.dim, tree.leaf_states().shape[1]
                        * 2 ** len(events))
+    steps, root = [], tree.root
     for t, w in sorted(events, key=lambda e: e[0]):
         dec = ProjectiveDecomposition(t, _axis_pair(w), check=False)
-        tree = extend_all(tree, dec)
-    return tree
+        root = _split_nodes(root, dec, None, tree.dim)
+        steps.append((dec.time, dec.projectors))
+    if not steps:
+        return tree
+    frame = _advance(_Frame(tree.evolution, tree.leaf_states(), None), steps)
+    return tree._grown(root, tree.evolution.apply(frame.states, frame.time,
+                                                  adjoint=True))
 
 
 def schmidt_events(cfg, times):
@@ -447,6 +500,22 @@ def history_probability(cfg, spec):
     return float(p)
 
 
+def history_probabilities(cfg, integer_times):
+    """history_probability of every sign string over the integer times,
+    as one array in leaves() order (the sign at the first time outermost,
+    + before -): one product over all 2^m histories of the m times, with
+    history_probability's factors in its order, so each entry is its
+    value to the bit."""
+    ms = (0,) + tuple(integer_times)
+    m = len(integer_times)
+    bits = (np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    signs = np.hstack([np.ones((2 ** m, 1), dtype=int), 1 - 2 * bits])
+    p = np.full(2 ** m, 2.0 ** (-m))
+    for i in range(m):
+        p *= 1.0 + signs[:, i] * signs[:, i + 1] * lam(cfg, ms[i], ms[i + 1])
+    return p
+
+
 # -- classification-allowed sets -----------------------------------------
 
 def enumerate_consistent_sets(cfg, interior_points=(0.3, 0.7)):
@@ -470,45 +539,73 @@ def enumerate_consistent_sets(cfg, interior_points=(0.3, 0.7)):
                     yield ("iii", tuple(float(t) for t in T) + (k0 - 1 + frac,))
 
 
-def _score_children(tree, children, extend=()):
-    """Score the children of tree, its every leaf split at t by the two
-    2 x 2 system projectors of each (t, projectors) of children
-    (_axis_pair): (violations, projected).  violations[c] is the largest
-    off-diagonal |D_ab| of child c's decoherence matrix, and projected the
-    projected states W of each child whose index is in extend, in its
-    order, for _extend_child.
+@dataclass(frozen=True)
+class _Frame:
+    """The projected states of a set's leaves at its last projection time:
+    states holds, as columns in leaves() order, P_{a_m} U(t_m, t_{m-1}) ...
+    P_{a_1} U(t_1) psi for each leaf a, time is t_m (None: no projection
+    yet, states at time 0), and evolution steps them on.  Their Gram
+    matrix is the set's decoherence matrix, in any frame."""
+
+    evolution: object
+    states: np.ndarray
+    time: float | None
+
+
+def _project_children(frame, children):
+    """The (C, 2, d, n) blocks of the children of frame, its every leaf
+    split at t by the two 2 x 2 system projectors of each (t, projectors)
+    of children (_axis_pair): blocks[c, i] = P_i U(t_c) U(since)^dag W,
+    W = frame.states and since = frame.time, by one evolution.apply_times
+    over the children's times and one stacked product, (C, 2, 2, 2) on the
+    (C, 1, 2, rest) evolved states.  Raises ValueError, before anything is
+    evolved, when the blocks, the C children's leaf states, would exceed
+    LEAF_STATE_CAP entries."""
+    ts = [float(t) for t, _ in children]
+    W = frame.states
+    (d, n), C = W.shape, len(ts)
+    _check_leaf_states(d, 2 * n * C)
+    P = np.array([pair for _, pair in children])    # (C, 2, 2, 2)
+    return (P @ frame.evolution.apply_times(W, ts, frame.time).reshape(
+        C, 1, 2, -1)).reshape(C, 2, d, n)
+
+
+def _child_frame(frame, t, blocks):
+    """The _Frame at t of a child whose (2, d, n) blocks are given: its
+    columns in leaves() order, leaf outer and projector inner, as
+    HistoryTree._project's W, in an array of its own."""
+    _, d, n = blocks.shape
+    return _Frame(frame.evolution, np.ascontiguousarray(
+        np.moveaxis(blocks, 0, 2).reshape(d, 2 * n)), float(t))
+
+
+def _advance(frame, steps):
+    """frame stepped through the (t, projectors) of steps in order: each
+    one apply_times from the frame's time (_project_children, one child)."""
+    for t, projectors in steps:
+        frame = _child_frame(frame, t,
+                             _project_children(frame, [(t, projectors)])[0])
+    return frame
+
+
+def _score_children(frame, children, extend=()):
+    """Score the children of frame (_project_children): (violations,
+    frames).  violations[c] is the largest off-diagonal |D_ab| of child
+    c's decoherence matrix, and frames the _Frame of each child whose
+    index is in extend, in its order.
 
     The two projectors are orthogonal, so a child's D is zero off its two
     diagonal Gram blocks (selection.Extension), and its violation is their
-    largest off-diagonal |G|.  One evolution.apply_times evolves the leaf
-    states V to every child's time; each child's projectors act as one
-    stacked product, (C, 2, 2, 2) on the (C, 1, 2, rest) evolved states,
-    giving the (C, 2, d, n) blocks P_i U(t) V of HistoryTree._project; the
-    (C, 2, n, n) Gram stack is one product, and every child's violation one
-    reduction of it.  A child's W is its blocks in the (leaf outer,
-    projector inner) columns of HistoryTree._project's W, its own array,
-    so that each is freed once its child is extended.
-    Raises ValueError, before anything is evolved, when the blocks, the C
-    children's leaf states, would exceed LEAF_STATE_CAP entries."""
-    ts = [float(t) for t, _ in children]
-    V = tree.leaf_states()
-    (d, n), C = V.shape, len(ts)
-    _check_leaf_states(d, 2 * n * C)
-    P = np.array([pair for _, pair in children])    # (C, 2, 2, 2)
-    blocks = (P @ tree.evolution.apply_times(V, ts).reshape(C, 1, 2, -1)
-              ).reshape(C, 2, d, n)
+    largest off-diagonal |G|.  The (C, 2, n, n) Gram stack of the blocks is
+    one product, and every child's violation one reduction of it.  A
+    child's frame holds its own array, so that each is freed once its
+    child is entered."""
+    blocks = _project_children(frame, children)
+    n = blocks.shape[-1]
     G = np.abs(np.swapaxes(blocks, 2, 3) @ blocks.conj())   # (C, 2, n, n)
     G[..., range(n), range(n)] = 0.0
     return G.max(axis=(1, 2, 3)), [
-        np.moveaxis(blocks[r], 0, 2).reshape(d, 2 * n) for r in extend]
-
-
-def _extend_child(tree, t, projectors, W):
-    """tree with every leaf split at t by projectors, from W, their
-    projected states (_score_children): one evolution back, and
-    histories._extend, so the tree is extend_all's to the bit."""
-    return _extend(tree, ProjectiveDecomposition(t, projectors, check=False),
-                   None, tree.evolution.apply(W, t, adjoint=True))
+        _child_frame(frame, children[r][0], blocks[r]) for r in extend]
 
 
 def classify_catalogue(cfg):
@@ -518,23 +615,23 @@ def classify_catalogue(cfg):
     for a consistent set.
 
     Every prefix of a catalogue set is a catalogue set, or empty, so the
-    catalogue is walked one prefix at a time, depth first, from the bare
-    tree.  The children of a prefix, the sets that extend it by one time,
-    are scored together from its tree by one apply_times forward and one
-    Gram stack (_score_children); only those that are prefixes themselves
-    are extended, each by one apply back from its projected states
-    (_extend_child), just before the walk enters it.  So a catalogue of S
-    sets with p prefixes, the empty one included, takes one apply_times
-    per group of children (below; p unless a prefix's children are cut)
-    and p - 1 apply calls, not the 2 S of one extension per set (at n = 3,
-    35 of them, not 70), and builds no decoherence matrix.
+    catalogue is walked one prefix at a time, depth first, from the
+    initial state.  The walk holds no tree: a prefix is its _Frame, its
+    leaves' projected states at its last time.  The children of a prefix,
+    the sets that extend it by one time, are scored together from its
+    frame by one apply_times from the prefix's time and one Gram stack
+    (_score_children); a child that is a prefix itself is entered with
+    its projected blocks as its frame, with no evolution back.  So a
+    catalogue takes one apply_times per group of children (below; one per
+    prefix unless a prefix's children are cut, at n = 3, 18 for 35 sets)
+    and no apply, and builds no decoherence matrix.
 
     A prefix's children are taken in groups whose stacked blocks
     (C, 2, d, n) stay within selection.SCAN_BLOCK complex entries, at
     least one child per group, so a group's arrays exceed that bound only
-    when one child's do, and those are its own set's leaf states.  The
-    walk holds the trees of one branch of prefixes, and for each the
-    projected states of the children of its group not yet entered.
+    when one child's do, and those are its own set's projected states.
+    The walk holds the frames of one branch of prefixes, and for each the
+    frames of the children of its group not yet entered.
     Each time's axis is found, checked and made a projector pair once
     (_axis_pair), for every set that ends at that time.
     Raises ValueError when a child's time does not exceed its prefix's
@@ -550,27 +647,26 @@ def classify_catalogue(cfg):
     pairs = {t: _axis_pair(w) for t, w in measurement_events(
         cfg, sorted({times[-1] for _, times in sets}))}
 
-    def visit(tree, prefix):
+    def visit(frame, prefix):
         kids = children.get(prefix, [])
         for child in kids:
             if prefix and not child[-1] > prefix[-1]:
                 raise ValueError(f"decomposition time {child[-1]} does not "
                                  f"exceed branch time {prefix[-1]}")
-        d, n = tree.leaf_states().shape
+        d, n = frame.states.shape
         size = max(SCAN_BLOCK // (2 * n * max(d, n)), 1)
         for s in range(0, len(kids), size):
             group = kids[s:s + size]
             extend = [i for i, child in enumerate(group) if child in children]
-            worst, projected = _score_children(
-                tree, [(child[-1], pairs[child[-1]]) for child in group],
+            worst, frames = _score_children(
+                frame, [(child[-1], pairs[child[-1]]) for child in group],
                 extend)
             violation.update(zip(group, worst.tolist()))
             for i in extend:
-                t = group[i][-1]
-                visit(_extend_child(tree, t, pairs[t], projected.pop(0)),
-                      group[i])
+                visit(frames.pop(0), group[i])
 
-    visit(build_tree(cfg, []), ())
+    visit(_Frame(chain_evolution(cfg), initial_state(cfg)[:, None], None),
+          ())
     return [(form, times, violation[times]) for form, times in sets]
 
 

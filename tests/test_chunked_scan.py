@@ -31,6 +31,7 @@ through their arrays, by the row chunk.index[t] of each time t.
 """
 
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -1156,6 +1157,37 @@ def test_a_one_time_chunk_past_the_leaf_state_cap_is_refused(monkeypatch):
     with pytest.raises(ValueError, match="leaf-state cap"):
         selection._prepare_chunk(model, tree, [0.7], (2.0, 0.0, "relative"))
     assert evolved == []
+
+
+@pytest.mark.parametrize("probe_dt", [None, 0.05])
+def test_a_one_time_chunk_at_the_cap_holds_one_and_a_half_largest_arrays(
+        monkeypatch, probe_dt):
+    # LEAF_STATE_CAP bounds a chunk's largest array, its complex Gram
+    # stack here, not the chunk: beside it the screen holds its moduli
+    # |G| (float, half its bytes), so a one-time chunk at the cap peaks
+    # at about 1.5 times that array under tracemalloc (1.52 measured, and
+    # 1.51 with the probe, over 256 leaves of the recoherence model)
+    model = selection.recoherence_model(math.sqrt(0.7), math.sqrt(0.3),
+                                        np.array([0.0, 0.0, 1.0]))
+    decs = [selection.schmidt_candidate(model, 0.1 * (i + 1))
+            for i in range(8)]
+    tree = selection._chain(model, decs, 2.0)[0]
+    n, d1 = len(tree.leaves()), model.d1
+    assert n == 256
+    largest = d1 * n * n if probe_dt is None else d1 ** 3 * n * n
+    monkeypatch.setattr(histories, "LEAF_STATE_CAP", largest)
+    times, criterion = [0.95, 1.0], (2.0, 0.0, "relative")
+    selection._prepare_chunk(model, tree, list(times), criterion, probe_dt)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        chunk = selection._prepare_chunk(model, tree, list(times), criterion,
+                                         probe_dt)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(chunk.index) == 1
+    assert 16 * largest < peak <= 1.6 * 16 * largest
 
 
 # -- edge inputs: one bad time does not spoil its chunk ---------------------

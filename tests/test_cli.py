@@ -97,9 +97,10 @@ def test_dheg_command():
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_spin_classify_shares_prefixes_bit_for_bit(monkeypatch, n, seed):
     # each catalogue set is scored with the other children of its prefix,
-    # from the prefix's tree as the walk extended it; every row must be
-    # the scorer's on the prefix's tree built from scratch, with the set
-    # alone as a stack of one, to the bit
+    # from the prefix's frame as the walk stepped it; every row must be
+    # the set's own unshared prefix chain, stepped from the initial state
+    # one prefix time at a time and the set alone scored as a stack of
+    # one, to the bit
     emitted = []
     monkeypatch.setattr(cli, "emit_records",
                         lambda out, title, meta, columns, rows:
@@ -108,14 +109,15 @@ def test_spin_classify_shares_prefixes_bit_for_bit(monkeypatch, n, seed):
                      "--seed", str(seed)]) == 0
     [rows] = emitted
     cfg = cli._random_axes(n, cli.RandomStream(seed, "spin-classify"))
+    root = spin._Frame(spin.chain_evolution(cfg),
+                       spin.initial_state(cfg)[:, None], None)
     want = []
     for form, times in spin.enumerate_consistent_sets(cfg):
         if times:
-            prefix = spin.build_tree(
-                cfg, spin.measurement_events(cfg, times[:-1]))
-            [(t, w)] = spin.measurement_events(cfg, times[-1:])
+            *chain, last = [(t, spin._axis_pair(w)) for t, w
+                            in spin.measurement_events(cfg, times)]
             violations, _ = spin._score_children(
-                prefix, [(t, spin._axis_pair(w))])
+                spin._advance(root, chain), [last])
             want.append([form, len(times), float(violations[0])])
     assert rows == want
 

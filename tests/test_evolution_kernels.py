@@ -11,6 +11,9 @@ must equal a reference of that form (_flow_one_gemm) to the bit; BLAS
 need not give the old broadcast product the same bits, so that product is
 met within ORACLE_RTOL.  Those bits depend on the BLAS thread count, so
 the continuous-integration workflow runs this file at two threads too.
+apply_times since an earlier time, U(t) U(since)^dag, is met within
+ORACLE_RTOL against the adjoint apply at since followed by apply_times,
+for the chain, the flow and a callable.
 """
 
 import math
@@ -268,3 +271,50 @@ def test_no_times_give_an_empty_stack(evolution):
         out = evolution.apply_times(states, [])
         assert out.shape == (0,) + states.shape
         assert out.dtype == complex
+
+
+# -- apply_times since an earlier time ----------------------------------------
+
+def _since_cases():
+    """(name, evolution, its dimension, times since which to apply, times
+    to apply at): the chain at integer and interior times, before and
+    after since, the recoherence cycle's rising, plateau and falling
+    angles, and a flow and a callable."""
+    for n in (1, 3, 6):
+        chain = spin.ChainEvolution(_axes(n, n), spin.theta_schedule)
+        yield (f"chain-n{n}", chain, chain.dim,
+               [0.0, 0.4, 1.0, n - 0.5, float(n)],
+               [0.2, 1.0, n - 0.25, float(n), n + 0.5])
+    yield ("recoherence",
+           spin.recoherence_evolution(np.array([0.0, 0.6, 0.8])), 4,
+           [0.3, math.pi / 2, 2.0, math.pi, 4.0],
+           [0.0, 1.0, math.pi / 2, 2.5, math.pi, 4.5])
+    flow = HamiltonianFlow(sample_gue(8, 1.0, RandomStream(8, "since")))
+    yield "flow", flow, 8, [0.0, 0.3, 1.0], [0.0, 0.5, 1.0, 2.5]
+    yield ("callable", CallableEvolution(flow.unitary), 8, [0.0, 0.3, 1.0],
+           [0.0, 0.5, 1.0, 2.5])
+
+
+@pytest.mark.parametrize("evolution,dim,sinces,times", [
+    pytest.param(*case, id=name) for name, *case in _since_cases()])
+def test_apply_times_since_is_the_adjoint_then_apply_times(
+        evolution, dim, sinces, times):
+    # U(t) U(since)^dag X, for each since alone and for chunks of times on
+    # both sides of it, equals apply_times of U(since)^dag X within
+    # ORACLE_RTOL: the chain undoes at since only the interactions from
+    # the first whose angle changes, so a missing undo or a cancelled
+    # prefix one interaction too long shows here
+    for i, columns in enumerate(COLUMNS):
+        for factor in (1, 2):     # leading factor of a larger state
+            states = _states(dim * factor, columns, i)
+            for since in sinces:
+                back = evolution.apply(states, since, adjoint=True)
+                for ts in [[t] for t in times] + [times, [since]]:
+                    got = evolution.apply_times(states, ts, since=since)
+                    want = evolution.apply_times(back, ts)
+                    assert got.shape == (len(ts),) + states.shape
+                    assert np.max(np.abs(got - want)) \
+                        <= ORACLE_RTOL * np.max(np.abs(want)), (since, ts)
+                    assert not np.shares_memory(got, states)
+                assert evolution.apply_times(states, [], since=since).shape \
+                    == (0,) + states.shape

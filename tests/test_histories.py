@@ -493,15 +493,22 @@ def test_leaf_states_are_read_only():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_spin_probs_leaf_states_are_the_walk_to_the_bit(n, seed):
-    # the trees of `qhist spin probs`: one decomposition per level, so
-    # extension and the walk evolve the same columns at each time
+    # the trees of `qhist spin probs`: their leaf states step from one
+    # event time to the next and evolve back once, where the walk evolves
+    # forward and back at every time, so the two, and the dense Heisenberg
+    # products of the kron-built unitaries, agree within ORACLE_RTOL
     rng = RandomStream(seed, "spin-probs")
     vecs = [sample_unit_vector(3, "real", rng.stream(f"axis{i}"))
             for i in range(n + 1)]
     cfg = spin.SpinModelConfig(v=vecs[0], axes=np.array(vecs[1:]))
     tree = spin.build_tree(cfg, spin.measurement_events(
         cfg, range(1, n + 1)))
-    assert np.array_equal(tree.leaf_states(), _walk_leaf_states(tree))
+    got = tree.leaf_states()
+    unitaries = {t: spin.full_unitary(cfg, t) for t in range(1, n + 1)}
+    for want in (_walk_leaf_states(tree), _dense_leaf_states(
+            tree, tree.initial_state, unitaries.__getitem__)):
+        assert got.shape == want.shape == (2 ** (n + 1), 2 ** n)
+        assert np.max(np.abs(got - want)) <= REL_TOL * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim,seed", [(2, 1), (4, 2), (6, 3), (8, 4)])

@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 from qhistories import histories, selection, spin
 from qhistories.consistency import consistency_report
 from qhistories.histories import (HistoryTree, ProjectiveDecomposition,
-                                  decoherence_matrix)
+                                  decoherence_matrix, extend_all)
 from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
                                sample_unit_vector)
 from qhistories.spin import I2, _kron_chain, proj2, theta_schedule
@@ -151,6 +151,45 @@ def test_history_probabilities_interior_time(seed, interior):
         assert spin.history_probability(cfg, spec) == pytest.approx(p, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_history_probabilities_are_history_probability_to_the_bit(n):
+    # the closed form of every sign string at once, in leaves() order,
+    # over all integer times 1..n and over every other one of them
+    cfg = _config(300 + n, n)
+    for times in (tuple(range(1, n + 1)), tuple(range(n % 2 + 1, n + 1, 2))):
+        got = spin.history_probabilities(cfg, times)
+        want = [spin.history_probability(cfg, spin.SpinHistorySpec(times, s))
+                for s in itertools.product((1, -1), repeat=len(times))]
+        assert got.shape == (2 ** len(times),)
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_build_tree_turns_one_interaction_per_integer_event(monkeypatch, n):
+    # the measurement tree of `qhist spin probs`: each event steps from
+    # the last event time by one apply_times, which at t = m turns
+    # interaction m alone, and one apply back from t = n turns all n
+    turns, calls = [], []
+    turn = spin.ChainEvolution._turn
+    monkeypatch.setattr(spin.ChainEvolution, "_turn",
+                        lambda self, x, k, ths, adjoint, split: (
+                            turns.append((k, adjoint)),
+                            turn(self, x, k, ths, adjoint, split))[1])
+    for name in ("apply", "apply_times", "apply_rows"):
+        method = getattr(spin.ChainEvolution, name)
+
+        def counted(self, *args, _method=method, _name=name, **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(spin.ChainEvolution, name, counted)
+    cfg = _config(400 + n, n)
+    tree = spin.build_tree(cfg, spin.measurement_events(cfg, range(1, n + 1)))
+    assert calls == ["apply_times"] * n + ["apply"]
+    assert turns == [(m, False) for m in range(1, n + 1)] \
+        + [(k, True) for k in range(n, 0, -1)]
+    assert len(tree.leaves()) == 2 ** n
+
+
 def test_history_spec_validation():
     with pytest.raises(ValueError, match="increasing"):
         spin.SpinHistorySpec((2, 1), (1, 1))
@@ -196,18 +235,35 @@ def _random_events(rng, times):
             for t in times]
 
 
-def _check_scored_children(tree, children):
-    """_score_children's violation of each (time, axis) child of tree
-    against the dense D of the tree extended by the child: D is zero off
-    the two Gram blocks, and the violation is its largest off-diagonal
-    |D_ab|, within ORACLE_RTOL of max |D|.  Returns each child's two block
-    maxima."""
-    violations, _ = spin._score_children(
-        tree, [(t, spin._axis_pair(w)) for t, w in children])
+def _pairs(events):
+    return [(t, spin._axis_pair(w)) for t, w in events]
+
+
+def _extended(tree, events):
+    """tree extended by each (time, axis) event in turn by extend_all, two
+    evolution calls per event from the time-0 leaf states: an oracle for
+    the frames that step from one event time to the next."""
+    for t, w in events:
+        tree = extend_all(tree, ProjectiveDecomposition(t, spin._axis_pair(w)))
+    return tree
+
+
+def _check_scored_children(tree, prefix, children):
+    """_score_children's violation of each (time, axis) child of the set
+    that extends tree by the prefix events, scored from that set's frame
+    at its last time (spin._advance, one apply_times since the previous
+    event time per event), against the dense D of the tree extended by
+    prefix and child through extend_all: D is zero off the two Gram
+    blocks, and the violation is its largest off-diagonal |D_ab|, within
+    ORACLE_RTOL of max |D|.  Returns each child's two block maxima."""
+    frame = spin._advance(
+        spin._Frame(tree.evolution, tree.leaf_states(), None), _pairs(prefix))
+    assert frame.time == prefix[-1][0]
+    violations, _ = spin._score_children(frame, _pairs(children))
     assert violations.shape == (len(children),)
     maxima = []
     for child, got in zip(children, violations):
-        D = decoherence_matrix(spin._extend_by_events(tree, [child])).entries
+        D = decoherence_matrix(_extended(tree, prefix + [child])).entries
         scale = np.abs(D).max()
         off = np.abs(D - np.diag(np.diag(D)))
         within = off.copy()
@@ -230,23 +286,23 @@ def test_scored_children_match_the_dense_matrix_of_inconsistent_sets(n, seed):
     prefix = _random_events(rng, cuts[:-1].tolist()[:seed % n + 1])
     children = _random_events(rng, np.sort(
         g.uniform(prefix[-1][0] + 0.05, n + 1.0, size=4)).tolist())
-    _check_scored_children(spin.build_tree(cfg, prefix), children)
+    _check_scored_children(spin.build_tree(cfg, []), prefix, children)
 
 
 def test_scored_children_match_the_dense_matrix_under_a_random_flow():
     # on the spin chain the two blocks' maxima coincide, so these sets, of
     # a random Hamiltonian on C^2 (x) C^4, are where each block's maximum
-    # is sometimes the larger: the violation must read both blocks
+    # is sometimes the larger: the violation must read both blocks; the
+    # frames step by the flow's apply_times since the last event time
     larger = [0, 0]
     for seed in range(4):
         rng = RandomStream(seed, "score-flow")
         psi = sample_unit_vector(8, "complex", rng.stream("psi"))
         flow = HamiltonianFlow(sample_gue(8, 1.0, rng.stream("H")))
-        tree = spin._extend_by_events(
-            HistoryTree(initial_state=psi, evolution=flow),
-            _random_events(rng, [0.3, 0.9]))
         for b0, b1 in _check_scored_children(
-                tree, _random_events(rng, [1.2, 1.7, 2.5])):
+                HistoryTree(initial_state=psi, evolution=flow),
+                _random_events(rng, [0.3, 0.9]),
+                _random_events(rng, [1.2, 1.7, 2.5])):
             larger[0] += b0 > 1.01 * b1
             larger[1] += b1 > 1.01 * b0
     assert min(larger) > 0, larger
@@ -277,9 +333,10 @@ def test_classify_catalogue_groups_give_the_ungrouped_rows(monkeypatch):
 
 def test_classify_catalogue_takes_two_evolution_calls_per_prefix(
         monkeypatch):
-    # at n = 3 the 35 sets have 18 prefixes, the empty one included: one
-    # apply_times per prefix and one apply back per extended prefix, 35
-    # evolution calls where one extension per set took 70
+    # at n = 3 the 35 sets have 18 prefixes, the empty one included, and
+    # no prefix's children are cut into groups: one apply_times per
+    # prefix, from the prefix's last time, and no apply back, 18 evolution
+    # calls where one extension per set took 70
     counts = {"apply": 0, "apply_times": 0, "apply_rows": 0}
     for name in counts:
         method = getattr(spin.ChainEvolution, name)
@@ -292,7 +349,7 @@ def test_classify_catalogue_takes_two_evolution_calls_per_prefix(
     rows = spin.classify_catalogue(cfg)
     prefixes = {times[:-1] for _, times, _ in rows}
     assert len(rows) == 35 and len(prefixes) == 18
-    assert counts == {"apply": 17, "apply_times": 18, "apply_rows": 0}
+    assert counts == {"apply": 0, "apply_times": 18, "apply_rows": 0}
     assert max(v for _, _, v in rows) < 1e-10
 
 
