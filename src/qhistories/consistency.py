@@ -16,6 +16,10 @@ import numpy as np
 from .tolerances import (EXACT_TOL, LIMIT_TOL, MPV_GAIN_TOL,
                          NEGATIVE_PROBABILITY_TOL, NULL_STATE_TOL)
 
+# mpv_exact scans each block of D (the connected components of its exactly
+# non-zero entries) alone, 2^(n_i) subsets for a block of n_i histories, and
+# refuses a D whose largest block has more than this many histories; its
+# witness is the union of the winning sign's block witnesses
 MPV_EXHAUSTIVE_CAP = 26
 MPV_BLOCK = 1 << 16      # entries of one temporary block in the MPV scans
 
@@ -124,36 +128,53 @@ def _finite_real(D):
     return M.real
 
 
-def mpv_exact(D):
-    """Maximum probability violation by exhaustive subset scan.
+def _blocks(R):
+    """The blocks of the histories of R, each as (its indices, R
+    restricted to them): the connected components of the off-diagonal
+    support of R + R^T (exact zeros only count as absent), in order of
+    their first history.  f(S) of the MPV scans sums R_ab + R_ba over the
+    pairs of S, so it is the sum of the values of S's parts in each
+    block.  One block is R itself; a matrix with no zero entry is one
+    block, decided by one count."""
+    n = len(R)
+    if np.count_nonzero(R) == n * n:
+        return [(np.arange(n), R)]
+    linked = (R + R.T) != 0
+    left = np.ones(n, dtype=bool)
+    blocks = []
+    while left.any():
+        block = np.zeros(n, dtype=bool)
+        block[np.argmax(left)] = True
+        reached = block
+        while reached.any():
+            reached = linked[reached].any(axis=0) & ~block
+            block |= reached
+        left &= ~block
+        blocks.append(np.flatnonzero(block))
+    if len(blocks) == 1:
+        return [(blocks[0], R)]
+    return [(block, R[np.ix_(block, block)]) for block in blocks]
 
-    Returns (value, witness subset as a sorted index tuple).  The value
-    is the largest |f(S)| over subsets S, f(S) = sum of Re D_ab over
-    distinct a, b in S.  The histories are split into the first h = n//2
-    and the rest, f(S) = f(S_lo) + f(S_hi) + cross(S_lo, S_hi), so each
-    half is tabulated once.  The half values ride in the product as two
-    more terms of its inner sum: with A = [X_hi | f_hi | 1] and
+
+def _signed_extremes(R):
+    """(max f, its subset index, min f, its subset index) over all 2^n
+    subsets S of the histories of R, f(S) = sum of R_ab over distinct a,
+    b in S, subset index s meaning bit i = history i; the first index
+    wins a tie, and the empty set (index 0, f = 0) bounds both.
+
+    The histories are split into the first h = n//2 and the rest,
+    f(S) = f(S_lo) + f(S_hi) + cross(S_lo, S_hi), so each half is
+    tabulated once.  The half values ride in the product as two more
+    terms of its inner sum: with A = [X_hi | f_hi | 1] and
     B = [W^T ; 1 ; f_lo], both C-contiguous and built once per call, the
-    2^n values are the entries of A B, scanned as blocks A[blk] B of at
-    most MPV_BLOCK entries.  Each block is one matmul into one reused
-    buffer, made absolute in place, so the scan holds that buffer,
-    MPV_BLOCK entries, besides the tables A and B of 2^(n-h) and 2^h rows.
-    The subset bits and half values are filled straight into A's columns
-    and B's rows, a block of subsets at a time (_subset_blocks), so no
-    whole half table is held beside them.  So memory stays flat in n,
-    apart from A and B.
-
-    The witness is the subset of smallest index (bit i = history i) whose
-    value is the largest; ties between subsets of equal value are decided
-    by roundoff (for frame pairs, a whole frame and the same frame plus a
-    history whose cross entries are exactly 0 tie).  Refuses a D with a
-    NaN or infinite entry, and more than MPV_EXHAUSTIVE_CAP = 26
-    histories; use mpv_greedy there."""
-    R = _finite_real(D)
+    2^n values are the entries of A B, scanned as chunks A[blk] B of at
+    most MPV_BLOCK entries.  Each chunk is one matmul into one reused
+    buffer, so the scan holds that buffer, MPV_BLOCK entries, besides the
+    tables A and B of 2^(n-h) and 2^h rows.  The subset bits and half
+    values are filled straight into A's columns and B's rows, a block of
+    subsets at a time (_subset_blocks), so no whole half table is held
+    beside them.  So memory stays flat in n, apart from A and B."""
     n = R.shape[0]
-    if n > MPV_EXHAUSTIVE_CAP:
-        raise ValueError(
-            f"{n} histories exceeds the exhaustive cap {MPV_EXHAUSTIVE_CAP}")
     h = n // 2
     # filled into C-ordered buffers, a block of subsets at a time: np.vstack
     # of W^T gives an F-ordered B, whose block products run about 1.8x
@@ -174,59 +195,137 @@ def mpv_exact(D):
     del X       # the last block, freed before the scan's buffer is made
     rows = min(max(1, MPV_BLOCK >> h), len(A))      # divides len(A)
     F = np.empty((rows, 1 << h))
-    best_val, best_idx = 0.0, 0
+    top, top_idx, low, low_idx = 0.0, 0, 0.0, 0
     for start in range(0, len(A), rows):
         np.matmul(A[start:start + rows], B, out=F)
-        np.abs(F, out=F)
-        i = int(np.argmax(F))
-        if F.flat[i] > best_val:
+        i, k = int(np.argmax(F)), int(np.argmin(F))
+        if F.flat[i] > top:
             hi, lo = divmod(i, F.shape[1])
-            best_val, best_idx = float(F.flat[i]), (start + hi) << h | lo
-    witness = tuple(i for i in range(n) if (best_idx >> i) & 1)
-    return best_val, witness
+            top, top_idx = float(F.flat[i]), (start + hi) << h | lo
+        if F.flat[k] < low:
+            hi, lo = divmod(k, F.shape[1])
+            low, low_idx = float(F.flat[k]), (start + hi) << h | lo
+    return top, top_idx, low, low_idx
+
+
+def mpv_exact(D):
+    """Maximum probability violation by exhaustive subset scan.
+
+    Returns (value, witness subset as a sorted index tuple).  The value
+    is the largest |f(S)| over subsets S, f(S) = sum of Re D_ab over
+    distinct a, b in S.  D separates over its blocks (_blocks: the
+    connected components of the exactly non-zero entries of
+    Re D + Re D^T), f(S) = sum_i f_i(S & block i), so the value is
+    max(sum_i max f_i, -sum_i min f_i), and each block is scanned alone
+    by _signed_extremes, a split scan of its 2^(n_i) subsets; a dense D
+    is one block, scanned whole.
+
+    Subset index s means bit i = history i.  Each block's extremes are
+    the subsets of smallest index among its largest and its smallest f,
+    and the witness is the union of the winning side's; on a tie between
+    the sides, the union of smaller index.  On one block this is the
+    subset of smallest index whose |f| is the largest.  Ties between
+    subsets of equal value are decided by roundoff.  Refuses a D with a
+    NaN or infinite entry, and a block of more than MPV_EXHAUSTIVE_CAP = 26
+    histories; use mpv_greedy there."""
+    R = _finite_real(D)
+    n = R.shape[0]
+    blocks = _blocks(R)
+    largest = max(len(block) for block, _ in blocks)
+    if largest > MPV_EXHAUSTIVE_CAP:
+        raise ValueError(f"a block of {largest} histories exceeds the "
+                         f"exhaustive cap {MPV_EXHAUSTIVE_CAP}")
+    top, top_idx, low, low_idx = 0.0, 0, 0.0, 0
+    for block, B in blocks:
+        t, t_idx, m, m_idx = _signed_extremes(B)
+        top, low = top + t, low + m
+        for i, history in enumerate(block.tolist()):
+            top_idx |= (t_idx >> i & 1) << history
+            low_idx |= (m_idx >> i & 1) << history
+    if -low > top or (-low == top and low_idx < top_idx):
+        top, top_idx = -low, low_idx
+    return top, tuple(i for i in range(n) if (top_idx >> i) & 1)
+
+
+def _greedy_values(RT2, a, b, sign):
+    """Final value of the greedy growth from each seed (sign, a_s, b_s)
+    on the table RT2 = 2 Re D^T: start from {a_s, b_s} with value
+    sign RT2[b_s, a_s], and add the history of largest gain
+    sign sum_{j in S} RT2[j, i] (first index on ties) while that gain
+    exceeds MPV_GAIN_TOL.  The seeds advance together as rows of a gain
+    matrix, in chunks of at most MPV_BLOCK entries: adding history j to a
+    row adds (sign +) or subtracts (sign -) row j of RT2 to its gains in
+    place, and a member's gain is held at -inf.  The chunk is compressed
+    only at steps where some row stops.  So the scan holds at most two
+    chunks at once (the gains and either the gathered rows or the
+    compressed copy) besides RT2, the seeds and their values."""
+    update = np.add if sign > 0 else np.subtract
+    out = np.empty(a.size)
+    rows = max(1, MPV_BLOCK // max(len(RT2), 1))
+    for start in range(0, a.size, rows):
+        sa, sb = a[start:start + rows], b[start:start + rows]
+        value = sign * RT2[sb, sa]
+        gains = RT2[sa]
+        gains += RT2[sb]
+        gains *= sign
+        seeds = np.arange(sa.size)
+        gains[seeds, sa] = gains[seeds, sb] = -np.inf
+        live = seeds + start
+        while value.size:
+            j = np.argmax(gains, axis=1)
+            gain = gains[seeds[:j.size], j]
+            grow = gain > MPV_GAIN_TOL
+            if not grow.all():
+                stop = ~grow
+                out[live[stop]] = value[stop]
+                gains, value, live = gains[grow], value[grow], live[grow]
+                gain, j = gain[grow], j[grow]
+            value += gain
+            update(gains, RT2[j], out=gains)
+            gains[seeds[:j.size], j] = -np.inf
+    return out
 
 
 def mpv_greedy(D):
     """Deterministic greedy lower bound on the maximum probability
-    violation: grow subsets from every seed pair, keep the best.
+    violation: grow subsets from every seed pair, keep the best |value|.
 
     Seed (sign, a < b) starts from {a, b} with value 2 sign Re D_ab and
     repeatedly adds the history of largest gain 2 sign sum_{j in S} Re D_ij
-    (first index on ties) while that gain exceeds MPV_GAIN_TOL.  The + seeds,
-    then the - seeds, advance together as rows of a gain matrix, in blocks
-    of at most MPV_BLOCK entries: adding history j to a row adds (+ pass)
-    or subtracts (- pass) row j of the contiguous table 2 Re D^T to its
-    gains in place, and a member's gain is held at -inf.  The block is
-    compressed only at steps where some row stops.  So the scan holds at
-    most two blocks at once (the gains and either the gathered rows or the
-    compressed copy) besides the n x n table and the seed-pair indices.
-    Refuses a D with a NaN or infinite entry."""
+    while that gain exceeds MPV_GAIN_TOL (_greedy_values, + seeds then
+    - seeds).  D is read as Hermitian.  A dense D is one block, grown
+    whole on 2 Re D^T.  Otherwise each block (_blocks) is grown alone, on
+    its own 2 Re D^T with a zero history appended: the gains across
+    blocks are exactly 0, never above MPV_GAIN_TOL, so a seed within a
+    block grows as it would in D, and a seed (a, b) across blocks grows
+    {a} and {b} each in its own block, to the value g(a) + g(b).  So each
+    block's pair seeds and its singleton seeds (a, zero history) share
+    one gain matrix, and the best seed across blocks, for each sign, is
+    worth the sum of the two largest singleton values of different
+    blocks.  The grown sets are D's, and only a cross seed's value is
+    summed in another order.  Refuses a D with a NaN or infinite entry."""
     R = _finite_real(D)
-    n = R.shape[0]
-    RT2 = np.ascontiguousarray(R.T) * 2.0
-    a, b = np.triu_indices(n, 1)
-    rows = max(1, MPV_BLOCK // max(n, 1))
-    best = 0.0
-    for sign, update in ((1.0, np.add), (-1.0, np.subtract)):
-        for start in range(0, a.size, rows):
-            sa, sb = a[start:start + rows], b[start:start + rows]
-            value = sign * RT2[sb, sa]
-            gains = RT2[sa]
-            gains += RT2[sb]
-            gains *= sign
-            seeds = np.arange(sa.size)
-            gains[seeds, sa] = gains[seeds, sb] = -np.inf
-            while value.size:
-                j = np.argmax(gains, axis=1)
-                gain = gains[seeds[:j.size], j]
-                grow = gain > MPV_GAIN_TOL
-                if not grow.all():
-                    best = max(best, float(np.abs(value[~grow]).max()))
-                    gains, value = gains[grow], value[grow]
-                    gain, j = gain[grow], j[grow]
-                value += gain
-                update(gains, RT2[j], out=gains)
-                gains[seeds[:j.size], j] = -np.inf
+    blocks = _blocks(R)
+    across = len(blocks) > 1        # whether any seed lies across blocks
+    best, singles = 0.0, {1.0: [], -1.0: []}
+    for block, B in blocks:
+        m = len(block)
+        RT2 = np.zeros((m + across, m + across))
+        RT2[:m, :m] = B.T
+        RT2 *= 2.0
+        a, b = np.triu_indices(m, 1)
+        pairs = a.size
+        if across:
+            a = np.concatenate((a, np.arange(m)))
+            b = np.concatenate((b, np.full(m, m)))
+        for sign, grown in singles.items():
+            value = _greedy_values(RT2, a, b, sign)
+            best = max(best, float(np.abs(value[:pairs]).max(initial=0.0)))
+            grown.append(float(value[pairs:].max(initial=0.0)))
+    if across:
+        for grown in singles.values():
+            second, first = sorted(grown)[-2:]
+            best = max(best, first + second)
     return best
 
 

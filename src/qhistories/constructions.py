@@ -25,7 +25,9 @@ def frame_pair_vectors(n, eps):
         raise ValueError("need n >= 2")
     if not (0.0 < eps <= 1.0 / (n - 1)):
         raise ValueError("need 0 < eps <= 1/(n-1)")
-    a = (1.0 + eps + math.sqrt((1.0 + eps) * (1.0 + eps - n * eps))) / eps
+    # 1 + eps - n eps is 0 at eps = 1/(n-1), and may round below it there
+    a = (1.0 + eps + math.sqrt((1.0 + eps) * max(0.0, 1.0 + eps - n * eps))
+         ) / eps
     b = (1.0 - eps + math.sqrt((1.0 - eps) * (1.0 - eps + n * eps))) / eps
     U = (a * np.eye(n) - 1.0) / math.sqrt(a * a - 2.0 * a + n)
     V = (b * np.eye(n) + 1.0) / math.sqrt(b * b + 2.0 * b + n)

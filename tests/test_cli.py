@@ -8,7 +8,7 @@ import pytest
 from qhistories import cli, histories, spin
 from qhistories.histories import decoherence_matrix
 from qhistories.linalg import RandomStream
-from qhistories.tolerances import ORACLE_RTOL
+from qhistories.tolerances import MPV_CLOSED_FORM_TOL, ORACLE_RTOL
 
 
 def _run(argv):
@@ -91,6 +91,16 @@ def test_dheg_command():
     vals = dict((r[0], r[1]) for r in rows)
     assert vals["mpv_exact"] == pytest.approx(vals["mpv_closed_form"],
                                               abs=1e-10)
+
+
+def test_dheg_scans_each_frame_alone():
+    # 40 histories, past a whole-matrix scan's cap of 26: two blocks of 20
+    code, out = _run(["dheg", "--n", "20", "--eps", "0.01"])
+    assert code == 0
+    _, meta, _, rows = cli.parse_records(out)
+    vals = dict((r[0], r[1]) for r in rows)
+    assert abs(vals["mpv_exact"] - 0.095) <= MPV_CLOSED_FORM_TOL
+    assert meta["witness_size"] == 20
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -247,7 +257,8 @@ def test_config_unknown_key(tmp_path, capsys):
     (["random", "run", "--sigma", "-1"], "sigma"),
     (["spin", "probs", "--n", "0"], "axes must have shape"),
     (["dheg", "--n", "1"], "n >= 2"),
-    (["dheg", "--n", "14"], "exhaustive cap"),
+    # each frame is one block of 27 histories, past the per-block cap
+    (["dheg", "--n", "27", "--eps", "0.01"], "exhaustive cap"),
     (["zeno", "--n", "0"], "n >= 1"),
     # no bound holds at these, so every row was skipped: an empty table
     (["bounds", "--eps", "nan"], "--eps must lie in [0, 1)"),

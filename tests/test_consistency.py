@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag
+from scipy.sparse.csgraph import connected_components
 
-from qhistories import randmodel
+from qhistories import consistency, randmodel
 from qhistories.consistency import (MPV_BLOCK, MPV_EXHAUSTIVE_CAP,
                                     MPV_GAIN_TOL, UnresolvedLimitError,
                                     _subset_bits, _subset_values,
@@ -90,9 +92,18 @@ def test_mpv_bounds_sandwich(seed, n):
 
 
 def test_mpv_exhaustive_cap():
+    # the cap bounds the largest block: a dense matrix past it and a
+    # two-block one whose larger block is past it are refused, while the
+    # identity of as many histories is that many one-history blocks
     n = MPV_EXHAUSTIVE_CAP + 1
-    with pytest.raises(ValueError, match="cap"):
-        mpv_exact(DecoherenceMatrix(np.eye(n, dtype=complex), list(range(n))))
+    with pytest.raises(ValueError, match="exhaustive cap"):
+        mpv_exact(_random_matrix(6, n))
+    D = np.zeros((n + 3, n + 3), dtype=complex)
+    D[:n, :n] = _random_matrix(7, n).entries
+    D[n:, n:] = _random_matrix(8, 3).entries
+    with pytest.raises(ValueError, match="exhaustive cap"):
+        mpv_exact(D)
+    assert mpv_exact(np.eye(n, dtype=complex)) == (0.0, ())
 
 
 def _mpv_exact_full_scan(D):
@@ -262,25 +273,109 @@ def _mpv_greedy_signed_rows(D):
     return best
 
 
-# (label, D, exact too): seeded Gram matrices, frame pairs and the matrices
-# of `qhist dheg --n 8..10`.
+def _block_count(D):
+    """Oracle: the number of connected components of the off-diagonal
+    support of Re D + Re D^T, by scipy's graph search."""
+    R = np.asarray(D, dtype=complex).real
+    return connected_components(R + R.T != 0, directed=False)[0] \
+        if len(R) else 1
+
+
+# (label, D, exact too, blocks): seeded Gram matrices, frame pairs and the
+# matrices of `qhist dheg --n 8..10`.
 _BIT_CASES = (
     [(f"gram-n{n}-s{seed}", _random_matrix(3000 + 10 * n + seed, n).entries,
-      True) for n in (0, 1, 2, 5, 9, 16, 20, 22) for seed in range(2)]
-    + [(f"gram-n{n}", _random_matrix(3000 + 10 * n, n).entries, False)
+      True, 1) for n in (0, 1, 2, 5, 9, 16, 20, 22) for seed in range(2)]
+    + [(f"gram-n{n}", _random_matrix(3000 + 10 * n, n).entries, False, 1)
        for n in (33, 48, 64)]
-    + [(f"pairs-{2 * k}", frame_pair_matrix(k, 0.01).entries, k <= 8)
+    + [(f"pairs-{2 * k}", frame_pair_matrix(k, 0.01).entries, k <= 8, 2)
        for k in (8, 16, 32, 64)]
-    + [(f"dheg-n{k}", frame_pair_matrix(k, 0.05).entries, True)
+    + [(f"dheg-n{k}", frame_pair_matrix(k, 0.05).entries, True, 2)
        for k in (8, 9, 10)])
 
 
-@pytest.mark.parametrize("D,exact", [case[1:] for case in _BIT_CASES],
+@pytest.mark.parametrize("D,exact,blocks", [case[1:] for case in _BIT_CASES],
                          ids=[case[0] for case in _BIT_CASES])
-def test_mpv_scans_are_bit_identical_to_the_references(D, exact):
-    assert mpv_greedy(D) == _mpv_greedy_signed_rows(D)
+def test_mpv_scans_are_bit_identical_to_the_references(D, exact, blocks):
+    # one block is scanned whole, by the kernels the references copy, so
+    # bit for bit; a frame pair's two blocks are scanned each alone, so
+    # its values agree with the whole-matrix scans to roundoff only
+    assert _block_count(D) == blocks
+    if blocks == 1:
+        assert mpv_greedy(D) == _mpv_greedy_signed_rows(D)
+        if exact:
+            assert mpv_exact(D) == _mpv_exact_fresh_blocks(D)
+        return
+    tol = MPV_RTOL * np.abs(D.real).max()
+    assert abs(mpv_greedy(D) - _mpv_greedy_signed_rows(D)) <= tol
     if exact:
-        assert mpv_exact(D) == _mpv_exact_fresh_blocks(D)
+        val, witness = mpv_exact(D)
+        assert abs(val - _mpv_exact_full_scan(D)[0]) <= tol
+        assert abs(_subset_violation(D.real, witness) - val) <= tol
+
+
+def _block_diagonal(seed, sizes, signs):
+    """A Hermitian D of random blocks of the given sizes, under a random
+    permutation.  Block i's off-diagonal real parts all have the sign
+    signs[i] (either sign where it is 0); its imaginary parts are
+    random."""
+    g = RandomStream(seed, "blocks").generator
+    n = sum(sizes)
+    D = np.zeros((n, n), dtype=complex)
+    at = 0
+    for m, sign in zip(sizes, signs):
+        A = g.normal(size=(m, m)) + 1j * g.normal(size=(m, m))
+        B = 0.05 * (A + A.conj().T)
+        if sign:
+            B = sign * np.abs(B.real) + 1j * B.imag
+        B[np.diag_indices(m)] = g.uniform(0.1, 1.0, size=m)
+        D[at:at + m, at:at + m] = B
+        at += m
+    p = g.permutation(n)
+    return D[np.ix_(p, p)]
+
+
+# (sizes, signs): a one-history block, an all-positive and an all-negative
+# block, and two blocks of one sign, whose best greedy seed lies across them
+_BLOCK_CASES = [((1, 5, 7), (0, 1, -1)), ((1, 4, 6, 5), (0, 1, 1, -1)),
+                ((3, 3, 4, 2, 1), (-1, 0, 0, 1, 0)), ((6, 6, 6), (-1, -1, 0)),
+                ((1, 1, 1, 9), (0, 0, 0, 0)), ((2, 2), (1, -1)),
+                ((4, 14), (0, 0))]
+
+
+@pytest.mark.parametrize("sizes,signs", _BLOCK_CASES,
+                         ids=["-".join(map(str, c[0])) for c in _BLOCK_CASES])
+def test_mpv_separates_over_blocks(sizes, signs):
+    for seed in range(3):
+        D = _block_diagonal(100 * seed + sum(sizes), sizes, signs)
+        R = D.real
+        blocks = consistency._blocks(R)
+        assert len(blocks) == _block_count(D) == len(sizes)
+        assert sorted(np.concatenate([block for block, _ in blocks])
+                      .tolist()) == list(range(len(R)))
+        for block, B in blocks:
+            assert np.array_equal(B, R[np.ix_(block, block)])
+        tol = MPV_RTOL * np.abs(R).max()
+        val, witness = mpv_exact(D)
+        assert abs(val - _mpv_exact_full_scan(D)[0]) <= tol
+        assert abs(_subset_violation(R, witness) - val) <= tol
+        assert abs(mpv_greedy(D) - _mpv_greedy_loop(D)) <= tol
+
+
+@pytest.mark.parametrize("one_sided", [(0, 7), (7, 0)], ids=["upper", "lower"])
+def test_mpv_blocks_read_both_triangles(one_sided):
+    # f(S) sums R_ab + R_ba, so an entry on one side of the diagonal links
+    # two blocks: a real, non-symmetric D of blocks {0..3} and {4..8} with
+    # one cross entry, above or below the diagonal
+    R = block_diag(_block_diagonal(9, (4,), (1,)).real,
+                   _block_diagonal(10, (5,), (1,)).real)
+    R[one_sided] = 0.3
+    assert len(consistency._blocks(R)) == _block_count(R) == 1
+    tol = MPV_RTOL * np.abs(R).max()
+    val, witness = mpv_exact(R)
+    assert abs(val - _mpv_exact_full_scan(R)[0]) <= tol
+    assert abs(_subset_violation(R, witness) - val) <= tol
+    assert abs(mpv_greedy(R) - _mpv_greedy_loop(R)) <= tol
 
 
 def _mpv_peak_bound(n, exact):
@@ -353,9 +448,10 @@ def test_mpv_two_histories():
     assert mpv_greedy(D) == pytest.approx(0.2)
 
 
-@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("n", [12, 13, 14, 20, 26])
 def test_frame_pair_mpv_past_old_cap(n):
-    # 2n = 24 and 26 histories: the top of the exhaustive range.
+    # 2n = 24 to 52 histories: each frame is a block, scanned alone, so
+    # the exhaustive range ends at frames of 26.
     val, witness = mpv_exact(frame_pair_matrix(n, 0.03))
     assert abs(val - frame_pair_mpv(n, 0.03)) <= 1e-12
     assert len(witness) >= n

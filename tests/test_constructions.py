@@ -15,7 +15,9 @@ from qhistories.consistency import consistency_report, mpv_exact
 from qhistories.histories import coarse_grain, decoherence_matrix
 
 
-@pytest.mark.parametrize("n,eps", [(2, 0.1), (3, 0.05), (5, 0.2), (4, 1 / 3)])
+# at eps = 1/(n-1), 1 + eps - n eps rounds below 0 for n = 6, 14 and 38
+@pytest.mark.parametrize("n,eps", [(2, 0.1), (3, 0.05), (5, 0.2), (4, 1 / 3),
+                                   (6, 1 / 5), (14, 1 / 13), (38, 1 / 37)])
 def test_frame_pair_dot_products(n, eps):
     U, V = frame_pair_vectors(n, eps)
     GU = U @ U.T
