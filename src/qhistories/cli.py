@@ -312,6 +312,8 @@ def _ks_distance(samples, cdf):
 
 def cmd_dist_check(args, out):
     d, k = args.d, args.k
+    if not args.samples >= 1:
+        raise ValueError(f"need samples >= 1, got {args.samples}")
     rng = RandomStream(args.seed, "dist-check")
     g = rng.generator
     z = g.normal(size=(args.samples, d)) + 1j * g.normal(size=(args.samples, d))

@@ -42,7 +42,9 @@ class ConsistencyReport:
 def _pairs(D, epsilon):
     """D as a (k, n, n) stack G, its off-diagonal mask, the mask ok of the
     off-diagonal pairs of non-zero probability, and sqrt|D_aa D_bb| over
-    them.  Refuses a negative or NaN epsilon (None passes)."""
+    them.  A pair with a NaN probability is counted, with a NaN root, so
+    that every threshold fails it.  Refuses a negative or NaN epsilon
+    (None passes)."""
     if epsilon is not None and not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     M = _entries(D)
@@ -50,7 +52,7 @@ def _pairs(D, epsilon):
     diag = G.diagonal(0, 1, 2).real
     off = ~np.eye(G.shape[-1], dtype=bool)
     root = np.sqrt(np.abs(diag[:, :, None] * diag[:, None, :]))
-    ok = off & (root > 0)
+    ok = off & ~(root <= 0)
     return G, off, ok, root[ok]
 
 
@@ -64,9 +66,10 @@ def medium_pass(D, epsilon):
 def consistency_report(D, epsilon=None):
     """Violation maxima, overlap-ratio parameter, and per-pair threshold
     flags at the given epsilon >= 0 (None without one).  Zero-probability
-    pairs are skipped in the ratio.  D is a matrix, or the (k, n, n)
-    diagonal blocks of one that is zero off them, reported as that matrix
-    but for the summation order of prob_sum."""
+    pairs are skipped in the ratio; a NaN probability fails both flags and
+    makes dhp NaN.  D is a matrix, or the (k, n, n) diagonal blocks of one
+    that is zero off them, reported as that matrix but for the summation
+    order of prob_sum."""
     G, off, ok, root = _pairs(D, epsilon)
     medium = np.abs(G[ok])
     flags = (None, None) if epsilon is None else (

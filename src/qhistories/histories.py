@@ -7,16 +7,18 @@ and probability |u_alpha|^2.  Projectors stay in the Schroedinger picture:
 a node maps the state u it receives to U(t)^dag P_i U(t) u.  A tree
 carries the path states of its leaves as the columns of one read-only
 matrix (leaf_states), in leaves() order, so reading them evolves nothing.
-Extension (_extend) computes the new columns: the columns it splits are
-evolved forward to t once, projected (HistoryTree._project, the one
-projection kernel, which selection scores candidates with too) and evolved
-back once, two evolution calls per extension.  Its node rebuild
-(_split_nodes) stands apart from its states, so a caller that computes a
-tree's states another way, as spin._extend_by_events steps them from one
-event time to the next, rebuilds the nodes alone and sets the states once
-(HistoryTree._grown): no tree holds states other than its time-0 path
-states.  Trees are immutable; extension returns a new tree sharing
-untouched subtrees.
+Extension (_extend) computes the new columns by stepping the columns it
+splits from one decomposition time to the next: evolved forward to the
+first time, projected there, evolved on from each time to the next
+(apply_times with since) and projected again, and evolved back once after
+the last, so extending by m decompositions takes m + 1 evolution calls.
+The one projection kernel, which selection and spin score candidates
+with too, is three functions: _project splits stacked states by stacked
+projectors into blocks P_i U(t) V, _interleave lays a split's blocks out
+as columns in leaves() order, and _gram takes the Gram blocks of a split,
+the only blocks of the extended set's decoherence matrix that are not
+zero, for projectors at one time are orthogonal.  Trees are immutable;
+extension returns a new tree sharing untouched subtrees.
 
 Evolution is matrix-free.  An evolution is an object with
 apply(states, t, adjoint=False) returning U(t) states or U(t)^dag states,
@@ -36,6 +38,7 @@ state's base evolution stay at their own size.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,10 +235,15 @@ class HistoryTree:
             node = node.children[i]
         return node
 
-    def _evolve(self, states, t, adjoint=False):
+    def _evolve(self, states, t, adjoint=False, since=None):
+        """U(t) states, U(t)^dag states (adjoint) or, with since,
+        U(t) U(since)^dag states; states themselves without an
+        evolution."""
         if self.evolution is None:
             return states
-        return self.evolution.apply(states, t, adjoint)
+        if since is None:
+            return self.evolution.apply(states, t, adjoint)
+        return self.evolution.apply_times(states, [t], since)[0]
 
     def path_state(self, path):
         """u_alpha = C_alpha psi, the (sub-normalized) path-projected state."""
@@ -264,33 +272,54 @@ class HistoryTree:
         nothing."""
         return self._probabilities
 
-    def _grown(self, root, states):
-        """A new tree over the same initial state and evolution, with the
-        nodes under root (_split_nodes) and states, their leaves' path
-        states, as its leaf states."""
-        tree = copy.copy(self)
-        tree.root = root
-        tree._set_states(states)
-        return tree
-
     def _set_states(self, states):
         states.flags.writeable = False
         self._states = states
         self._probabilities = np.linalg.norm(states, axis=0) ** 2
         self._probabilities.flags.writeable = False
 
-    def _project(self, states, dec, evolved=None):
-        """The projected states P_i U(t) u_a of the columns u_a of states,
-        t = dec.time: (W, blocks) with W[:, a*k + i] = P_i U u_a, leaf outer
-        and projector inner as in leaves(), and blocks[i] = P_i U states.
-        evolved, when given, is U(t) states, already computed."""
-        V = self._evolve(states, dec.time) if evolved is None else evolved
-        n, k = V.shape[1], len(dec)
-        W = np.empty((V.shape[0], n * k), dtype=complex)
-        blocks = [apply_leading(P, V) for P in dec.projectors]
-        for i, block in enumerate(blocks):
-            W[:, i::k] = block
-        return W, blocks
+
+def _project(projectors, V):
+    """The blocks P_i V of states V split by projectors: stacked
+    (..., k, d1, d1) projectors act on the leading factor C^d1 of the
+    (..., d, n) column states V (apply_leading), giving (..., k, d, n)
+    blocks, block i = P_i V.  The leading axes broadcast, so one product
+    splits a stack of states, each by its own projectors.  Raises
+    ValueError when d1 does not divide d."""
+    P = np.asarray(projectors)
+    *lead, d, n = V.shape
+    d1 = P.shape[-1]
+    if d % d1:
+        raise ValueError(
+            f"operator size {d1} does not divide state size {d}")
+    blocks = P @ V.reshape(tuple(lead) + (1, d1, -1))
+    return blocks.reshape(blocks.shape[:-2] + (d, n))
+
+
+def _interleave(blocks):
+    """The (d, n k) columns of a split's (k, d, n) blocks in leaves()
+    order, leaf outer and projector inner: column a k + i is block i's
+    column a.  An array of its own, so that no view keeps the blocks
+    alive."""
+    k, d, n = blocks.shape
+    return np.stack(blocks, axis=-1).reshape(d, n * k)
+
+
+def _gram(blocks):
+    """The Gram matrices G_ab = u_b^dag u_a of stacked blocks (..., d, n)
+    of column states u_a: (..., n, n).  Of a split's blocks (_project)
+    these are the diagonal blocks of the extended set's decoherence
+    matrix, G[i] = D[i::k, i::k], and it is zero off them."""
+    return np.swapaxes(blocks, -1, -2) @ blocks.conj()
+
+
+def _max_off_diagonal(G):
+    """The largest off-diagonal |G_ab| of each row of a stack (R, ..., n, n)
+    of Gram blocks, over all the blocks of the row: an (R,) array."""
+    G = np.abs(G)
+    n = G.shape[-1]
+    G[..., range(n), range(n)] = 0.0
+    return G.max(axis=tuple(range(1, G.ndim)))
 
 
 @dataclass
@@ -372,37 +401,53 @@ def _split_nodes(root, dec, path, dim):
     return rebuild(root, path, None)
 
 
-def _extend(tree, dec, path, states=None):
-    """New tree with dec splitting the leaf at the end of path, or every
-    leaf when path is None (_split_nodes).  The split columns of the leaf
-    states are evolved to dec.time, projected (HistoryTree._project) and
-    evolved back: two evolution calls.  states, when given, are the new
-    tree's leaf states, already computed (selection.Extension).
-    Raises ValueError as _split_nodes does, or, before anything is
-    allocated, when the new tree's leaf states would exceed LEAF_STATE_CAP
-    entries."""
+def _extend(tree, decs, path, states=None):
+    """New tree with each decomposition of decs in turn splitting the leaf
+    at the end of path, or every leaf when path is None (_split_nodes, one
+    rebuild each, so a path takes one decomposition); tree itself when
+    decs is empty.  The split columns of the leaf states step from one
+    decomposition time to the next: evolved to the first time, split there
+    (_project) into their children's columns (_interleave), evolved on
+    from each time to the next (apply_times with since) and split again,
+    and evolved back once after the last, so one evolution call per
+    decomposition and one back.  No tree holds the states between decompositions.  states, when
+    given, are the new tree's leaf states, already computed
+    (selection.Extension).  Raises ValueError as _split_nodes does, or,
+    before anything is allocated, when the new tree's leaf states would
+    exceed LEAF_STATE_CAP entries."""
+    if not decs:
+        return tree
     dim, leaves = tree.leaf_states().shape
-    k = len(dec.projectors)
+    k = math.prod(len(dec) for dec in decs)
     _check_leaf_states(dim, leaves * k if path is None else leaves + k - 1)
-    root = _split_nodes(tree.root, dec, path, tree.dim)
+    root = tree.root
+    for dec in decs:
+        root = _split_nodes(root, dec, path, tree.dim)
     if states is None:
         old = tree.leaf_states()
         a = 0 if path is None else tree.leaves().index(path)
         b = old.shape[1] if path is None else a + 1
-        W, _ = tree._project(old[:, a:b], dec)
-        split = tree._evolve(W, dec.time, adjoint=True)
+        split, since = old[:, a:b], None
+        for dec in decs:
+            split = _interleave(_project(
+                dec.projectors, tree._evolve(split, dec.time, since=since)))
+            since = dec.time
+        split = tree._evolve(split, since, adjoint=True)
         states = split if path is None else np.hstack(
             [old[:, :a], split, old[:, b:]])
-    return tree._grown(root, states)
+    tree = copy.copy(tree)
+    tree.root = root
+    tree._set_states(states)
+    return tree
 
 
 def extend_branch(tree, leaf, dec):
     """New tree with the given leaf split by a projective decomposition.
 
     Unmodified subtrees are shared with the original."""
-    return _extend(tree, dec, tuple(leaf))
+    return _extend(tree, [dec], tuple(leaf))
 
 
 def extend_all(tree, dec):
     """Extend every leaf by the same decomposition (branch-independent)."""
-    return _extend(tree, dec, None)
+    return _extend(tree, [dec], None)

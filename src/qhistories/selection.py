@@ -23,15 +23,15 @@ mutually orthogonal, so extending every leaf a of the current set by
 {P_i(t)} gives the decoherence matrix D[(a,i),(b,j)] = delta_ij <U(t) u_b|
 P_i |U(t) u_a>, zero off k blocks: a candidate is held as the (k, n, n)
 stack of those Gram blocks of the leaf states u_a, evolved together by one
-apply and projected by the tree's own kernel (HistoryTree._project), with
-no padded matrix.  Block i is D[i::k, i::k] in the (leaf outer, projector
-inner) order of extend_all; the tree is extended only once a candidate is
-accepted, from the states the Extension already holds, and a candidate's
-full consistency report is built only when it is read: a rejected one is
-judged by its medium verdict alone.  The forward strategies (earliest-time,
-quasi-dynamical and the random-run search in randmodel) share one
-scan-and-bisect loop, _scan_select, and differ only in scan times, stop
-rule and budget.
+apply and split by the one projection kernel (histories._project and
+histories._gram), with no padded matrix.  Block i is D[i::k, i::k] in the
+(leaf outer, projector inner) order of extend_all; the tree is extended
+only once a candidate is accepted, from the states the Extension already
+holds, and a candidate's full consistency report is built only when it
+is read: a rejected one is judged by its medium verdict alone.  The
+forward strategies (earliest-time, quasi-dynamical and the random-run
+search in randmodel) share one scan-and-bisect loop, _scan_select, and
+differ only in scan times, stop rule and budget.
 
 Every Schmidt candidate is cut from a stacked split (_Split) of a stack
 of psi(t), which reads the norm guard, the rank cut at
@@ -90,7 +90,8 @@ import numpy as np
 from .consistency import (consistency_report, is_exactly_consistent,
                           medium_pass, nontrivial)
 from .histories import (HistoryTree, ProjectiveDecomposition,
-                        _check_entries, _extend, as_evolution)
+                        _check_entries, _extend, _gram, _interleave,
+                        _max_off_diagonal, _project, as_evolution)
 from .linalg import _fix_column_phases, entropy
 from .tolerances import (COMPANION_TOL, COMPLEMENT_TOL, DISTRIBUTION_SUM_TOL,
                          LIVE_PROBABILITY_TOL, NEGATIVE_PROBABILITY_TOL,
@@ -353,7 +354,7 @@ class _Chunk:
         n = self.leaves.shape[-1]
         Y = (self.split.cols.conj() @ self.leaves.reshape(T, d1, -1)).reshape(
             T, d1, -1, n)
-        G = np.swapaxes(Y, 2, 3) @ Y.conj()         # (T, k, n, n)
+        G = _gram(Y)        # (T, k, n, n)
         if probe_dt is None:
             del Y       # only the stacked probe reads it again
         self.children = G.diagonal(0, 2, 3).real.copy()     # (T, k, n)
@@ -417,9 +418,7 @@ def _probe_worst(evolution, ts, cols, Y, probe_dt):
         return None
     Z = (cols.conj() @ X.reshape(R, k, -1)).reshape(R, k, m, n * k)
     del X
-    G = np.abs(np.swapaxes(Z, 2, 3) @ Z.conj())    # (R, k, nk, nk)
-    G[..., range(n * k), range(n * k)] = 0.0
-    return G.max(axis=(1, 2, 3))
+    return _max_off_diagonal(_gram(Z))
 
 
 def schmidt_candidate(model, t, chunk=None):
@@ -462,35 +461,27 @@ def schmidt_candidate(model, t, chunk=None):
     return ProjectiveDecomposition(t, projs, check=False)
 
 
-def _gram(blocks):
-    """The (k, n, n) stack of Gram matrices G_ab = u_b^dag u_a of the
-    projected blocks P_i U states (HistoryTree._project).  Projectors at
-    one time are orthogonal, so these are the only blocks of the extended
-    set's decoherence matrix that are not zero: G[i] = D[i::k, i::k]."""
-    n = blocks[0].shape[1]
-    G = np.empty((len(blocks), n, n), dtype=complex)
-    for i, B in enumerate(blocks):
-        G[i] = B.T @ B.conj()
-    return G
-
-
 class Extension:
     """A scored candidate: every leaf of a tree split by one decomposition.
 
-    Holds the k Gram blocks of the extended set (_gram) and its
-    probabilities.  The medium verdict at epsilon, the consistency report
-    and the extended states are each computed on first read, so a rejected
-    candidate pays for its verdict only; the tree itself is built by
-    extend(), from those states, only once the candidate is accepted.
-    evolved, when given, is the leaf states at dec.time (a scan chunk's)."""
+    Holds the split of the leaf states at the decomposition's time
+    (histories._project), the k Gram blocks of the extended set
+    (histories._gram) and its probabilities.  The medium verdict at
+    epsilon, the consistency report and the extended states (the split's
+    columns in leaves() order, histories._interleave, evolved back) are
+    each computed on first read, so a rejected candidate pays for its
+    verdict only; the tree itself is built by extend(), from those
+    states, only once the candidate is accepted.  evolved, when given, is
+    the leaf states at dec.time (a scan chunk's)."""
 
     def __init__(self, tree, dec, epsilon, evolved=None):
         self.tree = tree
         self.decomposition = dec
         self.epsilon = epsilon
-        self._projected, blocks = tree._project(tree.leaf_states(), dec,
-                                                evolved)
-        self.blocks = _gram(blocks)
+        if evolved is None:
+            evolved = tree._evolve(tree.leaf_states(), dec.time)
+        self._projected = _project(dec.projectors, evolved)
+        self.blocks = _gram(self._projected)
         self.probabilities = self.blocks.diagonal(0, 1, 2).real.T.ravel()
 
     @functools.cached_property
@@ -505,11 +496,11 @@ class Extension:
     @functools.cached_property
     def states(self):
         """Path-projected states of the extended leaves, U^dag P_i U u_a."""
-        return self.tree._evolve(self._projected, self.decomposition.time,
-                                 adjoint=True)
+        return self.tree._evolve(_interleave(self._projected),
+                                 self.decomposition.time, adjoint=True)
 
     def extend(self):
-        return _extend(self.tree, self.decomposition, None, self.states)
+        return _extend(self.tree, [self.decomposition], None, self.states)
 
     def event(self):
         return SelectionEvent(self.decomposition.time, self.decomposition,
@@ -547,9 +538,8 @@ def _persists(tree, ext, probe_dt):
     leaves (ext.states) leaves the set exactly medium-consistent, every
     off-diagonal |G| within PERSISTENCE_TOL."""
     dec = ext.decomposition
-    repeat = ProjectiveDecomposition(dec.time + probe_dt, dec.projectors,
-                                     check=False)
-    G = _gram(tree._project(ext.states, repeat)[1])
+    G = _gram(_project(dec.projectors,
+                       tree._evolve(ext.states, dec.time + probe_dt)))
     return is_exactly_consistent(G, "medium", tol=PERSISTENCE_TOL)
 
 

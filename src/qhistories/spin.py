@@ -11,8 +11,10 @@ column-state matrices one interaction at a time, each V_k on the (system,
 environment spin k) axes only, so no 2^{n+1}-square matrix is built.
 Trees and the classification walk step their states from one projection
 time to the next, U(t_k) U(t_{k-1})^dag (ChainEvolution.apply_times with
-since), which at integer times is the one interaction V_k: build_tree
-turns one interaction per integer event and evolves back once, and
+since), which at integer times is the one interaction V_k, and split them
+by the projection kernel of histories (_project, _interleave, _gram):
+build_tree extends a tree by all of its events at once (histories._extend),
+so it turns one interaction per integer event and evolves back once, and
 classify_catalogue scores a prefix's children from its projected states
 at its last time and evolves nothing back.  The closed-form probabilities
 of every history of a chain of integer times are one product over all of
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .histories import (HistoryTree, ProjectiveDecomposition,
-                        _check_leaf_states, _split_nodes, apply_leading)
+                        _check_leaf_states, _extend, _gram, _interleave,
+                        _max_off_diagonal, _project, apply_leading)
 from .linalg import entropy, leading_rows, leading_view
 from .tolerances import (BLOCH_NORM_TOL, GENERICITY_TOL, PROJECTOR_TOL,
                          TIME_TOL, UNIT_VECTOR_TOL)
@@ -359,36 +362,16 @@ def build_tree(cfg, events):
     every branch with the 2 x 2 system projectors {P(axis), P(-axis)}.
     Axes must be real unit 3-vectors, |axis|^2 within PROJECTOR_TOL of 1
     (ValueError otherwise); the pair's own, looser check is skipped.
-    The leaf states step from one event time to the next (_advance), so at
-    integer times each event turns one interaction, and one apply back
-    from the last event time gives the tree's time-0 leaf states."""
-    return _extend_by_events(HistoryTree(initial_state=initial_state(cfg),
-                                         evolution=chain_evolution(cfg)),
-                             events)
-
-
-def _extend_by_events(tree, events):
-    """tree extended by the (time, axis) events of build_tree, in time
-    order.  Every event is checked, and the tree's nodes split
-    (histories._split_nodes), before anything is evolved; then the leaf
-    states, as a _Frame at time 0, are stepped through the events
-    (_advance), and one evolution.apply back from the last event time
-    gives the new tree's leaf states.  No tree holds the states between
-    events.  Each event doubles the leaves, so a tree whose leaf states
-    would exceed LEAF_STATE_CAP is refused (ValueError) before the first
-    event."""
-    _check_leaf_states(tree.dim, tree.leaf_states().shape[1]
-                       * 2 ** len(events))
-    steps, root = [], tree.root
-    for t, w in sorted(events, key=lambda e: e[0]):
-        dec = ProjectiveDecomposition(t, _axis_pair(w), check=False)
-        root = _split_nodes(root, dec, None, tree.dim)
-        steps.append((dec.time, dec.projectors))
-    if not steps:
-        return tree
-    frame = _advance(_Frame(tree.evolution, tree.leaf_states(), None), steps)
-    return tree._grown(root, tree.evolution.apply(frame.states, frame.time,
-                                                  adjoint=True))
+    The events extend the tree in time order in one histories._extend:
+    the leaf states step from one event time to the next, so at integer
+    times each event turns one interaction, and one apply back from the
+    last event time gives the tree's time-0 leaf states.  Each event
+    doubles the leaves, so a tree whose leaf states would exceed
+    LEAF_STATE_CAP is refused (ValueError) before anything is evolved."""
+    decs = [ProjectiveDecomposition(t, _axis_pair(w), check=False)
+            for t, w in sorted(events, key=lambda e: e[0])]
+    return _extend(HistoryTree(initial_state=initial_state(cfg),
+                               evolution=chain_evolution(cfg)), decs, None)
 
 
 def schmidt_events(cfg, times):
@@ -544,68 +527,42 @@ class _Frame:
     """The projected states of a set's leaves at its last projection time:
     states holds, as columns in leaves() order, P_{a_m} U(t_m, t_{m-1}) ...
     P_{a_1} U(t_1) psi for each leaf a, time is t_m (None: no projection
-    yet, states at time 0), and evolution steps them on.  Their Gram
-    matrix is the set's decoherence matrix, in any frame."""
+    yet, states at time 0), and evolution steps them on
+    (classify_catalogue).  Their Gram matrix is the set's decoherence
+    matrix, in any frame."""
 
     evolution: object
     states: np.ndarray
     time: float | None
 
 
-def _project_children(frame, children):
-    """The (C, 2, d, n) blocks of the children of frame, its every leaf
-    split at t by the two 2 x 2 system projectors of each (t, projectors)
-    of children (_axis_pair): blocks[c, i] = P_i U(t_c) U(since)^dag W,
-    W = frame.states and since = frame.time, by one evolution.apply_times
-    over the children's times and one stacked product, (C, 2, 2, 2) on the
-    (C, 1, 2, rest) evolved states.  Raises ValueError, before anything is
-    evolved, when the blocks, the C children's leaf states, would exceed
+def _score_children(frame, children, extend=()):
+    """Score the children of frame, its every leaf split at t by the two
+    2 x 2 system projectors of each (t, projectors) of children
+    (_axis_pair): (violations, frames).  violations[c] is the largest
+    off-diagonal |D_ab| of child c's decoherence matrix, and frames the
+    _Frame of each child whose index is in extend, in its order.
+
+    One evolution.apply_times over the children's times from frame.time
+    and one stacked _project give the (C, 2, d, n) blocks
+    P_i U(t_c) U(since)^dag W of every child.  The two projectors are
+    orthogonal, so a child's D is zero off its two diagonal Gram blocks,
+    and its violation is their largest off-diagonal |G|: the (C, 2, n, n)
+    Gram stack of the blocks is one product (_gram), and every child's
+    violation one reduction of it.  A child's frame holds its columns in
+    an array of its own (_interleave), so that each is freed once its
+    child is entered.  Raises ValueError, before anything is evolved,
+    when the blocks, the C children's leaf states, would exceed
     LEAF_STATE_CAP entries."""
     ts = [float(t) for t, _ in children]
-    W = frame.states
-    (d, n), C = W.shape, len(ts)
+    (d, n), C = frame.states.shape, len(ts)
     _check_leaf_states(d, 2 * n * C)
-    P = np.array([pair for _, pair in children])    # (C, 2, 2, 2)
-    return (P @ frame.evolution.apply_times(W, ts, frame.time).reshape(
-        C, 1, 2, -1)).reshape(C, 2, d, n)
-
-
-def _child_frame(frame, t, blocks):
-    """The _Frame at t of a child whose (2, d, n) blocks are given: its
-    columns in leaves() order, leaf outer and projector inner, as
-    HistoryTree._project's W, in an array of its own."""
-    _, d, n = blocks.shape
-    return _Frame(frame.evolution, np.ascontiguousarray(
-        np.moveaxis(blocks, 0, 2).reshape(d, 2 * n)), float(t))
-
-
-def _advance(frame, steps):
-    """frame stepped through the (t, projectors) of steps in order: each
-    one apply_times from the frame's time (_project_children, one child)."""
-    for t, projectors in steps:
-        frame = _child_frame(frame, t,
-                             _project_children(frame, [(t, projectors)])[0])
-    return frame
-
-
-def _score_children(frame, children, extend=()):
-    """Score the children of frame (_project_children): (violations,
-    frames).  violations[c] is the largest off-diagonal |D_ab| of child
-    c's decoherence matrix, and frames the _Frame of each child whose
-    index is in extend, in its order.
-
-    The two projectors are orthogonal, so a child's D is zero off its two
-    diagonal Gram blocks (selection.Extension), and its violation is their
-    largest off-diagonal |G|.  The (C, 2, n, n) Gram stack of the blocks is
-    one product, and every child's violation one reduction of it.  A
-    child's frame holds its own array, so that each is freed once its
-    child is entered."""
-    blocks = _project_children(frame, children)
-    n = blocks.shape[-1]
-    G = np.abs(np.swapaxes(blocks, 2, 3) @ blocks.conj())   # (C, 2, n, n)
-    G[..., range(n), range(n)] = 0.0
-    return G.max(axis=(1, 2, 3)), [
-        _child_frame(frame, children[r][0], blocks[r]) for r in extend]
+    blocks = _project([pair for _, pair in children],
+                      frame.evolution.apply_times(frame.states, ts,
+                                                  frame.time))
+    return _max_off_diagonal(_gram(blocks)), [
+        _Frame(frame.evolution, _interleave(blocks[r]), ts[r])
+        for r in extend]
 
 
 def classify_catalogue(cfg):

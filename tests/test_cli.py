@@ -126,8 +126,10 @@ def test_spin_classify_shares_prefixes_bit_for_bit(monkeypatch, n, seed):
         if times:
             *chain, last = [(t, spin._axis_pair(w)) for t, w
                             in spin.measurement_events(cfg, times)]
-            violations, _ = spin._score_children(
-                spin._advance(root, chain), [last])
+            frame = root
+            for step in chain:
+                frame = spin._score_children(frame, [step], [0])[1][0]
+            violations, _ = spin._score_children(frame, [last])
             want.append([form, len(times), float(violations[0])])
     assert rows == want
 
@@ -265,6 +267,8 @@ def test_config_unknown_key(tmp_path, capsys):
     (["bounds", "--eps", "2"], "--eps must lie in [0, 1)"),
     # no draws: a nan fraction and two RuntimeWarnings
     (["spin", "montecarlo", "--samples", "0"], "samples >= 1"),
+    # no draws: numpy's error on an empty reduction
+    (["dist", "check", "--samples", "0"], "samples >= 1"),
 ])
 def test_bad_input_exits_2_with_a_message(argv, problem, capsys):
     with pytest.raises(SystemExit) as exit_info:

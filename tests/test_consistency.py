@@ -14,8 +14,9 @@ from qhistories.consistency import (MPV_BLOCK, MPV_EXHAUSTIVE_CAP,
                                     _subset_bits, _subset_values,
                                     consistency_report, env_orthogonality,
                                     epsilon_for_delta, is_exactly_consistent,
-                                    limit_dhc, linear_positivity, mpv_exact,
-                                    mpv_greedy, mpv_upper_bound, nontrivial)
+                                    limit_dhc, linear_positivity,
+                                    medium_pass, mpv_exact, mpv_greedy,
+                                    mpv_upper_bound, nontrivial)
 from qhistories.constructions import frame_pair_matrix, frame_pair_mpv
 from qhistories.histories import (DecoherenceMatrix, HistoryTree,
                                   ProjectiveDecomposition, extend_all)
@@ -596,6 +597,18 @@ def test_report_of_small_dense_matrices():
     r = consistency_report(np.array([[0.5, 0.3], [0.3, 0.0]]), 0.0)
     assert (r.max_weak_violation, r.dhp) == (0.3, 0.0)
     assert r.weak_pass and r.medium_pass
+
+
+@pytest.mark.parametrize("shape", ["matrix", "blocks"])
+def test_a_nan_probability_fails_the_criteria(shape):
+    # a pair with a NaN probability has no ratio that passes: it must be
+    # counted and fail, not be skipped as a zero-probability pair is
+    D = np.array([[np.nan, 0.5], [0.5, 0.5]])
+    D = D if shape == "matrix" else np.stack([D, np.diag([0.2, 0.3])])
+    r = consistency_report(D, 0.1)
+    assert (r.weak_pass, r.medium_pass) == (False, False)
+    assert math.isnan(r.dhp)
+    assert medium_pass(D, 0.1) is False
 
 
 def test_epsilon_for_delta_ordering():

@@ -595,3 +595,112 @@ def test_an_extension_past_the_leaf_state_cap_is_refused_before_it_allocates(
     # at the cap itself the tree is extended
     monkeypatch.setattr(histories, "LEAF_STATE_CAP", 3 * dim)
     assert len(extend_branch(tree, (0,), halves).leaves()) == 3
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and (
+        np.ascontiguousarray(got).tobytes()
+        == np.ascontiguousarray(want).tobytes())
+
+
+def _reference_split(projectors, V):
+    """The projection kernel's reference loops: each projector applied
+    alone (apply_leading), each block's Gram matrix taken alone, and the
+    blocks' columns laid out in leaves() order one block at a time."""
+    blocks = [apply_leading(P, V) for P in projectors]
+    k, (d, n) = len(blocks), V.shape
+    W = np.empty((d, n * k), dtype=complex)
+    for i, B in enumerate(blocks):
+        W[:, i::k] = B
+    return blocks, [B.T @ B.conj() for B in blocks], W
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_projection_kernel_is_its_reference_loops_bit_for_bit(k):
+    # k projectors at system size 8, of ranks that sum to 8, on leaf
+    # states of the system alone and of the system and a factor of 3, at
+    # 1, 4 and 9 leaves; as Extension takes them, contiguous, and as a
+    # scan chunk's row of evolved leaves, a strided view beside psi(t)
+    rng = RandomStream(300 + k, "kernel")
+    cuts = [list(c) for c in np.array_split(np.arange(8), k)]
+    dec = _random_decomposition(8, 1.0, rng.stream("dec"), blocks=cuts)
+    g = rng.stream("states").generator
+    for m, n in [(1, 1), (1, 4), (3, 1), (3, 4), (3, 9)]:
+        X = g.normal(size=(2, 8 * m, 1 + n)) \
+            + 1j * g.normal(size=(2, 8 * m, 1 + n))
+        for V in (np.ascontiguousarray(X[0, :, 1:]), X[1, :, 1:]):
+            blocks, grams, W = _reference_split(dec.projectors, V)
+            split = histories._project(dec.projectors, V)
+            assert _same_bits(split, np.array(blocks))
+            assert _same_bits(histories._gram(split), np.array(grams))
+            assert _same_bits(histories._interleave(split), W)
+        # a chunk's coefficients Y (T, k, m, n): one Gram block per row
+        # and projector
+        Y = g.normal(size=(5, k, m, n)) + 1j * g.normal(size=(5, k, m, n))
+        assert _same_bits(histories._gram(Y), np.array(
+            [[B.T @ B.conj() for B in row] for row in Y]))
+
+
+def test_projection_kernel_stacks_classify_children_bit_for_bit():
+    # classify scores the C children of a prefix as one stack: each
+    # child's (2, d, n) blocks, Gram blocks and frame columns are its own
+    # reference loops' to the bit, and its violation the largest
+    # off-diagonal |G| over its two Gram blocks
+    for n, leaves in [(2, 1), (3, 2), (4, 8)]:
+        rng = RandomStream(n, "children")
+        v, *axes = [sample_unit_vector(3, "real", rng.stream(f"u{j}"))
+                    for j in range(n + 1)]
+        cfg = spin.SpinModelConfig(v, np.array(axes))
+        times = np.sort(rng.generator.uniform(0.2, n, size=5)).tolist()
+        pairs = np.array([spin._axis_pair(sample_unit_vector(
+            3, "real", rng.stream(f"w{t}"))) for t in times])
+        g = rng.stream("W").generator
+        d = 2 ** (n + 1)
+        W = g.normal(size=(d, leaves)) + 1j * g.normal(size=(d, leaves))
+        V = spin.chain_evolution(cfg).apply_times(W, times)
+        split = histories._project(pairs, V)
+        G = histories._gram(split)
+        for c in range(len(times)):
+            blocks, grams, cols = _reference_split(pairs[c], V[c])
+            assert _same_bits(split[c], np.array(blocks))
+            assert _same_bits(G[c], np.array(grams))
+            assert _same_bits(histories._interleave(split[c]), cols)
+            off = np.abs(np.array(grams))
+            off[:, range(leaves), range(leaves)] = 0.0
+            assert histories._max_off_diagonal(G)[c] == off.max()
+
+
+class _StepCountingEvolution(_CountingEvolution):
+    """_CountingEvolution with apply_times, recorded as (ts, since)."""
+
+    def apply_times(self, states, ts, since=None):
+        self.calls.append((list(ts), since))
+        return self.flow.apply_times(states, ts, since)
+
+
+def test_extension_by_several_decompositions_steps_from_time_to_time():
+    # one _extend by m decompositions evolves to the first time, steps on
+    # by one apply_times since the time before, and evolves back once:
+    # m + 1 calls where m extend_all calls take 2 m, and the same tree,
+    # within ORACLE_RTOL
+    dim = 4
+    rng = RandomStream(61, "steps")
+    psi = sample_unit_vector(dim, "complex", rng.stream("psi"))
+    evolution = _StepCountingEvolution(
+        HamiltonianFlow(sample_gue(dim, 1.0, rng.stream("H"))))
+    decs = [_random_decomposition(dim, t, rng.stream(f"dec{t}"),
+                                  blocks=[[0, 1], [2, 3]])
+            for t in (0.5, 1.1, 1.7)]
+    root = HistoryTree(initial_state=psi, evolution=evolution)
+    tree = histories._extend(root, decs, None)
+    assert evolution.calls == [(0.5, False), ([1.1], 0.5), ([1.7], 1.1),
+                               (1.7, True)]
+    chained = root
+    for dec in decs:
+        chained = extend_all(chained, dec)
+    assert tree.leaves() == chained.leaves()
+    assert np.max(np.abs(tree.leaf_states() - chained.leaf_states())) \
+        <= ORACLE_RTOL
+    assert histories._extend(root, [], None) is root
+    with pytest.raises(ValueError, match="1.1 does not exceed branch time"):
+        histories._extend(root, [decs[0], decs[2], decs[1]], None)

@@ -114,7 +114,8 @@ def test_analysis_integrity_rebuilds_the_set_it_checks():
         model, [e.decomposition for e in head[:-1]], config.epsilon)
     states = extend_all(parent, head[-1].decomposition).leaf_states()
     corrupted = states * (1.0 + 1e-3 * np.arange(states.shape[1]))
-    tree = histories._extend(parent, head[-1].decomposition, None, corrupted)
+    tree = histories._extend(parent, [head[-1].decomposition], None,
+                              corrupted)
     ext = selection.Extension(tree, last.decomposition, config.epsilon)
     bad = randmodel.RunRecord(config, head + [ext.event()], rec.termination,
                               rec.steps, ext.extend())

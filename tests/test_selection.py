@@ -8,8 +8,8 @@ from qhistories import histories, selection, spin
 from qhistories.consistency import (consistency_report, is_exactly_consistent,
                                     nontrivial)
 from qhistories.histories import (HistoryTree, ProjectiveDecomposition,
-                                  decoherence_matrix, extend_all,
-                                  extend_branch)
+                                  apply_leading, decoherence_matrix,
+                                  extend_all, extend_branch)
 from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
                                sample_unit_vector)
 from qhistories.tolerances import ORACLE_RTOL
@@ -401,7 +401,7 @@ def test_admissible_judges_the_live_leaves_like_a_loop():
     states[:, 1] = 0.0
     states[:, 2] *= 1e-8
     # a tree that carries these states, by the path Extension.extend takes
-    tree = histories._extend(tree, second, None, states)
+    tree = histories._extend(tree, [second], None, states)
     verdicts, skipped = set(), set()
     for t, eps, delta, mode in itertools.product(
             np.linspace(1.0, 3.0, 9), (0.7, 1.0), (0.001, 0.02, 0.2),
@@ -519,11 +519,12 @@ def _earliest_accept(model, epsilon, delta):
 def _persisting(tree, ext, probe_dt, tol=1e-9):
     """The per-time persistence probe: ext's projectors re-applied at its
     time + probe_dt to its extended leaves leave the set exactly
-    medium-consistent within tol."""
-    repeat = ProjectiveDecomposition(ext.decomposition.time + probe_dt,
-                                     ext.decomposition.projectors,
-                                     check=False)
-    D = selection._gram(tree._project(ext.states, repeat)[1])
+    medium-consistent within tol: each projector applied alone and each
+    Gram block taken alone, independent of the projection kernel."""
+    dec = ext.decomposition
+    V = tree._evolve(ext.states, dec.time + probe_dt)
+    D = np.array([B.T @ B.conj() for B in
+                  (apply_leading(P, V) for P in dec.projectors)])
     return is_exactly_consistent(D, "medium", tol=tol)
 
 

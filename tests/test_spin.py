@@ -166,9 +166,10 @@ def test_history_probabilities_are_history_probability_to_the_bit(n):
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_build_tree_turns_one_interaction_per_integer_event(monkeypatch, n):
-    # the measurement tree of `qhist spin probs`: each event steps from
-    # the last event time by one apply_times, which at t = m turns
-    # interaction m alone, and one apply back from t = n turns all n
+    # the measurement tree of `qhist spin probs`: the first event evolves
+    # to t = 1 by one apply, each later event steps from the last event
+    # time by one apply_times, which at t = m turns interaction m alone,
+    # and one apply back from t = n turns all n
     turns, calls = [], []
     turn = spin.ChainEvolution._turn
     monkeypatch.setattr(spin.ChainEvolution, "_turn",
@@ -184,7 +185,7 @@ def test_build_tree_turns_one_interaction_per_integer_event(monkeypatch, n):
         monkeypatch.setattr(spin.ChainEvolution, name, counted)
     cfg = _config(400 + n, n)
     tree = spin.build_tree(cfg, spin.measurement_events(cfg, range(1, n + 1)))
-    assert calls == ["apply_times"] * n + ["apply"]
+    assert calls == ["apply"] + ["apply_times"] * (n - 1) + ["apply"]
     assert turns == [(m, False) for m in range(1, n + 1)] \
         + [(k, True) for k in range(n, 0, -1)]
     assert len(tree.leaves()) == 2 ** n
@@ -251,13 +252,15 @@ def _extended(tree, events):
 def _check_scored_children(tree, prefix, children):
     """_score_children's violation of each (time, axis) child of the set
     that extends tree by the prefix events, scored from that set's frame
-    at its last time (spin._advance, one apply_times since the previous
-    event time per event), against the dense D of the tree extended by
-    prefix and child through extend_all: D is zero off the two Gram
-    blocks, and the violation is its largest off-diagonal |D_ab|, within
-    ORACLE_RTOL of max |D|.  Returns each child's two block maxima."""
-    frame = spin._advance(
-        spin._Frame(tree.evolution, tree.leaf_states(), None), _pairs(prefix))
+    at its last time (the frame of the one child of each prefix event in
+    turn, as classify_catalogue enters it: one apply_times since the
+    previous event time per event), against the dense D of the tree
+    extended by prefix and child through extend_all: D is zero off the two
+    Gram blocks, and the violation is its largest off-diagonal |D_ab|,
+    within ORACLE_RTOL of max |D|.  Returns each child's two block maxima."""
+    frame = spin._Frame(tree.evolution, tree.leaf_states(), None)
+    for event in _pairs(prefix):
+        frame = spin._score_children(frame, [event], [0])[1][0]
     assert frame.time == prefix[-1][0]
     violations, _ = spin._score_children(frame, _pairs(children))
     assert violations.shape == (len(children),)
