@@ -55,7 +55,6 @@ smodel = selection.spin_model(cfg)
 sel, comps = selection.retrodictive_select(smodel, range(1, n + 1))
 print("\nretrodictive selection on the n = 3 chain:")
 print("  accepted times:", sel.times)
-probs = sorted((np.linalg.norm(sel.tree.leaf_states(), axis=0) ** 2)
-               .tolist())
+probs = sorted(sel.tree.probabilities().tolist())
 print("  history probabilities:", [round(p, 4) for p in probs])
 print(f"  zero-probability companion histories: {len(comps)}")

@@ -122,6 +122,8 @@ def cmd_bounds(args, out):
     # bound accepts is refused here, not printed as an empty table
     if args.eps is not None and not 0.0 <= args.eps < 1.0:
         raise ValueError(f"--eps must lie in [0, 1), got {args.eps}")
+    if not args.d_max >= 1:
+        raise ValueError(f"--d-max must be at least 1, got {args.d_max}")
     rows = []
     ok = True
     for d in range(1, args.d_max + 1):
@@ -141,6 +143,8 @@ def cmd_bounds(args, out):
 
 
 def cmd_zeno(args, out):
+    if not math.isfinite(args.theta):
+        raise ValueError(f"--theta must be finite, got {args.theta}")
     rows = []
     ok = True
     for subset in ("X", "Y"):
@@ -174,6 +178,9 @@ def cmd_dheg(args, out):
 
 
 def _random_axes(n, rng):
+    # n = 0 draws v alone, and SpinModelConfig refuses its empty axes
+    if n < 0:
+        raise ValueError(f"--n must be at least 1, got {n}")
     vecs = [sample_unit_vector(3, "real", rng.stream(f"axis{i}"))
             for i in range(n + 1)]
     return spin_mod.SpinModelConfig(v=vecs[0], axes=np.array(vecs[1:]))
@@ -312,6 +319,7 @@ def _ks_distance(samples, cdf):
 
 def cmd_dist_check(args, out):
     d, k = args.d, args.k
+    dist_mod._check_kd(k, d)    # before an empty array is reduced
     if not args.samples >= 1:
         raise ValueError(f"need samples >= 1, got {args.samples}")
     rng = RandomStream(args.seed, "dist-check")
@@ -400,20 +408,13 @@ def build_parser():
     spin = sub.add_parser("spin")
     spin_sub = spin.add_subparsers(dest="spin_command", required=True)
 
-    sp = spin_sub.add_parser("classify")
-    sp.set_defaults(func=cmd_spin_classify, section="spin.classify")
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = spin_sub.add_parser("probs")
-    sp.set_defaults(func=cmd_spin_probs, section="spin.probs")
-    sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = spin_sub.add_parser("maxinfo")
-    sp.set_defaults(func=cmd_spin_maxinfo, section="spin.maxinfo")
-    sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
+    for name, func, n in [("classify", cmd_spin_classify, 3),
+                          ("probs", cmd_spin_probs, 4),
+                          ("maxinfo", cmd_spin_maxinfo, 4)]:
+        sp = spin_sub.add_parser(name)
+        sp.set_defaults(func=func, section=f"spin.{name}")
+        sp.add_argument("--n", type=int, default=n)
+        sp.add_argument("--seed", type=int, default=0)
 
     sp = spin_sub.add_parser("montecarlo")
     sp.set_defaults(func=cmd_spin_montecarlo, section="spin.montecarlo")
@@ -464,6 +465,8 @@ def main(argv=None):
     try:
         if args.config:
             _load_config(args.config, args.section, args, argv)
+        if not getattr(args, "seed", 0) >= 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         if args.out:
             with open(args.out, "w") as fh:
                 ok = args.func(args, fh)

@@ -4,14 +4,18 @@ matrices.
 A history tree applies timed projective decompositions along its branches;
 each leaf is a history alpha with path-projected state u_alpha = C_alpha psi
 and probability |u_alpha|^2.  Projectors stay in the Schroedinger picture:
-a node maps the state u it receives to U(t)^dag P_i U(t) u.  A tree
-carries the path states of its leaves as the columns of one read-only
-matrix (leaf_states), in leaves() order, so reading them evolves nothing.
-Extension (_extend) computes the new columns by stepping the columns it
-splits from one decomposition time to the next: evolved forward to the
-first time, projected there, evolved on from each time to the next
-(apply_times with since) and projected again, and evolved back once after
-the last, so extending by m decompositions takes m + 1 evolution calls.
+a node maps the state u it receives to U(t)^dag P_i U(t) u.  D_ab =
+u_b^dag u_a is unchanged when one unitary acts on every u_a, so a tree
+carries its leaves' states in one frame only: a time t_f (frame_time, None
+for a fresh tree) and the read-only matrix F = U(t_f) [u_alpha] (frame),
+columns in leaves() order, from which the probabilities and the
+decoherence matrix are read.  Extension (_extend) steps the columns it
+splits from t_f to each decomposition time in turn (apply_times with
+since, or one apply from time 0 on a fresh tree) and splits them there;
+when it splits every leaf the last split is the new frame, so extending by
+m decompositions takes m evolution calls, and a leaf split alone
+(extend_branch) steps back to t_f.  leaf_states, the time-0 path states,
+are U(t_f)^dag F, one adjoint apply on their first read.
 The one projection kernel, which selection and spin score candidates
 with too, is three functions: _project splits stacked states by stacked
 projectors into blocks P_i U(t) V, _interleave lays a split's blocks out
@@ -46,10 +50,11 @@ import numpy as np
 from .linalg import hermitian_eig, leading_view
 from .tolerances import NORM_TOL, PROJECTOR_TOL, SCHMIDT_WEIGHT_TOL
 
-# complex entries of a tree's leaf-state matrix, 512 MiB: the spin chain's
-# measurement tree at n = 12, 2^13 x 2^12, is the largest within it; also
-# the complex entries of the largest array of a one-time scan chunk
-# (selection._prepare_chunk), whose Gram stacks grow as the leaves squared.
+# complex entries of a tree's frame, and so of its leaf states, 512 MiB: the
+# spin chain's measurement tree at n = 12, 2^13 x 2^12, is the largest
+# within it; also the complex entries of the largest array of a one-time
+# scan chunk (selection._prepare_chunk), whose Gram stacks grow as the
+# leaves squared.
 # It bounds that one array, not the chunk: beside the complex Gram stack
 # the screen holds its float moduli, so a one-time chunk at the cap peaks
 # at about 1.5 times its largest array under tracemalloc, 768 MiB
@@ -176,11 +181,13 @@ class _Node:
 
 class HistoryTree:
     """Tree of timed projective decompositions over an initial state, with
-    the path states of its leaves (leaf_states) and their probabilities,
-    set once per tree where the states are computed.
+    its leaves' states in one frame, the read-only matrix frame = U(t_f)
+    [u_alpha] at frame_time t_f (None for a fresh tree, whose frame is
+    psi), and their probabilities, set once per tree where the frame is
+    computed.
 
-    evolution, if given, is an object with apply(states, t, adjoint=False)
-    or a callable t -> U(t) (see as_evolution); projections at time t act
+    evolution, if given, is an object of the apply protocol or a callable
+    t -> U(t) (see as_evolution); projections at time t act
     as U(t)^dag P U(t) on the initial state.  A mixed initial
     state (density matrix) of size d is purified into C^d (x) C^r, r its
     rank read from the eigenvalues; evolution and projectors stay at size
@@ -209,7 +216,7 @@ class HistoryTree:
         self.initial_state = psi
         self.evolution = as_evolution(evolution)
         self.root = _Node()
-        self._set_states(psi[:, None])
+        self._set_frame(psi[:, None], None)
 
     @property
     def dim(self):
@@ -259,23 +266,26 @@ class HistoryTree:
 
     def leaf_states(self):
         """Path states of all leaves as the columns of one matrix, in
-        leaves() order: the matrix the tree carries, not a copy, so it is
-        read-only; a write would change the tree's states for every later
-        reader (at the root, the initial state that every extension of
-        the tree shares).  Reading it evolves nothing."""
-        return self._states
+        leaves() order: the frame evolved back to time 0, U(t_f)^dag F, by
+        one adjoint apply on the first read (a fresh tree's is its frame),
+        and kept, read-only, for every later read of this tree."""
+        if self._leaf_states is None:
+            self._leaf_states = self.frame if self.frame_time is None \
+                else self._evolve(self.frame, self.frame_time, adjoint=True)
+            self._leaf_states.flags.writeable = False
+        return self._leaf_states
 
     def probabilities(self):
         """The leaf probabilities |u_alpha|^2, in leaves() order: the
-        diagonal of the decoherence matrix, read from the array the tree
-        carries (read-only, as leaf_states is), so reading it computes
-        nothing."""
+        diagonal of the decoherence matrix, the squared column norms of the
+        frame, read from the array the tree carries (read-only, as the
+        frame is), so reading it computes nothing."""
         return self._probabilities
 
-    def _set_states(self, states):
+    def _set_frame(self, states, time):
         states.flags.writeable = False
-        self._states = states
-        self._probabilities = np.linalg.norm(states, axis=0) ** 2
+        self.frame, self.frame_time, self._leaf_states = states, time, None
+        self._probabilities = (states.conj() * states).real.sum(axis=0)
         self._probabilities.flags.writeable = False
 
 
@@ -342,8 +352,10 @@ class DecoherenceMatrix:
 
 
 def decoherence_matrix(tree):
-    """Decoherence matrix of a tree's leaves, D_ab = u_b^dag u_a."""
-    states = tree.leaf_states()
+    """Decoherence matrix of a tree's leaves, D_ab = u_b^dag u_a, read from
+    the tree's frame: one unitary acts on every column, so D is the same
+    in any frame, up to rounding."""
+    states = tree.frame
     D = (states.conj().T @ states).T
     return DecoherenceMatrix(D, tree.leaves())
 
@@ -382,6 +394,9 @@ def _split_nodes(root, dec, path, dim):
         raise ValueError(
             f"projector dimension {d} does not divide state dimension {dim}")
 
+    # nodes are never changed, so every split leaf shares one new node
+    grown = _Node(dec, [_Node() for _ in dec.projectors])
+
     def rebuild(node, path, t_last):
         if node.is_leaf:
             if path:
@@ -389,7 +404,7 @@ def _split_nodes(root, dec, path, dim):
             if t_last is not None and dec.time <= t_last:
                 raise ValueError(f"decomposition time {dec.time} does not "
                                  f"exceed branch time {t_last}")
-            return _Node(dec, [_Node() for _ in dec.projectors])
+            return grown
         if path == ():
             raise ValueError("path does not end at a leaf")
         children = list(node.children)
@@ -405,39 +420,42 @@ def _extend(tree, decs, path, states=None):
     """New tree with each decomposition of decs in turn splitting the leaf
     at the end of path, or every leaf when path is None (_split_nodes, one
     rebuild each, so a path takes one decomposition); tree itself when
-    decs is empty.  The split columns of the leaf states step from one
-    decomposition time to the next: evolved to the first time, split there
-    (_project) into their children's columns (_interleave), evolved on
-    from each time to the next (apply_times with since) and split again,
-    and evolved back once after the last, so one evolution call per
-    decomposition and one back.  No tree holds the states between decompositions.  states, when
-    given, are the new tree's leaf states, already computed
-    (selection.Extension).  Raises ValueError as _split_nodes does, or,
-    before anything is allocated, when the new tree's leaf states would
-    exceed LEAF_STATE_CAP entries."""
+    decs is empty.  The frame's columns that split step from the frame
+    time to each decomposition time in turn (apply_times since the time
+    before, or one apply from time 0 on a fresh tree) and split there
+    (_project) into their children's columns (_interleave).  When they are
+    every column, the last split is the new frame, at the last
+    decomposition time, so m decompositions take m evolution calls; one
+    leaf of several (extend_branch) steps back to the frame time, one call
+    more, and the frame keeps its time.  states, when given, are the new
+    tree's frame at the last decomposition time, already computed
+    (selection.Extension, spin.classify_catalogue).  Raises ValueError as
+    _split_nodes does, or, before anything is allocated, when the new
+    tree's leaf states would exceed LEAF_STATE_CAP entries."""
     if not decs:
         return tree
-    dim, leaves = tree.leaf_states().shape
+    dim, leaves = tree.frame.shape
     k = math.prod(len(dec) for dec in decs)
     _check_leaf_states(dim, leaves * k if path is None else leaves + k - 1)
     root = tree.root
     for dec in decs:
         root = _split_nodes(root, dec, path, tree.dim)
+    time = decs[-1].time
     if states is None:
-        old = tree.leaf_states()
         a = 0 if path is None else tree.leaves().index(path)
-        b = old.shape[1] if path is None else a + 1
-        split, since = old[:, a:b], None
+        b = leaves if path is None else a + 1
+        states, since = tree.frame[:, a:b], tree.frame_time
         for dec in decs:
-            split = _interleave(_project(
-                dec.projectors, tree._evolve(split, dec.time, since=since)))
+            states = _interleave(_project(
+                dec.projectors, tree._evolve(states, dec.time, since=since)))
             since = dec.time
-        split = tree._evolve(split, since, adjoint=True)
-        states = split if path is None else np.hstack(
-            [old[:, :a], split, old[:, b:]])
+        if b - a < leaves:
+            time = tree.frame_time
+            states = np.hstack([tree.frame[:, :a], tree._evolve(
+                states, time, since=since), tree.frame[:, b:]])
     tree = copy.copy(tree)
     tree.root = root
-    tree._set_states(states)
+    tree._set_frame(states, time)
     return tree
 
 

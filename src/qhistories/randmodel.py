@@ -104,8 +104,7 @@ def run_forward_search(config, model=None):
         return t if t <= config.t_max + TIME_TOL else None
 
     def full(tree, events):
-        return (bool(events)
-                and tree.leaf_states().shape[1] >= config.max_histories)
+        return bool(events) and tree.frame.shape[1] >= config.max_histories
 
     selected, termination, steps = _scan_select(
         model, config.epsilon, config.delta, config.delta_mode, 0.0, advance,
@@ -134,8 +133,9 @@ def analyse_run(record, epsilon=None):
 
     The final set is rebuilt from the record tree's initial state and
     evolution, by extending a fresh tree with each recorded event's
-    decomposition (two evolution calls per event), not read from the
-    states the record tree carries, which the scan itself computed.
+    decomposition (one evolution call per event, each stepping the whole
+    frame from the event before), not read from the frame the record tree
+    carries, which the scan's chunks computed row by row.
     integrity is False unless the last recorded event's medium violation
     and probabilities (sorted) agree within INTEGRITY_TOL with those of the
     recomputed decoherence matrix; a NaN disagrees."""

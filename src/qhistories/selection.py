@@ -17,21 +17,22 @@ acceptance from the final time), and maximal information for the
 spin-measurement chain.
 
 Every selection builds its set as one HistoryTree, which carries its leaf
-states, from a fresh tree by one Extension per event, which scores a
-candidate without building it.  The projectors applied at one time are
-mutually orthogonal, so extending every leaf a of the current set by
-{P_i(t)} gives the decoherence matrix D[(a,i),(b,j)] = delta_ij <U(t) u_b|
-P_i |U(t) u_a>, zero off k blocks: a candidate is held as the (k, n, n)
-stack of those Gram blocks of the leaf states u_a, evolved together by one
-apply and split by the one projection kernel (histories._project and
+states in one frame (histories), from a fresh tree by one Extension per
+event, which scores a candidate without building it.  The projectors
+applied at one time are mutually orthogonal, so extending every leaf a of
+the current set by {P_i(t)} gives the decoherence matrix D[(a,i),(b,j)] =
+delta_ij <U(t) u_b| P_i |U(t) u_a>, zero off k blocks: a candidate is held
+as the (k, n, n) stack of those Gram blocks of the leaf states u_a,
+stepped together from the tree's frame time by one evolution call and
+split by the one projection kernel (histories._project and
 histories._gram), with no padded matrix.  Block i is D[i::k, i::k] in the
 (leaf outer, projector inner) order of extend_all; the tree is extended
-only once a candidate is accepted, from the states the Extension already
-holds, and a candidate's full consistency report is built only when it
-is read: a rejected one is judged by its medium verdict alone.  The
-forward strategies (earliest-time, quasi-dynamical and the random-run
-search in randmodel) share one scan-and-bisect loop, _scan_select, and
-differ only in scan times, stop rule and budget.
+only once a candidate is accepted, its frame the split the Extension
+already holds, and a candidate's full consistency report is built only
+when it is read: a rejected one is judged by its medium verdict
+alone.  The forward strategies (earliest-time, quasi-dynamical and the
+random-run search in randmodel) share one scan-and-bisect loop,
+_scan_select, and differ only in scan times, stop rule and budget.
 
 Every Schmidt candidate is cut from a stacked split (_Split) of a stack
 of psi(t), which reads the norm guard, the rank cut at
@@ -45,7 +46,8 @@ before the scan starts when it is out of range, and, in quasi-dynamical
 selection, with the persistence probe at probe_dt.  It works in chunks of
 upcoming scan times (_prepare_chunk), one _Chunk at a time on the current
 tree, a local of _scan_select dropped with that tree at each event: the
-evolution's apply_times evolves psi0 and the leaf states to every time of
+evolution's apply_times steps psi(t_f), which the scan kept from its last
+event's row, and the tree's frame from the frame time t_f to every time of
 a chunk in one product, and the chunk takes one split of all its times
 when it is built, so at most one SVD.  The chunk's screen reads the
 split's Schmidt vectors, and from them the k Gram blocks of every time,
@@ -468,18 +470,20 @@ class Extension:
     (histories._project), the k Gram blocks of the extended set
     (histories._gram) and its probabilities.  The medium verdict at
     epsilon, the consistency report and the extended states (the split's
-    columns in leaves() order, histories._interleave, evolved back) are
-    each computed on first read, so a rejected candidate pays for its
-    verdict only; the tree itself is built by extend(), from those
-    states, only once the candidate is accepted.  evolved, when given, is
-    the leaf states at dec.time (a scan chunk's)."""
+    columns in leaves() order, histories._interleave, at the
+    decomposition's time) are each computed on first read, so a rejected
+    candidate pays for its verdict only; the tree itself is built by
+    extend(), with those states as its frame, only once the candidate is
+    accepted.  evolved, when given, is the leaf states at dec.time (a scan
+    chunk's); else the tree's frame is stepped there."""
 
     def __init__(self, tree, dec, epsilon, evolved=None):
         self.tree = tree
         self.decomposition = dec
         self.epsilon = epsilon
         if evolved is None:
-            evolved = tree._evolve(tree.leaf_states(), dec.time)
+            evolved = tree._evolve(tree.frame, dec.time,
+                                   since=tree.frame_time)
         self._projected = _project(dec.projectors, evolved)
         self.blocks = _gram(self._projected)
         self.probabilities = self.blocks.diagonal(0, 1, 2).real.T.ravel()
@@ -495,9 +499,9 @@ class Extension:
 
     @functools.cached_property
     def states(self):
-        """Path-projected states of the extended leaves, U^dag P_i U u_a."""
-        return self.tree._evolve(_interleave(self._projected),
-                                 self.decomposition.time, adjoint=True)
+        """The extended leaves' states P_i U(t) u_a at the decomposition's
+        time t, the extended tree's frame."""
+        return _interleave(self._projected)
 
     def extend(self):
         return _extend(self.tree, [self.decomposition], None, self.states)
@@ -535,11 +539,11 @@ def _judge(tree, dec, evolved, epsilon, delta, delta_mode):
 def _persists(tree, ext, probe_dt):
     """The per-time persistence probe of quasi_dynamical_select: whether
     re-applying ext's decomposition at its time + probe_dt to the extended
-    leaves (ext.states) leaves the set exactly medium-consistent, every
-    off-diagonal |G| within PERSISTENCE_TOL."""
+    leaves (ext.states, stepped on from its time) leaves the set exactly
+    medium-consistent, every off-diagonal |G| within PERSISTENCE_TOL."""
     dec = ext.decomposition
-    G = _gram(_project(dec.projectors,
-                       tree._evolve(ext.states, dec.time + probe_dt)))
+    G = _gram(_project(dec.projectors, tree._evolve(
+        ext.states, dec.time + probe_dt, since=dec.time)))
     return is_exactly_consistent(G, "medium", tol=PERSISTENCE_TOL)
 
 
@@ -567,38 +571,40 @@ def _chain(model, decompositions, epsilon):
     return tree, events
 
 
-def _prepare_chunk(model, tree, times, criterion, probe_dt=None):
+def _prepare_chunk(model, tree, psi, times, criterion, probe_dt=None):
     """The _Chunk of the leading times of the list times, in its order,
     under criterion (epsilon, delta, delta_mode) and, when probe_dt is
     given, with the stacked persistence probe: SCAN_CHUNK of them, but no
     more than keep the chunk's largest array within SCAN_BLOCK complex
     entries, and at least the first, so only a chunk of one time can
     exceed SCAN_BLOCK.  For T times, d = d1 d2 and n leaves that array is
-    the evolved states [psi0 | leaf states], T d (1 + n) entries, or the
+    the evolved states [psi | frame], T d (1 + n) entries, or the
     Gram stack, T d1 n^2, or with the probe its states, T d n d1, or its
     Gram stack, T d1^3 n^2.  When it would exceed LEAF_STATE_CAP even at
     T = 1, the chunk is refused before anything is evolved (ValueError
     naming its entries and the cap): each event can double the leaves, and
     the Gram stacks grow as their square.
 
-    [psi0 | leaf states] is evolved to every time of the chunk by one
-    evolution.apply_times call, and psi(t) of every time is split at once
+    [psi | frame], psi the model's state at the tree's frame time t_f, is
+    stepped from t_f to every time of the chunk by one
+    evolution.apply_times call (from time 0 on a fresh tree, whose psi is
+    psi0), and psi(t) of every time is split at once
     (_Split): rho's closed form at the gapped d1 = 2 rows and at most one
     stacked SVD, of the others.  An evolution that raises ValueError has
     the chunk halved until it evolves, so the chunk ends before the times
     it refuses; when it refuses the first time alone, the error is raised
     here, at that time."""
-    (d, n), d1 = tree.leaf_states().shape, model.d1
+    (d, n), d1 = tree.frame.shape, model.d1
     largest = max(d * (1 + n), d1 * n * n)
     if probe_dt is not None:
         largest = max(largest, d * n * d1, d1 ** 3 * n * n)
     _check_entries(largest, f"a scan chunk of one time over {n} leaves "
                    f"needs an array of")
     times = times[:max(min(SCAN_CHUNK, SCAN_BLOCK // largest), 1)]
-    X = np.column_stack([model.psi0, tree.leaf_states()])
+    X = np.column_stack([psi, tree.frame])
     while True:
         try:
-            evolved = model.evolution.apply_times(X, times)
+            evolved = model.evolution.apply_times(X, times, tree.frame_time)
         except ValueError:
             if len(times) == 1:
                 raise
@@ -690,11 +696,11 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
     criterion = (epsilon, delta, delta_mode)
 
     def evaluate(tree, t, chunk):
-        # None, or for an accepted time a function of no arguments that
-        # gives its Extension.  At an admitted row with no probe that is
-        # _admitted on the candidate and a copy of its leaf states, so the
-        # judge runs only at an event; the copy, not the chunk it is read
-        # from, is what outlives the chunk
+        # None, or for an accepted time a copy of psi(t) and a function of
+        # no arguments that gives its Extension.  At an admitted row with
+        # no probe that is _admitted on the candidate and a copy of its
+        # leaf states, so the judge runs only at an event; the copies, not
+        # the chunk they are read from, are what outlive the chunk
         try:
             dec = schmidt_candidate(model, t, chunk)
         except np.linalg.LinAlgError:
@@ -703,15 +709,17 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
         if dec is None or chunk.unpersisting[i]:
             return None
         if chunk.admitted[i] and probe_dt is None:
-            return functools.partial(_admitted, tree, t, dec,
-                                     chunk.leaves[i].copy(), criterion)
+            return chunk.psi[i].copy(), functools.partial(
+                _admitted, tree, t, dec, chunk.leaves[i].copy(), criterion)
         ext = _judge(tree, dec, chunk.leaves[i], *criterion)
         if ext is None or not (probe_dt is None
                                or _persists(tree, ext, probe_dt)):
             return None
-        return lambda: ext
+        return chunk.psi[i].copy(), lambda: ext
 
-    tree, events = HistoryTree(model.psi0, model.evolution), []
+    # psi is the model's state at the tree's frame time
+    tree = HistoryTree(model.psi0, model.evolution)
+    events, psi = [], model.psi0
     done = full(tree, events)
     t, scan, ahead = start, _scan_times(start, advance), []
     chunk, times, i, calls, lo = None, (), 0, 0, None
@@ -722,8 +730,8 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
             # or an evolution error cut the chunk short
             ahead += itertools.islice(scan, SCAN_CHUNK - 1 - len(ahead))
             chunk = None        # two chunks at once would raise peak memory
-            chunk = _prepare_chunk(model, tree, [t, *ahead], criterion,
-                                   probe_dt)
+            chunk = _prepare_chunk(model, tree, psi, [t, *ahead],
+                                   criterion, probe_dt)
             times, i = list(chunk.index), 0
             del ahead[:len(times) - 1]
         calls += 1
@@ -741,7 +749,7 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
                 if mid not in chunk.index:
                     chunk = None
                     chunk = _prepare_chunk(
-                        model, tree, _bisection_times(lo, t, refine_tol),
+                        model, tree, psi, _bisection_times(lo, t, refine_tol),
                         criterion, probe_dt)
                 calls += 1
                 trial = evaluate(tree, mid, chunk)
@@ -749,7 +757,7 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
                     lo = mid
                 else:
                     t, accepted = mid, trial
-        ext = accepted()
+        psi, ext = accepted[0], accepted[1]()
         events.append(ext.event())
         tree, chunk, times, i = ext.extend(), None, (), 0
         done = full(tree, events)
@@ -840,12 +848,9 @@ def retrodictive_select(model, candidate_times, epsilon=1e-10, *,
     if model.d1 != 2:
         raise ValueError("companion construction implemented for d1 = 2")
     companions = []
-    states = tree.leaf_states()
-    final = model.evolution.apply(states, events[-1].time) \
-        if events else states
-    for leaf, u, v in zip(tree.leaves(), states.T, final.T):
-        nrm = np.linalg.norm(u)
-        if nrm < COMPANION_TOL:
+    # the frame holds the leaves' states at the last event time
+    for leaf, v in zip(tree.leaves(), tree.frame.T):
+        if np.linalg.norm(v) < COMPANION_TOL:
             continue
         M = v.reshape(model.d1, model.d2)
         U, svals, Vh = np.linalg.svd(M, full_matrices=False)

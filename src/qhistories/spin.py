@@ -9,16 +9,16 @@ probabilities, information content) and brute force on the full
 ChainEvolution applies U(t) = V_n(t) ... V_1(t) to state vectors and
 column-state matrices one interaction at a time, each V_k on the (system,
 environment spin k) axes only, so no 2^{n+1}-square matrix is built.
-Trees and the classification walk step their states from one projection
+Trees and the classification walk step their frames from one projection
 time to the next, U(t_k) U(t_{k-1})^dag (ChainEvolution.apply_times with
 since), which at integer times is the one interaction V_k, and split them
 by the projection kernel of histories (_project, _interleave, _gram):
 build_tree extends a tree by all of its events at once (histories._extend),
-so it turns one interaction per integer event and evolves back once, and
-classify_catalogue scores a prefix's children from its projected states
-at its last time and evolves nothing back.  The closed-form probabilities
-of every history of a chain of integer times are one product over all of
-them (history_probabilities), each history_probability's to the bit.  The
+so it turns one interaction per integer event and evolves nothing back,
+and classify_catalogue scores a prefix's children from the prefix tree's
+frame at its last time.  The closed-form probabilities of every history of
+a chain of integer times are one product over all of them
+(history_probabilities), each history_probability's to the bit.  The
 dense products (interaction_unitary, full_unitary, recoherence_unitary)
 remain as small-n oracles.  Variants: a decohere/recohere cycle on a
 single environment spin, and branch-dependent (delayed-choice) axes, each
@@ -363,11 +363,12 @@ def build_tree(cfg, events):
     Axes must be real unit 3-vectors, |axis|^2 within PROJECTOR_TOL of 1
     (ValueError otherwise); the pair's own, looser check is skipped.
     The events extend the tree in time order in one histories._extend:
-    the leaf states step from one event time to the next, so at integer
-    times each event turns one interaction, and one apply back from the
-    last event time gives the tree's time-0 leaf states.  Each event
-    doubles the leaves, so a tree whose leaf states would exceed
-    LEAF_STATE_CAP is refused (ValueError) before anything is evolved."""
+    the frame steps from one event time to the next, so at integer times
+    each event turns one interaction, and the last event's split is the
+    tree's frame, with no evolution back; its time-0 leaf states take one
+    apply back when they are first read.  Each event doubles the leaves,
+    so a tree whose leaf states would exceed LEAF_STATE_CAP is refused
+    (ValueError) before anything is evolved."""
     decs = [ProjectiveDecomposition(t, _axis_pair(w), check=False)
             for t, w in sorted(events, key=lambda e: e[0])]
     return _extend(HistoryTree(initial_state=initial_state(cfg),
@@ -522,46 +523,34 @@ def enumerate_consistent_sets(cfg, interior_points=(0.3, 0.7)):
                     yield ("iii", tuple(float(t) for t in T) + (k0 - 1 + frac,))
 
 
-@dataclass(frozen=True)
-class _Frame:
-    """The projected states of a set's leaves at its last projection time:
-    states holds, as columns in leaves() order, P_{a_m} U(t_m, t_{m-1}) ...
-    P_{a_1} U(t_1) psi for each leaf a, time is t_m (None: no projection
-    yet, states at time 0), and evolution steps them on
-    (classify_catalogue).  Their Gram matrix is the set's decoherence
-    matrix, in any frame."""
+def _score_children(tree, decs, extend=()):
+    """Score the children of tree, its every leaf split by each of decs,
+    decompositions by the two 2 x 2 system projectors of an axis
+    (_axis_pair) at times later than the tree's frame time: (violations,
+    trees).  violations[c] is the largest off-diagonal |D_ab| of child c's
+    decoherence matrix, and trees the tree of each child whose index is in
+    extend, in its order.
 
-    evolution: object
-    states: np.ndarray
-    time: float | None
-
-
-def _score_children(frame, children, extend=()):
-    """Score the children of frame, its every leaf split at t by the two
-    2 x 2 system projectors of each (t, projectors) of children
-    (_axis_pair): (violations, frames).  violations[c] is the largest
-    off-diagonal |D_ab| of child c's decoherence matrix, and frames the
-    _Frame of each child whose index is in extend, in its order.
-
-    One evolution.apply_times over the children's times from frame.time
-    and one stacked _project give the (C, 2, d, n) blocks
-    P_i U(t_c) U(since)^dag W of every child.  The two projectors are
+    One evolution.apply_times over the children's times since the frame
+    time and one stacked _project give the (C, 2, d, n) blocks
+    P_i U(t_c) U(t_f)^dag F of every child.  The two projectors are
     orthogonal, so a child's D is zero off its two diagonal Gram blocks,
     and its violation is their largest off-diagonal |G|: the (C, 2, n, n)
     Gram stack of the blocks is one product (_gram), and every child's
-    violation one reduction of it.  A child's frame holds its columns in
-    an array of its own (_interleave), so that each is freed once its
-    child is entered.  Raises ValueError, before anything is evolved,
-    when the blocks, the C children's leaf states, would exceed
-    LEAF_STATE_CAP entries."""
-    ts = [float(t) for t, _ in children]
-    (d, n), C = frame.states.shape, len(ts)
+    violation one reduction of it.  A child's tree has its interleaved
+    blocks as its frame at its time (histories._extend with the states
+    given), an array of its own, so that each is freed once its child is
+    entered.  Raises ValueError, before anything is evolved, when the
+    blocks, the C children's leaf states, would exceed LEAF_STATE_CAP
+    entries."""
+    ts = [dec.time for dec in decs]
+    (d, n), C = tree.frame.shape, len(ts)
     _check_leaf_states(d, 2 * n * C)
-    blocks = _project([pair for _, pair in children],
-                      frame.evolution.apply_times(frame.states, ts,
-                                                  frame.time))
+    blocks = _project([dec.projectors for dec in decs],
+                      tree.evolution.apply_times(tree.frame, ts,
+                                                 since=tree.frame_time))
     return _max_off_diagonal(_gram(blocks)), [
-        _Frame(frame.evolution, _interleave(blocks[r]), ts[r])
+        _extend(tree, [decs[r]], None, _interleave(blocks[r]))
         for r in extend]
 
 
@@ -572,24 +561,24 @@ def classify_catalogue(cfg):
     for a consistent set.
 
     Every prefix of a catalogue set is a catalogue set, or empty, so the
-    catalogue is walked one prefix at a time, depth first, from the
-    initial state.  The walk holds no tree: a prefix is its _Frame, its
-    leaves' projected states at its last time.  The children of a prefix,
+    catalogue is walked one prefix at a time, depth first, from a fresh
+    tree of the initial state.  A prefix is its HistoryTree, whose frame
+    holds its leaves' states at its last time.  The children of a prefix,
     the sets that extend it by one time, are scored together from its
-    frame by one apply_times from the prefix's time and one Gram stack
-    (_score_children); a child that is a prefix itself is entered with
-    its projected blocks as its frame, with no evolution back.  So a
-    catalogue takes one apply_times per group of children (below; one per
-    prefix unless a prefix's children are cut, at n = 3, 18 for 35 sets)
-    and no apply, and builds no decoherence matrix.
+    frame by one apply_times since the prefix's time and one Gram stack
+    (_score_children); a child that is a prefix itself is entered as the
+    tree whose frame is its projected blocks, with no evolution back.  So
+    a catalogue takes one apply_times per group of children (below; one
+    per prefix unless a prefix's children are cut, at n = 3, 18 for 35
+    sets) and no apply, and builds no decoherence matrix.
 
     A prefix's children are taken in groups whose stacked blocks
     (C, 2, d, n) stay within selection.SCAN_BLOCK complex entries, at
     least one child per group, so a group's arrays exceed that bound only
     when one child's do, and those are its own set's projected states.
-    The walk holds the frames of one branch of prefixes, and for each the
-    frames of the children of its group not yet entered.
-    Each time's axis is found, checked and made a projector pair once
+    The walk holds the trees of one branch of prefixes, and for each the
+    trees of the children of its group not yet entered.
+    Each time's axis is found, checked and made a decomposition once
     (_axis_pair), for every set that ends at that time.
     Raises ValueError when a child's time does not exceed its prefix's
     last time, on an axis that is not a real unit 3-vector, and when a
@@ -601,29 +590,28 @@ def classify_catalogue(cfg):
     children, violation = {}, {}
     for _, times in sets:
         children.setdefault(times[:-1], []).append(times)
-    pairs = {t: _axis_pair(w) for t, w in measurement_events(
-        cfg, sorted({times[-1] for _, times in sets}))}
+    decs = {t: ProjectiveDecomposition(t, _axis_pair(w), check=False)
+            for t, w in measurement_events(
+                cfg, sorted({times[-1] for _, times in sets}))}
 
-    def visit(frame, prefix):
+    def visit(tree, prefix):
         kids = children.get(prefix, [])
         for child in kids:
             if prefix and not child[-1] > prefix[-1]:
                 raise ValueError(f"decomposition time {child[-1]} does not "
                                  f"exceed branch time {prefix[-1]}")
-        d, n = frame.states.shape
+        d, n = tree.frame.shape
         size = max(SCAN_BLOCK // (2 * n * max(d, n)), 1)
         for s in range(0, len(kids), size):
             group = kids[s:s + size]
             extend = [i for i, child in enumerate(group) if child in children]
-            worst, frames = _score_children(
-                frame, [(child[-1], pairs[child[-1]]) for child in group],
-                extend)
+            worst, trees = _score_children(
+                tree, [decs[child[-1]] for child in group], extend)
             violation.update(zip(group, worst.tolist()))
             for i in extend:
-                visit(frames.pop(0), group[i])
+                visit(trees.pop(0), group[i])
 
-    visit(_Frame(chain_evolution(cfg), initial_state(cfg)[:, None], None),
-          ())
+    visit(HistoryTree(initial_state(cfg), chain_evolution(cfg)), ())
     return [(form, times, violation[times]) for form, times in sets]
 
 

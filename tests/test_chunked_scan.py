@@ -3,11 +3,12 @@
 A scan prepares a chunk of upcoming times at once (_prepare_chunk), held
 as one selection._Chunk of the current tree under the scan's criterion
 (epsilon, delta, delta_mode) and, in quasi-dynamical selection, its
-persistence probe: one apply_times call evolves [psi0 | leaf states] to
-every time of the chunk, and one _Split of all of its rows, taken when the
-chunk is built, gives every row's Schmidt vectors, rho(t)'s closed-form
-eigenvectors at the gapped d1 = 2 rows and one stacked SVD's at the rest,
-to the chunk's stacked screen and to the candidates alike.  When the chunk
+persistence probe: one apply_times call steps [psi | frame] from the
+tree's frame time to every time of the chunk, and one _Split of all of
+its rows, taken when the chunk is built, gives every row's Schmidt
+vectors, rho(t)'s closed-form eigenvectors at the gapped d1 = 2 rows and
+one stacked SVD's at the rest, to the chunk's stacked screen and to the
+candidates alike.  When the chunk
 is built, the screen decides the times whose verdict is clear beyond
 SCREEN_MARGIN both ways: it rejects the inadmissible ones
 (_Chunk.rejected) and admits the admissible ones (_Chunk.admitted), and
@@ -82,12 +83,20 @@ def _recoherence_model():
 _ACCEPTING = (2.0, 0.0, "relative")
 
 
+def _frame_psi(model, tree):
+    """The model's state at the tree's frame time: psi0 on a fresh tree."""
+    if tree.frame_time is None:
+        return model.psi0
+    return model.state(tree.frame_time)
+
+
 def _chunk(model, tree, times, criterion, probe_dt=None):
     """The _Chunk of tree over times under criterion, with the stacked
     persistence probe when probe_dt is given, evolved as _prepare_chunk
-    evolves one."""
+    evolves one: [psi | frame] stepped from the tree's frame time."""
     evolved = model.evolution.apply_times(
-        np.column_stack([model.psi0, tree.leaf_states()]), times)
+        np.column_stack([_frame_psi(model, tree), tree.frame]), times,
+        since=tree.frame_time)
     return selection._Chunk(model, times, evolved, tree._probabilities,
                             criterion, probe_dt)
 
@@ -271,8 +280,8 @@ def test_the_scan_advances_once_per_time_and_judges_only_candidates(
         log.append(("judge", dec, None))
         return judge(tree, dec, *args)
 
-    def recorded(model, tree, times, *args):
-        chunk = prepare(model, tree, times, *args)
+    def recorded(model, tree, psi, times, *args):
+        chunk = prepare(model, tree, psi, times, *args)
         if times[0] not in firsts:
             scan_chunks.append((tree, list(chunk.index)))
         return chunk
@@ -381,8 +390,8 @@ def _check_evaluations(monkeypatch, seen, accept_events=True):
     judge = selection._judge
     chunks, judging, admitted_decs = {}, [], {}
 
-    def prepared(model, tree, times, criterion, probe_dt=None):
-        chunk = prepare(model, tree, times, criterion, probe_dt)
+    def prepared(model, tree, psi, times, criterion, probe_dt=None):
+        chunk = prepare(model, tree, psi, times, criterion, probe_dt)
         admitted = chunk.admitted.copy()
         if not accept_events:
             chunk.admitted[:] = False
@@ -949,7 +958,8 @@ def test_rank_deficient_times_take_the_per_time_path(monkeypatch):
     assert not any(ok or screened for _, _, ok, screened in seen)
     # a chunk prepared from a list of times holds them in the list's order
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
-    chunk = selection._prepare_chunk(model, tree, [0.5, 0.25, 0.75],
+    chunk = selection._prepare_chunk(model, tree, model.psi0,
+                                     [0.5, 0.25, 0.75],
                                      (0.05, 0.02, "relative"))
     assert list(chunk.index) == [0.5, 0.25, 0.75]
     assert not chunk.split.screened.any()
@@ -1117,9 +1127,10 @@ def test_a_chunk_with_the_probe_keeps_its_largest_array_within_scan_block(
     for k in range(len(decs) + 1):
         tree = selection._chain(model, decs[:k], 0.05)[0]
         n = len(tree.leaves())
-        chunk = selection._prepare_chunk(model, tree, times,
+        psi = _frame_psi(model, tree)
+        chunk = selection._prepare_chunk(model, tree, psi, times,
                                          (2.0, 0.0, "relative"), 1e-3)
-        plain = selection._prepare_chunk(model, tree, times,
+        plain = selection._prepare_chunk(model, tree, psi, times,
                                          (2.0, 0.0, "relative"))
         T = len(chunk.index)
         if T > 1:
@@ -1155,7 +1166,8 @@ def test_a_one_time_chunk_past_the_leaf_state_cap_is_refused(monkeypatch):
     monkeypatch.setattr(model.evolution, "apply_times",
                         lambda *args: evolved.append(args))
     with pytest.raises(ValueError, match="leaf-state cap"):
-        selection._prepare_chunk(model, tree, [0.7], (2.0, 0.0, "relative"))
+        selection._prepare_chunk(model, tree, _frame_psi(model, tree), [0.7],
+                                 (2.0, 0.0, "relative"))
     assert evolved == []
 
 
@@ -1177,12 +1189,14 @@ def test_a_one_time_chunk_at_the_cap_holds_one_and_a_half_largest_arrays(
     largest = d1 * n * n if probe_dt is None else d1 ** 3 * n * n
     monkeypatch.setattr(histories, "LEAF_STATE_CAP", largest)
     times, criterion = [0.95, 1.0], (2.0, 0.0, "relative")
-    selection._prepare_chunk(model, tree, list(times), criterion, probe_dt)
+    psi = _frame_psi(model, tree)
+    selection._prepare_chunk(model, tree, psi, list(times), criterion,
+                             probe_dt)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        chunk = selection._prepare_chunk(model, tree, list(times), criterion,
-                                         probe_dt)
+        chunk = selection._prepare_chunk(model, tree, psi, list(times),
+                                         criterion, probe_dt)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -1262,9 +1276,9 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
     starts = []
     prepare = selection._prepare_chunk
 
-    def recorded(model, tree, times, *args):
+    def recorded(model, tree, psi, times, *args):
         starts.append(times[0])
-        return prepare(model, tree, times, *args)
+        return prepare(model, tree, psi, times, *args)
 
     monkeypatch.setattr(selection, "_prepare_chunk", recorded)
     calls = _count_candidates(monkeypatch)
@@ -1318,8 +1332,8 @@ class _ScaledAt(HamiltonianFlow):
         out = super().apply(states, t, adjoint)
         return self.scale * out if t == self.t_bad else out
 
-    def apply_times(self, states, ts):
-        out = super().apply_times(states, ts)
+    def apply_times(self, states, ts, since=None):
+        out = super().apply_times(states, ts, since)
         out[np.asarray(ts) == self.t_bad] *= self.scale
         return out
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qhistories import cli, histories, spin
-from qhistories.histories import decoherence_matrix
+from qhistories.histories import (HistoryTree, ProjectiveDecomposition,
+                                  decoherence_matrix)
 from qhistories.linalg import RandomStream
 from qhistories.tolerances import MPV_CLOSED_FORM_TOL, ORACLE_RTOL
 
@@ -107,8 +108,8 @@ def test_dheg_scans_each_frame_alone():
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_spin_classify_shares_prefixes_bit_for_bit(monkeypatch, n, seed):
     # each catalogue set is scored with the other children of its prefix,
-    # from the prefix's frame as the walk stepped it; every row must be
-    # the set's own unshared prefix chain, stepped from the initial state
+    # from the prefix tree's frame as the walk stepped it; every row must
+    # be the set's own unshared prefix chain, stepped from a fresh tree
     # one prefix time at a time and the set alone scored as a stack of
     # one, to the bit
     emitted = []
@@ -119,17 +120,17 @@ def test_spin_classify_shares_prefixes_bit_for_bit(monkeypatch, n, seed):
                      "--seed", str(seed)]) == 0
     [rows] = emitted
     cfg = cli._random_axes(n, cli.RandomStream(seed, "spin-classify"))
-    root = spin._Frame(spin.chain_evolution(cfg),
-                       spin.initial_state(cfg)[:, None], None)
+    root = HistoryTree(spin.initial_state(cfg), spin.chain_evolution(cfg))
     want = []
     for form, times in spin.enumerate_consistent_sets(cfg):
         if times:
-            *chain, last = [(t, spin._axis_pair(w)) for t, w
-                            in spin.measurement_events(cfg, times)]
-            frame = root
-            for step in chain:
-                frame = spin._score_children(frame, [step], [0])[1][0]
-            violations, _ = spin._score_children(frame, [last])
+            *chain, last = [
+                ProjectiveDecomposition(t, spin._axis_pair(w), check=False)
+                for t, w in spin.measurement_events(cfg, times)]
+            tree = root
+            for dec in chain:
+                tree = spin._score_children(tree, [dec], [0])[1][0]
+            violations, _ = spin._score_children(tree, [last])
             want.append([form, len(times), float(violations[0])])
     assert rows == want
 
@@ -336,3 +337,40 @@ def test_spin_recoherence_past_the_cap_on_its_gram_stacks_exits_2(
     assert len(errors) == 1 and "qhist: error:" in errors[0]
     assert (f"over 64 leaves needs an array of {2 * 64 ** 2} entries, "
             f"past the leaf-state cap {2 ** 12}") in errors[0]
+
+
+# Edge values of the options, each with the text its error line must hold:
+# the option's name or its value.  The first seven are the edge values the
+# commands refuse by name; the last five are the bad inputs of CI's
+# Packaging job.
+_EDGE_VALUES = [
+    ("spin probs --n -1", "--n"),
+    ("spin classify --n -1", "--n"),
+    ("dist check --k 0 --samples 50", "k=0"),
+    ("dist check --d 0 --samples 50", "d=0"),
+    ("bounds --d-max -1", "--d-max"),
+    ("zeno --theta nan", "--theta"),
+    ("selftest --seed -1", "--seed"),
+    ("random run --eps -0.1", "-0.1"),
+    ("bounds --eps nan", "--eps"),
+    ("spin montecarlo --samples 0", "samples"),
+    ("dheg --n 27 --eps 0.01", "27"),
+    ("dist check --samples 0", "samples"),
+]
+
+
+@pytest.mark.parametrize("argv,named", _EDGE_VALUES,
+                         ids=[argv for argv, _ in _EDGE_VALUES])
+def test_an_edge_value_exits_2_with_one_error_line_naming_it(capsys, argv,
+                                                            named):
+    # exit status 2 and one "qhist: error:" line that names the option or
+    # its value, with no record printed (so no NaN record) and no
+    # traceback
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv.split())
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("qhist: error:")
+    assert named in errors[0], errors[0]

@@ -449,31 +449,139 @@ class _CountingEvolution:
         return self.flow.apply(states, t, adjoint)
 
 
-def test_leaf_states_evolve_each_time_forward_and_back_once():
+def test_leaf_states_evolve_each_time_forward_once_and_back_on_first_read():
+    # each extend_all steps the frame from the time before by one
+    # evolution call and evolves nothing back; a leaf split alone steps
+    # from the frame time to its own and back.  D, the probabilities and
+    # the frame are read with no call, and the time-0 leaf states with one
+    # adjoint apply from the frame time, on their first read only
     dim = 4
     rng = RandomStream(47, "apply-count")
     psi = sample_unit_vector(dim, "complex", rng.stream("psi"))
     flow = HamiltonianFlow(sample_gue(dim, 1.0, rng.stream("H")))
-    evolution = _CountingEvolution(flow)
+    evolution = _StepCountingEvolution(flow)
     tree = HistoryTree(initial_state=psi, evolution=evolution)
-    times = (0.5, 1.0, 1.7, 2.4)
-    for t in times:
+    since = None
+    for t in (0.5, 1.0, 1.7, 2.4):
         tree = extend_all(tree, _random_decomposition(
             dim, t, rng.stream(f"dec{t}"), blocks=[[0, 1], [2, 3]]))
-        assert evolution.calls == [(t, False), (t, True)]
+        assert evolution.calls == ([(t, False)] if since is None
+                                   else [([t], since)])
+        assert tree.frame_time == t
+        since = t
         evolution.calls.clear()
     tree = extend_branch(tree, (0, 1, 1, 0), _random_decomposition(
         dim, 3.0, rng.stream("branch"), blocks=[[0], [1, 2, 3]]))
-    assert evolution.calls == [(3.0, False), (3.0, True)]
+    assert evolution.calls == [([3.0], 2.4), ([2.4], 3.0)]
+    assert tree.frame_time == 2.4
     evolution.calls.clear()
     assert len(tree.leaves()) == 17
-    states = tree.leaf_states()
     D = decoherence_matrix(tree)
+    probabilities = tree.probabilities()
+    assert evolution.calls == []
+    assert np.array_equal(D.entries, (tree.frame.conj().T @ tree.frame).T)
+    assert np.max(np.abs(probabilities - D.diag)) <= ORACLE_RTOL
+    states = tree.leaf_states()
     linear_positivity(tree)
     env_orthogonality(tree, 2, 2)
-    assert evolution.calls == []
-    assert np.array_equal(D.entries, (states.conj().T @ states).T)
+    assert tree.leaf_states() is states
+    assert evolution.calls == [(2.4, True)]
     _assert_matches_dense(tree, psi, flow.unitary)
+
+
+def _evolutions():
+    """name -> (evolution, dense unitary t -> U(t), dimension): a flow, the
+    spin chain's matrix-free evolution at n = 2 and a callable t -> U(t)."""
+    rng = RandomStream(71, "frame-oracle")
+    flow = HamiltonianFlow(sample_gue(8, 1.0, rng.stream("H")))
+    vecs = [sample_unit_vector(3, "real", rng.stream(f"a{i}"))
+            for i in range(3)]
+    cfg = spin.SpinModelConfig(v=vecs[0], axes=np.array(vecs[1:]))
+    return {"flow": (flow, flow.unitary),
+            "chain": (spin.chain_evolution(cfg),
+                      lambda t: spin.full_unitary(cfg, t)),
+            "callable": (flow.unitary, flow.unitary)}
+
+
+def _frame_steps(name):
+    """(tree, psi, U, frame time) after each step of a branch-dependent
+    tree under the evolution name (_evolutions): extend_all makes a frame
+    at 0.6; two branches split alone, at 2.1 and then at 1.4, a time before
+    the other branch's last, each stepping from 0.6 and back; extend_all
+    at 2.5 makes a new frame, and a branch splits alone after it."""
+    evolution, unitary = _evolutions()[name]
+    rng = RandomStream(73, f"frame-steps-{name}")
+    psi = sample_unit_vector(8, "complex", rng.stream("psi"))
+    tree = HistoryTree(initial_state=psi, evolution=evolution)
+    halves = [[0, 1, 2, 3], [4, 5, 6, 7]]
+    thirds = [[0, 1], [2, 3, 4], [5, 6, 7]]
+    steps = [(0.6, None, halves, 0.6), (2.1, (0,), thirds, 0.6),
+             (1.4, (1,), halves, 0.6), (2.5, None, halves, 2.5),
+             (3.2, (0, 2, 1), thirds, 2.5)]
+    for t, path, blocks, frame_time in steps:
+        dec = _random_decomposition(8, t, rng.stream(f"dec{t}"), blocks)
+        tree = (extend_all(tree, dec) if path is None
+                else extend_branch(tree, path, dec))
+        yield tree, psi, unitary, frame_time
+
+
+@pytest.mark.parametrize("name", ["flow", "chain", "callable"])
+def test_the_frames_decoherence_matrix_is_the_dense_time_0_matrix(name):
+    # D_ab = u_b^dag u_a is read from the frame, U(t_f) u_a: the same
+    # matrix as the dense time-0 path states give, within ORACLE_RTOL, on
+    # a branch-dependent tree at every step, and the probabilities are its
+    # diagonal
+    for tree, psi, unitary, frame_time in _frame_steps(name):
+        assert tree.frame_time == frame_time
+        dense = _dense_leaf_states(tree, psi, unitary)
+        want = (dense.conj().T @ dense).T
+        D = decoherence_matrix(tree)
+        scale = np.max(np.abs(want))
+        assert D.labels == tree.leaves()
+        assert np.max(np.abs(D.entries - want)) <= ORACLE_RTOL * scale
+        assert np.max(np.abs(tree.probabilities() - np.diag(want).real)) \
+            <= ORACLE_RTOL * scale
+    assert len(tree.leaves()) == 12
+
+
+@pytest.mark.parametrize("name", ["flow", "chain", "callable"])
+def test_leaf_states_are_the_dense_path_states_and_read_only(name):
+    # leaf_states() evolves the frame back to time 0 on its first read:
+    # the dense Heisenberg products' path states within ORACLE_RTOL, the
+    # same array on every read, and, as the frame, read-only
+    for tree, psi, unitary, _ in _frame_steps(name):
+        states = tree.leaf_states()
+        want = _dense_leaf_states(tree, psi, unitary)
+        assert states.shape == want.shape
+        assert np.max(np.abs(states - want)) \
+            <= ORACLE_RTOL * np.max(np.abs(want))
+        assert tree.leaf_states() is states
+        for array in (states, tree.frame, tree.probabilities()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
+def test_an_extended_tree_never_returns_its_parents_leaf_states():
+    # a tree keeps its time-0 leaf states once read; a tree extended from
+    # it, a shallow copy, must compute its own, whether it splits every
+    # leaf, one leaf, or is given its frame
+    rng = RandomStream(79, "leaf-state-cache")
+    psi = sample_unit_vector(4, "complex", rng.stream("psi"))
+    flow = HamiltonianFlow(sample_gue(4, 1.0, rng.stream("H")))
+    tree = extend_all(HistoryTree(initial_state=psi, evolution=flow),
+                      _random_decomposition(4, 0.8, rng.stream("d1")))
+    parent = tree.leaf_states()
+    dec = _random_decomposition(4, 1.5, rng.stream("d2"),
+                                blocks=[[0, 1], [2, 3]])
+    given = selection.Extension(tree, dec, 1.0)
+    for child in (extend_all(tree, dec), extend_branch(tree, (2,), dec),
+                  given.extend()):
+        states = child.leaf_states()
+        assert states is not parent and states.shape[1] > parent.shape[1]
+        want = _dense_leaf_states(child, psi, flow.unitary)
+        assert np.max(np.abs(states - want)) \
+            <= ORACLE_RTOL * np.max(np.abs(want))
+    assert tree.leaf_states() is parent
 
 
 def test_leaf_states_are_read_only():
@@ -493,8 +601,9 @@ def test_leaf_states_are_read_only():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_spin_probs_leaf_states_are_the_walk_to_the_bit(n, seed):
-    # the trees of `qhist spin probs`: their leaf states step from one
-    # event time to the next and evolve back once, where the walk evolves
+    # the trees of `qhist spin probs`: their frames step from one event
+    # time to the next, and leaf_states() evolves the last back once,
+    # where the walk evolves
     # forward and back at every time, so the two, and the dense Heisenberg
     # products of the kron-built unitaries, agree within ORACLE_RTOL
     rng = RandomStream(seed, "spin-probs")
@@ -679,10 +788,10 @@ class _StepCountingEvolution(_CountingEvolution):
 
 
 def test_extension_by_several_decompositions_steps_from_time_to_time():
-    # one _extend by m decompositions evolves to the first time, steps on
-    # by one apply_times since the time before, and evolves back once:
-    # m + 1 calls where m extend_all calls take 2 m, and the same tree,
-    # within ORACLE_RTOL
+    # one _extend by m decompositions evolves to the first time and steps
+    # on by one apply_times since the time before, with no evolution back:
+    # m calls, as m extend_all calls take, and the same tree, within
+    # ORACLE_RTOL
     dim = 4
     rng = RandomStream(61, "steps")
     psi = sample_unit_vector(dim, "complex", rng.stream("psi"))
@@ -693,8 +802,8 @@ def test_extension_by_several_decompositions_steps_from_time_to_time():
             for t in (0.5, 1.1, 1.7)]
     root = HistoryTree(initial_state=psi, evolution=evolution)
     tree = histories._extend(root, decs, None)
-    assert evolution.calls == [(0.5, False), ([1.1], 0.5), ([1.7], 1.1),
-                               (1.7, True)]
+    assert evolution.calls == [(0.5, False), ([1.1], 0.5), ([1.7], 1.1)]
+    assert tree.frame_time == 1.7
     chained = root
     for dec in decs:
         chained = extend_all(chained, dec)

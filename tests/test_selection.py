@@ -518,11 +518,12 @@ def _earliest_accept(model, epsilon, delta):
 
 def _persisting(tree, ext, probe_dt, tol=1e-9):
     """The per-time persistence probe: ext's projectors re-applied at its
-    time + probe_dt to its extended leaves leave the set exactly
-    medium-consistent within tol: each projector applied alone and each
-    Gram block taken alone, independent of the projection kernel."""
+    time + probe_dt to its extended leaves, stepped on from its time,
+    leave the set exactly medium-consistent within tol: each projector
+    applied alone and each Gram block taken alone, independent of the
+    projection kernel."""
     dec = ext.decomposition
-    V = tree._evolve(ext.states, dec.time + probe_dt)
+    V = tree._evolve(ext.states, dec.time + probe_dt, since=dec.time)
     D = np.array([B.T @ B.conj() for B in
                   (apply_leading(P, V) for P in dec.projectors)])
     return is_exactly_consistent(D, "medium", tol=tol)

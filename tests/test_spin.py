@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ def test_build_tree_turns_one_interaction_per_integer_event(monkeypatch, n):
     # the measurement tree of `qhist spin probs`: the first event evolves
     # to t = 1 by one apply, each later event steps from the last event
     # time by one apply_times, which at t = m turns interaction m alone,
-    # and one apply back from t = n turns all n
+    # and the last event's split is the tree's frame, with no apply back
     turns, calls = [], []
     turn = spin.ChainEvolution._turn
     monkeypatch.setattr(spin.ChainEvolution, "_turn",
@@ -185,10 +186,30 @@ def test_build_tree_turns_one_interaction_per_integer_event(monkeypatch, n):
         monkeypatch.setattr(spin.ChainEvolution, name, counted)
     cfg = _config(400 + n, n)
     tree = spin.build_tree(cfg, spin.measurement_events(cfg, range(1, n + 1)))
-    assert calls == ["apply"] + ["apply_times"] * (n - 1) + ["apply"]
-    assert turns == [(m, False) for m in range(1, n + 1)] \
-        + [(k, True) for k in range(n, 0, -1)]
-    assert len(tree.leaves()) == 2 ** n
+    assert calls == ["apply"] + ["apply_times"] * (n - 1)
+    assert turns == [(m, False) for m in range(1, n + 1)]
+    assert len(tree.leaves()) == 2 ** n and tree.frame_time == n
+
+
+def test_build_tree_peaks_below_two_and_three_quarter_leaf_state_matrices():
+    # build_tree at n = 9 under tracemalloc: the last event's blocks and
+    # their interleaved columns beside the stepped half-size states peak
+    # at 2.52 times the final frame (2.54 at n = 8, 2.51 at n = 10), where
+    # evolving the leaf states back to time 0 took 4.0; bound 2.75, with
+    # 9% headroom
+    n = 9
+    cfg = _config(409, n)
+    events = spin.measurement_events(cfg, range(1, n + 1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tree = spin.build_tree(cfg, events)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    final = tree.frame.nbytes
+    assert final == 16 * 2 ** (n + 1) * 2 ** n
+    assert 2.0 * final < peak < 2.75 * final
 
 
 def test_history_spec_validation():
@@ -236,37 +257,41 @@ def _random_events(rng, times):
             for t in times]
 
 
-def _pairs(events):
-    return [(t, spin._axis_pair(w)) for t, w in events]
+def _decompositions(events):
+    return [ProjectiveDecomposition(t, spin._axis_pair(w), check=False)
+            for t, w in events]
 
 
-def _extended(tree, events):
-    """tree extended by each (time, axis) event in turn by extend_all, two
-    evolution calls per event from the time-0 leaf states: an oracle for
-    the frames that step from one event time to the next."""
+def _path_matrix(tree, events):
+    """D of tree extended by each (time, axis) event in turn by extend_all,
+    read from the path states of its leaves (HistoryTree.path_state, which
+    evolves each leaf's state forward and back at every event on its
+    path): an oracle for the frames that step from one event time to the
+    next."""
     for t, w in events:
         tree = extend_all(tree, ProjectiveDecomposition(t, spin._axis_pair(w)))
-    return tree
+    states = np.column_stack([tree.path_state(leaf) for leaf in tree.leaves()])
+    return (states.conj().T @ states).T
 
 
 def _check_scored_children(tree, prefix, children):
     """_score_children's violation of each (time, axis) child of the set
-    that extends tree by the prefix events, scored from that set's frame
-    at its last time (the frame of the one child of each prefix event in
-    turn, as classify_catalogue enters it: one apply_times since the
-    previous event time per event), against the dense D of the tree
-    extended by prefix and child through extend_all: D is zero off the two
+    that extends tree by the prefix events, scored from that set's tree,
+    whose frame is at its last time (the tree of the one child of each
+    prefix event in turn, as classify_catalogue enters it: one apply_times
+    since the previous event time per event), against the D of the path
+    states of the tree extended by prefix and child: D is zero off the two
     Gram blocks, and the violation is its largest off-diagonal |D_ab|,
     within ORACLE_RTOL of max |D|.  Returns each child's two block maxima."""
-    frame = spin._Frame(tree.evolution, tree.leaf_states(), None)
-    for event in _pairs(prefix):
-        frame = spin._score_children(frame, [event], [0])[1][0]
-    assert frame.time == prefix[-1][0]
-    violations, _ = spin._score_children(frame, _pairs(children))
+    walked = tree
+    for dec in _decompositions(prefix):
+        walked = spin._score_children(walked, [dec], [0])[1][0]
+    assert walked.frame_time == prefix[-1][0]
+    violations, _ = spin._score_children(walked, _decompositions(children))
     assert violations.shape == (len(children),)
     maxima = []
     for child, got in zip(children, violations):
-        D = decoherence_matrix(_extended(tree, prefix + [child])).entries
+        D = _path_matrix(tree, prefix + [child])
         scale = np.abs(D).max()
         off = np.abs(D - np.diag(np.diag(D)))
         within = off.copy()
