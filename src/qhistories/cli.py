@@ -250,6 +250,9 @@ def cmd_spin_montecarlo(args, out):
 
 
 def cmd_spin_recoherence(args, out):
+    # an infinite eps admits every time, and the events pass pi
+    if not math.isfinite(args.eps):
+        raise ValueError(f"--eps must be finite, got {args.eps}")
     u = np.array([0.0, 0.0, 1.0])
     a1, a2 = math.sqrt(0.7), math.sqrt(0.3)
     model = selection.recoherence_model(a1, a2, u)

@@ -21,8 +21,12 @@ with too, is three functions: _project splits stacked states by stacked
 projectors into blocks P_i U(t) V, _interleave lays a split's blocks out
 as columns in leaves() order, and _gram takes the Gram blocks of a split,
 the only blocks of the extended set's decoherence matrix that are not
-zero, for projectors at one time are orthogonal.  Trees are immutable;
-extension returns a new tree sharing untouched subtrees.
+zero, for projectors at one time are orthogonal.  Its rank-1 form, for
+projectors u_i u_i^dag given by their vectors, is two more:
+_coefficients gives the blocks Y_i = u_i^dag U(t) V, whose Gram blocks
+(_gram) are the split's, and _lift the blocks P_i U(t) V = u_i (x) Y_i.
+Trees are immutable; extension returns a new tree sharing untouched
+subtrees.
 
 Evolution is matrix-free.  An evolution is an object with
 apply(states, t, adjoint=False) returning U(t) states or U(t)^dag states,
@@ -55,9 +59,11 @@ from .tolerances import NORM_TOL, PROJECTOR_TOL, SCHMIDT_WEIGHT_TOL
 # within it; also the complex entries of the largest array of a one-time
 # scan chunk (selection._prepare_chunk), whose Gram stacks grow as the
 # leaves squared.
-# It bounds that one array, not the chunk: beside the complex Gram stack
-# the screen holds its float moduli, so a one-time chunk at the cap peaks
-# at about 1.5 times its largest array under tracemalloc, 768 MiB
+# It bounds that one array, not the chunk: a one-time chunk at the cap
+# peaks at about that array, 512 MiB, under tracemalloc, for it judges its
+# Gram stack in slabs of about SCAN_BLOCK entries, and at about 1.5 times,
+# 768 MiB, with the persistence probe, which holds the moduli of its Gram
+# stack beside it
 LEAF_STATE_CAP = 1 << 25
 
 
@@ -306,13 +312,33 @@ def _project(projectors, V):
     return blocks.reshape(blocks.shape[:-2] + (d, n))
 
 
+def _coefficients(vectors, V):
+    """The rank-1 form of _project: the blocks Y_i = u_i^dag V of stacked
+    (..., d, n) column states V split by the projectors u_i u_i^dag on
+    their leading factor C^d1, from the stacked (..., k, d1) unit vectors
+    u_i: (..., k, d / d1, n) blocks, P_i V = u_i (x) Y_i (_lift).  The
+    Gram blocks of the split are _gram(Y), without the P_i V."""
+    *lead, _, n = V.shape
+    Y = vectors.conj() @ V.reshape(tuple(lead) + (vectors.shape[-1], -1))
+    return Y.reshape(Y.shape[:-1] + (-1, n))
+
+
+def _lift(vectors, Y):
+    """The blocks P_i V = u_i (x) Y_i, (..., k, d, n), of a rank-1 split
+    from its (..., k, d1) vectors and (..., k, m, n) blocks Y
+    (_coefficients), d = d1 m."""
+    blocks = vectors[..., :, None, None] * Y[..., None, :, :]
+    return blocks.reshape(blocks.shape[:-3] + (-1, Y.shape[-1]))
+
+
 def _interleave(blocks):
-    """The (d, n k) columns of a split's (k, d, n) blocks in leaves()
-    order, leaf outer and projector inner: column a k + i is block i's
-    column a.  An array of its own, so that no view keeps the blocks
-    alive."""
-    k, d, n = blocks.shape
-    return np.stack(blocks, axis=-1).reshape(d, n * k)
+    """The (..., d, n k) columns of a split's (..., k, d, n) blocks in
+    leaves() order, leaf outer and projector inner: column a k + i is
+    block i's column a.  A C-ordered array of its own, so that no view
+    keeps the blocks alive."""
+    *lead, k, d, n = blocks.shape
+    return np.moveaxis(blocks, -3, -1).copy().reshape(tuple(lead)
+                                                      + (d, n * k))
 
 
 def _gram(blocks):

@@ -41,8 +41,9 @@ class RunConfig:
         if not 0 < self.t_max < np.inf:
             raise ValueError(
                 f"t_max must be positive and finite, got {self.t_max}")
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(
+                f"sigma must be non-negative and finite, got {self.sigma}")
         if not self.epsilon >= 0:
             raise ValueError(
                 f"epsilon must be non-negative, got {self.epsilon}")

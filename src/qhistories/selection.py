@@ -49,14 +49,14 @@ tree, a local of _scan_select dropped with that tree at each event: the
 evolution's apply_times steps psi(t_f), which the scan kept from its last
 event's row, and the tree's frame from the frame time t_f to every time of
 a chunk in one product, and the chunk takes one split of all its times
-when it is built, so at most one SVD.  The chunk's screen reads the
-split's Schmidt vectors, and from them the k Gram blocks of every time,
-and decides, once, when the chunk is built, every time whose verdict is
-clear by more than SCREEN_MARGIN, both ways: it rejects the times whose
-candidate is inadmissible (_Chunk.rejected) and admits those whose
-candidate is admissible (_Chunk.admitted); with a probe it also stacks the
-probe of every screened time it did not reject, and marks those whose
-probe fails (_Chunk.unpersisting).
+when it is built, so at most one SVD.  A row the split screens (full
+Schmidt rank, no complement) has a candidate of d1 rank-1 projectors
+u_i u_i^dag, and the chunk scores every such row at once in the rank-1
+form of the projection kernel (histories._coefficients and _gram) and
+judges it once, when the chunk is built, by the judge's own reduction
+(_admissible_rows): the row's one verdict, both ways (_Chunk.admissible).
+With a probe it also stacks the probe of every admissible row, which
+decides them both ways too (_Chunk.unpersisting).
 A chunk holds the scan's next SCAN_CHUNK times or, in a bisection, the
 midpoints of its next BISECT_LEVELS levels (_bisection_times), fewer
 where its largest array, the evolved states (T d (1 + n) entries for T
@@ -71,14 +71,16 @@ The scan walks a scan chunk's own times, takes each scan time from
 advance once, and reads full(tree, events) once per tree.  Each time on
 the scan's path, bisection midpoints included, is still evaluated alone
 and in order, and each evaluation is the scan loop's one
-schmidt_candidate call on its chunk: at a time the screen rejected that
-call returns None, the chunk's verdict, which ends the evaluation there,
-as does an unpersisting row; an admitted row, with no probe, is accepted
-without the per-time judge, which runs once, on the same candidate and
-leaf states, when its event is recorded; only the near-threshold rest
-goes to the per-time judge (_judge) and probe (_persists).  So verdicts,
-events and evaluation counts are those of the per-time path, a candidate
-and the judge (and probe) at one time.
+schmidt_candidate call on its chunk: at a screened row the chunk refused
+that call returns None, which ends the evaluation there, as does an
+unpersisting row; any other screened row is accepted, its Extension built
+from its row alone, in the same arithmetic, and not judged again; only
+the rows that are not screened (rank-deficient, complemented, off-norm or
+failed) go to the per-time judge (_judge), and, under a probe, those and
+the rows the stacked probe could not take to the per-time probe
+(_persists).  So each evaluation is one candidate and one verdict on it
+at one time, and the times visited and the evaluation counts are those of
+the per-time path.
 Only retrodictive selection evaluates a time outside any chunk: it is
 split alone, as a stack of one."""
 
@@ -89,17 +91,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consistency import (consistency_report, is_exactly_consistent,
-                          medium_pass, nontrivial)
+from .consistency import consistency_report, is_exactly_consistent
 from .histories import (HistoryTree, ProjectiveDecomposition,
-                        _check_entries, _extend, _gram, _interleave,
-                        _max_off_diagonal, _project, as_evolution)
+                        _check_entries, _coefficients, _extend, _gram,
+                        _interleave, _lift, _max_off_diagonal, _project,
+                        as_evolution)
 from .linalg import _fix_column_phases, entropy
 from .tolerances import (COMPANION_TOL, COMPLEMENT_TOL, DISTRIBUTION_SUM_TOL,
                          LIVE_PROBABILITY_TOL, NEGATIVE_PROBABILITY_TOL,
                          NORM_TOL, PERSISTENCE_TOL, SCHMIDT_WEIGHT_TOL,
-                         SCREEN_GAP_FLOOR, SCREEN_MARGIN, SCREEN_ROOT_FLOOR,
-                         SCREEN_WEIGHT_FLOOR)
+                         SCREEN_GAP_FLOOR, SCREEN_WEIGHT_FLOOR)
 from . import spin as spin_mod
 
 SCAN_BLOCK = 1 << 14     # complex entries of a scan chunk's largest array
@@ -187,8 +188,21 @@ class _Split:
     cols when it reads the row.  A row is screened when it passes the norm
     guard and splits at full Schmidt rank with no complement, and d1 >= 2,
     as every gapped row does: its candidate is then its d1 rank-1
-    projectors, so the chunk's screen can judge the row from its cols (see
-    _Chunk)."""
+    projectors u_i u_i^dag, so its chunk scores it from cols alone, in the
+    rank-1 form of the projection kernel, and gives it its one verdict
+    (see _Chunk).
+
+    Why rho is enough (Davis-Kahan).  The closed form and an SVD of psi
+    each return the exact eigenvectors of some rho + E, to roundoff; with
+    the rounding of rho itself, each |E| stays below SCREEN_RHO_ERROR =
+    1e-14, about 90 units of roundoff (the largest |P_rho - P_svd| times
+    the gap was 18 units over 32,000 gapped random rows at d2 = 2..256,
+    and 32 units with rho's eigenvectors from eigh over thousands of rows
+    at d1 = 2..16).  By the Davis-Kahan sin theta theorem a rank-1
+    projector then moves by at most |E| / gap, so at a gapped row the
+    candidate's P_i and an SVD's differ by at most
+    eta = 2 SCREEN_RHO_ERROR / SCREEN_GAP_FLOOR = 2e-13, and a child
+    probability by at most 2 eta + eta^2."""
 
     def __init__(self, psi, d1, d2):
         T = len(psi)
@@ -279,148 +293,115 @@ class _Chunk:
     """The times, scan times or bisection midpoints, that _scan_select
     prepared together for one tree (_prepare_chunk), judged once under
     the scan's criterion (epsilon, delta, delta_mode) and, when probe_dt is
-    given, its persistence probe: the split of all of them and the screen
-    that decides most of them, both fixed when the chunk is built.
+    given, its persistence probe: the split of all of them and the verdict
+    on every screened row, both fixed when the chunk is built.
 
     index maps each time to its row of the stacked arrays: psi, the (T, d)
-    psi(t), and leaves, the (T, d, n) leaf states evolved to t; parents
-    are the tree's leaf probabilities.
+    psi(t), and leaves, the (T, d, n) leaf states evolved to t.
 
     Candidates.  split is one _Split of every row: rho's closed-form
     eigenvectors at the gapped rows, and one stacked SVD of the others,
     so a chunk takes at most one SVD, when it is built, and none when every
-    row is gapped.  A rejected row has no candidate: the screen's verdict
-    is the chunk's, and schmidt_candidate returns None there.  Every other
-    row's candidate is built from its row of split when it is read, so
-    every candidate is the per-time path's to the bit.
+    row is gapped.  A screened row that is not admissible has no
+    candidate: the chunk's verdict is final, and schmidt_candidate returns
+    None there.  Every other row's candidate is built from its row of split
+    when it is read, so every candidate is the per-time path's to the bit.
 
-    The screen.  Its Schmidt vectors u_i are split.cols, the very vectors
-    of each row's candidate; screened is split.screened.  The k Gram
-    blocks of the leaves extended by the projectors are taken for the
-    whole chunk at once, G_i = Y_i^T conj(Y_i) with Y_i = u_i^dag V,
-    giving the children (T, k, n) and the worst counted overlap ratio of
-    each time; G does not depend on the phase of u_i.  These round
-    otherwise than Extension's, so the screen trusts them only beyond
-    SCREEN_MARGIN, and only for pairs with sqrt(G_aa G_bb) of at least
-    SCREEN_ROOT_FLOOR.  rejected is the screened rows at which a counted
-    pair's overlap ratio exceeds epsilon, or a live child's probability
-    falls below delta (times its parent), by more than SCREEN_MARGIN.
-    admitted is the screened rows at which every counted pair's ratio is
-    at most epsilon - SCREEN_MARGIN, every live child's probability is at
-    least its bar + SCREEN_MARGIN (strictly above it under absolute
-    delta, as nontrivial is), and no off-diagonal pair falls below
-    SCREEN_ROOT_FLOOR, for the screen cannot bound the ratio of such a
-    pair.  Since the screen and the candidate share their vectors, that
-    margin covers only the rounding of the Gram products, so a verdict of
-    the screen, either way, stands for the per-time judge's.
+    The verdict.  A screened row's candidate is its d1 rank-1 projectors
+    u_i u_i^dag, u_i = split.cols[t, i], so the k Gram blocks of the leaves
+    it splits are taken for the whole chunk at once in the rank-1 form of
+    the projection kernel, G = _gram(Y), Y = _coefficients(cols, leaves),
+    and judged by the judge's own reduction (_admissible_rows), with no
+    margin: admissible is the screened rows that pass.  numpy takes a
+    stack's products one row at a time, so a row's Y and G are the same to
+    the bit in any stack (the tests check it on every chunked scan), and
+    the Extension the scan builds from an admissible row alone (Extension
+    with vectors) has the blocks its verdict read; it is not judged again.
+    A row that is not screened is judged per time (_judge).
 
-    The stacked probe.  With probe_dt, every screened row the screen did
-    not reject has the persistence probe's Gram blocks taken at once
-    (_probe_worst): the states U(t + probe_dt) U(t)^dag P_i V_t, evolved
-    by two evolution.apply_rows calls, projected again by each P_j.
-    unpersisting is the rows whose largest off-diagonal |G| exceeds
-    PERSISTENCE_TOL + SCREEN_MARGIN, at which the per-time probe fails, so
-    the scan rejects them without the judge; it is all False without a
-    probe, and when the evolution refuses some t + probe_dt
-    (ValueError), which the per-time path then meets, or not, as before.
-
-    Why rho is enough (Davis-Kahan).  The closed form and an SVD of psi
-    each return the exact eigenvectors of some rho + E, to roundoff; with
-    the rounding of rho itself, each |E| stays below SCREEN_RHO_ERROR =
-    1e-14, about 90 units of roundoff (the largest |P_rho - P_svd| times
-    the gap was 18 units over 32,000 gapped random rows at d2 = 2..256,
-    and 32 units with rho's eigenvectors from eigh over thousands of rows
-    at d1 = 2..16).  By the Davis-Kahan sin theta theorem a rank-1
-    projector then moves by at most |E| / gap, so at a gapped row the
-    candidate's P_i and an SVD's differ by at most
-    eta = 2 SCREEN_RHO_ERROR / SCREEN_GAP_FLOOR = 2e-13.  A projected leaf
-    x_a = P_i V_a moves by at most eta |V_a|, and |V_a|^2 = p_a, its
-    parent probability.  So a child probability moves by at most
-    2 eta + eta^2, and the overlap ratio of a counted pair, the cosine
-    between two projected leaves each of which turns by at most
-    2 eta sqrt(p_a) / |x_a|, by at most
-    2 eta (sqrt(p_a) |x_b| + sqrt(p_b) |x_a|) / (|x_a| |x_b|)
-    <= 2 eta / SCREEN_ROOT_FLOOR = 4e-10, since |x_a| <= sqrt(p_a),
-    |x_a| |x_b| >= SCREEN_ROOT_FLOOR and p_a + p_b <= 1: under half of
-    SCREEN_MARGIN.  That bounds how far a gapped row's probabilities and
-    ratios sit from those of its SVD candidate."""
+    The stacked probe.  With probe_dt, every admissible row has the
+    persistence probe's Gram blocks taken at once (_probe_worst): the
+    states U(t + probe_dt) U(t)^dag P_i V_t, evolved by two
+    evolution.apply_rows calls, projected again by each P_j.  unpersisting
+    is the rows whose largest off-diagonal |G| exceeds PERSISTENCE_TOL, the
+    per-time probe's test, so it decides those rows both ways.  It is None
+    without a probe, and when the evolution refuses some t + probe_dt
+    (ValueError): the per-time probe (_persists) then decides each
+    admissible row the scan evaluates, and meets that error, or not, as
+    before."""
 
     def __init__(self, model, times, evolved, parents, criterion,
                  probe_dt=None):
-        T, d1 = len(times), model.d1
-        epsilon, delta, delta_mode = criterion
         self.index = {t: i for i, t in enumerate(times)}
         self.psi, self.leaves = evolved[:, :, 0], evolved[:, :, 1:]
-        self.split = _Split(self.psi, d1, model.d2)
-        screened = self.split.screened
-        n = self.leaves.shape[-1]
-        Y = (self.split.cols.conj() @ self.leaves.reshape(T, d1, -1)).reshape(
-            T, d1, -1, n)
-        G = _gram(Y)        # (T, k, n, n)
-        if probe_dt is None:
-            del Y       # only the stacked probe reads it again
-        self.children = G.diagonal(0, 2, 3).real.copy()     # (T, k, n)
-        ratio = np.abs(G)
-        del G       # each (T, k, n, n) array is freed once read
-        root = self.children[..., :, None] * self.children[..., None, :]
-        floored = ~(root >= SCREEN_ROOT_FLOOR ** 2)     # NaN is floored
-        root[floored] = np.inf
-        floored[..., range(n), range(n)] = False
-        unbounded = floored.any(axis=(1, 2, 3))     # an uncounted pair
-        del floored
-        ratio /= np.sqrt(root, out=root)
-        del root
-        ratio[..., range(n), range(n)] = 0.0
-        self.worst = ratio.max(axis=(1, 2, 3))     # largest counted ratio
-        del ratio
-        live = ~(parents < LIVE_PROBABILITY_TOL)
-        bar = delta * parents[live] if delta_mode == "relative" else delta
-        children = self.children[:, :, live]
-        self.rejected = screened & (
-            (self.worst > epsilon + SCREEN_MARGIN)
-            | (children < bar - SCREEN_MARGIN).any(axis=(1, 2)))
-        clear = (children > bar + SCREEN_MARGIN if delta_mode == "absolute"
-                 else children >= bar + SCREEN_MARGIN)
-        self.admitted = (screened & (self.worst <= epsilon - SCREEN_MARGIN)
-                         & clear.all(axis=(1, 2)) & ~unbounded)
-        self.unpersisting = np.zeros(T, dtype=bool)
-        rows = np.flatnonzero(screened & ~self.rejected)
+        self.split = _Split(self.psi, model.d1, model.d2)
+        Y = _coefficients(self.split.cols, self.leaves)     # (T, k, m, n)
+        self.admissible = self.split.screened & _admissible_rows(
+            _gram(Y), parents, criterion)
+        self.unpersisting = (None if probe_dt is None
+                             else np.zeros(len(times), dtype=bool))
+        rows = np.flatnonzero(self.admissible)
         if probe_dt is not None and rows.size:
             worst = _probe_worst(model.evolution, [times[r] for r in rows],
                                  self.split.cols[rows], Y[rows], probe_dt)
-            if worst is not None:
-                self.unpersisting[rows] = \
-                    worst > PERSISTENCE_TOL + SCREEN_MARGIN
+            if worst is None:
+                self.unpersisting = None
+            else:
+                self.unpersisting[rows] = worst > PERSISTENCE_TOL
+
+
+def _admissible_rows(G, parents, criterion):
+    """The judge's verdict under criterion (epsilon, delta, delta_mode) on
+    each row of a stack (R, k, n, n) of Gram blocks, the k blocks of a
+    candidate splitting n leaves of probabilities parents: an (R,) array,
+    True where every off-diagonal pair of non-zero root passes the medium
+    test |G_ab| <= epsilon sqrt|G_aa G_bb| and every child of a live
+    parent is non-trivial at delta, in the arithmetic of
+    consistency.medium_pass and nontrivial, so a NaN fails.  _Chunk calls
+    it on its rows and _judge on a stack of one.  The pairs are taken in
+    slabs of leaf rows of about SCAN_BLOCK entries, so its temporaries stay
+    small beside G."""
+    epsilon, delta, delta_mode = criterion
+    R, k, n, _ = G.shape
+    children = G.diagonal(0, 2, 3).real      # (R, k, n)
+    live = ~(parents < LIVE_PROBABILITY_TOL)
+    kept = children[:, :, live]
+    ok = (kept > delta if delta_mode == "absolute"
+          else kept >= delta * parents[live]).all(axis=(1, 2))
+    step = max(1, SCAN_BLOCK // (R * k * n))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        root = np.sqrt(np.abs(children[:, :, a:b, None]
+                              * children[:, :, None, :]))
+        counted = ~(root <= 0)
+        counted[:, :, range(b - a), range(a, b)] = False
+        ok &= (~counted | (np.abs(G[:, :, a:b]) <= epsilon * root)).all(
+            axis=(1, 2, 3))
+    return ok
 
 
 def _probe_worst(evolution, ts, cols, Y, probe_dt):
     """The largest off-diagonal |G| of the persistence probe's Gram blocks
-    at each of R screened rows, at times ts, from the rows' Schmidt
-    vectors cols (R, k, d1) and Y (R, k, m, n), Y[r, i] = u_i^dag V_t of
-    the leaf states V_t (_Chunk).
+    at each of R admissible rows, at times ts, from the rows' Schmidt
+    vectors cols (R, k, d1) and blocks Y (R, k, m, n) of the leaf states
+    V_t (_coefficients, as _Chunk takes them).
 
     The probe state of leaf a and projector i is
-    U(t + probe_dt) U(t)^dag P_i V_t u_a, P_i V_t u_a = u_i (x) Y[r, i, :,
-    a], in the (leaf outer, projector inner) order of extend_all; the
-    probe's blocks are the Gram matrices of those nk states projected by
-    each P_j (the candidate's own rank-1 projectors) at t + probe_dt, as
+    U(t + probe_dt) U(t)^dag P_i V_t u_a, P_i V_t = u_i (x) Y[r, i] (_lift),
+    in the (leaf outer, projector inner) order of extend_all; the probe's
+    blocks are the Gram matrices of those nk states projected by each P_j
+    (the candidate's own rank-1 projectors) at t + probe_dt, as
     quasi_dynamical_select's per-time probe (_persists) takes them.  Two
     evolution.apply_rows calls evolve every row at once.  None when the
     evolution refuses some t or t + probe_dt (ValueError), so that the
     per-time path decides every row."""
-    R, k, m, n = Y.shape
-    PV = (np.swapaxes(cols, 1, 2)[:, :, None, None, :]
-          * np.moveaxis(Y, 1, 3)[:, None])          # (R, d1, m, n, k)
-    X = PV.reshape(R, -1, n * k)
-    del PV
+    X = _interleave(_lift(cols, Y))         # (R, d, n k)
     try:
         X = evolution.apply_rows(X, ts, adjoint=True)
         X = evolution.apply_rows(X, [t + probe_dt for t in ts])
     except ValueError:
         return None
-    Z = (cols.conj() @ X.reshape(R, k, -1)).reshape(R, k, m, n * k)
-    del X
-    return _max_off_diagonal(_gram(Z))
+    return _max_off_diagonal(_gram(_coefficients(cols, X)))
 
 
 def schmidt_candidate(model, t, chunk=None):
@@ -428,10 +409,10 @@ def schmidt_candidate(model, t, chunk=None):
     d1 x d1 system projectors onto the retained Schmidt vectors, plus the
     complement of their span when rank-deficient.
 
-    At a time of chunk (a _Chunk) that the chunk's screen rejected
-    (_Chunk.rejected), returns None: the time has no candidate.  The
-    chunk's other verdicts, admitted and unpersisting, are the scan's to
-    read: at those rows a candidate is returned as at any other.  Every
+    At a screened time of chunk (a _Chunk) that the chunk did not find
+    admissible, returns None: the time has no candidate.  The chunk's
+    other verdicts, admissible and unpersisting, are the scan's to read:
+    at those rows a candidate is returned as at any other.  Every
     candidate is read from a _Split: the chunk's (_Chunk.split), or, at a
     time outside chunk, a split of psi(t) alone, a stack of one.  At a
     gapped d1 = 2 row the vectors are rho(t)'s closed-form eigenvectors,
@@ -448,7 +429,7 @@ def schmidt_candidate(model, t, chunk=None):
     i = None if chunk is None else chunk.index.get(t)
     if i is None:
         split, i = _Split(model.state(t)[None], model.d1, model.d2), 0
-    elif chunk.rejected[i]:
+    elif chunk.split.screened[i] and not chunk.admissible[i]:
         return None
     else:
         split = chunk.split
@@ -466,32 +447,38 @@ def schmidt_candidate(model, t, chunk=None):
 class Extension:
     """A scored candidate: every leaf of a tree split by one decomposition.
 
-    Holds the split of the leaf states at the decomposition's time
-    (histories._project), the k Gram blocks of the extended set
-    (histories._gram) and its probabilities.  The medium verdict at
-    epsilon, the consistency report and the extended states (the split's
-    columns in leaves() order, histories._interleave, at the
-    decomposition's time) are each computed on first read, so a rejected
-    candidate pays for its verdict only; the tree itself is built by
-    extend(), with those states as its frame, only once the candidate is
-    accepted.  evolved, when given, is the leaf states at dec.time (a scan
-    chunk's); else the tree's frame is stepped there."""
+    Holds the split of the leaf states at the decomposition's time and,
+    each computed on first read, the k Gram blocks of the extended set
+    (histories._gram), its probabilities, the consistency report at
+    epsilon and the extended states (the split's columns in leaves()
+    order, histories._interleave, at the decomposition's time); the tree
+    itself is built by extend(), with those states as its frame, only once
+    the candidate is accepted.  evolved, when given, is the leaf states at
+    dec.time (a scan chunk's row); else the tree's frame is stepped there.
+    The split is _project's blocks P_i V, or, when vectors (k, d1) are
+    given, the unit vectors u_i of dec's rank-1 projectors u_i u_i^dag,
+    the rank-1 form's blocks u_i^dag V (histories._coefficients), as a
+    scan chunk scores a screened row, lifted to P_i V only for the
+    extended states (histories._lift)."""
 
-    def __init__(self, tree, dec, epsilon, evolved=None):
+    def __init__(self, tree, dec, epsilon, evolved=None, vectors=None):
         self.tree = tree
         self.decomposition = dec
         self.epsilon = epsilon
         if evolved is None:
             evolved = tree._evolve(tree.frame, dec.time,
                                    since=tree.frame_time)
-        self._projected = _project(dec.projectors, evolved)
-        self.blocks = _gram(self._projected)
-        self.probabilities = self.blocks.diagonal(0, 1, 2).real.T.ravel()
+        self._vectors = vectors
+        self._split = (_project(dec.projectors, evolved) if vectors is None
+                       else _coefficients(vectors, evolved))
 
     @functools.cached_property
-    def medium_pass(self):
-        """report.medium_pass, without the rest of the report."""
-        return medium_pass(self.blocks, self.epsilon)
+    def blocks(self):
+        return _gram(self._split)
+
+    @functools.cached_property
+    def probabilities(self):
+        return self.blocks.diagonal(0, 1, 2).real.T.ravel()
 
     @functools.cached_property
     def report(self):
@@ -501,7 +488,8 @@ class Extension:
     def states(self):
         """The extended leaves' states P_i U(t) u_a at the decomposition's
         time t, the extended tree's frame."""
-        return _interleave(self._projected)
+        return _interleave(self._split if self._vectors is None
+                           else _lift(self._vectors, self._split))
 
     def extend(self):
         return _extend(self.tree, [self.decomposition], None, self.states)
@@ -519,21 +507,17 @@ def _judge(tree, dec, evolved, epsilon, delta, delta_mode):
 
     The extension is scored from the leaf-state matrix alone, as k
     projected Gram blocks (see Extension); evolved, when given, is the
-    leaf states at dec.time (a chunk's row).  The parent probabilities are
-    the tree's, judged in one nontrivial call as a column against the rows
-    of children.  No tree is built here: the caller extends the tree with
-    Extension.extend() once per accepted event.
+    leaf states at dec.time (a chunk's row).  Its blocks are judged by the
+    chunk's own reduction (_admissible_rows), on a stack of one, against
+    the tree's parent probabilities.  No tree is built here: the caller
+    extends the tree with Extension.extend() once per accepted event.
     Returns the Extension, or None when inadmissible."""
     if len(dec) < 2:
         return None
     ext = Extension(tree, dec, epsilon, evolved)
-    if not ext.medium_pass:
-        return None
-    parents = tree._probabilities
-    live = ~(parents < LIVE_PROBABILITY_TOL)
-    children = ext.probabilities.reshape(-1, len(dec))[live]
-    return ext if nontrivial(parents[live, None], children, delta,
-                             mode=delta_mode) else None
+    admissible = _admissible_rows(ext.blocks[None], tree._probabilities,
+                                  (epsilon, delta, delta_mode))
+    return ext if admissible[0] else None
 
 
 def _persists(tree, ext, probe_dt):
@@ -545,18 +529,6 @@ def _persists(tree, ext, probe_dt):
     G = _gram(_project(dec.projectors, tree._evolve(
         ext.states, dec.time + probe_dt, since=dec.time)))
     return is_exactly_consistent(G, "medium", tol=PERSISTENCE_TOL)
-
-
-def _admitted(tree, t, dec, evolved, criterion):
-    """The Extension of a screened acceptance: dec, the candidate at t of
-    a row its chunk admitted (_Chunk.admitted), judged once, on the leaf
-    states evolved to t that the scan kept.  Raises RuntimeError when the
-    judge refuses it, for the screen then admitted an inadmissible row."""
-    ext = _judge(tree, dec, evolved, *criterion)
-    if ext is None:
-        raise RuntimeError(
-            f"the screen admitted t = {t!r}, which the judge refuses")
-    return ext
 
 
 def _chain(model, decompositions, epsilon):
@@ -648,9 +620,9 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
     """The scan-and-bisect loop of every forward selection and search.
 
     A time t is accepted when its Schmidt candidate is admissible on the
-    current tree at (epsilon, delta, delta_mode) (_judge) and, when
-    probe_dt is given, the Extension the judge returns persists at t +
-    probe_dt (_persists).  Evaluates t =
+    current tree at (epsilon, delta, delta_mode) (_admissible_rows) and,
+    when probe_dt is given, its Extension persists at t + probe_dt
+    (_probe_worst, _persists).  Evaluates t =
     start, then advance(t) after each rejected or event time until that
     is None.  An accepted t after the first evaluation is bisected back to
     the last rejected or event time, to refine_tol or adjacent floats, and
@@ -675,13 +647,14 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
     rows and prepares again only when the path leaves those levels.
     Each time on the scan's or the bisection's path counts as one
     evaluation, which is one schmidt_candidate call on its chunk: None,
-    the chunk's screened verdict, rejects the time there, as a failed SVD
-    (LinAlgError) and an unpersisting row (_Chunk.unpersisting) do.  With
-    no probe, a row the chunk admitted (_Chunk.admitted) is accepted
-    there: the scan keeps its candidate and a copy of its leaf states, not
-    the chunk, and judges them once, when the event is recorded
-    (_admitted, which raises RuntimeError should the judge refuse).  Only
-    the other times go to the per-time judge, then to the per-time probe.
+    the chunk's verdict on a screened row, rejects the time there, as a
+    failed SVD (LinAlgError) and an unpersisting row (_Chunk.unpersisting)
+    do.  Any other screened row is admissible, and, but for the probe, is
+    accepted there: the scan keeps a copy of its psi(t) and the Extension
+    built from its row alone, not the chunk, and judges it no more.  Only
+    the times that are not screened go to the per-time judge, and those
+    and the screened rows the stacked probe did not decide to the per-time
+    probe.
     A midpoint off the path is speculative and is neither evaluated nor
     counted.  Accepting an event drops the chunk with the old tree, so at
     most SCAN_CHUNK - 1 prepared scan times go unevaluated per tree, and a
@@ -696,26 +669,27 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
     criterion = (epsilon, delta, delta_mode)
 
     def evaluate(tree, t, chunk):
-        # None, or for an accepted time a copy of psi(t) and a function of
-        # no arguments that gives its Extension.  At an admitted row with
-        # no probe that is _admitted on the candidate and a copy of its
-        # leaf states, so the judge runs only at an event; the copies, not
-        # the chunk they are read from, are what outlive the chunk
+        # None, or for an accepted time a copy of psi(t) and its Extension,
+        # which holds no view of the chunk.  A screened row with a
+        # candidate is admissible, the chunk's verdict: its Extension is
+        # built from the row alone, and not judged again
         try:
             dec = schmidt_candidate(model, t, chunk)
         except np.linalg.LinAlgError:
             return None
-        i = chunk.index[t]
-        if dec is None or chunk.unpersisting[i]:
+        if dec is None:
             return None
-        if chunk.admitted[i] and probe_dt is None:
-            return chunk.psi[i].copy(), functools.partial(
-                _admitted, tree, t, dec, chunk.leaves[i].copy(), criterion)
-        ext = _judge(tree, dec, chunk.leaves[i], *criterion)
-        if ext is None or not (probe_dt is None
-                               or _persists(tree, ext, probe_dt)):
+        i, probed = chunk.index[t], chunk.unpersisting
+        if chunk.split.screened[i]:
+            ext = Extension(tree, dec, epsilon, chunk.leaves[i],
+                            chunk.split.cols[i].copy())
+        else:
+            ext, probed = _judge(tree, dec, chunk.leaves[i], *criterion), None
+        if ext is None or probe_dt is not None and (
+                not _persists(tree, ext, probe_dt) if probed is None
+                else probed[i]):
             return None
-        return chunk.psi[i].copy(), lambda: ext
+        return chunk.psi[i].copy(), ext
 
     # psi is the model's state at the tree's frame time
     tree = HistoryTree(model.psi0, model.evolution)
@@ -757,7 +731,7 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
                     lo = mid
                 else:
                     t, accepted = mid, trial
-        psi, ext = accepted[0], accepted[1]()
+        psi, ext = accepted
         events.append(ext.event())
         tree, chunk, times, i = ext.extend(), None, (), 0
         done = full(tree, events)

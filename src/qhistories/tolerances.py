@@ -4,8 +4,10 @@ Each comment says what the constant bounds, whether absolutely (in the
 units of the quantity) or relatively, and against what scale.  States are
 normalised, so probabilities, Schmidt weights and path-state norms have
 scale 1.  The tests pin every value: none may loosen, so a tolerance may
-not grow and a floor of the screen's Davis-Kahan bound (SCREEN_*_FLOOR,
-SCREEN_RHO_ERROR) may not shrink.  Imports nothing.
+not grow and a floor of the closed-form candidate's Davis-Kahan bound
+(SCREEN_*_FLOOR, SCREEN_RHO_ERROR) may not shrink.  A scan chunk judges
+its rows by the judge's own arithmetic, so no margin stands between the
+chunk's verdicts and the judge's.  Imports nothing.
 """
 
 # -- states, operators and spin axes
@@ -54,9 +56,9 @@ LIMIT_TOL = 1e-9
 # violation of an exactly consistent set; relative to max(1, max D_aa)
 EXACT_TOL = 1e-10
 # medium violation after re-projection, the largest off-diagonal |D_ab| of
-# the persistence probe; a scan chunk's stacked probe finds a time
-# unpersisting only beyond PERSISTENCE_TOL + SCREEN_MARGIN, so it can
-# reject but never accept; absolute, on sub-normalised leaves
+# the persistence probe, per time or stacked over a scan chunk's
+# admissible rows, which it decides both ways; absolute, on sub-normalised
+# leaves
 PERSISTENCE_TOL = 1e-9
 # gain that still grows a greedy MPV subset; absolute, in units of Re D
 MPV_GAIN_TOL = 1e-15
@@ -65,32 +67,16 @@ MPV_GAIN_TOL = 1e-15
 MPV_CLOSED_FORM_TOL = 1e-10
 # recorded against recomputed run report and probabilities; absolute, scale 1
 INTEGRITY_TOL = 1e-8
-# excess of an overlap ratio over epsilon, and shortfall of a child
-# probability below delta (times its parent), that a scan chunk's stacked
-# screen rejects without the per-time path; the room to spare on both
-# (ratio at most epsilon - SCREEN_MARGIN, child at least its bar +
-# SCREEN_MARGIN) at which it admits without the per-time judge; and the
-# excess of the stacked persistence probe's off-diagonal |G| over
-# PERSISTENCE_TOL at which it finds a time unpersisting.  The screen and
-# the probe read the vectors of the candidate itself, so this covers the
-# rounding of their stacked Gram products and evolutions, and the
-# Davis-Kahan bound below with room; absolute, scale 1
-SCREEN_MARGIN = 1e-9
-# sqrt(D_aa D_bb) below which the screen does not count the pair's ratio;
-# absolute, scale 1
-SCREEN_ROOT_FLOOR = 1e-3
 # Schmidt weight (eigenvalue of rho(t) = tr_E |psi><psi|) that both
-# weights of a d1 = 2 row must exceed for its candidate, and so the screen,
-# to read rho's closed-form eigenvectors; far above SCHMIDT_WEIGHT_TOL, so
-# an SVD of the row would keep every vector and add no complement;
-# absolute, scale 1
+# weights of a d1 = 2 row must exceed for its candidate to read rho's
+# closed-form eigenvectors; far above SCHMIDT_WEIGHT_TOL, so an SVD of the
+# row would keep every vector and add no complement; absolute, scale 1
 SCREEN_WEIGHT_FLOOR = 1e-9
 # gap between the two Schmidt weights of a d1 = 2 row that it must exceed
-# for its candidate, and so the screen, to read rho's closed-form
-# eigenvectors: their projectors are then within 2 SCREEN_RHO_ERROR / gap
-# of an SVD's (Davis-Kahan), which bounds how far the candidate moved from
-# the SVD's; the screen reads the candidate's own vectors, so its margin
-# covers only the rounding of its Gram products; absolute, scale 1
+# for its candidate to read rho's closed-form eigenvectors: their
+# projectors are then within 2 SCREEN_RHO_ERROR / gap of an SVD's
+# (Davis-Kahan), which bounds how far the candidate moved from the SVD's;
+# it feeds no verdict; absolute, scale 1
 SCREEN_GAP_FLOOR = 1e-1
 # norm of the perturbation of rho(t) whose exact eigenvectors the closed
 # form, or an SVD of psi(t), returns, the rounding of rho included: the

@@ -340,10 +340,12 @@ def test_spin_recoherence_past_the_cap_on_its_gram_stacks_exits_2(
 
 
 # Edge values of the options, each with the text its error line must hold:
-# the option's name or its value.  The first seven are the edge values the
+# the option's name or its value.  The first nine are the edge values the
 # commands refuse by name; the last five are the bad inputs of CI's
 # Packaging job.
 _EDGE_VALUES = [
+    ("random run --sigma inf", "sigma"),
+    ("spin recoherence --eps inf", "--eps"),
     ("spin probs --n -1", "--n"),
     ("spin classify --n -1", "--n"),
     ("dist check --k 0 --samples 50", "k=0"),

@@ -750,6 +750,51 @@ def test_projection_kernel_is_its_reference_loops_bit_for_bit(k):
             [[B.T @ B.conj() for B in row] for row in Y]))
 
 
+@pytest.mark.parametrize("d1", [2, 3, 4])
+def test_rank_one_kernel_is_its_reference_loops_bit_for_bit(d1):
+    # the rank-1 form, for d1 orthonormal vectors u_i on the system factor
+    # of leaf states of the system and a factor of 3, at 1, 4 and 9 leaves,
+    # contiguous and as a chunk's strided row: Y_i = u_i^dag V, a (m, n)
+    # block, is its vector-by-vector product within ORACLE_RTOL, and a
+    # stack of rows, each by its own vectors, gives each row's Y to the
+    # bit, as a scan chunk and the Extension of one of its rows take it;
+    # P_i V = u_i (x) Y_i is its outer products to the bit; the Gram blocks
+    # of Y are those of _project's blocks by the projectors u_i u_i^dag,
+    # and the interleaved lift their columns, within ORACLE_RTOL
+    g = RandomStream(400 + d1, "rank-one").generator
+    for m, n in [(1, 1), (1, 4), (3, 1), (3, 9)]:
+        X = g.normal(size=(2, d1 * m, 1 + n)) \
+            + 1j * g.normal(size=(2, d1 * m, 1 + n))
+        U = np.linalg.qr(g.normal(size=(2, d1, d1))
+                         + 1j * g.normal(size=(2, d1, d1)))[0]
+        vectors = np.swapaxes(U, 1, 2)          # (2, k, d1), rows u_i
+        stack = histories._coefficients(vectors, X[:, :, 1:])
+        for r, V in enumerate((np.ascontiguousarray(X[0, :, 1:]),
+                               X[1, :, 1:])):
+            u = vectors[r]
+            Y = histories._coefficients(u, V)
+            want = np.array([(u[i].conj() @ V.reshape(d1, -1)).reshape(m, n)
+                             for i in range(d1)])
+            assert np.max(np.abs(Y - want)) \
+                <= ORACLE_RTOL * np.max(np.abs(want))
+            assert _same_bits(stack[r], Y)
+            lift = histories._lift(u, Y)
+            assert _same_bits(lift, np.array([
+                np.outer(u[i], Y[i].ravel()).reshape(d1 * m, n)
+                for i in range(d1)]))
+            projected = histories._project(
+                u[:, :, None] * u[:, None, :].conj(), V)
+            want = histories._gram(projected)
+            assert np.max(np.abs(histories._gram(Y) - want)) \
+                <= ORACLE_RTOL * np.max(np.abs(want))
+            cols = histories._interleave(projected)
+            assert np.max(np.abs(histories._interleave(lift) - cols)) \
+                <= ORACLE_RTOL * np.max(np.abs(cols))
+        assert _same_bits(histories._interleave(histories._lift(
+            vectors, stack)), np.array([histories._interleave(
+                histories._lift(vectors[r], stack[r])) for r in range(2)]))
+
+
 def test_projection_kernel_stacks_classify_children_bit_for_bit():
     # classify scores the C children of a prefix as one stack: each
     # child's (2, d, n) blocks, Gram blocks and frame columns are its own

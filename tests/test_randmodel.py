@@ -25,6 +25,7 @@ def test_config_validation():
 def test_config_refuses_bad_search_parameters():
     for bad in (dict(t_max=float("nan")), dict(t_max=float("inf")),
                 dict(sigma=-1.0), dict(sigma=float("nan")),
+                dict(sigma=float("inf")),
                 dict(epsilon=-0.1), dict(epsilon=float("nan")),
                 dict(delta=-0.01), dict(delta=1.0), dict(delta=1.5),
                 dict(delta_mode="bogus"), dict(refine_tol=-1e-8),

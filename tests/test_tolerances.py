@@ -20,18 +20,15 @@ PINNED = {
     "COMPANION_TOL": 1e-9, "LIMIT_TOL": 1e-9, "EXACT_TOL": 1e-10,
     "PERSISTENCE_TOL": 1e-9, "MPV_GAIN_TOL": 1e-15,
     "MPV_CLOSED_FORM_TOL": 1e-10, "INTEGRITY_TOL": 1e-8,
-    "SCREEN_MARGIN": 1e-9, "SCREEN_ROOT_FLOOR": 1e-3,
     "SCREEN_WEIGHT_FLOOR": 1e-9, "SCREEN_GAP_FLOOR": 1e-1,
     "SCREEN_RHO_ERROR": 1e-14,
     "ORACLE_RTOL": 1e-12, "GOLDEN_RTOL": 1e-10,
 }
 
-# The floors of selection._Chunk's Davis-Kahan bound: lowering a gap, root
-# or weight floor, or the assumed error of rho, weakens the bound on how far
-# a gapped row's ratios and probabilities can sit from those of its SVD
-# candidate.
-FLOORS = {"SCREEN_GAP_FLOOR", "SCREEN_ROOT_FLOOR", "SCREEN_WEIGHT_FLOOR",
-          "SCREEN_RHO_ERROR"}
+# The floors of selection._Split's Davis-Kahan bound: lowering the gap or
+# weight floor, or the assumed error of rho, weakens the bound on how far a
+# gapped row's closed-form candidate can sit from its SVD candidate.
+FLOORS = {"SCREEN_GAP_FLOOR", "SCREEN_WEIGHT_FLOOR", "SCREEN_RHO_ERROR"}
 
 # Modules whose thresholds all come from qhistories.tolerances.
 LINTED = ("linalg", "histories", "consistency", "selection", "randmodel",
@@ -49,17 +46,16 @@ def test_no_tolerance_grows():
             assert 0 < value <= pinned, name
 
 
-def test_the_screen_margin_covers_its_davis_kahan_bound():
-    # selection._Chunk: a gapped row's closed-form projectors sit within
-    # eta of an SVD's, so a child probability moves from the SVD
-    # candidate's by at most 2 eta + eta^2 and a counted overlap ratio by
-    # at most 2 eta / SCREEN_ROOT_FLOOR; SCREEN_MARGIN must cover both with
-    # room for the Gram products' own rounding, so that a time the screen
-    # rejects is inadmissible for the SVD candidate too
+def test_the_davis_kahan_bound_fits_the_oracle_tolerance():
+    # selection._Split: a gapped row's closed-form projectors sit within
+    # eta of an SVD's, so its child probabilities within 2 eta + eta^2 of
+    # the SVD candidate's.  The tests hold each closed-form candidate to
+    # the SVD reference within eta (test_chunked_scan's _check_candidate),
+    # so eta, and the probabilities' bound, must stay well inside
+    # ORACLE_RTOL, the tolerance of a fast path against its oracle
     eta = 2 * tolerances.SCREEN_RHO_ERROR / tolerances.SCREEN_GAP_FLOOR
-    assert 2 * eta + eta ** 2 <= tolerances.SCREEN_MARGIN / 5
-    assert 2 * eta / tolerances.SCREEN_ROOT_FLOOR \
-        <= tolerances.SCREEN_MARGIN / 2
+    assert eta <= tolerances.ORACLE_RTOL / 4
+    assert 2 * eta + eta ** 2 <= tolerances.ORACLE_RTOL / 2
 
 
 def test_tolerances_module_imports_nothing():
