@@ -178,8 +178,7 @@ def cmd_dheg(args, out):
 
 
 def _random_axes(n, rng):
-    # n = 0 draws v alone, and SpinModelConfig refuses its empty axes
-    if n < 0:
+    if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
     vecs = [sample_unit_vector(3, "real", rng.stream(f"axis{i}"))
             for i in range(n + 1)]

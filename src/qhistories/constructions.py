@@ -22,9 +22,9 @@ def frame_pair_vectors(n, eps):
     pairwise dots d_ij(1+eps) - eps, and (v_i)_j = (b d_ij + 1)/... with
     dots d_ij(1-eps) + eps.  Requires eps <= 1/(n-1)."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ValueError(f"need n >= 2, got {n}")
     if not (0.0 < eps <= 1.0 / (n - 1)):
-        raise ValueError("need 0 < eps <= 1/(n-1)")
+        raise ValueError(f"need 0 < eps <= 1/(n-1) at n = {n}, got {eps}")
     # 1 + eps - n eps is 0 at eps = 1/(n-1), and may round below it there
     a = (1.0 + eps + math.sqrt((1.0 + eps) * max(0.0, 1.0 + eps - n * eps))
          ) / eps

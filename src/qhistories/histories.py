@@ -22,9 +22,11 @@ projectors into blocks P_i U(t) V, _interleave lays a split's blocks out
 as columns in leaves() order, and _gram takes the Gram blocks of a split,
 the only blocks of the extended set's decoherence matrix that are not
 zero, for projectors at one time are orthogonal.  Its rank-1 form, for
-projectors u_i u_i^dag given by their vectors, is two more:
+projectors u_i u_i^dag given by their vectors, is three more:
 _coefficients gives the blocks Y_i = u_i^dag U(t) V, whose Gram blocks
-(_gram) are the split's, and _lift the blocks P_i U(t) V = u_i (x) Y_i.
+(_gram) are the split's, and _lift the blocks P_i U(t) V = u_i (x) Y_i;
+_group sums the trailing members of such a stack into one, the blocks of
+the projector sum_j u_j u_j^dag over those vectors.
 Trees are immutable; extension returns a new tree sharing untouched
 subtrees.
 
@@ -60,10 +62,9 @@ from .tolerances import NORM_TOL, PROJECTOR_TOL, SCHMIDT_WEIGHT_TOL
 # scan chunk (selection._prepare_chunk), whose Gram stacks grow as the
 # leaves squared.
 # It bounds that one array, not the chunk: a one-time chunk at the cap
-# peaks at about that array, 512 MiB, under tracemalloc, for it judges its
-# Gram stack in slabs of about SCAN_BLOCK entries, and at about 1.5 times,
-# 768 MiB, with the persistence probe, which holds the moduli of its Gram
-# stack beside it
+# peaks at about that array, 512 MiB, under tracemalloc, with or without
+# the persistence probe, for it judges its Gram stack, and reduces the
+# probe's, in slabs of about SCAN_BLOCK entries
 LEAF_STATE_CAP = 1 << 25
 
 
@@ -331,6 +332,23 @@ def _lift(vectors, Y):
     return blocks.reshape(blocks.shape[:-3] + (-1, Y.shape[-1]))
 
 
+def _group(blocks, k):
+    """The k blocks (..., k, a, b) of a stack of per-vector blocks
+    (..., d1, a, b), u_i (x) Y_i or their Gram blocks, for the projectors
+    u_i u_i^dag, i < k - 1, and the sum over j >= k - 1 of u_j u_j^dag:
+    the first k - 1 blocks as they are and the rest summed, in order,
+    into the last.  blocks itself when k = d1, where that sum is one
+    block."""
+    d1 = blocks.shape[-3]
+    if k == d1:
+        return blocks
+    rest = blocks[..., k - 1, :, :]
+    for j in range(k, d1):
+        rest = rest + blocks[..., j, :, :]
+    return np.concatenate([blocks[..., :k - 1, :, :], rest[..., None, :, :]],
+                          axis=-3)
+
+
 def _interleave(blocks):
     """The (..., d, n k) columns of a split's (..., k, d, n) blocks in
     leaves() order, leaf outer and projector inner: column a k + i is
@@ -351,11 +369,21 @@ def _gram(blocks):
 
 def _max_off_diagonal(G):
     """The largest off-diagonal |G_ab| of each row of a stack (R, ..., n, n)
-    of Gram blocks, over all the blocks of the row: an (R,) array."""
-    G = np.abs(G)
+    of Gram blocks, over all the blocks of the row: an (R,) array.  The
+    moduli are taken in slabs of leaf rows of about selection.SCAN_BLOCK
+    entries, so they stay small beside G; a maximum is exact, so it is
+    the whole stack's to the bit."""
+    from .selection import SCAN_BLOCK    # selection imports this module
     n = G.shape[-1]
-    G[..., range(n), range(n)] = 0.0
-    return G.max(axis=tuple(range(1, G.ndim)))
+    step = max(1, SCAN_BLOCK // max(1, G.size // n))
+    worst = None
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        slab = np.abs(G[..., a:b, :])
+        slab[..., range(b - a), range(a, b)] = 0.0
+        top = slab.max(axis=tuple(range(1, G.ndim)))
+        worst = top if worst is None else np.maximum(worst, top)
+    return worst
 
 
 @dataclass

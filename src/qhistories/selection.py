@@ -35,28 +35,29 @@ random-run search in randmodel) share one scan-and-bisect loop,
 _scan_select, and differ only in scan times, stop rule and budget.
 
 Every Schmidt candidate is cut from a stacked split (_Split) of a stack
-of psi(t), which reads the norm guard, the rank cut at
-SCHMIDT_WEIGHT_TOL and the complement at COMPLEMENT_TOL for every row at
-once.  At d1 = 2 a row whose weights are normed and well apart is gapped
-(_eigenbasis), and its candidate is read from rho(t)'s eigenvectors,
-diagonalised for the whole stack in closed form; every other row, and
-every row at d1 >= 3, is cut from one SVD of those rows.  A scan judges
-every time against one criterion (epsilon, delta, delta_mode), refused
-before the scan starts when it is out of range, and, in quasi-dynamical
-selection, with the persistence probe at probe_dt.  It works in chunks of
-upcoming scan times (_prepare_chunk), one _Chunk at a time on the current
-tree, a local of _scan_select dropped with that tree at each event: the
-evolution's apply_times steps psi(t_f), which the scan kept from its last
-event's row, and the tree's frame from the frame time t_f to every time of
-a chunk in one product, and the chunk takes one split of all its times
-when it is built, so at most one SVD.  A row the split screens (full
-Schmidt rank, no complement) has a candidate of d1 rank-1 projectors
-u_i u_i^dag, and the chunk scores every such row at once in the rank-1
-form of the projection kernel (histories._coefficients and _gram) and
-judges it once, when the chunk is built, by the judge's own reduction
-(_admissible_rows): the row's one verdict, both ways (_Chunk.admissible).
-With a probe it also stacks the probe of every admissible row, which
-decides them both ways too (_Chunk.unpersisting).
+of psi(t), which reads the norm guard and the Schmidt rank, the weights
+above SCHMIDT_WEIGHT_TOL, for every row at once.  A candidate is the
+rank-1 projectors u_i u_i^dag of its rank's vectors and, when the rank r
+is below d1, one complement, sum_{j >= r} u_j u_j^dag.  At d1 = 2 a row
+whose weights are normed and well apart is gapped (_eigenbasis), and its
+vectors are read from rho(t)'s eigenvectors, diagonalised for the whole
+stack in closed form; every other row, and every row at d1 >= 3, is cut
+from one SVD of those rows.  A scan judges every time against one
+criterion (epsilon, delta, delta_mode), refused before the scan starts
+when it is out of range, and, in quasi-dynamical selection, with the
+persistence probe at probe_dt.  It works in chunks of upcoming scan times
+(_prepare_chunk), one _Chunk at a time on the current tree, a local of
+_scan_select dropped with that tree at each event: the evolution's
+apply_times steps psi(t_f), which the scan kept from its last event's row,
+and the tree's frame from the frame time t_f to every time of a chunk in
+one product, and the chunk takes one split of all its times when it is
+built, so at most one SVD.  The chunk is the only judge of a scan row: it
+scores every row at once in the rank-1 form of the projection kernel
+(histories._coefficients, _gram, and _group for a complement) and judges
+it once, when the chunk is built (_admissible_rows): the row's one
+verdict, both ways (_Chunk.admissible).  With a probe it also stacks the
+probe of every admissible row, which decides them both ways too
+(_Chunk.unpersisting).
 A chunk holds the scan's next SCAN_CHUNK times or, in a bisection, the
 midpoints of its next BISECT_LEVELS levels (_bisection_times), fewer
 where its largest array, the evolved states (T d (1 + n) entries for T
@@ -71,16 +72,11 @@ The scan walks a scan chunk's own times, takes each scan time from
 advance once, and reads full(tree, events) once per tree.  Each time on
 the scan's path, bisection midpoints included, is still evaluated alone
 and in order, and each evaluation is the scan loop's one
-schmidt_candidate call on its chunk: at a screened row the chunk refused
-that call returns None, which ends the evaluation there, as does an
-unpersisting row; any other screened row is accepted, its Extension built
-from its row alone, in the same arithmetic, and not judged again; only
-the rows that are not screened (rank-deficient, complemented, off-norm or
-failed) go to the per-time judge (_judge), and, under a probe, those and
-the rows the stacked probe could not take to the per-time probe
-(_persists).  So each evaluation is one candidate and one verdict on it
-at one time, and the times visited and the evaluation counts are those of
-the per-time path.
+schmidt_candidate call on its chunk: at a row the chunk refused that call
+returns None, which ends the evaluation there, as does an unpersisting
+row; any other row is accepted, its Extension built from its row alone,
+in the same arithmetic, and not judged again.  So each evaluation is one
+candidate and one verdict on it at one time.
 Only retrodictive selection evaluates a time outside any chunk: it is
 split alone, as a stack of one."""
 
@@ -91,13 +87,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consistency import consistency_report, is_exactly_consistent
+from .consistency import consistency_report
 from .histories import (HistoryTree, ProjectiveDecomposition,
                         _check_entries, _coefficients, _extend, _gram,
-                        _interleave, _lift, _max_off_diagonal, _project,
-                        as_evolution)
+                        _group, _interleave, _lift, _max_off_diagonal,
+                        _project, as_evolution)
 from .linalg import _fix_column_phases, entropy
-from .tolerances import (COMPANION_TOL, COMPLEMENT_TOL, DISTRIBUTION_SUM_TOL,
+from .tolerances import (COMPANION_TOL, DISTRIBUTION_SUM_TOL,
                          LIVE_PROBABILITY_TOL, NEGATIVE_PROBABILITY_TOL,
                          NORM_TOL, PERSISTENCE_TOL, SCHMIDT_WEIGHT_TOL,
                          SCREEN_GAP_FLOOR, SCREEN_WEIGHT_FLOOR)
@@ -177,20 +173,16 @@ class _Split:
     and its norm is read as 1); a row that fails is zeroed before the SVD
     so that it cannot spoil the stack.  failed is the set of rows whose
     SVD raised LinAlgError: only when the stacked SVD raises is each of
-    its rows split alone.  cols holds the vectors u_i = cols[t, i] in
+    its rows split alone.  cols holds the d1 vectors u_i = cols[t, i] in
     descending weight order, the phase-fixed left singular vectors at a
-    row that is not gapped; kept is the vectors of weight above
-    SCHMIDT_WEIGHT_TOL, every one at a gapped row; extra is whether
-    1 - the sum of the kept projectors, summed from zeros in column order,
-    exceeds COMPLEMENT_TOL and so joins the candidate as complement[t],
-    which it never does at a gapped row.  No projector of a gapped row is
-    built here: schmidt_candidate builds a row's rank-1 projectors from
-    cols when it reads the row.  A row is screened when it passes the norm
-    guard and splits at full Schmidt rank with no complement, and d1 >= 2,
-    as every gapped row does: its candidate is then its d1 rank-1
-    projectors u_i u_i^dag, so its chunk scores it from cols alone, in the
-    rank-1 form of the projection kernel, and gives it its one verdict
-    (see _Chunk).
+    row that is not gapped, and rank the number of weights above
+    SCHMIDT_WEIGHT_TOL: d1 at a gapped row, 0 at a zeroed or failed one.
+    The row's candidate is its first rank vectors' rank-1 projectors
+    u_i u_i^dag and, when rank < d1, one complement
+    sum_{j >= rank} u_j u_j^dag: candidate_size = min(rank + 1, d1)
+    projectors.  No projector is built here, so a chunk scores every row
+    from cols alone, in the rank-1 form of the projection kernel, and
+    gives it its one verdict (see _Chunk).
 
     Why rho is enough (Davis-Kahan).  The closed form and an SVD of psi
     each return the exact eigenvectors of some rho + E, to roundoff; with
@@ -209,9 +201,7 @@ class _Split:
         self.gapped, self.cols = _eigenbasis(psi, d1, d2)
         self.normed = self.gapped.copy()
         self.norms = np.ones(T)
-        self.kept = np.ones((T, d1), dtype=bool)
-        self.extra = np.zeros(T, dtype=bool)
-        self.complement = {}
+        self.rank = np.full(T, d1)
         self.failed = set()
         rows = np.flatnonzero(~self.gapped)
         if rows.size:
@@ -229,23 +219,10 @@ class _Split:
                                                       full_matrices=False)
                     except np.linalg.LinAlgError:
                         self.failed.add(i)
-            cols = self.cols[rows] = np.swapaxes(_fix_column_phases(U)[0],
-                                                 1, 2)
-            self.kept[rows] = s ** 2 > SCHMIDT_WEIGHT_TOL
-            kept = np.where(self.kept[rows, :, None, None],
-                            cols[:, :, :, None] * cols[:, :, None, :].conj(),
-                            0.0)
-            total = np.zeros((len(rows), d1, d1), dtype=complex)
-            for i in range(d1):     # a dropped vector adds an exact 0
-                total += kept[:, i]
-            complement = np.eye(d1) - total
-            extra = self.extra[rows] = \
-                np.abs(complement).max(axis=(1, 2)) > COMPLEMENT_TOL
-            self.complement = dict(zip(rows[extra].tolist(),
-                                       complement[extra]))
-        # s is descending, so kept[:, -1] is full rank; a zeroed or failed
-        # row keeps no vector, so it is not screened
-        self.screened = self.kept[:, -1] & ~self.extra & (d1 >= 2)
+            self.cols[rows] = np.swapaxes(_fix_column_phases(U)[0], 1, 2)
+            self.rank[rows] = (s ** 2 > SCHMIDT_WEIGHT_TOL).sum(axis=1)
+        # the candidate's projectors: rank of them, and a complement below d1
+        self.candidate_size = np.minimum(self.rank + 1, d1)
 
 
 def _eigenbasis(psi, d1, d2):
@@ -263,10 +240,10 @@ def _eigenbasis(psi, d1, d2):
     orthogonal (-conj y, conj x).  A row is gapped when |tr rho - 1| <=
     NORM_TOL (a stricter guard than _Split's, which NaN fails), its
     smallest weight exceeds SCREEN_WEIGHT_FLOOR (far above
-    SCHMIDT_WEIGHT_TOL, so an SVD would keep every vector and add no
-    complement) and its weight gap 2 r exceeds SCREEN_GAP_FLOOR.  At
-    d1 >= 3 a stacked eigh costs about what the SVD it would spare costs,
-    so every row takes the SVD."""
+    SCHMIDT_WEIGHT_TOL, so an SVD would find it of full rank) and its
+    weight gap 2 r exceeds SCREEN_GAP_FLOOR.  At d1 >= 3 a stacked eigh
+    costs about what the SVD it would spare costs, so every row takes the
+    SVD."""
     T = len(psi)
     if d1 != 2:
         return np.zeros(T, dtype=bool), np.empty((T, d1, d1), dtype=complex)
@@ -294,7 +271,7 @@ class _Chunk:
     prepared together for one tree (_prepare_chunk), judged once under
     the scan's criterion (epsilon, delta, delta_mode) and, when probe_dt is
     given, its persistence probe: the split of all of them and the verdict
-    on every screened row, both fixed when the chunk is built.
+    on every row, both fixed when the chunk is built.
 
     index maps each time to its row of the stacked arrays: psi, the (T, d)
     psi(t), and leaves, the (T, d, n) leaf states evolved to t.
@@ -302,65 +279,71 @@ class _Chunk:
     Candidates.  split is one _Split of every row: rho's closed-form
     eigenvectors at the gapped rows, and one stacked SVD of the others,
     so a chunk takes at most one SVD, when it is built, and none when every
-    row is gapped.  A screened row that is not admissible has no
-    candidate: the chunk's verdict is final, and schmidt_candidate returns
-    None there.  Every other row's candidate is built from its row of split
-    when it is read, so every candidate is the per-time path's to the bit.
+    row is gapped.  A row that is not admissible has no candidate: the
+    chunk's verdict is final, and schmidt_candidate returns None there.  An
+    admissible row's candidate is built from its row of split when it is
+    read, so every candidate is the lone path's to the bit.
 
-    The verdict.  A screened row's candidate is its d1 rank-1 projectors
-    u_i u_i^dag, u_i = split.cols[t, i], so the k Gram blocks of the leaves
-    it splits are taken for the whole chunk at once in the rank-1 form of
-    the projection kernel, G = _gram(Y), Y = _coefficients(cols, leaves),
-    and judged by the judge's own reduction (_admissible_rows), with no
-    margin: admissible is the screened rows that pass.  numpy takes a
-    stack's products one row at a time, so a row's Y and G are the same to
-    the bit in any stack (the tests check it on every chunked scan), and
-    the Extension the scan builds from an admissible row alone (Extension
-    with vectors) has the blocks its verdict read; it is not judged again.
-    A row that is not screened is judged per time (_judge).
+    The verdict.  A row's candidate is k = split.candidate_size[t]
+    projectors: rank-1 ones u_i u_i^dag, u_i = split.cols[t, i], and the
+    complement of the trailing vectors when the rank is below d1.  The
+    Gram blocks of the leaves it splits are taken for the whole chunk at
+    once in the rank-1 form of the projection kernel, G = _gram(Y),
+    Y = _coefficients(cols, leaves), the complement's being the sum of its
+    vectors' blocks (_group), and judged by _admissible_rows, with no
+    margin, one call per candidate size: admissible is the rows of at
+    least two projectors that pass, so never an off-norm or failed row,
+    whose rank is 0.  Nearly always every row has one size, d1, where
+    _group returns G itself.  numpy takes a stack's products one row at a
+    time, so a row's Y and G are the same to the bit in any stack (the
+    tests check it on every chunked scan), and the Extension the scan
+    builds from an admissible row alone (Extension with vectors) has the
+    blocks its verdict read; it is not judged again.
 
     The stacked probe.  With probe_dt, every admissible row has the
-    persistence probe's Gram blocks taken at once (_probe_worst): the
-    states U(t + probe_dt) U(t)^dag P_i V_t, evolved by two
+    persistence probe's Gram blocks taken at once (_probe_worst), after G
+    is freed: the states U(t + probe_dt) U(t)^dag P_i V_t, evolved by two
     evolution.apply_rows calls, projected again by each P_j.  unpersisting
-    is the rows whose largest off-diagonal |G| exceeds PERSISTENCE_TOL, the
-    per-time probe's test, so it decides those rows both ways.  It is None
-    without a probe, and when the evolution refuses some t + probe_dt
-    (ValueError): the per-time probe (_persists) then decides each
-    admissible row the scan evaluates, and meets that error, or not, as
-    before."""
+    is the rows whose largest off-diagonal |G| exceeds PERSISTENCE_TOL, so
+    it decides those rows both ways; none without a probe.  An evolution
+    that refuses some t + probe_dt raises its ValueError here."""
 
     def __init__(self, model, times, evolved, parents, criterion,
                  probe_dt=None):
         self.index = {t: i for i, t in enumerate(times)}
         self.psi, self.leaves = evolved[:, :, 0], evolved[:, :, 1:]
         self.split = _Split(self.psi, model.d1, model.d2)
-        Y = _coefficients(self.split.cols, self.leaves)     # (T, k, m, n)
-        self.admissible = self.split.screened & _admissible_rows(
-            _gram(Y), parents, criterion)
-        self.unpersisting = (None if probe_dt is None
-                             else np.zeros(len(times), dtype=bool))
-        rows = np.flatnonzero(self.admissible)
-        if probe_dt is not None and rows.size:
-            worst = _probe_worst(model.evolution, [times[r] for r in rows],
-                                 self.split.cols[rows], Y[rows], probe_dt)
-            if worst is None:
-                self.unpersisting = None
-            else:
-                self.unpersisting[rows] = worst > PERSISTENCE_TOL
+        Y = _coefficients(self.split.cols, self.leaves)     # (T, d1, m, n)
+        size = self.split.candidate_size
+        sizes = np.unique(size[size >= 2]).tolist()
+        G = _gram(Y)
+        self.admissible = np.zeros(len(times), dtype=bool)
+        for k in sizes:
+            self.admissible |= (size == k) & _admissible_rows(
+                _group(G, k), parents, criterion)
+        del G
+        self.unpersisting = np.zeros(len(times), dtype=bool)
+        if probe_dt is None:
+            return
+        for k in sizes:
+            rows = np.flatnonzero(self.admissible & (size == k))
+            if rows.size:
+                self.unpersisting[rows] = _probe_worst(
+                    model.evolution, [times[r] for r in rows],
+                    self.split.cols[rows], Y[rows], k,
+                    probe_dt) > PERSISTENCE_TOL
 
 
 def _admissible_rows(G, parents, criterion):
-    """The judge's verdict under criterion (epsilon, delta, delta_mode) on
-    each row of a stack (R, k, n, n) of Gram blocks, the k blocks of a
-    candidate splitting n leaves of probabilities parents: an (R,) array,
-    True where every off-diagonal pair of non-zero root passes the medium
-    test |G_ab| <= epsilon sqrt|G_aa G_bb| and every child of a live
-    parent is non-trivial at delta, in the arithmetic of
-    consistency.medium_pass and nontrivial, so a NaN fails.  _Chunk calls
-    it on its rows and _judge on a stack of one.  The pairs are taken in
-    slabs of leaf rows of about SCAN_BLOCK entries, so its temporaries stay
-    small beside G."""
+    """The verdict under criterion (epsilon, delta, delta_mode) on each row
+    of a stack (R, k, n, n) of Gram blocks, the k blocks of a candidate
+    splitting n leaves of probabilities parents: an (R,) array, True where
+    every off-diagonal pair of non-zero root passes the medium test
+    |G_ab| <= epsilon sqrt|G_aa G_bb| and every child of a live parent is
+    non-trivial at delta, in the arithmetic of consistency.medium_pass and
+    nontrivial, so a NaN fails.  _Chunk calls it on its rows.  The pairs
+    are taken in slabs of leaf rows of about SCAN_BLOCK entries, so its
+    temporaries stay small beside G."""
     epsilon, delta, delta_mode = criterion
     R, k, n, _ = G.shape
     children = G.diagonal(0, 2, 3).real      # (R, k, n)
@@ -380,68 +363,63 @@ def _admissible_rows(G, parents, criterion):
     return ok
 
 
-def _probe_worst(evolution, ts, cols, Y, probe_dt):
+def _probe_worst(evolution, ts, cols, Y, k, probe_dt):
     """The largest off-diagonal |G| of the persistence probe's Gram blocks
     at each of R admissible rows, at times ts, from the rows' Schmidt
-    vectors cols (R, k, d1) and blocks Y (R, k, m, n) of the leaf states
-    V_t (_coefficients, as _Chunk takes them).
+    vectors cols (R, d1, d1) and blocks Y (R, d1, m, n) of the leaf states
+    V_t (_coefficients, as _Chunk takes them), for candidates of k
+    projectors (_Split.candidate_size).
 
     The probe state of leaf a and projector i is
-    U(t + probe_dt) U(t)^dag P_i V_t u_a, P_i V_t = u_i (x) Y[r, i] (_lift),
-    in the (leaf outer, projector inner) order of extend_all; the probe's
+    U(t + probe_dt) U(t)^dag P_i V_t u_a, P_i V_t = u_i (x) Y[r, i] (_lift)
+    or, for a complement, the sum of those over its vectors (_group), in
+    the (leaf outer, projector inner) order of extend_all; the probe's
     blocks are the Gram matrices of those nk states projected by each P_j
-    (the candidate's own rank-1 projectors) at t + probe_dt, as
-    quasi_dynamical_select's per-time probe (_persists) takes them.  Two
-    evolution.apply_rows calls evolve every row at once.  None when the
-    evolution refuses some t or t + probe_dt (ValueError), so that the
-    per-time path decides every row."""
-    X = _interleave(_lift(cols, Y))         # (R, d, n k)
-    try:
-        X = evolution.apply_rows(X, ts, adjoint=True)
-        X = evolution.apply_rows(X, [t + probe_dt for t in ts])
-    except ValueError:
-        return None
-    return _max_off_diagonal(_gram(_coefficients(cols, X)))
+    (the candidate's own projectors) at t + probe_dt.  Two
+    evolution.apply_rows calls evolve every row at once; a ValueError of
+    the evolution, which refuses some t + probe_dt, is raised."""
+    X = _interleave(_group(_lift(cols, Y), k))         # (R, d, n k)
+    X = evolution.apply_rows(X, ts, adjoint=True)
+    X = evolution.apply_rows(X, [t + probe_dt for t in ts])
+    return _max_off_diagonal(_group(_gram(_coefficients(cols, X)), k))
 
 
 def schmidt_candidate(model, t, chunk=None):
     """Schmidt projective decomposition of the state of model at time t:
     d1 x d1 system projectors onto the retained Schmidt vectors, plus the
-    complement of their span when rank-deficient.
+    complement of their span when rank-deficient (see _Split).
 
-    At a screened time of chunk (a _Chunk) that the chunk did not find
-    admissible, returns None: the time has no candidate.  The chunk's
-    other verdicts, admissible and unpersisting, are the scan's to read:
-    at those rows a candidate is returned as at any other.  Every
-    candidate is read from a _Split: the chunk's (_Chunk.split), or, at a
-    time outside chunk, a split of psi(t) alone, a stack of one.  At a
-    gapped d1 = 2 row the vectors are rho(t)'s closed-form eigenvectors,
-    and elsewhere the SVD's, in either place, so a time's candidate does
-    not depend on the stack it was split in; its rank-1 projectors are
-    built here, for the one row read.  Every time a scan evaluates, a
-    bisection midpoint included, is a time of its chunk; only
-    retrodictive_select evaluates a time alone.
+    At a time of chunk (a _Chunk) that the chunk did not find admissible,
+    returns None: the time has no candidate.  The chunk's other verdict,
+    unpersisting, is the scan's to read.  Every candidate is read from a
+    _Split: the chunk's (_Chunk.split), or, at a time outside chunk, a
+    split of psi(t) alone, a stack of one.  At a gapped d1 = 2 row the
+    vectors are rho(t)'s closed-form eigenvectors, and elsewhere the
+    SVD's, in either place, so a time's candidate does not depend on the
+    stack it was split in; its projectors are built here, for the one row
+    read.  Every time a scan evaluates, a bisection midpoint included, is
+    a time of its chunk; only retrodictive_select evaluates a time alone.
     Raises ValueError when psi(t) is not normalized, and LinAlgError when
     its SVD failed.  The scan loop (_scan_select) makes exactly one call
-    of this per evaluation, a screened rejection's included, through this
+    of this per evaluation, a refused row's included, through this
     module's global name: the benchmark's traced check needs
     schmidt_candidate calls to equal the evaluations (RunRecord.steps)."""
     i = None if chunk is None else chunk.index.get(t)
     if i is None:
         split, i = _Split(model.state(t)[None], model.d1, model.d2), 0
-    elif chunk.split.screened[i] and not chunk.admissible[i]:
-        return None
+        refused = False
     else:
-        split = chunk.split
+        split, refused = chunk.split, not chunk.admissible[i]
     if not split.normed[i]:
         raise ValueError(f"state is not normalized: |psi| = {split.norms[i]}")
     if i in split.failed:
         raise np.linalg.LinAlgError("SVD did not converge")
-    u = split.cols[i][split.kept[i]]
-    projs = list(u[:, :, None] * u[:, None, :].conj())
-    if split.extra[i]:
-        projs.append(split.complement[i])
-    return ProjectiveDecomposition(t, projs, check=False)
+    if refused:
+        return None
+    u = split.cols[i]
+    return ProjectiveDecomposition(t, list(_group(
+        u[:, :, None] * u[:, None, :].conj(), split.candidate_size[i])),
+        check=False)
 
 
 class Extension:
@@ -455,11 +433,12 @@ class Extension:
     itself is built by extend(), with those states as its frame, only once
     the candidate is accepted.  evolved, when given, is the leaf states at
     dec.time (a scan chunk's row); else the tree's frame is stepped there.
-    The split is _project's blocks P_i V, or, when vectors (k, d1) are
-    given, the unit vectors u_i of dec's rank-1 projectors u_i u_i^dag,
-    the rank-1 form's blocks u_i^dag V (histories._coefficients), as a
-    scan chunk scores a screened row, lifted to P_i V only for the
-    extended states (histories._lift)."""
+    The split is _project's blocks P_i V, or, when vectors (d1, d1) are
+    given, the Schmidt vectors u_i of dec (schmidt_candidate), the rank-1
+    form's blocks u_i^dag V (histories._coefficients), as a scan chunk
+    scores a row, whose Gram blocks, and whose lift to P_i V for the
+    extended states (histories._lift), are grouped into dec's k projectors
+    (histories._group; a projected split has k blocks already)."""
 
     def __init__(self, tree, dec, epsilon, evolved=None, vectors=None):
         self.tree = tree
@@ -474,7 +453,7 @@ class Extension:
 
     @functools.cached_property
     def blocks(self):
-        return _gram(self._split)
+        return _group(_gram(self._split), len(self.decomposition))
 
     @functools.cached_property
     def probabilities(self):
@@ -489,7 +468,8 @@ class Extension:
         """The extended leaves' states P_i U(t) u_a at the decomposition's
         time t, the extended tree's frame."""
         return _interleave(self._split if self._vectors is None
-                           else _lift(self._vectors, self._split))
+                           else _group(_lift(self._vectors, self._split),
+                                       len(self.decomposition)))
 
     def extend(self):
         return _extend(self.tree, [self.decomposition], None, self.states)
@@ -497,38 +477,6 @@ class Extension:
     def event(self):
         return SelectionEvent(self.decomposition.time, self.decomposition,
                               self.probabilities, self.report)
-
-
-def _judge(tree, dec, evolved, epsilon, delta, delta_mode):
-    """The per-time judge of a candidate dec on every leaf of the tree: it
-    is admissible when it has at least two projectors, the extended set
-    stays medium-consistent at epsilon and every leaf of non-negligible
-    probability splits non-trivially at delta.
-
-    The extension is scored from the leaf-state matrix alone, as k
-    projected Gram blocks (see Extension); evolved, when given, is the
-    leaf states at dec.time (a chunk's row).  Its blocks are judged by the
-    chunk's own reduction (_admissible_rows), on a stack of one, against
-    the tree's parent probabilities.  No tree is built here: the caller
-    extends the tree with Extension.extend() once per accepted event.
-    Returns the Extension, or None when inadmissible."""
-    if len(dec) < 2:
-        return None
-    ext = Extension(tree, dec, epsilon, evolved)
-    admissible = _admissible_rows(ext.blocks[None], tree._probabilities,
-                                  (epsilon, delta, delta_mode))
-    return ext if admissible[0] else None
-
-
-def _persists(tree, ext, probe_dt):
-    """The per-time persistence probe of quasi_dynamical_select: whether
-    re-applying ext's decomposition at its time + probe_dt to the extended
-    leaves (ext.states, stepped on from its time) leaves the set exactly
-    medium-consistent, every off-diagonal |G| within PERSISTENCE_TOL."""
-    dec = ext.decomposition
-    G = _gram(_project(dec.projectors, tree._evolve(
-        ext.states, dec.time + probe_dt, since=dec.time)))
-    return is_exactly_consistent(G, "medium", tol=PERSISTENCE_TOL)
 
 
 def _chain(model, decompositions, epsilon):
@@ -562,10 +510,11 @@ def _prepare_chunk(model, tree, psi, times, criterion, probe_dt=None):
     evolution.apply_times call (from time 0 on a fresh tree, whose psi is
     psi0), and psi(t) of every time is split at once
     (_Split): rho's closed form at the gapped d1 = 2 rows and at most one
-    stacked SVD, of the others.  An evolution that raises ValueError has
-    the chunk halved until it evolves, so the chunk ends before the times
-    it refuses; when it refuses the first time alone, the error is raised
-    here, at that time."""
+    stacked SVD, of the others.  An evolution that raises ValueError, at a
+    time of the chunk or at the probe time t + probe_dt of an admissible
+    row, has the chunk halved until it is built, so the chunk ends before
+    the times it refuses; when it refuses the first time alone, the error
+    is raised here, at that time."""
     (d, n), d1 = tree.frame.shape, model.d1
     largest = max(d * (1 + n), d1 * n * n)
     if probe_dt is not None:
@@ -576,14 +525,13 @@ def _prepare_chunk(model, tree, psi, times, criterion, probe_dt=None):
     X = np.column_stack([psi, tree.frame])
     while True:
         try:
-            evolved = model.evolution.apply_times(X, times, tree.frame_time)
+            return _Chunk(model, times, model.evolution.apply_times(
+                X, times, tree.frame_time), tree._probabilities, criterion,
+                probe_dt)
         except ValueError:
             if len(times) == 1:
                 raise
             del times[(len(times) + 1) // 2:]
-        else:
-            return _Chunk(model, times, evolved, tree._probabilities,
-                          criterion, probe_dt)
 
 
 def _scan_times(t, advance):
@@ -622,10 +570,10 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
     A time t is accepted when its Schmidt candidate is admissible on the
     current tree at (epsilon, delta, delta_mode) (_admissible_rows) and,
     when probe_dt is given, its Extension persists at t + probe_dt
-    (_probe_worst, _persists).  Evaluates t =
-    start, then advance(t) after each rejected or event time until that
-    is None.  An accepted t after the first evaluation is bisected back to
-    the last rejected or event time, to refine_tol or adjacent floats, and
+    (_probe_worst), both judged by its chunk.  Evaluates t = start, then
+    advance(t) after each rejected or event time until that is None.  An
+    accepted t after the first evaluation is bisected back to the last
+    rejected or event time, to refine_tol or adjacent floats, and
     recorded as an event.  Stops when full(tree, events), at the end of
     the scan, or after budget evaluations; returns (SelectedSet,
     termination, evaluations) with termination 'full', 'end' or 'budget',
@@ -647,14 +595,11 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
     rows and prepares again only when the path leaves those levels.
     Each time on the scan's or the bisection's path counts as one
     evaluation, which is one schmidt_candidate call on its chunk: None,
-    the chunk's verdict on a screened row, rejects the time there, as a
-    failed SVD (LinAlgError) and an unpersisting row (_Chunk.unpersisting)
-    do.  Any other screened row is admissible, and, but for the probe, is
-    accepted there: the scan keeps a copy of its psi(t) and the Extension
-    built from its row alone, not the chunk, and judges it no more.  Only
-    the times that are not screened go to the per-time judge, and those
-    and the screened rows the stacked probe did not decide to the per-time
-    probe.
+    the chunk's verdict on the row, rejects the time there, as a failed
+    SVD (LinAlgError) and an unpersisting row (_Chunk.unpersisting) do.
+    Any other row is admissible and persists, and is accepted there: the
+    scan keeps a copy of its psi(t) and the Extension built from its row
+    alone, not the chunk, and judges it no more.
     A midpoint off the path is speculative and is neither evaluated nor
     counted.  Accepting an event drops the chunk with the old tree, so at
     most SCAN_CHUNK - 1 prepared scan times go unevaluated per tree, and a
@@ -670,26 +615,18 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
 
     def evaluate(tree, t, chunk):
         # None, or for an accepted time a copy of psi(t) and its Extension,
-        # which holds no view of the chunk.  A screened row with a
-        # candidate is admissible, the chunk's verdict: its Extension is
-        # built from the row alone, and not judged again
+        # which holds no view of the chunk.  A row with a candidate is
+        # admissible, the chunk's verdict: its Extension is built from the
+        # row alone, and not judged again
         try:
             dec = schmidt_candidate(model, t, chunk)
         except np.linalg.LinAlgError:
             return None
-        if dec is None:
+        i = chunk.index[t]
+        if dec is None or chunk.unpersisting[i]:
             return None
-        i, probed = chunk.index[t], chunk.unpersisting
-        if chunk.split.screened[i]:
-            ext = Extension(tree, dec, epsilon, chunk.leaves[i],
-                            chunk.split.cols[i].copy())
-        else:
-            ext, probed = _judge(tree, dec, chunk.leaves[i], *criterion), None
-        if ext is None or probe_dt is not None and (
-                not _persists(tree, ext, probe_dt) if probed is None
-                else probed[i]):
-            return None
-        return chunk.psi[i].copy(), ext
+        return chunk.psi[i].copy(), Extension(
+            tree, dec, epsilon, chunk.leaves[i], chunk.split.cols[i].copy())
 
     # psi is the model's state at the tree's frame time
     tree = HistoryTree(model.psi0, model.evolution)

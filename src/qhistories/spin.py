@@ -674,7 +674,7 @@ def sn_selection_fraction(n, samples, rng):
     last-interaction set S_n carries the most information among the
     maximal interior-time sets S_2 .. S_n."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ValueError(f"need n >= 2, got {n}")
     if not samples >= 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     g = rng.generator

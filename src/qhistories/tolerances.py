@@ -5,9 +5,10 @@ units of the quantity) or relatively, and against what scale.  States are
 normalised, so probabilities, Schmidt weights and path-state norms have
 scale 1.  The tests pin every value: none may loosen, so a tolerance may
 not grow and a floor of the closed-form candidate's Davis-Kahan bound
-(SCREEN_*_FLOOR, SCREEN_RHO_ERROR) may not shrink.  A scan chunk judges
-its rows by the judge's own arithmetic, so no margin stands between the
-chunk's verdicts and the judge's.  Imports nothing.
+(SCREEN_*_FLOOR, SCREEN_RHO_ERROR) may not shrink.  A scan chunk is the
+only judge of its rows, in the arithmetic of consistency.medium_pass and
+nontrivial, so no margin stands between its verdicts and theirs.  Imports
+nothing.
 """
 
 # -- states, operators and spin axes
@@ -31,8 +32,6 @@ TIME_TOL = 1e-12
 SCHMIDT_WEIGHT_TOL = 1e-12
 # gap between two Schmidt weights treated as degenerate; absolute, scale 1
 DEGENERACY_TOL = 1e-9
-# max |1 - sum P_i| that joins the Schmidt projectors; absolute, scale 1
-COMPLEMENT_TOL = 1e-9
 # |tr X - (d1 + d2)| of a degenerate pair's projector; absolute, scale d1+d2
 TRACE_TOL = 1e-8
 # tr(D^2) that splits a degenerate pair; absolute, scale (eigenvalues of A)^2
@@ -56,9 +55,8 @@ LIMIT_TOL = 1e-9
 # violation of an exactly consistent set; relative to max(1, max D_aa)
 EXACT_TOL = 1e-10
 # medium violation after re-projection, the largest off-diagonal |D_ab| of
-# the persistence probe, per time or stacked over a scan chunk's
-# admissible rows, which it decides both ways; absolute, on sub-normalised
-# leaves
+# the persistence probe, stacked over a scan chunk's admissible rows,
+# which it decides both ways; absolute, on sub-normalised leaves
 PERSISTENCE_TOL = 1e-9
 # gain that still grows a greedy MPV subset; absolute, in units of Re D
 MPV_GAIN_TOL = 1e-15
@@ -70,7 +68,7 @@ INTEGRITY_TOL = 1e-8
 # Schmidt weight (eigenvalue of rho(t) = tr_E |psi><psi|) that both
 # weights of a d1 = 2 row must exceed for its candidate to read rho's
 # closed-form eigenvectors; far above SCHMIDT_WEIGHT_TOL, so an SVD of the
-# row would keep every vector and add no complement; absolute, scale 1
+# row would find it of full rank; absolute, scale 1
 SCREEN_WEIGHT_FLOOR = 1e-9
 # gap between the two Schmidt weights of a d1 = 2 row that it must exceed
 # for its candidate to read rho's closed-form eigenvectors: their

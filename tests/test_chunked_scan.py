@@ -6,28 +6,28 @@ as one selection._Chunk of the current tree under the scan's criterion
 persistence probe: one apply_times call steps [psi | frame] from the
 tree's frame time to every time of the chunk, and one _Split of all of
 its rows, taken when the chunk is built, gives every row's Schmidt
-vectors, rho(t)'s closed-form eigenvectors at the gapped d1 = 2 rows and
-one stacked SVD's at the rest, to the chunk and to the candidates alike.
-When the chunk is built, it scores every screened row (full Schmidt rank,
-no complement) in the rank-1 form of the projection kernel and gives it
-its one verdict, by the judge's own reduction (_admissible_rows), with no
-margin (_Chunk.admissible); under a probe the stacked probe decides the
+vectors and rank, rho(t)'s closed-form eigenvectors at the gapped d1 = 2
+rows and one stacked SVD's at the rest, to the chunk and to the
+candidates alike.  The chunk is the only judge of a row: when it is
+built, it scores every row in the rank-1 form of the projection kernel,
+a complement's blocks the sum of its vectors' (histories._group), and
+gives it its one verdict by _admissible_rows, with no margin
+(_Chunk.admissible); under a probe the stacked probe decides the
 admissible rows both ways (_Chunk.unpersisting).  A bisection prepares
 its midpoints so too, a few levels of its bisection tree a chunk
 (_bisection_times), and walks its path on the chunk's rows.  Each time on
 the path is still evaluated alone, by the scan loop's one
-schmidt_candidate call: a screened row the chunk refused returns None,
-which ends the evaluation, an unpersisting row is rejected after it, any
-other screened row is accepted with the Extension built from its row
-alone, whose Gram blocks must be the chunk's to the bit, and only a row
-that is not screened goes to the per-time judge (selection._judge) and
-probe (selection._persists); every candidate is read from the chunk's
-split, the lone path's candidate of the same psi(t) to the bit.  So at
-every evaluated time the verdict must be the per-time oracle's
+schmidt_candidate call: a row the chunk refused returns None, which ends
+the evaluation, an unpersisting row is rejected after it, and any other
+row is accepted with the Extension built from its row alone, whose Gram
+blocks must be the chunk's to the bit; every candidate is read from the
+chunk's split, the lone path's candidate of the same psi(t) to the bit.
+So at every evaluated time the verdict must be the per-time oracle's
 (_admissible, and _persisting under a probe, as _quasi_accept takes
-them, both on the projected blocks of the lone candidate), and the times
-visited, the events, the step counts and the benchmark's traced check
-(schmidt_candidate calls == RunRecord.steps) those of the per-time path.
+them, both on the projected blocks of the lone candidate, judged by
+consistency's own tests), and the times visited, the events, the step
+counts and the benchmark's traced check (schmidt_candidate calls ==
+RunRecord.steps) those of the per-time path.
 The chunks are read here through their arrays, by the row chunk.index[t]
 of each time t.
 """
@@ -44,7 +44,7 @@ from qhistories import (consistency, histories, linalg, randmodel,
 from qhistories.histories import CallableEvolution, HistoryTree
 from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
                                sample_unit_vector, schmidt_decompose)
-from qhistories.tolerances import (COMPLEMENT_TOL, NORM_TOL, ORACLE_RTOL,
+from qhistories.tolerances import (NORM_TOL, ORACLE_RTOL,
                                    PERSISTENCE_TOL, SCHMIDT_WEIGHT_TOL,
                                    SCREEN_GAP_FLOOR, SCREEN_RHO_ERROR,
                                    SCREEN_WEIGHT_FLOOR, TIME_TOL)
@@ -84,15 +84,16 @@ def _recoherence_model():
     return selection.recoherence_model(math.sqrt(0.7), math.sqrt(0.3), u)
 
 
-# a criterion at which the screen rejects no time: no overlap ratio exceeds
-# 1, and no child probability falls below 0
+# a criterion at which a chunk refuses no time of two projectors or more:
+# no overlap ratio exceeds 1, and no child probability falls below 0
 _ACCEPTING = (2.0, 0.0, "relative")
 
 
 def _refused(chunk):
-    """The screened rows of chunk that it did not find admissible: each
-    has no candidate."""
-    return chunk.split.screened & ~chunk.admissible
+    """The rows of chunk whose schmidt_candidate call returns None: those
+    normed and split that it did not find admissible."""
+    failed = np.isin(np.arange(len(chunk.index)), list(chunk.split.failed))
+    return chunk.split.normed & ~failed & ~chunk.admissible
 
 
 def _frame_psi(model, tree):
@@ -118,7 +119,7 @@ def _alone(model, psi, t):
     psi: the lone path, a split of a stack of one."""
     frozen = types.SimpleNamespace(d1=model.d1, d2=model.d2,
                                    state=lambda _: psi)
-    return selection.schmidt_candidate(frozen, t)
+    return _SCHMIDT_CANDIDATE(frozen, t)
 
 
 def _count_candidates(monkeypatch):
@@ -194,13 +195,13 @@ def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
     # chunk is built: rho's closed form at the gapped rows, and at most one
     # stacked SVD, of exactly the rows that are not gapped.  Every
     # evaluation, a bisection midpoint's included, reads its chunk, so no
-    # time is split alone, and nothing calls schmidt_decompose.  An
-    # admissible row is screened.  Eleven 2x16 searches (seeds 0-9, and
-    # 12, which bisects its second event on chunks of midpoints) take their
-    # first event at t = 0, a gapped row, and split a fraction of their
-    # rows by SVD.  The product model's rows are neither gapped nor
-    # screened (rank 1 and a complement, at d1 = 3), so every one takes the
-    # SVD and none may be found admissible by its chunk
+    # time is split alone, and nothing calls schmidt_decompose.  Eleven
+    # 2x16 searches (seeds 0-9, and 12, which bisects its second event on
+    # chunks of midpoints) take their first event at t = 0, a gapped row,
+    # and split a fraction of their rows by SVD.  The product model's rows
+    # are not gapped (rank 1 at d1 = 3, a candidate of one projector and
+    # its complement), so every one takes the SVD, and its chunk, which
+    # judges them too, refuses every one: the complement's child is empty
     lone, svds, built = [], [], []
     candidate, svd = selection.schmidt_candidate, np.linalg.svd
     prepare = selection._prepare_chunk
@@ -252,8 +253,9 @@ def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
         for chunk, sizes in built:
             svd_rows = int((~chunk.split.gapped).sum())
             assert sizes == ([svd_rows] if svd_rows else []), (name, seed)
-            assert not (chunk.admissible & ~chunk.split.screened).any(), \
-                name
+            if name == "product":
+                assert (chunk.split.rank == 1).all()
+                assert not chunk.admissible.any()
         rows = sum(len(chunk.index) for chunk, _ in built)
         if name == "search2x16":
             assert 0 < sum(svds) < rows // 4, seed
@@ -264,12 +266,13 @@ def test_a_screened_time_takes_no_schmidt_decomposition(monkeypatch):
 @pytest.mark.parametrize("name", ["recoherence", "search2x16"])
 def test_the_scan_advances_once_per_time_and_judges_only_candidates(
         monkeypatch, name):
-    # each evaluation is one schmidt_candidate call.  The judge is called
-    # exactly after each evaluation whose call returned a candidate at a
-    # row its chunk did not screen, on that candidate, and at no other
-    # time: a screened row's verdict is its chunk's, and an event at one
-    # is not judged again; so it judges only candidates, and far fewer
-    # than there are evaluations.  Every evaluated time's verdict is the
+    # each evaluation is one schmidt_candidate call.  The candidates are
+    # judged only when their chunk is built, by one _admissible_rows call
+    # per candidate size on the whole chunk, and at no other time: a row's
+    # verdict is its chunk's, and an event at one is not judged again.
+    # The recoherence model's product rows, at t = 0 among them, have rank
+    # 1, a projector and its complement, two as every other row has, so
+    # each chunk takes one call.  Every evaluated time's verdict is the
     # per-time oracle's (_check_evaluations).  full is read once per tree
     # (_check_scan_select).  advance is called once per scan time of a
     # tree: after the event time that made the tree (none on the first),
@@ -278,28 +281,29 @@ def test_the_scan_advances_once_per_time_and_judges_only_candidates(
     log, evaluations, scans, scan_chunks, seen = [], [], [], [], []
     firsts = _record_bisections(monkeypatch)
     _check_evaluations(monkeypatch, seen)
-    checked, judge = selection.schmidt_candidate, selection._judge
+    checked, judge = selection.schmidt_candidate, selection._admissible_rows
     prepare = selection._prepare_chunk
 
     def counted_candidate(model, t, chunk=None):
         evaluations.append(t)
         dec = checked(model, t, chunk)
-        log.append(("candidate", dec,
-                    bool(chunk.split.screened[chunk.index[t]])))
+        log.append(("candidate", dec))
         return dec
 
-    def counted_judge(tree, dec, *args):
-        log.append(("judge", dec, None))
-        return judge(tree, dec, *args)
+    def counted_judge(G, *args):
+        log.append(("judge", len(G)))
+        return judge(G, *args)
 
     def recorded(model, tree, psi, times, *args):
+        log.append(("prepare", None))
         chunk = prepare(model, tree, psi, times, *args)
+        log.append(("prepared", chunk))
         if times[0] not in firsts:
             scan_chunks.append((tree, list(chunk.index)))
         return chunk
 
     monkeypatch.setattr(selection, "schmidt_candidate", counted_candidate)
-    monkeypatch.setattr(selection, "_judge", counted_judge)
+    monkeypatch.setattr(selection, "_admissible_rows", counted_judge)
     monkeypatch.setattr(selection, "_prepare_chunk", recorded)
     if name == "recoherence":     # the selection of qhist spin recoherence
         advanced = _check_scan_select(monkeypatch, selection, scans,
@@ -312,22 +316,24 @@ def test_the_scan_advances_once_per_time_and_judges_only_candidates(
         events = randmodel.run_forward_search(_search_config(16, 12)).events
     (_, _, calls), = scans
     assert len(events) >= 2 and calls == len(evaluations) == len(seen)
-    # the judge: right after each candidate at a row that is not
-    # screened, on it, and nowhere else
-    candidates = [(dec, screened) for kind, dec, screened in log
-                  if kind == "candidate"]
-    assert len(candidates) == calls
-    assert None in [dec for dec, _ in candidates]
-    judged = [j for j, (kind, _, _) in enumerate(log) if kind == "judge"]
-    assert all(log[j - 1][0] == "candidate" and log[j - 1][1] is log[j][1]
-               for j in judged)
-    assert [id(log[j][1]) for j in judged] \
-        == [id(dec) for dec, screened in candidates
-            if dec is not None and not screened]
-    assert len(judged) < calls // 4
-    # the recoherence model's product rows, at t = 0 among them, are not
-    # screened; every row of the 2x16 search is
-    assert bool(judged) == (name == "recoherence")
+    candidates = [dec for kind, dec in log if kind == "candidate"]
+    assert len(candidates) == calls and None in candidates
+    # the judge: once inside each chunk's preparation, on all its rows,
+    # and nowhere else
+    chunks, judged = [], None
+    for kind, value in log:
+        if kind == "prepare":
+            judged = []
+        elif kind == "judge":
+            judged.append(value)
+        elif kind == "prepared":
+            assert judged == [len(value.index)]
+            chunks.append(value)
+            judged = None
+        else:
+            assert judged is None
+    assert any((chunk.split.rank == 1).any() for chunk in chunks) \
+        == (name == "recoherence")
     # advance: the scan times of each tree, in order, but perhaps its last
     trees = []
     for tree, _ in scan_chunks:
@@ -365,32 +371,32 @@ def _grid_models():
 
 def _oracle(model, tree, t, criterion, probe_dt):
     """The per-time path at t on tree: (the Extension of the lone
-    candidate that the judge admits, _admissible with no chunk, or None;
-    the verdict, whether the judge admits it and, under a probe, it
-    persists, _persisting as _quasi_accept takes it)."""
-    ext = _admissible(model, tree, t, None, *criterion)
+    candidate that the oracle admits, _admissible, or None; the verdict,
+    whether the oracle admits it and, under a probe, it persists,
+    _persisting as _quasi_accept takes it)."""
+    ext = _admissible(model, tree, t, *criterion)
     return ext, ext is not None and (probe_dt is None
                                      or _persisting(tree, ext, probe_dt))
 
 
-def _lone_extension(chunk, tree, t, epsilon):
-    """The Extension of the rank-1 candidate at a screened row t of chunk,
-    built from that row alone as the scan builds it: the row's vectors and
-    leaf states, in the rank-1 form of the projection kernel."""
+def _lone_extension(model, chunk, tree, t, epsilon):
+    """The Extension of the candidate at a row t of chunk, built from that
+    row alone as the scan builds it: the lone path's candidate of the
+    row's psi(t), and the row's vectors and leaf states, in the rank-1 form
+    of the projection kernel."""
     i = chunk.index[t]
-    u = chunk.split.cols[i]
-    dec = histories.ProjectiveDecomposition(
-        t, list(u[:, :, None] * u[:, None, :].conj()), check=False)
-    return _EXTENSION(tree, dec, epsilon, chunk.leaves[i], u.copy())
+    return _EXTENSION(tree, _alone(model, chunk.psi[i], t), epsilon,
+                      chunk.leaves[i], chunk.split.cols[i].copy())
 
 
-def _check_screened_row(chunk, G, tree, criterion, ext):
-    """ext, the Extension of a screened row of chunk built from the row
-    alone, against the chunk: its Gram blocks are the row's of the chunk's
-    own Gram stack G to the bit, and the judge's reduction on them, a
-    stack of one, gives the chunk's verdict on the row."""
+def _check_row(chunk, grams, tree, criterion, ext):
+    """ext, the Extension of a row of chunk built from the row alone,
+    against the chunk: its Gram blocks are the row's of the chunk's own
+    Gram stack for its candidate size (grams, by size) to the bit, and
+    _admissible_rows on them, a stack of one, gives the chunk's verdict on
+    the row."""
     i = chunk.index[ext.decomposition.time]
-    assert chunk.split.screened[i]
+    G = grams[len(ext.decomposition)]
     assert _same_bits(ext.blocks, G[i]), ext.decomposition.time
     assert _ADMISSIBLE_ROWS(ext.blocks[None], tree._probabilities,
                             criterion)[0] == chunk.admissible[i]
@@ -398,7 +404,7 @@ def _check_screened_row(chunk, G, tree, criterion, ext):
 
 def _record_gram_stacks(monkeypatch):
     """The Gram stacks that selection._admissible_rows is called on, in
-    order: a chunk's, when it is built, or a judge's stack of one."""
+    order: a chunk's, one per candidate size, when it is built."""
     stacks = []
     reduce = selection._admissible_rows
 
@@ -414,41 +420,35 @@ def _check_evaluations(monkeypatch, seen, accept_events=True):
     """Record the scan's evaluations and check each against the per-time
     oracle (_oracle) on the tree its chunk was prepared on, under the
     chunk's criterion and probe.  An evaluation is the scan's one
-    selection.schmidt_candidate call on its chunk.  At a screened row the
-    chunk decides it: the call returns None where the chunk refused the
-    row ("inadmissible"); at any other screened row the scan builds the
-    Extension of the row alone, whose Gram blocks must be the row's of the
-    chunk's own Gram stack to the bit and whose verdict the chunk's
-    (_check_screened_row), and accepts it ("admissible") but where the
-    stacked probe finds it unpersisting ("unpersisting"), or, where the
-    evolution refused the stacked probe, the per-time probe fails.  A
-    LinAlgError rejects the time, and at a row that is not screened the
-    scan makes one selection._judge call, on that candidate, before the
-    next evaluation (and the per-time probe after an admissible one).
-    Every verdict must be the oracle's, with the oracle's blocks within
-    ORACLE_RTOL wherever a candidate is accepted or judged.  Each scan
-    must count exactly its evaluations, read full once per tree and call
-    advance at most once per time on a tree (_check_scan_select).  seen
-    gets (t, prepared, admissible, how it was decided: "inadmissible",
-    "admissible", "unpersisting" or None for the per-time judge) per
-    evaluation.  With accept_events False no time is accepted: the
-    Extensions of screened rows and the judge's verdicts are checked, and
-    then turned to None."""
+    selection.schmidt_candidate call on its chunk, and the chunk decides
+    it: the call returns None where the chunk refused the row
+    ("inadmissible"); at any other row the scan accepts it ("admissible"),
+    with the Extension of the row alone, but where the stacked probe finds
+    it unpersisting ("unpersisting"); a LinAlgError rejects the time
+    ("failed").  At every row evaluated, the Extension of the row alone,
+    and the scan's own where it builds one, has the row's Gram blocks of
+    the chunk's own Gram stack to the bit and the chunk's verdict
+    (_check_row).  Every verdict must be the oracle's, with the oracle's
+    blocks within ORACLE_RTOL wherever a candidate is admissible.  Each
+    scan must count exactly its evaluations, read full once per tree and
+    call advance at most once per time on a tree (_check_scan_select).
+    seen gets (t, prepared, admissible, kind) per evaluation.  With
+    accept_events False no time is accepted: every candidate is checked,
+    and then turned to None."""
     prepare, candidate = selection._prepare_chunk, selection.schmidt_candidate
-    judge = selection._judge
-    chunks, judging, building = {}, [], []
+    chunks, building = {}, []
     stacks = _record_gram_stacks(monkeypatch)
 
     def prepared(model, tree, psi, times, criterion, probe_dt=None):
         del stacks[:]
         chunk = prepare(model, tree, psi, times, criterion, probe_dt)
-        G, = stacks
-        chunks[id(chunk)] = tree, criterion, probe_dt, G
+        chunks[id(chunk)] = (tree, criterion, probe_dt,
+                             {G.shape[1]: G for G in stacks})
         return chunk
 
     def evaluated(model, t, chunk=None):
-        assert not judging and not building, "a candidate was not scored"
-        tree, criterion, probe_dt, G = chunks[id(chunk)]
+        assert not building, "a candidate was not scored"
+        tree, criterion, probe_dt, grams = chunks[id(chunk)]
         row = chunk.index.get(t)
 
         def close(ok, kind):
@@ -459,57 +459,39 @@ def _check_evaluations(monkeypatch, seen, accept_events=True):
             dec = candidate(model, t, chunk)
         except np.linalg.LinAlgError:
             want, verdict = _oracle(model, tree, t, criterion, probe_dt)
-            close(False, None)
+            close(False, "failed")
             raise
         want, verdict = _oracle(model, tree, t, criterion, probe_dt)
+        ext = _lone_extension(model, chunk, tree, t, criterion[0])
+        _check_row(chunk, grams, tree, criterion, ext)
         if dec is None:
-            _check_screened_row(chunk, G, tree, criterion, _lone_extension(
-                chunk, tree, t, criterion[0]))
             close(False, "inadmissible")
-        elif chunk.split.screened[row]:
-            building.append((dec, chunk, want, probe_dt, close))
-        else:
-            judging.append((dec, want, probe_dt, close))
+            return None
+        unpersisting = bool(chunk.unpersisting[row])
+        close(not unpersisting,
+              "unpersisting" if unpersisting else "admissible")
+        assert want is not None, t
+        scale = np.max(np.abs(want.blocks))
+        assert np.max(np.abs(ext.blocks - want.blocks)) <= ORACLE_RTOL * scale
+        if not accept_events:
+            return None
+        if not unpersisting:
+            building.append((dec, chunk))
         return dec
 
     def built(tree, dec, epsilon, evolved=None, vectors=None):
         ext = _EXTENSION(tree, dec, epsilon, evolved, vectors)
-        if vectors is None:         # the judge's, or the oracle's
-            return ext
         assert building and building[0][0] is dec, "built without a row"
-        _, chunk, want, probe_dt, close = building.pop()
-        assert tree is chunks[id(chunk)][0]
-        _check_screened_row(chunk, chunks[id(chunk)][3], tree,
-                            chunks[id(chunk)][1], ext)
+        _, chunk = building.pop()
+        chunk_tree, criterion, _, grams = chunks[id(chunk)]
+        assert tree is chunk_tree
+        _check_row(chunk, grams, tree, criterion, ext)
         assert vectors.base is None and np.shares_memory(evolved,
                                                          chunk.leaves)
-        i = chunk.index[dec.time]
-        if probe_dt is None:
-            close(True, "admissible")
-        elif chunk.unpersisting is None:
-            close(_persisting(tree, ext, probe_dt), "admissible")
-        else:
-            close(not chunk.unpersisting[i], "unpersisting"
-                  if chunk.unpersisting[i] else "admissible")
-        scale = np.max(np.abs(want.blocks))
-        assert np.max(np.abs(ext.blocks - want.blocks)) <= ORACLE_RTOL * scale
-        return ext if accept_events else None
-
-    def judged(tree, dec, evolved, *criterion):
-        got = judge(tree, dec, evolved, *criterion)
-        assert judging and judging[0][0] is dec, "judged without a candidate"
-        _, want, probe_dt, close = judging.pop()
-        close(got is not None and (probe_dt is None or _persisting(
-            tree, got, probe_dt)), None)
-        if got is not None:
-            scale = np.max(np.abs(want.blocks))
-            assert np.max(np.abs(got.blocks - want.blocks)) \
-                <= ORACLE_RTOL * scale
-        return got if accept_events else None
+        return ext
 
     monkeypatch.setattr(selection, "_prepare_chunk", prepared)
     monkeypatch.setattr(selection, "schmidt_candidate", evaluated)
-    monkeypatch.setattr(selection, "_judge", judged)
     monkeypatch.setattr(selection, "Extension", built)
     _check_scan_select(monkeypatch, selection, [], seen)
 
@@ -520,17 +502,16 @@ def _check_evaluations(monkeypatch, seen, accept_events=True):
 def test_chunked_scan_agrees_with_the_per_time_path(monkeypatch, name, model,
                                                     t_max, grid, evolution):
     # every evolution has apply_times (CallableEvolution stacks its apply),
-    # so every model's scan is chunked and screened.  The scan evaluates
-    # every time, bisection midpoints included, from a chunk, by one
-    # schmidt_candidate call each; the chunk decides every screened row,
-    # and, under the persistence probe, its stacked probe every admissible
-    # one, both ways, and the per-time judge the rest; every verdict is
-    # the per-time oracle's, and every screened row's Gram blocks in its
+    # so every model's scan is chunked.  The scan evaluates every time,
+    # bisection midpoints included, from a chunk, by one schmidt_candidate
+    # call each; the chunk decides every row, and, under the persistence
+    # probe, its stacked probe every admissible one, both ways; every
+    # verdict is the per-time oracle's, and every row's Gram blocks in its
     # chunk those of the Extension of the row alone, to the bit
     # (_check_evaluations).  The scan
     # visits the times the scalar loop on the per-time path visits, in its
-    # order.  Every row of a scan chunk or of a bisection chunk that its
-    # screen did not reject, evaluated or not, has the lone path's candidate
+    # order.  Every row of a scan chunk or of a bisection chunk that it
+    # did not refuse, evaluated or not, has the lone path's candidate
     # of its psi(t) to the bit (_check_chunk_candidates); at d1 = 2 both
     # kinds of chunk have gapped rows
     assert type(model.evolution) is evolution
@@ -555,7 +536,7 @@ def test_chunked_scan_agrees_with_the_per_time_path(monkeypatch, name, model,
             gapped[kind] += _check_chunk_candidates(model, chunk)
         accept = (_quasi_accept(model, epsilon, delta, probe_dt)
                   if probe_dt else
-                  lambda tree, t: _admissible(model, tree, t, None, epsilon,
+                  lambda tree, t: _admissible(model, tree, t, epsilon,
                                               delta, "relative"))
 
         def scalar(tree, t):
@@ -594,8 +575,8 @@ def _probed_times(t_max, probe_dt):
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_a_chunks_verdicts_are_the_per_time_paths(name, model, t_max, grid,
                                                   evolution):
-    # a chunk decides its screened rows both ways, and its stacked probe
-    # its admissible rows both ways: every row it finds admissible is
+    # a chunk decides its rows both ways, and its stacked probe its
+    # admissible rows both ways: every row it finds admissible is
     # admissible on the per-time path and every row it refuses is not, and
     # under the probe (_persisting of its lone candidate) every admissible
     # row it finds unpersisting fails the per-time probe and every other
@@ -607,18 +588,15 @@ def test_a_chunks_verdicts_are_the_per_time_paths(name, model, t_max, grid,
     assert {t + probe_dt for t in times} & set(range(1, int(t_max) + 1))
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     first = next(ext for ext in (
-        _admissible(model, tree, t, None, 0.5, 0.02, "relative")
+        _admissible(model, tree, t, 0.5, 0.02, "relative")
         for t in times[1:]) if ext is not None)
     counts = {"admissible": 0, "unpersisting": 0, "refused": 0}
     for tree in (tree, first.extend()):
         for criterion in ((0.5, 0.02, "relative"), (0.05, 0.1, "absolute")):
             chunk = _chunk(model, tree, times, criterion, probe_dt)
-            assert not (chunk.admissible & ~chunk.split.screened).any()
             assert not (chunk.unpersisting & ~chunk.admissible).any()
             for t, i in chunk.index.items():
-                if not chunk.split.screened[i]:
-                    continue
-                ext = _admissible(model, tree, t, None, *criterion)
+                ext = _admissible(model, tree, t, *criterion)
                 assert (ext is not None) == chunk.admissible[i], t
                 if chunk.admissible[i]:
                     assert _persisting(tree, ext, probe_dt) \
@@ -662,9 +640,10 @@ def test_the_stacked_probe_decides_its_near_ties_as_the_per_time_probe(
         u = chunk.split.cols[i]
         worst, = selection._probe_worst(
             model.evolution, [t], u[None],
-            histories._coefficients(u, chunk.leaves[i])[None], probe_dt)
+            histories._coefficients(u, chunk.leaves[i])[None],
+            chunk.split.candidate_size[i], probe_dt)
         assert abs(worst - PERSISTENCE_TOL) <= 1e-12, t
-        ext = _admissible(model, tree, t, None, *criterion)
+        ext = _admissible(model, tree, t, *criterion)
         assert chunk.unpersisting[i] == (not _persisting(tree, ext,
                                                          probe_dt)), t
 
@@ -676,7 +655,7 @@ def _two_leaves(model):
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     ts = np.linspace(0.0, 2.0, 301).tolist()
     t0, ext = next((t, e) for t, e in (
-        (t, _admissible(model, tree, t, None, 0.5, 0.02, "relative"))
+        (t, _admissible(model, tree, t, 0.5, 0.02, "relative"))
         for t in ts[1:]) if e is not None)
     tree = ext.extend()
     times = ts[ts.index(t0) + 1:]
@@ -706,13 +685,13 @@ _NEAR = 1e-9
 
 
 def test_a_near_epsilon_row_has_the_per_time_oracles_verdict():
-    # at the least epsilon at which the per-time oracle (_admissible, the
-    # judge on the lone candidate's projected blocks) admits a row, the
+    # at the least epsilon at which the per-time oracle (_admissible, on
+    # the lone candidate's projected blocks) admits a row, the
     # chunk, with no margin, refuses it _NEAR below that epsilon and admits
     # it _NEAR above, as the oracle does.  At that epsilon and the float
     # below it, where the roundoff between the two forms decides, the
-    # chunk's verdict is the judge's on the Extension of the row alone,
-    # whose Gram blocks are the chunk's to the bit
+    # chunk's verdict is its reduction's on the Extension of the row
+    # alone, whose Gram blocks are the chunk's to the bit
     model = _flow_model(2, 4, 1)
     tree, times, blocks = _two_leaves(model)
     assert len(blocks) > 100
@@ -721,13 +700,13 @@ def test_a_near_epsilon_row_has_the_per_time_oracles_verdict():
         for eps in (epsilon - _NEAR, epsilon + _NEAR):
             criterion = (eps, 0.0, "relative")
             chunk = _chunk(model, tree, times, criterion)
-            want = _admissible(model, tree, t, None, *criterion)
+            want = _admissible(model, tree, t, *criterion)
             assert chunk.admissible[i] == (want is not None) \
                 == (eps > epsilon), (t, eps)
         for eps in (epsilon, float(np.nextafter(epsilon, 0.0))):
             criterion = (eps, 0.0, "relative")
             chunk = _chunk(model, tree, times, criterion)
-            ext = _lone_extension(chunk, tree, t, eps)
+            ext = _lone_extension(model, chunk, tree, t, eps)
             assert chunk.admissible[i] == _ADMISSIBLE_ROWS(
                 ext.blocks[None], tree._probabilities, criterion)[0], t
 
@@ -751,28 +730,30 @@ def test_a_near_delta_row_has_the_per_time_oracles_verdict():
                     delta + _NEAR / parents.min()):
             criterion = (2.0, bar, "relative")
             chunk = _chunk(model, tree, times, criterion)
-            want = _admissible(model, tree, t, None, *criterion)
+            want = _admissible(model, tree, t, *criterion)
             assert chunk.admissible[i] == (want is not None) \
                 == (bar < delta), (t, bar)
         for bar in (delta, float(np.nextafter(delta, 1.0))):
             criterion = (2.0, bar, "relative")
             chunk = _chunk(model, tree, times, criterion)
-            ext = _lone_extension(chunk, tree, t, 2.0)
+            ext = _lone_extension(model, chunk, tree, t, 2.0)
             assert chunk.admissible[i] == _ADMISSIBLE_ROWS(
                 ext.blocks[None], tree._probabilities, criterion)[0], t
 
 
 def _reference_candidate(model, psi):
-    """The projectors of schmidt_candidate's per-time body before every
-    candidate was cut from a stacked split: schmidt_decompose's own SVD,
-    one np.outer per kept Schmidt vector, and the complement summed from
-    zeros in column order."""
+    """The Schmidt candidate of psi from schmidt_decompose's own SVD: one
+    np.outer per Schmidt vector of weight above SCHMIDT_WEIGHT_TOL and,
+    below full rank, the complement, the sum of the other vectors'
+    np.outer in column order."""
     sd = schmidt_decompose(psi, model.d1, model.d2)
-    projs = [np.outer(sd.system_basis[:, j], sd.system_basis[:, j].conj())
-             for j, w in enumerate(sd.weights) if w > SCHMIDT_WEIGHT_TOL]
-    rest = np.eye(model.d1) - sum(projs, np.zeros((model.d1, model.d1),
-                                                  dtype=complex))
-    if np.max(np.abs(rest)) > COMPLEMENT_TOL:
+    outers = [np.outer(u, u.conj()) for u in sd.system_basis.T]
+    rank = int((sd.weights > SCHMIDT_WEIGHT_TOL).sum())
+    projs = outers[:rank]
+    if rank < model.d1:
+        rest = outers[rank]
+        for P in outers[rank + 1:]:
+            rest = rest + P
         projs.append(rest)
     return projs
 
@@ -849,33 +830,34 @@ def _local_model(d1, d2, rank, seed):
 
 
 def _candidate_models():
-    """(name, model, t_max, the screened values its rows take)."""
+    """(name, model, t_max, the Schmidt ranks its rows take)."""
     for d1, d2, seed in ((2, 16, 2), (3, 9, 3), (4, 64, 4)):
-        yield f"flow{d1}x{d2}", _flow_model(d1, d2, seed), 2.0, {True}
-    yield "product", _local_model(3, 4, 1, 5), 2.0, {False}
-    yield "rank2", _local_model(3, 4, 2, 6), 2.0, {False}
-    yield "d1=1", _flow_model(1, 8, 7), 2.0, {False}
+        yield f"flow{d1}x{d2}", _flow_model(d1, d2, seed), 2.0, {d1}
+    yield "product", _local_model(3, 4, 1, 5), 2.0, {1}
+    yield "rank2", _local_model(3, 4, 2, 6), 2.0, {2}
+    yield "d1=1", _flow_model(1, 8, 7), 2.0, {1}
     # product at 0 and 3 pi/2, rank 2 between (the plateau: pi/2 to pi)
-    yield ("recoherence", _recoherence_model(), 3 * math.pi / 2,
-           {True, False})
+    yield ("recoherence", _recoherence_model(), 3 * math.pi / 2, {1, 2})
 
 
-@pytest.mark.parametrize("name,model,t_max,screened",
+@pytest.mark.parametrize("name,model,t_max,ranks",
                          list(_candidate_models()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_every_candidate_is_the_per_time_one_to_the_bit(name, model, t_max,
-                                                        screened):
-    # at every row of a chunk over 61 times that refuses none of them,
-    # screened or not, and at each time alone (a split of one) on its own
-    # psi(t): the lone path's candidate of the same state to the bit, and
-    # the SVD reference's to the bit where the state is not gapped, every
-    # row at d1 = 1 and 3 and 4 among them, or within the Davis-Kahan bound
-    # where it is
+                                                        ranks):
+    # at every row of a chunk over 61 times that refuses none of them, of
+    # full Schmidt rank or not, and at each time alone (a split of one) on
+    # its own psi(t): the lone path's candidate of the same state to the
+    # bit, and the SVD reference's to the bit where the state is not
+    # gapped, every row at d1 = 1 and 3 and 4 among them, or within the
+    # Davis-Kahan bound where it is.  At d1 = 1 every candidate is one
+    # projector, which the chunk refuses at every row
     times = np.linspace(0.0, t_max, 61).tolist()
     tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
     chunk = _chunk(model, tree, times, _ACCEPTING)
-    assert set(chunk.split.screened.tolist()) == screened, name
-    assert not _refused(chunk).any(), name
+    assert set(chunk.split.rank.tolist()) == ranks, name
+    assert _refused(chunk).all() if model.d1 == 1 \
+        else not _refused(chunk).any(), name
     gapped = {_check_candidate(model, t, selection.schmidt_candidate(
         model, t).projectors, model.state(t)) for t in times}
     assert (_check_chunk_candidates(model, chunk) > 0) == (model.d1 == 2)
@@ -884,7 +866,7 @@ def test_every_candidate_is_the_per_time_one_to_the_bit(name, model, t_max,
     assert gapped == ({True, False} if model.d1 == 2 else {False}), name
     expected = {"product": 2, "rank2": 3, "d1=1": 1}.get(name)
     if expected is not None:
-        assert {len(selection.schmidt_candidate(model, t, chunk))
+        assert {len(selection.schmidt_candidate(model, t))
                 for t in times} == {expected}, name
 
 
@@ -892,7 +874,7 @@ def test_every_candidate_is_the_per_time_one_to_the_bit(name, model, t_max,
                                         (4, 5, 4)])
 def test_a_rejected_rows_screen_projectors_are_within_the_davis_kahan_bound(
         d1, d2, seed):
-    # a screened row its chunk refused (rejected) has no candidate: its one
+    # a row its chunk refused (rejected) has no candidate: its one
     # schmidt_candidate call returns None, and every other row's candidate
     # is the lone path's to the bit, and within 2 SCREEN_RHO_ERROR / gap of
     # the SVD reference at a gapped row, or that reference to the bit
@@ -978,8 +960,8 @@ def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
     # rows whose Schmidt weights are closer than SCREEN_GAP_FLOOR are not
     # read from rho's eigenvectors: they take the chunk's one stacked SVD
     # when it is built, and the chunk and the candidate read its vectors
-    # (the product psi(0) of the zz model takes it and is not screened),
-    # and it refuses and admits such rows as it does gapped ones; every
+    # (the product psi(0) of the zz model takes it, at rank 1), and it
+    # refuses and admits such rows as it does gapped ones; every
     # verdict is the per-time oracle's (_check_evaluations), the scan
     # visits the scalar loop's times, and every candidate is the SVD
     # reference's to the bit at those rows
@@ -997,7 +979,7 @@ def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
 
         def scalar(tree, t):
             visited.append(t)
-            ext = _admissible(model, tree, t, None, epsilon, delta,
+            ext = _admissible(model, tree, t, epsilon, delta,
                               "relative")
             return ext if accept_events else None
 
@@ -1014,8 +996,8 @@ def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
         assert not (split.gapped & (gaps < SCREEN_GAP_FLOOR)).any()
         near += int((gaps < SCREEN_GAP_FLOOR).sum())
         rows = ~split.gapped
-        assert (split.screened[rows] == (weights[rows, 0]
-                                         > SCHMIDT_WEIGHT_TOL)).all()
+        assert (split.rank[rows] == (weights[rows]
+                                     > SCHMIDT_WEIGHT_TOL).sum(axis=1)).all()
         _check_chunk_candidates(model, chunk)
     assert near > 0
     assert any(chunk.split.gapped.any() for chunk in chunks) == (name == "zz")
@@ -1024,38 +1006,64 @@ def test_a_near_degenerate_time_takes_the_svd_path(monkeypatch, name):
     # the SVD rows are decided by the chunk too: both ways on bell-local,
     # where every row takes the SVD
     assert {bool(chunk.admissible[i]) for chunk in chunks
-            for i in np.flatnonzero(~chunk.split.gapped
-                                    & chunk.split.screened)} \
+            for i in np.flatnonzero(~chunk.split.gapped)} \
         >= ({True, False} if name == "bell-local" else {False})
 
 
-def test_rank_deficient_times_take_the_per_time_path(monkeypatch):
-    # no interaction and a product psi0: psi(t) has Schmidt rank 1 at every
-    # t, so each candidate is a projector and its complement, and the
-    # empty branch fails non-triviality, on the per-time path
-    rng = RandomStream(8, "product")
-    A, B = sample_gue(2, 1.0, rng.stream("A")), sample_gue(4, 1.0,
-                                                           rng.stream("B"))
-    H = np.kron(A, np.eye(4)) + np.kron(np.eye(2), B)
-    psi = np.kron(sample_unit_vector(2, "complex", rng.stream("a")),
-                  sample_unit_vector(4, "complex", rng.stream("b")))
-    model = selection.BipartiteModel(2, 4, psi, HamiltonianFlow(H))
+@pytest.mark.parametrize("name,model", [
+    ("product", _local_model(3, 4, 1, 5)),
+    ("rank2", _local_model(3, 4, 2, 6)),
+    ("product-d1=2", _local_model(2, 4, 1, 8)),
+], ids=["product", "rank2", "product-d1=2"])
+def test_a_rank_deficient_row_is_judged_by_its_chunk_as_by_the_oracle(
+        monkeypatch, name, model):
+    # no interaction: psi(t) keeps its Schmidt rank, 1 or 2, below d1 at
+    # every t, so every candidate has a complement, of two vectors on the
+    # product model at d1 = 3 and of one on the others.  The chunk judges
+    # those rows too: the Gram blocks it judges, the complement's the sum
+    # of its vectors' (histories._group), are the projected blocks of the
+    # SVD reference's candidate, its complement the sum of its vectors'
+    # np.outer, within ORACLE_RTOL, on a fresh tree and on one after an
+    # event, and every verdict is the per-time oracle's: the complement's
+    # child is empty, so the chunk refuses every row at delta > 0 and, at
+    # delta = 0 and epsilon 2, whose overlap ratio no pair exceeds, admits
+    # every one.  A scan at delta > 0 evaluates every grid time, each with
+    # the oracle's verdict (_check_evaluations), and accepts none
+    times = np.linspace(0.0, 2.0, 61).tolist()
+    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
+    trees = [tree, selection._chain(model, [selection.schmidt_candidate(
+        model, 0.3)], 0.05)[0]]
+    for tree in trees:
+        for criterion in ((0.05, 0.02, "relative"), (0.5, 0.1, "absolute"),
+                          _ACCEPTING):
+            with monkeypatch.context() as patch:
+                stacks = _record_gram_stacks(patch)
+                chunk = _chunk(model, tree, times, criterion)
+            G, = stacks
+            for t, i in chunk.index.items():
+                want = _reference_candidate(model, chunk.psi[i])
+                assert chunk.split.rank[i] < model.d1, t
+                assert chunk.split.candidate_size[i] == len(want), t
+                blocks = histories._gram(histories._project(
+                    np.array(want), chunk.leaves[i]))
+                assert G[i].shape == blocks.shape, t
+                assert np.max(np.abs(G[i] - blocks)) \
+                    <= ORACLE_RTOL * np.max(np.abs(blocks)), t
+                ext = _admissible(model, tree, t, *criterion)
+                assert chunk.admissible[i] == (ext is not None) \
+                    == (criterion == _ACCEPTING), t
     seen = []
     with monkeypatch.context() as patch:
-        _check_evaluations(patch, seen, accept_events=False)
+        _check_evaluations(patch, seen)
         selection._grid_select(model, 0.05, 0.02, "relative", 2.0, 100, 1e-6,
                                16)
-    assert len(seen) == 101 and all(p for _, p, *_ in seen)
-    assert not any(ok or screened for _, _, ok, screened in seen)
+    assert len(seen) == 101 and all(prepared for _, prepared, *_ in seen)
+    assert not any(ok for _, _, ok, _ in seen)
     # a chunk prepared from a list of times holds them in the list's order
-    tree = HistoryTree(initial_state=model.psi0, evolution=model.evolution)
-    chunk = selection._prepare_chunk(model, tree, model.psi0,
+    chunk = selection._prepare_chunk(model, trees[0], model.psi0,
                                      [0.5, 0.25, 0.75],
                                      (0.05, 0.02, "relative"))
     assert list(chunk.index) == [0.5, 0.25, 0.75]
-    assert not chunk.split.screened.any()
-    for t in chunk.index:
-        assert len(selection.schmidt_candidate(model, t, chunk)) == 2
 
 
 def test_a_system_larger_than_its_environment_raises_as_before():
@@ -1229,7 +1237,7 @@ def test_a_chunk_with_the_probe_keeps_its_largest_array_within_scan_block(
                            d1 ** 3 * n * n) <= selection.SCAN_BLOCK, (T, n)
         held += T < len(plain.index)
         unpersisting += int(chunk.unpersisting.sum())
-        assert plain.unpersisting is None
+        assert not plain.unpersisting.any()
     assert held > 0 and unpersisting > 0, name
 
 
@@ -1263,19 +1271,20 @@ def test_a_one_time_chunk_past_the_leaf_state_cap_is_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("probe_dt", [None, 0.05])
-def test_a_one_time_chunk_at_the_cap_holds_one_and_a_half_largest_arrays(
+def test_a_one_time_chunk_at_the_cap_holds_under_1_3_largest_arrays(
         monkeypatch, probe_dt):
     # LEAF_STATE_CAP bounds a chunk's largest array, its complex Gram
     # stack here, not the chunk, which peaks under tracemalloc at no more
-    # than 1.5 times that array.  The chunk judges its Gram stack in slabs
+    # than 1.3 times that array.  The chunk judges its Gram stack in slabs
     # of about SCAN_BLOCK entries (_admissible_rows), so a one-time chunk
     # at the cap peaks at the stack and those slabs' float temporaries,
     # 1.24 times the stack measured over 256 leaves of the recoherence
     # model, whose stack is 8 SCAN_BLOCKs (the slabs' share falls as the
     # stack grows, to under 0.001 at the default cap).  With the probe the
-    # largest array is the probe's Gram stack, which the probe holds beside
-    # its moduli (_max_off_diagonal), half its bytes: 1.51 measured
-    bound = 1.3 if probe_dt is None else 1.6
+    # largest array is the probe's Gram stack: the chunk's own Gram stack,
+    # a quarter of its size, is freed before the probe, and the probe
+    # takes its moduli in slabs too (_max_off_diagonal): 1.04 measured
+    bound = 1.3
     model = selection.recoherence_model(math.sqrt(0.7), math.sqrt(0.3),
                                         np.array([0.0, 0.0, 1.0]))
     decs = [selection.schmidt_candidate(model, 0.1 * (i + 1))
@@ -1330,17 +1339,18 @@ def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
                                1e-6, 16)
     verdicts = {t: ok for t, _, ok, _ in seen}
     assert len(verdicts) == grid + 1 and not verdicts[t_bad]
-    # t_bad is not screened, and its chunk's one stacked SVD, of
-    # the rows that are not gapped, took it; that SVD raised, so each of
-    # those rows was split alone, and only t_bad's split failed.  The
-    # gapped rows take no SVD, so the rest of the chunk stays screened
+    # t_bad's chunk's one stacked SVD, of the rows that are not gapped,
+    # took it; that SVD raised, so each of those rows was split alone, and
+    # only t_bad's split failed: it keeps no vector, and its chunk, which
+    # judges every other row at full rank, does not admit it.  The gapped
+    # rows take no SVD
     bad_chunk = next(chunk for chunk in chunks if t_bad in chunk.index)
     i_bad = bad_chunk.index[t_bad]
     split = bad_chunk.split
-    assert not split.screened[i_bad]
+    assert split.rank[i_bad] == 0 and not bad_chunk.admissible[i_bad]
     assert split.failed == {i_bad} and (~split.gapped).sum() > 1
     assert split.gapped.any()
-    assert all(split.screened[i] for t, i in bad_chunk.index.items()
+    assert all(split.rank[i] == 2 for t, i in bad_chunk.index.items()
                if t != t_bad)
     assert sum(verdicts[t] for t in bad_chunk.index) \
         > len(bad_chunk.index) // 2
@@ -1384,15 +1394,27 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
     first_bad = min(t for t in grid_times if t > 3 * math.pi / 2)
     assert starts[-1] == first_bad and max(calls) < first_bad
     assert {t for t in grid_times if t < first_bad} <= set(calls)
-    # under the persistence probe, a chunk with a row whose t + probe_dt
-    # the cycle refuses has its stacked probe decide none of its rows; the
-    # per-time probe then raises, at probe_dt = 4, or does not, at 2, as
-    # the scalar loop on the per-time path does
+    # under the persistence probe, a chunk with an admissible row whose
+    # t + probe_dt the cycle refuses raises as it is built, and is halved
+    # until it ends before that row, so no chunk holds one; a chunk of that
+    # row alone raises, at probe_dt = 4, or the scan accepts an event
+    # before it, at 2, as the scalar loop on the per-time path does, with
+    # the same error text
     end = 3 * math.pi / 2
+    build = selection._Chunk
     for probe_dt, raises in ((2.0, False), (4.0, True)):
-        outcomes = []
+        outcomes, refused = [], []
+
+        def built(model, times, *args):
+            try:
+                return build(model, times, *args)
+            except ValueError:
+                refused.append(len(times))
+                raise
+
         with monkeypatch.context() as patch:
             chunks = _record_chunks(patch)
+            patch.setattr(selection, "_Chunk", built)
             for run in (
                     lambda: selection.quasi_dynamical_select(
                         model, 0.05, 0.02, end, grid=100, max_events=3,
@@ -1410,11 +1432,9 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
             assert sel == want and "3 pi/2" in want
         else:
             assert (sel.times, len(sel.tree.leaves())) == want
-        past = [chunk for chunk in chunks
-                if max(chunk.index) + probe_dt > end + TIME_TOL]
-        assert any(chunk.admissible.any() for chunk in past)
-        assert all(chunk.unpersisting is None for chunk in past
-                   if chunk.admissible.any())
+        assert all(t + probe_dt <= end + TIME_TOL for chunk in chunks
+                   for t, i in chunk.index.items() if chunk.admissible[i])
+        assert max(refused) > 1 and (refused[-1] == 1) == raises
 
 
 class _ScaledAt(HamiltonianFlow):
@@ -1438,8 +1458,8 @@ class _ScaledAt(HamiltonianFlow):
 def test_a_nan_state_raises_at_its_own_time(monkeypatch):
     # psi(t_bad), NaN or with its norm 1e-6 off 1, is not gapped: it fails
     # the norm guard and is zeroed before its chunk's stacked SVD, so the
-    # rest of its chunk stays screened, and it is not screened, so not
-    # decided or probed by its chunk: its candidate is read, and raises.
+    # rest of its chunk keeps its full rank, and it keeps no vector, so
+    # its chunk does not admit it: its candidate is read, and raises.
     # Every time before it has the per-time oracle's verdict, and the scan
     # stopped at t_bad
     grid, t_max = 300, 2.0
@@ -1459,30 +1479,44 @@ def test_a_nan_state_raises_at_its_own_time(monkeypatch):
         assert calls[-1] == t_bad and len(seen) == 40
         first = chunks[0]
         assert seen[0][0] in first.index and t_bad in first.index
-        assert first.split.screened.tolist() == [t != t_bad
-                                                 for t in first.index]
+        assert first.split.normed.tolist() == [t != t_bad
+                                               for t in first.index]
+        assert first.split.rank.tolist() == [2 * (t != t_bad)
+                                             for t in first.index]
         assert not first.admissible[first.index[t_bad]]
         assert not first.split.gapped[first.index[t_bad]]
         assert {ok for _, _, ok, _ in seen} == {True}
 
 
 def test_a_screened_event_is_not_judged_again(monkeypatch):
-    # a screened row's verdict is its chunk's: the scan accepts an
-    # admissible one with the Extension of the row alone and never calls
-    # the per-time judge on it, so a judge that refuses everything changes
-    # nothing on the 2x16 search, all of whose rows are screened: its
-    # first event is at t = 0, and its events, steps and termination are
-    # those of the run with the library's judge
-    calls = []
-
-    def refusing(tree, dec, evolved, *criterion):
-        calls.append(dec.time)
-        return None
-
+    # a row's verdict is its chunk's, given when the chunk is built: the
+    # scan accepts an admissible row with the Extension of the row alone
+    # and never judges it again, so _admissible_rows runs only while a
+    # chunk is prepared, once per chunk on the 2x16 search, whose every
+    # candidate is two projectors, and never between; its first event is
+    # at t = 0, and its events, steps and termination are those of the
+    # run unobserved
     want = randmodel.run_forward_search(_search_config(16, 0))
-    monkeypatch.setattr(selection, "_judge", refusing)
+    chunks, calls, preparing = [], [], [False]
+    judge, prepare = selection._admissible_rows, selection._prepare_chunk
+
+    def judged(*args):
+        assert preparing[0], "a row judged outside its chunk"
+        calls.append(len(chunks))
+        return judge(*args)
+
+    def prepared(*args):
+        preparing[0] = True
+        try:
+            chunks.append(prepare(*args))
+        finally:
+            preparing[0] = False
+        return chunks[-1]
+
+    monkeypatch.setattr(selection, "_admissible_rows", judged)
+    monkeypatch.setattr(selection, "_prepare_chunk", prepared)
     got = randmodel.run_forward_search(_search_config(16, 0))
-    assert calls == [] and got.events[0].time == 0.0
+    assert calls == list(range(len(chunks))) and got.events[0].time == 0.0
     assert (got.times, got.steps, got.termination) \
         == (want.times, want.steps, want.termination)
 
@@ -1504,7 +1538,7 @@ def test_the_lazy_report_is_the_report_of_the_blocks():
                                                                 epsilon)
             assert verdict == ext.report.medium_pass
             passed.add(verdict)
-        admitted = _admissible(model, tree, t, None, 0.5, 0.02, "relative")
+        admitted = _admissible(model, tree, t, 0.5, 0.02, "relative")
         if admitted is not None:
             assert admitted.report == consistency.consistency_report(
                 admitted.blocks, 0.5)

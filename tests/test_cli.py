@@ -258,7 +258,7 @@ def test_config_unknown_key(tmp_path, capsys):
     (["random", "run", "--eps", "-0.1"], "epsilon"),
     (["random", "run", "--delta", "1.5"], "delta"),
     (["random", "run", "--sigma", "-1"], "sigma"),
-    (["spin", "probs", "--n", "0"], "axes must have shape"),
+    (["spin", "probs", "--n", "0"], "--n must be at least 1, got 0"),
     (["dheg", "--n", "1"], "n >= 2"),
     # each frame is one block of 27 histories, past the per-block cap
     (["dheg", "--n", "27", "--eps", "0.01"], "exhaustive cap"),
@@ -358,6 +358,15 @@ _EDGE_VALUES = [
     ("spin montecarlo --samples 0", "samples"),
     ("dheg --n 27 --eps 0.01", "27"),
     ("dist check --samples 0", "samples"),
+    ("dheg --n 1", "got 1"),
+    ("dheg --n 0", "got 0"),
+    ("dheg --eps 0", "got 0.0"),
+    ("dheg --eps -1", "got -1.0"),
+    ("dheg --eps inf", "got inf"),
+    ("spin montecarlo --n 1", "got 1"),
+    ("spin classify --n 0", "got 0"),
+    ("spin probs --n 0", "got 0"),
+    ("spin maxinfo --n 0", "got 0"),
 ]
 
 

@@ -824,6 +824,22 @@ def test_projection_kernel_stacks_classify_children_bit_for_bit():
             assert histories._max_off_diagonal(G)[c] == off.max()
 
 
+@pytest.mark.parametrize("block", [1, 40, 1 << 14])
+def test_max_off_diagonal_in_slabs_is_the_whole_stacks(monkeypatch, block):
+    # the moduli are taken in slabs of about SCAN_BLOCK entries, one leaf
+    # row, a few, or all of them: the largest off-diagonal |G| of each row
+    # is the whole stack's to the bit, a NaN in a row included
+    monkeypatch.setattr(selection, "SCAN_BLOCK", block)
+    g = np.random.default_rng(5)
+    G = g.normal(size=(3, 2, 4, 7, 7)) + 1j * g.normal(size=(3, 2, 4, 7, 7))
+    G[1, 0, 2, 5, 3] = np.nan
+    whole = np.abs(G)
+    whole[..., range(7), range(7)] = 0.0
+    got = histories._max_off_diagonal(G)
+    assert _same_bits(got, whole.max(axis=(1, 2, 3, 4)))
+    assert np.isnan(got[1]) and not np.isnan(got[[0, 2]]).any()
+
+
 class _StepCountingEvolution(_CountingEvolution):
     """_CountingEvolution with apply_times, recorded as (ts, since)."""
 

@@ -200,8 +200,8 @@ def _forward_search_loop(config):
         nonlocal steps
         steps += 1
         visited.append(s)
-        return _admissible(model, tree, s, None, config.epsilon,
-                           config.delta, config.delta_mode)
+        return _admissible(model, tree, s, config.epsilon, config.delta,
+                           config.delta_mode)
 
     prev_t = None
     while t <= config.t_max + 1e-12:

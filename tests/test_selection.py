@@ -6,13 +6,13 @@ import pytest
 
 from qhistories import histories, selection, spin
 from qhistories.consistency import (consistency_report, is_exactly_consistent,
-                                    nontrivial)
+                                    medium_pass, nontrivial)
 from qhistories.histories import (HistoryTree, ProjectiveDecomposition,
                                   apply_leading, decoherence_matrix,
                                   extend_all, extend_branch)
 from qhistories.linalg import (HamiltonianFlow, RandomStream, sample_gue,
                                sample_unit_vector)
-from qhistories.tolerances import ORACLE_RTOL
+from qhistories.tolerances import LIVE_PROBABILITY_TOL, ORACLE_RTOL
 
 # The leaf-state engine and the tree path sum the same products in another
 # order; on these sizes (at most 81 histories of dimension 24) their
@@ -21,26 +21,34 @@ from qhistories.tolerances import ORACLE_RTOL
 GRAM_RTOL = ORACLE_RTOL
 
 # the library's own, as imported: the per-time oracle below calls these, so
-# a test that wraps selection.schmidt_candidate or selection._judge to
+# a test that wraps selection.schmidt_candidate or selection.Extension to
 # record a scan's evaluations does not record the oracle's
-_SCHMIDT_CANDIDATE, _JUDGE = selection.schmidt_candidate, selection._judge
+_SCHMIDT_CANDIDATE, _EXTENSION = selection.schmidt_candidate, \
+    selection.Extension
 
 
-def _admissible(model, tree, t, chunk, epsilon, delta, delta_mode):
-    """The per-time path at t: the Schmidt candidate (schmidt_candidate,
-    read from chunk where t is one of its times) judged on the tree by the
-    scan's judge (selection._judge).  None when the judge refuses it, when
-    the chunk's screen rejected t, or when its SVD failed (LinAlgError);
-    else the Extension."""
+def _admissible(model, tree, t, epsilon, delta, delta_mode):
+    """The per-time path at t, independent of the scan's chunks: the lone
+    Schmidt candidate of psi(t) (schmidt_candidate outside any chunk)
+    projected onto the tree's leaves (Extension without vectors, the
+    projection kernel's _project blocks) and judged by
+    consistency.medium_pass and consistency.nontrivial, on the parents of
+    probability at least LIVE_PROBABILITY_TOL.  None when it has fewer
+    than two projectors, when either test refuses it, or when its SVD
+    failed (LinAlgError); else the Extension."""
     try:
-        dec = _SCHMIDT_CANDIDATE(model, t, chunk)
+        dec = _SCHMIDT_CANDIDATE(model, t)
     except np.linalg.LinAlgError:
         return None
-    if dec is None:
+    ext = _EXTENSION(tree, dec, epsilon)
+    parents = tree.probabilities()
+    live = parents >= LIVE_PROBABILITY_TOL
+    children = ext.blocks.diagonal(0, 1, 2).real.T      # (n, k)
+    if (len(dec) < 2 or not medium_pass(ext.blocks, epsilon)
+            or not nontrivial(parents[live, None], children[live], delta,
+                              delta_mode)):
         return None
-    i = None if chunk is None else chunk.index.get(t)
-    return _JUDGE(tree, dec, None if i is None else chunk.leaves[i],
-                  epsilon, delta, delta_mode)
+    return ext
 
 
 def _check_scan_select(monkeypatch, module, scans, evaluations=None):
@@ -315,7 +323,7 @@ def _check_engine(model, tree, times, epsilons=(0.05, 0.5), delta=0.02):
             outside[i::k, i::k] = False
         assert np.max(np.abs(want[outside]), initial=0.0) <= GRAM_RTOL * scale
         for eps in epsilons:
-            ok = _admissible(model, tree, t, None, eps, delta,
+            ok = _admissible(model, tree, t, eps, delta,
                              "relative") is not None
             assert ok == _tree_path_admissible(model, tree, t, eps, delta)
             verdicts.append(ok)
@@ -406,7 +414,7 @@ def test_admissible_judges_the_live_leaves_like_a_loop():
     for t, eps, delta, mode in itertools.product(
             np.linspace(1.0, 3.0, 9), (0.7, 1.0), (0.001, 0.02, 0.2),
             ("relative", "absolute")):
-        got = _admissible(model, tree, t, None, eps, delta, mode)
+        got = _admissible(model, tree, t, eps, delta, mode)
         dec = selection.schmidt_candidate(model, t)
         ext = selection.Extension(tree, dec, eps)
         k = len(dec)
@@ -512,7 +520,7 @@ def _grid_scan_loop(model, accept, t_max, grid, refine_tol, max_events):
 
 
 def _earliest_accept(model, epsilon, delta):
-    return lambda tree, t: _admissible(model, tree, t, None, epsilon, delta,
+    return lambda tree, t: _admissible(model, tree, t, epsilon, delta,
                                        "relative")
 
 
@@ -531,7 +539,7 @@ def _persisting(tree, ext, probe_dt, tol=1e-9):
 
 def _quasi_accept(model, epsilon, delta, probe_dt=1e-3, tol=1e-9):
     def accept(tree, t):
-        ext = _admissible(model, tree, t, None, epsilon, delta, "relative")
+        ext = _admissible(model, tree, t, epsilon, delta, "relative")
         if ext is None or not _persisting(tree, ext, probe_dt, tol):
             return None
         return ext

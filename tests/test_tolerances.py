@@ -14,7 +14,7 @@ PINNED = {
     "NORM_TOL": 1e-10, "HERMITICITY_TOL": 1e-10, "PROJECTOR_TOL": 1e-10,
     "UNIT_VECTOR_TOL": 1e-9, "GENERICITY_TOL": 1e-8, "BLOCH_NORM_TOL": 1e-12,
     "TIME_TOL": 1e-12, "SCHMIDT_WEIGHT_TOL": 1e-12, "DEGENERACY_TOL": 1e-9,
-    "COMPLEMENT_TOL": 1e-9, "TRACE_TOL": 1e-8, "SPLIT_TOL": 1e-12,
+    "TRACE_TOL": 1e-8, "SPLIT_TOL": 1e-12,
     "NEGATIVE_PROBABILITY_TOL": 1e-12, "DISTRIBUTION_SUM_TOL": 1e-8,
     "LIVE_PROBABILITY_TOL": 1e-14, "NULL_STATE_TOL": 1e-12,
     "COMPANION_TOL": 1e-9, "LIMIT_TOL": 1e-9, "EXACT_TOL": 1e-10,
