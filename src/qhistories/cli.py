@@ -322,6 +322,8 @@ def _ks_distance(samples, cdf):
 def cmd_dist_check(args, out):
     d, k = args.d, args.k
     dist_mod._check_kd(k, d)    # before an empty array is reduced
+    if k == d:      # the sum is 1, a point mass that 1 +- ulp straddles
+        raise ValueError(f"need k < d, got k={k}, d={d}")
     if not args.samples >= 1:
         raise ValueError(f"need samples >= 1, got {args.samples}")
     rng = RandomStream(args.seed, "dist-check")

@@ -76,18 +76,21 @@ def zeno_class_amplitudes(n, theta):
     A history is a sign string (s_1..s_n); its amplitude depends only on
     m, the number of sign changes in (+, s_1, .., s_n):
     g_m = sign(m) cos^{n-m}(eps) sin^m(eps), and the final sign is +
-    exactly when m is even.  Returns (g, counts) with counts_m = C(n, m).
-    Raises ValueError for n < 1."""
+    exactly when m is even.  At any angle, negative or past pi/2, the
+    magnitude is taken from the logs of |cos eps| and |sin eps| and the
+    sign from sgn(cos eps)^{n-m} sgn(sin eps)^m.  Returns (g, counts) with
+    counts_m = C(n, m).  Raises ValueError for n < 1."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     eps = theta / n
+    cos, sin = math.cos(eps), math.sin(eps)
     m = np.arange(n + 1)
-    log_mag = (n - m) * math.log(math.cos(eps)) \
-        + np.where(m > 0, m * math.log(math.sin(eps)) if eps > 0 else 0.0, 0.0)
     signs = np.array([zeno_sign(int(k)) for k in m])
-    g = signs * np.exp(log_mag)
-    if eps == 0.0:
+    if sin == 0.0:
         g = np.where(m == 0, signs, 0.0)
+    else:
+        g = signs * np.sign(cos) ** (n - m) * np.sign(sin) ** m * np.exp(
+            (n - m) * math.log(abs(cos)) + m * math.log(abs(sin)))
     counts = np.exp(_log_binom(n, m))
     return g, counts
 

@@ -63,9 +63,15 @@ from .tolerances import NORM_TOL, PROJECTOR_TOL, SCHMIDT_WEIGHT_TOL
 # leaves squared.
 # It bounds that one array, not the chunk: a one-time chunk at the cap
 # peaks at about that array, 512 MiB, under tracemalloc, with or without
-# the persistence probe, for it judges its Gram stack, and reduces the
-# probe's, in slabs of about SCAN_BLOCK entries
+# the persistence probe, for it gives each row its one verdict from its
+# Gram stack, and from the probe's, read in slabs of about SCAN_BLOCK
+# entries
 LEAF_STATE_CAP = 1 << 25
+# complex entries of a scan chunk's largest array when it holds more than
+# one time (selection), of a group of children that spin.classify_catalogue
+# scores at once, and of a slab of the reductions over a Gram stack
+# (_max_off_diagonal, selection._admissible_rows)
+SCAN_BLOCK = 1 << 14
 
 
 def _check_entries(entries, what):
@@ -370,10 +376,9 @@ def _gram(blocks):
 def _max_off_diagonal(G):
     """The largest off-diagonal |G_ab| of each row of a stack (R, ..., n, n)
     of Gram blocks, over all the blocks of the row: an (R,) array.  The
-    moduli are taken in slabs of leaf rows of about selection.SCAN_BLOCK
-    entries, so they stay small beside G; a maximum is exact, so it is
-    the whole stack's to the bit."""
-    from .selection import SCAN_BLOCK    # selection imports this module
+    moduli are taken in slabs of leaf rows of about SCAN_BLOCK entries, so
+    they stay small beside G; a maximum is exact, so it is the whole
+    stack's to the bit."""
     n = G.shape[-1]
     step = max(1, SCAN_BLOCK // max(1, G.size // n))
     worst = None

@@ -37,7 +37,8 @@ class RunConfig:
 
     def __post_init__(self):
         if self.d1 < 2 or self.d2 < self.d1:
-            raise ValueError("need 2 <= d1 <= d2")
+            raise ValueError(
+                f"need 2 <= d1 <= d2, got d1={self.d1}, d2={self.d2}")
         if not 0 < self.t_max < np.inf:
             raise ValueError(
                 f"t_max must be positive and finite, got {self.t_max}")
@@ -108,7 +109,7 @@ def run_forward_search(config, model=None):
         return bool(events) and tree.frame.shape[1] >= config.max_histories
 
     selected, termination, steps = _scan_select(
-        model, config.epsilon, config.delta, config.delta_mode, 0.0, advance,
+        model, config.epsilon, config.delta, config.delta_mode, advance,
         config.refine_tol, full, config.max_steps)
     termination = {"full": "max_histories", "end": "t_max",
                    "budget": "max_steps"}[termination]

@@ -54,10 +54,11 @@ one product, and the chunk takes one split of all its times when it is
 built, so at most one SVD.  The chunk is the only judge of a scan row: it
 scores every row at once in the rank-1 form of the projection kernel
 (histories._coefficients, _gram, and _group for a complement) and judges
-it once, when the chunk is built (_admissible_rows): the row's one
-verdict, both ways (_Chunk.admissible).  With a probe it also stacks the
-probe of every admissible row, which decides them both ways too
-(_Chunk.unpersisting).
+it once, when the chunk is built: the row's one verdict, both ways, a
+boolean (_Chunk.admissible).  It is the criterion's (_admissible_rows)
+and, with a probe, the persistence probe's too: the probe of every row
+the criterion admits is stacked (_probe_worst), and the row stays
+admissible only when it persists, so a NaN probe fails.
 A chunk holds the scan's next SCAN_CHUNK times or, in a bisection, the
 midpoints of its next BISECT_LEVELS levels (_bisection_times), fewer
 where its largest array, the evolved states (T d (1 + n) entries for T
@@ -68,15 +69,17 @@ whatever its size, up to histories.LEAF_STATE_CAP entries, past which the
 scan is refused (ValueError).  So at most SCAN_CHUNK - 1 prepared scan
 times go unevaluated per tree, and a bisection chunk's midpoints off the
 bisection's path are prepared and never evaluated.
-The scan walks a scan chunk's own times, takes each scan time from
-advance once, and reads full(tree, events) once per tree.  Each time on
-the scan's path, bisection midpoints included, is still evaluated alone
-and in order, and each evaluation is the scan loop's one
-schmidt_candidate call on its chunk: at a row the chunk refused that call
-returns None, which ends the evaluation there, as does an unpersisting
-row; any other row is accepted, its Extension built from its row alone,
-in the same arithmetic, and not judged again.  So each evaluation is one
-candidate and one verdict on it at one time.
+The scan takes each scan time from advance once, and reads
+full(tree, events) once per tree; one rule prepares every chunk, of scan
+times or of midpoints: a chunk is prepared when the time to evaluate is
+not one of the current chunk's.  Each time on the scan's path,
+bisection midpoints included, is still evaluated alone and in order, and
+each evaluation is the scan loop's one schmidt_candidate call on its
+chunk, which reads the row's one verdict: at a row the chunk refused that
+call returns None, which ends the evaluation there; any other row is
+accepted, its Extension built from its row alone, in the same
+arithmetic, and not judged again.  So each evaluation is one candidate
+and one verdict on it at one time.
 Only retrodictive selection evaluates a time outside any chunk: it is
 split alone, as a stack of one."""
 
@@ -88,7 +91,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consistency import consistency_report
-from .histories import (HistoryTree, ProjectiveDecomposition,
+from .histories import (SCAN_BLOCK, HistoryTree, ProjectiveDecomposition,
                         _check_entries, _coefficients, _extend, _gram,
                         _group, _interleave, _lift, _max_off_diagonal,
                         _project, as_evolution)
@@ -99,7 +102,6 @@ from .tolerances import (COMPANION_TOL, DISTRIBUTION_SUM_TOL,
                          SCREEN_GAP_FLOOR, SCREEN_WEIGHT_FLOOR)
 from . import spin as spin_mod
 
-SCAN_BLOCK = 1 << 14     # complex entries of a scan chunk's largest array
 SCAN_CHUNK = 64          # times of a scan chunk, before the SCAN_BLOCK cap
 BISECT_LEVELS = 5        # bisection levels of a chunk of midpoints: 31 times
 
@@ -284,7 +286,8 @@ class _Chunk:
     admissible row's candidate is built from its row of split when it is
     read, so every candidate is the lone path's to the bit.
 
-    The verdict.  A row's candidate is k = split.candidate_size[t]
+    The verdict, one boolean per row (admissible), which includes
+    persistence.  A row's candidate is k = split.candidate_size[t]
     projectors: rank-1 ones u_i u_i^dag, u_i = split.cols[t, i], and the
     complement of the trailing vectors when the rank is below d1.  The
     Gram blocks of the leaves it splits are taken for the whole chunk at
@@ -300,13 +303,14 @@ class _Chunk:
     builds from an admissible row alone (Extension with vectors) has the
     blocks its verdict read; it is not judged again.
 
-    The stacked probe.  With probe_dt, every admissible row has the
-    persistence probe's Gram blocks taken at once (_probe_worst), after G
-    is freed: the states U(t + probe_dt) U(t)^dag P_i V_t, evolved by two
-    evolution.apply_rows calls, projected again by each P_j.  unpersisting
-    is the rows whose largest off-diagonal |G| exceeds PERSISTENCE_TOL, so
-    it decides those rows both ways; none without a probe.  An evolution
-    that refuses some t + probe_dt raises its ValueError here."""
+    The stacked probe.  With probe_dt, every row the criterion admits has
+    the persistence probe's Gram blocks taken at once (_probe_worst), after
+    G is freed: the states U(t + probe_dt) U(t)^dag P_i V_t, evolved by two
+    evolution.apply_rows calls, projected again by each P_j.  Such a row
+    stays admissible only when their largest off-diagonal |G| is at most
+    PERSISTENCE_TOL, so the probe decides it both ways and a NaN probe
+    fails it.  An evolution that refuses some t + probe_dt raises its
+    ValueError here."""
 
     def __init__(self, model, times, evolved, parents, criterion,
                  probe_dt=None):
@@ -322,16 +326,15 @@ class _Chunk:
             self.admissible |= (size == k) & _admissible_rows(
                 _group(G, k), parents, criterion)
         del G
-        self.unpersisting = np.zeros(len(times), dtype=bool)
         if probe_dt is None:
             return
         for k in sizes:
             rows = np.flatnonzero(self.admissible & (size == k))
             if rows.size:
-                self.unpersisting[rows] = _probe_worst(
+                self.admissible[rows] = _probe_worst(
                     model.evolution, [times[r] for r in rows],
                     self.split.cols[rows], Y[rows], k,
-                    probe_dt) > PERSISTENCE_TOL
+                    probe_dt) <= PERSISTENCE_TOL     # a NaN fails
 
 
 def _admissible_rows(G, parents, criterion):
@@ -365,7 +368,7 @@ def _admissible_rows(G, parents, criterion):
 
 def _probe_worst(evolution, ts, cols, Y, k, probe_dt):
     """The largest off-diagonal |G| of the persistence probe's Gram blocks
-    at each of R admissible rows, at times ts, from the rows' Schmidt
+    at each of R rows the criterion admits, at times ts, from their Schmidt
     vectors cols (R, d1, d1) and blocks Y (R, d1, m, n) of the leaf states
     V_t (_coefficients, as _Chunk takes them), for candidates of k
     projectors (_Split.candidate_size).
@@ -377,7 +380,8 @@ def _probe_worst(evolution, ts, cols, Y, k, probe_dt):
     blocks are the Gram matrices of those nk states projected by each P_j
     (the candidate's own projectors) at t + probe_dt.  Two
     evolution.apply_rows calls evolve every row at once; a ValueError of
-    the evolution, which refuses some t + probe_dt, is raised."""
+    the evolution, which refuses some t + probe_dt, is raised.  A NaN
+    block gives a NaN, which _Chunk reads as a failed probe."""
     X = _interleave(_group(_lift(cols, Y), k))         # (R, d, n k)
     X = evolution.apply_rows(X, ts, adjoint=True)
     X = evolution.apply_rows(X, [t + probe_dt for t in ts])
@@ -390,8 +394,8 @@ def schmidt_candidate(model, t, chunk=None):
     complement of their span when rank-deficient (see _Split).
 
     At a time of chunk (a _Chunk) that the chunk did not find admissible,
-    returns None: the time has no candidate.  The chunk's other verdict,
-    unpersisting, is the scan's to read.  Every candidate is read from a
+    under its criterion and, with a probe, its persistence probe, returns
+    None: the time has no candidate.  Every candidate is read from a
     _Split: the chunk's (_Chunk.split), or, at a time outside chunk, a
     split of psi(t) alone, a stack of one.  At a gapped d1 = 2 row the
     vectors are rho(t)'s closed-form eigenvectors, and elsewhere the
@@ -399,8 +403,10 @@ def schmidt_candidate(model, t, chunk=None):
     stack it was split in; its projectors are built here, for the one row
     read.  Every time a scan evaluates, a bisection midpoint included, is
     a time of its chunk; only retrodictive_select evaluates a time alone.
-    Raises ValueError when psi(t) is not normalized, and LinAlgError when
-    its SVD failed.  The scan loop (_scan_select) makes exactly one call
+    Raises ValueError when psi(t) is not normalized, first, and
+    LinAlgError when its SVD failed, only outside a chunk (caught by
+    retrodictive_select): a failed row has rank 0, so its chunk refuses
+    it.  The scan loop (_scan_select) makes exactly one call
     of this per evaluation, a refused row's included, through this
     module's global name: the benchmark's traced check needs
     schmidt_candidate calls to equal the evaluations (RunRecord.steps)."""
@@ -412,10 +418,10 @@ def schmidt_candidate(model, t, chunk=None):
         split, refused = chunk.split, not chunk.admissible[i]
     if not split.normed[i]:
         raise ValueError(f"state is not normalized: |psi| = {split.norms[i]}")
-    if i in split.failed:
-        raise np.linalg.LinAlgError("SVD did not converge")
     if refused:
         return None
+    if i in split.failed:
+        raise np.linalg.LinAlgError("SVD did not converge")
     u = split.cols[i]
     return ProjectiveDecomposition(t, list(_group(
         u[:, :, None] * u[:, None, :].conj(), split.candidate_size[i])),
@@ -563,14 +569,14 @@ def _bisection_times(lo, hi, refine_tol):
     return times
 
 
-def _scan_select(model, epsilon, delta, delta_mode, start, advance,
-                 refine_tol, full, budget=float("inf"), probe_dt=None):
+def _scan_select(model, epsilon, delta, delta_mode, advance, refine_tol,
+                 full, budget=float("inf"), probe_dt=None):
     """The scan-and-bisect loop of every forward selection and search.
 
     A time t is accepted when its Schmidt candidate is admissible on the
     current tree at (epsilon, delta, delta_mode) (_admissible_rows) and,
     when probe_dt is given, its Extension persists at t + probe_dt
-    (_probe_worst), both judged by its chunk.  Evaluates t = start, then
+    (_probe_worst): one verdict, its chunk's.  Evaluates t = 0, then
     advance(t) after each rejected or event time until that is None.  An
     accepted t after the first evaluation is bisected back to the last
     rejected or event time, to refine_tol or adjacent floats, and
@@ -584,19 +590,18 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
 
     Every time is evaluated from a chunk prepared on the current tree
     under the criterion (_prepare_chunk), one chunk at a time, and within
-    the memory bound SCAN_BLOCK for any chunk of more than one time.  A
-    scan chunk holds the next SCAN_CHUNK scan times, taken from advance
-    (_scan_times) one at a time and kept until a chunk holds them, and the
-    scan walks the chunk's own times: advance is called once per scan time
-    on a tree, and from the event time after each event.  At a bisection
-    midpoint the current chunk has not prepared, the midpoints of the next
-    BISECT_LEVELS levels of the bisection of the current bracket are
-    (_bisection_times), so the bisection walks its path on the chunk's
-    rows and prepares again only when the path leaves those levels.
-    Each time on the scan's or the bisection's path counts as one
-    evaluation, which is one schmidt_candidate call on its chunk: None,
-    the chunk's verdict on the row, rejects the time there, as a failed
-    SVD (LinAlgError) and an unpersisting row (_Chunk.unpersisting) do.
+    the memory bound SCAN_BLOCK for any chunk of more than one time.  One
+    rule prepares every chunk: when the time to evaluate is not in the
+    current chunk.  At a scan time that is the next SCAN_CHUNK scan times,
+    taken from advance (_scan_times) one at a time and kept in ahead until
+    they are evaluated: advance is called once per scan time on a tree,
+    and from the event time after each event.  At a bisection midpoint it
+    is the midpoints of the next BISECT_LEVELS levels of the bisection of
+    the current bracket (_bisection_times), so the bisection walks its
+    path on the chunk's rows and prepares again only when the path leaves
+    those levels.  Each time on the scan's or the bisection's path counts
+    as one evaluation, which is one schmidt_candidate call on its chunk:
+    None, the chunk's one verdict on the row, rejects the time there.
     Any other row is admissible and persists, and is accepted there: the
     scan keeps a copy of its psi(t) and the Extension built from its row
     alone, not the chunk, and judges it no more.
@@ -616,41 +621,33 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
     def evaluate(tree, t, chunk):
         # None, or for an accepted time a copy of psi(t) and its Extension,
         # which holds no view of the chunk.  A row with a candidate is
-        # admissible, the chunk's verdict: its Extension is built from the
-        # row alone, and not judged again
-        try:
-            dec = schmidt_candidate(model, t, chunk)
-        except np.linalg.LinAlgError:
+        # admissible and persists, the chunk's verdict: its Extension is
+        # built from the row alone, and not judged again
+        dec = schmidt_candidate(model, t, chunk)
+        if dec is None:
             return None
         i = chunk.index[t]
-        if dec is None or chunk.unpersisting[i]:
-            return None
         return chunk.psi[i].copy(), Extension(
             tree, dec, epsilon, chunk.leaves[i], chunk.split.cols[i].copy())
 
-    # psi is the model's state at the tree's frame time
+    # psi is the model's state at the tree's frame time; ahead holds the
+    # scan times after t taken from scan but not yet evaluated
     tree = HistoryTree(model.psi0, model.evolution)
     events, psi = [], model.psi0
     done = full(tree, events)
-    t, scan, ahead = start, _scan_times(start, advance), []
-    chunk, times, i, calls, lo = None, (), 0, 0, None
+    t, scan, ahead = 0.0, _scan_times(0.0, advance), []
+    chunk, calls, lo = None, 0, None
     while not done and t is not None and calls < budget:
-        if i == len(times):
-            # ahead holds the scan times after t taken from scan but not
-            # yet prepared: more than one chunk's worth where SCAN_BLOCK
-            # or an evolution error cut the chunk short
+        if chunk is None or t not in chunk.index:
             ahead += itertools.islice(scan, SCAN_CHUNK - 1 - len(ahead))
             chunk = None        # two chunks at once would raise peak memory
             chunk = _prepare_chunk(model, tree, psi, [t, *ahead],
                                    criterion, probe_dt)
-            times, i = list(chunk.index), 0
-            del ahead[:len(times) - 1]
         calls += 1
         accepted = evaluate(tree, t, chunk)
         if accepted is None:
-            lo, i = t, i + 1    # the next bracket starts at a rejected time
-            t = (times[i] if i < len(times)
-                 else ahead.pop(0) if ahead else next(scan, None))
+            lo = t              # the next bracket starts at a rejected time
+            t = ahead.pop(0) if ahead else next(scan, None)
             continue
         if lo is not None:
             while t - lo > refine_tol and calls < budget:
@@ -670,7 +667,7 @@ def _scan_select(model, epsilon, delta, delta_mode, start, advance,
                     t, accepted = mid, trial
         psi, ext = accepted
         events.append(ext.event())
-        tree, chunk, times, i = ext.extend(), None, (), 0
+        tree, chunk = ext.extend(), None
         done = full(tree, events)
         scan, ahead = _scan_times(t, advance), []
         lo, t = t, next(scan, None)     # or at an event time
@@ -700,8 +697,7 @@ def _grid_select(model, epsilon, delta, delta_mode, t_max, grid, refine_tol,
         i = bisect.bisect_right(ts, t)
         return ts[i] if i <= grid else None
 
-    return _scan_select(model, epsilon, delta, delta_mode, 0.0, advance,
-                        refine_tol,
+    return _scan_select(model, epsilon, delta, delta_mode, advance, refine_tol,
                         lambda tree, events: len(events) >= max_events,
                         probe_dt=probe_dt)[0]
 

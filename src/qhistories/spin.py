@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histories import (HistoryTree, ProjectiveDecomposition,
+from .histories import (SCAN_BLOCK, HistoryTree, ProjectiveDecomposition,
                         _check_leaf_states, _extend, _gram, _interleave,
                         _max_off_diagonal, _project, apply_leading)
 from .linalg import entropy, leading_rows, leading_view
@@ -194,8 +194,7 @@ class ChainEvolution:
     split into one row per time at the first interaction whose angles
     differ, or, in apply_rows, from the start; from there each interaction
     applies a (T, 2, 2) stack of R - 1, whose rows at angle 0 add an exact
-    0, filled into a preallocated array from two float lists, the sines
-    and the cos - 1 of _rot_minus_one's own scalar expressions (math.sin,
+    0, built from _rot_minus_one's entries, one call per angle (math.sin,
     so the stack is the scalar path's to the bit).  So apply, at one time,
     takes one scalar step per turned interaction; the (T, 2, 2) stack
     alone, at T = 1, was 1.2-1.45x slower (n = 2-6, on a shared 2-vCPU
@@ -262,13 +261,10 @@ class ChainEvolution:
         inverse): one scalar step at ths[0] while x is not split by time
         (split == ()), else the (T, 2, 2) stack of R - 1, one row per
         time."""
-        if split:           # _rot_minus_one's entries, a column at a time
-            s = [-math.sin(th) if adjoint else math.sin(th) for th in ths]
-            rot_minus_one = np.empty((len(ths), 1, 2, 2), dtype=complex)
-            rot_minus_one[:, 0, 0, 0] = rot_minus_one[:, 0, 1, 1] = [
-                -2.0 * math.sin(th / 2) ** 2 for th in ths]
-            rot_minus_one[:, 0, 0, 1] = [-v for v in s]
-            rot_minus_one[:, 0, 1, 0] = s
+        if split:
+            rot_minus_one = np.array([_rot_minus_one(th, adjoint)
+                                      for th in ths],
+                                     dtype=complex).reshape(-1, 1, 2, 2)
         else:
             rot_minus_one = np.array(_rot_minus_one(ths[0], adjoint),
                                      dtype=complex).reshape(2, 2)
@@ -573,7 +569,7 @@ def classify_catalogue(cfg):
     sets) and no apply, and builds no decoherence matrix.
 
     A prefix's children are taken in groups whose stacked blocks
-    (C, 2, d, n) stay within selection.SCAN_BLOCK complex entries, at
+    (C, 2, d, n) stay within histories.SCAN_BLOCK complex entries, at
     least one child per group, so a group's arrays exceed that bound only
     when one child's do, and those are its own set's projected states.
     The walk holds the trees of one branch of prefixes, and for each the
@@ -584,7 +580,6 @@ def classify_catalogue(cfg):
     last time, on an axis that is not a real unit 3-vector, and when a
     group's blocks would exceed LEAF_STATE_CAP entries, each before the
     group is evolved."""
-    from .selection import SCAN_BLOCK    # selection imports this module
     sets = [(form, times) for form, times
             in enumerate_consistent_sets(cfg) if times]
     children, violation = {}, {}

@@ -11,14 +11,15 @@ rows and one stacked SVD's at the rest, to the chunk and to the
 candidates alike.  The chunk is the only judge of a row: when it is
 built, it scores every row in the rank-1 form of the projection kernel,
 a complement's blocks the sum of its vectors' (histories._group), and
-gives it its one verdict by _admissible_rows, with no margin
-(_Chunk.admissible); under a probe the stacked probe decides the
-admissible rows both ways (_Chunk.unpersisting).  A bisection prepares
+gives it its one verdict by _admissible_rows, with no margin, which under
+a probe the stacked probe completes: a row that passes _admissible_rows
+stays admissible only when its probe is within PERSISTENCE_TOL, so a NaN
+probe fails (_Chunk.admissible).  A bisection prepares
 its midpoints so too, a few levels of its bisection tree a chunk
 (_bisection_times), and walks its path on the chunk's rows.  Each time on
 the path is still evaluated alone, by the scan loop's one
-schmidt_candidate call: a row the chunk refused returns None, which ends
-the evaluation, an unpersisting row is rejected after it, and any other
+schmidt_candidate call: a row the chunk refused, a failed one included,
+returns None, which ends the evaluation, and any other
 row is accepted with the Extension built from its row alone, whose Gram
 blocks must be the chunk's to the bit; every candidate is read from the
 chunk's split, the lone path's candidate of the same psi(t) to the bit.
@@ -389,17 +390,34 @@ def _lone_extension(model, chunk, tree, t, epsilon):
                       chunk.leaves[i], chunk.split.cols[i].copy())
 
 
-def _check_row(chunk, grams, tree, criterion, ext):
+def _probe_alone(model, chunk, t, probe_dt):
+    """The stacked persistence probe's largest off-diagonal |G| at the row
+    t of chunk, taken on that row alone (a stack of one)."""
+    i = chunk.index[t]
+    u = chunk.split.cols[i]
+    worst, = selection._probe_worst(
+        model.evolution, [t], u[None],
+        histories._coefficients(u, chunk.leaves[i])[None],
+        chunk.split.candidate_size[i], probe_dt)
+    return worst
+
+
+def _check_row(model, chunk, grams, tree, criterion, probe_dt, ext):
     """ext, the Extension of a row of chunk built from the row alone,
     against the chunk: its Gram blocks are the row's of the chunk's own
     Gram stack for its candidate size (grams, by size) to the bit, and
-    _admissible_rows on them, a stack of one, gives the chunk's verdict on
-    the row."""
-    i = chunk.index[ext.decomposition.time]
+    _admissible_rows on them, a stack of one, and under a probe the probe
+    of the row alone (_probe_alone) within PERSISTENCE_TOL, give the
+    chunk's one verdict on the row."""
+    t = ext.decomposition.time
+    i = chunk.index[t]
     G = grams[len(ext.decomposition)]
-    assert _same_bits(ext.blocks, G[i]), ext.decomposition.time
-    assert _ADMISSIBLE_ROWS(ext.blocks[None], tree._probabilities,
-                            criterion)[0] == chunk.admissible[i]
+    assert _same_bits(ext.blocks, G[i]), t
+    verdict = _ADMISSIBLE_ROWS(ext.blocks[None], tree._probabilities,
+                               criterion)[0]
+    if verdict and probe_dt is not None:
+        verdict = _probe_alone(model, chunk, t, probe_dt) <= PERSISTENCE_TOL
+    assert verdict == chunk.admissible[i], t
 
 
 def _record_gram_stacks(monkeypatch):
@@ -420,14 +438,15 @@ def _check_evaluations(monkeypatch, seen, accept_events=True):
     """Record the scan's evaluations and check each against the per-time
     oracle (_oracle) on the tree its chunk was prepared on, under the
     chunk's criterion and probe.  An evaluation is the scan's one
-    selection.schmidt_candidate call on its chunk, and the chunk decides
-    it: the call returns None where the chunk refused the row
-    ("inadmissible"); at any other row the scan accepts it ("admissible"),
-    with the Extension of the row alone, but where the stacked probe finds
-    it unpersisting ("unpersisting"); a LinAlgError rejects the time
-    ("failed").  At every row evaluated, the Extension of the row alone,
-    and the scan's own where it builds one, has the row's Gram blocks of
-    the chunk's own Gram stack to the bit and the chunk's verdict
+    selection.schmidt_candidate call on its chunk, and the chunk's one
+    verdict decides it: the call returns None where the chunk refused the
+    row, and at any other row the scan accepts it, with the Extension of
+    the row alone ("admissible").  A refused row is, by the oracle,
+    inadmissible ("inadmissible"), admissible but not persisting
+    ("unpersisting"), or one whose SVD failed ("failed").  At every row
+    evaluated but a failed one, the Extension of the row alone, and the
+    scan's own where it builds one, has the row's Gram blocks of the
+    chunk's own Gram stack to the bit and the chunk's verdict
     (_check_row).  Every verdict must be the oracle's, with the oracle's
     blocks within ORACLE_RTOL wherever a candidate is admissible.  Each
     scan must count exactly its evaluations, read full once per tree and
@@ -442,50 +461,41 @@ def _check_evaluations(monkeypatch, seen, accept_events=True):
     def prepared(model, tree, psi, times, criterion, probe_dt=None):
         del stacks[:]
         chunk = prepare(model, tree, psi, times, criterion, probe_dt)
-        chunks[id(chunk)] = (tree, criterion, probe_dt,
+        chunks[id(chunk)] = (model, tree, criterion, probe_dt,
                              {G.shape[1]: G for G in stacks})
         return chunk
 
     def evaluated(model, t, chunk=None):
         assert not building, "a candidate was not scored"
-        tree, criterion, probe_dt, grams = chunks[id(chunk)]
+        _, tree, criterion, probe_dt, grams = chunks[id(chunk)]
         row = chunk.index.get(t)
-
-        def close(ok, kind):
-            assert ok == verdict, (t, kind)
-            seen.append((t, row is not None, ok, kind))
-
-        try:
-            dec = candidate(model, t, chunk)
-        except np.linalg.LinAlgError:
-            want, verdict = _oracle(model, tree, t, criterion, probe_dt)
-            close(False, "failed")
-            raise
+        dec = candidate(model, t, chunk)
         want, verdict = _oracle(model, tree, t, criterion, probe_dt)
-        ext = _lone_extension(model, chunk, tree, t, criterion[0])
-        _check_row(chunk, grams, tree, criterion, ext)
-        if dec is None:
-            close(False, "inadmissible")
+        kind = ("admissible" if dec is not None
+                else "failed" if row in chunk.split.failed
+                else "unpersisting" if want is not None else "inadmissible")
+        assert (dec is not None) == verdict, (t, kind)
+        seen.append((t, row is not None, verdict, kind))
+        if kind == "failed":
             return None
-        unpersisting = bool(chunk.unpersisting[row])
-        close(not unpersisting,
-              "unpersisting" if unpersisting else "admissible")
-        assert want is not None, t
+        ext = _lone_extension(model, chunk, tree, t, criterion[0])
+        _check_row(model, chunk, grams, tree, criterion, probe_dt, ext)
+        if dec is None:
+            return None
         scale = np.max(np.abs(want.blocks))
         assert np.max(np.abs(ext.blocks - want.blocks)) <= ORACLE_RTOL * scale
         if not accept_events:
             return None
-        if not unpersisting:
-            building.append((dec, chunk))
+        building.append((dec, chunk))
         return dec
 
     def built(tree, dec, epsilon, evolved=None, vectors=None):
         ext = _EXTENSION(tree, dec, epsilon, evolved, vectors)
         assert building and building[0][0] is dec, "built without a row"
         _, chunk = building.pop()
-        chunk_tree, criterion, _, grams = chunks[id(chunk)]
+        model, chunk_tree, criterion, probe_dt, grams = chunks[id(chunk)]
         assert tree is chunk_tree
-        _check_row(chunk, grams, tree, criterion, ext)
+        _check_row(model, chunk, grams, tree, criterion, probe_dt, ext)
         assert vectors.base is None and np.shares_memory(evolved,
                                                          chunk.leaves)
         return ext
@@ -575,14 +585,13 @@ def _probed_times(t_max, probe_dt):
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_a_chunks_verdicts_are_the_per_time_paths(name, model, t_max, grid,
                                                   evolution):
-    # a chunk decides its rows both ways, and its stacked probe its
-    # admissible rows both ways: every row it finds admissible is
-    # admissible on the per-time path and every row it refuses is not, and
-    # under the probe (_persisting of its lone candidate) every admissible
-    # row it finds unpersisting fails the per-time probe and every other
-    # passes it, on a fresh tree and on the tree of the per-time path's
-    # first event, under a criterion that admits some rows and another
-    # that refuses some; each kind occurs
+    # a chunk decides its rows both ways, with its stacked probe too: a
+    # chunk without the probe admits exactly the rows admissible on the
+    # per-time path, and the chunk with it, over the same times, exactly
+    # those of them whose lone candidate persists (_persisting), on a
+    # fresh tree and on the tree of the per-time path's first event, under
+    # a criterion that admits some rows and another that refuses some;
+    # each kind occurs: admissible, unpersisting and refused
     probe_dt = 0.25
     times = _probed_times(t_max, probe_dt)
     assert {t + probe_dt for t in times} & set(range(1, int(t_max) + 1))
@@ -594,16 +603,16 @@ def test_a_chunks_verdicts_are_the_per_time_paths(name, model, t_max, grid,
     for tree in (tree, first.extend()):
         for criterion in ((0.5, 0.02, "relative"), (0.05, 0.1, "absolute")):
             chunk = _chunk(model, tree, times, criterion, probe_dt)
-            assert not (chunk.unpersisting & ~chunk.admissible).any()
+            plain = _chunk(model, tree, times, criterion)
             for t, i in chunk.index.items():
                 ext = _admissible(model, tree, t, *criterion)
-                assert (ext is not None) == chunk.admissible[i], t
-                if chunk.admissible[i]:
-                    assert _persisting(tree, ext, probe_dt) \
-                        != chunk.unpersisting[i], t
-            counts["admissible"] += int(chunk.admissible.sum())
-            counts["unpersisting"] += int(chunk.unpersisting.sum())
-            counts["refused"] += int(_refused(chunk).sum())
+                assert (ext is not None) == plain.admissible[i], t
+                assert chunk.admissible[i] == (
+                    ext is not None and _persisting(tree, ext, probe_dt)), t
+            counts["admissible"] += int(plain.admissible.sum())
+            counts["unpersisting"] += int(
+                (plain.admissible & ~chunk.admissible).sum())
+            counts["refused"] += int(_refused(plain).sum())
     assert min(counts.values()) > 0, (name, counts)
 
 
@@ -617,8 +626,9 @@ def test_the_stacked_probe_decides_its_near_ties_as_the_per_time_probe(
     # quasi-dynamical selection bisects onto PERSISTENCE_TOL: at these
     # bisection midpoints, the closest to it that spin chains at n = 2 and
     # 3 (seeds 0-5, grid 100, the default probe_dt) reach, the stacked
-    # probe's largest off-diagonal |G| sits within 1e-12 of it, and its
-    # verdict is the per-time oracle's (_persisting of the lone candidate)
+    # probe's largest off-diagonal |G| sits within 1e-12 of it, and the
+    # chunk's verdict on the row, which the probe decides, is the per-time
+    # oracle's (_admissible, then _persisting of the lone candidate)
     model = selection.spin_model(_spin_config(seed, n))
     criterion, probe_dt = (0.05, 0.02, "relative"), 1e-3
     chunks = []
@@ -636,16 +646,11 @@ def test_the_stacked_probe_decides_its_near_ties_as_the_per_time_probe(
             for t, i in chunk.index.items() if abs(t - t_pin) <= 1e-12]
     assert rows
     for tree, chunk, t, i in rows:
-        assert chunk.admissible[i], t
-        u = chunk.split.cols[i]
-        worst, = selection._probe_worst(
-            model.evolution, [t], u[None],
-            histories._coefficients(u, chunk.leaves[i])[None],
-            chunk.split.candidate_size[i], probe_dt)
+        worst = _probe_alone(model, chunk, t, probe_dt)
         assert abs(worst - PERSISTENCE_TOL) <= 1e-12, t
         ext = _admissible(model, tree, t, *criterion)
-        assert chunk.unpersisting[i] == (not _persisting(tree, ext,
-                                                         probe_dt)), t
+        assert ext is not None, t
+        assert chunk.admissible[i] == _persisting(tree, ext, probe_dt), t
 
 
 def _two_leaves(model):
@@ -1217,7 +1222,8 @@ def test_a_chunk_with_the_probe_keeps_its_largest_array_within_scan_block(
     # on trees of 1 to d1^5 leaves, every chunk of more than one time
     # keeps all four arrays within SCAN_BLOCK, the probe's arrays hold
     # some chunk shorter than the chunk without the probe, and the stacked
-    # probe still finds its rows unpersisting on those trees
+    # probe still refuses some rows that the chunk without it admits on
+    # those trees, and admits none that it refuses
     times = np.linspace(0.05, 2.0, 40).tolist()
     decs = [selection.schmidt_candidate(model, t)
             for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
@@ -1236,8 +1242,8 @@ def test_a_chunk_with_the_probe_keeps_its_largest_array_within_scan_block(
             assert T * max(d * (1 + n), d1 * n * n, d * n * d1,
                            d1 ** 3 * n * n) <= selection.SCAN_BLOCK, (T, n)
         held += T < len(plain.index)
-        unpersisting += int(chunk.unpersisting.sum())
-        assert not plain.unpersisting.any()
+        assert not (chunk.admissible & ~plain.admissible[:T]).any()
+        unpersisting += int((plain.admissible[:T] & ~chunk.admissible).sum())
     assert held > 0 and unpersisting > 0, name
 
 
@@ -1339,11 +1345,13 @@ def test_a_failed_stacked_svd_rejects_only_the_bad_time(monkeypatch):
                                1e-6, 16)
     verdicts = {t: ok for t, _, ok, _ in seen}
     assert len(verdicts) == grid + 1 and not verdicts[t_bad]
+    assert [t for t, *_, kind in seen if kind == "failed"] == [t_bad]
     # t_bad's chunk's one stacked SVD, of the rows that are not gapped,
     # took it; that SVD raised, so each of those rows was split alone, and
     # only t_bad's split failed: it keeps no vector, and its chunk, which
-    # judges every other row at full rank, does not admit it.  The gapped
-    # rows take no SVD
+    # judges every other row at full rank, does not admit it, so its one
+    # schmidt_candidate call returns None and raises no LinAlgError.  The
+    # gapped rows take no SVD
     bad_chunk = next(chunk for chunk in chunks if t_bad in chunk.index)
     i_bad = bad_chunk.index[t_bad]
     split = bad_chunk.split
@@ -1486,6 +1494,40 @@ def test_a_nan_state_raises_at_its_own_time(monkeypatch):
         assert not first.admissible[first.index[t_bad]]
         assert not first.split.gapped[first.index[t_bad]]
         assert {ok for _, _, ok, _ in seen} == {True}
+
+
+def test_a_nan_probe_refuses_its_row(monkeypatch):
+    # an evolution that is the flow's U(t) up to t = 1 and NaN after it:
+    # every scan time is at most 0.999, so each psi(t) is the flow's, but
+    # the probe times t + 0.01 of the last ones are past 1, and their
+    # probes are NaN.  A NaN probe fails, so the chunk refuses those rows,
+    # as the per-time oracle does (_check_evaluations), and the selection
+    # records no event, as on the flow itself
+    flow = _flow_model(2, 4, 5)
+
+    def unitary(t):
+        return (flow.evolution.unitary(t) if t <= 1.0
+                else np.full((8, 8), np.nan, dtype=complex))
+
+    model = selection.BipartiteModel(2, 4, flow.psi0, unitary)
+    probed = []
+    probe_worst = selection._probe_worst
+
+    def recorded(evolution, ts, *args):
+        worst = probe_worst(evolution, ts, *args)
+        probed.extend(zip(ts, worst.tolist()))
+        return worst
+
+    for run in (flow, model):
+        seen = []
+        with monkeypatch.context() as patch:
+            patch.setattr(selection, "_probe_worst", recorded)
+            _check_evaluations(patch, seen)
+            sel = selection.quasi_dynamical_select(
+                run, 0.05, 0.02, 0.999, grid=200, probe_dt=0.01)
+        assert sel.events == [] and len(seen) == 201
+    nan = [t for t, worst in probed if math.isnan(worst)]
+    assert nan and all(t + 0.01 > 1.0 for t in nan)
 
 
 def test_a_screened_event_is_not_judged_again(monkeypatch):

@@ -85,6 +85,15 @@ def test_zeno_command():
     assert [r[0] for r in rows] == ["X", "Y", "offdiag"]
 
 
+def test_zeno_command_at_a_negative_angle_prints_the_positive_rows():
+    # the chain at -theta is the reflection of the chain at theta, so its
+    # violations, their limits and the off-diagonal bound are the same
+    code, out = _run(["zeno", "--theta", "-1"])
+    want_code, want = _run(["zeno", "--theta", "1"])
+    assert code == want_code == 0
+    assert cli.parse_records(out)[3] == cli.parse_records(want)[3]
+
+
 def test_dheg_command():
     code, out = _run(["dheg", "--n", "3", "--eps", "0.1"])
     assert code == 0
@@ -341,8 +350,9 @@ def test_spin_recoherence_past_the_cap_on_its_gram_stacks_exits_2(
 
 # Edge values of the options, each with the text its error line must hold:
 # the option's name or its value.  The first nine are the edge values the
-# commands refuse by name; the last five are the bad inputs of CI's
-# Packaging job.
+# commands refuse by name; the next five are bad inputs of CI's Packaging
+# job; the rest name the value they refuse, k = d of dist check (whose sum
+# law is a point mass) and the bad dimensions of random run among them.
 _EDGE_VALUES = [
     ("random run --sigma inf", "sigma"),
     ("spin recoherence --eps inf", "--eps"),
@@ -367,6 +377,9 @@ _EDGE_VALUES = [
     ("spin classify --n 0", "got 0"),
     ("spin probs --n 0", "got 0"),
     ("spin maxinfo --n 0", "got 0"),
+    ("dist check --k 3 --d 3 --samples 500", "k=3, d=3"),
+    ("random run --d1 0", "d1=0, d2=4"),
+    ("random run --d2 1", "d1=2, d2=1"),
 ]
 
 

@@ -13,6 +13,7 @@ from qhistories.constructions import (frame_pair_history_states,
                                       zeno_violation_limit)
 from qhistories.consistency import consistency_report, mpv_exact
 from qhistories.histories import coarse_grain, decoherence_matrix
+from qhistories.tolerances import ORACLE_RTOL
 
 
 # at eps = 1/(n-1), 1 + eps - n eps rounds below 0 for n = 6, 14 and 38
@@ -86,6 +87,27 @@ def test_zeno_tree_matches_class_amplitudes(n, theta):
     probs = zeno_class_probabilities(n, theta)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert abs(D.entries.sum().real - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n,theta", [(6, 0.9), (6, -0.9), (2, 3.5),
+                                     (3, -5.0)])
+def test_zeno_class_probabilities_at_any_angle_are_the_trees(n, theta):
+    # a negative step angle, or one past pi/2 where cos eps < 0: each class
+    # probability is the sum of zeno_tree's decoherence-matrix diagonal
+    # over the class's histories, and the reflection diag(1, -1), which
+    # maps the chain at theta onto the chain at -theta, leaves both
+    # violations as they are
+    tree = zeno_tree(n, theta)
+    diag = decoherence_matrix(tree).diag
+    want = np.zeros(n + 1)
+    for leaf, p in zip(tree.leaves(), diag):
+        want[zeno_history_class([1 if i == 0 else -1 for i in leaf])] += p
+    got = zeno_class_probabilities(n, theta)
+    assert np.max(np.abs(got - want)) <= ORACLE_RTOL * np.max(want)
+    for subset in ("X", "Y"):
+        v, w = zeno_violation(n, -theta, subset), zeno_violation(n, theta,
+                                                                 subset)
+        assert abs(v - w) <= ORACLE_RTOL * max(abs(w), 1.0), subset
 
 
 def test_zeno_class_matrix_parity_structure():

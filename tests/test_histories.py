@@ -826,15 +826,18 @@ def test_projection_kernel_stacks_classify_children_bit_for_bit():
 
 @pytest.mark.parametrize("block", [1, 40, 1 << 14])
 def test_max_off_diagonal_in_slabs_is_the_whole_stacks(monkeypatch, block):
-    # the moduli are taken in slabs of about SCAN_BLOCK entries, one leaf
-    # row, a few, or all of them: the largest off-diagonal |G| of each row
-    # is the whole stack's to the bit, a NaN in a row included
-    monkeypatch.setattr(selection, "SCAN_BLOCK", block)
+    # the moduli are taken in slabs of about SCAN_BLOCK entries (18 a leaf
+    # row here), one leaf row, two, or all three: the largest off-diagonal
+    # |G| of each row is the whole stack's to the bit, a NaN in the last
+    # leaf row, so in the last slab, included
+    monkeypatch.setattr(histories, "SCAN_BLOCK", block)
     g = np.random.default_rng(5)
-    G = g.normal(size=(3, 2, 4, 7, 7)) + 1j * g.normal(size=(3, 2, 4, 7, 7))
-    G[1, 0, 2, 5, 3] = np.nan
+    G = g.normal(size=(3, 2, 1, 3, 3)) + 1j * g.normal(size=(3, 2, 1, 3, 3))
+    step = max(1, block // (G.size // 3))
+    assert len(range(0, 3, step)) == {1: 3, 40: 2}.get(block, 1)
+    G[1, 1, 0, 2, 0] = np.nan
     whole = np.abs(G)
-    whole[..., range(7), range(7)] = 0.0
+    whole[..., range(3), range(3)] = 0.0
     got = histories._max_off_diagonal(G)
     assert _same_bits(got, whole.max(axis=(1, 2, 3, 4)))
     assert np.isnan(got[1]) and not np.isnan(got[[0, 2]]).any()

@@ -63,8 +63,8 @@ def _check_scan_select(monkeypatch, module, scans, evaluations=None):
     arguments of each tree, per scan."""
     scan, advanced_by_scan = module._scan_select, []
 
-    def checked(model, epsilon, delta, delta_mode, start, advance,
-                refine_tol, full, *args, **kwargs):
+    def checked(model, epsilon, delta, delta_mode, advance, refine_tol,
+                full, *args, **kwargs):
         trees, advanced = [], []
         advanced_by_scan.append(advanced)
         before = None if evaluations is None else len(evaluations)
@@ -82,7 +82,7 @@ def _check_scan_select(monkeypatch, module, scans, evaluations=None):
             advanced[-1].append(t)
             return advance(t)
 
-        result = scan(model, epsilon, delta, delta_mode, start, advance_once,
+        result = scan(model, epsilon, delta, delta_mode, advance_once,
                       refine_tol, read_full, *args, **kwargs)
         selected, _, calls = result
         assert len(trees) == len(selected.events) + 1

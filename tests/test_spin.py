@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from qhistories import histories, selection, spin
+from qhistories import histories, spin
 from qhistories.consistency import consistency_report
 from qhistories.histories import (HistoryTree, ProjectiveDecomposition,
                                   decoherence_matrix, extend_all)
@@ -349,10 +349,10 @@ def test_classify_catalogue_groups_give_the_ungrouped_rows(monkeypatch):
                             score(tree, children, extend))[1])
     for seed in range(3):
         cfg = _config(200 + seed, 4)
-        monkeypatch.setattr(selection, "SCAN_BLOCK", 1 << 40)
+        monkeypatch.setattr(spin, "SCAN_BLOCK", 1 << 40)
         whole = spin.classify_catalogue(cfg)
         ungrouped, calls[:] = list(calls), []
-        monkeypatch.setattr(selection, "SCAN_BLOCK", 256)
+        monkeypatch.setattr(spin, "SCAN_BLOCK", 256)
         assert spin.classify_catalogue(cfg) == whole
         assert max(calls) == 4 < max(ungrouped)
         assert len(calls) > len(ungrouped) and sum(calls) == sum(ungrouped)
