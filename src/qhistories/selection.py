@@ -48,27 +48,31 @@ when it is out of range, and, in quasi-dynamical selection, with the
 persistence probe at probe_dt.  It works in chunks of upcoming scan times
 (_prepare_chunk), one _Chunk at a time on the current tree, a local of
 _scan_select dropped with that tree at each event: the evolution's
-apply_times steps psi(t_f), which the scan kept from its last event's row,
-and the tree's frame from the frame time t_f to every time of a chunk in
-one product, and the chunk takes one split of all its times when it is
-built, so at most one SVD.  The chunk is the only judge of a scan row: it
-scores every row at once in the rank-1 form of the projection kernel
-(histories._coefficients, _gram, and _group for a complement) and judges
-it once, when the chunk is built: the row's one verdict, both ways, a
-boolean (_Chunk.admissible).  It is the criterion's (_admissible_rows)
-and, with a probe, the persistence probe's too: the probe of every row
-the criterion admits is stacked (_probe_worst), and the row stays
-admissible only when it persists, so a NaN probe fails.
+apply_times steps the tree's frame alone, the one array the scan carries,
+from the frame time t_f to every time of a chunk in one product.  Every
+tree the scan builds is extended by complete decompositions, so the
+frame's columns sum to psi(t_f), and a row's psi(t) is the sum of its
+evolved leaf states, U(t) U(t_f)^dag F summed over its columns.  The
+chunk takes one split of all its times when it is built, so at most one
+SVD.  The chunk is the only judge of a scan row: it scores every row at
+once in the rank-1 form of the projection kernel (histories._coefficients,
+_gram, and _group for a complement) and judges it once, when the chunk is
+built: the row's one verdict, both ways, a boolean (_Chunk.admissible).
+It is the criterion's (_admissible_rows) and, with a probe, the
+persistence probe's too: the probe of every row the criterion admits is
+stacked (_probe_worst), and the row stays admissible only when it
+persists, so a NaN probe fails.
 A chunk holds the scan's next SCAN_CHUNK times or, in a bisection, the
 midpoints of its next BISECT_LEVELS levels (_bisection_times), fewer
-where its largest array, the evolved states (T d (1 + n) entries for T
-times, d = d1 d2 and n leaves), the Gram stack (T d1 n^2) or the probe's
-states (T d n d1) or Gram stack (T d1^3 n^2), would exceed SCAN_BLOCK
-complex entries, and at least one; a chunk of one time is prepared
-whatever its size, up to histories.LEAF_STATE_CAP entries, past which the
-scan is refused (ValueError).  So at most SCAN_CHUNK - 1 prepared scan
-times go unevaluated per tree, and a bisection chunk's midpoints off the
-bisection's path are prepared and never evaluated.
+where its largest array, the evolved leaf states with their sums psi(t)
+(T d (1 + n) entries for T times, d = d1 d2 and n leaves), the Gram stack
+(T d1 n^2) or the probe's states (T d n d1) or Gram stack (T d1^3 n^2),
+would exceed SCAN_BLOCK complex entries, and at least one; a chunk of
+one time is prepared whatever its size, up to histories.LEAF_STATE_CAP
+entries, past which the scan is refused (ValueError).  So at most
+SCAN_CHUNK - 1 prepared scan times go unevaluated per tree, and a
+bisection chunk's midpoints off the bisection's path are prepared and
+never evaluated.
 The scan takes each scan time from advance once, and reads
 full(tree, events) once per tree; one rule prepares every chunk, of scan
 times or of midpoints: a chunk is prepared when the time to evaluate is
@@ -275,8 +279,10 @@ class _Chunk:
     given, its persistence probe: the split of all of them and the verdict
     on every row, both fixed when the chunk is built.
 
-    index maps each time to its row of the stacked arrays: psi, the (T, d)
-    psi(t), and leaves, the (T, d, n) leaf states evolved to t.
+    index maps each time to its row of the stacked arrays: leaves, the
+    (T, d, n) leaf states evolved to t (_prepare_chunk), and psi, the
+    (T, d) psi(t), each row the sum of its leaf states, added one column
+    at a time in leaves() order.
 
     Candidates.  split is one _Split of every row: rho's closed-form
     eigenvectors at the gapped rows, and one stacked SVD of the others,
@@ -312,10 +318,12 @@ class _Chunk:
     fails it.  An evolution that refuses some t + probe_dt raises its
     ValueError here."""
 
-    def __init__(self, model, times, evolved, parents, criterion,
+    def __init__(self, model, times, leaves, parents, criterion,
                  probe_dt=None):
         self.index = {t: i for i, t in enumerate(times)}
-        self.psi, self.leaves = evolved[:, :, 0], evolved[:, :, 1:]
+        self.leaves, self.psi = leaves, leaves[:, :, 0].copy()
+        for a in range(1, leaves.shape[2]):
+            self.psi += leaves[:, :, a]
         self.split = _Split(self.psi, model.d1, model.d2)
         Y = _coefficients(self.split.cols, self.leaves)     # (T, d1, m, n)
         size = self.split.candidate_size
@@ -497,30 +505,33 @@ def _chain(model, decompositions, epsilon):
     return tree, events
 
 
-def _prepare_chunk(model, tree, psi, times, criterion, probe_dt=None):
+def _prepare_chunk(model, tree, times, criterion, probe_dt=None):
     """The _Chunk of the leading times of the list times, in its order,
     under criterion (epsilon, delta, delta_mode) and, when probe_dt is
     given, with the stacked persistence probe: SCAN_CHUNK of them, but no
     more than keep the chunk's largest array within SCAN_BLOCK complex
     entries, and at least the first, so only a chunk of one time can
     exceed SCAN_BLOCK.  For T times, d = d1 d2 and n leaves that array is
-    the evolved states [psi | frame], T d (1 + n) entries, or the
-    Gram stack, T d1 n^2, or with the probe its states, T d n d1, or its
-    Gram stack, T d1^3 n^2.  When it would exceed LEAF_STATE_CAP even at
-    T = 1, the chunk is refused before anything is evolved (ValueError
+    the evolved leaf states with their sums psi(t), T d (1 + n) entries,
+    or the Gram stack, T d1 n^2, or with the probe its states, T d n d1, or
+    its Gram stack, T d1^3 n^2.  When it would exceed LEAF_STATE_CAP even
+    at T = 1, the chunk is refused before anything is evolved (ValueError
     naming its entries and the cap): each event can double the leaves, and
     the Gram stacks grow as their square.
 
-    [psi | frame], psi the model's state at the tree's frame time t_f, is
-    stepped from t_f to every time of the chunk by one
-    evolution.apply_times call (from time 0 on a fresh tree, whose psi is
-    psi0), and psi(t) of every time is split at once
-    (_Split): rho's closed form at the gapped d1 = 2 rows and at most one
-    stacked SVD, of the others.  An evolution that raises ValueError, at a
-    time of the chunk or at the probe time t + probe_dt of an admissible
-    row, has the chunk halved until it is built, so the chunk ends before
-    the times it refuses; when it refuses the first time alone, the error
-    is raised here, at that time."""
+    The tree's frame alone is stepped from its frame time t_f to every time
+    of the chunk by one evolution.apply_times call (from time 0 on a fresh
+    tree, whose frame is psi0), and psi(t) of every time, the sum of its
+    evolved leaf states (_Chunk), is split at once (_Split): rho's closed
+    form at the gapped d1 = 2 rows and at most one stacked SVD, of the
+    others.  That sum is psi(t) only because the frame's columns sum to
+    the model's state at t_f, which holds for every tree the scan builds,
+    each extended by complete decompositions from a fresh tree: a
+    precondition, not checked here.  An evolution that raises ValueError,
+    at a time of the chunk or at the probe time t + probe_dt of an
+    admissible row, has the chunk halved until it is built, so the chunk
+    ends before the times it refuses; when it refuses the first time alone,
+    the error is raised here, at that time."""
     (d, n), d1 = tree.frame.shape, model.d1
     largest = max(d * (1 + n), d1 * n * n)
     if probe_dt is not None:
@@ -528,12 +539,11 @@ def _prepare_chunk(model, tree, psi, times, criterion, probe_dt=None):
     _check_entries(largest, f"a scan chunk of one time over {n} leaves "
                    f"needs an array of")
     times = times[:max(min(SCAN_CHUNK, SCAN_BLOCK // largest), 1)]
-    X = np.column_stack([psi, tree.frame])
     while True:
         try:
             return _Chunk(model, times, model.evolution.apply_times(
-                X, times, tree.frame_time), tree._probabilities, criterion,
-                probe_dt)
+                tree.frame, times, tree.frame_time), tree._probabilities,
+                criterion, probe_dt)
         except ValueError:
             if len(times) == 1:
                 raise
@@ -603,8 +613,8 @@ def _scan_select(model, epsilon, delta, delta_mode, advance, refine_tol,
     as one evaluation, which is one schmidt_candidate call on its chunk:
     None, the chunk's one verdict on the row, rejects the time there.
     Any other row is admissible and persists, and is accepted there: the
-    scan keeps a copy of its psi(t) and the Extension built from its row
-    alone, not the chunk, and judges it no more.
+    scan keeps the Extension built from its row alone, not the chunk, and
+    judges it no more; the new tree's frame is all it carries on.
     A midpoint off the path is speculative and is neither evaluated nor
     counted.  Accepting an event drops the chunk with the old tree, so at
     most SCAN_CHUNK - 1 prepared scan times go unevaluated per tree, and a
@@ -619,21 +629,18 @@ def _scan_select(model, epsilon, delta, delta_mode, advance, refine_tol,
     criterion = (epsilon, delta, delta_mode)
 
     def evaluate(tree, t, chunk):
-        # None, or for an accepted time a copy of psi(t) and its Extension,
-        # which holds no view of the chunk.  A row with a candidate is
-        # admissible and persists, the chunk's verdict: its Extension is
-        # built from the row alone, and not judged again
-        dec = schmidt_candidate(model, t, chunk)
-        if dec is None:
-            return None
-        i = chunk.index[t]
-        return chunk.psi[i].copy(), Extension(
+        # None, or for an accepted time its Extension, which holds no view
+        # of the chunk.  A row with a candidate is admissible and persists,
+        # the chunk's verdict: its Extension is built from the row alone,
+        # and not judged again
+        dec, i = schmidt_candidate(model, t, chunk), chunk.index[t]
+        return None if dec is None else Extension(
             tree, dec, epsilon, chunk.leaves[i], chunk.split.cols[i].copy())
 
-    # psi is the model's state at the tree's frame time; ahead holds the
-    # scan times after t taken from scan but not yet evaluated
+    # ahead holds the scan times after t taken from scan but not yet
+    # evaluated
     tree = HistoryTree(model.psi0, model.evolution)
-    events, psi = [], model.psi0
+    events = []
     done = full(tree, events)
     t, scan, ahead = 0.0, _scan_times(0.0, advance), []
     chunk, calls, lo = None, 0, None
@@ -641,8 +648,8 @@ def _scan_select(model, epsilon, delta, delta_mode, advance, refine_tol,
         if chunk is None or t not in chunk.index:
             ahead += itertools.islice(scan, SCAN_CHUNK - 1 - len(ahead))
             chunk = None        # two chunks at once would raise peak memory
-            chunk = _prepare_chunk(model, tree, psi, [t, *ahead],
-                                   criterion, probe_dt)
+            chunk = _prepare_chunk(model, tree, [t, *ahead], criterion,
+                                   probe_dt)
         calls += 1
         accepted = evaluate(tree, t, chunk)
         if accepted is None:
@@ -657,7 +664,7 @@ def _scan_select(model, epsilon, delta, delta_mode, advance, refine_tol,
                 if mid not in chunk.index:
                     chunk = None
                     chunk = _prepare_chunk(
-                        model, tree, psi, _bisection_times(lo, t, refine_tol),
+                        model, tree, _bisection_times(lo, t, refine_tol),
                         criterion, probe_dt)
                 calls += 1
                 trial = evaluate(tree, mid, chunk)
@@ -665,9 +672,8 @@ def _scan_select(model, epsilon, delta, delta_mode, advance, refine_tol,
                     lo = mid
                 else:
                     t, accepted = mid, trial
-        psi, ext = accepted
-        events.append(ext.event())
-        tree, chunk = ext.extend(), None
+        events.append(accepted.event())
+        tree, chunk = accepted.extend(), None
         done = full(tree, events)
         scan, ahead = _scan_times(t, advance), []
         lo, t = t, next(scan, None)     # or at an event time

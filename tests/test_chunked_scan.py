@@ -3,16 +3,19 @@
 A scan prepares a chunk of upcoming times at once (_prepare_chunk), held
 as one selection._Chunk of the current tree under the scan's criterion
 (epsilon, delta, delta_mode) and, in quasi-dynamical selection, its
-persistence probe: one apply_times call steps [psi | frame] from the
-tree's frame time to every time of the chunk, and one _Split of all of
-its rows, taken when the chunk is built, gives every row's Schmidt
-vectors and rank, rho(t)'s closed-form eigenvectors at the gapped d1 = 2
-rows and one stacked SVD's at the rest, to the chunk and to the
-candidates alike.  The chunk is the only judge of a row: when it is
-built, it scores every row in the rank-1 form of the projection kernel,
-a complement's blocks the sum of its vectors' (histories._group), and
-gives it its one verdict by _admissible_rows, with no margin, which under
-a probe the stacked probe completes: a row that passes _admissible_rows
+persistence probe: one apply_times call steps the tree's frame alone
+from its frame time to every time of the chunk, a row's psi(t) is the
+sum of its evolved leaf states (the frame's columns sum to the state at
+the frame time, for the scan extends its trees by complete
+decompositions), and one _Split of all of its rows, taken when the chunk
+is built, gives every row's Schmidt vectors and rank, rho(t)'s
+closed-form eigenvectors at the gapped d1 = 2 rows and one stacked SVD's
+at the rest, to the chunk and to the candidates alike.  The chunk is the
+only judge of a row: when it is built, it scores every row in the rank-1
+form of the projection kernel, a complement's blocks the sum of its
+vectors' (histories._group), and gives it its one verdict by
+_admissible_rows, with no margin, which under a probe the stacked probe
+completes: a row that passes _admissible_rows
 stays admissible only when its probe is within PERSISTENCE_TOL, so a NaN
 probe fails (_Chunk.admissible).  A bisection prepares
 its midpoints so too, a few levels of its bisection tree a chunk
@@ -97,21 +100,13 @@ def _refused(chunk):
     return chunk.split.normed & ~failed & ~chunk.admissible
 
 
-def _frame_psi(model, tree):
-    """The model's state at the tree's frame time: psi0 on a fresh tree."""
-    if tree.frame_time is None:
-        return model.psi0
-    return model.state(tree.frame_time)
-
-
 def _chunk(model, tree, times, criterion, probe_dt=None):
     """The _Chunk of tree over times under criterion, with the stacked
     persistence probe when probe_dt is given, evolved as _prepare_chunk
-    evolves one: [psi | frame] stepped from the tree's frame time."""
-    evolved = model.evolution.apply_times(
-        np.column_stack([_frame_psi(model, tree), tree.frame]), times,
-        since=tree.frame_time)
-    return selection._Chunk(model, times, evolved, tree._probabilities,
+    evolves one: the frame alone stepped from the tree's frame time."""
+    leaves = model.evolution.apply_times(tree.frame, times,
+                                         since=tree.frame_time)
+    return selection._Chunk(model, times, leaves, tree._probabilities,
                             criterion, probe_dt)
 
 
@@ -295,9 +290,9 @@ def test_the_scan_advances_once_per_time_and_judges_only_candidates(
         log.append(("judge", len(G)))
         return judge(G, *args)
 
-    def recorded(model, tree, psi, times, *args):
+    def recorded(model, tree, times, *args):
         log.append(("prepare", None))
-        chunk = prepare(model, tree, psi, times, *args)
+        chunk = prepare(model, tree, times, *args)
         log.append(("prepared", chunk))
         if times[0] not in firsts:
             scan_chunks.append((tree, list(chunk.index)))
@@ -458,9 +453,9 @@ def _check_evaluations(monkeypatch, seen, accept_events=True):
     chunks, building = {}, []
     stacks = _record_gram_stacks(monkeypatch)
 
-    def prepared(model, tree, psi, times, criterion, probe_dt=None):
+    def prepared(model, tree, times, criterion, probe_dt=None):
         del stacks[:]
-        chunk = prepare(model, tree, psi, times, criterion, probe_dt)
+        chunk = prepare(model, tree, times, criterion, probe_dt)
         chunks[id(chunk)] = (model, tree, criterion, probe_dt,
                              {G.shape[1]: G for G in stacks})
         return chunk
@@ -1065,8 +1060,7 @@ def test_a_rank_deficient_row_is_judged_by_its_chunk_as_by_the_oracle(
     assert len(seen) == 101 and all(prepared for _, prepared, *_ in seen)
     assert not any(ok for _, _, ok, _ in seen)
     # a chunk prepared from a list of times holds them in the list's order
-    chunk = selection._prepare_chunk(model, trees[0], model.psi0,
-                                     [0.5, 0.25, 0.75],
+    chunk = selection._prepare_chunk(model, trees[0], [0.5, 0.25, 0.75],
                                      (0.05, 0.02, "relative"))
     assert list(chunk.index) == [0.5, 0.25, 0.75]
 
@@ -1136,6 +1130,94 @@ def test_apply_rows_matches_apply(evolution, size):
             == (0, size, 3)
     with pytest.raises(ValueError, match="does not divide"):
         evolution.apply_rows(stack[:, :size - 1], ts)
+
+
+# -- one array per tree: a chunk evolves the frame alone --------------------
+
+def _one_array_models():
+    """(name, model, t_max) of a flow, a spin chain and a callable on which
+    a grid scan records two events."""
+    flow = _flow_model(2, 4, 1)
+    yield "flow2x16", _flow_model(2, 16, 1), 2.0
+    yield "spin-n3", selection.spin_model(_spin_config(5, 3)), 3.0
+    yield "callable", selection.BipartiteModel(
+        2, 4, flow.psi0, flow.evolution.unitary), 2.0
+
+
+@pytest.mark.parametrize("name,model,t_max", list(_one_array_models()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_a_chunks_psi_is_the_models_state(name, model, t_max):
+    # psi(t) is the sum of a row's evolved leaves, in leaves() order; the
+    # leaves of a tree the scan built split psi(t) by complete
+    # decompositions, so that sum is the model's state at t, on a fresh
+    # tree and on one two scan events deep
+    deep = selection._grid_select(model, 0.05, 0.02, "relative", t_max,
+                                  100, 1e-6, 2).tree
+    assert len(deep.leaves()) == 4
+    times = np.linspace(0.0, t_max, 21).tolist()
+    for tree in (HistoryTree(model.psi0, model.evolution), deep):
+        chunk = selection._prepare_chunk(model, tree, list(times),
+                                         _ACCEPTING)
+        assert list(chunk.index) == times
+        for t, i in chunk.index.items():
+            assert np.max(np.abs(chunk.psi[i] - model.state(t))) \
+                <= ORACLE_RTOL, (name, t)
+
+
+@pytest.mark.parametrize("name,model,t_max", list(_one_array_models()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_each_chunk_evolves_the_frame_alone(monkeypatch, name, model, t_max):
+    # every chunk a scan prepares, the first on a fresh tree (a frame of
+    # one column, psi0) included, makes one apply_times call, on the tree's
+    # frame itself, n columns
+    calls, seen = [], []
+    apply_times = model.evolution.apply_times
+    prepare = selection._prepare_chunk
+
+    def recorded(states, ts, since=None):
+        calls.append(states)
+        return apply_times(states, ts, since)
+
+    def prepared(model, tree, times, *args):
+        del calls[:]
+        chunk = prepare(model, tree, times, *args)
+        states, = calls
+        assert states is tree.frame
+        assert states.shape == (model.d1 * model.d2, len(tree.leaves()))
+        assert chunk.leaves.shape == (len(chunk.index),) + states.shape
+        seen.append(states.shape[1])
+        return chunk
+
+    monkeypatch.setattr(model.evolution, "apply_times", recorded)
+    monkeypatch.setattr(selection, "_prepare_chunk", prepared)
+    selection._grid_select(model, 0.05, 0.02, "relative", t_max, 100, 1e-6, 2)
+    assert seen[0] == 1 and max(seen) == 2, name
+
+
+def _scanned_trees():
+    """(name, model, the tree its scan returned)."""
+    for seed in range(4):
+        config = _search_config(16, seed)
+        model, _ = randmodel.build_run(config)
+        yield (f"search2x16-{seed}", model,
+               randmodel.run_forward_search(config, model).tree)
+    model = _recoherence_model()
+    yield ("recoherence", model, selection.earliest_time_select(
+        model, 1e-6, 0.05, 3 * math.pi / 2).tree)
+    model = selection.spin_model(_spin_config(5, 3))
+    yield ("quasi-n3", model, selection.quasi_dynamical_select(
+        model, 0.05, 0.02, 3.0, grid=200).tree)
+
+
+def test_every_scanned_trees_frame_sums_to_the_models_state():
+    # the precondition of _prepare_chunk: the scan extends its trees by
+    # complete decompositions only, so the frame's columns sum to the
+    # model's state at the frame time
+    for name, model, tree in _scanned_trees():
+        assert tree.frame_time is not None, name
+        want = model.state(tree.frame_time)
+        assert np.max(np.abs(tree.frame.sum(axis=1) - want)) <= ORACLE_RTOL, \
+            name
 
 
 # -- chunk sizes: SCAN_CHUNK times, bounded by memory -----------------------
@@ -1232,10 +1314,9 @@ def test_a_chunk_with_the_probe_keeps_its_largest_array_within_scan_block(
     for k in range(len(decs) + 1):
         tree = selection._chain(model, decs[:k], 0.05)[0]
         n = len(tree.leaves())
-        psi = _frame_psi(model, tree)
-        chunk = selection._prepare_chunk(model, tree, psi, times,
+        chunk = selection._prepare_chunk(model, tree, times,
                                          (2.0, 0.0, "relative"), 1e-3)
-        plain = selection._prepare_chunk(model, tree, psi, times,
+        plain = selection._prepare_chunk(model, tree, times,
                                          (2.0, 0.0, "relative"))
         T = len(chunk.index)
         if T > 1:
@@ -1271,8 +1352,7 @@ def test_a_one_time_chunk_past_the_leaf_state_cap_is_refused(monkeypatch):
     monkeypatch.setattr(model.evolution, "apply_times",
                         lambda *args: evolved.append(args))
     with pytest.raises(ValueError, match="leaf-state cap"):
-        selection._prepare_chunk(model, tree, _frame_psi(model, tree), [0.7],
-                                 (2.0, 0.0, "relative"))
+        selection._prepare_chunk(model, tree, [0.7], (2.0, 0.0, "relative"))
     assert evolved == []
 
 
@@ -1301,13 +1381,11 @@ def test_a_one_time_chunk_at_the_cap_holds_under_1_3_largest_arrays(
     largest = d1 * n * n if probe_dt is None else d1 ** 3 * n * n
     monkeypatch.setattr(histories, "LEAF_STATE_CAP", largest)
     times, criterion = [0.95, 1.0], (2.0, 0.0, "relative")
-    psi = _frame_psi(model, tree)
-    selection._prepare_chunk(model, tree, psi, list(times), criterion,
-                             probe_dt)
+    selection._prepare_chunk(model, tree, list(times), criterion, probe_dt)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        chunk = selection._prepare_chunk(model, tree, psi, list(times),
+        chunk = selection._prepare_chunk(model, tree, list(times),
                                          criterion, probe_dt)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -1391,9 +1469,9 @@ def test_an_evolution_error_ahead_is_raised_only_if_the_scan_gets_there(
     starts = []
     prepare = selection._prepare_chunk
 
-    def recorded(model, tree, psi, times, *args):
+    def recorded(model, tree, times, *args):
         starts.append(times[0])
-        return prepare(model, tree, psi, times, *args)
+        return prepare(model, tree, times, *args)
 
     monkeypatch.setattr(selection, "_prepare_chunk", recorded)
     calls = _count_candidates(monkeypatch)

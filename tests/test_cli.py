@@ -353,6 +353,10 @@ def test_spin_recoherence_past_the_cap_on_its_gram_stacks_exits_2(
 # commands refuse by name; the next five are bad inputs of CI's Packaging
 # job; the rest name the value they refuse, k = d of dist check (whose sum
 # law is a point mass) and the bad dimensions of random run among them.
+# The last 25 rows take more numeric options to 0, -1, NaN or inf, and
+# spin probs --n 13 past LEAF_STATE_CAP, named by its 2^13 leaves.  The
+# values of those options left out are refused by the same checks, or run
+# (random run --eps inf admits every time).
 _EDGE_VALUES = [
     ("random run --sigma inf", "sigma"),
     ("spin recoherence --eps inf", "--eps"),
@@ -380,6 +384,32 @@ _EDGE_VALUES = [
     ("dist check --k 3 --d 3 --samples 500", "k=3, d=3"),
     ("random run --d1 0", "d1=0, d2=4"),
     ("random run --d2 1", "d1=2, d2=1"),
+    ("zeno --n 0", "n >= 1, got 0"),
+    ("zeno --n -1", "n >= 1, got -1"),
+    ("zeno --theta inf", "--theta"),
+    ("bounds --eps inf", "--eps"),
+    ("bounds --d-max 0", "--d-max"),
+    ("spin montecarlo --samples -1", "samples >= 1, got -1"),
+    ("spin montecarlo --n 0", "n >= 2, got 0"),
+    ("spin maxinfo --n -1", "--n"),
+    ("spin recoherence --delta nan", "delta must lie in [0, 1), got nan"),
+    ("spin recoherence --delta -1", "delta must lie in [0, 1), got -1.0"),
+    ("spin recoherence --eps nan", "--eps"),
+    ("spin recoherence --eps -1", "epsilon must be non-negative, got -1.0"),
+    ("dist check --samples -1", "samples >= 1, got -1"),
+    ("dist check --d -1", "d=-1"),
+    ("dist check --k -1", "k=-1"),
+    ("random run --tmax nan", "t_max must be positive and finite, got nan"),
+    ("random run --tmax 0", "t_max must be positive and finite, got 0.0"),
+    ("random run --max-histories -1", "max_histories"),
+    ("random run --eps nan", "epsilon must be non-negative, got nan"),
+    ("random run --delta nan", "delta must lie in [0, 1), got nan"),
+    ("random run --delta 1", "delta must lie in [0, 1), got 1.0"),
+    ("random run --sigma -1", "sigma must be non-negative and finite, got -1"),
+    ("random run --sigma nan", "sigma must be non-negative and finite, "
+                               "got nan"),
+    ("dheg --eps nan", "got nan"),
+    ("spin probs --n 13", "8192 leaf states"),
 ]
 
 

@@ -215,10 +215,10 @@ def test_flow_apply_times_returns_a_c_contiguous_stack():
 
 @pytest.mark.parametrize("d,m", [(32, 8), (64, 4)])
 def test_flow_apply_times_holds_at_most_two_chunk_arrays(d, m):
-    # a scan chunk of [psi0 | leaf states] (d rows, m columns) at T times
-    # holds at most SCAN_BLOCK complex entries; apply_times on it holds at
-    # most two arrays of T d m entries at once, its output included, beside
-    # its inputs, the phases (T d), V^dag X (d m) and one ufunc buffer of
+    # a scan chunk steps the tree's frame (d rows, m columns) to T times,
+    # T d m entries within SCAN_BLOCK; apply_times on it holds at most two
+    # arrays of T d m entries at once, its output included, beside its
+    # inputs, the phases (T d), V^dag X (d m) and one ufunc buffer of
     # np.getbufsize() entries.  A third would exceed the bound
     T = min(selection.SCAN_CHUNK, selection.SCAN_BLOCK // (d * m))
     assert T * d * m == selection.SCAN_BLOCK

@@ -1,6 +1,7 @@
 """Lints of the library's source, read with the standard library's ast."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -141,3 +142,30 @@ def test_assert_lint_sees_every_assert_statement():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
 def test_no_assert_statement(path):
     assert _asserts(path.read_text()) == []
+
+
+def _line_counter():
+    """The code-line counter of tools/count_lines.py, loaded by its path."""
+    path = pathlib.Path(__file__).parents[1] / "tools" / "count_lines.py"
+    spec = importlib.util.spec_from_file_location("count_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_line_counter_drops_docstrings_comments_and_blank_lines():
+    # 7 code lines: a string statement that is no docstring counts, and so
+    # does every line of a bracket or a string that spans lines
+    source = ('"""Module\n'
+              'docstring."""\n'
+              "\n"
+              "# a comment\n"
+              "X = (1,\n"
+              "     2)  # trailing\n"
+              "def f():\n"
+              "    '''Function docstring.'''\n"
+              "    y = '''a\n"
+              "b'''\n"
+              "    'not a docstring'\n"
+              "    return y\n")
+    assert _line_counter().code_lines(source) == 7
