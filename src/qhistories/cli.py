@@ -212,6 +212,10 @@ def _spin_probs(cfg, times):
 def cmd_spin_probs(args, out):
     cfg = _random_axes(args.n, RandomStream(args.seed, "spin-probs"))
     n = cfg.n
+    # 2^n leaf states of dimension 2^(n+1): n = 12 is the largest tree
+    # within histories.LEAF_STATE_CAP
+    if n > 12:
+        raise ValueError(f"--n must be at most 12, got {n}")
     times = tuple(range(1, n + 1))
     probs, closed = _spin_probs(cfg, times)
     worst = float(np.max(np.abs(closed - probs)))

@@ -309,8 +309,8 @@ def test_spin_probs_prints_the_trees_leaf_probabilities():
 
 def test_spin_probs_past_the_leaf_state_cap_exits_2_at_once(capsys):
     # n = 12 holds 2^13 x 2^12 leaf-state entries, the cap itself; n = 13
-    # would hold four times that, and is refused before its tree is
-    # extended at all, with one error line and exit status 2
+    # would hold four times that, and is refused by name before its tree
+    # is built at all, with one error line and exit status 2
     histories._check_leaf_states(2 ** 13, 2 ** 12)
     assert 2 ** 13 * 2 ** 12 == histories.LEAF_STATE_CAP
     tracemalloc.start()
@@ -324,7 +324,7 @@ def test_spin_probs_past_the_leaf_state_cap_exits_2_at_once(capsys):
     errors = [line for line in capsys.readouterr().err.splitlines()
               if "error" in line]
     assert len(errors) == 1 and "qhist: error:" in errors[0]
-    assert f"{2 ** 27} entries, past the leaf-state cap" in errors[0]
+    assert "--n must be at most 12, got 13" in errors[0]
     # a few copies of the initial state, of 2^14 entries, at most
     assert peak < 8 * 16 * 2 ** 14
 
@@ -354,7 +354,7 @@ def test_spin_recoherence_past_the_cap_on_its_gram_stacks_exits_2(
 # job; the rest name the value they refuse, k = d of dist check (whose sum
 # law is a point mass) and the bad dimensions of random run among them.
 # The last 25 rows take more numeric options to 0, -1, NaN or inf, and
-# spin probs --n 13 past LEAF_STATE_CAP, named by its 2^13 leaves.  The
+# spin probs --n 13, whose tree is past LEAF_STATE_CAP.  The
 # values of those options left out are refused by the same checks, or run
 # (random run --eps inf admits every time).
 _EDGE_VALUES = [
@@ -409,7 +409,7 @@ _EDGE_VALUES = [
     ("random run --sigma nan", "sigma must be non-negative and finite, "
                                "got nan"),
     ("dheg --eps nan", "got nan"),
-    ("spin probs --n 13", "8192 leaf states"),
+    ("spin probs --n 13", "got 13"),
 ]
 
 

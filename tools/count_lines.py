@@ -1,15 +1,12 @@
-"""Count the code lines of Python sources: lines holding a token that is not
-a comment, with docstrings and blank lines dropped.
+"""Print the code lines of the Python sources under src/: lines holding a
+token that is not a comment, with docstrings and blank lines dropped.
 
-    python tools/count_lines.py [PATH ...]
+    python tools/count_lines.py
 
-Each PATH is a file or a directory searched for *.py files (default: src).
 Docstrings are the leading string statements of modules, classes and
 functions, found by ast; comments and blank lines are found by tokenize.
-Prints the total, or one count per file and the total with --per-file.
 """
 
-import argparse
 import ast
 import io
 import pathlib
@@ -42,23 +39,9 @@ def code_lines(source):
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def python_files(paths):
-    for path in map(pathlib.Path, paths):
-        yield from sorted(path.rglob("*.py")) if path.is_dir() else [path]
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs="*", default=["src"])
-    parser.add_argument("--per-file", action="store_true")
-    args = parser.parse_args(argv)
-    total = 0
-    for path in python_files(args.paths):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        if args.per_file:
-            print(f"{count:6d} {path}")
-    print(total)
+def main():
+    print(sum(code_lines(path.read_text(encoding="utf-8"))
+              for path in sorted(pathlib.Path("src").rglob("*.py"))))
 
 
 if __name__ == "__main__":
